@@ -112,21 +112,7 @@ ChaosResult RunChaos(const std::vector<sim::FaultEvent>& schedule) {
   workloads::Testbed bed(workloads::FsKind::kMemFs, config);
   sim::Simulation& sim = bed.simulation();
 
-  sim::FaultHooks hooks;
-  hooks.set_server_down = [&bed](std::uint32_t server, bool down, bool wipe) {
-    bed.storage()->SetServerDown(server, down, wipe);
-  };
-  hooks.set_server_slowdown = [&bed](std::uint32_t server, double factor) {
-    bed.storage()->SetServerSlowdown(server, factor);
-  };
-  hooks.set_link_fault = [&bed](std::uint32_t src, std::uint32_t dst,
-                                double loss, sim::SimTime extra) {
-    bed.network().SetLinkFault(src, dst, {loss, extra});
-  };
-  hooks.clear_link_fault = [&bed](std::uint32_t src, std::uint32_t dst) {
-    bed.network().ClearLinkFault(src, dst);
-  };
-  sim::FaultInjector injector(sim, std::move(hooks));
+  sim::FaultInjector injector(sim, bed.fault_hooks());
   injector.ScheduleAll(schedule);
 
   std::vector<std::uint8_t> write_ok(kFiles, 0);

@@ -26,7 +26,7 @@
 // Everything here is post-hoc analysis over already-recorded state: the
 // recorder never schedules events, resumes coroutines, or draws randomness,
 // so Simulation::EventDigest() is bit-identical with diagnosis on or off
-// (the `incident_determinism` ctest pins this, together with byte-identical
+// (the `determinism_gate` ctest pins this, together with byte-identical
 // incident JSON across same-seed runs). All aggregation uses ordered
 // containers; every ranking has a total, deterministic order.
 #pragma once
@@ -185,7 +185,7 @@ class FlightRecorder {
   // exemplars, ranked causes, verdict).
   static void Print(const std::vector<Incident>& incidents, std::ostream& os);
 
-  // Deterministic JSON export — the byte stream `incident_determinism`
+  // Deterministic JSON export — the byte stream `determinism_gate`
   // compares across same-seed runs.
   static void WriteJson(const std::vector<Incident>& incidents,
                         std::ostream& os);

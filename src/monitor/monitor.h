@@ -15,7 +15,7 @@
 //    simulated clock is about to advance and closes every window boundary the
 //    jump crosses. It never schedules events, resumes coroutines, or draws
 //    randomness, so Simulation::EventDigest() is bit-identical with
-//    monitoring on or off (the `monitor_determinism` ctest pins this).
+//    monitoring on or off (the `determinism_gate` ctest pins this).
 //  * Samples are taken before the first event of the new instant runs, so a
 //    window [start, end) reflects exactly the events with time < end.
 //  * Storage is a bounded ring: the newest `retention` windows are kept,
@@ -153,7 +153,7 @@ class Monitor final : public sim::ClockObserver {
 
   // Timeline exports: one row/object per window, one column/field per
   // series, in series-id order. Deterministic byte streams — the
-  // monitor_determinism audit compares them across same-seed runs.
+  // determinism_gate ctest compares the CSV across same-seed runs.
   void WriteCsv(std::ostream& os) const;
   void WriteJson(std::ostream& os) const;
 

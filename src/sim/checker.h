@@ -31,7 +31,7 @@
 // Determinism auditing rides on Simulation::EventDigest(): an order-sensitive
 // FNV-1a hash over the (time, sequence) pair of every event processed. Two
 // runs of the same seeded program must produce identical digests; see
-// tools/determinism_audit.cc.
+// tools/determinism_gate.cc.
 #pragma once
 
 #include <coroutine>

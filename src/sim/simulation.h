@@ -108,8 +108,8 @@ class Simulation {
   // Order-sensitive FNV-1a digest over the (time, sequence) pair of every
   // event processed so far. Because the event queue is the sole source of
   // interleaving, two runs of the same seeded program are bit-identical iff
-  // their digests match — the determinism audit (tools/determinism_audit)
-  // double-runs a faulted workload and compares these.
+  // their digests match — the determinism gate (tools/determinism_gate)
+  // double-runs every workload in its table and compares these.
   std::uint64_t EventDigest() const { return digest_; }
 
   // Correctness instrumentation (see sim/checker.h). Managed by SimChecker's

@@ -17,7 +17,7 @@
 //    is bit-identical across same-seed runs. Recording never schedules
 //    events or draws randomness, so attaching a tracer cannot change the
 //    event stream: Simulation::EventDigest() is identical with tracing on,
-//    off, or absent (the `trace_determinism` ctest and
+//    off, or absent (the `determinism_gate` ctest and
 //    `ablation_trace_overhead` bench both assert this).
 //  * Storage is a bounded ring: the newest `max_finished_spans` completed
 //    spans are kept; older ones are dropped and counted. Open spans mirror
@@ -129,7 +129,7 @@ class Tracer {
   std::uint64_t traces_started() const { return next_trace_id_ - 1; }
 
   // Deterministic text dump of every finished span (ids, times, events,
-  // args) — the byte stream the trace_determinism audit compares across
+  // args) — the byte stream the determinism_gate ctest compares across
   // same-seed runs.
   void Serialize(std::ostream& os) const;
 

@@ -119,6 +119,28 @@ fs::Vfs& Testbed::vfs() {
   return *amfs_;
 }
 
+sim::FaultHooks Testbed::fault_hooks() {
+  sim::FaultHooks hooks;
+  if (!storage_) return hooks;
+  kv::KvCluster* storage = storage_.get();
+  net::Network* network = network_.get();
+  hooks.set_server_down = [storage](std::uint32_t server, bool down,
+                                    bool wipe) {
+    storage->SetServerDown(server, down, wipe);
+  };
+  hooks.set_server_slowdown = [storage](std::uint32_t server, double factor) {
+    storage->SetServerSlowdown(server, factor);
+  };
+  hooks.set_link_fault = [network](std::uint32_t src, std::uint32_t dst,
+                                   double loss, sim::SimTime extra) {
+    network->SetLinkFault(src, dst, {loss, extra});
+  };
+  hooks.clear_link_fault = [network](std::uint32_t src, std::uint32_t dst) {
+    network->ClearLinkFault(src, dst);
+  };
+  return hooks;
+}
+
 std::uint64_t Testbed::NodeMemoryUsed(net::NodeId node) const {
   if (storage_) {
     // Server index == node index in this deployment.

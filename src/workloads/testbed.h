@@ -17,6 +17,7 @@
 #include "memfs/memfs.h"
 #include "net/fluid_network.h"
 #include "net/network.h"
+#include "sim/fault.h"
 #include "sim/simulation.h"
 
 namespace memfs::workloads {
@@ -85,6 +86,11 @@ class Testbed {
   // Non-null only when config.elastic is set (MemFS kind).
   kv::Membership* membership() { return membership_.get(); }
   kv::Migrator* migrator() { return migrator_.get(); }
+
+  // Hooks for a sim::FaultInjector: crash and slow faults reach storage(),
+  // link faults reach network(). An AMFS testbed has no kv servers to fault,
+  // so its hooks are all unset and every scheduled fault is a no-op.
+  sim::FaultHooks fault_hooks();
 
   // Per-node stored bytes, uniform across both file systems.
   std::uint64_t NodeMemoryUsed(net::NodeId node) const;

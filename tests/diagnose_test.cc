@@ -4,7 +4,7 @@
 // attribution through "server" span annotations, cause ranking, and the
 // determinism of the exported report. The end-to-end neutrality claim
 // (diagnosis on == off, byte-identical digests and JSON) is pinned by the
-// incident_determinism ctest.
+// determinism_gate ctest.
 #include <sstream>
 #include <string>
 #include <vector>

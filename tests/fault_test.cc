@@ -524,38 +524,17 @@ SoakCounters RunChaosSoak() {
   constexpr std::uint32_t kNodes = 8;
   constexpr std::uint32_t kFiles = 32;
 
-  sim::Simulation sim;
-  net::FairShareNetwork network(sim, net::Das4Ipoib(kNodes));
+  workloads::TestbedConfig config;
+  config.nodes = kNodes;
+  config.memfs.replication = 2;
+  config.kv_policy.retry.max_attempts = 5;
+  config.kv_policy.op_deadline = Millis(20);
+  workloads::Testbed bed(workloads::FsKind::kMemFs, config);
+  sim::Simulation& sim = bed.simulation();
+  fs::MemFs& memfs = *bed.memfs();
+  kv::KvCluster& storage = *bed.storage();
 
-  kv::KvClientPolicy policy;
-  policy.retry.max_attempts = 5;
-  policy.op_deadline = Millis(20);
-
-  std::vector<net::NodeId> server_nodes;
-  for (std::uint32_t n = 0; n < kNodes; ++n) server_nodes.push_back(n);
-  kv::KvCluster storage(sim, network, std::move(server_nodes),
-                        kv::KvServerConfig{}, kv::KvOpCostModel{}, nullptr,
-                        policy);
-  fs::MemFsConfig config;
-  config.replication = 2;
-  fs::MemFs memfs(sim, network, storage, config);
-
-  sim::FaultHooks hooks;
-  hooks.set_server_down = [&storage](std::uint32_t server, bool down,
-                                     bool wipe) {
-    storage.SetServerDown(server, down, wipe);
-  };
-  hooks.set_server_slowdown = [&storage](std::uint32_t server, double factor) {
-    storage.SetServerSlowdown(server, factor);
-  };
-  hooks.set_link_fault = [&network](std::uint32_t src, std::uint32_t dst,
-                                    double loss, sim::SimTime extra) {
-    network.SetLinkFault(src, dst, {loss, extra});
-  };
-  hooks.clear_link_fault = [&network](std::uint32_t src, std::uint32_t dst) {
-    network.ClearLinkFault(src, dst);
-  };
-  sim::FaultInjector injector(sim, std::move(hooks));
+  sim::FaultInjector injector(sim, bed.fault_hooks());
   injector.ScheduleAll(SoakSchedule());
 
   // Write phase: one file every 3 ms from round-robin client nodes, so the
@@ -589,7 +568,7 @@ SoakCounters RunChaosSoak() {
   counters.write_failovers = memfs.stats().write_failovers;
   counters.replica_failovers = memfs.stats().replica_failovers;
   counters.read_repairs = memfs.stats().read_repairs;
-  counters.dropped_messages = network.dropped_messages();
+  counters.dropped_messages = bed.network().dropped_messages();
   counters.injector_events = injector.stats().total_events();
   counters.wipes = injector.stats().wipes;
   return counters;

@@ -24,6 +24,7 @@
 #include "net/fluid_network.h"
 #include "sim/fault.h"
 #include "test_util.h"
+#include "workloads/testbed.h"
 
 namespace memfs::meta {
 namespace {
@@ -565,19 +566,16 @@ TEST(MetaChaosTest, CrossDirRenameSurvivesShardCrash) {
   constexpr std::uint32_t kNodes = 6;
   constexpr std::uint32_t kFiles = 12;
 
-  sim::Simulation sim;
-  net::FairShareNetwork network(sim, net::Das4Ipoib(kNodes));
-  kv::KvClientPolicy policy;
-  policy.retry.max_attempts = 4;
-  policy.op_deadline = Millis(20);
-  std::vector<net::NodeId> nodes;
-  for (std::uint32_t n = 0; n < kNodes; ++n) nodes.push_back(n);
-  kv::KvCluster storage(sim, network, std::move(nodes), kv::KvServerConfig{},
-                        kv::KvOpCostModel{}, nullptr, policy);
-  fs::MemFsConfig config;
-  config.metadata = MetadataMode::kSharded;
-  config.replication = 3;
-  fs::MemFs memfs(sim, network, storage, config);
+  workloads::TestbedConfig config;
+  config.nodes = kNodes;
+  config.memfs.metadata = MetadataMode::kSharded;
+  config.memfs.replication = 3;
+  config.kv_policy.retry.max_attempts = 4;
+  config.kv_policy.op_deadline = Millis(20);
+  workloads::Testbed bed(workloads::FsKind::kMemFs, config);
+  sim::Simulation& sim = bed.simulation();
+  fs::MemFs& memfs = *bed.memfs();
+  kv::KvCluster& storage = *bed.storage();
 
   // Build the namespace on a healthy cluster.
   ASSERT_TRUE(Await(sim, memfs.Mkdir({0, 0}, "/src")).ok());
@@ -597,15 +595,7 @@ TEST(MetaChaosTest, CrossDirRenameSurvivesShardCrash) {
   // chains are consecutive on the ring, so some keys lose their whole chain
   // and renames die mid-protocol, leaving intents behind. The servers come
   // back with RAM intact (process restart), and recovery rolls forward.
-  sim::FaultHooks hooks;
-  hooks.set_server_down = [&storage](std::uint32_t server, bool down,
-                                     bool wipe) {
-    storage.SetServerDown(server, down, wipe);
-  };
-  hooks.set_server_slowdown = [&storage](std::uint32_t server, double factor) {
-    storage.SetServerSlowdown(server, factor);
-  };
-  sim::FaultInjector injector(sim, std::move(hooks));
+  sim::FaultInjector injector(sim, bed.fault_hooks());
   // The namespace build above already advanced the clock; fault windows are
   // scheduled relative to now so they overlap the rename traffic below.
   const sim::SimTime t0 = sim.now();

@@ -1,7 +1,7 @@
 // Unit tests for the continuous monitor: window slicing, registry scraping,
 // probes, ring retention, balance math, and the SLO rule language. The
 // cluster-scale neutrality claim (monitoring on == off, byte-identical
-// digests) is pinned by the monitor_determinism ctest; here a small sim
+// digests) is pinned by the determinism_gate ctest; here a small sim
 // checks the same property at unit scale.
 #include <cmath>
 #include <memory>

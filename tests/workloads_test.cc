@@ -1,9 +1,13 @@
 // Tests for the workload layer: Testbed construction across all presets,
-// the envelope engine's accounting rules, staging/seeding interactions, and
-// generator parameter edge cases.
+// its fault hooks, the envelope engine's accounting rules, staging/seeding
+// interactions, and generator parameter edge cases.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/units.h"
+#include "sim/fault.h"
+#include "test_util.h"
 #include "workloads/blast.h"
 #include "workloads/envelope.h"
 #include "workloads/montage.h"
@@ -156,6 +160,85 @@ TEST(TestbedTest, RdmaIsFasterThanIpoib) {
     return bench.RunWrite().BandwidthMBps();
   };
   EXPECT_GT(run_write(Fabric::kRdma), run_write(Fabric::kDas4Ipoib) * 2);
+}
+
+// --- Fault hooks ---
+
+// One 2 ms episode of each fault class, all starting at 1 ms: server 3
+// crashes and restarts empty, server 2 runs 8x slower, link 0->1 drops
+// every message.
+std::vector<sim::FaultEvent> OneFaultOfEachKind() {
+  sim::FaultEvent crash;
+  crash.kind = sim::FaultKind::kServerCrash;
+  crash.start = units::Millis(1);
+  crash.duration = units::Millis(2);
+  crash.server = 3;
+  crash.wipe_on_restart = true;
+  sim::FaultEvent slow = crash;
+  slow.kind = sim::FaultKind::kServerSlow;
+  slow.server = 2;
+  slow.slow_factor = 8.0;
+  sim::FaultEvent link = crash;
+  link.kind = sim::FaultKind::kLinkFault;
+  link.src = 0;
+  link.dst = 1;
+  link.loss_prob = 1.0;
+  return {crash, slow, link};
+}
+
+TEST(TestbedFaultHooksTest, FaultsReachStorageAndNetwork) {
+  TestbedConfig config;
+  config.nodes = 8;
+  Testbed bed(FsKind::kMemFs, config);
+  sim::Simulation& sim = bed.simulation();
+  kv::KvCluster& storage = *bed.storage();
+  ASSERT_TRUE(
+      memfs::testing::Await(sim, storage.Set(0, 3, "k", Bytes::Copy("v")))
+          .ok());
+
+  sim::FaultInjector injector(sim, bed.fault_hooks());
+  injector.ScheduleAll(OneFaultOfEachKind());
+  bool down = false;
+  double slowdown = 1.0;
+  bool dropped = false;
+  sim.ScheduleAt(units::Millis(2), [&] {
+    down = storage.IsServerDown(3);
+    slowdown = storage.ServerSlowdown(2);
+    dropped = bed.network().DropMessage(0, 1);
+  });
+  sim.Run();
+
+  EXPECT_TRUE(down);
+  EXPECT_FALSE(storage.IsServerDown(3));
+  EXPECT_EQ(storage.server(3).memory_used(), 0u);  // restarted empty
+  EXPECT_EQ(slowdown, 8.0);
+  EXPECT_EQ(storage.ServerSlowdown(2), 1.0);
+  EXPECT_TRUE(dropped);
+  EXPECT_EQ(bed.network().dropped_messages(), 1u);
+  EXPECT_FALSE(bed.network().DropMessage(0, 1));  // link healed
+}
+
+TEST(TestbedFaultHooksTest, AmfsHooksAreUnsetAndFaultsAreNoOps) {
+  TestbedConfig config;
+  config.nodes = 4;
+  Testbed bed(FsKind::kAmfs, config);
+  const sim::FaultHooks hooks = bed.fault_hooks();
+  EXPECT_FALSE(hooks.set_server_down);
+  EXPECT_FALSE(hooks.set_server_slowdown);
+  EXPECT_FALSE(hooks.set_link_fault);
+  EXPECT_FALSE(hooks.clear_link_fault);
+
+  sim::Simulation& sim = bed.simulation();
+  sim::FaultInjector injector(sim, bed.fault_hooks());
+  injector.ScheduleAll(OneFaultOfEachKind());
+  bool dropped = true;
+  sim.ScheduleAt(units::Millis(2),
+                 [&] { dropped = bed.network().DropMessage(0, 1); });
+  sim.Run();
+
+  EXPECT_EQ(injector.stats().crashes, 1u);  // the schedule ran...
+  EXPECT_FALSE(dropped);                    // ...but nothing was faulted
+  EXPECT_EQ(bed.network().dropped_messages(), 0u);
 }
 
 // --- Envelope accounting rules ---

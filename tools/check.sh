@@ -2,16 +2,16 @@
 # tools/check.sh — the tier-1 verification gate plus a sanitizer pass.
 #
 #   1. configure + build the default (Release-ish) tree in build/,
-#   2. run the full ctest suite (unit tests, lint, determinism gates),
+#   2. run the full ctest suite (unit tests, lint, the determinism gate,
+#      the benchmark smoke),
 #   3. run the semantic analyzer (memfs_analyze) over the whole repo and
 #      fail on any unsuppressed finding,
 #   4. configure + build with -DMEMFS_SANITIZE=address,undefined in
-#      build-asan/ and re-run the determinism gates under the sanitizers
-#      (this includes the elastic join/drain rebalancing gate: same-seed
-#      runs with a mid-traffic join + drain must produce identical event
-#      digests with zero lost reads),
+#      build-asan/ and re-run the determinism gate under the sanitizers
+#      (`ctest -L determinism`: every scenario x observer cell of
+#      tools/determinism_gate.cc, elastic join/drain included),
 #   5. configure + build with -DMEMFS_SANITIZE=thread in build-tsan/ and
-#      re-run the determinism gates under TSan (skipped with a notice when
+#      re-run the determinism gate under TSan (skipped with a notice when
 #      the toolchain has no libtsan).
 #
 # Usage: tools/check.sh [jobs]   (default: nproc)
@@ -46,7 +46,7 @@ cmake -S "$root" -B "$root/build-asan" \
   -DMEMFS_SANITIZE=address,undefined >/dev/null
 cmake --build "$root/build-asan" -j "$jobs"
 
-echo "== sanitizers: determinism gates =="
+echo "== sanitizers: determinism gate =="
 ctest --test-dir "$root/build-asan" -L determinism --output-on-failure
 
 # The event-cell slab and the frame pool run under ASan/UBSan here (the
@@ -66,7 +66,7 @@ if printf 'int main(){return 0;}' | \
   cmake -S "$root" -B "$root/build-tsan" -DMEMFS_SANITIZE=thread >/dev/null
   cmake --build "$root/build-tsan" -j "$jobs"
 
-  echo "== sanitizers: determinism gates under TSan =="
+  echo "== sanitizers: determinism gate under TSan =="
   ctest --test-dir "$root/build-tsan" -L determinism --output-on-failure
 
   echo "== sanitizers: event heap + frame pool tests under TSan =="

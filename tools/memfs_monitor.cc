@@ -18,7 +18,7 @@
 //   memfs_monitor --workload=blast --balance=kv.mem_bytes --csv
 //
 // Monitoring never schedules events: same flags with or without the monitor
-// produce the same event digest (pinned by the monitor_determinism ctest).
+// produce the same event digest (pinned by the determinism_gate ctest).
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
     // Flight recorder inputs: traced operations (for exemplar attribution),
     // per-window exemplar harvests, and a cumulative write-p99 gauge the
     // incident SLO below watches. All read-only over the run — the
-    // incident_determinism ctest pins digest neutrality.
+    // determinism_gate ctest pins digest neutrality.
     tracer = std::make_unique<trace::Tracer>(bed.simulation());
     mon.HarvestExemplars(&metrics);
   }
@@ -237,26 +237,8 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<sim::FaultInjector> injector;
   if (faults) {
-    kv::KvCluster* storage = bed.storage();
-    net::Network& network = bed.network();
-    sim::FaultHooks hooks;
-    hooks.set_server_down = [storage](std::uint32_t server, bool down,
-                                      bool wipe) {
-      storage->SetServerDown(server, down, wipe);
-    };
-    hooks.set_server_slowdown = [storage](std::uint32_t server,
-                                          double factor) {
-      storage->SetServerSlowdown(server, factor);
-    };
-    hooks.set_link_fault = [&network](std::uint32_t src, std::uint32_t dst,
-                                      double loss, sim::SimTime extra) {
-      network.SetLinkFault(src, dst, {loss, extra});
-    };
-    hooks.clear_link_fault = [&network](std::uint32_t src, std::uint32_t dst) {
-      network.ClearLinkFault(src, dst);
-    };
     injector = std::make_unique<sim::FaultInjector>(bed.simulation(),
-                                                    std::move(hooks));
+                                                    bed.fault_hooks());
     sim::FaultScheduleConfig schedule;
     schedule.seed = fault_seed;
     schedule.servers = nodes;
