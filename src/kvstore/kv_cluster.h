@@ -98,7 +98,7 @@ struct KvClusterStats {
 
 // Per-server slice of the client-side activity: how this client treated one
 // server (attempts, retries, breaker trips, batching). Surfaced by
-// tools/memfs_trace's per-server report table.
+// memfs_run's per-server kv table.
 struct KvServerClientStats {
   std::uint64_t single_ops = 0;          // single-op attempts sent
   std::uint64_t batches = 0;             // batch attempts sent

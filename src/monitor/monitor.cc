@@ -17,8 +17,8 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-// Deterministic compact number formatting shared by the CSV and JSON
-// exports: integers print exactly, everything else as %.6g.
+// Deterministic compact number formatting shared by the CSV export and the
+// summary: integers print exactly, everything else as %.6g.
 std::string FormatValue(double value) {
   if (std::floor(value) == value && std::fabs(value) < 9.007199254740992e15) {
     return std::to_string(static_cast<long long>(value));
@@ -260,34 +260,6 @@ void Monitor::WriteCsv(std::ostream& os) const {
     }
     os << '\n';
   }
-}
-
-void Monitor::WriteJson(std::ostream& os) const {
-  os << "{\"interval_ns\":" << config_.interval << ",\"series\":[";
-  for (std::size_t id = 0; id < series_.size(); ++id) {
-    if (id > 0) os << ',';
-    os << "{\"name\":\"" << series_[id].name << "\",\"kind\":\""
-       << KindName(series_[id].kind) << "\"}";
-  }
-  os << "],\"windows\":[";
-  bool first_window = true;
-  for (const Window& window : windows_) {
-    if (!first_window) os << ',';
-    first_window = false;
-    os << "{\"start\":" << window.start << ",\"end\":" << window.end
-       << ",\"values\":[";
-    for (std::size_t id = 0; id < series_.size(); ++id) {
-      if (id > 0) os << ',';
-      const double value = Value(window, id);
-      if (std::isnan(value)) {
-        os << "null";
-      } else {
-        os << FormatValue(value);
-      }
-    }
-    os << "]}";
-  }
-  os << "]}\n";
 }
 
 void Monitor::PrintSummary(std::ostream& os, bool csv) const {

@@ -151,11 +151,11 @@ class Monitor final : public sim::ClockObserver {
   // Sorted unique base names (for reports iterating every audited family).
   std::vector<std::string> Bases() const;
 
-  // Timeline exports: one row/object per window, one column/field per
-  // series, in series-id order. Deterministic byte streams — the
-  // determinism_gate ctest compares the CSV across same-seed runs.
+  // Timeline export: one row per window, one column per series, in
+  // series-id order; a series absent from a window is an empty cell. A
+  // deterministic byte stream — the determinism_gate ctest compares it
+  // across same-seed runs.
   void WriteCsv(std::ostream& os) const;
-  void WriteJson(std::ostream& os) const;
 
   // Per-series min/mean/max/last over the retained windows.
   void PrintSummary(std::ostream& os, bool csv) const;

@@ -27,4 +27,13 @@ void AttachNetworkProbes(Monitor& monitor, const net::Network& network) {
   });
 }
 
+void AttachWriteP99Probe(Monitor& monitor, const MetricsRegistry& registry) {
+  monitor.AddGaugeProbe("vfs.write.p99_ms", [&registry] {
+    const auto& histograms = registry.all();
+    const auto it = histograms.find("vfs.write");
+    return it == histograms.end() ? 0.0
+                                  : it->second.PercentileNanos(0.99) / 1e6;
+  });
+}
+
 }  // namespace memfs::monitor

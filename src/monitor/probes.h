@@ -1,4 +1,5 @@
-// Standard pull probes for layers that have no MetricsRegistry.
+// Standard pull probes: layers that have no MetricsRegistry, and derived
+// gauges the default SLO rules watch.
 //
 // The network keeps cumulative per-node byte counters but no registry; these
 // helpers expose them to the monitor as per-window utilization series
@@ -7,6 +8,7 @@
 // Probes read counters only, so attaching them never perturbs the run.
 #pragma once
 
+#include "common/metrics.h"
 #include "monitor/monitor.h"
 #include "net/network.h"
 
@@ -15,5 +17,11 @@ namespace memfs::monitor {
 // Attaches per-node tx/rx utilization rate probes and an active-flow gauge
 // probe. `network` must outlive `monitor`.
 void AttachNetworkProbes(Monitor& monitor, const net::Network& network);
+
+// Attaches "vfs.write.p99_ms": the cumulative p99 of the registry's
+// "vfs.write" histogram in milliseconds (0 until the first write). Looks the
+// histogram up without creating it, so the probe stays read-only.
+// `registry` must outlive `monitor`.
+void AttachWriteP99Probe(Monitor& monitor, const MetricsRegistry& registry);
 
 }  // namespace memfs::monitor

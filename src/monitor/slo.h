@@ -4,7 +4,7 @@
 //
 //   skew(kv.mem_bytes) < 1.25 for 95% of windows
 //   cv(net.tx_util) <= 0.5
-//   sum(vfs.write.rate) > 0 when sum(io.queued) > 0
+//   sum(io.inflight_batches) > 0 when sum(io.queued) > 0
 //   value(kv.backlog/3) <= 64
 //
 // Grammar:   <term> <op> <number> [when <term> <op> <number>]
@@ -17,8 +17,8 @@
 //              chi2 — chi-square against the uniform expectation
 //   op:      <  <=  >  >=
 //   when:    guard — windows where the guard is false are not evaluated
-//            (this expresses the stall rule: "no window completes zero ops
-//            while ops are queued" is `completed > 0 when queued > 0`)
+//            (this expresses the stall rule: "no window has ops queued and
+//            no batch in flight" is `in_flight > 0 when queued > 0`)
 //   for:     minimum fraction of evaluated windows that must pass
 //            (default 100%)
 //
@@ -57,6 +57,20 @@ struct SloRule {
   SloCondition condition;
   std::optional<SloCondition> guard;  // `when` clause
   double min_pass_fraction = 1.0;     // `for P% of windows`
+};
+
+// The rules every fully observed run is held to (memfs_run and the
+// determinism gate): kv memory balance, sharded dentry balance (vacuous
+// under append_log), the stall rule, and the write-latency bound on the
+// gauge AttachWriteP99Probe (monitor/probes.h) publishes. The stall rule
+// watches batches in flight, not write rate: io.queued also counts queued
+// reads, so a healthy read phase has queued ops and no writes.
+inline constexpr const char* kDefaultSloRules[] = {
+    "skew(kv.mem_bytes) < 1.25 for 95% of windows",
+    "skew(meta.dentries) < 1.25 when sum(meta.dentries) > 1024 "
+    "for 95% of windows",
+    "sum(io.inflight_batches) > 0 when sum(io.queued) > 0 for 100% of windows",
+    "value(vfs.write.p99_ms) < 5 for 95% of windows",
 };
 
 // Parses a rule; on failure returns nullopt and, when `error` is non-null,

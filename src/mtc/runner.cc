@@ -253,10 +253,6 @@ sim::Task Runner::ExecuteTask(const TaskSpec& task, std::size_t index,
 
   completion.status = std::move(status);
   completion.ended = sim_.now();
-  if (config_.trace != nullptr) {
-    config_.trace->AddSpan(task.name, task.stage, completion.started,
-                           completion.ended, node, slot);
-  }
   completions_.push_back(std::move(completion));
   wake_->Release();
 }

@@ -27,7 +27,6 @@
 #include "sim/simulation.h"
 #include "sim/sync.h"
 #include "sim/task.h"
-#include "sim/trace.h"
 #include "trace/trace.h"
 
 namespace memfs::mtc {
@@ -41,9 +40,6 @@ struct RunnerConfig {
   // explicitly.
   std::uint64_t io_block = units::KiB(256);
   bool verify_reads = true;
-  // Optional caller-owned Chrome-trace recorder: one span per task
-  // (pid = node, tid = core slot, category = stage).
-  sim::TraceRecorder* trace = nullptr;
   // Optional caller-owned workflow counters: mtc.tasks_run,
   // mtc.task_failures, mtc.bytes_read/written, and an mtc.task duration
   // histogram — the same registry the benches already print.

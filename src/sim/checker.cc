@@ -48,7 +48,8 @@ void SimChecker::OnResume(std::coroutine_handle<> handle) {
 
 void SimChecker::OnSemaphoreCreate(const void* sem, std::uint64_t permits,
                                    std::string_view site) {
-  semaphores_[sem] = SemaphoreState{std::string(site), permits, 0};
+  semaphores_[sem] =
+      SemaphoreState{std::string(site), permits, 0, /*signal=*/permits == 0};
 }
 
 void SimChecker::OnSemaphoreDestroy(const void* sem) {
@@ -62,6 +63,7 @@ void SimChecker::OnAcquire(const void* sem) {
 void SimChecker::OnRelease(const void* sem, std::string_view site) {
   SemaphoreState& state = semaphores_[sem];
   if (state.site.empty()) state.site = std::string(site);
+  if (state.held == 0 && state.signal) return;  // produces the next permit
   if (state.held == 0) {
     std::ostringstream detail;
     detail << "Semaphore \"" << state.site << "\" released with no permit "

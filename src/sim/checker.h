@@ -11,7 +11,11 @@
 //    on.
 //  * Permit accounting — semaphores track permits in use; a Release() with no
 //    outstanding permit (double release, or releasing a permit that was
-//    never acquired) is reported the moment it happens.
+//    never acquired) is reported the moment it happens. A semaphore the
+//    checker saw created with zero permits is a signal, not a lock: its
+//    Release() produces the permit a later Acquire() consumes, so releasing
+//    it first is legal. Semaphores created before the checker attached are
+//    registered lazily and always follow the lock rule.
 //  * Task lifetimes — sim::Task coroutine frames are counted at creation and
 //    destruction. A frame still alive at Finish() that is not parked on any
 //    instrumented primitive is a leaked task (suspended on a raw awaitable,
@@ -81,7 +85,8 @@ class SimChecker {
   void OnSemaphoreDestroy(const void* sem);
   // A permit was taken (fast-path acquire, TryAcquire, or direct handoff).
   void OnAcquire(const void* sem);
-  // A permit was returned; flags over-release when none is outstanding.
+  // A permit was returned; flags over-release when none is outstanding,
+  // unless the semaphore is a signal.
   void OnRelease(const void* sem, std::string_view site);
 
   // sim::Task frame lifetime (routed through detail::NoteTaskCreated /
@@ -122,6 +127,7 @@ class SimChecker {
     std::string site;
     std::uint64_t permits = 0;  // initial permit count
     std::uint64_t held = 0;     // permits currently acquired
+    bool signal = false;        // created with zero permits after attach
   };
 
   void ReportLostWakeups();

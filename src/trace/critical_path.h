@@ -88,8 +88,8 @@ inline CriticalPath ExtractCriticalPath(const Tracer& tracer, TraceId trace,
   return ExtractCriticalPath(tracer.finished(), trace, root_span);
 }
 
-// Renders the per-layer attribution table and the top-N span names (the
-// `tools/memfs_trace` report). CSV mode emits just the per-layer rows.
+// Renders the per-layer attribution table and the top-N span names (as
+// memfs_run prints for a workflow). CSV mode emits just the per-layer rows.
 void PrintCriticalPath(std::ostream& os, const CriticalPath& path,
                        bool csv = false, std::size_t top_names = 12);
 

@@ -15,7 +15,8 @@
 //
 // Only finished spans are exported; timestamps are simulated nanoseconds
 // printed as exact microseconds (ns/1000 with three decimals), so export is
-// bit-stable across same-seed runs.
+// bit-stable across same-seed runs. This is the one trace format: memfs_run
+// writes it as trace.json and the determinism_gate ctest compares it.
 #pragma once
 
 #include <deque>

@@ -1,7 +1,5 @@
 #include "trace/trace.h"
 
-#include <ostream>
-
 namespace memfs::trace {
 
 TraceContext Tracer::StartTrace(std::string_view name,
@@ -64,22 +62,6 @@ void Tracer::EndSpan(const TraceContext& span) {
   while (finished_.size() > config_.max_finished_spans) {
     finished_.pop_front();
     ++dropped_;
-  }
-}
-
-void Tracer::Serialize(std::ostream& os) const {
-  for (const SpanRecord& span : finished_) {
-    os << "trace=" << span.trace_id << " span=" << span.span_id
-       << " parent=" << span.parent_id << " node=" << span.node
-       << " cat=" << span.category << " name=" << span.name
-       << " start=" << span.start << " end=" << span.end;
-    for (const SpanEvent& event : span.events) {
-      os << " ev:" << event.name << "@" << event.when;
-    }
-    for (const auto& [key, value] : span.args) {
-      os << " arg:" << key << "=" << value;
-    }
-    os << "\n";
   }
 }
 

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -127,11 +126,6 @@ class Tracer {
   std::uint64_t spans_started() const { return next_span_id_ - 1; }
   std::uint64_t dropped_spans() const { return dropped_; }
   std::uint64_t traces_started() const { return next_trace_id_ - 1; }
-
-  // Deterministic text dump of every finished span (ids, times, events,
-  // args) — the byte stream the determinism_gate ctest compares across
-  // same-seed runs.
-  void Serialize(std::ostream& os) const;
 
  private:
   SpanId Open(TraceId trace, SpanId parent, std::string_view name,

@@ -1,9 +1,10 @@
 // Unit tests for the continuous monitor: window slicing, registry scraping,
-// probes, ring retention, balance math, and the SLO rule language. The
-// cluster-scale neutrality claim (monitoring on == off, byte-identical
-// digests) is pinned by the determinism_gate ctest; here a small sim
-// checks the same property at unit scale.
+// probes, ring retention, balance math, the SLO rule language and its
+// default rules. The cluster-scale neutrality claim (monitoring on == off,
+// byte-identical digests) is pinned by the determinism_gate ctest; here a
+// small sim checks the same property at unit scale.
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -237,10 +238,35 @@ TEST(MonitorTest, CsvAndJsonExportsCoverEveryWindow) {
   EXPECT_NE(text.find("start_ns,end_ns,g,h"), std::string::npos);
   EXPECT_NE(text.find("0,10,3,"), std::string::npos);  // h absent -> empty
   EXPECT_NE(text.find("10,20,3,4"), std::string::npos);
-  std::ostringstream json;
-  mon.WriteJson(json);
-  EXPECT_NE(json.str().find("\"windows\""), std::string::npos);
-  EXPECT_NE(json.str().find("null"), std::string::npos);  // late series
+}
+
+// A read phase: ops queue at the io lanes while batches are in flight and
+// nothing is written. io.queued counts queued reads too, so a stall rule on
+// write rate flags this healthy window; the default stall rule must not.
+TEST(MonitorTest, DefaultStallRuleIgnoresQueuedReads) {
+  sim::Simulation sim;
+  MetricsRegistry registry;
+  Monitor mon(sim, MonitorConfig{10, 100});
+  mon.WatchRegistry(&registry);
+  sim.Schedule(1, [&] { registry.Histogram("vfs.write").Record(500); });
+  sim.Schedule(11, [&] {
+    registry.Gauge(InstanceGaugeName("io.queued", 0)) = 6;
+    registry.Gauge(InstanceGaugeName("io.inflight_batches", 0)) = 2;
+  });
+  sim.Schedule(25, [] {});
+  sim.Run();
+
+  SloWatchdog watchdog(mon);
+  ASSERT_TRUE(
+      watchdog.AddRule("sum(vfs.write.rate) > 0 when sum(io.queued) > 0"));
+  for (const char* rule : kDefaultSloRules) ASSERT_TRUE(watchdog.AddRule(rule));
+  const std::vector<SloResult> results = watchdog.Evaluate();
+  ASSERT_EQ(results.size(), 1 + std::size(kDefaultSloRules));
+  EXPECT_FALSE(results[0].satisfied);  // the write-rate rule: window 1
+  const SloResult& stall = results[3];  // kDefaultSloRules[2]
+  ASSERT_NE(stall.rule.text.find("io.inflight_batches"), std::string::npos);
+  EXPECT_EQ(stall.windows_evaluated, 1u);  // window 1: not vacuous
+  EXPECT_TRUE(stall.satisfied);
 }
 
 // --- Balance math ---

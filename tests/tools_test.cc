@@ -1,12 +1,16 @@
-// Tests for the flag parser and the Chrome-trace recorder.
+// Tests for the flag parser and the Chrome trace export.
+#include <algorithm>
+#include <deque>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/flags.h"
 #include "mtc/runner.h"
 #include "mtc/scheduler.h"
-#include "sim/trace.h"
+#include "trace/export.h"
+#include "trace/trace.h"
 #include "workloads/montage.h"
 #include "workloads/testbed.h"
 
@@ -85,30 +89,27 @@ TEST(FlagParserTest, DoubleParsing) {
   EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.0), 2.75);
 }
 
-// --- TraceRecorder ---
+// --- Chrome trace export (trace::WriteChromeTrace) ---
+
+// Spans are {trace, span, parent, name, category, start, end, node, events,
+// args}.
+std::string ChromeTrace(const std::deque<trace::SpanRecord>& spans) {
+  std::ostringstream os;
+  trace::WriteChromeTrace(os, spans);
+  return os.str();
+}
 
 TEST(TraceRecorderTest, SpansAndJsonStructure) {
-  sim::TraceRecorder trace;
-  trace.NameProcess(0, "node 0");
-  trace.AddSpan("taskA", "stage1", 1000, 5000, 0, 2);
-  trace.AddSpan("taskB", "stage2", 2000, 3000, 1, 0);
-  trace.AddInstant("server down", "fault", 2500, 1);
-
-  EXPECT_EQ(trace.spans().size(), 2u);
-  EXPECT_EQ(trace.instants().size(), 1u);
-  EXPECT_EQ(trace.spans()[0].name, "taskA");
-  EXPECT_EQ(trace.spans()[0].end, 5000u);
-
-  std::ostringstream os;
-  trace.WriteJson(os);
-  const std::string json = os.str();
+  const std::string json = ChromeTrace(
+      {{1, 1, 0, "taskA", "stage1", 1000, 5000, 0, {{"server down", 2500}}, {}},
+       {1, 2, 0, "taskB", "stage2", 2000, 3000, 1, {}, {}}});
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"taskA\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
   // Duration of taskA: 4000 ns = 4 us.
-  EXPECT_NE(json.find("\"dur\":4"), std::string::npos);
+  EXPECT_NE(json.find("\"dur\":4.000"), std::string::npos);
   // Balanced braces/brackets (cheap well-formedness check).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
@@ -117,21 +118,20 @@ TEST(TraceRecorderTest, SpansAndJsonStructure) {
 }
 
 TEST(TraceRecorderTest, EscapesSpecialCharacters) {
-  sim::TraceRecorder trace;
-  trace.AddSpan("name\"with\\quote", "cat", 0, 1, 0, 0);
-  std::ostringstream os;
-  trace.WriteJson(os);
-  EXPECT_NE(os.str().find("name\\\"with\\\\quote"), std::string::npos);
+  const std::string json =
+      ChromeTrace({{1, 1, 0, "name\"with\\quote", "cat", 0, 1, 0, {}, {}}});
+  EXPECT_NE(json.find("name\\\"with\\\\quote"), std::string::npos);
 }
 
 TEST(TraceRecorderTest, NegativeDurationClamped) {
-  sim::TraceRecorder trace;
-  trace.AddSpan("odd", "cat", 100, 50, 0, 0);  // end < start
-  EXPECT_EQ(trace.spans()[0].end, 100u);
+  // The tracer stamps both ends from the sim clock, so a span is never
+  // negative; the shortest is zero-length and must export as such.
+  const std::string json =
+      ChromeTrace({{1, 1, 0, "instant", "cat", 100, 100, 0, {}, {}}});
+  EXPECT_NE(json.find("\"dur\":0.000"), std::string::npos);
 }
 
 TEST(TraceRecorderTest, WorkflowRunProducesOneSpanPerTask) {
-  sim::TraceRecorder trace;
   workloads::TestbedConfig config;
   config.nodes = 4;
   workloads::Testbed bed(workloads::FsKind::kMemFs, config);
@@ -143,21 +143,29 @@ TEST(TraceRecorderTest, WorkflowRunProducesOneSpanPerTask) {
   params.project_cpu_s = 0.5;
   const auto workflow = workloads::BuildMontage(params);
 
+  trace::Tracer tracer(bed.simulation());
   mtc::UniformScheduler scheduler;
   mtc::RunnerConfig runner_config;
   runner_config.nodes = 4;
   runner_config.cores_per_node = 2;
-  runner_config.trace = &trace;
+  runner_config.tracer = &tracer;
   mtc::Runner runner(bed.simulation(), bed.vfs(), scheduler, runner_config);
   const auto result = runner.Run(workflow);
   ASSERT_TRUE(result.status.ok());
 
-  EXPECT_EQ(trace.spans().size(), workflow.tasks.size());
-  for (const auto& span : trace.spans()) {
-    EXPECT_LT(span.pid, 4u);
-    EXPECT_LT(span.tid, 2u);
+  std::size_t tasks = 0;
+  for (const trace::SpanRecord& span : tracer.finished()) {
+    if (span.category != "task") continue;
+    ++tasks;
+    EXPECT_LT(span.node, 4u);
     EXPECT_LE(span.start, span.end);
+    std::uint64_t slot = ~0ull;
+    for (const auto& [key, value] : span.args) {
+      if (key == "slot") slot = std::stoull(value);
+    }
+    EXPECT_LT(slot, 2u) << span.name;
   }
+  EXPECT_EQ(tasks, workflow.tasks.size());
 }
 
 }  // namespace

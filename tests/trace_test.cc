@@ -144,13 +144,13 @@ TEST(TracerTest, SerializeIsDeterministic) {
     End(child);
     End(root);
     std::ostringstream os;
-    tracer.Serialize(os);
+    WriteChromeTrace(os, tracer);
     return os.str();
   };
   const std::string first = run();
   EXPECT_EQ(first, run());
-  EXPECT_NE(first.find("name=leg"), std::string::npos);
-  EXPECT_NE(first.find("arg:bytes=512"), std::string::npos);
+  EXPECT_NE(first.find("\"name\":\"leg\""), std::string::npos);
+  EXPECT_NE(first.find("\"bytes\":\"512\""), std::string::npos);
 }
 
 TEST(ScopedSpanTest, MoveTransfersOwnership) {

@@ -3,13 +3,13 @@
 #
 #   1. configure + build the default (Release-ish) tree in build/,
 #   2. run the full ctest suite (unit tests, lint, the determinism gate,
-#      the benchmark smoke),
+#      the memfs_run smoke runs, the benchmark smoke),
 #   3. run the semantic analyzer (memfs_analyze) over the whole repo and
 #      fail on any unsuppressed finding,
 #   4. configure + build with -DMEMFS_SANITIZE=address,undefined in
 #      build-asan/ and re-run the determinism gate under the sanitizers
 #      (`ctest -L determinism`: every scenario x observer cell of
-#      tools/determinism_gate.cc, elastic join/drain included),
+#      tools/determinism_gate.cc, the label's only test),
 #   5. configure + build with -DMEMFS_SANITIZE=thread in build-tsan/ and
 #      re-run the determinism gate under TSan (skipped with a notice when
 #      the toolchain has no libtsan).

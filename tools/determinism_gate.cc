@@ -12,14 +12,13 @@
 // seed 8. Generic checks, applied to every row:
 //   * a same-seed rerun reproduces Simulation::EventDigest() — an
 //     order-sensitive FNV-1a hash over every event's (time, sequence) — and
-//     every export byte for byte (span stream, monitor CSV, incident JSON);
+//     every export byte for byte (Chrome trace, monitor CSV, incident JSON);
 //   * observers are neutral: traced == off and all == metrics (the registry
 //     itself adds events: latency recording awaits op futures, so the
 //     monitor, tracer and recorder are measured against a registry run);
 //   * seed 8 changes the digest, so the digest covers the fault schedule;
-//   * the SimChecker stays clean (bar one rule a row may waive, named in its
-//     table entry), traced runs close every span and untraced runs record
-//     none.
+//   * the SimChecker stays clean, traced runs close every span and untraced
+//     runs record none.
 // Per-row predicates hold the rest: the two pinned seed-7 digests, 16/16
 // acknowledged writes read back intact, elastic commit, zero pending rename
 // intents, the symmetry/SLO audit and the attributed incident.
@@ -29,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -51,6 +51,7 @@
 #include "sim/checker.h"
 #include "sim/fault.h"
 #include "sim/task.h"
+#include "trace/export.h"
 #include "trace/trace.h"
 #include "workloads/montage.h"
 #include "workloads/testbed.h"
@@ -94,7 +95,7 @@ struct Facts {
   // Monitor and flight recorder verdicts (column `all`).
   bool windows_kept = false;    // >= 1 window retained, none dropped
   bool symmetry_audited = false;  // every kv.mem_bytes instance, >= 1 window
-  bool slo_evaluated = false;   // 2 rules parsed, the skew rule evaluated
+  bool slo_evaluated = false;   // default rules parsed, skew rule evaluated
   bool fault_attributed = false;  // an incident blames a faulted server
 };
 
@@ -344,8 +345,6 @@ struct Scenario {
   Faults faults;
   std::uint64_t pin;  // seed-7 digest with observers off; 0 = not pinned
   std::vector<Predicate> checks;
-  // A SimChecker rule this row may trip by design; every other rule holds.
-  const char* waived_rule = nullptr;
 };
 
 // Replication 2 and five attempts inside a 20 ms op deadline: the faulted
@@ -373,7 +372,7 @@ std::vector<Scenario> Scenarios() {
          [](const Grid& g) { return g.first[kAll].windows_kept; }},
         {"symmetry audit saw 8 kv.mem_bytes instances over >= 1 window",
          [](const Grid& g) { return g.first[kAll].symmetry_audited; }},
-        {"SLO watchdog parsed 2 rules and evaluated the skew rule",
+        {"SLO watchdog parsed the default rules and evaluated the skew rule",
          [](const Grid& g) { return g.first[kAll].slo_evaluated; }},
         {"an incident ranks a faulted server first, with an exemplar "
          "crossing it",
@@ -419,11 +418,7 @@ std::vector<Scenario> Scenarios() {
            });
          }},
         {"the traced run recorded spans",
-         [](const Grid& g) { return g.first[kTraced].spans_started > 0; }}},
-       // mtc::Runner's completion signal is a zero-permit semaphore that
-       // finishing tasks Release() before the dispatcher Acquire()s; the
-       // checker's permit accounting models semaphores as locks.
-       "semaphore-over-release"},
+         [](const Grid& g) { return g.first[kTraced].spans_started > 0; }}}},
   };
 }
 
@@ -445,12 +440,13 @@ void Diagnose(monitor::Monitor& mon, const trace::Tracer& tracer,
       balance.instance_count == kNodes && !balance.windows.empty();
 
   monitor::SloWatchdog watchdog(mon);
-  (void)watchdog.AddRule("skew(kv.mem_bytes) < 1.25 for 95% of windows");
-  (void)watchdog.AddRule(
-      "sum(vfs.write.rate) > 0 when sum(io.queued) > 0 for 100% of windows");
+  for (const char* rule : monitor::kDefaultSloRules) {
+    (void)watchdog.AddRule(rule);
+  }
   std::vector<monitor::SloResult> slo = watchdog.Evaluate();
-  facts.slo_evaluated = watchdog.rules().size() == 2 && !slo.empty() &&
-                        slo[0].windows_evaluated > 0;
+  facts.slo_evaluated =
+      watchdog.rules().size() == std::size(monitor::kDefaultSloRules) &&
+      slo[0].windows_evaluated > 0;
 
   diagnose::FlightRecorder recorder(mon);
   recorder.SetSloResults(std::move(slo));
@@ -509,6 +505,7 @@ Facts RunOnce(const Scenario& row, int column, std::uint64_t seed) {
     mon->WatchRegistry(&registry);
     mon->HarvestExemplars(&registry);
     monitor::AttachNetworkProbes(*mon, bed.network());
+    monitor::AttachWriteP99Probe(*mon, registry);
   }
   sim::FaultInjector injector(sim, bed.fault_hooks());
   if (row.faults != Faults::kNone) {
@@ -528,15 +525,13 @@ Facts RunOnce(const Scenario& row, int column, std::uint64_t seed) {
   row.drive(bed, Traced(column) ? &tracer : nullptr, facts);
   facts.digest = sim.EventDigest();
   facts.events = sim.events_processed();
-  for (const sim::CheckerFinding& finding : checker.Finish()) {
-    if (row.waived_rule != nullptr && finding.rule == row.waived_rule) continue;
-    facts.checker += finding.rule + ": " + finding.detail + "\n";
-  }
+  checker.Finish();
+  facts.checker = checker.Summary();
   facts.spans_started = tracer.spans_started();
   facts.open_spans = tracer.open_spans();
   if (Traced(column)) {
     std::ostringstream spans;
-    tracer.Serialize(spans);
+    trace::WriteChromeTrace(spans, tracer);
     facts.spans = spans.str();
   }
   if (mon) Diagnose(*mon, tracer, injector.scheduled(), facts);
@@ -571,7 +566,7 @@ void CheckCell(Gate& gate, const std::string& where, const Facts& first,
   gate.Expect(first.digest == rerun.digest, where,
               "same-seed rerun changed the event digest");
   gate.Expect(first.spans == rerun.spans, where,
-              "same-seed rerun changed the span stream");
+              "same-seed rerun changed the Chrome trace");
   gate.Expect(first.csv == rerun.csv, where,
               "same-seed rerun changed the monitor CSV");
   gate.Expect(first.incidents_json == rerun.incidents_json, where,
