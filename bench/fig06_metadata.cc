@@ -179,7 +179,7 @@ MdtestCell RunMdtestCell(bool sharded, bool hot) {
 
   MdtestCell cell;
   std::uint32_t mkdir_ok = 0;
-  // lint: allow(ignored-status) fire-and-forget sim::Task, not a Status
+  // fire-and-forget sim::Task, not a Status
   RunMkdirs(vfs, dirs, mkdir_ok);
   sim.Run();
   cell.failures += static_cast<std::uint32_t>(dirs.size()) - mkdir_ok;
@@ -194,7 +194,7 @@ MdtestCell RunMdtestCell(bool sharded, bool hot) {
   std::vector<std::uint32_t> ok(kSweepNodes, 0);
   double secs = phase([&] {
     for (std::uint32_t p = 0; p < kSweepNodes; ++p) {
-      // lint: allow(ignored-status) fire-and-forget sim::Task, not a Status
+      // fire-and-forget sim::Task, not a Status
       RunCreateProc(vfs, paths, p, ok[p]);
     }
   });
@@ -209,7 +209,7 @@ MdtestCell RunMdtestCell(bool sharded, bool hot) {
   std::fill(ok.begin(), ok.end(), 0);
   secs = phase([&] {
     for (std::uint32_t p = 0; p < kSweepNodes; ++p) {
-      // lint: allow(ignored-status) fire-and-forget sim::Task, not a Status
+      // fire-and-forget sim::Task, not a Status
       RunStatProc(vfs, paths, p, ok[p]);
     }
   });
@@ -221,7 +221,7 @@ MdtestCell RunMdtestCell(bool sharded, bool hot) {
   std::uint64_t listed = 0;
   secs = phase([&] {
     for (std::size_t d = 0; d < dirs.size(); ++d) {
-      // lint: allow(ignored-status) fire-and-forget sim::Task, not a Status
+      // fire-and-forget sim::Task, not a Status
       RunListDir(vfs, dirs[d], static_cast<std::uint32_t>(d) % kSweepNodes,
                  sharded, listed, cell.readdir_max_rpc);
     }
@@ -233,7 +233,7 @@ MdtestCell RunMdtestCell(bool sharded, bool hot) {
   std::fill(ok.begin(), ok.end(), 0);
   secs = phase([&] {
     for (std::uint32_t p = 0; p < kSweepNodes; ++p) {
-      // lint: allow(ignored-status) fire-and-forget sim::Task, not a Status
+      // fire-and-forget sim::Task, not a Status
       RunUnlinkProc(vfs, paths, p, ok[p]);
     }
   });
@@ -286,7 +286,7 @@ BigDirResult RunBigDir() {
   BigDirResult result;
   result.one_get_equiv = 16;  // response header of the hypothetical one GET
   const sim::SimTime start = sim.now();
-  // lint: allow(ignored-status) fire-and-forget sim::Task, not a Status
+  // fire-and-forget sim::Task, not a Status
   RunBigDirSweep(bed.vfs(), result);
   sim.Run();
   const double secs = units::ToSeconds(sim.now() - start);

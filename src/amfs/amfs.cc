@@ -602,11 +602,9 @@ sim::Task Amfs::DoRename(VfsContext ctx, std::string from, std::string to,
     if (!store->Exists(from)) continue;
     auto value = store->Get(from);
     if (!value.ok()) continue;
-    // lint: allow(ignored-status) the existence check above makes these
-    // local re-key steps infallible
+    // the existence check above makes these local re-key steps infallible
     (void)store->Delete(from);
-    // lint: allow(ignored-status) re-keying frees before storing, so
-    // capacity cannot fail
+    // re-keying frees before storing, so capacity cannot fail
     (void)store->Set(to, std::move(value.value()));
   }
   // Parent listings: tombstone the old name, add the new one.

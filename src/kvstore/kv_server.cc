@@ -148,8 +148,8 @@ bool KvServer::Exists(std::string_view key) const {
 std::vector<std::string> KvServer::Keys() const {
   std::vector<std::string> keys;
   keys.reserve(store_.size());
-  // lint: allow(nondeterminism) hash-map iteration feeds a sort below, so
-  // the returned enumeration is order-independent.
+  // hash-map iteration feeds a sort below, so the returned enumeration is
+  // order-independent.
   for (const auto& [key, value] : store_) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
   return keys;

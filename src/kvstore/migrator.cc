@@ -335,7 +335,7 @@ sim::Task Migrator::MoveChunk(std::vector<std::string> keys,
                                            std::move(items), tctx));
   }
   for (auto& future : delete_futures) {
-    // lint: allow(ignored-status) best-effort reclaim; re-swept if reachable
+    // best-effort reclaim; re-swept if reachable
     (void)co_await future;
   }
 

@@ -258,7 +258,7 @@ sim::Task MemFs::RunReplicatedMutation(std::uint32_t epoch, net::NodeId node,
     }
   }
   for (auto& future : shadow) {
-    // lint: allow(ignored-status) best-effort dual-commit; migrator re-copies
+    // best-effort dual-commit; migrator re-copies
     (void)co_await future;
   }
   if (gated) membership_->gate().ExitWriter(key);
@@ -344,8 +344,7 @@ sim::Task MemFs::RunReplicatedAdd(std::uint32_t epoch, net::NodeId node,
     // pending; the old chain's verdict already stands.
     for (std::uint32_t server : route.secondary) {
       trace::Event(tctx, "dual_commit");
-      // lint: allow(ignored-status) best-effort dual-commit; migrator
-      // re-copies
+      // best-effort dual-commit; migrator re-copies
       (void)co_await sched_.Add(node, server, key, value, tctx);
     }
   }
@@ -376,11 +375,11 @@ sim::Task MemFs::RunMetaAdd(net::NodeId node, std::string key, Bytes value,
   // empty until read repair finds it (same window legacy mkdir accepts).
   const kv::Membership::WriteRoute route = WriteRouteFor(0, key);
   for (std::size_t r = 1; r < route.primary.size(); ++r) {
-    // lint: allow(ignored-status) best-effort replica install
+    // best-effort replica install
     (void)co_await sched_.Set(node, route.primary[r], key, value, trace);
   }
   for (std::uint32_t server : route.secondary) {
-    // lint: allow(ignored-status) best-effort dual-commit
+    // best-effort dual-commit
     (void)co_await sched_.Set(node, server, key, value, trace);
   }
   done.Set(Status::Ok());
@@ -1176,11 +1175,14 @@ sim::Task MemFs::DoMkdir(VfsContext ctx, std::string path,
   // constant, so installing it on a mid-handoff shadow home is harmless.
   const kv::Membership::WriteRoute mkdir_route = WriteRouteFor(0, path);
   for (std::size_t r = 1; r < mkdir_route.primary.size(); ++r) {
-    co_await sched_.Set(ctx.node, mkdir_route.primary[r], path,
-                        meta::DirHeader(), tctx);
+    // best-effort replica install
+    (void)co_await sched_.Set(ctx.node, mkdir_route.primary[r], path,
+                              meta::DirHeader(), tctx);
   }
   for (std::uint32_t server : mkdir_route.secondary) {
-    co_await sched_.Set(ctx.node, server, path, meta::DirHeader(), tctx);
+    // best-effort dual-commit
+    (void)co_await sched_.Set(ctx.node, server, path, meta::DirHeader(),
+                              tctx);
   }
   const std::string parent = path::Parent(path);
   Status linked = co_await ReplicatedAppend(

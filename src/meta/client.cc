@@ -226,8 +226,7 @@ sim::Task Client::RunCreateFile(net::NodeId node, std::string path,
   Status added = co_await store_.Add(node, DentryKey(*parent, name),
                                      EncodeDentry(dentry), tctx);
   if (!added.ok()) {
-    // lint: allow(ignored-status) best-effort rollback of an unreferenced
-    // inode
+    // best-effort rollback of an unreferenced inode
     (void)co_await store_.Delete(node, InodeKey(ino), tctx);
     done.Set(added.code() == ErrorCode::kExists ? status::Exists(path)
                                                 : added);
@@ -236,9 +235,9 @@ sim::Task Client::RunCreateFile(net::NodeId node, std::string path,
   ++stats_.dentry_adds;
   Status indexed = co_await AppendIndex(node, *parent, name, false, tctx);
   if (!indexed.ok()) {
-    // lint: allow(ignored-status) best-effort rollback of the torn create
+    // best-effort rollback of the torn create
     (void)co_await store_.Delete(node, DentryKey(*parent, name), tctx);
-    // lint: allow(ignored-status) best-effort rollback of the torn create
+    // best-effort rollback of the torn create
     (void)co_await store_.Delete(node, InodeKey(ino), tctx);
     done.Set(indexed);
     co_return;
@@ -321,8 +320,7 @@ sim::Task Client::RunMkdir(net::NodeId node, std::string path,
   Status added = co_await store_.Add(node, DentryKey(*parent, name),
                                      EncodeDentry(dentry), tctx);
   if (!added.ok()) {
-    // lint: allow(ignored-status) best-effort rollback of an unreferenced
-    // inode
+    // best-effort rollback of an unreferenced inode
     (void)co_await store_.Delete(node, InodeKey(ino), tctx);
     done.Set(added.code() == ErrorCode::kExists ? status::Exists(path)
                                                 : added);
@@ -331,9 +329,9 @@ sim::Task Client::RunMkdir(net::NodeId node, std::string path,
   ++stats_.dentry_adds;
   Status indexed = co_await AppendIndex(node, *parent, name, false, tctx);
   if (!indexed.ok()) {
-    // lint: allow(ignored-status) best-effort rollback of the torn mkdir
+    // best-effort rollback of the torn mkdir
     (void)co_await store_.Delete(node, DentryKey(*parent, name), tctx);
-    // lint: allow(ignored-status) best-effort rollback of the torn mkdir
+    // best-effort rollback of the torn mkdir
     (void)co_await store_.Delete(node, InodeKey(ino), tctx);
     done.Set(indexed);
     co_return;
@@ -551,8 +549,8 @@ sim::Task Client::RunRmdir(net::NodeId node, std::string path,
            -1);
   // Reclaim the (empty) index blobs and the inode.
   for (std::uint32_t s = 0; s < config_.dir_shards; ++s) {
-    // lint: allow(ignored-status) absent blobs and unreachable replicas of
-    // an empty index are both fine to leave behind
+    // absent blobs and unreachable replicas of an empty index are both fine
+    // to leave behind
     (void)co_await store_.Delete(node, IndexKey(dentry->ino, s), tctx);
   }
   Status dropped = co_await store_.Delete(node, InodeKey(dentry->ino), tctx);
@@ -594,8 +592,7 @@ sim::Task Client::RunCompleteRename(net::NodeId node, Ino ino,
       if (dentry.ok() && dentry->ino == intent.ino) added = Status::Ok();
     }
     if (!added.ok()) {
-      // lint: allow(ignored-status) aborting: the journal entry is inert
-      // once the pending record is gone
+      // aborting: the journal entry is inert once the pending record is gone
       (void)co_await store_.Delete(node, IntentKey(intent.ino), trace);
       pending_.erase(intent.ino);
       done.Set(status::Exists(intent.dst_name));
@@ -778,8 +775,7 @@ sim::Task Client::RunLink(net::NodeId node, std::string existing,
                                      EncodeDentry(*dentry), tctx);
   if (!added.ok()) {
     --rec->nlink;
-    // lint: allow(ignored-status) best-effort unwind; an overstated nlink
-    // leaks, never dangles
+    // best-effort unwind; an overstated nlink leaks, never dangles
     (void)co_await store_.Set(node, InodeKey(dentry->ino), EncodeInode(*rec),
                               tctx);
     done.Set(added.code() == ErrorCode::kExists ? status::Exists(link)
@@ -822,8 +818,8 @@ sim::Task Client::RunRecoverPending(net::NodeId node,
   std::uint32_t completed = 0;
   for (Ino ino : inos) {
     if (pending_.find(ino) == pending_.end()) continue;
-    // lint: allow(ignored-status) a still-unreachable intent simply stays
-    // pending for the next recovery pass
+    // a still-unreachable intent simply stays pending for the next recovery
+    // pass
     (void)co_await CompleteRename(node, ino, tctx);
     if (pending_.find(ino) == pending_.end()) {
       ++completed;

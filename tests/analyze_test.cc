@@ -10,12 +10,11 @@
 #include <gtest/gtest.h>
 
 #include "analyze/analyzer.h"
-#include "lint.h"
 
 namespace {
 
 using memfs::analyze::Analyzer;
-using memfs::lint::Finding;
+using memfs::analyze::Finding;
 
 std::vector<Finding> Analyze(
     const std::vector<std::pair<std::string, std::string>>& files,
@@ -511,28 +510,25 @@ TEST(AnalyzeStatsTest, CountsFunctionsCoroutinesAndFindings) {
       << text;
 }
 
-// --- shared suppression registry ------------------------------------------
+// --- suppression registry -------------------------------------------------
 
 TEST(AnalyzeSuppressionRegistryTest, LintAcceptsAnalyzerRuleNames) {
-  // The linter and the analyzer share one known-rule registry
-  // (tools/lexer.cc); a suppression naming an analyzer rule must not trip
-  // lint's allow-unknown audit.
-  memfs::lint::Linter linter;
-  linter.AddSource("x.cc",
-                   "// lint: allow(await-held-lock) reason\n"
-                   "int x;\n");
-  EXPECT_EQ(CountRule(linter.Run(), "allow-unknown"), 0);
+  // The audit reads the one rule table: a suppression naming a semantic
+  // rule is as valid as one naming a token rule.
+  EXPECT_EQ(CountRule(Analyze({{"x.cc",
+                                "// lint: allow(await-held-lock) reason\n"
+                                "int x;\n"}}),
+                      "allow-unknown"),
+            0);
 }
 
 TEST(AnalyzeSuppressionRegistryTest, UnknownRuleAuditNamesTheValidSet) {
-  memfs::lint::Linter linter;
-  linter.AddSource("x.cc",
-                   "// lint: allow(not-a-rule) reason\n"
-                   "int x;\n");
-  const auto findings = linter.Run();
+  const auto findings = Analyze({{"x.cc",
+                                  "// lint: allow(not-a-rule) reason\n"
+                                  "int x;\n"}});
   ASSERT_EQ(CountRule(findings, "allow-unknown"), 1);
   const Finding* f = FindRule(findings, "allow-unknown");
-  // The audit message lists every valid rule, linter and analyzer alike.
+  // The audit message lists every valid rule, token and semantic alike.
   EXPECT_NE(f->message.find("lock-order"), std::string::npos) << f->message;
   EXPECT_NE(f->message.find("ignored-status"), std::string::npos)
       << f->message;

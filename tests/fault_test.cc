@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,7 @@
 #include "kvstore/membership.h"
 #include "kvstore/migrator.h"
 #include "memfs/memfs.h"
-#include "net/fluid_network.h"
+#include "net/network.h"
 #include "sim/fault.h"
 #include "test_util.h"
 #include "workloads/testbed.h"
@@ -303,22 +304,21 @@ TEST(FaultInjectorTest, ActiveFaultsReflectsScheduledEvents) {
 
 class FaultClusterTest : public ::testing::Test {
  protected:
-  static constexpr std::uint32_t kNodes = 4;
-
   void Recreate(kv::KvClientPolicy policy) {
-    storage_.reset();
-    network_.reset();
-    sim_ = std::make_unique<sim::Simulation>();
-    network_ = std::make_unique<net::FairShareNetwork>(
-        *sim_, net::Das4Ipoib(kNodes));
-    storage_ = std::make_unique<kv::KvCluster>(
-        *sim_, *network_, std::vector<net::NodeId>{0, 1, 2, 3},
-        kv::KvServerConfig{}, kv::KvOpCostModel{}, nullptr, policy);
+    workloads::TestbedConfig config;
+    config.nodes = 4;
+    config.kv_policy = policy;
+    bed_ = std::make_unique<workloads::Testbed>(workloads::FsKind::kMemFs,
+                                                config);
+    sim_ = &bed_->simulation();
+    network_ = &bed_->network();
+    storage_ = bed_->storage();
   }
 
-  std::unique_ptr<sim::Simulation> sim_;
-  std::unique_ptr<net::FairShareNetwork> network_;
-  std::unique_ptr<kv::KvCluster> storage_;
+  std::unique_ptr<workloads::Testbed> bed_;
+  sim::Simulation* sim_ = nullptr;
+  net::Network* network_ = nullptr;
+  kv::KvCluster* storage_ = nullptr;
 };
 
 TEST_F(FaultClusterTest, LostRequestsTimeOutAndRetrySucceeds) {

@@ -1,22 +1,23 @@
-// memfs_lint engine tests: one fixture per rule plus suppression handling,
-// exercised through the in-memory Linter::AddSource API (the same engine the
-// `lint` ctest runs over src/ via the CLI).
+// Static analyzer tests for the token rules: one fixture per rule plus the
+// suppression grammar and audit, exercised through the in-memory
+// Analyzer::AddSource API (the same engine the `analyze` ctest runs over the
+// repo via the CLI).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "lint.h"
+#include "analyze/analyzer.h"
 
-namespace memfs::lint {
+namespace memfs::analyze {
 namespace {
 
 std::vector<Finding> Lint(const std::string& path,
                           const std::string& contents,
                           bool include_suppressed = false) {
-  Linter linter;
-  linter.AddSource(path, contents);
-  return linter.Run(include_suppressed);
+  Analyzer analyzer;
+  analyzer.AddSource(path, contents);
+  return analyzer.Run(include_suppressed);
 }
 
 int CountRule(const std::vector<Finding>& findings, const std::string& rule) {
@@ -74,15 +75,31 @@ TEST(LintIgnoredStatusTest, AwaitedVoidFutureIsNotFlaggedButDroppedOneIs) {
 }
 
 TEST(LintIgnoredStatusTest, VoidOverloadDisablesTheName) {
-  // `Reset` is declared void-returning somewhere; token-level linting cannot
-  // disambiguate overloads, so the name is never flagged.
+  // A void overload that accepts the call's argument count makes the call
+  // ambiguous without types, so it is never flagged.
   const auto findings = Lint("src/x/use.cc",
-                             "Status Reset();\n"
-                             "void Reset(int hard);\n"
+                             "Status Reset(int hard);\n"
+                             "void Reset(bool soft);\n"
                              "void Caller() {\n"
-                             "  Reset();\n"
+                             "  Reset(1);\n"
                              "}\n");
   EXPECT_EQ(CountRule(findings, "ignored-status"), 0);
+}
+
+TEST(LintIgnoredStatusTest, VoidOverloadOfOtherArityDoesNotHideTheCall) {
+  // `Close()` on a span is void; `Close(ctx, h)` on a file system returns a
+  // future Status. Defaulted parameters are optional, so the void
+  // `Close(int code = 0)` accepts zero or one argument, never two.
+  const auto findings = Lint("src/x/use.cc",
+                             "Future<Status> Close(Ctx ctx, Handle h);\n"
+                             "void Close(int code = 0);\n"
+                             "void Caller() {\n"
+                             "  span.Close();\n"
+                             "  span.Close(7);\n"
+                             "  co_await vfs.Close(ctx, h);\n"
+                             "}\n");
+  ASSERT_EQ(CountRule(findings, "ignored-status"), 1);
+  EXPECT_EQ(findings[0].line, 6);
 }
 
 TEST(LintAcquireReleaseTest, AcquireWithoutReleaseIsFlagged) {
@@ -211,6 +228,34 @@ TEST(LintSuppressionAuditTest, MixedListFlagsOnlyTheUnknownRule) {
   EXPECT_NE(findings[0].message.find("'no-such-rule'"), std::string::npos);
 }
 
+TEST(LintSuppressionAuditTest, UnusedMarkerIsFlagged) {
+  // The call is discarded through a (void) cast, which the rule already
+  // accepts, so the marker silences nothing.
+  const auto findings = Lint("src/x/use.cc",
+                             "Status Push(int v);\n"
+                             "void Caller() {\n"
+                             "  // lint: allow(ignored-status) best effort\n"
+                             "  (void)Push(1);\n"
+                             "}\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "allow-unused");
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_NE(findings[0].message.find("'ignored-status'"), std::string::npos);
+}
+
+TEST(LintSuppressionAuditTest, MixedListFlagsOnlyTheUnusedRule) {
+  const auto findings =
+      Lint("src/x/use.cc",
+           "Status Push(int v);\n"
+           "void Caller(Sem& sem) {\n"
+           "  // lint: allow(ignored-status, acquire-release) protocol\n"
+           "  Push(1);\n"
+           "}\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "allow-unused");
+  EXPECT_NE(findings[0].message.find("'acquire-release'"), std::string::npos);
+}
+
 TEST(LintFormatTest, FindingsAreMachineReadable) {
   const auto findings = Lint("src/x/thing.h", "int x;\n");
   ASSERT_EQ(findings.size(), 1u);
@@ -218,4 +263,4 @@ TEST(LintFormatTest, FindingsAreMachineReadable) {
 }
 
 }  // namespace
-}  // namespace memfs::lint
+}  // namespace memfs::analyze

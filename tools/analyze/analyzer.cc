@@ -1,6 +1,7 @@
 #include "analyze/analyzer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -21,12 +23,24 @@ namespace memfs::analyze {
 
 namespace {
 
-using lint::Finding;
-using lint::Token;
-using lint::TokenizedFile;
-
 constexpr std::size_t kNpos = std::string::npos;
 constexpr int kUnreachable = std::numeric_limits<int>::max();
+
+// --- Rule table -----------------------------------------------------------
+
+// Every rule the analyzer reports, by family (see analyzer.h). AddFinding
+// accepts only these names, and the suppression audit flags any other.
+const std::set<std::string>& RuleNames() {
+  static const std::set<std::string> kRules = {
+      "lock-order",
+      "await-held-lock", "held-reacquire", "locked-return", "blocking-call",
+      "acquire-release",
+      "unordered-sink", "pointer-order", "nondeterminism",
+      "ignored-status", "status-flow",
+      "using-namespace", "pragma-once",
+      "allow-unknown", "allow-unused"};
+  return kRules;
+}
 
 // --- Name sets ------------------------------------------------------------
 
@@ -91,27 +105,31 @@ const std::set<std::string>& SortNames() {
   return kSet;
 }
 
+// Tokens whose presence in a statement means its result is used or that it
+// is not a plain call: declarations, assignments, control flow, initializer
+// lists and casts (the ignored-status rule skips such statements).
+const std::set<std::string>& ResultUsers() {
+  static const std::set<std::string> kSet = {
+      "Status",     "Result",     "Future",   "VoidFuture", "void",
+      "auto",       "virtual",    "using",    "template",   "typedef",
+      "operator",   "return",     "co_return", "co_yield",  "if",
+      "for",        "while",      "switch",   "case",       "goto",
+      "new",        "delete",     "=",        "{",          "}",
+      "?",          "static_cast", "const_cast", "reinterpret_cast",
+      "dynamic_cast"};
+  return kSet;
+}
+
+bool IsHeaderPath(const std::string& path) {
+  return path.size() >= 2 && path.compare(path.size() - 2, 2, ".h") == 0;
+}
+
+bool IsSimPath(const std::string& path) {
+  return path.find("src/sim/") != std::string::npos ||
+         path.rfind("sim/", 0) == 0;
+}
+
 // --- Token helpers --------------------------------------------------------
-
-std::size_t MatchForward(const std::vector<Token>& t, std::size_t open,
-                         const char* open_text, const char* close_text) {
-  int depth = 0;
-  for (std::size_t i = open; i < t.size(); ++i) {
-    if (t[i].text == open_text) ++depth;
-    if (t[i].text == close_text && --depth == 0) return i;
-  }
-  return kNpos;
-}
-
-std::size_t MatchBackward(const std::vector<Token>& t, std::size_t close,
-                          const char* open_text, const char* close_text) {
-  int depth = 0;
-  for (std::size_t i = close + 1; i-- > 0;) {
-    if (t[i].text == close_text) ++depth;
-    if (t[i].text == open_text && --depth == 0) return i;
-  }
-  return kNpos;
-}
 
 // The identity-carrying component of a member chain, walking backward over
 // `expr` in [begin, end): for `slot.workers->...` the tail is `workers`, for
@@ -161,6 +179,59 @@ std::string TailOfExpr(const std::vector<Token>& t, std::size_t begin,
   return chosen;
 }
 
+// The (min, max) entry count of the parenthesized list opened at `open`.
+// For a call both are the argument count; for a declaration, parameters
+// with a default value are optional and a `...` pack is unbounded.
+std::pair<int, int> Arity(const std::vector<Token>& t, std::size_t open) {
+  const std::size_t close = MatchForward(t, open, "(", ")");
+  if (close == kNpos || close == open + 1 ||
+      (close == open + 2 && t[open + 1].text == "void")) {
+    return {0, 0};
+  }
+  int entries = 1;
+  int defaulted = 0;
+  bool has_default = false;
+  bool variadic = false;
+  int depth = 0;
+  for (std::size_t i = open + 1; i < close; ++i) {
+    const std::string& s = t[i].text;
+    if (s == "(" || s == "[" || s == "{" || s == "<") {
+      ++depth;
+    } else if (s == ")" || s == "]" || s == "}" || s == ">") {
+      if (depth > 0) --depth;  // a stray '>' is a comparison
+    } else if (depth == 0 && s == ",") {
+      ++entries;
+      if (has_default) ++defaulted;
+      has_default = false;
+    } else if (depth == 0 && s == "=") {
+      has_default = true;
+    } else if (s == "." && i + 2 < close && t[i + 1].text == "." &&
+               t[i + 2].text == ".") {
+      variadic = true;
+    }
+  }
+  if (has_default) ++defaulted;
+  return {entries - defaulted,
+          variadic ? std::numeric_limits<int>::max() : entries};
+}
+
+// --- Declaration table ----------------------------------------------------
+
+// What a declared function hands back, as far as the status rules care.
+enum class Returns {
+  kStatus,  // Status, Result<T>, Future<Status>, Future<Result<T>>
+  kFuture,  // a future without an error payload (VoidFuture, Future<Bytes>)
+  kVoid,
+};
+
+// One declared overload: its return kind and the argument counts a call to
+// it may pass.
+struct Decl {
+  Returns returns;
+  int min_args = 0;
+  int max_args = 0;
+};
+
 // --- Per-function facts ---------------------------------------------------
 
 struct Site {
@@ -196,6 +267,10 @@ struct FnFacts {
   std::map<std::string, Site> own_acquires;  // lock -> first site
   std::map<std::string, Site> may_acquire;   // transitive (fixpoint)
   std::vector<CallRec> calls;
+  // acquire-release facts: permit Acquire() lines and whether the function
+  // (lambdas included) ever calls Release().
+  std::vector<int> permit_acquires;
+  bool releases_permit = false;
   // blocking-call facts.
   bool reaches_blocking = false;
   Site blocking_site;
@@ -217,13 +292,20 @@ class Analysis {
 
  private:
   void CollectGlobalDecls();
+  void CollectDecl(const std::vector<Token>& t, std::size_t i);
+  bool Declares(const std::string& name, int args, Returns returns) const;
   void ScanFunction(const TranslationUnit& tu, const FunctionInfo& fn,
                     FnFacts& facts);
   void PropagateSummaries();
   void LockGraphRules();
   void BlockingRule();
+  void AcquireReleaseRule(const FnFacts& facts);
   void LoopRules(const FnFacts& facts);
   void StatusFlowRule(const FnFacts& facts);
+  void IgnoredStatusRule(const TranslationUnit& tu);
+  void NondeterminismRule(const TranslationUnit& tu);
+  void HeaderRules(const TranslationUnit& tu);
+  void SuppressionAudit();
   void AddFinding(const std::string& file, int line, std::string rule,
                   std::string message);
 
@@ -256,7 +338,7 @@ class Analysis {
   // would produce cross-file collisions.
   std::map<std::string, std::set<std::string>> ptr_elem_vars_;
   std::map<std::string, std::set<std::string>> ptr_keyed_vars_;
-  std::set<std::string> status_fns_;
+  std::map<std::string, std::vector<Decl>> decls_;  // by function name
   // Lock-order graph: (from, to) -> witness sites.
   struct Edge {
     Site holder;   // where `from` was acquired
@@ -273,16 +355,70 @@ class Analysis {
 
 void Analysis::AddFinding(const std::string& file, int line, std::string rule,
                           std::string message) {
+  assert(RuleNames().count(rule) > 0);
   bool suppressed = false;
   auto it = suppressions_.find(file);
   if (it != suppressions_.end()) {
-    suppressed = lint::IsSuppressed(it->second->suppressions, line, rule);
+    suppressed = IsSuppressed(it->second->suppressions, line, rule);
   }
   findings_.push_back(
       Finding{file, line, std::move(rule), std::move(message), suppressed});
 }
 
-// Scans every TU's full token stream for container/alias/Status
+// Records the declaration whose return type starts at token `i`, if any:
+// `Status F(`, `VoidFuture F(`, `void F(`, `Result<...> F(` or
+// `Future<...> F(`.
+void Analysis::CollectDecl(const std::vector<Token>& t, std::size_t i) {
+  const std::string& type = t[i].text;
+  Returns returns = Returns::kStatus;
+  std::size_t name = i + 1;
+  if (type == "VoidFuture") {
+    returns = Returns::kFuture;
+  } else if (type == "void") {
+    returns = Returns::kVoid;
+  } else if ((type == "Result" || type == "Future") && i + 1 < t.size() &&
+             t[i + 1].text == "<") {
+    bool carries_status = type == "Result";
+    int depth = 0;
+    for (name = i + 1; name < t.size(); ++name) {
+      const std::string& s = t[name].text;
+      if (s == "<") {
+        ++depth;
+      } else if (s == ">") {
+        if (--depth == 0) break;
+      } else if (s == "Status" || s == "Result") {
+        carries_status = true;  // Future<Status>, Future<Result<T>>
+      } else if (s == ";" || s == "{") {
+        return;  // a comparison, not a template argument list
+      }
+    }
+    ++name;
+    returns = carries_status ? Returns::kStatus : Returns::kFuture;
+  } else if (type != "Status") {
+    return;
+  }
+  if (name + 1 >= t.size() || t[name].kind != Token::Kind::kIdent ||
+      t[name + 1].text != "(") {
+    return;
+  }
+  const auto [min_args, max_args] = Arity(t, name + 1);
+  decls_[t[name].text].push_back(Decl{returns, min_args, max_args});
+}
+
+// True when an overload of `name` that accepts `args` arguments is declared
+// to return `returns`.
+bool Analysis::Declares(const std::string& name, int args,
+                        Returns returns) const {
+  auto it = decls_.find(name);
+  if (it == decls_.end()) return false;
+  return std::any_of(it->second.begin(), it->second.end(),
+                     [&](const Decl& d) {
+                       return d.returns == returns && d.min_args <= args &&
+                              args <= d.max_args;
+                     });
+}
+
+// Scans every TU's full token stream for container/alias/function
 // declarations the rules need to resolve names globally.
 void Analysis::CollectGlobalDecls() {
   auto declared_name = [](const std::vector<Token>& t, std::size_t after)
@@ -298,11 +434,15 @@ void Analysis::CollectGlobalDecls() {
   };
 
   // Pass 1: literal std::unordered_* declarations, pointer containers,
-  // unordered type aliases, Status-returning function names.
+  // unordered type aliases, function declarations.
   for (const TranslationUnit& tu : tus_) {
     const std::vector<Token>& t = tu.lexed.tokens;
     for (std::size_t i = 0; i < t.size(); ++i) {
       const std::string& text = t[i].text;
+      if (t[i].kind == Token::Kind::kIdent &&
+          (i == 0 || (t[i - 1].text != "." && t[i - 1].text != "->"))) {
+        CollectDecl(t, i);
+      }
       if ((text == "unordered_map" || text == "unordered_set" ||
            text == "unordered_multimap" || text == "unordered_multiset") &&
           i + 1 < t.size() && t[i + 1].text == "<") {
@@ -349,11 +489,6 @@ void Analysis::CollectGlobalDecls() {
             break;
           }
         }
-      } else if (text == "Status" && i + 2 < t.size() &&
-                 t[i + 1].kind == Token::Kind::kIdent &&
-                 t[i + 2].text == "(" &&
-                 (i == 0 || (t[i - 1].text != "." && t[i - 1].text != "->"))) {
-        status_fns_.insert(t[i + 1].text);
       }
     }
   }
@@ -449,6 +584,8 @@ void Analysis::ScanFunction(const TranslationUnit& tu, const FunctionInfo& fn,
     }
 
     if (member && (IsAcquireName(name) || IsReleaseName(name))) {
+      if (name == "Acquire") facts.permit_acquires.push_back(tok.line);
+      if (name == "Release") facts.releases_permit = true;
       if (in_lambda) continue;  // deferred code: held state unknowable here
       std::string cls = TailOfExpr(t, fn.body_begin, i - 1, facts.aliases);
       if (name == "EnterWriter" || name == "ExitWriter") cls += "#writer";
@@ -720,6 +857,16 @@ void Analysis::BlockingRule() {
   }
 }
 
+void Analysis::AcquireReleaseRule(const FnFacts& facts) {
+  if (facts.releases_permit) return;
+  for (int line : facts.permit_acquires) {
+    AddFinding(facts.tu->path, line, "acquire-release",
+               "Acquire() with no Release() in the enclosing function; "
+               "release the permit or annotate the cross-function protocol "
+               "with // lint: allow(acquire-release) <why>");
+  }
+}
+
 void Analysis::LoopRules(const FnFacts& facts) {
   const TranslationUnit& tu = *facts.tu;
   const FunctionInfo& fn = *facts.fn;
@@ -894,12 +1041,148 @@ void Analysis::StatusFlowRule(const FnFacts& facts) {
       std::size_t open = k;
       while (open < semi && t[open].text != "(") ++open;
       if (open >= semi || open == k ||
-          t[open - 1].kind != Token::Kind::kIdent) {
+          t[open - 1].kind != Token::Kind::kIdent ||
+          !Declares(t[open - 1].text, Arity(t, open).second,
+                    Returns::kStatus)) {
         continue;
       }
-      if (status_fns_.count(t[open - 1].text) == 0) continue;
       check_usage(var, semi + 1, t[i + 1].line);
       i = semi;
+    }
+  }
+}
+
+// A statement `[co_await] chain.Fn(args);` whose callee is declared to
+// return a Status is a discarded error. An awaited call discards only what
+// await_resume returns; a future dropped outright is a fire-and-forget
+// without a join, so that is flagged for every future-returning callee.
+void Analysis::IgnoredStatusRule(const TranslationUnit& tu) {
+  const std::vector<Token>& t = tu.lexed.tokens;
+  std::size_t start = 0;
+  for (std::size_t end = 0; end < t.size(); ++end) {
+    if (t[end].kind != Token::Kind::kPreprocessor && t[end].text != ";" &&
+        t[end].text != "{" && t[end].text != "}") {
+      continue;
+    }
+    const std::size_t first = start;
+    start = end + 1;
+    const auto begin = t.begin() + static_cast<std::ptrdiff_t>(first);
+    const auto stop = t.begin() + static_cast<std::ptrdiff_t>(end);
+    if (t[end].text != ";" ||
+        std::any_of(begin, stop, [](const Token& tok) {
+          return ResultUsers().count(tok.text) > 0;
+        })) {
+      continue;
+    }
+    // The callee follows a plain member/scope chain and its argument list
+    // ends the statement.
+    const auto paren = std::find_if(
+        begin, stop, [](const Token& tok) { return tok.text == "("; });
+    const std::size_t open = static_cast<std::size_t>(paren - t.begin());
+    if (paren == stop || paren == begin ||
+        (paren - 1)->kind != Token::Kind::kIdent ||
+        MatchForward(t, open, "(", ")") != end - 1 ||
+        !std::all_of(begin, paren - 1, [](const Token& tok) {
+          return tok.kind == Token::Kind::kIdent || tok.text == "::" ||
+                 tok.text == "." || tok.text == "->";
+        })) {
+      continue;
+    }
+    const std::string& callee = t[open - 1].text;
+    const int args = Arity(t, open).second;
+    const bool awaited = t[first].text == "co_await";
+    if ((Declares(callee, args, Returns::kStatus) ||
+         (!awaited && Declares(callee, args, Returns::kFuture))) &&
+        !Declares(callee, args, Returns::kVoid)) {
+      AddFinding(tu.path, t[first].line, "ignored-status",
+                 "result of Status/Result-returning call '" + callee +
+                     "' is ignored; handle it or annotate with "
+                     "// lint: allow(ignored-status) <why>");
+    }
+  }
+}
+
+void Analysis::NondeterminismRule(const TranslationUnit& tu) {
+  const std::vector<Token>& t = tu.lexed.tokens;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i].kind != Token::Kind::kIdent ||
+        (i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->"))) {
+      continue;
+    }
+    const std::string& name = t[i].text;
+    const bool called = i + 1 < t.size() && t[i + 1].text == "(";
+    std::string message;
+    if ((name == "rand" || name == "srand") && called) {
+      message = "call to " + name + "(): all randomness must flow through "
+                "the seeded common/rng.h Rng";
+    } else if (name == "random_device") {
+      message = "std::random_device is nondeterministic; seed an Rng "
+                "explicitly";
+    } else if ((name == "time" || name == "gettimeofday" ||
+                name == "clock_gettime") &&
+               called) {
+      message = "wall-clock " + name + "(): use the simulated clock "
+                "(Simulation::now())";
+    } else if ((name == "system_clock" || name == "steady_clock" ||
+                name == "high_resolution_clock") &&
+               !IsSimPath(tu.path)) {
+      message = "std::chrono::" + name + " outside sim/: wall clocks break "
+                "bit-reproducibility; use Simulation::now()";
+    } else {
+      continue;
+    }
+    AddFinding(tu.path, t[i].line, "nondeterminism", std::move(message));
+  }
+}
+
+void Analysis::HeaderRules(const TranslationUnit& tu) {
+  if (!IsHeaderPath(tu.path)) return;
+  if (!tu.lexed.has_pragma_once) {
+    AddFinding(tu.path, 1, "pragma-once", "header is missing #pragma once");
+  }
+  const std::vector<Token>& t = tu.lexed.tokens;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (t[i].text == "using" && t[i + 1].text == "namespace") {
+      AddFinding(tu.path, t[i].line, "using-namespace",
+                 "'using namespace' in a header leaks into every includer");
+    }
+  }
+}
+
+// Runs after every other rule: a suppression must name a rule in the table
+// (allow-unknown) and must have silenced a finding of that rule on its line
+// or the next (allow-unused).
+void Analysis::SuppressionAudit() {
+  std::string valid;
+  for (const std::string& rule : RuleNames()) {
+    valid += (valid.empty() ? "" : ", ") + rule;
+  }
+  for (const TranslationUnit& tu : tus_) {
+    for (const auto& [line, rule] : tu.lexed.suppression_sites) {
+      if (RuleNames().count(rule) == 0) {
+        AddFinding(tu.path, line, "allow-unknown",
+                   "suppression names unknown rule '" + rule +
+                       "'; no such check exists, so this comment silences "
+                       "nothing (valid rules: " + valid + ")");
+      }
+    }
+  }
+  std::set<std::tuple<std::string, int, std::string>> consumed;
+  for (const Finding& f : findings_) {
+    if (f.suppressed) consumed.emplace(f.file, f.line, f.rule);
+  }
+  for (const TranslationUnit& tu : tus_) {
+    for (const auto& [line, rule] : tu.lexed.suppression_sites) {
+      // allow-unused markers cannot be judged before their own findings.
+      if (RuleNames().count(rule) == 0 || rule == "allow-unused" ||
+          consumed.count({tu.path, line, rule}) > 0 ||
+          consumed.count({tu.path, line + 1, rule}) > 0) {
+        continue;
+      }
+      AddFinding(tu.path, line, "allow-unused",
+                 "suppression of '" + rule + "' silences no finding on this "
+                 "line or the next; delete it, or keep its reason as a plain "
+                 "comment");
     }
   }
 }
@@ -933,12 +1216,16 @@ std::vector<Finding> Analysis::Run(Stats& stats) {
   LockGraphRules();
   BlockingRule();
   for (const FnFacts& f : fns_) {
+    AcquireReleaseRule(f);
     LoopRules(f);
     StatusFlowRule(f);
   }
-
-  // Audit of suppressions naming analyzer rules is lint's job (shared
-  // registry in tools/lexer.cc); no duplicate audit here.
+  for (const TranslationUnit& tu : tus_) {
+    IgnoredStatusRule(tu);
+    NondeterminismRule(tu);
+    HeaderRules(tu);
+  }
+  SuppressionAudit();
 
   std::sort(findings_.begin(), findings_.end(),
             [](const Finding& a, const Finding& b) {
@@ -974,6 +1261,14 @@ std::vector<Finding> Analysis::Run(Stats& stats) {
 }  // namespace
 
 // --- Public interface -----------------------------------------------------
+
+std::string Format(const Finding& finding) {
+  std::ostringstream out;
+  out << finding.file << ":" << finding.line << ": " << finding.rule << ": "
+      << finding.message;
+  if (finding.suppressed) out << " [suppressed]";
+  return out.str();
+}
 
 std::string FormatStats(const Stats& stats) {
   std::ostringstream out;
@@ -1039,7 +1334,7 @@ int Analyzer::AddTree(const std::string& root) {
   return added;
 }
 
-std::vector<lint::Finding> Analyzer::Run(bool include_suppressed) {
+std::vector<Finding> Analyzer::Run(bool include_suppressed) {
   std::vector<TranslationUnit> tus;
   tus.reserve(sources_.size());
   for (const Source& source : sources_) {
@@ -1047,10 +1342,10 @@ std::vector<lint::Finding> Analyzer::Run(bool include_suppressed) {
   }
   stats_ = Stats{};
   Analysis analysis(std::move(tus));
-  std::vector<lint::Finding> findings = analysis.Run(stats_);
+  std::vector<Finding> findings = analysis.Run(stats_);
   if (!include_suppressed) {
     findings.erase(std::remove_if(findings.begin(), findings.end(),
-                                  [](const lint::Finding& f) {
+                                  [](const Finding& f) {
                                     return f.suppressed;
                                   }),
                    findings.end());

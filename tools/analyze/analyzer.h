@@ -1,9 +1,9 @@
-// Semantic cross-TU static analyzer for the MemFS repository.
+// Static analyzer for the MemFS repository (`memfs_analyze`).
 //
-// Where tools/lint.{h,cc} checks one token window at a time, this analyzer
-// parses every registered translation unit into functions (tools/analyze/
-// parse.h), builds a symbol table and a cross-TU call graph resolved by
-// callee name, and runs four rule families over it:
+// The analyzer lexes and parses every registered translation unit once
+// (tools/lexer.h, tools/analyze/parse.h), builds a symbol table, a
+// declaration table and a cross-TU call graph resolved by callee name, and
+// runs these rule families over that one parse:
 //
 //  lock-order          Collects Semaphore/BoundedPool `Acquire` and
 //                      HandoffGate `EnterWriter`/`Lock` acquisition sites per
@@ -23,6 +23,10 @@
 //                      blocking-call:   a wall-clock blocking primitive
 //                        (sleep/join/wait...) reachable from a coroutine
 //                        body through the call graph.
+//                      acquire-release: a function that calls
+//                        .Acquire()/->Acquire() but never Release(); a
+//                        cross-function protocol (the producer releases what
+//                        the consumer acquired) uses the suppression comment.
 //
 //  determinism         unordered-sink:  a range-for over an
 //                        std::unordered_map/set (or a function returning
@@ -33,15 +37,34 @@
 //                      pointer-order:   sorting a container of pointers with
 //                        the default comparator, or iterating a map/set
 //                        keyed by pointer — address order varies run to run.
+//                      nondeterminism:  std::rand/srand, std::random_device,
+//                        time(), gettimeofday, clock_gettime, and the
+//                        std::chrono wall clocks outside src/sim/.
 //
-//  status-flow         A Status assigned to a local variable that is never
-//                      mentioned again in the enclosing function
-//                      (assigned-but-never-checked); the scope-aware
-//                      complement of lint's token-level ignored-status.
+//  status              ignored-status:  a statement that calls a function
+//                        declared with a Status / Result<...> / Future<...>
+//                        return type and discards the result. A call matches
+//                        a declaration by name and argument count (defaulted
+//                        parameters are optional); a matching void overload
+//                        exempts the call.
+//                      status-flow:     a Status assigned to a local that is
+//                        never mentioned again in the enclosing function.
 //
-// The analyzer shares the lexer and the `lint: allow(<rule>)` suppression
-// grammar with the linter (tools/lexer.h); suppressions are checked against
-// the finding's anchor line. Output reuses lint::Finding / lint::Format.
+//  header hygiene      using-namespace: `using namespace` in a header.
+//                      pragma-once:     a header missing `#pragma once`.
+//
+//  suppression audit   allow-unknown:   a `lint: allow(...)` naming a rule
+//                        this table does not contain.
+//                      allow-unused:    a `lint: allow(<rule>)` that no
+//                        finding of <rule> on its line or the next consumed.
+//
+// Suppression: a comment containing `lint: allow(<rule>)` (optionally a
+// comma-separated rule list) suppresses findings of those rules on the
+// comment's line and on the following line. Repository convention is to
+// append a one-line justification:
+//
+//   // lint: allow(<rule>) best-effort read repair; failure rechecked
+//   ReplicatedSet(epoch, node, key, value);
 //
 // The analysis is conservative and heuristic: no preprocessing, overload
 // resolution by simple name (a call edge goes to every function with the
@@ -53,9 +76,19 @@
 #include <string>
 #include <vector>
 
-#include "lint.h"
-
 namespace memfs::analyze {
+
+struct Finding {
+  std::string file;
+  int line = 0;
+  std::string rule;
+  std::string message;
+  bool suppressed = false;
+};
+
+// "file:line: rule: message" (suppressed findings gain a " [suppressed]"
+// suffix).
+std::string Format(const Finding& finding);
 
 struct Stats {
   int files = 0;
@@ -75,7 +108,8 @@ std::string FormatStats(const Stats& stats);
 
 class Analyzer {
  public:
-  // Registers in-memory source (tests).
+  // Registers in-memory source (tests) — `path` decides the header-only
+  // rules (".h" suffix) and the src/sim/ exemption for wall clocks.
   void AddSource(std::string path, std::string contents);
 
   // Reads one file from disk. Returns false when unreadable.
@@ -88,7 +122,7 @@ class Analyzer {
   // Parses everything, runs every rule, and returns findings sorted by
   // (file, line, rule). Suppressed findings are dropped unless
   // `include_suppressed`. Also fills stats().
-  std::vector<lint::Finding> Run(bool include_suppressed = false);
+  std::vector<Finding> Run(bool include_suppressed = false);
 
   // Valid after Run().
   const Stats& stats() const { return stats_; }

@@ -6,8 +6,6 @@ namespace memfs::analyze {
 
 namespace {
 
-using lint::Token;
-
 // Names that can never be a function being defined (control statements and
 // expression keywords that are also followed by `(...) {`).
 const std::set<std::string>& NonFunctionNames() {
@@ -22,18 +20,6 @@ const std::set<std::string>& NonFunctionNames() {
 bool IsQualifier(const std::string& text) {
   return text == "const" || text == "noexcept" || text == "override" ||
          text == "final" || text == "mutable";
-}
-
-// Matches a ')' (or '}' / ']') backwards to its opener. Returns the opener
-// index, or npos when unbalanced.
-std::size_t MatchBackward(const std::vector<Token>& t, std::size_t close,
-                          const char* open_text, const char* close_text) {
-  int depth = 0;
-  for (std::size_t i = close + 1; i-- > 0;) {
-    if (t[i].text == close_text) ++depth;
-    if (t[i].text == open_text && --depth == 0) return i;
-  }
-  return std::string::npos;
 }
 
 // Scans backward from `from` (inclusive) for a ':' at bracket depth zero —
@@ -138,22 +124,12 @@ void FindLambdaBodies(const std::vector<Token>& t, std::size_t begin,
                              t[i - 1].kind == Token::Kind::kLiteral;
       if (subscript) continue;
     }
-    // Skip the capture list.
-    int depth = 0;
-    std::size_t j = i;
-    for (; j < end; ++j) {
-      if (t[j].text == "[") ++depth;
-      if (t[j].text == "]" && --depth == 0) break;
-    }
+    // Skip the capture list and the optional parameter list.
+    std::size_t j = MatchForward(t, i, "[", "]");
     if (j >= end) return;
     ++j;
-    // Optional parameter list.
     if (j < end && t[j].text == "(") {
-      depth = 0;
-      for (; j < end; ++j) {
-        if (t[j].text == "(") ++depth;
-        if (t[j].text == ")" && --depth == 0) break;
-      }
+      j = MatchForward(t, j, "(", ")");
       if (j >= end) return;
       ++j;
     }
@@ -165,13 +141,7 @@ void FindLambdaBodies(const std::vector<Token>& t, std::size_t begin,
       ++j;
     }
     if (j >= end || t[j].text != "{") continue;
-    // Body range.
-    depth = 0;
-    std::size_t close = j;
-    for (; close < end; ++close) {
-      if (t[close].text == "{") ++depth;
-      if (t[close].text == "}" && --depth == 0) break;
-    }
+    const std::size_t close = MatchForward(t, j, "{", "}");
     if (close >= end) return;
     fn.lambda_bodies.emplace_back(j, close);
     i = j;  // nested lambdas get their own (inner) entries
@@ -179,6 +149,26 @@ void FindLambdaBodies(const std::vector<Token>& t, std::size_t begin,
 }
 
 }  // namespace
+
+std::size_t MatchForward(const std::vector<Token>& t, std::size_t open,
+                         const char* open_text, const char* close_text) {
+  int depth = 0;
+  for (std::size_t i = open; i < t.size(); ++i) {
+    if (t[i].text == open_text) ++depth;
+    if (t[i].text == close_text && --depth == 0) return i;
+  }
+  return std::string::npos;
+}
+
+std::size_t MatchBackward(const std::vector<Token>& t, std::size_t close,
+                          const char* open_text, const char* close_text) {
+  int depth = 0;
+  for (std::size_t i = close + 1; i-- > 0;) {
+    if (t[i].text == close_text) ++depth;
+    if (t[i].text == open_text && --depth == 0) return i;
+  }
+  return std::string::npos;
+}
 
 bool InLambda(const FunctionInfo& fn, std::size_t i) {
   for (const auto& [begin, end] : fn.lambda_bodies) {
@@ -190,7 +180,7 @@ bool InLambda(const FunctionInfo& fn, std::size_t i) {
 TranslationUnit ParseTu(std::string path, const std::string& contents) {
   TranslationUnit tu;
   tu.path = std::move(path);
-  tu.lexed = lint::Tokenize(contents);
+  tu.lexed = Tokenize(contents);
   const std::vector<Token>& t = tu.lexed.tokens;
 
   // Class/struct scope names for display-name qualification, keyed by the
@@ -210,14 +200,8 @@ TranslationUnit ParseTu(std::string path, const std::string& contents) {
       if (i >= skip_until) {
         FunctionInfo fn;
         if (DetectFunction(t, i, fn)) {
-          // Find the matching '}'.
-          int d = 0;
-          std::size_t close = i;
-          for (; close < t.size(); ++close) {
-            if (t[close].text == "{") ++d;
-            if (t[close].text == "}" && --d == 0) break;
-          }
-          if (close < t.size()) {
+          const std::size_t close = MatchForward(t, i, "{", "}");
+          if (close != std::string::npos) {
             fn.body_begin = i;
             fn.body_end = close;
             if (fn.display == fn.name && !class_stack.empty()) {

@@ -42,9 +42,16 @@ struct FunctionInfo {
 
 struct TranslationUnit {
   std::string path;
-  lint::TokenizedFile lexed;
+  TokenizedFile lexed;
   std::vector<FunctionInfo> functions;
 };
+
+// Index of the token closing the bracket opened at `open` (forward) or
+// opening the one closed at `close` (backward); npos when unbalanced.
+std::size_t MatchForward(const std::vector<Token>& t, std::size_t open,
+                         const char* open_text, const char* close_text);
+std::size_t MatchBackward(const std::vector<Token>& t, std::size_t close,
+                          const char* open_text, const char* close_text);
 
 // Lexes and parses one source file.
 TranslationUnit ParseTu(std::string path, const std::string& contents);

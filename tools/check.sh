@@ -2,10 +2,11 @@
 # tools/check.sh — the tier-1 verification gate plus a sanitizer pass.
 #
 #   1. configure + build the default (Release-ish) tree in build/,
-#   2. run the full ctest suite (unit tests, lint, the determinism gate,
-#      the memfs_run smoke runs, the benchmark smoke),
-#   3. run the semantic analyzer (memfs_analyze) over the whole repo and
-#      fail on any unsuppressed finding,
+#   2. run the full ctest suite (unit tests; the static analyzer
+#      memfs_analyze over the whole repo as the `analyze` ctest and its
+#      `lint` alias, failing on any unsuppressed finding; the determinism
+#      gate; the memfs_run smoke runs; the benchmark smoke),
+#   3. re-run the fig08 simulator speed gate against BENCH_scale.json,
 #   4. configure + build with -DMEMFS_SANITIZE=address,undefined in
 #      build-asan/ and re-run the determinism gate under the sanitizers
 #      (`ctest -L determinism`: every scenario x observer cell of
@@ -28,10 +29,6 @@ cmake --build "$root/build" -j "$jobs"
 
 echo "== tier 1: ctest =="
 ctest --test-dir "$root/build" --output-on-failure
-
-echo "== static analysis: memfs_analyze =="
-"$root/build/tools/memfs_analyze" --stats \
-  "$root/src" "$root/tools" "$root/bench" "$root/tests"
 
 # Simulator speed gate: re-run the fig08 64-node point and compare
 # sim-events/sec against the committed BENCH_scale.json trajectory; fails on

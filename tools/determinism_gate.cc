@@ -178,13 +178,13 @@ sim::Task JoinThenDrain(sim::Simulation& sim, kv::Membership& membership,
   co_await sim.Delay(Millis(10));
   membership.BeginJoin(join_node);
   for (int runs = 0; membership.migrating() && runs < 10; ++runs) {
-    // lint: allow(ignored-status) non-converged runs are resumed here
+    // non-converged runs are resumed here
     (void)co_await migrator.Rebalance();
   }
   co_await sim.Delay(Millis(8));
   membership.BeginDrain(drain_server);
   for (int runs = 0; membership.migrating() && runs < 10; ++runs) {
-    // lint: allow(ignored-status) non-converged runs are resumed here
+    // non-converged runs are resumed here
     (void)co_await migrator.Rebalance();
   }
   ok = !membership.migrating() &&
@@ -262,7 +262,7 @@ sim::Task ChurnOne(sim::Simulation& sim, fs::Vfs& vfs, trace::Tracer* tracer,
 // Rolls surviving rename intents forward once the cluster is healthy again.
 sim::Task RecoverIntents(meta::Client& client, std::uint32_t& pending) {
   for (int rounds = 0; client.pending_intents() > 0 && rounds < 16; ++rounds) {
-    // lint: allow(ignored-status) unrecovered intents are retried next round
+    // unrecovered intents are retried next round
     (void)co_await client.RecoverPending(0, {});
   }
   pending = client.pending_intents();

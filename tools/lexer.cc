@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <numeric>
 
-namespace memfs::lint {
+namespace memfs::analyze {
 
 bool IsIdentStart(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
@@ -210,31 +209,4 @@ bool IsSuppressed(const SuppressionMap& suppressions, int line,
   return it != suppressions.end() && it->second.count(rule) > 0;
 }
 
-const std::set<std::string>& KnownRuleNames() {
-  // Token-level lint rules first, then the analyzer's semantic rules. A new
-  // rule in either tool must be added here or every one of its suppressions
-  // becomes an `allow-unknown` finding.
-  static const std::set<std::string> kKnown = {
-      // tools/lint.cc
-      "ignored-status", "acquire-release", "nondeterminism",
-      "using-namespace", "pragma-once", "allow-unknown",
-      // tools/analyze (memfs_analyze)
-      "lock-order", "await-held-lock", "held-reacquire", "locked-return",
-      "blocking-call", "unordered-sink", "pointer-order", "status-flow"};
-  return kKnown;
-}
-
-const std::string& KnownRuleList() {
-  static const std::string kList = [] {
-    const auto& names = KnownRuleNames();
-    return std::accumulate(names.begin(), names.end(), std::string(),
-                           [](std::string acc, const std::string& name) {
-                             if (!acc.empty()) acc += ", ";
-                             acc += name;
-                             return acc;
-                           });
-  }();
-  return kList;
-}
-
-}  // namespace memfs::lint
+}  // namespace memfs::analyze

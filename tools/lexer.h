@@ -1,19 +1,11 @@
-// Shared C++ lexer and `lint: allow(...)` suppression scanner for the MemFS
-// source tools.
+// C++ lexer and `lint: allow(...)` suppression scanner for the MemFS static
+// analyzer (tools/analyze/, `memfs_analyze`).
 //
-// Two consumers build on this file:
-//
-//   * tools/lint.{h,cc}      — the token-level linter (`memfs_lint`),
-//   * tools/analyze/         — the semantic cross-TU analyzer
-//                              (`memfs_analyze`).
-//
-// Both see the same token stream and, critically, the same suppression
-// grammar: a comment containing `lint: allow(<rule>[, <rule>...])`
-// suppresses findings of those rules on the comment's final line and on the
-// following line, for *either* tool. The known-rule registry lives here too,
-// so the suppression audit (lint's `allow-unknown` rule) accepts analyzer
-// rule names and vice versa, and its finding message can name the full valid
-// set.
+// A comment containing `lint: allow(<rule>[, <rule>...])` suppresses
+// findings of those rules on the comment's final line and on the following
+// line. Every such site is kept as written, so the analyzer can audit
+// suppressions that name no rule (`allow-unknown`) or silence nothing
+// (`allow-unused`).
 //
 // The lexer handles comments, string/char literals, raw strings and
 // preprocessor lines (with continuations); it does not preprocess, expand
@@ -26,7 +18,7 @@
 #include <utility>
 #include <vector>
 
-namespace memfs::lint {
+namespace memfs::analyze {
 
 struct Token {
   enum class Kind { kIdent, kNumber, kLiteral, kPunct, kPreprocessor };
@@ -57,12 +49,4 @@ TokenizedFile Tokenize(const std::string& text);
 bool IsSuppressed(const SuppressionMap& suppressions, int line,
                   const std::string& rule);
 
-// Every rule name either tool implements (lint's token rules plus the
-// analyzer's semantic rules). A suppression naming anything else is dead
-// weight — the audit flags it.
-const std::set<std::string>& KnownRuleNames();
-
-// The registry as a single "a, b, c" string for finding messages.
-const std::string& KnownRuleList();
-
-}  // namespace memfs::lint
+}  // namespace memfs::analyze

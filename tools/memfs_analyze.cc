@@ -1,11 +1,11 @@
-// Semantic analyzer CLI: parses the given files/trees into a cross-TU call
-// graph and reports lock-order, coroutine-safety, determinism-dataflow and
-// status-flow findings, one `file:line: rule: message` per line.
+// Static analyzer CLI: parses the given files/trees once and reports every
+// rule family of tools/analyze/analyzer.h, one `file:line: rule: message`
+// per line.
 //
 //   memfs_analyze [--stats] [--include-suppressed] <file-or-dir>...
 //
 // Exit status: 0 when no unsuppressed finding, 1 otherwise, 2 on usage
-// errors. `ctest -R analyze` runs this over the whole repo.
+// errors. `ctest -L lint` runs this over the whole repo.
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     } else {
       ++violations;
     }
-    std::printf("%s\n", memfs::lint::Format(finding).c_str());
+    std::printf("%s\n", memfs::analyze::Format(finding).c_str());
   }
   if (stats) {
     std::fputs(memfs::analyze::FormatStats(analyzer.stats()).c_str(), stdout);
