@@ -1,6 +1,7 @@
 #include "io/op_scheduler.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 namespace memfs::io {
@@ -148,10 +149,14 @@ sim::Task OpScheduler::RunDrain(Lane* lane) {
     // lint: allow(acquire-release) window permit released by RunBatch
     co_await lane->window->Acquire();
     const kv::BatchKind kind = lane->queue.front().kind;
+    std::vector<PendingOp>& queue = lane->queue;
     std::vector<PendingOp> batch;
-    std::deque<PendingOp> rest;
+    batch.reserve(std::min<std::size_t>(queue.size(), config_.max_batch_ops));
     std::uint64_t batch_bytes = 0;
-    for (PendingOp& op : lane->queue) {
+    // Ops that stay queued are compacted towards the front in order.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      PendingOp& op = queue[i];
       const std::uint64_t op_bytes = op.key.size() + op.value.StoredSize();
       const bool fits =
           op.kind == kind && batch.size() < config_.max_batch_ops &&
@@ -160,10 +165,12 @@ sim::Task OpScheduler::RunDrain(Lane* lane) {
         batch_bytes += op_bytes;
         batch.push_back(std::move(op));
       } else {
-        rest.push_back(std::move(op));
+        if (kept != i) queue[kept] = std::move(op);
+        ++kept;
       }
     }
-    lane->queue = std::move(rest);
+    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(kept),
+                queue.end());
     GaugeAdd(lane->queued_gauge,
              -static_cast<std::int64_t>(batch.size()));
     RunBatch(lane, kind, std::move(batch));
@@ -183,18 +190,18 @@ sim::Task OpScheduler::RunBatch(Lane* lane, kv::BatchKind kind,
   std::vector<kv::BatchItem> items;
   items.reserve(ops.size());
   for (PendingOp& op : ops) {
-    items.push_back(kv::BatchItem{op.key, std::move(op.value)});
+    items.push_back(kv::BatchItem{std::move(op.key), std::move(op.value)});
   }
   // The batch RPC's span lives under the first member's wait span; the other
   // members' wait spans cover the same interval in their own traces.
-  std::vector<kv::BatchItemResult> results = co_await cluster_.Batch(
+  const kv::BatchResult call = co_await cluster_.Batch(
       lane->client, lane->server, kind, std::move(items),
       ops.front().wait_span);
   lane->window->Release();
   GaugeAdd(lane->batches_gauge, -1);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     PendingOp& op = ops[i];
-    kv::BatchItemResult& result = results[i];
+    kv::BatchItemResult& result = call->result(i);
     trace::End(op.wait_span);
     if (kind == kv::BatchKind::kGet) {
       if (result.status.ok()) {

@@ -24,8 +24,8 @@
 //    within a lane is safe here because no issuer keeps two operations of
 //    different kinds in flight for the same key.
 //  * batching = off is a true bypass: calls forward directly to KvCluster
-//    with zero extra events or allocations, so the event digest is
-//    byte-identical to the pre-scheduler data path.
+//    with zero extra events or allocations — one RPC per op, the
+//    pre-scheduler data path.
 //
 // Tracing: each enqueued op opens a "kv.batch.wait" span under its own
 // request trace covering enqueue -> verdict; the batch RPC's "kv.batch"
@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -54,8 +53,8 @@
 namespace memfs::io {
 
 struct IoConfig {
-  // Coalesce queued ops into batch RPCs (off = forward one RPC per op,
-  // byte-identical to the pre-scheduler behavior).
+  // Coalesce queued ops into batch RPCs (off = forward one RPC per op, the
+  // pre-scheduler behavior).
   bool batching = true;
   // Per-batch ceilings: at most this many items and (beyond the first item)
   // this many payload bytes per batch RPC. Multi-get commonly carries tens
@@ -124,7 +123,9 @@ class OpScheduler {
   struct Lane {
     net::NodeId client = 0;
     std::uint32_t server = 0;
-    std::deque<PendingOp> queue;
+    // Ops waiting to join a batch, in enqueue order. Drained in place, so
+    // its capacity is reused round after round.
+    std::vector<PendingOp> queue;
     bool draining = false;
     std::unique_ptr<sim::BoundedPool> window;
     // Monitor gauges, aggregated per server (lanes from different clients to

@@ -227,34 +227,6 @@ sim::Task RunGetAttempt(sim::Simulation& sim, net::Network& network,
   race->Settle(std::move(result));
 }
 
-}  // namespace
-
-// Outcome slot for one batch attempt. Mirrors RaceState, generalized to
-// per-item granularity: `resolved[i]` marks that item i's verdict streamed
-// back to the client (for mutations this is also the commit point —
-// resolved <=> applied), `finished` marks the full acknowledgement, and
-// `attempt_error` is the verdict every unresolved item inherits when the
-// attempt is cut off.
-struct BatchAttempt {
-  BatchAttempt(sim::Simulation& sim, std::size_t items)
-      : done(sim), results(items), resolved(items, 0) {}
-
-  sim::VoidPromise done;
-  bool settled = false;   // the client stopped waiting on this attempt
-  bool finished = false;  // the batch acknowledgement arrived
-  Status attempt_error;
-  std::vector<BatchItemResult> results;
-  std::vector<std::uint8_t> resolved;
-
-  void Settle() {
-    if (settled) return;
-    settled = true;
-    done.Set(sim::Done{});
-  }
-};
-
-namespace {
-
 // Per-item service time for one batch item; GETs are priced on the value
 // they return, everything else on the payload they carry.
 sim::SimTime BatchItemService(const KvOpCostModel& cost, BatchKind kind,
@@ -278,53 +250,67 @@ sim::SimTime BatchItemService(const KvOpCostModel& cost, BatchKind kind,
   return cost.set_base;
 }
 
-sim::Task RunBatchDeadline(sim::Simulation& sim,
-                           std::shared_ptr<BatchAttempt> attempt,
-                           sim::SimTime deadline) {
-  co_await sim.Delay(deadline);
-  if (attempt->settled || attempt->finished) co_return;
-  bool all_resolved = true;
-  for (std::uint8_t r : attempt->resolved) {
-    if (r == 0) {
-      all_resolved = false;
-      break;
-    }
-  }
-  // Every item committed: only the acknowledgement is outstanding, so let it
-  // finish (same rule as the single-op watchdog after the commit point).
-  if (all_resolved) co_return;
-  attempt->attempt_error = status::DeadlineExceeded("op deadline");
-  attempt->Settle();
+// Whether wire attempt `attempt` of `call` was abandoned: a later attempt
+// replaced it, or the client stopped waiting on it. Mirrors RaceState's
+// `settled`, generalized to per-item granularity by the outcomes' `resolved`
+// flags.
+bool Abandoned(const BatchCall& call, std::uint32_t attempt) {
+  return call.attempt != attempt || call.settled;
 }
 
-// One batch attempt: ship all items in one message (one header_bytes framing
-// cost), process them in order under a single worker slot with per-item
-// service time, stream each item's verdict at its commit point, and close
-// with one acknowledgement. `indices` selects the still-unresolved items of
-// the master list; resolved mutations move their payload into the server, so
-// a later round never re-sends (or re-applies) them. The final reply leg
-// carries all GET values at once; verdicts streamed before a mid-batch
-// cancellation are considered delivered without charging a per-item ack —
-// item acks are status-sized and folded into the batch framing.
+// Ends the current attempt: the retry driver resumes and reads the verdicts.
+void SettleAttempt(BatchCall& call) {
+  call.settled = true;
+  call.attempt_done.Set(sim::Done{});
+}
+
+// Cuts the current attempt off with `error`, unless it is already over.
+void FailAttempt(BatchCall& call, std::uint32_t attempt, Status error) {
+  if (Abandoned(call, attempt)) return;
+  call.attempt_error = std::move(error);
+  SettleAttempt(call);
+}
+
+sim::Task RunBatchDeadline(sim::Simulation& sim, BatchResult call,
+                           std::uint32_t attempt, sim::SimTime deadline) {
+  co_await sim.Delay(deadline);
+  if (Abandoned(*call, attempt) || call->finished) co_return;
+  // Every item committed: only the acknowledgement is outstanding, so let it
+  // finish (same rule as the single-op watchdog after the commit point).
+  for (const BatchCall::Outcome& outcome : call->outcomes) {
+    if (!outcome.resolved) {
+      FailAttempt(*call, attempt, status::DeadlineExceeded("op deadline"));
+      co_return;
+    }
+  }
+}
+
+// One batch attempt: ship every unresolved item in one message (one
+// header_bytes framing cost), process them in order under a single worker
+// slot with per-item service time, stream each item's verdict at its commit
+// point, and close with one acknowledgement. Resolved mutations move their
+// payload into the server, so a later round never re-sends (or re-applies)
+// them. The final reply leg carries all GET values at once; verdicts
+// streamed before a mid-batch cancellation are considered delivered without
+// charging a per-item ack — item acks are status-sized and folded into the
+// batch framing.
 sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
                           KvCluster::ServerSlotAccess slot, net::NodeId client,
-                          const KvOpCostModel& cost, BatchKind kind,
-                          KvServer* state,
-                          std::shared_ptr<std::vector<BatchItem>> items,
-                          std::shared_ptr<std::vector<std::size_t>> indices,
-                          std::shared_ptr<BatchAttempt> attempt,
-                          trace::TraceContext ctx) {
+                          const KvOpCostModel& cost, BatchResult call,
+                          std::uint32_t attempt, trace::TraceContext ctx) {
   trace::ScopedSpan span = trace::ScopedSpan::Adopt(ctx);
+  const BatchKind kind = call->kind;
+  const std::size_t total = call->items.size();
   std::uint64_t request_bytes = cost.header_bytes;
-  for (std::size_t index : *indices) {
-    const BatchItem& item = (*items)[index];
+  for (std::size_t i = 0; i < total; ++i) {
+    if (call->outcomes[i].resolved) continue;
+    const BatchItem& item = call->items[i];
     request_bytes += item.key.size() + item.value.StoredSize();
   }
   if (network.DropMessage(client, slot.node)) {
     trace::Event(ctx, "request_lost");
     co_await sim.Delay(cost.failure_timeout);
-    attempt->attempt_error = status::DeadlineExceeded("request lost");
-    attempt->Settle();
+    FailAttempt(*call, attempt, status::DeadlineExceeded("request lost"));
     co_return;
   }
   {
@@ -334,8 +320,7 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
   if (*slot.down) {
     trace::Event(ctx, "server_down");
     co_await sim.Delay(cost.failure_timeout);
-    attempt->attempt_error = status::Unavailable("server down");
-    attempt->Settle();
+    FailAttempt(*call, attempt, status::Unavailable("server down"));
     co_return;
   }
   GaugeAdd(slot.queue_gauge, 1);
@@ -347,8 +332,10 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
   GaugeAdd(slot.queue_gauge, -1);
   GaugeAdd(slot.inflight_gauge, 1);
   std::uint64_t reply_payload = 0;
-  for (std::size_t j = 0; j < indices->size(); ++j) {
-    BatchItem& item = (*items)[(*indices)[j]];
+  bool first = true;
+  for (std::size_t i = 0; i < total; ++i) {
+    if (call->outcomes[i].resolved) continue;
+    BatchItem& item = call->items[i];
     BatchItemResult result;
     bool applied = false;
     sim::SimTime service;
@@ -356,7 +343,7 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
       // Reads are applied up front so the value size can price the service
       // time — same order as the single-op GET path; harmless on
       // cancellation because reads have no commit point.
-      result = state->ApplyBatchItem(kind, item);
+      result = slot.state->ApplyBatchItem(kind, item);
       applied = true;
       service = BatchItemService(cost, kind, result.value.StoredSize());
     } else {
@@ -365,7 +352,8 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
     // Items after the first ride the message's already-paid dispatch
     // (syscall + wakeup + parse), which the per-op bases include; a batch of
     // one therefore costs exactly what the single-op path charges.
-    if (j > 0) service -= std::min(service, cost.rpc_dispatch);
+    if (!first) service -= std::min(service, cost.rpc_dispatch);
+    first = false;
     {
       trace::ScopedSpan item_span = trace::ScopedSpan::Adopt(
           trace::ChildOn(ctx, "kv.item", "kv.service", slot.node));
@@ -373,7 +361,7 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
       co_await sim.Delay(static_cast<sim::SimTime>(
           static_cast<double>(service) * *slot.slow_factor));
     }
-    if (attempt->settled) {
+    if (Abandoned(*call, attempt)) {
       // The client gave up mid-batch; cancellation reaches the server before
       // this item's commit point, so it and everything after it are
       // discarded — a later round retries them exactly-once.
@@ -382,12 +370,11 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
       GaugeAdd(slot.inflight_gauge, -1);
       co_return;
     }
-    if (!applied) result = state->ApplyBatchItem(kind, item);
+    if (!applied) result = slot.state->ApplyBatchItem(kind, item);
     if (kind == BatchKind::kGet && result.status.ok()) {
       reply_payload += result.value.StoredSize();
     }
-    attempt->results[j] = std::move(result);
-    attempt->resolved[j] = 1;
+    call->outcomes[i] = {std::move(result), true};
     SyncStorageGauges(slot);
   }
   slot.workers->Release();
@@ -397,8 +384,9 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
     co_await network.Transfer(slot.node, client,
                               cost.header_bytes + reply_payload);
   }
-  attempt->finished = true;
-  attempt->Settle();
+  if (Abandoned(*call, attempt)) co_return;
+  call->finished = true;
+  SettleAttempt(*call);
 }
 
 }  // namespace
@@ -514,26 +502,29 @@ sim::Task KvCluster::RunWithRetry(
   done.Set(std::move(result));
 }
 
-sim::Task KvCluster::RunBatchWithRetry(
-    std::uint32_t server, BatchKind kind, net::NodeId client,
-    std::shared_ptr<std::vector<BatchItem>> items,
-    sim::Promise<std::vector<BatchItemResult>> done,
-    trace::TraceContext op_span) {
+sim::Task KvCluster::RunBatchWithRetry(std::uint32_t server,
+                                       net::NodeId client, BatchResult call,
+                                       sim::Promise<BatchResult> done,
+                                       trace::TraceContext op_span) {
   trace::ScopedSpan op = trace::ScopedSpan::Adopt(op_span);
   auto& slot = servers_[server];
-  const std::size_t total = items->size();
-  std::vector<BatchItemResult> outcomes(total);
-  std::vector<std::size_t> active(total);
-  for (std::size_t i = 0; i < total; ++i) active[i] = i;
+  std::size_t unresolved = call->items.size();
+  // Gives every unresolved item `verdict` (a round that put nothing on the
+  // wire, or the last one before giving up) and returns how many there are.
+  auto fail_unresolved = [&call](const Status& verdict) {
+    std::size_t count = 0;
+    for (BatchCall::Outcome& outcome : call->outcomes) {
+      if (outcome.resolved) continue;
+      outcome.result = BatchItemResult{verdict, {}};
+      ++count;
+    }
+    return count;
+  };
   RetryState retry(policy_.retry, sim_.now());
-  std::uint32_t attempts = 0;
-  while (!active.empty()) {
+  while (unresolved > 0) {
     if (slot.left) {
       trace::Event(op_span, "server_left");
-      for (std::size_t index : active) {
-        outcomes[index] =
-            BatchItemResult{status::UnavailablePermanent("server left"), {}};
-      }
+      fail_unresolved(status::UnavailablePermanent("server left"));
       break;
     }
     const bool allowed = slot.breaker.AllowRequest(sim_.now());
@@ -544,45 +535,37 @@ sim::Task KvCluster::RunBatchWithRetry(
       ++slot.client_stats.breaker_fast_fails;
       if (metrics_ != nullptr) ++metrics_->Counter("kv.breaker_fast_fails");
       trace::Event(op_span, "breaker_fast_fail");
-      for (std::size_t index : active) {
-        outcomes[index] =
-            BatchItemResult{status::Unavailable("circuit breaker open"), {}};
-      }
+      fail_unresolved(status::Unavailable("circuit breaker open"));
     } else {
-      auto attempt = std::make_shared<BatchAttempt>(sim_, active.size());
-      auto settled = attempt->done.GetFuture();
+      // A new attempt number abandons every earlier attempt still running.
+      const std::uint32_t attempt = ++call->attempt;
+      call->settled = false;
+      call->finished = false;
+      call->attempt_error = Status();
+      call->attempt_done = sim::VoidPromise(sim_);
+      auto settled = call->attempt_done.GetFuture();
       trace::TraceContext attempt_span =
           trace::Child(op_span, "kv.batch.attempt", "kv.attempt");
-      trace::Annotate(attempt_span, "attempt", std::to_string(++attempts));
-      trace::Annotate(attempt_span, "items", std::to_string(active.size()));
+      trace::Annotate(attempt_span, "attempt", std::to_string(attempt));
+      trace::Annotate(attempt_span, "items", std::to_string(unresolved));
       ++stats_.batch_rpcs;
-      stats_.batch_items += active.size();
+      stats_.batch_items += unresolved;
       ++slot.client_stats.batches;
-      slot.client_stats.batched_items += active.size();
+      slot.client_stats.batched_items += unresolved;
       if (metrics_ != nullptr) {
-        metrics_->Histogram("kv.batch.size").Record(active.size());
+        metrics_->Histogram("kv.batch.size").Record(unresolved);
       }
-      auto indices = std::make_shared<std::vector<std::size_t>>(active);
-      RunBatchAttempt(sim_, network_, AccessOf(slot), client, cost_, kind,
-                      slot.state.get(), items, indices, attempt, attempt_span);
+      RunBatchAttempt(sim_, network_, AccessOf(slot), client, cost_, call,
+                      attempt, attempt_span);
       if (policy_.op_deadline > 0) {
-        RunBatchDeadline(sim_, attempt, policy_.op_deadline);
+        RunBatchDeadline(sim_, call, attempt, policy_.op_deadline);
       }
       (void)co_await settled;
-      // Demultiplex: streamed verdicts are final (and, for mutations,
-      // committed — never re-sent); unresolved items inherit the attempt
-      // error and form the next round.
-      std::vector<std::size_t> failed;
-      for (std::size_t j = 0; j < indices->size(); ++j) {
-        const std::size_t index = (*indices)[j];
-        if (attempt->resolved[j] != 0) {
-          outcomes[index] = std::move(attempt->results[j]);
-        } else {
-          outcomes[index] = BatchItemResult{attempt->attempt_error, {}};
-          failed.push_back(index);
-        }
-      }
-      if (attempt->finished) {
+      // Streamed verdicts are final (and, for mutations, committed — never
+      // re-sent); unresolved items inherit the attempt error and form the
+      // next round.
+      unresolved = fail_unresolved(call->attempt_error);
+      if (call->finished) {
         slot.breaker.RecordSuccess();
       } else {
         const std::uint64_t opens_before = slot.breaker.open_transitions();
@@ -592,7 +575,7 @@ sim::Task KvCluster::RunBatchWithRetry(
           ++slot.client_stats.breaker_opens;
           if (metrics_ != nullptr) ++metrics_->Counter("kv.breaker_opens");
         }
-        if (attempt->attempt_error.code() == ErrorCode::kDeadlineExceeded) {
+        if (call->attempt_error.code() == ErrorCode::kDeadlineExceeded) {
           ++stats_.deadline_exceeded;
           ++slot.client_stats.deadline_exceeded;
           if (metrics_ != nullptr) ++metrics_->Counter("kv.deadline_exceeded");
@@ -600,9 +583,8 @@ sim::Task KvCluster::RunBatchWithRetry(
       }
       GaugeSet(slot.breaker_gauge,
                static_cast<std::int64_t>(slot.breaker.state()));
-      active = std::move(failed);
     }
-    if (active.empty()) break;
+    if (unresolved == 0) break;
     const RetryState::Backoff backoff = retry.NextBackoff(rng_, sim_.now());
     if (!backoff.allowed) break;  // unresolved outcomes keep their error
     ++stats_.retries;
@@ -613,7 +595,7 @@ sim::Task KvCluster::RunBatchWithRetry(
       co_await sim_.Delay(backoff.nanos);
     }
   }
-  done.Set(std::move(outcomes));
+  done.Set(std::move(call));
 }
 
 sim::Future<Status> KvCluster::Mutate(net::NodeId client, std::uint32_t server,
@@ -738,28 +720,32 @@ sim::Future<Result<Bytes>> KvCluster::Get(net::NodeId client,
   return future;
 }
 
-sim::Future<std::vector<BatchItemResult>> KvCluster::Batch(
-    net::NodeId client, std::uint32_t server, BatchKind kind,
-    std::vector<BatchItem> items, trace::TraceContext trace) {
-  sim::Promise<std::vector<BatchItemResult>> done(sim_);
+sim::Future<BatchResult> KvCluster::Batch(net::NodeId client,
+                                          std::uint32_t server, BatchKind kind,
+                                          std::vector<BatchItem> items,
+                                          trace::TraceContext trace) {
+  sim::Promise<BatchResult> done(sim_);
   auto future = done.GetFuture();
-  if (items.empty()) {
-    done.Set({});
+  const std::size_t count = items.size();
+  auto call = std::allocate_shared<BatchCall>(
+      sim::detail::PoolAllocator<BatchCall>{}, kind, std::move(items));
+  if (count == 0) {
+    done.Set(std::move(call));
     return future;
   }
   trace::TraceContext op_span = trace::Child(trace, "kv.batch", "kv");
   trace::Annotate(op_span, "server", std::to_string(server));
   trace::Annotate(op_span, "kind", BatchKindName(kind));
-  trace::Annotate(op_span, "items", std::to_string(items.size()));
-  auto shared = std::make_shared<std::vector<BatchItem>>(std::move(items));
-  RunBatchWithRetry(server, kind, client, shared, std::move(done), op_span);
+  trace::Annotate(op_span, "items", std::to_string(count));
+  RunBatchWithRetry(server, client, std::move(call), std::move(done),
+                    op_span);
   if (metrics_ != nullptr) {
     const std::string metric = std::string("kv.batch.") + BatchKindName(kind);
     RecordKvLatency(future, &sim_, &metrics_->Histogram(metric), sim_.now(),
                     KvTagOf(op_span, client, server));
     const std::string op_metric = std::string("kv.") + BatchKindName(kind);
     RecordKvItemLatencies(future, &sim_, &metrics_->Histogram(op_metric),
-                          shared->size(), sim_.now());
+                          count, sim_.now());
   }
   return future;
 }

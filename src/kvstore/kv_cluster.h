@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -109,9 +110,44 @@ struct KvServerClientStats {
   std::uint64_t breaker_fast_fails = 0;
 };
 
-// Outcome slot shared by one batch attempt and its deadline watchdog
-// (defined in kv_cluster.cc).
-struct BatchAttempt;
+// One batch RPC as the client sees it: its items, their verdicts, and which
+// verdicts are final. Batch() builds one; every wire attempt carries the
+// still-unresolved items and writes their verdicts straight into it; the
+// future Batch() returns resolves to it once every item has its outcome.
+struct BatchCall {
+  // `resolved`: the verdict streamed back from the server. For mutations
+  // this is also the commit point, so a resolved item is never re-sent; an
+  // unresolved item carries the error of the last attempt that carried it.
+  struct Outcome {
+    BatchItemResult result;
+    bool resolved = false;
+  };
+
+  BatchCall(BatchKind call_kind, std::vector<BatchItem> call_items)
+      : kind(call_kind),
+        items(std::move(call_items)),
+        outcomes(items.size()) {}
+
+  BatchItemResult& result(std::size_t i) { return outcomes[i].result; }
+  const BatchItemResult& result(std::size_t i) const {
+    return outcomes[i].result;
+  }
+
+  BatchKind kind;
+  std::vector<BatchItem> items;
+  std::vector<Outcome> outcomes;  // aligned with items
+
+  // The wire attempt in flight, owned by the retry driver (kv_cluster.cc).
+  // An attempt whose number is no longer `attempt`, or whose client stopped
+  // waiting (`settled`), is abandoned and writes nothing further.
+  std::uint32_t attempt = 0;
+  bool settled = false;   // the client stopped waiting on this attempt
+  bool finished = false;  // this attempt's acknowledgement arrived
+  Status attempt_error;   // the verdict its unresolved items inherit
+  sim::VoidPromise attempt_done;
+};
+
+using BatchResult = std::shared_ptr<BatchCall>;
 
 class KvCluster {
  public:
@@ -184,8 +220,9 @@ class KvCluster {
   // only the rest — the non-idempotent ADD/APPEND safety argument of the
   // single-op path, preserved per item. The "kv.batch" span parents one
   // "kv.batch.attempt" per wire attempt and a per-key "kv.item" child span
-  // for every processed item.
-  [[nodiscard]] sim::Future<std::vector<BatchItemResult>> Batch(
+  // for every processed item. The future resolves to the call itself; item
+  // i's verdict is `result(i)`.
+  [[nodiscard]] sim::Future<BatchResult> Batch(
       net::NodeId client, std::uint32_t server, BatchKind kind,
       std::vector<BatchItem> items, trace::TraceContext trace = {});
 
@@ -283,15 +320,14 @@ class KvCluster {
                              const char* metric, trace::TraceContext trace);
 
   // Batch retry driver: sends the still-unresolved items as one batch
-  // attempt per round, demultiplexes the per-item verdicts (resolved items
-  // become final; unresolved items inherit the attempt error and form the
-  // next round), and applies the same breaker/backoff/deadline policy as the
-  // single-op path. Owns ending `op_span`.
-  sim::Task RunBatchWithRetry(
-      std::uint32_t server, BatchKind kind, net::NodeId client,
-      std::shared_ptr<std::vector<BatchItem>> items,
-      sim::Promise<std::vector<BatchItemResult>> done,
-      trace::TraceContext op_span);
+  // attempt per round (resolved items are final; unresolved items inherit
+  // the attempt error and form the next round), and applies the same
+  // breaker/backoff/deadline policy as the single-op path. Owns ending
+  // `op_span`.
+  sim::Task RunBatchWithRetry(std::uint32_t server, net::NodeId client,
+                              BatchResult call,
+                              sim::Promise<BatchResult> done,
+                              trace::TraceContext op_span);
 
   sim::Simulation& sim_;
   net::Network& network_;

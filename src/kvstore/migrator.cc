@@ -239,8 +239,7 @@ sim::Task Migrator::MoveChunk(std::vector<std::string> keys,
     const net::NodeId puller = storage.node_of(plan.adds.front());
     gets[{plan.source, puller}].push_back(&plan);
   }
-  std::vector<std::pair<std::vector<KeyPlan*>,
-                        sim::Future<std::vector<BatchItemResult>>>>
+  std::vector<std::pair<std::vector<KeyPlan*>, sim::Future<BatchResult>>>
       get_batches;
   get_batches.reserve(gets.size());
   for (auto& [route, group] : gets) {
@@ -256,10 +255,10 @@ sim::Task Migrator::MoveChunk(std::vector<std::string> keys,
     // blocked on these key locks are exactly what the handoff protocol
     // requires, and the server side makes progress independently.
     // lint: allow(await-held-lock) migration RPCs run under the key locks by design
-    std::vector<BatchItemResult> results = co_await future;
+    const BatchResult call = co_await future;
     for (std::size_t j = 0; j < group.size(); ++j) {
-      if (results[j].status.ok()) {
-        group[j]->value = std::move(results[j].value);
+      if (call->result(j).status.ok()) {
+        group[j]->value = std::move(call->result(j).value);
         group[j]->fetched = true;
       } else {
         group[j]->ok = false;
@@ -276,8 +275,7 @@ sim::Task Migrator::MoveChunk(std::vector<std::string> keys,
       sets[{target, puller}].push_back(&plan);
     }
   }
-  std::vector<std::pair<std::vector<KeyPlan*>,
-                        sim::Future<std::vector<BatchItemResult>>>>
+  std::vector<std::pair<std::vector<KeyPlan*>, sim::Future<BatchResult>>>
       set_batches;
   set_batches.reserve(sets.size());
   for (auto& [route, group] : sets) {
@@ -289,9 +287,9 @@ sim::Task Migrator::MoveChunk(std::vector<std::string> keys,
                              std::move(items), tctx));
   }
   for (auto& [group, future] : set_batches) {
-    std::vector<BatchItemResult> results = co_await future;
+    const BatchResult call = co_await future;
     for (std::size_t j = 0; j < group.size(); ++j) {
-      if (results[j].status.ok()) {
+      if (call->result(j).status.ok()) {
         progress_.bytes_moved += group[j]->value.StoredSize();
       } else {
         group[j]->ok = false;
@@ -327,7 +325,7 @@ sim::Task Migrator::MoveChunk(std::vector<std::string> keys,
       deletes[holder].push_back({plan.key, {}});
     }
   }
-  std::vector<sim::Future<std::vector<BatchItemResult>>> delete_futures;
+  std::vector<sim::Future<BatchResult>> delete_futures;
   delete_futures.reserve(deletes.size());
   for (auto& [holder, items] : deletes) {
     delete_futures.push_back(storage.Batch(storage.node_of(holder), holder,

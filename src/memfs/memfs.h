@@ -88,17 +88,17 @@ struct MemFsConfig {
   // retried, with an escalating delay between passes.
   std::uint32_t read_chain_attempts = 3;
   // Namespace organization. `append_log` is the paper's protocol — path-keyed
-  // records, one directory = one append-log on one server — and reproduces
-  // the pre-sharding event digest byte-identically. `sharded` routes every
-  // namespace operation through the src/meta token-range service
-  // (dentry/inode separation, paged readdir, rename and hard links).
+  // records, one directory = one append-log on one server — the pre-sharding
+  // data path. `sharded` routes every namespace operation through the
+  // src/meta token-range service (dentry/inode separation, paged readdir,
+  // rename and hard links).
   mds::MetadataMode metadata = mds::MetadataMode::kAppendLog;
   // Sharded-mode knobs (token ranges per directory, default page size);
   // ignored under append_log.
   mds::MetaConfig meta;
   // Op-scheduler knobs (src/io): per-(client, server) batching of stripe and
-  // metadata RPCs. `io.batching = false` reproduces the one-RPC-per-stripe
-  // data path byte-identically in the event digest.
+  // metadata RPCs. `io.batching = false` is the one-RPC-per-stripe data
+  // path.
   io::IoConfig io;
   FuseConfig fuse;
   // Optional per-operation latency instrumentation (owned by the caller;

@@ -46,7 +46,7 @@ inline constexpr Ino kRootIno = 1;
 // How MemFS organizes its namespace.
 enum class MetadataMode : std::uint8_t {
   // The paper's protocol: path-keyed records, one directory = one append-log
-  // on one server. Reproduces the pre-sharding event digest byte-identically.
+  // on one server (the pre-sharding data path).
   kAppendLog,
   // Token-range-sharded dentry/inode service (this module).
   kSharded,

@@ -72,7 +72,7 @@ sim::VoidFuture FluidNetwork::Transfer(NodeId src, NodeId dst,
   flow.src = src;
   flow.dst = dst;
   flow.state = FlowState::kStaged;
-  flow.bytes = static_cast<double>(bytes);
+  flow.remaining = static_cast<double>(bytes);
   flow.id = id;
   flow.promise = std::move(promise);
   if (local) {
@@ -113,12 +113,13 @@ bool FluidNetwork::DropMessage(NodeId src, NodeId dst) {
 
 std::vector<FluidNetwork::FlowInfo> FluidNetwork::SnapshotFlows() const {
   std::vector<FlowInfo> out;
-  out.reserve(active_count_);
-  for (std::size_t i = 0; i < active_slots_.size(); ++i) {
-    const Flow& flow = flows_[active_slots_[i]];
-    out.push_back(
-        {flow.id, flow.src, flow.dst, active_rr_[i].remaining,
-         active_rr_[i].rate});
+  out.reserve(finish_heap_.size());
+  for (const FinishNode& node : finish_heap_) {
+    const Flow& flow = flows_[node.slot];
+    const double moved =
+        flow.rate * units::ToSeconds(sim_.now() - flow.settled_at);
+    out.push_back({flow.id, flow.src, flow.dst,
+                   std::max(0.0, flow.remaining - moved), flow.rate});
   }
   std::sort(out.begin(), out.end(),
             [](const FlowInfo& a, const FlowInfo& b) { return a.id < b.id; });
@@ -141,6 +142,7 @@ void FluidNetwork::FreeSlot(SlotId slot) {
   flow.state = FlowState::kFree;
   flow.id = 0;
   flow.nres = 0;
+  flow.rate = 0.0;
   flow.promise = sim::VoidPromise();  // release the shared state eagerly
   flow.next_free = free_head_;
   free_head_ = slot;
@@ -189,15 +191,13 @@ void FluidNetwork::RunReallocate() {
 }
 
 void FluidNetwork::Activate(SlotId slot, std::uint64_t id) {
-  AdvanceProgress();
   Flow& flow = flows_[slot];
   assert(flow.state == FlowState::kStaged && flow.id == id);
   flow.state = FlowState::kActive;
-  ++active_count_;
-  flow.active_pos = static_cast<std::uint32_t>(active_slots_.size());
-  active_slots_.push_back(slot);
-  active_rr_.push_back({flow.bytes, 0.0});
-  completion_order_.emplace(id, slot);
+  flow.settled_at = sim_.now();
+  // Enters the heap with no finish time yet; Reallocate gives it a rate.
+  flow.heap_pos = static_cast<std::uint32_t>(finish_heap_.size());
+  finish_heap_.push_back({kNever, id, slot});
   for (std::uint8_t i = 0; i < flow.nres; ++i) {
     ++counts_[flow.res[i]];
     MarkDirty(flow.res[i]);
@@ -207,45 +207,85 @@ void FluidNetwork::Activate(SlotId slot, std::uint64_t id) {
   ScheduleNextCompletion();
 }
 
-void FluidNetwork::AdvanceProgress() {
+void FluidNetwork::set_rate(Flow& flow, double rate) {
+  assert(rate > 0.0 && "active flow with zero rate");
+  if (rate == flow.rate) return;
   const sim::SimTime now = sim_.now();
-  if (now == last_advance_) return;
-  const double elapsed_sec = units::ToSeconds(now - last_advance_);
-  for (ActiveRR& rr : active_rr_) {
-    rr.remaining -= rr.rate * elapsed_sec;
-    if (rr.remaining < 0.0) rr.remaining = 0.0;
+  if (now != flow.settled_at) {
+    flow.remaining = std::max(
+        0.0, flow.remaining -
+                 flow.rate * units::ToSeconds(now - flow.settled_at));
+    flow.settled_at = now;
   }
-  last_advance_ = now;
+  flow.rate = rate;
+  // Rounded up to a whole nanosecond; Due() absorbs the overshoot.
+  finish_heap_[flow.heap_pos].finish =
+      now + static_cast<sim::SimTime>(std::ceil(
+                flow.remaining / rate *
+                static_cast<double>(units::kNanosPerSec)));
+  HeapFix(flow.heap_pos);
+}
+
+void FluidNetwork::HeapPlace(std::uint32_t pos, const FinishNode& node) {
+  finish_heap_[pos] = node;
+  flows_[node.slot].heap_pos = pos;
+}
+
+void FluidNetwork::HeapFix(std::uint32_t pos) {
+  const FinishNode node = finish_heap_[pos];
+  // Sift up: parent of i is (i-1)/2.
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    if (!NodeBefore(node, finish_heap_[parent])) break;
+    HeapPlace(pos, finish_heap_[parent]);
+    pos = parent;
+  }
+  // Sift down: children of i are 2i+1, 2i+2.
+  const auto size = static_cast<std::uint32_t>(finish_heap_.size());
+  while (true) {
+    std::uint32_t best = 2 * pos + 1;
+    if (best >= size) break;
+    if (best + 1 < size &&
+        NodeBefore(finish_heap_[best + 1], finish_heap_[best])) {
+      ++best;
+    }
+    if (!NodeBefore(finish_heap_[best], node)) break;
+    HeapPlace(pos, finish_heap_[best]);
+    pos = best;
+  }
+  HeapPlace(pos, node);
+}
+
+void FluidNetwork::HeapPopTop() {
+  const FinishNode last = finish_heap_.back();
+  finish_heap_.pop_back();
+  if (finish_heap_.empty()) return;
+  HeapPlace(0, last);
+  HeapFix(0);
+}
+
+bool FluidNetwork::Due(const Flow& flow, sim::SimTime now) const {
+  if (finish_heap_[flow.heap_pos].finish <= now) return true;
+  // One nanosecond of slack at the current rate: the finish time is rounded
+  // up to a whole nanosecond, so a due flow can retain up to one
+  // nanosecond's worth of bytes.
+  const double left =
+      flow.remaining - flow.rate * units::ToSeconds(now - flow.settled_at);
+  return left <= std::max(kDoneEpsilonBytes, flow.rate * 1.5e-9);
 }
 
 void FluidNetwork::FinishDueFlows() {
-  // One nanosecond of slack at the current rate: the completion event is
-  // rounded up to a whole nanosecond, so a due flow can retain up to one
-  // nanosecond's worth of bytes.
+  const sim::SimTime now = sim_.now();
   due_scratch_.clear();
-  for (std::size_t i = 0; i < active_rr_.size(); ++i) {
-    const ActiveRR& rr = active_rr_[i];
-    const double slack = std::max(kDoneEpsilonBytes, rr.rate * 1.5e-9);
-    if (rr.remaining <= slack) {
-      due_scratch_.emplace_back(flows_[active_slots_[i]].id,
-                                active_slots_[i]);
-    }
+  while (!finish_heap_.empty()) {
+    const FinishNode top = finish_heap_.front();
+    if (!Due(flows_[top.slot], now)) break;
+    due_scratch_.emplace_back(top.id, top.slot);
+    HeapPopTop();
   }
-  if (due_scratch_.size() > 1) {
-    // Several flows complete at the same instant. Their fulfillment order
-    // decides which waiter resumes first, and the pinned event digests were
-    // recorded when flows lived in an id-keyed unordered_map — so re-collect
-    // the due set in the shadow map's iteration order, which reproduces that
-    // historical container order exactly (same keys, same hash, same rehash
-    // sequence). Single completions (the overwhelmingly common case) never
-    // touch the shadow map.
-    due_scratch_.clear();
-    for (const auto& [id, slot] : completion_order_) {
-      const ActiveRR& rr = active_rr_[flows_[slot].active_pos];
-      const double slack = std::max(kDoneEpsilonBytes, rr.rate * 1.5e-9);
-      if (rr.remaining <= slack) due_scratch_.emplace_back(id, slot);
-    }
-  }
+  // Flows completing together are fulfilled in flow-id order, which decides
+  // the order their waiters resume in.
+  std::sort(due_scratch_.begin(), due_scratch_.end());
   for (const auto& [id, slot] : due_scratch_) {
     Flow& flow = flows_[slot];
     for (std::uint8_t i = 0; i < flow.nres; ++i) {
@@ -253,34 +293,22 @@ void FluidNetwork::FinishDueFlows() {
       MarkDirty(flow.res[i]);
     }
     UnlinkFlow(slot);
-    const SlotId moved = active_slots_.back();
-    active_slots_[flow.active_pos] = moved;
-    active_rr_[flow.active_pos] = active_rr_.back();
-    flows_[moved].active_pos = flow.active_pos;
-    active_slots_.pop_back();
-    active_rr_.pop_back();
     flow.promise.Set(sim::Done{});
-    --active_count_;
-    completion_order_.erase(id);
     FreeSlot(slot);
   }
 }
 
 void FluidNetwork::ScheduleNextCompletion() {
-  ++completion_generation_;
-  if (active_count_ == 0) return;
-
-  double min_finish_sec = std::numeric_limits<double>::infinity();
-  for (const ActiveRR& rr : active_rr_) {
-    assert(rr.rate > 0.0 && "active flow with zero rate");
-    min_finish_sec = std::min(min_finish_sec, rr.remaining / rr.rate);
-  }
-  auto delay = static_cast<sim::SimTime>(
-      std::ceil(min_finish_sec * static_cast<double>(units::kNanosPerSec)));
-  const std::uint64_t generation = completion_generation_;
-  sim_.Schedule(delay, [this, generation] {
+  if (finish_heap_.empty()) return;
+  const sim::SimTime target = finish_heap_.front().finish;
+  assert(target != kNever && "active flow without a rate");
+  // The pending event already fires at the earliest finish.
+  if (target == completion_at_) return;
+  completion_at_ = target;
+  const std::uint64_t generation = ++completion_generation_;
+  sim_.ScheduleAt(target, [this, generation] {
     if (generation != completion_generation_) return;  // superseded
-    AdvanceProgress();
+    completion_at_ = kNever;
     FinishDueFlows();
     RunReallocate();
     ScheduleNextCompletion();
@@ -342,9 +370,9 @@ void WaterfillNetwork::ReallocateExact() {
     std::uint32_t unfixed = 0;
   };
   std::unordered_map<ResourceId, ResState> res;
-  for (Flow& flow : flows_) {
+  fill_.assign(flows_.size(), -1.0);  // -1 marks "not yet frozen"
+  for (const Flow& flow : flows_) {
     if (flow.state != FlowState::kActive) continue;
-    set_rate(flow, -1.0);  // -1 marks "not yet frozen"
     for (std::uint8_t i = 0; i < flow.nres; ++i) {
       auto& state = res[flow.res[i]];
       state.residual = ResourceCapacity(flow.res[i]);
@@ -366,8 +394,9 @@ void WaterfillNetwork::ReallocateExact() {
     // fair share equals the minimum, within tolerance).
     const double threshold = min_share * (1.0 + 1e-12) + 1e-9;
     std::size_t frozen_this_round = 0;
-    for (Flow& flow : flows_) {
-      if (flow.state != FlowState::kActive || rate_of(flow) >= 0.0) continue;
+    for (SlotId slot = 0; slot < flows_.size(); ++slot) {
+      const Flow& flow = flows_[slot];
+      if (flow.state != FlowState::kActive || fill_[slot] >= 0.0) continue;
       bool bottlenecked = false;
       for (std::uint8_t i = 0; i < flow.nres; ++i) {
         const auto& state = res[flow.res[i]];
@@ -377,7 +406,7 @@ void WaterfillNetwork::ReallocateExact() {
         }
       }
       if (!bottlenecked) continue;
-      set_rate(flow, min_share);
+      fill_[slot] = min_share;
       ++frozen_this_round;
       for (std::uint8_t i = 0; i < flow.nres; ++i) {
         auto& state = res[flow.res[i]];
@@ -388,14 +417,20 @@ void WaterfillNetwork::ReallocateExact() {
     assert(frozen_this_round > 0 && "water-filling failed to make progress");
     remaining_flows -= frozen_this_round;
   }
+  for (SlotId slot = 0; slot < flows_.size(); ++slot) {
+    if (flows_[slot].state == FlowState::kActive) {
+      set_rate(flows_[slot], fill_[slot]);
+    }
+  }
 }
 
 void WaterfillNetwork::SolveComponent(const std::vector<SlotId>& flow_slots) {
   comp_res_.clear();
   ++res_cur_;
+  if (fill_.size() < flows_.size()) fill_.resize(flows_.size());
   for (SlotId slot : flow_slots) {
-    Flow& flow = flows_[slot];
-    set_rate(flow, -1.0);  // -1 marks "not yet frozen"
+    const Flow& flow = flows_[slot];
+    fill_[slot] = -1.0;  // -1 marks "not yet frozen"
     for (std::uint8_t i = 0; i < flow.nres; ++i) {
       const ResourceId r = flow.res[i];
       if (res_stamp_[r] != res_cur_) {
@@ -421,8 +456,8 @@ void WaterfillNetwork::SolveComponent(const std::vector<SlotId>& flow_slots) {
     const double threshold = min_share * (1.0 + 1e-12) + 1e-9;
     std::size_t frozen_this_round = 0;
     for (SlotId slot : flow_slots) {
-      Flow& flow = flows_[slot];
-      if (rate_of(flow) >= 0.0) continue;
+      const Flow& flow = flows_[slot];
+      if (fill_[slot] >= 0.0) continue;
       bool bottlenecked = false;
       for (std::uint8_t i = 0; i < flow.nres; ++i) {
         const ResourceId r = flow.res[i];
@@ -432,7 +467,7 @@ void WaterfillNetwork::SolveComponent(const std::vector<SlotId>& flow_slots) {
         }
       }
       if (!bottlenecked) continue;
-      set_rate(flow, min_share);
+      fill_[slot] = min_share;
       ++frozen_this_round;
       for (std::uint8_t i = 0; i < flow.nres; ++i) {
         const ResourceId r = flow.res[i];
@@ -443,6 +478,7 @@ void WaterfillNetwork::SolveComponent(const std::vector<SlotId>& flow_slots) {
     assert(frozen_this_round > 0 && "water-filling failed to make progress");
     remaining_flows -= frozen_this_round;
   }
+  for (SlotId slot : flow_slots) set_rate(flows_[slot], fill_[slot]);
 }
 
 void WaterfillNetwork::Reallocate() {

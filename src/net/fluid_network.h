@@ -1,7 +1,7 @@
 // Fluid-flow network implementations.
 //
 // Shared machinery (FluidNetwork): flow lifecycle, latency staging, progress
-// advancement, and a single rescheduled next-completion event — so the event
+// bookkeeping, and a single rescheduled next-completion event — so the event
 // queue never accumulates stale per-flow completions. Subclasses only decide
 // how capacity is split among concurrent flows (Reallocate).
 //
@@ -15,6 +15,13 @@
 // further). The original from-scratch solvers are kept as a reference oracle
 // behind NetworkConfig::exact_reallocate / SetExactReallocate — the
 // incremental/exact property test drives both arms in lockstep.
+//
+// Progress is kept in absolute time: each active flow records its remaining
+// bytes as of the instant its rate last changed, and the resulting finish
+// time sits in an indexed min-heap keyed (finish_ns, flow id). Nothing walks
+// the active set per event — an arrival or completion touches only the flows
+// whose rate the solver changed, plus O(log n) heap fix-ups. Flows that
+// complete in the same event are fulfilled in flow-id order.
 //
 // Resources are indexed as: [0, N) egress NICs, [N, 2N) ingress NICs,
 // [2N, 3N) node-local paths, 3N the optional core fabric.
@@ -47,7 +54,7 @@ class FluidNetwork : public Network {
     return received_[node];
   }
   std::uint64_t total_bytes() const override { return total_bytes_; }
-  std::size_t active_flows() const override { return active_count_; }
+  std::size_t active_flows() const override { return finish_heap_.size(); }
 
   // Fault injection: per-link loss and latency spikes (see network.h).
   void SetLinkFault(NodeId src, NodeId dst, LinkFault fault) override;
@@ -65,7 +72,8 @@ class FluidNetwork : public Network {
   bool exact_reallocate() const { return exact_; }
 
   // Diagnostic snapshot of the in-progress flows, sorted by id (stable
-  // across solver arms; the property test compares these).
+  // across solver arms; the property test compares these), with remaining
+  // bytes as of now.
   struct FlowInfo {
     std::uint64_t id = 0;
     NodeId src = 0;
@@ -79,6 +87,8 @@ class FluidNetwork : public Network {
   using ResourceId = std::uint32_t;
   using SlotId = std::uint32_t;
   static constexpr SlotId kNoSlot = 0xffffffffu;
+  // Finish time of a flow that has no rate yet.
+  static constexpr sim::SimTime kNever = ~sim::SimTime{0};
   // A flow crosses at most egress + ingress + fabric.
   static constexpr std::uint32_t kMaxResources = 3;
 
@@ -92,11 +102,15 @@ class FluidNetwork : public Network {
     ResourceId res[kMaxResources] = {0, 0, 0};
     // Index of this slot inside res_flows_[res[i]] (swap-remove fix-up).
     std::uint32_t pos[kMaxResources] = {0, 0, 0};
-    double bytes = 0.0;      // transfer size, read once at activation
+    // Progress, settled only when the rate changes: `remaining` bytes were
+    // left at `settled_at`, and the flow has moved at `rate` bytes/sec since.
+    double remaining = 0.0;
+    double rate = 0.0;
+    sim::SimTime settled_at = 0;
     std::uint64_t id = 0;    // 0 when the slot is free
     std::uint64_t visit = 0; // solver traversal stamp
-    // Index of this slot in active_slots_ (swap-remove fix-up).
-    std::uint32_t active_pos = 0;
+    // Index of this slot in finish_heap_ while active (heap fix-up).
+    std::uint32_t heap_pos = 0;
     SlotId next_free = kNoSlot;
     sim::VoidPromise promise;
   };
@@ -106,9 +120,9 @@ class FluidNetwork : public Network {
   ResourceId LocalOf(NodeId n) const { return 2 * config_.nodes + n; }
   ResourceId Fabric() const { return 3 * config_.nodes; }
 
-  // Recomputes `rate` for the flows affected by the dirty resource set (or
-  // for every flow, in exact-oracle mode). Invoked after each flow
-  // arrival/completion with progress already advanced to the current time.
+  // Recomputes rates for the flows affected by the dirty resource set (or
+  // for every flow, in exact-oracle mode) through set_rate(). Invoked after
+  // each flow arrival/completion.
   virtual void Reallocate() = 0;
 
   double ResourceCapacity(ResourceId r) const { return capacity_[r]; }
@@ -119,34 +133,30 @@ class FluidNetwork : public Network {
   const std::vector<ResourceId>& DirtyResources() const { return dirty_; }
   bool exact_solver() const { return exact_; }
 
+  // The one way a solver changes an active flow's rate (> 0). A no-op when
+  // the rate is unchanged; otherwise settles the flow's progress at the old
+  // rate up to now and moves its finish time in the heap.
+  void set_rate(Flow& flow, double rate);
+
   // Slot storage, resource membership lists, and traversal stamps — the
   // solver implementations walk these directly.
   std::vector<Flow> flows_;
   std::vector<std::vector<SlotId>> res_flows_;
   std::uint64_t visit_cur_ = 0;
 
-  // While a flow is active, its remaining bytes and current rate live in
-  // active_rr_[flow.active_pos] — a packed array the per-event scans
-  // (progress, due collection, next-completion minimum) stream through at
-  // four entries per cache line instead of dereferencing whole Flow records.
-  // Solvers read and write rates through rate_of()/set_rate().
-  struct ActiveRR {
-    double remaining = 0.0;  // bytes
-    double rate = 0.0;       // bytes per second
-  };
-  double rate_of(const Flow& flow) const {
-    return active_rr_[flow.active_pos].rate;
-  }
-  void set_rate(const Flow& flow, double rate) {
-    active_rr_[flow.active_pos].rate = rate;
-  }
-
   sim::Simulation& sim_;
   const NetworkConfig config_;
 
  private:
+  // One finish-heap entry; the key (finish, id) is unique per flow.
+  struct FinishNode {
+    sim::SimTime finish;
+    std::uint64_t id;
+    SlotId slot;
+  };
+
   void Activate(SlotId slot, std::uint64_t id);
-  void AdvanceProgress();
+  bool Due(const Flow& flow, sim::SimTime now) const;
   void FinishDueFlows();
   void ScheduleNextCompletion();
   void RunReallocate();
@@ -155,7 +165,14 @@ class FluidNetwork : public Network {
   void MarkDirty(ResourceId r);
   void LinkFlow(SlotId slot);
   void UnlinkFlow(SlotId slot);
+  void HeapPlace(std::uint32_t pos, const FinishNode& node);
+  void HeapFix(std::uint32_t pos);
+  void HeapPopTop();
 
+  static bool NodeBefore(const FinishNode& a, const FinishNode& b) {
+    if (a.finish != b.finish) return a.finish < b.finish;
+    return a.id < b.id;
+  }
   static std::uint64_t LinkKey(NodeId src, NodeId dst) {
     return (static_cast<std::uint64_t>(src) << 32) | dst;
   }
@@ -164,33 +181,22 @@ class FluidNetwork : public Network {
   std::vector<std::uint32_t> counts_;  // active flows per resource
   std::vector<std::uint64_t> sent_;
   std::vector<std::uint64_t> received_;
-  // Dense list of the active slots, in no particular order (swap-remove),
-  // with active_rr_ kept index-aligned. The hot per-event scans walk these
-  // instead of the whole slot vector, whose high-water mark can dwarf the
-  // live count after a burst. All three scans are order-independent (the
-  // multi-completion fulfillment order is pinned separately by
-  // completion_order_), so the scramble is digest-safe.
-  std::vector<SlotId> active_slots_;
-  std::vector<ActiveRR> active_rr_;
-
- private:
-  std::vector<ResourceId> dirty_;       // deduplicated via dirty_stamp_
+  // Binary min-heap over every active flow, keyed (finish, id); a flow's
+  // entry is finish_heap_[flow.heap_pos].
+  std::vector<FinishNode> finish_heap_;
+  std::vector<ResourceId> dirty_;  // deduplicated via dirty_stamp_
   std::vector<std::uint64_t> dirty_stamp_;
   std::uint64_t dirty_cur_ = 1;
-  // Scratch for FinishDueFlows (reused).
+  // Scratch for FinishDueFlows (reused): (id, slot) of the due flows.
   std::vector<std::pair<std::uint64_t, SlotId>> due_scratch_;
-  // Mirrors the historical id-keyed flow map purely to order simultaneous
-  // completions: the pinned event digests bake in the old container's
-  // iteration order, and an unordered_map with the same key sequence
-  // reproduces it node-for-node. Consulted only when ≥2 flows finish in one
-  // event (see FinishDueFlows); everything else walks the dense slot vector.
-  std::unordered_map<std::uint64_t, SlotId> completion_order_;
   SlotId free_head_ = kNoSlot;
-  std::size_t active_count_ = 0;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t next_flow_id_ = 1;
+  // The pending completion event: its target instant (kNever when none is
+  // pending) and generation (an event whose generation is stale was
+  // superseded and does nothing).
   std::uint64_t completion_generation_ = 0;
-  sim::SimTime last_advance_ = 0;
+  sim::SimTime completion_at_ = kNever;
   bool exact_ = false;
 
   std::unordered_map<std::uint64_t, LinkFault> link_faults_;
@@ -205,7 +211,8 @@ class FluidNetwork : public Network {
 // The incremental arm recomputes exactly the flows on a dirty resource: a
 // flow's rate reads only its own resources' capacity/count, so every other
 // flow's min() would be recomputed from bit-identical inputs. Incremental and
-// exact are therefore bitwise-equal here (the pinned digests rely on this).
+// exact are therefore bitwise-equal here, and neither moves a flow whose
+// rate did not change.
 class FairShareNetwork final : public FluidNetwork {
  public:
   using FluidNetwork::FluidNetwork;
@@ -240,6 +247,10 @@ class WaterfillNetwork final : public FluidNetwork {
   // crosses is in the list).
   void SolveComponent(const std::vector<SlotId>& flow_slots);
 
+  // Per SlotId: the share being solved, -1 while the flow is not yet frozen.
+  // Kept apart from the flows' rates so a half-solved component never
+  // reaches set_rate and the finish heap.
+  std::vector<double> fill_;
   // Scratch reused across solves (indexed by ResourceId, stamped).
   std::vector<double> residual_;
   std::vector<std::uint32_t> unfixed_;

@@ -29,17 +29,33 @@ struct FutureState {
 
   Simulation* sim;
   std::optional<T> value;
-  std::vector<std::coroutine_handle<>> waiters;
+  // Almost every future has exactly one waiter, so the first lives inline
+  // and only later ones pay for the vector.
+  std::coroutine_handle<> first_waiter;
+  std::vector<std::coroutine_handle<>> more_waiters;
+
+  void AddWaiter(std::coroutine_handle<> handle) {
+    if (!first_waiter) {
+      first_waiter = handle;
+    } else {
+      more_waiters.push_back(handle);
+    }
+  }
 
   void Fulfill(T v) {
     assert(!value.has_value() && "promise fulfilled twice");
     value.emplace(std::move(v));
-    SimChecker* checker = sim->checker();
-    for (auto handle : waiters) {
-      if (checker != nullptr) checker->OnResume(handle);
-      sim->Resume(handle);
-    }
-    waiters.clear();
+    if (!first_waiter) return;
+    Wake(first_waiter);
+    first_waiter = nullptr;
+    for (auto handle : more_waiters) Wake(handle);
+    more_waiters.clear();
+  }
+
+ private:
+  void Wake(std::coroutine_handle<> handle) {
+    if (SimChecker* checker = sim->checker()) checker->OnResume(handle);
+    sim->Resume(handle);
   }
 };
 
@@ -68,7 +84,7 @@ class [[nodiscard]] Future {
       if (SimChecker* checker = state->sim->checker()) {
         checker->OnSuspend(h, WaitKind::kFuture, state, "Future");
       }
-      state->waiters.push_back(h);
+      state->AddWaiter(h);
     }
     T await_resume() const { return *state->value; }
   };

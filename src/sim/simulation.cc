@@ -25,9 +25,13 @@ std::uint64_t FnvMix(std::uint64_t hash, std::uint64_t value) {
 Simulation::~Simulation() {
   // Destroy never-run callbacks (e.g. a RunUntil stopped mid-workload). The
   // cells themselves die with cell_chunks_.
-  for (const HeapNode& node : heap_) {
+  auto destroy = [this](const HeapNode& node) {
     Cell& cell = CellAt(node.cell);
     cell.op(cell.storage, /*run=*/false);
+  };
+  for (const HeapNode& node : heap_) destroy(node);
+  for (std::size_t i = now_head_; i < now_queue_.size(); ++i) {
+    destroy(now_queue_[i]);
   }
 }
 
@@ -69,9 +73,23 @@ Simulation::HeapNode Simulation::HeapPop() {
   return top;
 }
 
+Simulation::HeapNode Simulation::NowQueuePop() {
+  const HeapNode node = now_queue_[now_head_++];
+  if (now_head_ == now_queue_.size()) {
+    now_queue_.clear();
+    now_head_ = 0;
+  }
+  return node;
+}
+
 bool Simulation::Step() {
-  if (heap_.empty()) return false;
-  const HeapNode node = HeapPop();
+  const bool now_pending = now_head_ < now_queue_.size();
+  if (heap_.empty() && !now_pending) return false;
+  // A heap entry due now was scheduled before the clock reached now_, so it
+  // precedes every FIFO entry; FIFO entries precede later heap entries.
+  const bool from_heap =
+      !heap_.empty() && (!now_pending || heap_.front().time == now_);
+  const HeapNode node = from_heap ? HeapPop() : NowQueuePop();
   // Tell the clock observer time is about to advance, before the event at
   // the new instant runs: observed state is exactly "everything up to the
   // old time", which is what makes window samples exact. Observers never
@@ -100,7 +118,9 @@ SimTime Simulation::Run() {
 }
 
 SimTime Simulation::RunUntil(SimTime deadline) {
-  while (!heap_.empty() && heap_.front().time <= deadline) {
+  // Events at now_ (heap or FIFO) are due whenever now_ <= deadline.
+  while ((now_head_ < now_queue_.size() && now_ <= deadline) ||
+         (!heap_.empty() && heap_.front().time <= deadline)) {
     Step();
   }
   if (now_ < deadline) {

@@ -10,10 +10,14 @@
 // 4-ary heap of 24-byte plain nodes {time, seq, cell}, with the type-erased
 // callbacks stored out-of-line in recycled fixed-size cells (chunked slab —
 // cell addresses are stable, so a running callback may schedule freely).
-// Neither scheduling nor dispatch allocates once the slab is warm; captures
-// larger than a cell fall back to one boxed allocation. The (time, seq) key
-// is unique per event, so heap order — and EventDigest() — is identical to
-// the historical std::priority_queue implementation.
+// Most events are scheduled for the current instant (coroutine resumptions,
+// yields, promise fulfilments); those bypass the heap through a FIFO. Every
+// heap entry due at the current instant was scheduled before the clock
+// reached it, so it carries a lower seq than anything in the FIFO: Step pops
+// those first, then drains the FIFO, and the pop order is exactly
+// (time, seq) either way. Neither scheduling nor dispatch allocates once the
+// slab is warm; captures larger than a cell fall back to one boxed
+// allocation.
 //
 // Concurrency model: simulated processes are C++20 coroutines (sim::Task)
 // that suspend on awaitables (Delay, Future, Semaphore, ...) and are resumed
@@ -84,7 +88,12 @@ class Simulation {
           Fn*(new Fn(std::forward<F>(fn)));
       cell.op = &BoxedOp<Fn>;
     }
-    HeapPush(HeapNode{when, next_seq_++, cell_index});
+    const HeapNode node{when, next_seq_++, cell_index};
+    if (when == now_) {
+      now_queue_.push_back(node);
+    } else {
+      HeapPush(node);
+    }
   }
 
   // Schedules resumption of a suspended coroutine through the event queue so
@@ -102,7 +111,9 @@ class Simulation {
   // Runs until the queue drains or simulated time would pass `deadline`.
   SimTime RunUntil(SimTime deadline);
 
-  bool empty() const { return heap_.empty(); }
+  bool empty() const {
+    return heap_.empty() && now_head_ == now_queue_.size();
+  }
   std::uint64_t events_processed() const { return events_processed_; }
 
   // Order-sensitive FNV-1a digest over the (time, sequence) pair of every
@@ -213,6 +224,7 @@ class Simulation {
 
   void HeapPush(HeapNode node);
   HeapNode HeapPop();
+  HeapNode NowQueuePop();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -221,6 +233,11 @@ class Simulation {
   SimChecker* checker_ = nullptr;
   ClockObserver* clock_observer_ = nullptr;
   std::vector<HeapNode> heap_;  // 4-ary min-heap on (time, seq)
+  // FIFO of events scheduled at now_, in seq order; [now_head_, size) are
+  // pending. Emptied (capacity kept) each time it drains, which always
+  // happens before the clock advances.
+  std::vector<HeapNode> now_queue_;
+  std::size_t now_head_ = 0;
   std::vector<std::unique_ptr<Cell[]>> cell_chunks_;
   std::vector<std::uint32_t> free_cells_;
   std::uint32_t cell_count_ = 0;

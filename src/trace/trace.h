@@ -164,9 +164,13 @@ inline void Event(const TraceContext& span, std::string_view name) {
   if (span.tracer != nullptr) span.tracer->AddEvent(span, name);
 }
 
+// Takes a view so an untraced call site copies nothing: the value is only
+// materialized once a tracer is listening.
 inline void Annotate(const TraceContext& span, std::string_view key,
-                     std::string value) {
-  if (span.tracer != nullptr) span.tracer->Annotate(span, key, std::move(value));
+                     std::string_view value) {
+  if (span.tracer != nullptr) {
+    span.tracer->Annotate(span, key, std::string(value));
+  }
 }
 
 // RAII span for coroutine bodies: opens a child of `parent` on construction,

@@ -97,24 +97,33 @@ class KvBatchClusterTest : public ::testing::Test {
         cluster_(sim_, network_, {0, 1, 2, 3}, kv::KvServerConfig{},
                  kv::KvOpCostModel{}, nullptr, policy) {}
 
+  // Runs one batch RPC to completion and returns its per-item verdicts.
+  std::vector<kv::BatchItemResult> Batch(net::NodeId client,
+                                         std::uint32_t server,
+                                         kv::BatchKind kind,
+                                         std::vector<kv::BatchItem> items) {
+    const kv::BatchResult call =
+        Await(sim_, cluster_.Batch(client, server, kind, std::move(items)));
+    std::vector<kv::BatchItemResult> results;
+    for (auto& outcome : call->outcomes) results.push_back(outcome.result);
+    return results;
+  }
+
   sim::Simulation sim_;
   net::FairShareNetwork network_;
   kv::KvCluster cluster_;
 };
 
 TEST_F(KvBatchClusterTest, BatchRoundTripAndStats) {
-  auto set = Await(sim_, cluster_.Batch(
-                             0, 1, kv::BatchKind::kSet,
-                             MakeItems({{"a", Bytes::Copy("av")},
-                                        {"b", Bytes::Copy("bv")},
-                                        {"c", Bytes::Copy("cv")}})));
+  auto set = Batch(0, 1, kv::BatchKind::kSet,
+                   MakeItems({{"a", Bytes::Copy("av")},
+                              {"b", Bytes::Copy("bv")},
+                              {"c", Bytes::Copy("cv")}}));
   ASSERT_EQ(set.size(), 3u);
   for (const auto& item : set) EXPECT_TRUE(item.status.ok());
 
-  auto got = Await(sim_, cluster_.Batch(2, 1, kv::BatchKind::kGet,
-                                        MakeItems({{"a", {}},
-                                                   {"missing", {}},
-                                                   {"c", {}}})));
+  auto got = Batch(2, 1, kv::BatchKind::kGet,
+                   MakeItems({{"a", {}}, {"missing", {}}, {"c", {}}}));
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].value.view(), "av");
   EXPECT_EQ(got[1].status.code(), ErrorCode::kNotFound);
@@ -138,10 +147,9 @@ TEST_F(KvBatchClusterTest, BatchOfOneMatchesSingleOpCost) {
   const auto single = sim_.now() - t0;
 
   const auto t1 = sim_.now();
-  auto results =
-      Await(sim_, cluster_.Batch(0, 1, kv::BatchKind::kSet,
-                                 MakeItems({{"batchd", // same key length
-                                             Bytes::Synthetic(2048, 2)}})));
+  auto results = Batch(0, 1, kv::BatchKind::kSet,
+                       MakeItems({{"batchd",  // same key length
+                                   Bytes::Synthetic(2048, 2)}}));
   const auto batched = sim_.now() - t1;
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].status.ok());
@@ -166,12 +174,12 @@ TEST_F(KvBatchDeadlineTest, PartialBatchRetriesOnlyUnresolvedItems) {
   // the cut; the retry round must carry exactly the fourth — the server
   // applies 4 sets, not 5.
   cluster_.SetServerSlowdown(1, 100.0);
-  auto results = Await(
-      sim_, cluster_.Batch(0, 1, kv::BatchKind::kSet,
-                           MakeItems({{"k0", Bytes::Synthetic(units::KiB(1), 0)},
-                                      {"k1", Bytes::Synthetic(units::KiB(1), 1)},
-                                      {"k2", Bytes::Synthetic(units::KiB(1), 2)},
-                                      {"k3", Bytes::Synthetic(units::KiB(1), 3)}})));
+  auto results =
+      Batch(0, 1, kv::BatchKind::kSet,
+            MakeItems({{"k0", Bytes::Synthetic(units::KiB(1), 0)},
+                       {"k1", Bytes::Synthetic(units::KiB(1), 1)},
+                       {"k2", Bytes::Synthetic(units::KiB(1), 2)},
+                       {"k3", Bytes::Synthetic(units::KiB(1), 3)}}));
   ASSERT_EQ(results.size(), 4u);
   for (const auto& item : results) EXPECT_TRUE(item.status.ok());
 
@@ -190,11 +198,10 @@ TEST_F(KvBatchClusterTest, BatchRetriesAcrossServerDowntime) {
   After(sim_, units::Micros(1100), [this] {
     cluster_.SetServerDown(0, false);
   });
-  auto results = Await(sim_, cluster_.Batch(
-                                 1, 0, kv::BatchKind::kSet,
-                                 MakeItems({{"a", Bytes::Copy("1")},
-                                            {"b", Bytes::Copy("2")},
-                                            {"c", Bytes::Copy("3")}})));
+  auto results = Batch(1, 0, kv::BatchKind::kSet,
+                       MakeItems({{"a", Bytes::Copy("1")},
+                                  {"b", Bytes::Copy("2")},
+                                  {"c", Bytes::Copy("3")}}));
   ASSERT_EQ(results.size(), 3u);
   for (const auto& item : results) EXPECT_TRUE(item.status.ok());
   EXPECT_EQ(cluster_.server(0).stats().sets, 3u);
@@ -203,27 +210,23 @@ TEST_F(KvBatchClusterTest, BatchRetriesAcrossServerDowntime) {
 }
 
 TEST_F(KvBatchClusterTest, WipeOnRestartYieldsMixedBatchGet) {
-  auto set = Await(sim_, cluster_.Batch(
-                             0, 0, kv::BatchKind::kSet,
-                             MakeItems({{"k0", Bytes::Copy("v0")},
-                                        {"k1", Bytes::Copy("v1")},
-                                        {"k2", Bytes::Copy("v2")},
-                                        {"k3", Bytes::Copy("v3")}})));
+  auto set = Batch(0, 0, kv::BatchKind::kSet,
+                   MakeItems({{"k0", Bytes::Copy("v0")},
+                              {"k1", Bytes::Copy("v1")},
+                              {"k2", Bytes::Copy("v2")},
+                              {"k3", Bytes::Copy("v3")}}));
   for (const auto& item : set) ASSERT_TRUE(item.status.ok());
 
   // Memcached restart: the process comes back empty.
   cluster_.SetServerDown(0, true);
   cluster_.SetServerDown(0, false, /*wipe_on_restart=*/true);
-  auto reset = Await(sim_, cluster_.Batch(1, 0, kv::BatchKind::kSet,
-                                          MakeItems({{"k1", Bytes::Copy("r1")},
-                                                     {"k3", Bytes::Copy("r3")}})));
+  auto reset = Batch(1, 0, kv::BatchKind::kSet,
+                     MakeItems({{"k1", Bytes::Copy("r1")},
+                                {"k3", Bytes::Copy("r3")}}));
   for (const auto& item : reset) ASSERT_TRUE(item.status.ok());
 
-  auto got = Await(sim_, cluster_.Batch(2, 0, kv::BatchKind::kGet,
-                                        MakeItems({{"k0", {}},
-                                                   {"k1", {}},
-                                                   {"k2", {}},
-                                                   {"k3", {}}})));
+  auto got = Batch(2, 0, kv::BatchKind::kGet,
+                   MakeItems({{"k0", {}}, {"k1", {}}, {"k2", {}}, {"k3", {}}}));
   ASSERT_EQ(got.size(), 4u);
   EXPECT_EQ(got[0].status.code(), ErrorCode::kNotFound);
   EXPECT_EQ(got[1].value.view(), "r1");

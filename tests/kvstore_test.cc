@@ -305,9 +305,11 @@ TEST_F(KvGaugeTest, BatchedMutationsSyncGauges) {
     items.push_back(BatchItem{"k" + std::to_string(i),
                               Bytes::Synthetic(25, static_cast<unsigned>(i))});
   }
-  auto results =
+  const BatchResult call =
       Await(sim_, cluster_.Batch(0, 1, BatchKind::kSet, std::move(items)));
-  for (const auto& r : results) EXPECT_TRUE(r.status.ok());
+  for (const auto& outcome : call->outcomes) {
+    EXPECT_TRUE(outcome.result.status.ok());
+  }
   EXPECT_EQ(MemGauge(1), 100);
   EXPECT_EQ(ObjectsGauge(1), 4);
 }

@@ -165,6 +165,46 @@ TYPED_TEST(FluidNetworkTest, ManySmallTransfersAllComplete) {
   EXPECT_EQ(network.active_flows(), 0u);
 }
 
+TYPED_TEST(FluidNetworkTest, SimultaneousCompletionsFulfilInFlowIdOrder) {
+  sim::Simulation sim;
+  TypeParam network(sim, TestConfig(8));
+  // Four equal transfers on disjoint pairs finish in the same nanosecond.
+  // Waiters attach in reverse flow order; they must still resume in flow-id
+  // order, because that is the order the flows are fulfilled in.
+  std::vector<sim::VoidFuture> futures;
+  for (NodeId pair = 0; pair < 4; ++pair) {
+    futures.push_back(network.Transfer(2 * pair, 2 * pair + 1, MB(1)));
+  }
+  std::vector<int> order;
+  std::vector<SimTime> done_at;
+  for (int i = 3; i >= 0; --i) {
+    [](sim::VoidFuture f, int id, sim::Simulation& s, std::vector<int>& log,
+       std::vector<SimTime>& at) -> sim::Task {
+      co_await f;
+      log.push_back(id);
+      at.push_back(s.now());
+    }(futures[i], i, sim, order, done_at);
+  }
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  ASSERT_EQ(done_at.size(), 4u);
+  EXPECT_EQ(done_at.front(), done_at.back());
+}
+
+TYPED_TEST(FluidNetworkTest, ArrivalKeepingEarliestFinishSchedulesNoEvent) {
+  sim::Simulation sim;
+  TypeParam network(sim, TestConfig(4));
+  // A (1 MB) and, 100 us later, B (10 MB) on a disjoint pair: B's arrival
+  // leaves A's finish the earliest, so it must not schedule a completion
+  // event.
+  (void)network.Transfer(0, 1, MB(1));
+  sim.Schedule(Micros(100), [&] { (void)network.Transfer(2, 3, MB(10)); });
+  sim.Run();
+  EXPECT_EQ(network.active_flows(), 0u);
+  // The timer event, two activations, two completions.
+  EXPECT_EQ(sim.events_processed(), 5u);
+}
+
 // Water-filling redistributes capacity that fair-share leaves unused: flows
 // A(0->1) and B(0->2) share node 0's egress; B additionally competes with
 // C(3->2) and D(4->2) for node 2's ingress and is stuck at 1/3 of line rate.

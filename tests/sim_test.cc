@@ -135,6 +135,24 @@ TEST(FutureTest, MultipleWaitersAllResume) {
   EXPECT_EQ(sum, 20);
 }
 
+TEST(FutureTest, InlineWaiterAndTwoMoreResumeInAwaitOrder) {
+  // The first waiter is stored inline, later ones in a side vector; all
+  // three must still resume in the order they suspended.
+  Simulation sim;
+  Promise<int> promise(sim);
+  auto future = promise.GetFuture();
+  std::vector<int> order;
+  for (int id = 0; id < 3; ++id) {
+    [](Future<int> f, int who, std::vector<int>& log) -> Task {
+      log.push_back(10 * who + co_await f);
+    }(future, id, order);
+  }
+  EXPECT_TRUE(order.empty());  // all three suspended
+  sim.Schedule(5, [&] { promise.Set(1); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 11, 21}));
+}
+
 TEST(FutureTest, ValuePeekAfterRun) {
   Simulation sim;
   Promise<int> promise(sim);
@@ -337,6 +355,57 @@ TEST(EventHeapTest, SchedulingDuringRunKeepsTotalOrder) {
     EXPECT_EQ(order[2 * i + 1].second, 100 + i);
     EXPECT_EQ(order[2 * i].first, order[2 * i + 1].first);
   }
+}
+
+TEST(EventHeapTest, DelayedEventRunsBeforeZeroDelayEventsAtItsInstant) {
+  // Events scheduled for the current instant go through the FIFO; an event
+  // scheduled earlier for that instant sits in the heap with a lower seq and
+  // must still run first, and the FIFO must drain before time advances.
+  Simulation sim;
+  std::vector<int> order;
+  sim.ScheduleAt(10, [&] {
+    order.push_back(1);
+    sim.Schedule(0, [&] { order.push_back(3); });
+  });
+  sim.ScheduleAt(10, [&] { order.push_back(2); });
+  sim.ScheduleAt(11, [&] { order.push_back(4); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.now(), 11u);
+}
+
+TEST(EventHeapTest, RunUntilDrainsTheFifo) {
+  Simulation sim;
+  int fired = 0;
+  // A zero-delay chain at t=0, then one at t=5 started by a timer.
+  sim.Schedule(0, [&] {
+    ++fired;
+    sim.Schedule(0, [&] { ++fired; });
+  });
+  sim.Schedule(5, [&] {
+    ++fired;
+    sim.Schedule(0, [&] { ++fired; });
+  });
+  sim.RunUntil(0);
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(sim.empty());  // the t=5 timer is still pending
+  sim.RunUntil(5);
+  EXPECT_EQ(fired, 4);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.now(), 5u);
+}
+
+TEST(EventHeapTest, UnrunFifoCallablesAreDestroyedWithTheSimulation) {
+  auto shared = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = shared;
+  {
+    Simulation sim;
+    sim.Schedule(0, [shared] { (void)shared; });  // FIFO, never run
+    shared.reset();
+    EXPECT_FALSE(sim.empty());
+    EXPECT_FALSE(watch.expired());
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(EventHeapTest, LargeCallablesAreBoxedCorrectly) {

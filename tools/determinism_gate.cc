@@ -366,7 +366,7 @@ const Predicate kIntact{
 std::vector<Scenario> Scenarios() {
   return {
       {"faulted", Faulted, WriteAndReadBack, Faults::kWipe,
-       0xe7fb33e5d1e88e63ull,  // the pre-sharding append_log event stream
+       0x5575a5a59543375dull,  // append_log metadata, batched io
        {kIntact,
         {"monitor kept every window and dropped none",
          [](const Grid& g) { return g.first[kAll].windows_kept; }},
@@ -383,7 +383,7 @@ std::vector<Scenario> Scenarios() {
          config.memfs.io.batching = false;
        },
        WriteAndReadBack, Faults::kWipe,
-       0xab847354186cba81ull,  // the one-RPC-per-op event stream
+       0xaad1d7bc087ec229ull,  // one RPC per op
        {kIntact}},
       {"elastic",
        [](workloads::TestbedConfig& config) {
