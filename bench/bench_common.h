@@ -1,9 +1,6 @@
-// Shared plumbing for the paper-reproduction bench harnesses.
-//
-// Every fig*/table* binary builds fresh Testbeds per data point through
-// these helpers, prints the paper's rows/series via common/table.h, and
-// honours --csv. Scaling knobs are printed in each header so a reader can
-// relate simulated magnitudes to the paper's absolute numbers.
+// Shared plumbing for the bench harnesses: one envelope configuration or one
+// workflow run on a fresh Testbed. The paper-figure table (paper_cells.h)
+// and the ablations build their data points through these helpers.
 #pragma once
 
 #include <cstdint>
@@ -128,23 +125,6 @@ inline WorkflowCell RunWorkflowCell(const WorkflowCellParams& params,
     cell.result = runner.Run(workflow);
   }
   return cell;
-}
-
-// Per-node application I/O bandwidth while a node's cores run this stage —
-// the quantity the paper's "achieved bandwidth per node" plots track (every
-// application byte crosses the network once in MemFS). Computed from the
-// stage's core-busy time so sparse stage packing does not dilute it:
-//   per-node MB/s = (stage bytes / total core-busy seconds) * cores/node.
-inline double StageNodeBandwidth(const mtc::StageStats* stage,
-                                 std::uint32_t cores_per_node) {
-  if (stage == nullptr) return 0.0;
-  return stage->PerCoreMBps() * static_cast<double>(cores_per_node);
-}
-
-inline std::string StageSpanOrDash(const mtc::WorkflowResult& result,
-                                   std::string_view stage) {
-  const auto* s = result.Stage(stage);
-  return s != nullptr ? Table::Num(s->SpanSeconds(), 2) : "-";
 }
 
 }  // namespace memfs::bench

@@ -1,23 +1,16 @@
-// Figure 6 — Metadata Operations Throughput, plus the mdtest-style
-// namespace sweep for the token-range-sharded metadata service.
+// Beyond Fig. 6 — an mdtest-style namespace sweep for the token-range-sharded
+// metadata service. (Fig. 6's own create/open rows live in the paper-figure
+// table, bench/paper_cells.cc, and are run by paper_figures.)
 //
-// Paper setup (section 1): mdtest-style create and open throughput on 1..64
-// DAS4 nodes. Shapes: MemFS create and open both scale linearly (metadata
-// spread over all servers by the hash); AMFS open scales linearly and is the
-// fastest (all queries local); AMFS create scales sublinearly because its
-// metadata placement is not uniform; MemFS open beats MemFS create (one GET
-// vs ADD+APPEND).
-//
-// Section 2 extends the figure beyond the paper: an mdtest-style
-// create/stat/readdir/unlink sweep over the two MemFS metadata arms
-// (append_log — the paper's one-log-per-directory protocol — vs the
+// Section 1: a create/stat/readdir/unlink sweep over the two MemFS metadata
+// arms (append_log — the paper's one-log-per-directory protocol — vs the
 // token-range-sharded dentry/inode service) on a single hot directory and on
 // a many-directory tree. For the sharded arm the per-shard dentry gauges
 // give the hot-directory balance skew (max/mean across token ranges), and
 // the listing column reports the largest single listing RPC — pages for the
 // sharded arm vs the whole directory log in one GET for append_log.
 //
-// Section 3 bulk-loads a million-entry directory (sharded arm only; the
+// Section 2 bulk-loads a million-entry directory (sharded arm only; the
 // append-log arm would ship the whole log in one response) and pages through
 // it, reporting enumeration rate and the worst single-response size against
 // the one-GET equivalent.
@@ -315,35 +308,7 @@ int main(int argc, char** argv) {
   const bool csv = flags.GetBool("csv");
   const std::string json_path = flags.GetString("json", "BENCH_metadata.json");
 
-  std::cout << "# Fig 6: metadata create/open throughput (op/s), DAS4 "
-               "IPoIB, 256 files per node\n";
-  Table table({"nodes", "MemFS create", "AMFS create", "MemFS open",
-               "AMFS open"});
-  for (std::uint32_t nodes : {4u, 8u, 16u, 32u, 64u}) {
-    EnvelopeCellParams params;
-    params.nodes = nodes;
-    params.file_size = units::KiB(1);
-    params.files_per_proc = 1;  // data phases are irrelevant here
-    params.meta_files_per_proc = 256;
-
-    params.kind = workloads::FsKind::kMemFs;
-    const EnvelopeCell mem = RunEnvelopeCell(params);
-    params.kind = workloads::FsKind::kAmfs;
-    const EnvelopeCell am = RunEnvelopeCell(params);
-
-    table.AddRow({Table::Int(nodes),
-                  Table::Num(mem.create.OpsPerSec(), 0),
-                  Table::Num(am.create.OpsPerSec(), 0),
-                  Table::Num(mem.open.OpsPerSec(), 0),
-                  Table::Num(am.open.OpsPerSec(), 0)});
-  }
-  table.Print(std::cout, csv);
-  std::cout << "\nExpected shapes: both MemFS curves scale ~linearly; AMFS "
-               "open is fastest (local queries); AMFS create scales "
-               "sublinearly (skewed metadata placement); MemFS open > MemFS "
-               "create.\n";
-
-  std::cout << "\n# mdtest-style namespace sweep: " << kSweepFiles
+  std::cout << "# mdtest-style namespace sweep: " << kSweepFiles
             << " entries, " << kSweepNodes
             << " nodes, hot-dir (1 directory) vs many-dir (" << kManyDirs
             << " directories), MemFS append_log vs sharded metadata\n";
@@ -370,11 +335,6 @@ int main(int argc, char** argv) {
   add("many-dir", "append_log", many_log);
   add("many-dir", "sharded", many_shard);
   sweep.Print(std::cout, csv);
-  std::cout << "\nExpected shapes: the sharded arm bounds every listing "
-               "response (pages) while append_log ships one directory = one "
-               "GET; the hot directory's dentries spread over all token "
-               "ranges (skew well under 1.25).\n";
-
   std::cout << "\n# Bulk-loaded big directory (sharded, " << kBigDirShards
             << " shards): " << kBigDirEntries << " entries, paged at "
             << kPageLimit << " entries/response\n";

@@ -25,12 +25,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 
 #include "bench_common.h"
-#include "workloads/blast.h"
-#include "workloads/montage.h"
+#include "paper_cells.h"
 
 #ifdef MEMFS_PROFILE_ALLOC
 #include <atomic>
@@ -123,83 +123,48 @@ ScalePoint Measure(Fn&& run) {
 }
 
 // The fig08 64-node point: the six workflow cells of the figure's rightmost
-// column (Montage-6 on AMFS@8, AMFS@4 and MemFS@8; Montage-12 on MemFS;
-// BLAST on AMFS and MemFS). Returns total simulated events across the six
-// testbeds.
-std::uint64_t RunFig08Point(std::uint32_t nodes) {
-  workloads::MontageParams m6;
-  m6.degree = 6;
-  m6.task_scale = 4;
-  m6.size_scale = 16;
-  m6.project_cpu_s = 6.0;
-  const auto m6_wf = workloads::BuildMontage(m6);
-
-  workloads::MontageParams m12;
-  m12.degree = 12;
-  m12.task_scale = 4;
-  m12.size_scale = 16;
-  m12.project_cpu_s = 6.0;
-  const auto m12_wf = workloads::BuildMontage(m12);
-
-  workloads::BlastParams blast;
-  blast.fragments = 512;
-  blast.task_scale = 1;
-  blast.size_scale = 128;
-  blast.queries_per_fragment = 4;
-  blast.formatdb_cpu_s = 8.0;
-  blast.blastall_cpu_s = 3.0;
-  const auto blast_wf = workloads::BuildBlast(blast);
-
+// column in the paper-figure table (Montage-6 on AMFS_8, AMFS_4 and
+// MemFS_8; Montage-12 on MemFS; BLAST on AMFS and MemFS), each workflow
+// built once. Returns total simulated events across the six testbeds.
+std::uint64_t RunFig08Point() {
+  std::map<Workload, mtc::Workflow> workflows;
   std::uint64_t events = 0;
-  auto run_cell = [&events, nodes](workloads::FsKind kind,
-                                   std::uint32_t cores,
-                                   const mtc::Workflow& wf) {
-    WorkflowCellParams params;
-    params.kind = kind;
-    params.nodes = nodes;
-    params.cores_per_node = cores;
-    const auto cell = RunWorkflowCell(params, wf);
-    if (!cell.result.status.ok()) {
-      std::cerr << "scale cell failed: " << cell.result.status.ToString()
-                << "\n";
-      std::exit(2);
+  for (const Figure& figure : PaperFigures()) {
+    if (!figure.id.starts_with("fig08")) continue;
+    for (const Row& row : figure.rows) {
+      if (row.cell.nodes != 64) continue;
+      auto built = workflows.find(row.cell.workload);
+      if (built == workflows.end()) {
+        built = workflows.emplace(row.cell.workload, BuildWorkload(row.cell))
+                    .first;
+      }
+      const CellResult cell = RunCell(row.cell, &built->second);
+      if (!cell.status.ok()) {
+        std::cerr << "scale cell failed: " << cell.status.ToString() << "\n";
+        std::exit(2);
+      }
+      events += cell.sim_events;
     }
-    events += cell.bed->simulation().events_processed();
-  };
-  run_cell(workloads::FsKind::kAmfs, 8, m6_wf);
-  run_cell(workloads::FsKind::kAmfs, 4, m6_wf);
-  run_cell(workloads::FsKind::kMemFs, 8, m6_wf);
-  run_cell(workloads::FsKind::kMemFs, 8, m12_wf);
-  run_cell(workloads::FsKind::kAmfs, 8, blast_wf);
-  run_cell(workloads::FsKind::kMemFs, 8, blast_wf);
+  }
   return events;
 }
 
-// One Montage-6/MemFS cell at `nodes` — the sweep workload. The workload is
-// held constant (the fig08 64-node cell's) across the whole sweep, so the
+// fig08a's 64-node Montage-6/MemFS cell moved to `nodes` — the sweep
+// workload. The work is held constant across the whole sweep, so the
 // wall-clock trend isolates how simulator cost grows with cluster size:
 // per-node services, membership, monitors and wider fan-outs, not more
 // application work. Montage-6 cannot fill 1024 nodes — the point of the
 // large cells is that the simulator carries them at all.
 std::uint64_t RunSweepCell(std::uint32_t nodes) {
-  workloads::MontageParams m6;
-  m6.degree = 6;
-  m6.task_scale = 4;
-  m6.size_scale = 16;
-  m6.project_cpu_s = 6.0;
-  const auto wf = workloads::BuildMontage(m6);
-
-  WorkflowCellParams params;
-  params.kind = workloads::FsKind::kMemFs;
+  CellParams params = FindRow("fig08a", "64 nodes MemFS_8")->cell;
   params.nodes = nodes;
-  params.cores_per_node = 8;
-  const auto cell = RunWorkflowCell(params, wf);
-  if (!cell.result.status.ok()) {
+  const CellResult cell = RunCell(params);
+  if (!cell.status.ok()) {
     std::cerr << "sweep cell failed @ " << nodes
-              << " nodes: " << cell.result.status.ToString() << "\n";
+              << " nodes: " << cell.status.ToString() << "\n";
     std::exit(2);
   }
-  return cell.bed->simulation().events_processed();
+  return cell.sim_events;
 }
 
 void AppendPoint(std::ostream& out, const ScalePoint& point) {
@@ -221,7 +186,7 @@ double JsonNumberAfter(const std::string& text, const std::string& key,
 int RunScaleProfile(bool sweep, const std::string& baseline_path) {
   std::ostringstream json;
   json << "{\n";
-  json << "  \"benchmark\": \"fig08_horizontal_das4 @ 64 nodes, all six "
+  json << "  \"benchmark\": \"paper_figures fig08 @ 64 nodes, all six "
           "cells\",\n";
   json << "  \"alloc_counters\": "
 #ifdef MEMFS_PROFILE_ALLOC
@@ -232,7 +197,7 @@ int RunScaleProfile(bool sweep, const std::string& baseline_path) {
        << ",\n";
 
   std::cerr << "running fig08 64-node point...\n";
-  const ScalePoint fig08 = Measure([] { return RunFig08Point(64); });
+  const ScalePoint fig08 = Measure([] { return RunFig08Point(); });
   json << "  \"fig08_64\": {";
   AppendPoint(json, fig08);
   json << "},\n";

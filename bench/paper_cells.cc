@@ -1,0 +1,896 @@
+#include "paper_cells.h"
+
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <istream>
+#include <limits>
+#include <ostream>
+#include <sstream>
+
+#include "bench_common.h"
+#include "common/stats.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "workloads/blast.h"
+#include "workloads/montage.h"
+
+namespace memfs::bench {
+namespace {
+
+using units::KiB;
+using units::MiB;
+using workloads::Fabric;
+using workloads::FsKind;
+
+constexpr std::uint32_t kNodeSweep[] = {8, 16, 32, 64};
+
+mtc::Workflow BuildScaled(Workload workload, bool full_scale) {
+  switch (workload) {
+    case Workload::kMontage6:
+    case Workload::kMontage12:
+    case Workload::kMontage16: {
+      workloads::MontageParams m;
+      m.degree = workload == Workload::kMontage6    ? 6
+                 : workload == Workload::kMontage12 ? 12
+                                                    : 16;
+      if (!full_scale) {
+        m.task_scale = workload == Workload::kMontage16 ? 16 : 4;
+        m.size_scale = 16;
+        m.project_cpu_s = 6.0;
+      }
+      return workloads::BuildMontage(m);
+    }
+    case Workload::kBlastDas4:
+    case Workload::kBlastEc2: {
+      const bool ec2 = workload == Workload::kBlastEc2;
+      workloads::BlastParams b;
+      b.fragments = ec2 ? 1024 : 512;
+      if (!full_scale) {
+        b.task_scale = ec2 ? 2 : 1;  // 512 fragments simulated either way
+        b.size_scale = 128;
+        b.queries_per_fragment = 4;
+        b.formatdb_cpu_s = 8.0;
+        b.blastall_cpu_s = 3.0;
+      }
+      return workloads::BuildBlast(b);
+    }
+    case Workload::kNone:
+      break;
+  }
+  return {};
+}
+
+fs::MemFsConfig MemFsKnobs(const CellParams& p) {
+  fs::MemFsConfig config;
+  if (p.stripe != 0) config.stripe_size = p.stripe;
+  if (p.io_threads) config.io_threads = *p.io_threads;
+  if (p.read_threads) {
+    config.read_threads = *p.read_threads;
+    config.prefetch_depth = *p.read_threads;
+  }
+  config.fuse.mounts_per_node = p.mounts;
+  if (p.contended_fuse) {
+    // Montage's 4 KB calls on the c3.8xlarge NUMA nodes: every call crosses
+    // the FUSE spinlock, whose critical section lengthens with cross-socket
+    // contention (the kernel path the paper diagnosed).
+    config.fuse.op_cost = units::Micros(25);
+    config.fuse.contention_factor = 0.30;
+  }
+  return config;
+}
+
+void RunEnvelope(const CellParams& p, CellResult& out) {
+  EnvelopeCellParams params;
+  params.kind = p.fs;
+  params.fabric = p.fabric;
+  params.nodes = p.nodes;
+  params.procs_per_node = p.procs;
+  params.file_size = p.file_size;
+  params.files_per_proc = p.files;
+  params.io_block = p.io_block;
+  params.meta_files_per_proc = p.meta_files;
+  params.run_remote_read = p.remote_read;
+  params.memfs = MemFsKnobs(p);
+  const EnvelopeCell cell = RunEnvelopeCell(params);
+  auto& m = out.metrics;
+  m["write_MBps"] = cell.write.BandwidthMBps();
+  m["read11_MBps"] = cell.read11.BandwidthMBps();
+  m["readn1_MBps"] = cell.readn1.BandwidthMBps();
+  m["write_ops"] = cell.write.OpsPerSec();
+  m["read11_ops"] = cell.read11.OpsPerSec();
+  m["readn1_ops"] = cell.readn1.OpsPerSec();
+  m["create_ops"] = cell.create.OpsPerSec();
+  m["open_ops"] = cell.open.OpsPerSec();
+  m["write_MBps_node"] = m["write_MBps"] / p.nodes;
+  m["read11_MBps_node"] = m["read11_MBps"] / p.nodes;
+  if (p.remote_read) {
+    m["remote11_MBps"] = cell.read11_remote.BandwidthMBps();
+    m["remote_penalty"] = m["read11_MBps"] / m["remote11_MBps"];
+  }
+}
+
+// Application bytes vs bytes on the wire while every process writes its
+// files and reads a neighbour's back (shift-by-one forces remote reads).
+void RunWire(const CellParams& p, CellResult& out) {
+  workloads::TestbedConfig config;
+  config.nodes = p.nodes;
+  config.fabric = p.fabric;
+  config.memfs = MemFsKnobs(p);
+  workloads::Testbed bed(p.fs, config);
+
+  workloads::EnvelopeParams env;
+  env.nodes = p.nodes;
+  env.procs_per_node = p.procs;
+  env.file_size = p.file_size;
+  env.files_per_proc = p.files;
+  env.io_block = p.io_block;
+  workloads::EnvelopeBench bench(bed.simulation(), bed.vfs(), env, nullptr);
+  const std::uint64_t wire_before = bed.network().total_bytes();
+  const sim::SimTime t0 = bed.simulation().now();
+  const auto write = bench.RunWrite();
+  const auto read = bench.RunRead11(1);
+  const sim::SimTime elapsed = bed.simulation().now() - t0;
+  const std::uint64_t wire = bed.network().total_bytes() - wire_before;
+
+  const double app = units::MBps(write.bytes + read.bytes, elapsed) / p.nodes;
+  // Each flow byte appears at a sender NIC and a receiver NIC.
+  const double system = units::MBps(2 * wire, elapsed) / p.nodes;
+  out.metrics["app_MBps_node"] = app;
+  out.metrics["system_MBps_node"] = system;
+  out.metrics["system_ratio"] = app > 0 ? system / app : 0;
+  out.sim_events = bed.simulation().events_processed();
+}
+
+void RunWorkflow(const CellParams& p, const mtc::Workflow& workflow,
+                 CellResult& out) {
+  WorkflowCellParams params;
+  params.kind = p.fs;
+  params.fabric = p.fabric;
+  params.nodes = p.nodes;
+  params.cores_per_node = p.procs;
+  if (p.io_block != 0) params.io_block = p.io_block;
+  if (p.node_memory != 0) params.node_memory_limit = p.node_memory;
+  params.memfs = MemFsKnobs(p);
+  const WorkflowCell cell = RunWorkflowCell(params, workflow);
+  out.status = cell.result.status;
+  out.sim_events = cell.bed->simulation().events_processed();
+
+  auto& m = out.metrics;
+  m["makespan_s"] = cell.result.MakespanSeconds();
+  for (const mtc::StageStats& stage : cell.result.stages) {
+    m[stage.stage + "_s"] = stage.SpanSeconds();
+    // Per-node application bandwidth while the node's cores run the stage,
+    // from core-busy time so sparse stage packing does not dilute it.
+    m[stage.stage + "_MBps_node"] = stage.PerCoreMBps() * p.procs;
+  }
+
+  RunningStats balance;
+  std::uint64_t total = 0;
+  std::uint64_t busiest = 0;
+  for (std::uint32_t n = 0; n < p.nodes; ++n) {
+    const std::uint64_t used = cell.bed->NodeMemoryUsed(n);
+    balance.Add(static_cast<double>(used));
+    total += used;
+    busiest = std::max(busiest, used);
+  }
+  m["mem_total_MB"] = static_cast<double>(cell.bed->TotalMemoryUsed()) / 1e6;
+  m["mem_cv"] = balance.cv();
+  // The AMFS scheduler node runs the aggregation stages, which replicate
+  // everything they read (Table 3).
+  const double others = p.nodes > 1 ? static_cast<double>(total - busiest) /
+                                          1e6 / (p.nodes - 1)
+                                    : 0.0;
+  m["sched_node_MB"] = static_cast<double>(busiest) / 1e6;
+  m["other_nodes_MB"] = others;
+  m["sched_ratio"] = others > 0 ? m["sched_node_MB"] / others : 0.0;
+}
+
+bool IsAggregateStage(const std::string& stage) {
+  return stage == "mImgTbl" || stage == "mConcatFit" || stage == "mBgModel" ||
+         stage == "mAdd" || stage == "merge";
+}
+
+// Table 2's data volumes, read off the generator at full scale.
+void RunInventory(const CellParams& p, CellResult& out) {
+  const mtc::Workflow wf = BuildWorkload(p);
+  double input = 0;
+  double runtime = 0;
+  std::uint64_t smallest = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t largest = 0;
+  for (const auto& task : wf.tasks) {
+    for (const auto& file : task.outputs) {
+      (task.stage == "stage_in" ? input : runtime) +=
+          static_cast<double>(file.size) / 1e9;
+      // The paper's "File Size" column describes the per-task intermediate
+      // files, not the global aggregation products.
+      if (task.stage != "stage_in" && !IsAggregateStage(task.stage)) {
+        smallest = std::min(smallest, file.size);
+        largest = std::max(largest, file.size);
+      }
+    }
+  }
+  out.metrics["tasks"] = static_cast<double>(wf.tasks.size());
+  out.metrics["input_GB"] = input;
+  out.metrics["runtime_GB"] = runtime;
+  out.metrics["min_file_MB"] = static_cast<double>(smallest) / 1e6;
+  out.metrics["max_file_MB"] = static_cast<double>(largest) / 1e6;
+}
+
+std::string Size(std::uint64_t bytes) {
+  if (bytes % MiB(1) == 0) return std::to_string(bytes / MiB(1)) + "MiB";
+  if (bytes % KiB(1) == 0) return std::to_string(bytes / KiB(1)) + "KiB";
+  return std::to_string(bytes) + "B";
+}
+
+// --- the table ----------------------------------------------------------
+
+constexpr MetricSpec kMetrics[] = {
+    {"write_MBps", "write MB/s", 1, 0.01},
+    {"read11_MBps", "1-1 read MB/s", 1, 0.01},
+    {"remote11_MBps", "remote 1-1 read MB/s", 1, 0.01},
+    {"readn1_MBps", "N-1 read MB/s", 1, 0.01},
+    {"remote_penalty", "local/remote 1-1", 2, 0.01},
+    {"write_MBps_node", "write MB/s/node", 1, 0.01},
+    {"read11_MBps_node", "read MB/s/node", 1, 0.01},
+    {"write_ops", "write op/s", 0, 0.01},
+    {"read11_ops", "1-1 read op/s", 0, 0.01},
+    {"readn1_ops", "N-1 read op/s", 0, 0.01},
+    {"create_ops", "create op/s", 0, 0.01},
+    {"open_ops", "open op/s", 0, 0.01},
+    {"makespan_s", "makespan s", 2, 0.01},
+    {"mProjectPP_s", "mProjectPP s", 2, 0.01},
+    {"mDiffFit_s", "mDiffFit s", 2, 0.01},
+    {"mBackground_s", "mBackground s", 2, 0.01},
+    {"formatdb_s", "formatdb s", 2, 0.01},
+    {"blastall_s", "blastall s", 2, 0.01},
+    {"mProjectPP_MBps_node", "mProjectPP MB/s/node", 1, 0.01},
+    {"mDiffFit_MBps_node", "mDiffFit MB/s/node", 1, 0.01},
+    {"mBackground_MBps_node", "mBackground MB/s/node", 1, 0.01},
+    {"formatdb_MBps_node", "formatdb MB/s/node", 1, 0.01},
+    {"blastall_MBps_node", "blastall MB/s/node", 1, 0.01},
+    {"mem_total_MB", "total MB", 1, 0.01},
+    {"mem_cv", "balance cv", 3, 0.01},
+    {"sched_node_MB", "scheduler node MB", 1, 0.01},
+    {"other_nodes_MB", "other nodes avg MB", 1, 0.01},
+    {"sched_ratio", "ratio", 1, 0.01},
+    {"app_MBps_node", "app MB/s/node", 1, 0.01},
+    {"system_MBps_node", "system MB/s/node", 1, 0.01},
+    {"system_ratio", "system/app", 2, 0.01},
+    {"tasks", "tasks", 0, 0.001},
+    {"input_GB", "input GB", 1, 0.001},
+    {"runtime_GB", "runtime data GB", 1, 0.001},
+    {"min_file_MB", "smallest file MB", 1, 0.001},
+    {"max_file_MB", "largest file MB", 1, 0.001},
+};
+
+std::string Label(std::uint32_t count, std::string_view unit,
+                  std::optional<FsKind> fs = std::nullopt) {
+  std::string label = std::to_string(count) + " " + std::string(unit);
+  if (fs) label += " " + std::string(workloads::ToString(*fs));
+  return label;
+}
+
+CellParams Envelope(FsKind fs, std::uint32_t nodes, std::uint64_t file_size,
+                    std::uint32_t files, std::uint64_t io_block,
+                    std::uint32_t meta_files) {
+  CellParams c;
+  c.fs = fs;
+  c.nodes = nodes;
+  c.file_size = file_size;
+  c.files = files;
+  c.io_block = io_block;
+  c.meta_files = meta_files;
+  return c;
+}
+
+CellParams Flow(Workload workload, FsKind fs, std::uint32_t nodes,
+                std::uint32_t cores, Fabric fabric = Fabric::kDas4Ipoib) {
+  CellParams c;
+  c.kind = CellKind::kWorkflow;
+  c.workload = workload;
+  c.fs = fs;
+  c.fabric = fabric;
+  c.nodes = nodes;
+  c.procs = cores;
+  return c;
+}
+
+// MemFS on EC2 with one FUSE mountpoint per process (the Fig. 10b fix).
+CellParams Ec2MemFs(Workload workload, std::uint32_t nodes,
+                    std::uint32_t cores) {
+  CellParams c =
+      Flow(workload, FsKind::kMemFs, nodes, cores, Fabric::kEc2TenGbE);
+  c.mounts = cores;
+  return c;
+}
+
+std::vector<Figure> BuildFigures() {
+  using Metrics = std::vector<std::string>;
+  const FsKind kMem = FsKind::kMemFs;
+  const FsKind kAm = FsKind::kAmfs;
+  const Metrics montage = {"mProjectPP_s", "mDiffFit_s", "mBackground_s",
+                           "makespan_s"};
+  const Metrics montage_bw = {"mProjectPP_s",         "mDiffFit_s",
+                              "mBackground_s",        "mProjectPP_MBps_node",
+                              "mDiffFit_MBps_node",   "mBackground_MBps_node"};
+  const Metrics blast_bw = {"formatdb_s", "blastall_s", "formatdb_MBps_node",
+                            "blastall_MBps_node"};
+  std::vector<Figure> figs;
+  const auto add = [&figs](std::string id, std::string title, Metrics metrics) {
+    figs.push_back({std::move(id), std::move(title), std::move(metrics), {}});
+  };
+  const auto row = [&figs](std::string label, const CellParams& cell,
+                           std::map<std::string, double> paper = {}) {
+    figs.back().rows.push_back({std::move(label), cell, std::move(paper)});
+  };
+
+  add("fig03a", "Fig. 3a: stripe size vs MemFS bandwidth (8 nodes, 16 MiB "
+      "files, per-node MB/s)", {"write_MBps_node", "read11_MBps_node"});
+  for (std::uint32_t kb : {128, 256, 512, 1024}) {
+    CellParams c = Envelope(kMem, 8, MiB(16), 2, MiB(1), 32);
+    c.stripe = KiB(kb);
+    // A shallow flush pipeline isolates the per-stripe round trip; reads
+    // keep the default prefetcher, so they stay stripe-size independent.
+    c.io_threads = 1;
+    row(Label(kb, "KB stripes"), c);
+  }
+  add("fig03b", "Fig. 3b: buffering/prefetching threads vs MemFS bandwidth "
+      "(8 nodes, 16 MiB files, per-node MB/s; 0 = none)",
+      {"write_MBps_node", "read11_MBps_node"});
+  for (std::uint32_t threads = 0; threads <= 9; ++threads) {
+    CellParams c = Envelope(kMem, 8, MiB(16), 2, KiB(512), 32);
+    c.io_threads = threads;
+    c.read_threads = threads;
+    row(Label(threads, "threads"), c);
+  }
+
+  // Figs. 4 and 5 report bandwidth and throughput of the same runs; the
+  // metadata phases are Fig. 6's.
+  const struct {
+    const char* panel;
+    const char* label;
+    std::uint64_t file_size;
+    std::uint32_t files;
+    std::uint64_t io_block;  // 0 = whole file (capped at 1 MiB)
+  } plans[] = {{"a", "1 KB", KiB(1), 64, 0},
+               {"b", "1 MB", MiB(1), 8, 0},
+               {"c", "128 MB", MiB(128), 1, MiB(1)}};
+  for (const bool ops : {false, true}) {
+    for (const auto& plan : plans) {
+      add(std::string(ops ? "fig05" : "fig04") + plan.panel,
+          std::string("Fig. ") + (ops ? "5" : "4") + plan.panel +
+              ": MTC envelope " + (ops ? "throughput" : "bandwidth") + ", " +
+              plan.label + " files (aggregate)",
+          ops ? Metrics{"write_ops", "read11_ops", "readn1_ops"}
+              : Metrics{"write_MBps", "read11_MBps", "readn1_MBps"});
+      for (std::uint32_t nodes : kNodeSweep) {
+        for (FsKind fs : {kMem, kAm}) {
+          const CellParams c = Envelope(fs, nodes, plan.file_size, plan.files,
+                                        plan.io_block, /*meta_files=*/1);
+          row(Label(nodes, "nodes", fs), c);
+        }
+      }
+    }
+  }
+
+  add("fig06", "Fig. 6: metadata throughput, 256 files per node",
+      {"create_ops", "open_ops"});
+  for (std::uint32_t nodes : {4, 8, 16, 32, 64}) {
+    for (FsKind fs : {kMem, kAm}) {
+      row(Label(nodes, "nodes", fs), Envelope(fs, nodes, KiB(1), 1, 0, 256));
+    }
+  }
+
+  add("table1", "Table 1: MTC envelope, 64 nodes, 1 MB files",
+      {"write_MBps", "read11_MBps", "remote11_MBps", "remote_penalty",
+       "readn1_MBps", "create_ops", "open_ops"});
+  for (Fabric fabric : {Fabric::kDas4Ipoib, Fabric::kDas4GbE}) {
+    const bool ipoib = fabric == Fabric::kDas4Ipoib;
+    for (FsKind fs : {kAm, kMem}) {
+      CellParams c = Envelope(fs, 64, MiB(1), 8, 0, 64);
+      c.fabric = fabric;
+      c.remote_read = true;
+      std::map<std::string, double> paper;
+      if (fs == kAm) paper["remote_penalty"] = ipoib ? 4 : 7;
+      if (ipoib) {
+        paper["write_MBps"] = fs == kAm ? 16934 : 27403;
+        paper["read11_MBps"] = fs == kAm ? 24351 : 29686;
+        paper["readn1_MBps"] = fs == kAm ? 1216 : 16053;
+      }
+      row(std::string(ipoib ? "IPoIB " : "1GbE ") +
+              std::string(workloads::ToString(fs)),
+          c, std::move(paper));
+    }
+  }
+
+  add("table2", "Table 2: application descriptions at full generator scale",
+      {"tasks", "input_GB", "runtime_GB", "min_file_MB", "max_file_MB"});
+  const struct {
+    const char* label;
+    Workload workload;
+    double input, runtime, min_file, max_file;
+  } apps[] = {{"Montage 6x6", Workload::kMontage6, 4.9, 50, 1, 4.4},
+              {"Montage 12x12", Workload::kMontage12, 20, 250, 1, 4.4},
+              {"Montage 16x16", Workload::kMontage16, 34, 450, 1, 4.4},
+              {"BLAST (DAS4)", Workload::kBlastDas4, 57, 200, 10, 120},
+              {"BLAST (EC2)", Workload::kBlastEc2, 57, 200, 5, 60}};
+  for (const auto& app : apps) {
+    CellParams c;
+    c.kind = CellKind::kInventory;
+    c.workload = app.workload;
+    row(app.label, c,
+        {{"input_GB", app.input}, {"runtime_GB", app.runtime},
+         {"min_file_MB", app.min_file}, {"max_file_MB", app.max_file}});
+  }
+
+  add("fig07a", "Fig. 7a: Montage 6 vertical scalability, 64 nodes", montage);
+  for (std::uint32_t cores : {1, 2, 4, 8}) {
+    for (FsKind fs : {kMem, kAm}) {
+      row(Label(64 * cores, "cores", fs),
+          Flow(Workload::kMontage6, fs, 64, cores));
+    }
+  }
+  add("fig07b", "Fig. 7b: Montage 12 vertical scalability on MemFS, 64 nodes "
+      "(AMFS cannot store it)", montage);
+  for (std::uint32_t cores : {2, 4, 8}) {
+    row(Label(64 * cores, "cores"),
+        Flow(Workload::kMontage12, kMem, 64, cores));
+  }
+  add("fig07c", "Fig. 7c: BLAST vertical scalability, 64 nodes",
+      {"formatdb_s", "blastall_s", "makespan_s"});
+  for (std::uint32_t cores : {1, 2, 4, 8}) {
+    for (FsKind fs : {kMem, kAm}) {
+      row(Label(64 * cores, "cores", fs),
+          Flow(Workload::kBlastDas4, fs, 64, cores));
+    }
+  }
+
+  add("fig08a", "Fig. 8a: Montage 6 horizontal scalability (_N = cores per "
+      "node)", {"makespan_s"});
+  for (std::uint32_t nodes : kNodeSweep) {
+    for (auto [fs, cores] : {std::pair{kAm, 8u}, std::pair{kAm, 4u},
+                             std::pair{kMem, 8u}}) {
+      row(Label(nodes, "nodes", fs) + "_" + std::to_string(cores),
+          Flow(Workload::kMontage6, fs, nodes, cores));
+    }
+  }
+  add("fig08b", "Fig. 8b: Montage 12 horizontal scalability on MemFS, 8 cores "
+      "per node", montage);
+  for (std::uint32_t nodes : {16, 32, 64}) {
+    row(Label(nodes, "nodes"), Flow(Workload::kMontage12, kMem, nodes, 8));
+  }
+  add("fig08c", "Fig. 8c: BLAST horizontal scalability, 8 cores per node",
+      {"makespan_s"});
+  for (std::uint32_t nodes : kNodeSweep) {
+    for (FsKind fs : {kAm, kMem}) {
+      row(Label(nodes, "nodes", fs), Flow(Workload::kBlastDas4, fs, nodes, 8));
+    }
+  }
+
+  add("fig09", "Fig. 9: aggregate memory after Montage 6 (MemFS 8 cores per "
+      "node, AMFS 4); balance = cv of per-node bytes",
+      {"mem_total_MB", "mem_cv"});
+  for (std::uint32_t nodes : kNodeSweep) {
+    for (auto [fs, cores] : {std::pair{kMem, 8u}, std::pair{kAm, 4u}}) {
+      row(Label(nodes, "nodes", fs),
+          Flow(Workload::kMontage6, fs, nodes, cores));
+    }
+  }
+  add("table3", "Table 3: AMFS per-node memory after Montage 6, 4 cores per "
+      "node", {"sched_node_MB", "other_nodes_MB", "sched_ratio"});
+  const double paper_ratio[] = {2.0, 3.1, 5.3, 8.9};
+  for (std::size_t i = 0; i < std::size(kNodeSweep); ++i) {
+    row(Label(kNodeSweep[i], "nodes"),
+        Flow(Workload::kMontage6, kAm, kNodeSweep[i], 4),
+        {{"sched_ratio", paper_ratio[i]}});
+  }
+
+  for (const bool per_process : {false, true}) {
+    add(per_process ? "fig10b" : "fig10a",
+        std::string("Fig. 10") + (per_process ? "b" : "a") +
+            ": Montage 6 on 4 EC2 nodes, " +
+            (per_process ? "one mountpoint per process"
+                         : "one FUSE mountpoint"),
+        montage);
+    for (std::uint32_t cores : {4, 8, 16, 32}) {
+      CellParams c = Ec2MemFs(Workload::kMontage6, 4, cores);
+      c.mounts = per_process ? cores : 1;
+      c.io_block = KiB(4);
+      c.contended_fuse = true;
+      row(Label(4 * cores, "cores"), c);
+    }
+  }
+  add("fig11", "Fig. 11: Montage 6 on 4 EC2 nodes, MemFS (mount per process) "
+      "vs AMFS (one mount, at most 8 processes per node)", {"makespan_s"});
+  for (std::uint32_t cores : {4, 8, 16, 32}) {
+    row(Label(cores, "cores/node", kMem),
+        Ec2MemFs(Workload::kMontage6, 4, cores));
+    if (cores <= 8) {
+      row(Label(cores, "cores/node", kAm),
+          Flow(Workload::kMontage6, kAm, 4, cores, Fabric::kEc2TenGbE));
+    }
+  }
+
+  add("fig12", "Figs. 12a/b: Montage 16 on 32 EC2 nodes, MemFS", montage_bw);
+  for (std::uint32_t cores : {4, 8, 16, 32}) {
+    row(Label(32 * cores, "cores"), Ec2MemFs(Workload::kMontage16, 32, cores));
+  }
+  add("fig13", "Figs. 13a/b: BLAST (1024 fragments) on 32 EC2 nodes, MemFS",
+      blast_bw);
+  for (std::uint32_t cores : {4, 8, 16, 32}) {
+    row(Label(32 * cores, "cores"), Ec2MemFs(Workload::kBlastEc2, 32, cores));
+  }
+  add("fig14", "Figs. 14a/b: Montage 12 on EC2, 32 cores per node, MemFS",
+      montage_bw);
+  for (std::uint32_t nodes : {8, 16, 32}) {
+    row(Label(nodes, "nodes"), Ec2MemFs(Workload::kMontage12, nodes, 32));
+  }
+  add("fig15", "Figs. 15a/b: BLAST on EC2, 32 cores per node, MemFS", blast_bw);
+  for (std::uint32_t nodes : {8, 16, 32}) {
+    row(Label(nodes, "nodes"), Ec2MemFs(Workload::kBlastEc2, nodes, 32));
+  }
+
+  for (const bool ec2 : {true, false}) {
+    add(ec2 ? "fig16a" : "fig16b",
+        std::string("Fig. 16") + (ec2 ? "a: EC2" : "b: DAS4") +
+            ", 8 nodes, 4 KB calls on 4 MiB files, mount per process",
+        {"app_MBps_node", "system_MBps_node", "system_ratio"});
+    for (std::uint32_t procs : {1, 2, 4, 8, 16, 32}) {
+      if (!ec2 && procs > 8) break;
+      CellParams c = Envelope(kMem, 8, MiB(4), 2, KiB(4), 0);
+      c.kind = CellKind::kWire;
+      c.fabric = ec2 ? Fabric::kEc2TenGbE : Fabric::kDas4Ipoib;
+      c.procs = procs;
+      c.mounts = procs;
+      row(Label(procs, "procs/node"), c);
+    }
+  }
+  return figs;
+}
+
+// --- claims ---------------------------------------------------------------
+
+std::vector<Claim> BuildClaims() {
+  using enum Relation::Op;
+  // §4.1 / Fig. 4: MemFS beats AMFS on write and N-1 read at every file size.
+  Claim wins{"MemFsWinsWriteAndN1AtAllSizes", {}};
+  for (std::string_view fig : {"fig04a", "fig04b", "fig04c"}) {
+    for (std::string_view metric : {"write_MBps", "readn1_MBps"}) {
+      wins.relations.push_back({{fig, "16 nodes MemFS", metric}, kGreater, 1,
+                                {fig, "16 nodes AMFS", metric}});
+    }
+  }
+  return {
+      std::move(wins),
+      // §4.1 / Fig. 4c: the one metric AMFS wins is 1-1 reads of large
+      // files, and only at scale (Fig. 4c crosses at 64 nodes): AMFS streams
+      // locally at a flat per-node rate while MemFS's remote reads see
+      // growing contention transients.
+      {"AmfsWinsLargeFileLocalReadsOnly",
+       {{{"fig04a", "16 nodes MemFS", "read11_MBps"}, kGreater, 1,
+         {"fig04a", "16 nodes AMFS", "read11_MBps"}},
+        {{"fig04c", "64 nodes AMFS", "read11_MBps"}, kGreater, 1,
+         {"fig04c", "64 nodes MemFS", "read11_MBps"}}}},
+      // §4.1 / Table 1: losing locality costs AMFS ~4x; MemFS beats the
+      // degraded AMFS by >4x on the premium fabric.
+      {"RemoteReadPenaltyRatios",
+       {{{"table1", "IPoIB AMFS", "read11_MBps"}, kGreater, 3,
+         {"table1", "IPoIB AMFS", "remote11_MBps"}},
+        {{"table1", "IPoIB MemFS", "read11_MBps"}, kGreater, 3,
+         {"table1", "IPoIB AMFS", "remote11_MBps"}}}},
+      // §4.1 / Fig. 5: the AMFS accounting artifact — N-1 throughput equals
+      // 1-1 (the multicast is charged to bandwidth only).
+      {"AmfsN1ThroughputEqualsOneToOne",
+       {{{"fig05b", "8 nodes AMFS", "readn1_ops"}, kNear, 1,
+         {"fig05b", "8 nodes AMFS", "read11_ops"}, 0.05},
+        {{"fig04b", "8 nodes AMFS", "readn1_MBps"}, kLess, 0.5,
+         {"fig04b", "8 nodes AMFS", "read11_MBps"}}}},
+      // §4.1 / Fig. 6: MemFS open beats MemFS create; AMFS open beats
+      // everything.
+      {"MetadataRelationships",
+       {{{"fig06", "16 nodes MemFS", "open_ops"}, kGreater, 1,
+         {"fig06", "16 nodes MemFS", "create_ops"}},
+        {{"fig06", "16 nodes AMFS", "open_ops"}, kGreater, 1,
+         {"fig06", "16 nodes MemFS", "open_ops"}}}},
+      // §4.2: MemFS completes Montage faster than AMFS; its per-node storage
+      // stays balanced while AMFS concentrates (and inflates) data.
+      {"MontageFasterAndBalanced",
+       {{{"fig08a", "8 nodes MemFS_8", "makespan_s"}, kLess, 1,
+         {"fig08a", "8 nodes AMFS_8", "makespan_s"}},
+        {{"fig09", "8 nodes MemFS", "mem_cv"}, kLess, 0.25, Ref{}},
+        {{"fig09", "8 nodes AMFS", "mem_cv"}, kGreater, 2,
+         {"fig09", "8 nodes MemFS", "mem_cv"}},
+        {{"fig09", "8 nodes AMFS", "mem_total_MB"}, kGreater, 1,
+         {"fig09", "8 nodes MemFS", "mem_total_MB"}}}},
+      // §4.2.2 / Fig. 10: a single FUSE mountpoint caps vertical scaling of
+      // the I/O-bound stages; per-process mounts restore it.
+      {"FuseMountpointCeiling",
+       {{{"fig10a", "128 cores", "makespan_s"}, kGreater, 1.5,
+         {"fig10b", "128 cores", "makespan_s"}}}},
+      // §4.2.2 / Fig. 16: system bandwidth is twice the application
+      // bandwidth: every application byte crosses the wire once, and at the
+      // NIC level it appears at a sender AND a receiver.
+      {"SystemBandwidthTwiceApplication",
+       {{{"fig16b", "1 procs/node", "system_MBps_node"}, kNear, 2,
+         {"fig16b", "1 procs/node", "app_MBps_node"}, 0.15}}},
+  };
+}
+
+const Figure* FindFigure(std::string_view id) {
+  for (const Figure& figure : PaperFigures()) {
+    if (figure.id == id) return &figure;
+  }
+  return nullptr;
+}
+
+// Ledger numbers keep ten significant digits, so a value rendered before
+// and after a JSON round trip is the same.
+std::string LedgerNum(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.10g", value);
+  return buf;
+}
+
+std::optional<std::string> StringField(const std::string& line,
+                                       std::string_view key) {
+  const std::string tag = "\"" + std::string(key) + "\": \"";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) return std::nullopt;
+  const std::size_t begin = at + tag.size();
+  const std::size_t end = line.find('"', begin);
+  if (end == std::string::npos) return std::nullopt;
+  return line.substr(begin, end - begin);
+}
+
+std::optional<double> NumberField(const std::string& line,
+                                  std::string_view key) {
+  const std::string tag = "\"" + std::string(key) + "\": ";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) return std::nullopt;
+  const char* begin = line.c_str() + at + tag.size();
+  char* end = nullptr;
+  const double value = std::strtod(begin, &end);
+  if (end == begin) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
+std::string CellId(const CellParams& p) {
+  static constexpr std::string_view kKinds[] = {"envelope", "workflow",
+                                                "wire", "inventory"};
+  static constexpr std::string_view kWorkloads[] = {
+      "", "montage6", "montage12", "montage16", "blast512", "blast1024"};
+  std::ostringstream id;
+  id << kKinds[static_cast<int>(p.kind)];
+  if (p.workload != Workload::kNone) {
+    id << '/' << kWorkloads[static_cast<int>(p.workload)];
+  }
+  if (p.kind == CellKind::kInventory) return id.str();
+  id << '/' << workloads::ToString(p.fs) << '/' << workloads::ToString(p.fabric)
+     << "/n" << p.nodes << 'x' << p.procs;
+  if (p.file_size != 0) id << "/files=" << p.files << 'x' << Size(p.file_size);
+  if (p.io_block != 0) id << "/block=" << Size(p.io_block);
+  if (p.meta_files != 0) id << "/meta=" << p.meta_files;
+  if (p.remote_read) id << "/remote";
+  if (p.stripe != 0) id << "/stripe=" << Size(p.stripe);
+  if (p.io_threads) id << "/io_threads=" << *p.io_threads;
+  if (p.read_threads) id << "/read_threads=" << *p.read_threads;
+  if (p.mounts != 1) id << "/mounts=" << p.mounts;
+  if (p.contended_fuse) id << "/contended_fuse";
+  if (p.node_memory != 0) id << "/memory=" << Size(p.node_memory);
+  return id.str();
+}
+
+mtc::Workflow BuildWorkload(const CellParams& params) {
+  return BuildScaled(params.workload, params.kind == CellKind::kInventory);
+}
+
+CellResult RunCell(const CellParams& params, const mtc::Workflow* workflow) {
+  CellResult result;
+  switch (params.kind) {
+    case CellKind::kEnvelope: RunEnvelope(params, result); break;
+    case CellKind::kWorkflow:
+      if (workflow != nullptr) {
+        RunWorkflow(params, *workflow, result);
+      } else {
+        RunWorkflow(params, BuildWorkload(params), result);
+      }
+      break;
+    case CellKind::kWire: RunWire(params, result); break;
+    case CellKind::kInventory: RunInventory(params, result); break;
+  }
+  return result;
+}
+
+const std::vector<Figure>& PaperFigures() {
+  static const std::vector<Figure> figures = BuildFigures();
+  return figures;
+}
+
+const std::vector<Claim>& PaperClaims() {
+  static const std::vector<Claim> claims = BuildClaims();
+  return claims;
+}
+
+const Row* FindRow(std::string_view figure, std::string_view label) {
+  const Figure* fig = FindFigure(figure);
+  if (fig == nullptr) return nullptr;
+  for (const Row& row : fig->rows) {
+    if (row.label == label) return &row;
+  }
+  return nullptr;
+}
+
+const MetricSpec& Metric(std::string_view name) {
+  static constexpr MetricSpec kUnknown{"", "", 2, 0.0};
+  for (const MetricSpec& spec : kMetrics) {
+    if (spec.name == name) return spec;
+  }
+  return kUnknown;
+}
+
+void AddRecords(Ledger& ledger, const Figure& figure, const Row& row,
+                const CellResult& result) {
+  const std::string cell = CellId(row.cell);
+  for (const std::string& metric : figure.metrics) {
+    Record record;
+    if (const auto paper = row.paper.find(metric); paper != row.paper.end()) {
+      record.paper = paper->second;
+    }
+    const auto measured = result.metrics.find(metric);
+    if (!result.status.ok()) {
+      // A failed run records why, never the numbers it left behind.
+      record.status = result.status.ToString();
+      std::replace_if(
+          record.status.begin(), record.status.end(),
+          [](char c) { return c == '"' || c == '\\' || c == '|' || c == '\n'; },
+          '\'');
+    } else if (measured != result.metrics.end()) {
+      record.value = std::strtod(LedgerNum(measured->second).c_str(), nullptr);
+    } else {
+      continue;  // e.g. a stage this workflow does not have
+    }
+    ledger[{figure.id, cell, metric}] = record;
+  }
+}
+
+void WriteLedger(std::ostream& os, const Ledger& ledger) {
+  os << "{\n  \"bench\": \"paper_figures\",\n  \"records\": [";
+  const char* sep = "\n";
+  for (const auto& [key, record] : ledger) {
+    const auto& [figure, cell, metric] = key;
+    os << sep << "    {\"figure\": \"" << figure << "\", \"cell\": \"" << cell
+       << "\", \"metric\": \"" << metric << "\", \"status\": \""
+       << record.status << "\", \"value\": "
+       << (record.status == "ok" ? LedgerNum(record.value) : "null");
+    if (record.paper) os << ", \"paper\": " << LedgerNum(*record.paper);
+    os << "}";
+    sep = ",\n";
+  }
+  os << "\n  ]\n}\n";
+}
+
+std::optional<Ledger> LoadLedger(std::istream& is) {
+  Ledger ledger;
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.find("\"figure\": ") == std::string::npos) continue;
+    const auto figure = StringField(line, "figure");
+    const auto cell = StringField(line, "cell");
+    const auto metric = StringField(line, "metric");
+    const auto status = StringField(line, "status");
+    const auto value = NumberField(line, "value");
+    if (!figure || !cell || !metric || !status ||
+        (*status == "ok" && !value)) {
+      return std::nullopt;
+    }
+    ledger[{*figure, *cell, *metric}] =
+        Record{*status, value.value_or(0), NumberField(line, "paper")};
+  }
+  return ledger;
+}
+
+void RenderFigure(std::ostream& os, const Figure& figure, const Ledger& ledger,
+                  Format format) {
+  std::vector<std::string> headers = {"configuration"};
+  for (const std::string& metric : figure.metrics) {
+    headers.emplace_back(Metric(metric).header);
+  }
+  std::vector<std::vector<std::string>> rows;
+  for (const Row& row : figure.rows) {
+    std::vector<std::string> cells = {row.label};
+    const std::string cell = CellId(row.cell);
+    for (const std::string& metric : figure.metrics) {
+      const auto it = ledger.find({figure.id, cell, metric});
+      if (it == ledger.end()) {
+        cells.emplace_back("-");
+      } else if (it->second.status != "ok") {
+        // The status once per row; no column of a failed run shows a number.
+        cells.emplace_back(cells.size() == 1 ? it->second.status : "-");
+      } else {
+        std::string text =
+            Table::Num(it->second.value, Metric(metric).precision);
+        if (it->second.paper) {
+          char paper[32];
+          std::snprintf(paper, sizeof(paper), " (%g)", *it->second.paper);
+          text += paper;
+        }
+        cells.push_back(std::move(text));
+      }
+    }
+    rows.push_back(std::move(cells));
+  }
+
+  if (format == Format::kMarkdown) {
+    const auto line = [&os](const std::vector<std::string>& cells) {
+      for (const std::string& cell : cells) os << "| " << cell << " ";
+      os << "|\n";
+    };
+    line(headers);
+    line(std::vector<std::string>(headers.size(), "---"));
+    for (const auto& cells : rows) line(cells);
+    return;
+  }
+  Table table(headers);
+  for (auto& cells : rows) table.AddRow(std::move(cells));
+  os << "# " << figure.id << " — " << figure.title << "\n";
+  table.Print(os, format == Format::kCsv);
+  os << "\n";
+}
+
+std::string RenderMarkdownBlocks(const std::string& doc, const Ledger& ledger) {
+  static constexpr std::string_view kBegin = "<!-- paper_figures ";
+  static constexpr std::string_view kEnd = "<!-- /paper_figures -->";
+  std::istringstream in(doc);
+  std::ostringstream out;
+  std::string line;
+  while (std::getline(in, line)) {
+    out << line << '\n';
+    if (!line.starts_with(kBegin) || !line.ends_with(" -->")) continue;
+    const std::string id =
+        line.substr(kBegin.size(), line.size() - kBegin.size() - 4);
+    std::string body;
+    while (std::getline(in, line) && line != kEnd) body += line + '\n';
+    const Figure* figure = FindFigure(id);
+    const auto first = ledger.lower_bound({id, "", ""});
+    if (figure != nullptr && first != ledger.end() &&
+        std::get<0>(first->first) == id) {
+      RenderFigure(out, *figure, ledger, Format::kMarkdown);
+    } else {
+      out << body;
+    }
+    out << kEnd << '\n';
+  }
+  return out.str();
+}
+
+std::vector<std::string> CheckLedger(const Ledger& run,
+                                     const Ledger& baseline) {
+  std::vector<std::string> problems;
+  for (const auto& [key, record] : run) {
+    const auto& [figure, cell, metric] = key;
+    const std::string where = figure + " " + cell + " " + metric + ": ";
+    const auto it = baseline.find(key);
+    if (it == baseline.end()) {
+      problems.push_back(where + "not in the ledger");
+    } else if (record.status != it->second.status) {
+      problems.push_back(where + "status " + record.status + ", ledger " +
+                         it->second.status);
+    } else if (record.status == "ok") {
+      const double a = record.value;
+      const double b = it->second.value;
+      const double tolerance = Metric(metric).tolerance;
+      if (std::abs(a - b) > tolerance * std::max(std::abs(a), std::abs(b))) {
+        problems.push_back(where + LedgerNum(a) + ", ledger " + LedgerNum(b) +
+                           " (tolerance " + LedgerNum(tolerance * 100) +
+                           "%)");
+      }
+    }
+  }
+  return problems;
+}
+
+}  // namespace memfs::bench

@@ -1,8 +1,8 @@
 // Aligned text-table and CSV emission for the benchmark harnesses.
 //
-// Every `bench/` binary prints the same rows/series the corresponding paper
-// table or figure reports; this helper keeps that output consistent and
-// machine-readable (`--csv`).
+// `paper_figures` renders every paper table and figure through it from its
+// ledger, and the ablations, profiles and examples print their rows the same
+// way; `--csv` gives the machine-readable form.
 #pragma once
 
 #include <cstdint>

@@ -1,172 +1,98 @@
-// Regression guards for the paper's headline claims, asserted end to end at
-// reduced scale. EXPERIMENTS.md narrates these shapes; this suite makes them
-// break the build if a future change loses one. Each test names the claim
-// and the paper section it comes from.
+// Regression guards for the paper's headline claims. Each claim is a list of
+// relations over rows of the paper-figure table (bench::PaperClaims() in
+// bench/paper_cells.cc, with the paper section it comes from), so the
+// claims measure the very cells BENCH_paper.json records. EXPERIMENTS.md
+// narrates these shapes; this suite makes them break the build if a future
+// change loses one.
 #include <gtest/gtest.h>
 
-#include "bench_common.h"
-#include "common/stats.h"
-#include "workloads/montage.h"
+#include <map>
+#include <string>
+
+#include "paper_cells.h"
 
 namespace memfs {
 namespace {
 
-using bench::EnvelopeCell;
-using bench::EnvelopeCellParams;
-using bench::RunEnvelopeCell;
-using bench::RunWorkflowCell;
-using bench::WorkflowCellParams;
-using units::KiB;
-using units::MiB;
+using Op = bench::Relation::Op;
 
-EnvelopeCell Cell(workloads::FsKind kind, std::uint32_t nodes,
-                  std::uint64_t file_size, std::uint32_t files,
-                  bool remote = false) {
-  EnvelopeCellParams params;
-  params.kind = kind;
-  params.nodes = nodes;
-  params.file_size = file_size;
-  params.files_per_proc = files;
-  params.io_block = file_size >= MiB(64) ? MiB(1) : 0;
-  params.meta_files_per_proc = 32;
-  params.run_remote_read = remote;
-  return RunEnvelopeCell(params);
+// The recorded value a Ref names; each distinct cell runs once per binary.
+double Measure(const bench::Ref& ref) {
+  static std::map<std::string, bench::CellResult> measured;
+  if (ref.figure.empty()) return 1.0;
+  const bench::Row* row = bench::FindRow(ref.figure, ref.label);
+  if (row == nullptr) {
+    ADD_FAILURE() << "no row " << ref.figure << " / " << ref.label;
+    return 0.0;
+  }
+  const std::string id = bench::CellId(row->cell);
+  auto it = measured.find(id);
+  if (it == measured.end()) {
+    it = measured.emplace(id, bench::RunCell(row->cell)).first;
+  }
+  EXPECT_TRUE(it->second.status.ok()) << id << ": " << it->second.status;
+  const auto value = it->second.metrics.find(std::string(ref.metric));
+  if (value == it->second.metrics.end()) {
+    ADD_FAILURE() << id << " has no " << ref.metric;
+    return 0.0;
+  }
+  return value->second;
 }
 
-// §4.1 / Fig. 4: MemFS beats AMFS on write and N-1 read at every file size.
+void ExpectClaim(std::string_view name) {
+  for (const bench::Claim& claim : bench::PaperClaims()) {
+    if (claim.name != name) continue;
+    for (const bench::Relation& r : claim.relations) {
+      const double lhs = Measure(r.lhs);
+      const double rhs = r.factor * Measure(r.rhs);
+      const std::string what = std::string(r.lhs.figure) + " " +
+                               std::string(r.lhs.label) + " " +
+                               std::string(r.lhs.metric) + " vs " +
+                               std::to_string(r.factor) + " x " +
+                               std::string(r.rhs.figure) + " " +
+                               std::string(r.rhs.label) + " " +
+                               std::string(r.rhs.metric);
+      switch (r.op) {
+        case Op::kGreater: EXPECT_GT(lhs, rhs) << what; break;
+        case Op::kLess: EXPECT_LT(lhs, rhs) << what; break;
+        case Op::kNear: EXPECT_NEAR(lhs, rhs, r.tolerance * rhs) << what; break;
+      }
+    }
+    return;
+  }
+  ADD_FAILURE() << "no claim " << name;
+}
+
 TEST(PaperClaims, MemFsWinsWriteAndN1AtAllSizes) {
-  for (std::uint64_t size : {KiB(1), MiB(1), MiB(128)}) {
-    const auto mem = Cell(workloads::FsKind::kMemFs, 16, size,
-                          size >= MiB(64) ? 1 : 8);
-    const auto am = Cell(workloads::FsKind::kAmfs, 16, size,
-                         size >= MiB(64) ? 1 : 8);
-    EXPECT_GT(mem.write.BandwidthMBps(), am.write.BandwidthMBps()) << size;
-    EXPECT_GT(mem.readn1.BandwidthMBps(), am.readn1.BandwidthMBps()) << size;
-  }
+  ExpectClaim("MemFsWinsWriteAndN1AtAllSizes");
 }
 
-// §4.1 / Fig. 4c: the one metric AMFS wins — 1-1 reads of large files.
 TEST(PaperClaims, AmfsWinsLargeFileLocalReadsOnly) {
-  const auto mem_small = Cell(workloads::FsKind::kMemFs, 16, KiB(1), 8);
-  const auto am_small = Cell(workloads::FsKind::kAmfs, 16, KiB(1), 8);
-  EXPECT_GT(mem_small.read11.BandwidthMBps(),
-            am_small.read11.BandwidthMBps());
-
-  // The large-file crossover appears at scale (Fig. 4c crosses at 64
-  // nodes): AMFS streams locally at a flat per-node rate while MemFS's
-  // remote reads see growing contention transients.
-  const auto mem_big = Cell(workloads::FsKind::kMemFs, 64, MiB(128), 1);
-  const auto am_big = Cell(workloads::FsKind::kAmfs, 64, MiB(128), 1);
-  EXPECT_GT(am_big.read11.BandwidthMBps(), mem_big.read11.BandwidthMBps());
+  ExpectClaim("AmfsWinsLargeFileLocalReadsOnly");
 }
 
-// §4.1 / Table 1: losing locality costs AMFS ~4x; MemFS beats the degraded
-// AMFS by >4x on the premium fabric.
 TEST(PaperClaims, RemoteReadPenaltyRatios) {
-  const auto am = Cell(workloads::FsKind::kAmfs, 16, MiB(1), 8,
-                       /*remote=*/true);
-  const auto mem = Cell(workloads::FsKind::kMemFs, 16, MiB(1), 8);
-  const double degradation =
-      am.read11.BandwidthMBps() / am.read11_remote.BandwidthMBps();
-  EXPECT_GT(degradation, 3.0);
-  EXPECT_GT(mem.read11.BandwidthMBps(),
-            am.read11_remote.BandwidthMBps() * 3.0);
+  ExpectClaim("RemoteReadPenaltyRatios");
 }
 
-// §4.1 / Fig. 5: the AMFS accounting artifact — N-1 throughput equals 1-1
-// (multicast charged to bandwidth only).
 TEST(PaperClaims, AmfsN1ThroughputEqualsOneToOne) {
-  const auto am = Cell(workloads::FsKind::kAmfs, 8, MiB(1), 4);
-  EXPECT_NEAR(am.readn1.OpsPerSec(), am.read11.OpsPerSec(),
-              am.read11.OpsPerSec() * 0.05);
-  EXPECT_LT(am.readn1.BandwidthMBps(), am.read11.BandwidthMBps() / 2);
+  ExpectClaim("AmfsN1ThroughputEqualsOneToOne");
 }
 
-// §4.1 / Fig. 6: MemFS open beats MemFS create; AMFS open beats everything.
 TEST(PaperClaims, MetadataRelationships) {
-  const auto mem = Cell(workloads::FsKind::kMemFs, 16, KiB(1), 1);
-  const auto am = Cell(workloads::FsKind::kAmfs, 16, KiB(1), 1);
-  EXPECT_GT(mem.open.OpsPerSec(), mem.create.OpsPerSec());
-  EXPECT_GT(am.open.OpsPerSec(), mem.open.OpsPerSec());
+  ExpectClaim("MetadataRelationships");
 }
 
-// §4.2: MemFS completes Montage faster than AMFS and scales further; its
-// per-node storage stays balanced while AMFS concentrates data.
 TEST(PaperClaims, MontageFasterAndBalanced) {
-  workloads::MontageParams m6;
-  m6.degree = 6;
-  m6.task_scale = 16;
-  m6.size_scale = 16;
-  m6.project_cpu_s = 2.0;
-  const auto workflow = workloads::BuildMontage(m6);
-
-  WorkflowCellParams params;
-  params.nodes = 8;
-  params.cores_per_node = 4;
-  params.kind = workloads::FsKind::kMemFs;
-  const auto mem = RunWorkflowCell(params, workflow);
-  params.kind = workloads::FsKind::kAmfs;
-  const auto am = RunWorkflowCell(params, workflow);
-
-  ASSERT_TRUE(mem.result.status.ok());
-  ASSERT_TRUE(am.result.status.ok());
-  EXPECT_LT(mem.result.MakespanSeconds(), am.result.MakespanSeconds());
-
-  RunningStats mem_balance;
-  RunningStats am_balance;
-  for (std::uint32_t n = 0; n < 8; ++n) {
-    mem_balance.Add(static_cast<double>(mem.bed->NodeMemoryUsed(n)));
-    am_balance.Add(static_cast<double>(am.bed->NodeMemoryUsed(n)));
-  }
-  EXPECT_LT(mem_balance.cv(), 0.25);
-  EXPECT_GT(am_balance.cv(), mem_balance.cv() * 2);
-  EXPECT_GT(am.bed->TotalMemoryUsed(), mem.bed->TotalMemoryUsed());
+  ExpectClaim("MontageFasterAndBalanced");
 }
 
-// §4.2.2 / Fig. 10: a single FUSE mountpoint caps vertical scaling of the
-// I/O-bound stages; per-process mounts restore it.
 TEST(PaperClaims, FuseMountpointCeiling) {
-  workloads::MontageParams m6;
-  m6.degree = 6;
-  m6.task_scale = 32;
-  m6.size_scale = 16;
-  m6.project_cpu_s = 1.0;
-  const auto workflow = workloads::BuildMontage(m6);
-
-  auto run = [&](std::uint32_t mounts) {
-    WorkflowCellParams params;
-    params.fabric = workloads::Fabric::kEc2TenGbE;
-    params.nodes = 4;
-    params.cores_per_node = 32;
-    params.io_block = units::KiB(4);
-    params.memfs.fuse.mounts_per_node = mounts;
-    params.memfs.fuse.op_cost = units::Micros(25);
-    params.memfs.fuse.contention_factor = 0.30;
-    return RunWorkflowCell(params, workflow).result.MakespanSeconds();
-  };
-  EXPECT_GT(run(1), run(32) * 15 / 10);
+  ExpectClaim("FuseMountpointCeiling");
 }
 
-// §4.2.2 / Fig. 16: system bandwidth is twice the application bandwidth
-// (every application byte is also memcached traffic).
 TEST(PaperClaims, SystemBandwidthTwiceApplication) {
-  workloads::TestbedConfig config;
-  config.nodes = 8;
-  workloads::Testbed bed(workloads::FsKind::kMemFs, config);
-  workloads::EnvelopeParams env;
-  env.nodes = 8;
-  env.file_size = MiB(2);
-  env.files_per_proc = 2;
-  workloads::EnvelopeBench bench(bed.simulation(), bed.vfs(), env, nullptr);
-  const auto write = bench.RunWrite();
-  const auto read = bench.RunRead11(1);
-  const std::uint64_t app_bytes = write.bytes + read.bytes;
-  // Every application byte crossed the wire once (flow accounting counts
-  // each byte once); at the NIC level it appears at a sender AND a receiver,
-  // which is the paper's "system bandwidth = 2x application bandwidth".
-  EXPECT_NEAR(static_cast<double>(bed.network().total_bytes()),
-              static_cast<double>(app_bytes),
-              0.15 * static_cast<double>(app_bytes));
+  ExpectClaim("SystemBandwidthTwiceApplication");
 }
 
 }  // namespace

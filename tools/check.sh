@@ -2,17 +2,21 @@
 # tools/check.sh — the tier-1 verification gate plus a sanitizer pass.
 #
 #   1. configure + build the default (Release-ish) tree in build/,
-#   2. run the full ctest suite (unit tests; the static analyzer
-#      memfs_analyze over the whole repo as the `analyze` ctest and its
-#      `lint` alias, failing on any unsuppressed finding; the determinism
-#      gate; the memfs_run smoke runs; the benchmark smoke),
-#   3. re-run the fig08 simulator speed gate against BENCH_scale.json
+#   2. run the full ctest suite (unit tests; the paper claims over the
+#      paper-figure table; the static analyzer memfs_analyze over the whole
+#      repo as the `analyze` ctest and its `lint` alias, failing on any
+#      unsuppressed finding; the determinism gate; the memfs_run smoke runs;
+#      the paper-ledger doc and drift checks; the benchmark smoke),
+#   3. re-run a cheap subset of the paper figures (fig03a, fig03b, table1)
+#      and compare it with the committed BENCH_paper.json within each
+#      metric's tolerance (bench/paper_cells.cc),
+#   4. re-run the fig08 simulator speed gate against BENCH_scale.json
 #      (wall-clock of the 64-node point),
-#   4. configure + build with -DMEMFS_SANITIZE=address,undefined in
+#   5. configure + build with -DMEMFS_SANITIZE=address,undefined in
 #      build-asan/ and re-run the determinism gate under the sanitizers
 #      (`ctest -L determinism`: every scenario x observer cell of
 #      tools/determinism_gate.cc, the label's only test),
-#   5. configure + build with -DMEMFS_SANITIZE=thread in build-tsan/ and
+#   6. configure + build with -DMEMFS_SANITIZE=thread in build-tsan/ and
 #      re-run the determinism gate under TSan (skipped with a notice when
 #      the toolchain has no libtsan).
 #
@@ -30,6 +34,13 @@ cmake --build "$root/build" -j "$jobs"
 
 echo "== tier 1: ctest =="
 ctest --test-dir "$root/build" --output-on-failure
+
+# Paper-ledger gate: the figures re-run here must reproduce the committed
+# ledger (regenerate it with paper_figures --json=BENCH_paper.json
+# --markdown=EXPERIMENTS.md when a change moves them on purpose).
+echo "== paper ledger: fig03a fig03b table1 vs BENCH_paper.json =="
+"$root/build/bench/paper_figures" --check="$root/BENCH_paper.json" \
+  fig03a fig03b table1 > /dev/null
 
 # Simulator speed gate: re-run the fig08 64-node point and compare its
 # wall-clock against the committed BENCH_scale.json trajectory; fails when it
