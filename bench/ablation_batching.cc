@@ -15,7 +15,8 @@
 // Coalescing here is pure backpressure: the drain loop holds at most
 // `window` batches in flight per (client, server) lane, so whatever queues
 // up behind a saturated server rides the next batch. `batching = off`
-// forwards one RPC per op, byte-identical to the pre-scheduler data path.
+// forwards each op to KvCluster's single-key calls: one one-item batch RPC
+// per op, counted as a single-key attempt.
 #include <iostream>
 
 #include "bench_common.h"
@@ -31,7 +32,7 @@ struct BatchingCell {
   double read_s = 0;
   double create_s = 0;
   double open_s = 0;
-  std::uint64_t rpcs = 0;  // single-op attempts + batch attempts on the wire
+  std::uint64_t rpcs = 0;  // single-key + batch attempts on the wire
   std::uint64_t ops = 0;   // kv operations those RPCs carried
   std::uint64_t max_batch = 0;
 

@@ -14,8 +14,8 @@
 // Semantics:
 //  * Per-item verdicts. A batch returns one Status per key; the scheduler
 //    demultiplexes them back to the per-op futures, and the KvCluster retry
-//    layer re-sends only failed keys — the non-idempotent ADD/APPEND safety
-//    argument of the single-op path holds per item (see kv_cluster.h).
+//    layer re-sends only unresolved keys, so a committed ADD/APPEND is never
+//    applied twice (see kv_cluster.h).
 //  * Coalescing window. The drain coroutine yields once per round, so every
 //    operation enqueued at the same simulated instant can join the batch,
 //    and it claims a window slot before choosing the batch, so everything
@@ -23,9 +23,10 @@
 //    another kind stay queued for the next round. Cross-kind reordering
 //    within a lane is safe here because no issuer keeps two operations of
 //    different kinds in flight for the same key.
-//  * batching = off is a true bypass: calls forward directly to KvCluster
-//    with zero extra events or allocations — one RPC per op, the
-//    pre-scheduler data path.
+//  * batching = off bypasses the scheduler: calls forward directly to
+//    KvCluster's single-key methods — no lane, queue or window, one
+//    one-item batch RPC per op, plus the zero-time resume that unwraps its
+//    verdict.
 //
 // Tracing: each enqueued op opens a "kv.batch.wait" span under its own
 // request trace covering enqueue -> verdict; the batch RPC's "kv.batch"
@@ -53,8 +54,8 @@
 namespace memfs::io {
 
 struct IoConfig {
-  // Coalesce queued ops into batch RPCs (off = forward one RPC per op, the
-  // pre-scheduler behavior).
+  // Coalesce queued ops into batch RPCs (off = forward each op to
+  // KvCluster's single-key methods, one RPC per op).
   bool batching = true;
   // Per-batch ceilings: at most this many items and (beyond the first item)
   // this many payload bytes per batch RPC. Multi-get commonly carries tens

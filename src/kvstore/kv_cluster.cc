@@ -1,46 +1,13 @@
 #include "kvstore/kv_cluster.h"
 
-#include <functional>
+#include <algorithm>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 namespace memfs::kv {
 
-// Outcome slot for a single attempt. The attempt coroutine and the deadline
-// watchdog race to settle it; whoever loses finds `settled` and stands down.
-// `applied` marks the server's commit point: once set, the watchdog lets the
-// acknowledgement finish instead of reporting DEADLINE_EXCEEDED, so a retried
-// ADD/APPEND can never have been applied by an earlier attempt.
-template <typename T>
-struct RaceState {
-  explicit RaceState(sim::Simulation& sim) : promise(sim) {}
-
-  sim::Promise<T> promise;
-  bool settled = false;
-  bool applied = false;
-
-  void Settle(T value) {
-    if (settled) return;
-    settled = true;
-    promise.Set(std::move(value));
-  }
-};
-
 namespace {
-
-template <typename T>
-T ErrorResult(Status status);
-template <>
-Status ErrorResult<Status>(Status status) {
-  return status;
-}
-template <>
-Result<Bytes> ErrorResult<Result<Bytes>>(Status status) {
-  return Result<Bytes>(std::move(status));
-}
-
-Status StatusOf(const Status& status) { return status; }
-Status StatusOf(const Result<Bytes>& result) { return result.status(); }
 
 // Mirrors the server's storage footprint into its monitor gauges after an
 // apply (one branch per gauge without a registry).
@@ -55,10 +22,9 @@ void SyncStorageGauges(const KvCluster::ServerSlotAccess& slot) {
 // tag with a nonzero trace id also offers the sample to the histogram's
 // exemplar reservoir (common/metrics.h), so the monitor can link a bad
 // window back to this operation's span — and to the server it hit.
-template <typename T>
-sim::Task RecordKvLatency(sim::Future<T> future, sim::Simulation* sim,
-                          LatencyHistogram* histogram, sim::SimTime start,
-                          Exemplar tag = {}) {
+sim::Task RecordKvLatency(sim::Future<BatchResult> future,
+                          sim::Simulation* sim, LatencyHistogram* histogram,
+                          sim::SimTime start, Exemplar tag) {
   (void)co_await future;
   const std::uint64_t nanos = sim->now() - start;
   if (tag.trace_id == 0) {
@@ -82,149 +48,14 @@ Exemplar KvTagOf(const trace::TraceContext& op_span, net::NodeId client,
 
 // Same, but records one observation per batch item so the per-op
 // kv.set/kv.get/... histograms stay balanced whichever path an op rides.
-template <typename T>
-sim::Task RecordKvItemLatencies(sim::Future<T> future, sim::Simulation* sim,
+sim::Task RecordKvItemLatencies(sim::Future<BatchResult> future,
+                                sim::Simulation* sim,
                                 LatencyHistogram* histogram, std::size_t items,
                                 sim::SimTime start) {
   (void)co_await future;
   for (std::size_t i = 0; i < items; ++i) {
     histogram->Record(sim->now() - start);
   }
-}
-
-template <typename T>
-sim::Task RunDeadline(sim::Simulation& sim, std::shared_ptr<RaceState<T>> race,
-                      sim::SimTime deadline) {
-  co_await sim.Delay(deadline);
-  if (race->applied) co_return;  // committed: wait for the acknowledgement
-  race->Settle(ErrorResult<T>(status::DeadlineExceeded("op deadline")));
-}
-
-// One mutation attempt: ship key+value to the server, process under a worker
-// slot, return a small acknowledgement. `ctx` is this attempt's span (owned
-// here: the frame ends it on every exit path).
-sim::Task RunMutationAttempt(sim::Simulation& sim, net::Network& network,
-                             KvCluster::ServerSlotAccess slot,
-                             net::NodeId client, std::uint64_t request_bytes,
-                             sim::SimTime service_time,
-                             std::shared_ptr<std::function<Status()>> apply,
-                             std::shared_ptr<RaceState<Status>> race,
-                             std::uint64_t ack_bytes,
-                             sim::SimTime failure_timeout,
-                             trace::TraceContext ctx) {
-  trace::ScopedSpan attempt = trace::ScopedSpan::Adopt(ctx);
-  if (network.DropMessage(client, slot.node)) {
-    // The request evaporated; with no reply coming, the client can only wait
-    // out its timeout (the deadline watchdog usually fires first).
-    trace::Event(ctx, "request_lost");
-    co_await sim.Delay(failure_timeout);
-    race->Settle(status::DeadlineExceeded("request lost"));
-    co_return;
-  }
-  {
-    trace::ScopedSpan leg(ctx, "net.request", "net");
-    co_await network.Transfer(client, slot.node, request_bytes);
-  }
-  if (*slot.down) {
-    trace::Event(ctx, "server_down");
-    co_await sim.Delay(failure_timeout);
-    race->Settle(status::Unavailable("server down"));
-    co_return;
-  }
-  GaugeAdd(slot.queue_gauge, 1);
-  {
-    trace::ScopedSpan queued = trace::ScopedSpan::Adopt(
-        trace::ChildOn(ctx, "kv.queue", "queue", slot.node));
-    co_await slot.workers->Acquire();
-  }
-  GaugeAdd(slot.queue_gauge, -1);
-  GaugeAdd(slot.inflight_gauge, 1);
-  {
-    trace::ScopedSpan service = trace::ScopedSpan::Adopt(
-        trace::ChildOn(ctx, "kv.service", "kv.service", slot.node));
-    co_await sim.Delay(static_cast<sim::SimTime>(
-        static_cast<double>(service_time) * *slot.slow_factor));
-  }
-  if (race->settled) {
-    // The client gave up on this attempt; cancellation reaches the server
-    // before commit, so the request is discarded — a later retry stays
-    // exactly-once for non-idempotent ADD/APPEND.
-    trace::Event(ctx, "cancelled_before_commit");
-    slot.workers->Release();
-    GaugeAdd(slot.inflight_gauge, -1);
-    co_return;
-  }
-  race->applied = true;
-  trace::Event(ctx, "commit");
-  Status status = (*apply)();
-  SyncStorageGauges(slot);
-  slot.workers->Release();
-  GaugeAdd(slot.inflight_gauge, -1);
-  {
-    trace::ScopedSpan leg(ctx, "net.ack", "net");
-    co_await network.Transfer(slot.node, client, ack_bytes);
-  }
-  race->Settle(std::move(status));
-}
-
-// One GET attempt; GETs have no commit point, so the deadline may preempt
-// any phase and the value-sized reply leg is skipped once abandoned.
-sim::Task RunGetAttempt(sim::Simulation& sim, net::Network& network,
-                        KvCluster::ServerSlotAccess slot, net::NodeId client,
-                        std::uint64_t request_bytes, const KvOpCostModel& cost,
-                        KvServer* state, std::string key,
-                        std::shared_ptr<RaceState<Result<Bytes>>> race,
-                        trace::TraceContext ctx) {
-  trace::ScopedSpan attempt = trace::ScopedSpan::Adopt(ctx);
-  if (network.DropMessage(client, slot.node)) {
-    trace::Event(ctx, "request_lost");
-    co_await sim.Delay(cost.failure_timeout);
-    race->Settle(Result<Bytes>(status::DeadlineExceeded("request lost")));
-    co_return;
-  }
-  {
-    trace::ScopedSpan leg(ctx, "net.request", "net");
-    co_await network.Transfer(client, slot.node, request_bytes);
-  }
-  if (*slot.down) {
-    trace::Event(ctx, "server_down");
-    co_await sim.Delay(cost.failure_timeout);
-    race->Settle(Result<Bytes>(status::Unavailable("server down")));
-    co_return;
-  }
-  GaugeAdd(slot.queue_gauge, 1);
-  {
-    trace::ScopedSpan queued = trace::ScopedSpan::Adopt(
-        trace::ChildOn(ctx, "kv.queue", "queue", slot.node));
-    co_await slot.workers->Acquire();
-  }
-  GaugeAdd(slot.queue_gauge, -1);
-  GaugeAdd(slot.inflight_gauge, 1);
-  Result<Bytes> result = state->Get(key);
-  const std::uint64_t value_bytes =
-      result.ok() ? result.value().StoredSize() : 0;
-  const auto service =
-      cost.get_base + static_cast<sim::SimTime>(cost.get_ns_per_byte *
-                                                static_cast<double>(
-                                                    value_bytes));
-  {
-    trace::ScopedSpan span = trace::ScopedSpan::Adopt(
-        trace::ChildOn(ctx, "kv.service", "kv.service", slot.node));
-    co_await sim.Delay(static_cast<sim::SimTime>(
-        static_cast<double>(service) * *slot.slow_factor));
-  }
-  slot.workers->Release();
-  GaugeAdd(slot.inflight_gauge, -1);
-  if (race->settled) {
-    trace::Event(ctx, "abandoned");  // no one is listening
-    co_return;
-  }
-  {
-    trace::ScopedSpan leg(ctx, "net.reply", "net");
-    co_await network.Transfer(slot.node, client,
-                              cost.header_bytes + value_bytes);
-  }
-  race->Settle(std::move(result));
 }
 
 // Per-item service time for one batch item; GETs are priced on the value
@@ -251,9 +82,7 @@ sim::SimTime BatchItemService(const KvOpCostModel& cost, BatchKind kind,
 }
 
 // Whether wire attempt `attempt` of `call` was abandoned: a later attempt
-// replaced it, or the client stopped waiting on it. Mirrors RaceState's
-// `settled`, generalized to per-item granularity by the outcomes' `resolved`
-// flags.
+// replaced it, or the client stopped waiting on it.
 bool Abandoned(const BatchCall& call, std::uint32_t attempt) {
   return call.attempt != attempt || call.settled;
 }
@@ -275,8 +104,8 @@ sim::Task RunBatchDeadline(sim::Simulation& sim, BatchResult call,
                            std::uint32_t attempt, sim::SimTime deadline) {
   co_await sim.Delay(deadline);
   if (Abandoned(*call, attempt) || call->finished) co_return;
-  // Every item committed: only the acknowledgement is outstanding, so let it
-  // finish (same rule as the single-op watchdog after the commit point).
+  // Every item has its verdict (mutations committed, GETs read their value):
+  // only the reply is outstanding, so let it finish.
   for (const BatchCall::Outcome& outcome : call->outcomes) {
     if (!outcome.resolved) {
       FailAttempt(*call, attempt, status::DeadlineExceeded("op deadline"));
@@ -341,8 +170,7 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
     sim::SimTime service;
     if (kind == BatchKind::kGet) {
       // Reads are applied up front so the value size can price the service
-      // time — same order as the single-op GET path; harmless on
-      // cancellation because reads have no commit point.
+      // time; harmless on cancellation because reads have no commit point.
       result = slot.state->ApplyBatchItem(kind, item);
       applied = true;
       service = BatchItemService(cost, kind, result.value.StoredSize());
@@ -351,7 +179,7 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
     }
     // Items after the first ride the message's already-paid dispatch
     // (syscall + wakeup + parse), which the per-op bases include; a batch of
-    // one therefore costs exactly what the single-op path charges.
+    // one (every single-key call) pays the full base.
     if (!first) service -= std::min(service, cost.rpc_dispatch);
     first = false;
     {
@@ -389,6 +217,45 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
   SettleAttempt(*call);
 }
 
+// Resolves `done` to a single-key call's one verdict: a Status, or a
+// Result<Bytes> holding the value a GET read.
+template <typename T>
+sim::Task ForwardVerdict(sim::Future<BatchResult> call, sim::Promise<T> done) {
+  const BatchResult finished = co_await call;
+  BatchItemResult& item = finished->result(0);
+  if constexpr (std::is_same_v<T, Status>) {
+    done.Set(std::move(item.status));
+  } else {
+    done.Set(item.status.ok() ? T(std::move(item.value))
+                              : T(std::move(item.status)));
+  }
+}
+
+// The future a single-key method returns for its one-item `call`; the
+// verdict reaches it one zero-time resume after the call resolves.
+template <typename T>
+sim::Future<T> Unwrap(sim::Simulation& sim, sim::Future<BatchResult> call) {
+  sim::Promise<T> done(sim);
+  auto future = done.GetFuture();
+  ForwardVerdict(std::move(call), std::move(done));
+  return future;
+}
+
+std::vector<BatchItem> OneItem(std::string key, Bytes value) {
+  std::vector<BatchItem> items;
+  items.push_back(BatchItem{std::move(key), std::move(value)});
+  return items;
+}
+
+// Span and histogram names per BatchKind, indexed by its value.
+constexpr const char* kOpNames[] = {"kv.set", "kv.add", "kv.get",
+                                    "kv.append", "kv.delete"};
+constexpr const char* kBatchNames[] = {"kv.batch.set", "kv.batch.add",
+                                       "kv.batch.get", "kv.batch.append",
+                                       "kv.batch.delete"};
+static_assert(static_cast<int>(BatchKind::kDelete) == 4,
+              "kOpNames/kBatchNames follow BatchKind's order");
+
 }  // namespace
 
 KvCluster::KvCluster(sim::Simulation& sim, net::Network& network,
@@ -425,87 +292,23 @@ std::uint32_t KvCluster::AddServer(net::NodeId node) {
   return index;
 }
 
-template <typename T>
-sim::Task KvCluster::RunWithRetry(
-    std::uint32_t server,
-    std::function<void(std::shared_ptr<RaceState<T>>, trace::TraceContext)>
-        launch,
-    sim::Promise<T> done, trace::TraceContext op_span) {
-  trace::ScopedSpan op = trace::ScopedSpan::Adopt(op_span);
-  auto& slot = servers_[server];
-  RetryState retry(policy_.retry, sim_.now());
-  T result = ErrorResult<T>(status::Unavailable("no attempt made"));
-  std::uint32_t attempts = 0;
-  while (true) {
-    if (slot.left) {
-      // The server drained out of the cluster for good: answer immediately
-      // with a non-retryable verdict so callers fail over (or surface the
-      // loss) instead of burning the failure timeout per attempt.
-      trace::Event(op_span, "server_left");
-      result = ErrorResult<T>(status::UnavailablePermanent("server left"));
-      break;
-    }
-    const bool allowed = slot.breaker.AllowRequest(sim_.now());
-    GaugeSet(slot.breaker_gauge,
-             static_cast<std::int64_t>(slot.breaker.state()));
-    if (!allowed) {
-      ++stats_.breaker_fast_fails;
-      ++slot.client_stats.breaker_fast_fails;
-      if (metrics_ != nullptr) ++metrics_->Counter("kv.breaker_fast_fails");
-      trace::Event(op_span, "breaker_fast_fail");
-      result = ErrorResult<T>(status::Unavailable("circuit breaker open"));
-    } else {
-      auto race = std::make_shared<RaceState<T>>(sim_);
-      auto attempt = race->promise.GetFuture();
-      trace::TraceContext attempt_span =
-          trace::Child(op_span, "kv.attempt", "kv.attempt");
-      trace::Annotate(attempt_span, "attempt", std::to_string(++attempts));
-      ++stats_.single_rpcs;
-      ++slot.client_stats.single_ops;
-      launch(race, attempt_span);
-      if (policy_.op_deadline > 0) {
-        RunDeadline<T>(sim_, race, policy_.op_deadline);
-      }
-      result = co_await attempt;
-      const Status status = StatusOf(result);
-      if (status.ok() || !IsRetryable(status.code())) {
-        slot.breaker.RecordSuccess();
-      } else {
-        const std::uint64_t opens_before = slot.breaker.open_transitions();
-        slot.breaker.RecordFailure(sim_.now());
-        if (slot.breaker.open_transitions() != opens_before) {
-          ++stats_.breaker_opens;
-          ++slot.client_stats.breaker_opens;
-          if (metrics_ != nullptr) ++metrics_->Counter("kv.breaker_opens");
-        }
-        if (status.code() == ErrorCode::kDeadlineExceeded) {
-          ++stats_.deadline_exceeded;
-          ++slot.client_stats.deadline_exceeded;
-          if (metrics_ != nullptr) ++metrics_->Counter("kv.deadline_exceeded");
-        }
-      }
-      GaugeSet(slot.breaker_gauge,
-               static_cast<std::int64_t>(slot.breaker.state()));
-    }
-    const Status status = StatusOf(result);
-    if (status.ok() || !IsRetryable(status.code())) break;
-    const RetryState::Backoff backoff = retry.NextBackoff(rng_, sim_.now());
-    if (!backoff.allowed) break;
-    ++stats_.retries;
-    ++slot.client_stats.retries;
-    if (metrics_ != nullptr) ++metrics_->Counter("kv.retries");
-    {
-      trace::ScopedSpan wait(op_span, "backoff", "retry");
-      co_await sim_.Delay(backoff.nanos);
-    }
-  }
-  done.Set(std::move(result));
+LatencyHistogram& KvCluster::Histogram(LatencyHistogram*& handle,
+                                       std::string_view name) {
+  if (handle == nullptr) handle = &metrics_->Histogram(name);
+  return *handle;
+}
+
+void KvCluster::Bump(std::uint64_t*& counter, std::string_view name) {
+  if (metrics_ == nullptr) return;
+  if (counter == nullptr) counter = &metrics_->Counter(name);
+  ++*counter;
 }
 
 sim::Task KvCluster::RunBatchWithRetry(std::uint32_t server,
                                        net::NodeId client, BatchResult call,
                                        sim::Promise<BatchResult> done,
-                                       trace::TraceContext op_span) {
+                                       trace::TraceContext op_span,
+                                       bool single) {
   trace::ScopedSpan op = trace::ScopedSpan::Adopt(op_span);
   auto& slot = servers_[server];
   std::size_t unresolved = call->items.size();
@@ -523,6 +326,9 @@ sim::Task KvCluster::RunBatchWithRetry(std::uint32_t server,
   RetryState retry(policy_.retry, sim_.now());
   while (unresolved > 0) {
     if (slot.left) {
+      // The server drained out of the cluster for good: answer immediately
+      // with a non-retryable verdict so callers fail over (or surface the
+      // loss) instead of burning the failure timeout per attempt.
       trace::Event(op_span, "server_left");
       fail_unresolved(status::UnavailablePermanent("server left"));
       break;
@@ -533,7 +339,7 @@ sim::Task KvCluster::RunBatchWithRetry(std::uint32_t server,
     if (!allowed) {
       ++stats_.breaker_fast_fails;
       ++slot.client_stats.breaker_fast_fails;
-      if (metrics_ != nullptr) ++metrics_->Counter("kv.breaker_fast_fails");
+      Bump(handles_.breaker_fast_fails, "kv.breaker_fast_fails");
       trace::Event(op_span, "breaker_fast_fail");
       fail_unresolved(status::Unavailable("circuit breaker open"));
     } else {
@@ -544,16 +350,21 @@ sim::Task KvCluster::RunBatchWithRetry(std::uint32_t server,
       call->attempt_error = Status();
       call->attempt_done = sim::VoidPromise(sim_);
       auto settled = call->attempt_done.GetFuture();
-      trace::TraceContext attempt_span =
-          trace::Child(op_span, "kv.batch.attempt", "kv.attempt");
+      trace::TraceContext attempt_span = trace::Child(
+          op_span, single ? "kv.attempt" : "kv.batch.attempt", "kv.attempt");
       trace::Annotate(attempt_span, "attempt", std::to_string(attempt));
-      trace::Annotate(attempt_span, "items", std::to_string(unresolved));
-      ++stats_.batch_rpcs;
-      stats_.batch_items += unresolved;
-      ++slot.client_stats.batches;
-      slot.client_stats.batched_items += unresolved;
-      if (metrics_ != nullptr) {
-        metrics_->Histogram("kv.batch.size").Record(unresolved);
+      if (single) {
+        ++stats_.single_rpcs;
+        ++slot.client_stats.single_ops;
+      } else {
+        trace::Annotate(attempt_span, "items", std::to_string(unresolved));
+        ++stats_.batch_rpcs;
+        stats_.batch_items += unresolved;
+        ++slot.client_stats.batches;
+        slot.client_stats.batched_items += unresolved;
+        if (metrics_ != nullptr) {
+          Histogram(handles_.batch_size, "kv.batch.size").Record(unresolved);
+        }
       }
       RunBatchAttempt(sim_, network_, AccessOf(slot), client, cost_, call,
                       attempt, attempt_span);
@@ -573,12 +384,12 @@ sim::Task KvCluster::RunBatchWithRetry(std::uint32_t server,
         if (slot.breaker.open_transitions() != opens_before) {
           ++stats_.breaker_opens;
           ++slot.client_stats.breaker_opens;
-          if (metrics_ != nullptr) ++metrics_->Counter("kv.breaker_opens");
+          Bump(handles_.breaker_opens, "kv.breaker_opens");
         }
         if (call->attempt_error.code() == ErrorCode::kDeadlineExceeded) {
           ++stats_.deadline_exceeded;
           ++slot.client_stats.deadline_exceeded;
-          if (metrics_ != nullptr) ++metrics_->Counter("kv.deadline_exceeded");
+          Bump(handles_.deadline_exceeded, "kv.deadline_exceeded");
         }
       }
       GaugeSet(slot.breaker_gauge,
@@ -589,7 +400,7 @@ sim::Task KvCluster::RunBatchWithRetry(std::uint32_t server,
     if (!backoff.allowed) break;  // unresolved outcomes keep their error
     ++stats_.retries;
     ++slot.client_stats.retries;
-    if (metrics_ != nullptr) ++metrics_->Counter("kv.retries");
+    Bump(handles_.retries, "kv.retries");
     {
       trace::ScopedSpan wait(op_span, "backoff", "retry");
       co_await sim_.Delay(backoff.nanos);
@@ -598,132 +409,11 @@ sim::Task KvCluster::RunBatchWithRetry(std::uint32_t server,
   done.Set(std::move(call));
 }
 
-sim::Future<Status> KvCluster::Mutate(net::NodeId client, std::uint32_t server,
-                                      std::uint64_t request_bytes,
-                                      sim::SimTime service,
-                                      std::function<Status()> apply,
-                                      const char* metric,
-                                      trace::TraceContext trace) {
-  auto& slot = servers_[server];
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  trace::TraceContext op_span = trace::Child(trace, metric, "kv");
-  trace::Annotate(op_span, "server", std::to_string(server));
-  trace::Annotate(op_span, "bytes", std::to_string(request_bytes));
-  // The apply closure is shared across attempts but invoked at most once per
-  // operation: every retryable failure happens before the commit point.
-  auto shared_apply =
-      std::make_shared<std::function<Status()>>(std::move(apply));
-  const ServerSlotAccess access = AccessOf(slot);
-  RunWithRetry<Status>(
-      server,
-      [this, access, client, request_bytes, service,
-       shared_apply](std::shared_ptr<RaceState<Status>> race,
-                     trace::TraceContext attempt_span) {
-        RunMutationAttempt(sim_, network_, access, client, request_bytes,
-                           service, shared_apply, std::move(race),
-                           cost_.header_bytes, cost_.failure_timeout,
-                           attempt_span);
-      },
-      std::move(done), op_span);
-  if (metrics_ != nullptr) {
-    RecordKvLatency(future, &sim_, &metrics_->Histogram(metric), sim_.now(),
-                    KvTagOf(op_span, client, server));
-  }
-  return future;
-}
-
-sim::Future<Status> KvCluster::Set(net::NodeId client, std::uint32_t server,
-                                   std::string key, Bytes value,
-                                   trace::TraceContext trace) {
-  auto* state = servers_[server].state.get();
-  const std::uint64_t request =
-      cost_.header_bytes + key.size() + value.StoredSize();
-  const sim::SimTime service =
-      ServiceTime(cost_.set_base, cost_.set_ns_per_byte, value.StoredSize());
-  return Mutate(client, server, request, service,
-                [state, key = std::move(key),
-                 value = std::move(value)]() mutable {
-                  return state->Set(key, std::move(value));
-                },
-                "kv.set", trace);
-}
-
-sim::Future<Status> KvCluster::Add(net::NodeId client, std::uint32_t server,
-                                   std::string key, Bytes value,
-                                   trace::TraceContext trace) {
-  auto* state = servers_[server].state.get();
-  const std::uint64_t request =
-      cost_.header_bytes + key.size() + value.StoredSize();
-  const sim::SimTime service =
-      ServiceTime(cost_.set_base, cost_.set_ns_per_byte, value.StoredSize());
-  return Mutate(client, server, request, service,
-                [state, key = std::move(key),
-                 value = std::move(value)]() mutable {
-                  return state->Add(key, std::move(value));
-                },
-                "kv.add", trace);
-}
-
-sim::Future<Status> KvCluster::Append(net::NodeId client, std::uint32_t server,
-                                      std::string key, Bytes suffix,
-                                      trace::TraceContext trace) {
-  auto* state = servers_[server].state.get();
-  const std::uint64_t request =
-      cost_.header_bytes + key.size() + suffix.StoredSize();
-  const sim::SimTime service = ServiceTime(
-      cost_.append_base, cost_.append_ns_per_byte, suffix.StoredSize());
-  return Mutate(client, server, request, service,
-                [state, key = std::move(key),
-                 suffix = std::move(suffix)]() mutable {
-                  return state->Append(key, suffix);
-                },
-                "kv.append", trace);
-}
-
-sim::Future<Status> KvCluster::Delete(net::NodeId client, std::uint32_t server,
-                                      std::string key,
-                                      trace::TraceContext trace) {
-  auto* state = servers_[server].state.get();
-  const std::uint64_t request = cost_.header_bytes + key.size();
-  return Mutate(client, server, request, cost_.delete_base,
-                [state, key = std::move(key)] { return state->Delete(key); },
-                "kv.delete", trace);
-}
-
-sim::Future<Result<Bytes>> KvCluster::Get(net::NodeId client,
-                                          std::uint32_t server,
-                                          std::string key,
-                                          trace::TraceContext trace) {
-  auto& slot = servers_[server];
-  sim::Promise<Result<Bytes>> done(sim_);
-  auto future = done.GetFuture();
-  const std::uint64_t request = cost_.header_bytes + key.size();
-  trace::TraceContext op_span = trace::Child(trace, "kv.get", "kv");
-  trace::Annotate(op_span, "server", std::to_string(server));
-  auto* state = slot.state.get();
-  const ServerSlotAccess access = AccessOf(slot);
-  auto shared_key = std::make_shared<std::string>(std::move(key));
-  RunWithRetry<Result<Bytes>>(
-      server,
-      [this, access, client, request, state,
-       shared_key](std::shared_ptr<RaceState<Result<Bytes>>> race,
-                   trace::TraceContext attempt_span) {
-        RunGetAttempt(sim_, network_, access, client, request, cost_, state,
-                      *shared_key, std::move(race), attempt_span);
-      },
-      std::move(done), op_span);
-  if (metrics_ != nullptr) {
-    RecordKvLatency(future, &sim_, &metrics_->Histogram("kv.get"), sim_.now(),
-                    KvTagOf(op_span, client, server));
-  }
-  return future;
-}
-
-sim::Future<BatchResult> KvCluster::Batch(net::NodeId client,
-                                          std::uint32_t server, BatchKind kind,
-                                          std::vector<BatchItem> items,
-                                          trace::TraceContext trace) {
+sim::Future<BatchResult> KvCluster::Call(net::NodeId client,
+                                         std::uint32_t server, BatchKind kind,
+                                         std::vector<BatchItem> items,
+                                         trace::TraceContext trace,
+                                         bool single) {
   sim::Promise<BatchResult> done(sim_);
   auto future = done.GetFuture();
   const std::size_t count = items.size();
@@ -733,21 +423,80 @@ sim::Future<BatchResult> KvCluster::Batch(net::NodeId client,
     done.Set(std::move(call));
     return future;
   }
-  trace::TraceContext op_span = trace::Child(trace, "kv.batch", "kv");
+  const auto k = static_cast<std::size_t>(kind);
+  trace::TraceContext op_span =
+      trace::Child(trace, single ? kOpNames[k] : "kv.batch", "kv");
   trace::Annotate(op_span, "server", std::to_string(server));
-  trace::Annotate(op_span, "kind", BatchKindName(kind));
-  trace::Annotate(op_span, "items", std::to_string(count));
-  RunBatchWithRetry(server, client, std::move(call), std::move(done),
-                    op_span);
+  if (!single) {
+    trace::Annotate(op_span, "kind", BatchKindName(kind));
+    trace::Annotate(op_span, "items", std::to_string(count));
+  }
+  RunBatchWithRetry(server, client, std::move(call), std::move(done), op_span,
+                    single);
   if (metrics_ != nullptr) {
-    const std::string metric = std::string("kv.batch.") + BatchKindName(kind);
-    RecordKvLatency(future, &sim_, &metrics_->Histogram(metric), sim_.now(),
-                    KvTagOf(op_span, client, server));
-    const std::string op_metric = std::string("kv.") + BatchKindName(kind);
-    RecordKvItemLatencies(future, &sim_, &metrics_->Histogram(op_metric),
-                          count, sim_.now());
+    // A single-key call records only its kv.<kind> sample; a batch records
+    // kv.batch.<kind> plus one kv.<kind> sample per item.
+    LatencyHistogram& op = Histogram(handles_.op[k], kOpNames[k]);
+    const Exemplar tag = KvTagOf(op_span, client, server);
+    if (single) {
+      RecordKvLatency(future, &sim_, &op, sim_.now(), tag);
+    } else {
+      RecordKvLatency(future, &sim_,
+                      &Histogram(handles_.batch[k], kBatchNames[k]),
+                      sim_.now(), tag);
+      RecordKvItemLatencies(future, &sim_, &op, count, sim_.now());
+    }
   }
   return future;
+}
+
+sim::Future<BatchResult> KvCluster::Batch(net::NodeId client,
+                                          std::uint32_t server, BatchKind kind,
+                                          std::vector<BatchItem> items,
+                                          trace::TraceContext trace) {
+  return Call(client, server, kind, std::move(items), trace,
+              /*single=*/false);
+}
+
+sim::Future<Status> KvCluster::Set(net::NodeId client, std::uint32_t server,
+                                   std::string key, Bytes value,
+                                   trace::TraceContext trace) {
+  return Unwrap<Status>(sim_, Call(client, server, BatchKind::kSet,
+                                   OneItem(std::move(key), std::move(value)),
+                                   trace, /*single=*/true));
+}
+
+sim::Future<Status> KvCluster::Add(net::NodeId client, std::uint32_t server,
+                                   std::string key, Bytes value,
+                                   trace::TraceContext trace) {
+  return Unwrap<Status>(sim_, Call(client, server, BatchKind::kAdd,
+                                   OneItem(std::move(key), std::move(value)),
+                                   trace, /*single=*/true));
+}
+
+sim::Future<Status> KvCluster::Append(net::NodeId client, std::uint32_t server,
+                                      std::string key, Bytes suffix,
+                                      trace::TraceContext trace) {
+  return Unwrap<Status>(sim_, Call(client, server, BatchKind::kAppend,
+                                   OneItem(std::move(key), std::move(suffix)),
+                                   trace, /*single=*/true));
+}
+
+sim::Future<Status> KvCluster::Delete(net::NodeId client, std::uint32_t server,
+                                      std::string key,
+                                      trace::TraceContext trace) {
+  return Unwrap<Status>(sim_, Call(client, server, BatchKind::kDelete,
+                                   OneItem(std::move(key), Bytes()), trace,
+                                   /*single=*/true));
+}
+
+sim::Future<Result<Bytes>> KvCluster::Get(net::NodeId client,
+                                          std::uint32_t server,
+                                          std::string key,
+                                          trace::TraceContext trace) {
+  return Unwrap<Result<Bytes>>(
+      sim_, Call(client, server, BatchKind::kGet,
+                 OneItem(std::move(key), Bytes()), trace, /*single=*/true));
 }
 
 void KvCluster::SetServerDown(std::uint32_t index, bool down,

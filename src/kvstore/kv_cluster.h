@@ -8,22 +8,26 @@
 // value bytes — which is why 1 KB-file workloads are latency-bound while
 // 128 MB-file workloads are bandwidth-bound.
 //
-// Fault handling (the robustness extension): every operation runs under the
-// client policy — bounded retries with decorrelated-jitter backoff, an
-// optional per-attempt deadline that catches slow (not just dead) servers
-// and lost messages, and a per-server circuit breaker so clients skip a
-// known-bad server instead of paying the failure timeout on every stripe.
-// Deadline semantics are gRPC-like: cancellation propagates to the server,
-// so a request that misses its deadline is never applied — which is what
-// makes retrying non-idempotent ADD/APPEND safe. Once the server commits,
-// the client waits for the acknowledgement.
+// One RPC engine serves every entry point: Batch() is the libmemcached
+// multi-op (§3.2.2), and each single-key call is a one-item batch whose
+// verdict is unwrapped into a Status or Result<Bytes>. Every call runs under
+// the client policy (the robustness extension): bounded retries with
+// decorrelated-jitter backoff, an optional per-attempt deadline that catches
+// slow (not just dead) servers and lost messages, and a per-server circuit
+// breaker so clients skip a known-bad server instead of paying the failure
+// timeout on every stripe. Deadline semantics are gRPC-like: cancellation
+// propagates to the server, so an item that misses its deadline is never
+// applied — which is what makes retrying non-idempotent ADD/APPEND safe.
+// Once an item has its verdict (a mutation committed, a GET read its value)
+// the client waits for the reply.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,11 +47,6 @@
 
 namespace memfs::kv {
 
-// First-write-wins outcome slot shared by one attempt and its deadline
-// watchdog (defined in kv_cluster.cc).
-template <typename T>
-struct RaceState;
-
 struct KvOpCostModel {
   // Server-side service time = base + size * ns_per_byte.
   sim::SimTime set_base = units::Micros(10);
@@ -63,10 +62,11 @@ struct KvOpCostModel {
   std::uint64_t header_bytes = 48;
   // Per-RPC dispatch share of the per-op base constants above: the recv
   // syscall, worker wakeup and command parse that every message pays exactly
-  // once. Single ops pay it implicitly inside their base; a multi-op pays it
-  // on the first item only, so items after the first are priced at
-  // base - rpc_dispatch (this is the libmemcached multi-op amortization the
-  // paper measures in §3.2.2). Must stay below the smallest base.
+  // once. The first item of a message pays it inside its base; items after
+  // the first are priced at base - rpc_dispatch (this is the libmemcached
+  // multi-op amortization the paper measures in §3.2.2), so a single-key
+  // call — a batch of one — pays the full base. Must stay below the
+  // smallest base.
   sim::SimTime rpc_dispatch = units::Micros(4);
   // Time for a client to give up on a server that is down (connection
   // timeout); used by the fault-tolerance extension.
@@ -92,7 +92,7 @@ struct KvClusterStats {
   std::uint64_t deadline_exceeded = 0;   // attempts cut off by the deadline
   std::uint64_t breaker_opens = 0;       // closed/half-open -> open trips
   std::uint64_t breaker_fast_fails = 0;  // requests rejected while open
-  std::uint64_t single_rpcs = 0;         // single-op attempts put on the wire
+  std::uint64_t single_rpcs = 0;         // single-key-call attempts sent
   std::uint64_t batch_rpcs = 0;          // batch attempts put on the wire
   std::uint64_t batch_items = 0;         // items carried by those batches
 };
@@ -101,7 +101,7 @@ struct KvClusterStats {
 // server (attempts, retries, breaker trips, batching). Surfaced by
 // memfs_run's per-server kv table.
 struct KvServerClientStats {
-  std::uint64_t single_ops = 0;          // single-op attempts sent
+  std::uint64_t single_ops = 0;          // single-key-call attempts sent
   std::uint64_t batches = 0;             // batch attempts sent
   std::uint64_t batched_items = 0;       // items carried by those batches
   std::uint64_t retries = 0;
@@ -110,13 +110,14 @@ struct KvServerClientStats {
   std::uint64_t breaker_fast_fails = 0;
 };
 
-// One batch RPC as the client sees it: its items, their verdicts, and which
-// verdicts are final. Batch() builds one; every wire attempt carries the
-// still-unresolved items and writes their verdicts straight into it; the
-// future Batch() returns resolves to it once every item has its outcome.
+// One call as the client sees it: its items, their verdicts, and which
+// verdicts are final. Every entry point builds one (with one item for a
+// single-key call); every wire attempt carries the still-unresolved items
+// and writes their verdicts straight into it; the call's future resolves to
+// it once every item has its outcome.
 struct BatchCall {
-  // `resolved`: the verdict streamed back from the server. For mutations
-  // this is also the commit point, so a resolved item is never re-sent; an
+  // `resolved`: the verdict streamed back from the server — a committed
+  // mutation, never re-sent, or a GET that has read its value. An
   // unresolved item carries the error of the last attempt that carried it.
   struct Outcome {
     BatchItemResult result;
@@ -193,8 +194,10 @@ class KvCluster {
 
   // All operations are addressed by server index (the caller's Distributor
   // picks the index) and carry the issuing client's node for the network leg.
-  // `trace` (optional) parents a "kv" span covering the whole operation —
-  // every attempt, backoff wait and breaker rejection is recorded under it.
+  // Each single-key call is a one-item Batch() underneath, unwrapped into its
+  // item's verdict. `trace` (optional) parents a "kv.<kind>" span covering
+  // the whole operation — every "kv.attempt", backoff wait and breaker
+  // rejection is recorded under it.
   [[nodiscard]] sim::Future<Status> Set(net::NodeId client, std::uint32_t server,
                           std::string key, Bytes value,
                           trace::TraceContext trace = {});
@@ -216,12 +219,11 @@ class KvCluster {
   // under a single worker slot paying per-item service time, and returns
   // per-item verdicts aligned with the input. Per-item responses stream back
   // as each item commits, so when an attempt is cut off (deadline, lost
-  // reply) the client knows exactly which items were applied and retries
-  // only the rest — the non-idempotent ADD/APPEND safety argument of the
-  // single-op path, preserved per item. The "kv.batch" span parents one
-  // "kv.batch.attempt" per wire attempt and a per-key "kv.item" child span
-  // for every processed item. The future resolves to the call itself; item
-  // i's verdict is `result(i)`.
+  // request) the client knows exactly which items were applied and retries
+  // only the rest — a retried ADD/APPEND is applied exactly once. The
+  // "kv.batch" span parents one "kv.batch.attempt" per wire attempt and a
+  // per-key "kv.item" child span for every processed item. The future
+  // resolves to the call itself; item i's verdict is `result(i)`.
   [[nodiscard]] sim::Future<BatchResult> Batch(
       net::NodeId client, std::uint32_t server, BatchKind kind,
       std::vector<BatchItem> items, trace::TraceContext trace = {});
@@ -288,52 +290,50 @@ class KvCluster {
     std::int64_t* breaker_gauge = nullptr;
   };
 
-  sim::SimTime ServiceTime(sim::SimTime base, double ns_per_byte,
-                           std::uint64_t bytes) const {
-    return base + static_cast<sim::SimTime>(ns_per_byte *
-                                            static_cast<double>(bytes));
-  }
-
   ServerSlotAccess AccessOf(ServerSlot& slot) const {
     return {slot.node,          slot.workers.get(), &slot.down,
             &slot.slow_factor,  slot.state.get(),   slot.mem_gauge,
             slot.objects_gauge, slot.queue_gauge,   slot.inflight_gauge};
   }
 
-  // Retry driver: runs `launch` attempts (each writing into a fresh race
-  // slot, under a fresh "kv.attempt" child of `op_span`) under the client
-  // policy until success, a non-retryable status, or exhaustion. T is Status
-  // or Result<Bytes>. Owns ending `op_span`.
-  template <typename T>
-  sim::Task RunWithRetry(
-      std::uint32_t server,
-      std::function<void(std::shared_ptr<RaceState<T>>, trace::TraceContext)>
-          launch,
-      sim::Promise<T> done, trace::TraceContext op_span);
+  // The one front half of every entry point: builds the call, opens its op
+  // span, starts the retry driver and records latency. `single` marks a
+  // single-key call (a one-item `items`), reported as "kv.<kind>" alone.
+  sim::Future<BatchResult> Call(net::NodeId client, std::uint32_t server,
+                                BatchKind kind, std::vector<BatchItem> items,
+                                trace::TraceContext trace, bool single);
 
-  // Shared front half of Set/Add/Append/Delete: wraps `apply` (already bound
-  // to the server state, key and value) in the retry driver and records the
-  // client-observed latency under `metric`.
-  [[nodiscard]] sim::Future<Status> Mutate(net::NodeId client, std::uint32_t server,
-                             std::uint64_t request_bytes, sim::SimTime service,
-                             std::function<Status()> apply,
-                             const char* metric, trace::TraceContext trace);
-
-  // Batch retry driver: sends the still-unresolved items as one batch
-  // attempt per round (resolved items are final; unresolved items inherit
-  // the attempt error and form the next round), and applies the same
-  // breaker/backoff/deadline policy as the single-op path. Owns ending
-  // `op_span`.
+  // Retry driver: sends the still-unresolved items as one wire attempt per
+  // round (resolved items are final; unresolved items inherit the attempt
+  // error and form the next round) under the breaker/backoff/deadline
+  // policy. `single` picks the single-key call's stats and span names.
+  // Owns ending `op_span`.
   sim::Task RunBatchWithRetry(std::uint32_t server, net::NodeId client,
                               BatchResult call,
                               sim::Promise<BatchResult> done,
-                              trace::TraceContext op_span);
+                              trace::TraceContext op_span, bool single);
+
+  // Registry handles, each resolved on first use (so a metric is created
+  // when it is first needed, as per-call lookups did) and then kept.
+  // Histogram() needs a registry; Bump() is a no-op without one.
+  LatencyHistogram& Histogram(LatencyHistogram*& handle, std::string_view name);
+  void Bump(std::uint64_t*& counter, std::string_view name);
+  struct MetricHandles {
+    std::array<LatencyHistogram*, 5> op{};     // kv.<kind>, by BatchKind
+    std::array<LatencyHistogram*, 5> batch{};  // kv.batch.<kind>
+    LatencyHistogram* batch_size = nullptr;
+    std::uint64_t* retries = nullptr;
+    std::uint64_t* deadline_exceeded = nullptr;
+    std::uint64_t* breaker_opens = nullptr;
+    std::uint64_t* breaker_fast_fails = nullptr;
+  };
 
   sim::Simulation& sim_;
   net::Network& network_;
   KvOpCostModel cost_;
   KvServerConfig server_config_;  // template for servers added later
   MetricsRegistry* metrics_;
+  MetricHandles handles_;
   KvClientPolicy policy_;
   Rng rng_;
   KvClusterStats stats_;

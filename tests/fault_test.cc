@@ -376,6 +376,30 @@ TEST_F(FaultClusterTest, SlowServerTripsOpDeadline) {
   EXPECT_TRUE(back->ContentEquals(Bytes::Copy("v")));
 }
 
+TEST_F(FaultClusterTest, GetReplySlowerThanDeadlineKeepsItsValue) {
+  // The server reads the value well inside the 1 ms deadline; only the
+  // reply leg (+5 ms on link 1 -> 0) outlives it. A GET that has read its
+  // value waits for the reply, on the single-key path and in a batch alike.
+  kv::KvClientPolicy policy;
+  policy.op_deadline = Millis(1);
+  policy.retry.max_attempts = 2;
+  Recreate(policy);
+  ASSERT_TRUE(Await(*sim_, storage_->Set(0, 1, "k", Bytes::Copy("v"))).ok());
+
+  network_->SetLinkFault(1, 0, {0.0, Millis(5)});
+  auto single = Await(*sim_, storage_->Get(0, 1, "k"));
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_TRUE(single->ContentEquals(Bytes::Copy("v")));
+
+  const kv::BatchResult batch =
+      Await(*sim_, storage_->Batch(0, 1, kv::BatchKind::kGet,
+                                   {kv::BatchItem{"k", {}}}));
+  ASSERT_TRUE(batch->result(0).status.ok())
+      << batch->result(0).status.ToString();
+  EXPECT_TRUE(batch->result(0).value.ContentEquals(Bytes::Copy("v")));
+  EXPECT_EQ(storage_->stats().deadline_exceeded, 0u);
+}
+
 TEST_F(FaultClusterTest, CircuitBreakerOpensFastFailsAndRecovers) {
   kv::KvClientPolicy policy;
   policy.retry.max_attempts = 1;  // one failure per op, for exact counting

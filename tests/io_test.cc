@@ -8,12 +8,14 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/units.h"
 #include "io/op_scheduler.h"
 #include "kvstore/kv_cluster.h"
 #include "kvstore/kv_server.h"
 #include "net/fluid_network.h"
 #include "test_util.h"
+#include "trace/trace.h"
 
 namespace memfs {
 namespace {
@@ -92,10 +94,12 @@ TEST(KvServerBatchTest, MultiDeleteAndAddAppendDispatch) {
 
 class KvBatchClusterTest : public ::testing::Test {
  protected:
-  KvBatchClusterTest(kv::KvClientPolicy policy = {})
+  // `instrumented` attaches `registry_` to the cluster.
+  KvBatchClusterTest(kv::KvClientPolicy policy = {}, bool instrumented = false)
       : network_(sim_, net::Das4Ipoib(4)),
         cluster_(sim_, network_, {0, 1, 2, 3}, kv::KvServerConfig{},
-                 kv::KvOpCostModel{}, nullptr, policy) {}
+                 kv::KvOpCostModel{}, instrumented ? &registry_ : nullptr,
+                 policy) {}
 
   // Runs one batch RPC to completion and returns its per-item verdicts.
   std::vector<kv::BatchItemResult> Batch(net::NodeId client,
@@ -111,6 +115,7 @@ class KvBatchClusterTest : public ::testing::Test {
 
   sim::Simulation sim_;
   net::FairShareNetwork network_;
+  MetricsRegistry registry_;
   kv::KvCluster cluster_;
 };
 
@@ -141,7 +146,8 @@ TEST_F(KvBatchClusterTest, BatchRoundTripAndStats) {
 }
 
 TEST_F(KvBatchClusterTest, BatchOfOneMatchesSingleOpCost) {
-  // A batch of one pays the same framing + service as the single-op path.
+  // A single-key call is a batch of one underneath: the same framing, the
+  // same full per-op base, and a zero-time unwrap of the one verdict.
   const auto t0 = sim_.now();
   (void)Await(sim_, cluster_.Set(0, 1, "single", Bytes::Synthetic(2048, 1)));
   const auto single = sim_.now() - t0;
@@ -154,6 +160,55 @@ TEST_F(KvBatchClusterTest, BatchOfOneMatchesSingleOpCost) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].status.ok());
   EXPECT_EQ(single, batched);
+}
+
+// Each entry point reports under its own metrics: a single-key call records
+// one kv.<kind> sample (with its exemplar) and nothing under kv.batch.*; a
+// batch records kv.batch.<kind> and kv.batch.size once, plus one kv.<kind>
+// sample per item.
+class KvBatchMetricsTest : public KvBatchClusterTest {
+ protected:
+  KvBatchMetricsTest() : KvBatchClusterTest({}, /*instrumented=*/true) {}
+
+  std::uint64_t Count(const std::string& name) const {
+    const auto it = registry_.all().find(name);
+    return it == registry_.all().end() ? 0 : it->second.count();
+  }
+  std::uint64_t BatchSamples() const {
+    std::uint64_t total = 0;
+    for (const auto& [name, histogram] : registry_.all()) {
+      if (name.starts_with("kv.batch.")) total += histogram.count();
+    }
+    return total;
+  }
+};
+
+TEST_F(KvBatchMetricsTest, SingleKeySetRecordsOneOpSampleWithExemplar) {
+  trace::Tracer tracer(sim_);
+  const trace::TraceContext root = tracer.StartTrace("op", "task");
+  ASSERT_TRUE(
+      Await(sim_, cluster_.Set(0, 1, "k", Bytes::Copy("v"), root)).ok());
+  trace::End(root);
+
+  EXPECT_EQ(Count("kv.set"), 1u);
+  const auto& exemplars = registry_.Histogram("kv.set").exemplars();
+  ASSERT_EQ(exemplars.size(), 1u);
+  EXPECT_EQ(exemplars[0].trace_id, root.trace_id);
+  EXPECT_EQ(exemplars[0].server, 1u);
+  EXPECT_EQ(BatchSamples(), 0u);
+}
+
+TEST_F(KvBatchMetricsTest, BatchRecordsBatchSamplesAndOneOpSamplePerItem) {
+  auto set = Batch(0, 1, kv::BatchKind::kSet,
+                   MakeItems({{"a", Bytes::Copy("av")},
+                              {"b", Bytes::Copy("bv")},
+                              {"c", Bytes::Copy("cv")}}));
+  for (const auto& item : set) ASSERT_TRUE(item.status.ok());
+
+  EXPECT_EQ(Count("kv.batch.set"), 1u);
+  EXPECT_EQ(Count("kv.set"), 3u);
+  EXPECT_EQ(Count("kv.batch.size"), 1u);
+  EXPECT_EQ(BatchSamples(), 2u);  // kv.batch.set + kv.batch.size
 }
 
 class KvBatchDeadlineTest : public KvBatchClusterTest {

@@ -15,10 +15,11 @@
 #   5. configure + build with -DMEMFS_SANITIZE=address,undefined in
 #      build-asan/ and re-run the determinism gate under the sanitizers
 #      (`ctest -L determinism`: every scenario x observer cell of
-#      tools/determinism_gate.cc, the label's only test),
+#      tools/determinism_gate.cc, the label's only test), then the event
+#      heap, pool, future, solver and kv call tests,
 #   6. configure + build with -DMEMFS_SANITIZE=thread in build-tsan/ and
-#      re-run the determinism gate under TSan (skipped with a notice when
-#      the toolchain has no libtsan).
+#      re-run the same under TSan (skipped with a notice when the toolchain
+#      has no libtsan).
 #
 # Usage: tools/check.sh [jobs]   (default: nproc)
 #
@@ -63,9 +64,14 @@ ctest --test-dir "$root/build-asan" -L determinism --output-on-failure
 # ASan/UBSan here (the pool's free lists bypass to plain new/delete under
 # sanitizers so every frame keeps its true lifetime — the slab does not
 # bypass and is fully checked), as do the futures' inline first waiter and
-# the fluid solver's finish-heap indices.
+# the fluid solver's finish-heap indices. The kv call tests ride along: an
+# attempt cut off by its deadline keeps the shared BatchCall alive after the
+# retry driver has moved on to the next attempt, and a single-key call's
+# verdict is read out of that call one resume later, which is where a
+# lifetime bug in the kv RPC engine would hide.
 tests='EventHeap|PoolAlloc|SimChecker|FutureTest|FluidNetwork|SolverEquivalence'
-echo "== sanitizers: event heap, pool, future and solver tests =="
+tests="$tests|KvCluster|KvBatch|KvGauge|FaultCluster|OpScheduler"
+echo "== sanitizers: event heap, pool, future, solver and kv call tests =="
 ctest --test-dir "$root/build-asan" -R "$tests" --output-on-failure
 
 # TSan and ASan cannot live in one binary, so thread gets its own tree.
@@ -80,7 +86,7 @@ if printf 'int main(){return 0;}' | \
   echo "== sanitizers: determinism gate under TSan =="
   ctest --test-dir "$root/build-tsan" -L determinism --output-on-failure
 
-  echo "== sanitizers: event heap, pool, future and solver tests under TSan =="
+  echo "== sanitizers: event heap, pool, future, solver and kv call tests under TSan =="
   ctest --test-dir "$root/build-tsan" -R "$tests" --output-on-failure
 else
   echo "== sanitizers: thread skipped (toolchain has no libtsan) =="

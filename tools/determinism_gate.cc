@@ -383,7 +383,7 @@ std::vector<Scenario> Scenarios() {
          config.memfs.io.batching = false;
        },
        WriteAndReadBack, Faults::kWipe,
-       0xaad1d7bc087ec229ull,  // one RPC per op
+       0x7f93ce2d2ea0fcdbull,  // one-item batch per op
        {kIntact}},
       {"elastic",
        [](workloads::TestbedConfig& config) {
