@@ -27,9 +27,7 @@
 
 #include "bench_common.h"
 #include "common/flags.h"
-#include "kvstore/membership.h"
-#include "kvstore/migrator.h"
-#include "sim/task.h"
+#include "workloads/chaos.h"
 
 using namespace memfs;         // NOLINT
 using namespace memfs::bench;  // NOLINT
@@ -59,61 +57,6 @@ struct ArmResult {
   std::uint32_t reads_total = 0;
 };
 
-sim::Task WriteOne(sim::Simulation& sim, fs::Vfs& vfs, sim::SimTime start,
-                   std::uint32_t node, std::string path, std::uint64_t seed,
-                   std::uint8_t& ok) {
-  co_await sim.Delay(start);
-  fs::VfsContext ctx{node, 0};
-  auto created = co_await vfs.Create(ctx, path);
-  if (!created.ok()) co_return;
-  const Status wrote = co_await vfs.Write(ctx, created.value(),
-                                          Bytes::Synthetic(kFileSize, seed));
-  const Status closed = co_await vfs.Close(ctx, created.value());
-  ok = wrote.ok() && closed.ok();
-}
-
-// Re-reads one file; `verdict` becomes 1 when intact, 2 when the read failed
-// with the non-retryable "copy is gone" error, 0 otherwise.
-sim::Task VerifyOne(fs::Vfs& vfs, std::uint32_t node, std::string path,
-                    std::uint64_t seed, std::uint8_t& verdict) {
-  fs::VfsContext ctx{node, 0};
-  auto opened = co_await vfs.Open(ctx, path);
-  if (!opened.ok()) co_return;
-  Bytes out;
-  while (true) {
-    auto chunk =
-        co_await vfs.Read(ctx, opened.value(), out.size(), units::MiB(1));
-    if (!chunk.ok()) {
-      if (chunk.status().code() == ErrorCode::kUnavailablePermanent) {
-        verdict = 2;
-      }
-      (void)co_await vfs.Close(ctx, opened.value());
-      co_return;
-    }
-    if (chunk->empty()) break;
-    out.Append(*chunk);
-  }
-  (void)co_await vfs.Close(ctx, opened.value());
-  if (out.ContentEquals(Bytes::Synthetic(kFileSize, seed))) verdict = 1;
-}
-
-// Drives one membership transition to completion and records its makespan.
-sim::Task RunTransition(sim::Simulation& sim, kv::Membership& membership,
-                        kv::Migrator& migrator, sim::SimTime start, bool join,
-                        double& makespan_ms) {
-  co_await sim.Delay(start);
-  const sim::SimTime begin = sim.now();
-  if (join) {
-    (void)membership.BeginJoin(kJoinServer);
-  } else {
-    membership.BeginDrain(kDrainServer);
-  }
-  for (int runs = 0; membership.migrating() && runs < 16; ++runs) {
-    (void)co_await migrator.Rebalance();
-  }
-  makespan_ms = static_cast<double>(sim.now() - begin) / 1e6;
-}
-
 double BalanceSkew(const kv::KvCluster& storage,
                    const std::vector<std::uint8_t>& live) {
   std::uint64_t max_used = 0;
@@ -131,21 +74,22 @@ double BalanceSkew(const kv::KvCluster& storage,
          (static_cast<double>(total) / static_cast<double>(count));
 }
 
-std::uint32_t LaunchWave(workloads::Testbed& bed, int wave,
-                         std::vector<std::uint8_t>& ok) {
-  ok.assign(kWaveFiles, 0);
-  for (std::uint32_t f = 0; f < kWaveFiles; ++f) {
-    WriteOne(bed.simulation(), bed.vfs(), units::Millis(1) * f, f % kServers,
-             "/w" + std::to_string(wave) + "_" + std::to_string(f),
-             1000 * static_cast<std::uint64_t>(wave) + f, ok[f]);
-  }
-  return kWaveFiles;
+// Wave `index`: kWaveFiles 1 MiB files "/w<index>_<f>", one per ms.
+workloads::Wave MakeWave(int index) {
+  return {kWaveFiles, kFileSize, units::Millis(1),
+          "/w" + std::to_string(index) + "_",
+          1000 * static_cast<std::uint64_t>(index), kServers};
 }
 
-std::uint32_t CountOk(const std::vector<std::uint8_t>& ok) {
-  std::uint32_t n = 0;
-  for (std::uint8_t v : ok) n += v;
-  return n;
+// Drives one membership transition to completion; returns its makespan.
+double DriveTransitionMs(workloads::Testbed& bed, workloads::Transition kind,
+                         std::uint32_t server) {
+  workloads::TransitionReport report;
+  workloads::RunTransitions(bed.simulation(), *bed.membership(),
+                            *bed.migrator(),
+                            {{kind, server, units::Millis(4)}}, report);
+  bed.simulation().Run();
+  return static_cast<double>(report.steps[0].makespan) / 1e6;
 }
 
 // One full trace. `migrate` selects the elastic-membership arm; otherwise
@@ -163,36 +107,34 @@ ArmResult RunArm(bool migrate) {
   ArmResult result;
   std::vector<std::uint8_t> live(kServers + 1, 1);
   live[kJoinServer] = 0;  // standby: empty until it joins
+  const workloads::Wave waves[3] = {MakeWave(0), MakeWave(1), MakeWave(2)};
+  workloads::WaveResult files[3];
 
   // Phase 0 — corpus.
-  std::vector<std::uint8_t> wave_ok;
-  LaunchWave(bed, 0, wave_ok);
+  workloads::LaunchWave(sim, bed.vfs(), waves[0], files[0]);
   sim.Run();
   result.skew_corpus = BalanceSkew(*bed.storage(), live);
 
   // Phase 1 — scale-out while wave 1 is in flight.
-  LaunchWave(bed, 1, wave_ok);
+  workloads::LaunchWave(sim, bed.vfs(), waves[1], files[1]);
   if (migrate) {
-    RunTransition(sim, *bed.membership(), *bed.migrator(), units::Millis(4),
-                  /*join=*/true, result.scale_out.makespan_ms);
-  } else {
-    (void)bed.memfs()->AddStorageServer(kJoinServer);
-  }
-  sim.Run();
-  live[kJoinServer] = 1;
-  if (migrate) {
+    result.scale_out.makespan_ms =
+        DriveTransitionMs(bed, workloads::Transition::kJoin, kJoinServer);
     result.scale_out.bytes_moved = bed.migrator()->progress().bytes_moved;
     result.scale_out.keys_moved = bed.migrator()->progress().keys_moved;
+  } else {
+    (void)bed.memfs()->AddStorageServer(kJoinServer);
+    sim.Run();
   }
+  live[kJoinServer] = 1;
   result.scale_out.skew_after = BalanceSkew(*bed.storage(), live);
-  result.scale_out.writes_ok = CountOk(wave_ok);
+  result.scale_out.writes_ok = files[1].writes_ok();
 
   // Phase 2 — scale-in while wave 2 is in flight.
-  LaunchWave(bed, 2, wave_ok);
+  workloads::LaunchWave(sim, bed.vfs(), waves[2], files[2]);
   if (migrate) {
-    RunTransition(sim, *bed.membership(), *bed.migrator(), units::Millis(4),
-                  /*join=*/false, result.scale_in.makespan_ms);
-    sim.Run();
+    result.scale_in.makespan_ms =
+        DriveTransitionMs(bed, workloads::Transition::kDrain, kDrainServer);
     result.scale_in.bytes_moved =
         bed.migrator()->progress().bytes_moved - result.scale_out.bytes_moved;
     result.scale_in.keys_moved =
@@ -205,23 +147,18 @@ ArmResult RunArm(bool migrate) {
   }
   live[kDrainServer] = 0;
   result.scale_in.skew_after = BalanceSkew(*bed.storage(), live);
-  result.scale_in.writes_ok = CountOk(wave_ok);
+  result.scale_in.writes_ok = files[2].writes_ok();
 
   // Verify every file from every wave.
-  std::vector<std::uint8_t> verdicts(3 * kWaveFiles, 0);
-  for (int wave = 0; wave < 3; ++wave) {
-    for (std::uint32_t f = 0; f < kWaveFiles; ++f) {
-      VerifyOne(bed.vfs(), f % kServers,
-                "/w" + std::to_string(wave) + "_" + std::to_string(f),
-                1000 * static_cast<std::uint64_t>(wave) + f,
-                verdicts[static_cast<std::size_t>(wave) * kWaveFiles + f]);
-    }
+  for (int w = 0; w < 3; ++w) {
+    workloads::VerifyWave(bed.vfs(), waves[w], files[w]);
   }
   sim.Run();
   result.reads_total = 3 * kWaveFiles;
-  for (std::uint8_t v : verdicts) {
-    if (v == 1) ++result.reads_intact;
-    if (v == 2) ++result.reads_permanent;
+  for (const workloads::WaveResult& wave : files) {
+    result.reads_intact += wave.Count(workloads::Verdict::kIntact);
+    result.reads_permanent +=
+        wave.Count(workloads::Verdict::kUnavailablePermanent);
   }
   return result;
 }

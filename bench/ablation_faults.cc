@@ -8,14 +8,11 @@
 // degradation logic shows up as a shifted row, not a vague test failure.
 #include <cstdint>
 #include <iostream>
-#include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "kvstore/membership.h"
-#include "kvstore/migrator.h"
 #include "sim/fault.h"
-#include "sim/task.h"
+#include "workloads/chaos.h"
 
 using namespace memfs;         // NOLINT
 using namespace memfs::bench;  // NOLINT
@@ -37,104 +34,29 @@ struct ChaosResult {
   std::uint64_t fault_events = 0;
 };
 
-sim::Task RunChaosWrite(sim::Simulation& sim, fs::Vfs& vfs, sim::SimTime start,
-                        std::uint32_t node, std::string path,
-                        std::uint64_t seed, std::uint8_t& ok) {
-  co_await sim.Delay(start);
-  fs::VfsContext ctx{node, 0};
-  auto created = co_await vfs.Create(ctx, path);
-  if (!created.ok()) co_return;
-  const Status wrote = co_await vfs.Write(ctx, created.value(),
-                                          Bytes::Synthetic(kFileSize, seed));
-  const Status closed = co_await vfs.Close(ctx, created.value());
-  ok = wrote.ok() && closed.ok();
-}
-
-sim::Task RunChaosVerify(fs::Vfs& vfs, std::uint32_t node, std::string path,
-                         std::uint64_t seed, std::uint8_t& intact) {
-  fs::VfsContext ctx{node, 0};
-  auto opened = co_await vfs.Open(ctx, path);
-  if (!opened.ok()) co_return;
-  Bytes out;
-  while (true) {
-    auto chunk =
-        co_await vfs.Read(ctx, opened.value(), out.size(), units::MiB(1));
-    if (!chunk.ok()) co_return;
-    if (chunk->empty()) break;
-    out.Append(*chunk);
-  }
-  (void)co_await vfs.Close(ctx, opened.value());
-  intact = out.ContentEquals(Bytes::Synthetic(kFileSize, seed));
-}
-
-// The hand-scripted schedule from the chaos soak test: three wiping crashes
-// on non-adjacent ring positions, two deadline-tripping slowdowns, two lossy
-// links — every window disjoint, so no replica pair ever loses both copies.
-std::vector<sim::FaultEvent> ScriptedSchedule() {
-  std::vector<sim::FaultEvent> events;
-  for (std::uint32_t victim : {0u, 2u, 4u}) {
-    sim::FaultEvent crash;
-    crash.kind = sim::FaultKind::kServerCrash;
-    crash.server = victim;
-    crash.start = units::Millis(10 + victim * 10);
-    crash.duration = units::Millis(12);
-    crash.wipe_on_restart = true;
-    events.push_back(crash);
-  }
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    sim::FaultEvent slow;
-    slow.kind = sim::FaultKind::kServerSlow;
-    slow.server = i == 0 ? 1 : 6;
-    slow.start = i == 0 ? units::Millis(68) : units::Millis(84);
-    slow.duration = units::Millis(12);
-    slow.slow_factor = 500.0;
-    events.push_back(slow);
-  }
-  for (std::uint32_t src : {3u, 7u}) {
-    sim::FaultEvent link;
-    link.kind = sim::FaultKind::kLinkFault;
-    link.src = src;
-    link.dst = 5;
-    link.start = units::Millis(5);
-    link.duration = units::Millis(80);
-    link.loss_prob = 0.5;
-    events.push_back(link);
-  }
-  return events;
-}
-
 ChaosResult RunChaos(const std::vector<sim::FaultEvent>& schedule) {
   workloads::TestbedConfig config;
   config.nodes = kNodes;
   config.memfs.replication = 2;
-  config.kv_policy.retry.max_attempts = 5;
-  config.kv_policy.op_deadline = units::Millis(20);
+  config.kv_policy = workloads::ChaosPolicy();
   workloads::Testbed bed(workloads::FsKind::kMemFs, config);
   sim::Simulation& sim = bed.simulation();
 
   sim::FaultInjector injector(sim, bed.fault_hooks());
   injector.ScheduleAll(schedule);
 
-  std::vector<std::uint8_t> write_ok(kFiles, 0);
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    RunChaosWrite(sim, bed.vfs(), units::Millis(3) * i, i % kNodes,
-                  "/chaos_" + std::to_string(i), 1000 + i, write_ok[i]);
-  }
+  const workloads::Wave wave{kFiles,    kFileSize, units::Millis(3),
+                             "/chaos_", 1000,      kNodes};
+  workloads::WaveResult files;
+  workloads::LaunchWave(sim, bed.vfs(), wave, files);
   sim.Run();
   const sim::SimTime write_end = sim.now();
-
-  std::vector<std::uint8_t> intact(kFiles, 0);
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    RunChaosVerify(bed.vfs(), i % kNodes, "/chaos_" + std::to_string(i),
-                   1000 + i, intact[i]);
-  }
+  workloads::VerifyWave(bed.vfs(), wave, files);
   sim.Run();
 
   ChaosResult result;
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    result.writes_ok += write_ok[i];
-    result.reads_intact += intact[i];
-  }
+  result.writes_ok = files.writes_ok();
+  result.reads_intact = files.Count(workloads::Verdict::kIntact);
   result.write_span_ms = static_cast<double>(write_end) / 1e6;
   result.verify_span_ms = static_cast<double>(sim.now() - write_end) / 1e6;
   result.kv = bed.storage()->stats();
@@ -155,20 +77,6 @@ struct MigrationChaosRow {
   double makespan_ms = 0;
 };
 
-sim::Task RunMigrationDriver(sim::Simulation& sim, kv::Membership& membership,
-                             kv::Migrator& migrator, bool& converged,
-                             double& makespan_ms) {
-  co_await sim.Delay(units::Millis(4));
-  const sim::SimTime begin = sim.now();
-  (void)membership.BeginJoin(/*node=*/kNodes);
-  for (int runs = 0; membership.migrating() && runs < 32; ++runs) {
-    (void)co_await migrator.Rebalance();
-    co_await sim.Delay(units::Millis(1));
-  }
-  converged = !membership.migrating();
-  makespan_ms = static_cast<double>(sim.now() - begin) / 1e6;
-}
-
 // A standby node joins mid-workload; `victim` (a migration source, or the
 // joining destination itself when victim == kNodes) crashes at 5 ms — right
 // after the first handoff sweep begins — and restarts at 13 ms with data
@@ -181,19 +89,19 @@ MigrationChaosRow RunMigrationChaos(std::uint32_t victim) {
   config.elastic = true;
   config.memfs.replication = 2;
   config.memfs.use_ketama = true;
-  config.kv_policy.retry.max_attempts = 5;
-  config.kv_policy.op_deadline = units::Millis(20);
+  config.kv_policy = workloads::ChaosPolicy();
   workloads::Testbed bed(workloads::FsKind::kMemFs, config);
   sim::Simulation& sim = bed.simulation();
 
-  std::vector<std::uint8_t> write_ok(kFiles, 0);
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    RunChaosWrite(sim, bed.vfs(), units::Millis(1) * i, i % kNodes,
-                  "/mig_" + std::to_string(i), 3000 + i, write_ok[i]);
-  }
-  MigrationChaosRow row;
-  RunMigrationDriver(sim, *bed.membership(), *bed.migrator(), row.converged,
-                     row.makespan_ms);
+  const workloads::Wave wave{kFiles, kFileSize, units::Millis(1), "/mig_",
+                             3000,   kNodes};
+  workloads::WaveResult files;
+  workloads::LaunchWave(sim, bed.vfs(), wave, files);
+  workloads::TransitionReport join;
+  workloads::RunTransitions(sim, *bed.membership(), *bed.migrator(),
+                            {{workloads::Transition::kJoin, kNodes,
+                              units::Millis(4), units::Millis(1)}},
+                            join);
   kv::KvCluster& storage = *bed.storage();
   sim.Schedule(units::Millis(5), [&storage, victim] {
     storage.SetServerDown(victim, true, /*wipe_on_restart=*/false);
@@ -202,17 +110,14 @@ MigrationChaosRow RunMigrationChaos(std::uint32_t victim) {
     storage.SetServerDown(victim, false);
   });
   sim.Run();
-
-  std::vector<std::uint8_t> intact(kFiles, 0);
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    RunChaosVerify(bed.vfs(), i % kNodes, "/mig_" + std::to_string(i),
-                   3000 + i, intact[i]);
-  }
+  workloads::VerifyWave(bed.vfs(), wave, files);
   sim.Run();
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    row.writes_ok += write_ok[i];
-    row.reads_intact += intact[i];
-  }
+
+  MigrationChaosRow row;
+  row.writes_ok = files.writes_ok();
+  row.reads_intact = files.Count(workloads::Verdict::kIntact);
+  row.converged = join.committed();
+  row.makespan_ms = static_cast<double>(join.steps[0].makespan) / 1e6;
   row.failed_chunks = bed.migrator()->progress().failed_chunks;
   row.keys_moved = bed.migrator()->progress().keys_moved;
   return row;
@@ -232,15 +137,14 @@ int main(int argc, char** argv) {
   };
   sim::FaultScheduleConfig generated;
   generated.seed = 1;
-  generated.servers = kNodes;
-  generated.nodes = kNodes;
+  generated.servers = generated.nodes = kNodes;
   generated.horizon = units::Millis(90);
   generated.crashes = 3;
   generated.slow_episodes = 2;
   generated.link_faults = 2;
   const std::vector<Scenario> scenarios = {
       {"healthy", {}},
-      {"scripted faults", ScriptedSchedule()},
+      {"scripted faults", workloads::ScriptedChaosSchedule()},
       {"generated seed=1", sim::GenerateFaultSchedule(generated)},
   };
 

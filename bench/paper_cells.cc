@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -94,6 +95,10 @@ void RunEnvelope(const CellParams& p, CellResult& out) {
   params.run_remote_read = p.remote_read;
   params.memfs = MemFsKnobs(p);
   const EnvelopeCell cell = RunEnvelopeCell(params);
+  for (const auto* phase : {&cell.write, &cell.read11, &cell.read11_remote,
+                            &cell.readn1, &cell.create, &cell.open}) {
+    if (out.status.ok()) out.status = phase->status;  // the first failure
+  }
   auto& m = out.metrics;
   m["write_MBps"] = cell.write.BandwidthMBps();
   m["read11_MBps"] = cell.read11.BandwidthMBps();
@@ -131,6 +136,7 @@ void RunWire(const CellParams& p, CellResult& out) {
   const sim::SimTime t0 = bed.simulation().now();
   const auto write = bench.RunWrite();
   const auto read = bench.RunRead11(1);
+  out.status = write.status.ok() ? read.status : write.status;
   const sim::SimTime elapsed = bed.simulation().now() - t0;
   const std::uint64_t wire = bed.network().total_bytes() - wire_before;
 

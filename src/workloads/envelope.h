@@ -18,6 +18,7 @@
 #include <string>
 
 #include "amfs/amfs.h"
+#include "common/status.h"
 #include "common/units.h"
 #include "memfs/vfs.h"
 #include "sim/simulation.h"
@@ -43,6 +44,9 @@ struct EnvelopeParams {
 };
 
 struct PhaseResult {
+  // The phase's first error (an op, a content mismatch, the N-1 setup or
+  // multicast); a failed phase still reports what it did.
+  Status status;
   sim::SimTime span = 0;        // wall time of the whole phase (max proc)
   sim::SimTime work_span = 0;   // excluding collective setup (multicast)
   std::uint64_t bytes = 0;

@@ -36,21 +36,12 @@ class AmfsTest : public ::testing::Test {
 
   Status WriteFile(VfsContext ctx, const std::string& path,
                    const Bytes& data) {
-    auto created = Await(*sim_, fs_->Create(ctx, path));
-    if (!created.ok()) return created.status();
-    Status s = Await(*sim_, fs_->Write(ctx, created.value(), data));
-    if (!s.ok()) return s;
-    return Await(*sim_, fs_->Close(ctx, created.value()));
+    return testing::WriteFile(*sim_, *fs_, ctx, path, data);
   }
 
+  // The whole file in one read call, then the empty read at EOF.
   Result<Bytes> ReadFile(VfsContext ctx, const std::string& path) {
-    auto opened = Await(*sim_, fs_->Open(ctx, path));
-    if (!opened.ok()) return opened.status();
-    auto data = Await(*sim_, fs_->Read(ctx, opened.value(), 0, MiB(256)));
-    Status closed = Await(*sim_, fs_->Close(ctx, opened.value()));
-    if (!data.ok()) return data.status();
-    if (!closed.ok()) return closed;
-    return data;
+    return testing::ReadFile(*sim_, *fs_, ctx, path, MiB(256));
   }
 
   std::unique_ptr<sim::Simulation> sim_;

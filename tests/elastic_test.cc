@@ -19,6 +19,7 @@
 #include "net/fluid_network.h"
 #include "sim/task.h"
 #include "test_util.h"
+#include "testbed_fixture.h"
 
 namespace memfs::fs {
 namespace {
@@ -27,54 +28,18 @@ using memfs::testing::Await;
 using units::KiB;
 using units::MiB;
 
-class ElasticTest : public ::testing::Test {
+class ElasticTest : public testing::TestbedFixture {
  protected:
   static constexpr std::uint32_t kInitial = 4;
   static constexpr std::uint32_t kStandby = 2;
 
   void Recreate(bool ketama) {
-    fs_.reset();
-    storage_.reset();
-    network_.reset();
-    sim_ = std::make_unique<sim::Simulation>();
-    network_ = std::make_unique<net::FairShareNetwork>(
-        *sim_, net::Das4Ipoib(kInitial + kStandby));
-    storage_ = std::make_unique<kv::KvCluster>(
-        *sim_, *network_, std::vector<net::NodeId>{0, 1, 2, 3});
-    MemFsConfig config;
-    config.use_ketama = ketama;
-    fs_ = std::make_unique<MemFs>(*sim_, *network_, *storage_, config);
+    workloads::TestbedConfig config;
+    config.nodes = kInitial;
+    config.standby_nodes = kStandby;
+    config.memfs.use_ketama = ketama;
+    Build(config);
   }
-
-  Status WriteFile(VfsContext ctx, const std::string& path,
-                   const Bytes& data) {
-    auto created = Await(*sim_, fs_->Create(ctx, path));
-    if (!created.ok()) return created.status();
-    Status s = Await(*sim_, fs_->Write(ctx, created.value(), data));
-    if (!s.ok()) return s;
-    return Await(*sim_, fs_->Close(ctx, created.value()));
-  }
-
-  Result<Bytes> ReadFile(VfsContext ctx, const std::string& path) {
-    auto opened = Await(*sim_, fs_->Open(ctx, path));
-    if (!opened.ok()) return opened.status();
-    Bytes out;
-    while (true) {
-      auto chunk =
-          Await(*sim_, fs_->Read(ctx, opened.value(), out.size(), MiB(1)));
-      if (!chunk.ok()) return chunk.status();
-      if (chunk->empty()) break;
-      out.Append(*chunk);
-    }
-    Status closed = Await(*sim_, fs_->Close(ctx, opened.value()));
-    if (!closed.ok()) return closed;
-    return out;
-  }
-
-  std::unique_ptr<sim::Simulation> sim_;
-  std::unique_ptr<net::FairShareNetwork> network_;
-  std::unique_ptr<kv::KvCluster> storage_;
-  std::unique_ptr<MemFs> fs_;
 };
 
 TEST_F(ElasticTest, AddServerOpensNewEpoch) {
@@ -441,27 +406,18 @@ TEST(MembershipTest, RoutingDuringPendingHandoff) {
 // ---------------------------------------------------------------------------
 // Migrator end-to-end on a live file system
 
-class ElasticClusterTest : public ::testing::Test {
+class ElasticClusterTest : public testing::TestbedFixture {
  protected:
   static constexpr std::uint32_t kServers = 4;
   static constexpr std::uint32_t kFiles = 12;
 
   void Create(std::uint32_t replication) {
-    sim_ = std::make_unique<sim::Simulation>();
-    network_ = std::make_unique<net::FairShareNetwork>(
-        *sim_, net::Das4Ipoib(kServers + 2));
-    storage_ = std::make_unique<kv::KvCluster>(
-        *sim_, *network_, std::vector<net::NodeId>{0, 1, 2, 3});
-    MemFsConfig config;
-    config.use_ketama = true;
-    config.replication = replication;
-    fs_ = std::make_unique<MemFs>(*sim_, *network_, *storage_, config);
-    kv::MembershipConfig member_config;
-    member_config.replication = replication;
-    membership_ =
-        std::make_unique<kv::Membership>(*sim_, *storage_, member_config);
-    migrator_ = std::make_unique<kv::Migrator>(*sim_, *membership_);
-    fs_->AttachMembership(membership_.get());
+    workloads::TestbedConfig config;
+    config.nodes = kServers;
+    config.standby_nodes = 2;
+    config.memfs.replication = replication;
+    config.elastic = true;  // ketama, membership and migrator
+    Build(config);
   }
 
   void WriteCorpus() {
@@ -483,37 +439,6 @@ class ElasticClusterTest : public ::testing::Test {
     }
   }
 
-  Status WriteFile(VfsContext ctx, const std::string& path,
-                   const Bytes& data) {
-    auto created = Await(*sim_, fs_->Create(ctx, path));
-    if (!created.ok()) return created.status();
-    Status s = Await(*sim_, fs_->Write(ctx, created.value(), data));
-    if (!s.ok()) return s;
-    return Await(*sim_, fs_->Close(ctx, created.value()));
-  }
-
-  Result<Bytes> ReadFile(VfsContext ctx, const std::string& path) {
-    auto opened = Await(*sim_, fs_->Open(ctx, path));
-    if (!opened.ok()) return opened.status();
-    Bytes out;
-    while (true) {
-      auto chunk =
-          Await(*sim_, fs_->Read(ctx, opened.value(), out.size(), MiB(1)));
-      if (!chunk.ok()) return chunk.status();
-      if (chunk->empty()) break;
-      out.Append(*chunk);
-    }
-    Status closed = Await(*sim_, fs_->Close(ctx, opened.value()));
-    if (!closed.ok()) return closed;
-    return out;
-  }
-
-  std::unique_ptr<sim::Simulation> sim_;
-  std::unique_ptr<net::FairShareNetwork> network_;
-  std::unique_ptr<kv::KvCluster> storage_;
-  std::unique_ptr<MemFs> fs_;
-  std::unique_ptr<kv::Membership> membership_;
-  std::unique_ptr<kv::Migrator> migrator_;
 };
 
 TEST_F(ElasticClusterTest, JoinRebalancesOntoTheNewServer) {

@@ -6,18 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/units.h"
 #include "kvstore/kv_cluster.h"
-#include "kvstore/membership.h"
-#include "kvstore/migrator.h"
 #include "memfs/memfs.h"
 #include "net/network.h"
 #include "sim/fault.h"
 #include "test_util.h"
+#include "testbed_fixture.h"
+#include "workloads/chaos.h"
 #include "workloads/testbed.h"
 
 namespace memfs {
@@ -302,23 +301,14 @@ TEST(FaultInjectorTest, ActiveFaultsReflectsScheduledEvents) {
 
 // --- Client-side fault handling against a live cluster -------------------
 
-class FaultClusterTest : public ::testing::Test {
+class FaultClusterTest : public testing::TestbedFixture {
  protected:
   void Recreate(kv::KvClientPolicy policy) {
     workloads::TestbedConfig config;
     config.nodes = 4;
     config.kv_policy = policy;
-    bed_ = std::make_unique<workloads::Testbed>(workloads::FsKind::kMemFs,
-                                                config);
-    sim_ = &bed_->simulation();
-    network_ = &bed_->network();
-    storage_ = bed_->storage();
+    Build(config);
   }
-
-  std::unique_ptr<workloads::Testbed> bed_;
-  sim::Simulation* sim_ = nullptr;
-  net::Network* network_ = nullptr;
-  kv::KvCluster* storage_ = nullptr;
 };
 
 TEST_F(FaultClusterTest, LostRequestsTimeOutAndRetrySucceeds) {
@@ -457,12 +447,9 @@ TEST_F(FaultClusterTest, WipeOnRestartClearsData) {
 
 // --- Chaos soak (the acceptance experiment) -------------------------------
 //
-// Envelope-style workload on 8 servers with replication 2 while a seeded
-// schedule injects three transient crashes (wiping data on restart), two
-// slow-server episodes and one lossy link. Crash victims {0, 2, 4} are
-// pairwise non-adjacent on the placement ring and all episodes occupy
-// disjoint time windows, so every stripe and record keeps at least one live
-// replica at all times: the workload must lose nothing.
+// Envelope-style workload on 8 servers with replication 2 under
+// workloads::ScriptedChaosSchedule(): its disjoint windows leave every stripe
+// and record a live replica at all times, so the workload must lose nothing.
 
 struct SoakCounters {
   std::uint32_t writes_ok = 0;
@@ -482,68 +469,6 @@ struct SoakCounters {
   bool operator==(const SoakCounters&) const = default;
 };
 
-sim::Task RunSoakWrite(sim::Simulation& sim, fs::Vfs& vfs, sim::SimTime start,
-                       std::uint32_t node, std::string path,
-                       std::uint64_t seed, std::uint8_t& ok) {
-  co_await sim.Delay(start);
-  fs::VfsContext ctx{node, 0};
-  auto created = co_await vfs.Create(ctx, path);
-  if (!created.ok()) co_return;
-  const Status wrote =
-      co_await vfs.Write(ctx, created.value(), Bytes::Synthetic(MiB(1), seed));
-  const Status closed = co_await vfs.Close(ctx, created.value());
-  ok = wrote.ok() && closed.ok();
-}
-
-sim::Task RunSoakVerify(fs::Vfs& vfs, std::uint32_t node, std::string path,
-                        std::uint64_t seed, std::uint8_t& intact) {
-  fs::VfsContext ctx{node, 0};
-  auto opened = co_await vfs.Open(ctx, path);
-  if (!opened.ok()) co_return;
-  Bytes out;
-  while (true) {
-    auto chunk = co_await vfs.Read(ctx, opened.value(), out.size(), MiB(1));
-    if (!chunk.ok()) co_return;
-    if (chunk->empty()) break;
-    out.Append(*chunk);
-  }
-  (void)co_await vfs.Close(ctx, opened.value());
-  intact = out.ContentEquals(Bytes::Synthetic(MiB(1), seed));
-}
-
-std::vector<sim::FaultEvent> SoakSchedule() {
-  std::vector<sim::FaultEvent> events;
-  for (std::uint32_t victim : {0u, 2u, 4u}) {
-    sim::FaultEvent crash;
-    crash.kind = sim::FaultKind::kServerCrash;
-    crash.server = victim;
-    crash.start = Millis(10 + victim * 10);  // 10, 30, 50 — disjoint windows
-    crash.duration = Millis(12);
-    crash.wipe_on_restart = true;
-    events.push_back(crash);
-  }
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    sim::FaultEvent slow;
-    slow.kind = sim::FaultKind::kServerSlow;
-    slow.server = i == 0 ? 1 : 6;
-    slow.start = i == 0 ? Millis(68) : Millis(84);
-    slow.duration = Millis(12);
-    slow.slow_factor = 500.0;  // ~90 us stripe SET -> ~45 ms, past deadline
-    events.push_back(slow);
-  }
-  for (std::uint32_t src : {3u, 7u}) {
-    sim::FaultEvent link;
-    link.kind = sim::FaultKind::kLinkFault;
-    link.src = src;
-    link.dst = 5;
-    link.start = Millis(5);
-    link.duration = Millis(80);
-    link.loss_prob = 0.5;
-    events.push_back(link);
-  }
-  return events;
-}
-
 SoakCounters RunChaosSoak() {
   constexpr std::uint32_t kNodes = 8;
   constexpr std::uint32_t kFiles = 32;
@@ -551,39 +476,30 @@ SoakCounters RunChaosSoak() {
   workloads::TestbedConfig config;
   config.nodes = kNodes;
   config.memfs.replication = 2;
-  config.kv_policy.retry.max_attempts = 5;
-  config.kv_policy.op_deadline = Millis(20);
+  config.kv_policy = workloads::ChaosPolicy();
   workloads::Testbed bed(workloads::FsKind::kMemFs, config);
   sim::Simulation& sim = bed.simulation();
   fs::MemFs& memfs = *bed.memfs();
   kv::KvCluster& storage = *bed.storage();
 
   sim::FaultInjector injector(sim, bed.fault_hooks());
-  injector.ScheduleAll(SoakSchedule());
+  injector.ScheduleAll(workloads::ScriptedChaosSchedule());
 
   // Write phase: one file every 3 ms from round-robin client nodes, so the
   // workload spans every fault window.
-  std::vector<std::uint8_t> write_ok(kFiles, 0);
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    RunSoakWrite(sim, memfs, Millis(3) * i, i % kNodes,
-                 "/soak_" + std::to_string(i), 1000 + i, write_ok[i]);
-  }
+  const workloads::Wave wave{kFiles, MiB(1), Millis(3), "/soak_", 1000, kNodes};
+  workloads::WaveResult files;
+  workloads::LaunchWave(sim, memfs, wave, files);
   sim.Run();  // drains the workload AND every fault apply/revert
 
   // Verify phase (cluster healthy again, but servers 0/2/4 restarted empty):
   // every byte must come back, via failover where the primary was wiped.
-  std::vector<std::uint8_t> intact(kFiles, 0);
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    RunSoakVerify(memfs, i % kNodes, "/soak_" + std::to_string(i), 1000 + i,
-                  intact[i]);
-  }
+  workloads::VerifyWave(memfs, wave, files);
   sim.Run();
 
   SoakCounters counters;
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    counters.writes_ok += write_ok[i];
-    counters.reads_intact += intact[i];
-  }
+  counters.writes_ok = files.writes_ok();
+  counters.reads_intact = files.Count(workloads::Verdict::kIntact);
   counters.retries = storage.stats().retries;
   counters.deadline_exceeded = storage.stats().deadline_exceeded;
   counters.breaker_opens = storage.stats().breaker_opens;
@@ -637,32 +553,18 @@ struct MigrationChaosOutcome {
   std::uint32_t live_reads = 0;      // verify passes while migration ran
   std::uint32_t live_not_found = 0;  // NOT_FOUND seen by the live reader
   std::uint32_t live_stale = 0;      // wrong bytes seen by the live reader
-  std::uint8_t converged = 0;
+  bool converged = false;
   std::uint64_t failed_chunks = 0;
 };
-
-sim::Task RunMigrationChaosDriver(sim::Simulation& sim,
-                                  kv::Membership& membership,
-                                  kv::Migrator& migrator, std::uint8_t& done,
-                                  std::uint8_t& converged) {
-  co_await sim.Delay(Millis(4));
-  (void)membership.BeginJoin(/*node=*/4);
-  for (int runs = 0; membership.migrating() && runs < 32; ++runs) {
-    (void)co_await migrator.Rebalance();
-    co_await sim.Delay(Millis(1));
-  }
-  converged = !membership.migrating();
-  done = 1;
-}
 
 // Re-reads one file in a loop until the driver finishes, classifying every
 // completed pass: intact, NOT_FOUND, or stale/failed.
 sim::Task RunLiveReader(sim::Simulation& sim, fs::Vfs& vfs, std::string path,
                         std::uint64_t seed, const std::uint8_t& ready,
-                        const std::uint8_t& done,
+                        const bool& done,
                         MigrationChaosOutcome& outcome) {
   fs::VfsContext ctx{1, 0};
-  while (done == 0) {
+  while (!done) {
     co_await sim.Delay(Millis(2));
     if (ready == 0) continue;  // the writer has not closed the file yet
     auto opened = co_await vfs.Open(ctx, path);
@@ -705,24 +607,24 @@ MigrationChaosOutcome RunMigrationChaos(bool kill_destination) {
   config.elastic = true;
   config.memfs.replication = 2;
   config.memfs.use_ketama = true;
-  config.kv_policy.retry.max_attempts = 5;
-  config.kv_policy.op_deadline = Millis(20);
+  config.kv_policy = workloads::ChaosPolicy();
   workloads::Testbed bed(workloads::FsKind::kMemFs, config);
   sim::Simulation& sim = bed.simulation();
 
   // Live writes span the whole migration window (last one starts at 11 ms;
   // the join begins at 4 ms).
-  std::vector<std::uint8_t> write_ok(kFiles, 0);
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    RunSoakWrite(sim, bed.vfs(), Millis(1) * i, i % 4,
-                 "/mig_" + std::to_string(i), 2000 + i, write_ok[i]);
-  }
+  const workloads::Wave wave{kFiles, MiB(1), Millis(1), "/mig_", 2000, 4};
+  workloads::WaveResult files;
+  workloads::LaunchWave(sim, bed.vfs(), wave, files);
 
   MigrationChaosOutcome outcome;
-  std::uint8_t done = 0;
-  RunMigrationChaosDriver(sim, *bed.membership(), *bed.migrator(), done,
-                          outcome.converged);
-  RunLiveReader(sim, bed.vfs(), "/mig_0", 2000, write_ok[0], done, outcome);
+  workloads::TransitionReport join;
+  workloads::RunTransitions(
+      sim, *bed.membership(), *bed.migrator(),
+      {{workloads::Transition::kJoin, /*server=*/4, Millis(4), Millis(1)}},
+      join);
+  RunLiveReader(sim, bed.vfs(), "/mig_0", 2000, files.acked[0], join.done,
+                outcome);
 
   // Crash one end of the handoff mid-migration; restart with data intact
   // (the copies the crashed attempt did land stay put, so the resumed
@@ -737,17 +639,12 @@ MigrationChaosOutcome RunMigrationChaos(bool kill_destination) {
   });
   sim.Run();
 
-  std::vector<std::uint8_t> intact(kFiles, 0);
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    RunSoakVerify(bed.vfs(), i % 4, "/mig_" + std::to_string(i), 2000 + i,
-                  intact[i]);
-  }
+  workloads::VerifyWave(bed.vfs(), wave, files);
   sim.Run();
 
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    outcome.writes_ok += write_ok[i];
-    outcome.reads_intact += intact[i];
-  }
+  outcome.writes_ok = files.writes_ok();
+  outcome.reads_intact = files.Count(workloads::Verdict::kIntact);
+  outcome.converged = join.committed();
   outcome.failed_chunks = bed.migrator()->progress().failed_chunks;
   return outcome;
 }

@@ -12,8 +12,8 @@
 #include "memfs/memfs.h"
 #include "memfs/metadata.h"
 #include "memfs/striper.h"
-#include "net/fluid_network.h"
 #include "test_util.h"
+#include "testbed_fixture.h"
 
 namespace memfs::fs {
 namespace {
@@ -156,67 +156,18 @@ TEST(MetadataTest, MalformedRecordsRejected) {
 
 // --- MemFS over the simulated cluster ---
 
-class MemFsTest : public ::testing::Test {
+class MemFsTest : public testing::TestbedFixture {
  protected:
   static constexpr std::uint32_t kNodes = 4;
 
   MemFsTest() { Recreate({}); }
 
   void Recreate(MemFsConfig config) {
-    fs_.reset();
-    storage_.reset();
-    network_.reset();
-    sim_ = std::make_unique<sim::Simulation>();
-    network_ = std::make_unique<net::FairShareNetwork>(
-        *sim_, net::Das4Ipoib(kNodes));
-    std::vector<net::NodeId> nodes;
-    for (std::uint32_t n = 0; n < kNodes; ++n) nodes.push_back(n);
-    storage_ = std::make_unique<kv::KvCluster>(*sim_, *network_, nodes);
-    fs_ = std::make_unique<MemFs>(*sim_, *network_, *storage_, config);
+    workloads::TestbedConfig testbed;
+    testbed.nodes = kNodes;
+    testbed.memfs = config;
+    Build(testbed);
   }
-
-  // Writes `size` pattern bytes to `path` from `ctx` in `block`-sized calls.
-  Status WriteFile(VfsContext ctx, const std::string& path, const Bytes& data,
-                   std::uint64_t block) {
-    auto created = Await(*sim_, fs_->Create(ctx, path));
-    if (!created.ok()) return created.status();
-    std::uint64_t offset = 0;
-    while (offset < data.size()) {
-      const std::uint64_t len = std::min<std::uint64_t>(
-          block, data.size() - offset);
-      Status s =
-          Await(*sim_, fs_->Write(ctx, created.value(),
-                                  data.Slice(offset, len)));
-      if (!s.ok()) return s;
-      offset += len;
-    }
-    return Await(*sim_, fs_->Close(ctx, created.value()));
-  }
-
-  Result<Bytes> ReadFile(VfsContext ctx, const std::string& path,
-                         std::uint64_t block) {
-    auto opened = Await(*sim_, fs_->Open(ctx, path));
-    if (!opened.ok()) return opened.status();
-    Bytes out;
-    std::uint64_t offset = 0;
-    while (true) {
-      auto chunk =
-          Await(*sim_, fs_->Read(ctx, opened.value(), offset, block));
-      if (!chunk.ok()) return chunk.status();
-      if (chunk->empty()) break;
-      offset += chunk->size();
-      out.Append(*chunk);
-      if (chunk->size() < block) break;
-    }
-    Status closed = Await(*sim_, fs_->Close(ctx, opened.value()));
-    if (!closed.ok()) return closed;
-    return out;
-  }
-
-  std::unique_ptr<sim::Simulation> sim_;
-  std::unique_ptr<net::FairShareNetwork> network_;
-  std::unique_ptr<kv::KvCluster> storage_;
-  std::unique_ptr<MemFs> fs_;
 };
 
 TEST_F(MemFsTest, SmallFileRoundTrip) {

@@ -24,6 +24,7 @@
 #include "net/fluid_network.h"
 #include "sim/fault.h"
 #include "test_util.h"
+#include "testbed_fixture.h"
 #include "workloads/testbed.h"
 
 namespace memfs::meta {
@@ -158,7 +159,7 @@ TEST(MetaCodecTest, KeysAreDisjointNamespaces) {
 
 // --- Sharded MemFS end-to-end --------------------------------------------
 
-class MetaFsTest : public ::testing::Test {
+class MetaFsTest : public testing::TestbedFixture {
  protected:
   // 6-node fabric, storage on the first 4: node 4 stays free for the
   // AddStorageServer epoch-change test.
@@ -172,43 +173,11 @@ class MetaFsTest : public ::testing::Test {
   }
 
   void Recreate(fs::MemFsConfig config) {
-    fs_.reset();
-    storage_.reset();
-    network_.reset();
-    sim_ = std::make_unique<sim::Simulation>();
-    network_ = std::make_unique<net::FairShareNetwork>(
-        *sim_, net::Das4Ipoib(kFabricNodes));
-    std::vector<net::NodeId> nodes;
-    for (std::uint32_t n = 0; n < kServers; ++n) nodes.push_back(n);
-    storage_ = std::make_unique<kv::KvCluster>(*sim_, *network_, nodes);
-    fs_ = std::make_unique<fs::MemFs>(*sim_, *network_, *storage_, config);
-  }
-
-  Status WriteFile(fs::VfsContext ctx, const std::string& path,
-                   const Bytes& data) {
-    auto created = Await(*sim_, fs_->Create(ctx, path));
-    if (!created.ok()) return created.status();
-    if (!data.empty()) {
-      Status wrote = Await(*sim_, fs_->Write(ctx, created.value(), data));
-      if (!wrote.ok()) return wrote;
-    }
-    return Await(*sim_, fs_->Close(ctx, created.value()));
-  }
-
-  Result<Bytes> ReadFile(fs::VfsContext ctx, const std::string& path) {
-    auto opened = Await(*sim_, fs_->Open(ctx, path));
-    if (!opened.ok()) return opened.status();
-    Bytes out;
-    while (true) {
-      auto chunk =
-          Await(*sim_, fs_->Read(ctx, opened.value(), out.size(), MiB(1)));
-      if (!chunk.ok()) return chunk.status();
-      if (chunk->empty()) break;
-      out.Append(*chunk);
-    }
-    Status closed = Await(*sim_, fs_->Close(ctx, opened.value()));
-    if (!closed.ok()) return closed;
-    return out;
+    workloads::TestbedConfig testbed;
+    testbed.nodes = kServers;
+    testbed.standby_nodes = kFabricNodes - kServers;
+    testbed.memfs = config;
+    Build(testbed);
   }
 
   // Drains a listing through the paged interface, recording page sizes.
@@ -228,11 +197,6 @@ class MetaFsTest : public ::testing::Test {
     }
     return names;
   }
-
-  std::unique_ptr<sim::Simulation> sim_;
-  std::unique_ptr<net::FairShareNetwork> network_;
-  std::unique_ptr<kv::KvCluster> storage_;
-  std::unique_ptr<fs::MemFs> fs_;
 };
 
 TEST_F(MetaFsTest, WriteReadRoundTrip) {

@@ -7,8 +7,8 @@
 #include "kvstore/kv_cluster.h"
 #include "memfs/memfs.h"
 #include "mtc/staging.h"
-#include "net/fluid_network.h"
 #include "test_util.h"
+#include "testbed_fixture.h"
 
 namespace memfs::fs {
 namespace {
@@ -17,54 +17,17 @@ using memfs::testing::Await;
 using units::KiB;
 using units::MiB;
 
-class ReplicationTest : public ::testing::Test {
+class ReplicationTest : public testing::TestbedFixture {
  protected:
   static constexpr std::uint32_t kNodes = 4;
 
   void Recreate(std::uint32_t replication, bool degraded_writes = true) {
-    fs_.reset();
-    storage_.reset();
-    network_.reset();
-    sim_ = std::make_unique<sim::Simulation>();
-    network_ = std::make_unique<net::FairShareNetwork>(
-        *sim_, net::Das4Ipoib(kNodes));
-    storage_ = std::make_unique<kv::KvCluster>(
-        *sim_, *network_, std::vector<net::NodeId>{0, 1, 2, 3});
-    MemFsConfig config;
-    config.replication = replication;
-    config.degraded_writes = degraded_writes;
-    fs_ = std::make_unique<MemFs>(*sim_, *network_, *storage_, config);
+    workloads::TestbedConfig config;
+    config.nodes = kNodes;
+    config.memfs.replication = replication;
+    config.memfs.degraded_writes = degraded_writes;
+    Build(config);
   }
-
-  Status WriteFile(VfsContext ctx, const std::string& path,
-                   const Bytes& data) {
-    auto created = Await(*sim_, fs_->Create(ctx, path));
-    if (!created.ok()) return created.status();
-    Status s = Await(*sim_, fs_->Write(ctx, created.value(), data));
-    if (!s.ok()) return s;
-    return Await(*sim_, fs_->Close(ctx, created.value()));
-  }
-
-  Result<Bytes> ReadFile(VfsContext ctx, const std::string& path) {
-    auto opened = Await(*sim_, fs_->Open(ctx, path));
-    if (!opened.ok()) return opened.status();
-    Bytes out;
-    while (true) {
-      auto chunk = Await(
-          *sim_, fs_->Read(ctx, opened.value(), out.size(), MiB(1)));
-      if (!chunk.ok()) return chunk.status();
-      if (chunk->empty()) break;
-      out.Append(*chunk);
-    }
-    Status closed = Await(*sim_, fs_->Close(ctx, opened.value()));
-    if (!closed.ok()) return closed;
-    return out;
-  }
-
-  std::unique_ptr<sim::Simulation> sim_;
-  std::unique_ptr<net::FairShareNetwork> network_;
-  std::unique_ptr<kv::KvCluster> storage_;
-  std::unique_ptr<MemFs> fs_;
 };
 
 TEST_F(ReplicationTest, RoundTripWithReplication) {
@@ -263,19 +226,11 @@ TEST_F(ReplicationTest, StageOutSurvivesRuntimeServerFailure) {
 
   // And the archived copies are intact.
   for (int f = 0; f < 6; ++f) {
-    bool verified = false;
-    [](fs::Vfs& vfs, std::string p, std::uint64_t seed,
-       bool& flag) -> sim::Task {
-      fs::VfsContext ctx{2, 0};
-      auto opened = co_await vfs.Open(ctx, p);
-      if (!opened.ok()) co_return;
-      auto data = co_await vfs.Read(ctx, opened.value(), 0, MiB(2));
-      (void)co_await vfs.Close(ctx, opened.value());
-      flag = data.ok() &&
-             data->ContentEquals(Bytes::Synthetic(MiB(1), seed));
-    }(permanent, "/result_" + std::to_string(f),
-      static_cast<std::uint64_t>(f), verified);
-    sim_->Run();
+    const auto back = testing::ReadFile(*sim_, permanent, {2, 0},
+                                        "/result_" + std::to_string(f));
+    const bool verified =
+        back.ok() && back->ContentEquals(Bytes::Synthetic(
+                         MiB(1), static_cast<std::uint64_t>(f)));
     EXPECT_TRUE(verified) << f;
   }
 }

@@ -38,27 +38,13 @@ class StagingTest : public ::testing::Test {
                                            fs::MemFsConfig{});
   }
 
+  // Writes from node 0, reads from node 1.
   Status WriteFile(fs::Vfs& vfs, const std::string& path, const Bytes& data) {
-    auto created = Await(sim_, vfs.Create({0, 0}, path));
-    if (!created.ok()) return created.status();
-    Status s = Await(sim_, vfs.Write({0, 0}, created.value(), data));
-    if (!s.ok()) return s;
-    return Await(sim_, vfs.Close({0, 0}, created.value()));
+    return testing::WriteFile(sim_, vfs, {0, 0}, path, data);
   }
 
   Result<Bytes> ReadFile(fs::Vfs& vfs, const std::string& path) {
-    auto opened = Await(sim_, vfs.Open({1, 0}, path));
-    if (!opened.ok()) return opened.status();
-    Bytes out;
-    while (true) {
-      auto chunk =
-          Await(sim_, vfs.Read({1, 0}, opened.value(), out.size(), MiB(1)));
-      if (!chunk.ok()) return chunk.status();
-      if (chunk->empty()) break;
-      out.Append(*chunk);
-    }
-    (void)Await(sim_, vfs.Close({1, 0}, opened.value()));
-    return out;
+    return testing::ReadFile(sim_, vfs, {1, 0}, path);
   }
 
   sim::Simulation sim_;

@@ -298,6 +298,24 @@ TEST(EnvelopeAccountingTest, N1SpanIncludesMulticastOnlyForBandwidth) {
   EXPECT_LT(n1.BandwidthMBps(), n1.WorkBandwidthMBps() + 1e9);
 }
 
+TEST(EnvelopeAccountingTest, FailedPhaseReportsItsStatus) {
+  // Every kv server goes down after setup: the phase returns the error,
+  // in Debug and Release builds alike.
+  TestbedConfig config;
+  config.nodes = 4;
+  Testbed bed(FsKind::kMemFs, config);
+  EnvelopeParams params;
+  params.nodes = 4;
+  params.file_size = KiB(64);
+  params.files_per_proc = 2;
+  EnvelopeBench bench(bed.simulation(), bed.vfs(), params, nullptr);
+  for (std::uint32_t server = 0; server < config.nodes; ++server) {
+    bed.storage()->SetServerDown(server, true);
+  }
+  const auto write = bench.RunWrite();
+  EXPECT_FALSE(write.status.ok());
+}
+
 // --- Generator edge cases ---
 
 TEST(GeneratorEdgeTest, MontageMinimumSize) {

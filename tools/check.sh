@@ -6,7 +6,8 @@
 #      paper-figure table; the static analyzer memfs_analyze over the whole
 #      repo as the `analyze` ctest and its `lint` alias, failing on any
 #      unsuppressed finding; the determinism gate; the memfs_run smoke runs;
-#      the paper-ledger doc and drift checks; the benchmark smoke),
+#      the paper-ledger doc and drift checks; the BENCH_elastic.json
+#      reproduction; the benchmark smoke),
 #   3. re-run a cheap subset of the paper figures (fig03a, fig03b, table1)
 #      and compare it with the committed BENCH_paper.json within each
 #      metric's tolerance (bench/paper_cells.cc),
@@ -16,7 +17,7 @@
 #      build-asan/ and re-run the determinism gate under the sanitizers
 #      (`ctest -L determinism`: every scenario x observer cell of
 #      tools/determinism_gate.cc, the label's only test), then the event
-#      heap, pool, future, solver and kv call tests,
+#      heap, pool, future, solver, kv call and chaos tests,
 #   6. configure + build with -DMEMFS_SANITIZE=thread in build-tsan/ and
 #      re-run the same under TSan (skipped with a notice when the toolchain
 #      has no libtsan).
@@ -68,10 +69,12 @@ ctest --test-dir "$root/build-asan" -L determinism --output-on-failure
 # attempt cut off by its deadline keeps the shared BatchCall alive after the
 # retry driver has moved on to the next attempt, and a single-key call's
 # verdict is read out of that call one resume later, which is where a
-# lifetime bug in the kv RPC engine would hide.
+# lifetime bug in the kv RPC engine would hide. So do the chaos tests: the
+# chaos coroutines (src/workloads/chaos.h) write into caller-owned results.
 tests='EventHeap|PoolAlloc|SimChecker|FutureTest|FluidNetwork|SolverEquivalence'
 tests="$tests|KvCluster|KvBatch|KvGauge|FaultCluster|OpScheduler"
-echo "== sanitizers: event heap, pool, future, solver and kv call tests =="
+tests="$tests|ChaosSoak|MigrationChaos"
+echo "== sanitizers: event heap, pool, future, solver, kv call and chaos tests =="
 ctest --test-dir "$root/build-asan" -R "$tests" --output-on-failure
 
 # TSan and ASan cannot live in one binary, so thread gets its own tree.
@@ -86,7 +89,7 @@ if printf 'int main(){return 0;}' | \
   echo "== sanitizers: determinism gate under TSan =="
   ctest --test-dir "$root/build-tsan" -L determinism --output-on-failure
 
-  echo "== sanitizers: event heap, pool, future, solver and kv call tests under TSan =="
+  echo "== sanitizers: event heap, pool, future, solver, kv call and chaos tests under TSan =="
   ctest --test-dir "$root/build-tsan" -R "$tests" --output-on-failure
 else
   echo "== sanitizers: thread skipped (toolchain has no libtsan) =="

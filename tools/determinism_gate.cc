@@ -53,6 +53,7 @@
 #include "sim/task.h"
 #include "trace/export.h"
 #include "trace/trace.h"
+#include "workloads/chaos.h"
 #include "workloads/montage.h"
 #include "workloads/testbed.h"
 
@@ -119,107 +120,29 @@ struct Grid {
 
 // --- Workloads ------------------------------------------------------------
 
-// A client context with a root span of its own when the run is traced.
-fs::VfsContext Begin(trace::Tracer* tracer, std::uint32_t node,
-                     const std::string& name) {
-  fs::VfsContext ctx{node, 0};
-  if (tracer != nullptr) ctx.trace = tracer->StartTrace(name, "workflow", node);
-  return ctx;
-}
-
-std::string AuditPath(std::uint32_t i) { return "/audit_" + std::to_string(i); }
-
-sim::Task PutFile(sim::Simulation& sim, fs::Vfs& vfs, trace::Tracer* tracer,
-                  sim::SimTime start, std::uint32_t node, std::string path,
-                  std::uint64_t seed, std::uint8_t& ok) {
-  co_await sim.Delay(start);
-  const fs::VfsContext ctx = Begin(tracer, node, "write " + path);
-  auto created = co_await vfs.Create(ctx, path);
-  if (created.ok()) {
-    const Status wrote = co_await vfs.Write(ctx, created.value(),
-                                            Bytes::Synthetic(KiB(256), seed));
-    const Status closed = co_await vfs.Close(ctx, created.value());
-    ok = wrote.ok() && closed.ok();
-  }
-  trace::End(ctx.trace);
-}
-
-sim::Task VerifyFile(fs::Vfs& vfs, trace::Tracer* tracer, std::uint32_t node,
-                     std::string path, std::uint64_t seed,
-                     std::uint8_t& intact) {
-  const fs::VfsContext ctx = Begin(tracer, node, "read " + path);
-  auto opened = co_await vfs.Open(ctx, path);
-  if (opened.ok()) {
-    Bytes out;
-    bool complete = false;
-    while (true) {
-      auto chunk =
-          co_await vfs.Read(ctx, opened.value(), out.size(), KiB(256));
-      if (!chunk.ok()) break;
-      if (chunk->empty()) {
-        complete = true;
-        break;
-      }
-      out.Append(*chunk);
-    }
-    // lint: allow(ignored-status) read handle teardown cannot fail usefully
-    co_await vfs.Close(ctx, opened.value());
-    intact = complete && out.ContentEquals(Bytes::Synthetic(KiB(256), seed));
-  }
-  trace::End(ctx.trace);
-}
-
-// Joins a 9th server mid-traffic and rebalances, then drains `drain_server`
-// and rebalances again. A sweep budget that does not converge leaves the
-// transition open; resume is idempotent, so the driver re-runs the migrator.
-sim::Task JoinThenDrain(sim::Simulation& sim, kv::Membership& membership,
-                        kv::Migrator& migrator, std::uint32_t join_node,
-                        std::uint32_t drain_server, std::uint8_t& ok) {
-  co_await sim.Delay(Millis(10));
-  membership.BeginJoin(join_node);
-  for (int runs = 0; membership.migrating() && runs < 10; ++runs) {
-    // non-converged runs are resumed here
-    (void)co_await migrator.Rebalance();
-  }
-  co_await sim.Delay(Millis(8));
-  membership.BeginDrain(drain_server);
-  for (int runs = 0; membership.migrating() && runs < 10; ++runs) {
-    // non-converged runs are resumed here
-    (void)co_await migrator.Rebalance();
-  }
-  ok = !membership.migrating() &&
-       membership.state(drain_server) == kv::NodeState::kLeft;
-}
-
 // 16 files, one every 3 ms from round-robin nodes so the writes span every
-// fault window, then read back and compared. On an elastic testbed a join
-// and a drain run mid-traffic.
+// fault window, then read back and compared. On an elastic testbed a 9th
+// server joins mid-traffic and server 2 drains.
 void WriteAndReadBack(workloads::Testbed& bed, trace::Tracer* tracer,
                       Facts& facts) {
-  sim::Simulation& sim = bed.simulation();
-  std::vector<std::uint8_t> wrote(kFiles, 0);
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    PutFile(sim, bed.vfs(), tracer, Millis(3) * i, i % kNodes, AuditPath(i),
-            9000 + i, wrote[i]);
-  }
-  std::uint8_t committed = 0;
+  const workloads::Wave wave{kFiles, KiB(256), Millis(3), "/audit_", 9000,
+                             kNodes};
+  workloads::WaveResult result;
+  workloads::LaunchWave(bed.simulation(), bed.vfs(), wave, result, tracer);
+  workloads::TransitionReport transitions;
   if (bed.membership() != nullptr) {
-    JoinThenDrain(sim, *bed.membership(), *bed.migrator(),
-                  /*join_node=*/kNodes, /*drain_server=*/2, committed);
+    workloads::RunTransitions(
+        bed.simulation(), *bed.membership(), *bed.migrator(),
+        {{workloads::Transition::kJoin, kNodes, Millis(10)},
+         {workloads::Transition::kDrain, 2, Millis(8)}},
+        transitions);
   }
-  sim.Run();
-
-  std::vector<std::uint8_t> intact(kFiles, 0);
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    VerifyFile(bed.vfs(), tracer, i % kNodes, AuditPath(i), 9000 + i,
-               intact[i]);
-  }
-  sim.Run();
-  facts.committed = committed != 0;
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    facts.writes_ok += wrote[i];
-    facts.reads_intact += intact[i];
-  }
+  bed.simulation().Run();
+  workloads::VerifyWave(bed.vfs(), wave, result, tracer);
+  bed.simulation().Run();
+  facts.committed = transitions.committed();
+  facts.writes_ok = result.writes_ok();
+  facts.reads_intact = result.Count(workloads::Verdict::kIntact);
 }
 
 sim::Task MakeChurnDirs(fs::Vfs& vfs, std::uint8_t& ok) {
@@ -236,7 +159,8 @@ sim::Task ChurnOne(sim::Simulation& sim, fs::Vfs& vfs, trace::Tracer* tracer,
                    std::uint8_t& ok) {
   co_await sim.Delay(start);
   const std::string src = "/src/f" + std::to_string(index);
-  const fs::VfsContext ctx = Begin(tracer, node, "churn " + src);
+  const fs::VfsContext ctx =
+      workloads::RootContext(tracer, node, "churn " + src);
   auto created = co_await vfs.Create(ctx, src);
   if (created.ok()) {
     const Status wrote = co_await vfs.Write(
@@ -271,7 +195,8 @@ sim::Task RecoverIntents(meta::Client& client, std::uint32_t& pending) {
 // Pages through `dir`: deterministic read traffic over every index blob.
 sim::Task SweepDir(fs::Vfs& vfs, trace::Tracer* tracer, std::string dir,
                    std::uint32_t node) {
-  const fs::VfsContext ctx = Begin(tracer, node, "sweep " + dir);
+  const fs::VfsContext ctx =
+      workloads::RootContext(tracer, node, "sweep " + dir);
   fs::DirCursor cursor;
   while (true) {
     auto page = co_await vfs.ReadDirPage(ctx, dir, cursor, 16);
@@ -339,21 +264,13 @@ struct Predicate {
 
 struct Scenario {
   const char* name;
-  void (*configure)(workloads::TestbedConfig&);
+  void (*configure)(workloads::TestbedConfig&);  // null: as is
   // Runs the workload, feeding `tracer` (null when untraced).
   void (*drive)(workloads::Testbed&, trace::Tracer*, Facts&);
   Faults faults;
   std::uint64_t pin;  // seed-7 digest with observers off; 0 = not pinned
   std::vector<Predicate> checks;
 };
-
-// Replication 2 and five attempts inside a 20 ms op deadline: the faulted
-// deployment every fault-scheduled row runs on.
-void Faulted(workloads::TestbedConfig& config) {
-  config.memfs.replication = 2;
-  config.kv_policy.retry.max_attempts = 5;
-  config.kv_policy.op_deadline = Millis(20);
-}
 
 bool AllIntact(const Facts& f) {
   return f.writes_ok == kFiles && f.reads_intact == kFiles;
@@ -365,7 +282,7 @@ const Predicate kIntact{
 
 std::vector<Scenario> Scenarios() {
   return {
-      {"faulted", Faulted, WriteAndReadBack, Faults::kWipe,
+      {"faulted", nullptr, WriteAndReadBack, Faults::kWipe,
        0x5575a5a59543375dull,  // append_log metadata, batched io
        {kIntact,
         {"monitor kept every window and dropped none",
@@ -378,16 +295,12 @@ std::vector<Scenario> Scenarios() {
          "crossing it",
          [](const Grid& g) { return g.first[kAll].fault_attributed; }}}},
       {"faulted_unbatched",
-       [](workloads::TestbedConfig& config) {
-         Faulted(config);
-         config.memfs.io.batching = false;
-       },
+       [](workloads::TestbedConfig& c) { c.memfs.io.batching = false; },
        WriteAndReadBack, Faults::kWipe,
        0x7f93ce2d2ea0fcdbull,  // one-item batch per op
        {kIntact}},
       {"elastic",
        [](workloads::TestbedConfig& config) {
-         Faulted(config);
          config.elastic = true;
          config.standby_nodes = 1;  // hosts the joining server
        },
@@ -399,7 +312,6 @@ std::vector<Scenario> Scenarios() {
          }}}},
       {"sharded",
        [](workloads::TestbedConfig& config) {
-         Faulted(config);
          config.memfs.metadata = meta::MetadataMode::kSharded;
        },
        ChurnRecoverSweep, Faults::kKeepRam, 0,
@@ -409,8 +321,7 @@ std::vector<Scenario> Scenarios() {
              return f.setup_ok && f.pending_intents == 0;
            });
          }}}},
-      {"montage", [](workloads::TestbedConfig&) {}, RunMontage, Faults::kNone,
-       0,
+      {"montage", nullptr, RunMontage, Faults::kNone, 0,
        {{"workflow succeeds with one makespan under every observer set",
          [](const Grid& g) {
            return g.Every([&g](const Facts& f) {
@@ -493,7 +404,12 @@ Facts RunOnce(const Scenario& row, int column, std::uint64_t seed) {
   workloads::TestbedConfig config;
   config.nodes = kNodes;
   if (column == kMetrics || column == kAll) config.metrics = &registry;
-  row.configure(config);
+  if (row.faults != Faults::kNone) {
+    // The faulted deployment every fault-scheduled row runs on.
+    config.memfs.replication = 2;
+    config.kv_policy = workloads::ChaosPolicy();
+  }
+  if (row.configure != nullptr) row.configure(config);
   workloads::Testbed bed(workloads::FsKind::kMemFs, config);
   sim::Simulation& sim = bed.simulation();
   sim::SimChecker checker(sim);
@@ -509,16 +425,9 @@ Facts RunOnce(const Scenario& row, int column, std::uint64_t seed) {
   }
   sim::FaultInjector injector(sim, bed.fault_hooks());
   if (row.faults != Faults::kNone) {
-    sim::FaultScheduleConfig schedule;
-    schedule.seed = seed;
-    schedule.servers = kNodes;  // never the elastic row's joining server
-    schedule.nodes = kNodes;
-    schedule.horizon = Millis(48);
-    schedule.crashes = 2;
-    schedule.slow_episodes = 1;
-    schedule.link_faults = 1;
-    schedule.wipe_on_restart = row.faults == Faults::kWipe;
-    injector.ScheduleAll(sim::GenerateFaultSchedule(schedule));
+    // Over the kNodes original servers: never the elastic row's joiner.
+    injector.ScheduleAll(sim::GenerateFaultSchedule(workloads::ChaosSchedule(
+        seed, kNodes, /*wipe_on_restart=*/row.faults == Faults::kWipe)));
   }
 
   Facts facts;

@@ -9,8 +9,9 @@
 // membership (--elastic), SLO verdicts and incidents. --out=DIR writes the
 // run bundle: trace.json (Chrome trace_event), timeline.csv, incidents.json
 // and balance_<family>.csv per per-server series family. Same flags, same
-// bytes. Exit status: 0 ok, 1 workflow failed, 2 usage error, 3 SLO
-// violation or uncommitted migration.
+// bytes. Exit status: 0 ok, 1 workload failed (a workflow task or an
+// envelope phase; wins over 3), 2 usage error, 3 SLO violation or uncommitted
+// migration.
 //
 //   memfs_run --workload=envelope --nodes=64 --file-kb=1024
 //   memfs_run --faults --metadata=sharded --out=run
@@ -41,11 +42,11 @@
 #include "mtc/runner.h"
 #include "mtc/scheduler.h"
 #include "sim/fault.h"
-#include "sim/task.h"
 #include "trace/critical_path.h"
 #include "trace/export.h"
 #include "trace/trace.h"
 #include "workloads/blast.h"
+#include "workloads/chaos.h"
 #include "workloads/envelope.h"
 #include "workloads/montage.h"
 #include "workloads/testbed.h"
@@ -179,8 +180,7 @@ std::optional<Options> ParseOptions(FlagParser& flags) {
   const std::uint64_t fault_seed = flags.GetUint("fault-seed", 7);
   if (flags.GetBool("faults")) {
     o.fault_seed = fault_seed;
-    config.kv_policy.retry.max_attempts = 5;
-    config.kv_policy.op_deadline = units::Millis(20);
+    config.kv_policy = workloads::ChaosPolicy();
   }
   config.elastic = flags.GetBool("elastic");
   if (config.elastic) config.standby_nodes = 1;  // hosts the joining server
@@ -208,40 +208,31 @@ std::optional<Options> ParseOptions(FlagParser& flags) {
   return o;
 }
 
-// Waits for the workload to ramp, joins the standby node, pumps the migrator
-// until handoff commits, then drains `drain_server` the same way — all while
-// the workload keeps issuing I/O.
-sim::Task RunElasticDriver(sim::Simulation& sim, kv::Membership& membership,
-                           kv::Migrator& migrator, net::NodeId join_node,
-                           std::uint32_t drain_server) {
-  co_await sim.Delay(units::Millis(6));
-  (void)membership.BeginJoin(join_node);
-  for (int runs = 0; membership.migrating() && runs < 16; ++runs) {
-    (void)co_await migrator.Rebalance();
-  }
-  co_await sim.Delay(units::Millis(6));
-  membership.BeginDrain(drain_server);
-  for (int runs = 0; membership.migrating() && runs < 16; ++runs) {
-    (void)co_await migrator.Rebalance();
-  }
-}
-
-void RunEnvelope(workloads::Testbed& bed, const Options& o, std::ostream& os) {
+// Runs the envelope phases; false (naming each on stderr) if any failed.
+bool RunEnvelope(workloads::Testbed& bed, const Options& o, std::ostream& os) {
   workloads::EnvelopeBench bench(bed.simulation(), bed.vfs(), o.envelope,
                                  bed.amfs());
   // Phases run in row order: the write creates what the reads consume.
-  const std::pair<const char*, workloads::PhaseResult> data_phases[] = {
+  const std::pair<const char*, workloads::PhaseResult> phases[] = {
       {"write", bench.RunWrite()},
       {"1-1 read", bench.RunRead11()},
-      {"N-1 read", bench.RunReadN1()}};
+      {"N-1 read", bench.RunReadN1()},
+      {"create", bench.RunCreate(64)},
+      {"open", bench.RunOpen()}};
   Table table({"metric", "bandwidth (MB/s)", "throughput (op/s)"});
-  for (const auto& [name, phase] : data_phases) {
-    table.AddRow({name, Table::Num(phase.BandwidthMBps()),
+  bool ok = true;
+  for (std::size_t i = 0; i < std::size(phases); ++i) {
+    const auto& [name, phase] = phases[i];
+    const bool metadata = i >= 3;  // create and open move no data
+    table.AddRow({name, metadata ? "-" : Table::Num(phase.BandwidthMBps()),
                   Table::Num(phase.OpsPerSec(), 0)});
+    if (phase.status.ok()) continue;
+    std::cerr << "envelope " << name << " phase failed: "
+              << phase.status.ToString() << " — reporting the partial run\n";
+    ok = false;
   }
-  table.AddRow({"create", "-", Table::Num(bench.RunCreate(64).OpsPerSec(), 0)});
-  table.AddRow({"open", "-", Table::Num(bench.RunOpen().OpsPerSec(), 0)});
   table.Print(os, o.csv);
+  return ok;
 }
 
 // How the client spread RPCs over the servers, and where retries, breaker
@@ -414,35 +405,33 @@ int main(int argc, char** argv) {
   mon.HarvestExemplars(&metrics);
   monitor::AttachWriteP99Probe(mon, metrics);
   trace::Tracer tracer(sim);
+  // --elastic: once the workload has ramped, the standby node joins and
+  // server 1 drains, while the workload keeps issuing I/O.
+  workloads::TransitionReport transitions;
   if (config.elastic) {
-    RunElasticDriver(sim, *bed.membership(), *bed.migrator(),
-                     /*join_node=*/config.nodes, /*drain_server=*/1);
+    workloads::RunTransitions(
+        sim, *bed.membership(), *bed.migrator(),
+        {{workloads::Transition::kJoin, config.nodes, units::Millis(6)},
+         {workloads::Transition::kDrain, 1, units::Millis(6)}},
+        transitions);
   }
   sim::FaultInjector injector(sim, bed.fault_hooks());
   if (o.fault_seed) {
-    sim::FaultScheduleConfig schedule;
-    schedule.seed = *o.fault_seed;
-    schedule.servers = schedule.nodes = config.nodes;
-    schedule.horizon = units::Millis(48);
-    schedule.crashes = 2;
-    schedule.slow_episodes = 1;
-    schedule.link_faults = 1;
-    injector.ScheduleAll(sim::GenerateFaultSchedule(schedule));
+    injector.ScheduleAll(sim::GenerateFaultSchedule(workloads::ChaosSchedule(
+        *o.fault_seed, config.nodes, /*wipe_on_restart=*/true)));
   }
 
   // The workload's tables wait for the digest the header carries.
   std::ostringstream section;
-  int exit_code = 0;
-  if (o.workload == Workload::kEnvelope) {
-    RunEnvelope(bed, o, section);
-  } else if (!RunWorkflow(bed, o, metrics, tracer, section)) {
-    exit_code = 1;
-  }
+  const bool ran = o.workload == Workload::kEnvelope
+                      ? RunEnvelope(bed, o, section)
+                      : RunWorkflow(bed, o, metrics, tracer, section);
   mon.Finish();
 
   char digest[17];
   std::snprintf(digest, sizeof(digest), "%016llx",
                 static_cast<unsigned long long>(sim.EventDigest()));
+  int exit_code = 0;
   std::cout << "# memfs_run: " << ToString(o.fs) << " on " << config.nodes
             << " nodes, " << ToString(config.fabric) << ", digest " << digest
             << ", " << sim.events_processed() << " events\n\n"
@@ -476,5 +465,5 @@ int main(int argc, char** argv) {
   diagnose::FlightRecorder::Print(incidents, std::cout);
 
   if (!o.out.empty() && !WriteBundle(o.out, tracer, mon, incidents)) return 1;
-  return exit_code;
+  return ran ? exit_code : 1;
 }
