@@ -335,6 +335,24 @@ int main(int argc, char** argv) {
   add("many-dir", "append_log", many_log);
   add("many-dir", "sharded", many_shard);
   sweep.Print(std::cout, csv);
+
+  // Any failed operation, a failed mid-file stat or an unwritable JSON file
+  // fails the run (exit 1, reason on stderr); the tables still print.
+  int exit_code = 0;
+  const auto fail = [&exit_code](const std::string& why) {
+    std::cerr << "fig06_metadata: " << why << "\n";
+    exit_code = 1;
+  };
+  const auto check = [&fail](const char* shape, const char* arm,
+                             const MdtestCell& cell) {
+    if (cell.failures == 0) return;
+    fail(std::string(shape) + "/" + arm + ": " +
+         std::to_string(cell.failures) + " failed operation(s)");
+  };
+  check("hot-dir", "append_log", hot_log);
+  check("hot-dir", "sharded", hot_shard);
+  check("many-dir", "append_log", many_log);
+  check("many-dir", "sharded", many_shard);
   std::cout << "\n# Bulk-loaded big directory (sharded, " << kBigDirShards
             << " shards): " << kBigDirEntries << " entries, paged at "
             << kPageLimit << " entries/response\n";
@@ -346,6 +364,7 @@ int main(int argc, char** argv) {
                Table::Num(big.entries_per_sec, 0),
                big.stat_ok ? "ok" : "FAIL"});
   bigt.Print(std::cout, csv);
+  if (!big.stat_ok) fail("stat of a mid-directory file in /big failed");
 
   std::ofstream json(json_path, std::ios::binary);
   if (json) {
@@ -369,7 +388,7 @@ int main(int argc, char** argv) {
          << "}\n}\n";
     std::cout << "\nresults written to " << json_path << "\n";
   } else {
-    std::cerr << "could not open " << json_path << " for writing\n";
+    fail("could not open " + json_path + " for writing");
   }
-  return 0;
+  return exit_code;
 }

@@ -81,38 +81,24 @@ std::uint64_t Amfs::total_memory_used() const {
 // ---------------------------------------------------------------------------
 // Metadata protocol
 
-sim::Task Amfs::RunMetaService(net::NodeId home, sim::VoidPromise done) {
+sim::VoidFuture Amfs::MetaService(net::NodeId home) {
   auto& workers = meta_workers_.at(home);
   co_await workers.Acquire();
   co_await sim_.Delay(config_.metadata_base);
   workers.Release();
-  done.Set(sim::Done{});
+  co_return sim::Done{};
 }
 
-sim::VoidFuture Amfs::MetaService(net::NodeId home) {
-  sim::VoidPromise done(sim_);
-  auto future = done.GetFuture();
-  RunMetaService(home, std::move(done));
-  return future;
-}
-
-sim::Task Amfs::RunDirUpdateService(net::NodeId home, sim::VoidPromise done) {
+sim::VoidFuture Amfs::DirUpdateService(net::NodeId home) {
   auto& lock = dir_locks_.at(home);
   co_await lock.Acquire();
   co_await sim_.Delay(config_.metadata_dir_update);
   lock.Release();
-  done.Set(sim::Done{});
+  co_return sim::Done{};
 }
 
-sim::VoidFuture Amfs::DirUpdateService(net::NodeId home) {
-  sim::VoidPromise done(sim_);
-  auto future = done.GetFuture();
-  RunDirUpdateService(home, std::move(done));
-  return future;
-}
-
-sim::Task Amfs::QueryMeta(VfsContext ctx, std::string path,
-                          sim::Promise<Result<MetaRecord>> done) {
+sim::Future<Result<Amfs::MetaRecord>> Amfs::QueryMeta(VfsContext ctx,
+                                                      std::string path) {
   // A node answers from its own tables when it stores the file or homes the
   // record ("all queries are local" for locality-scheduled opens).
   const net::NodeId home = MetaServerFor(path);
@@ -132,7 +118,7 @@ sim::Task Amfs::QueryMeta(VfsContext ctx, std::string path,
   if (!local_answer) {
     co_await network_.Transfer(home, ctx.node, 64);
   }
-  done.Set(std::move(result));
+  co_return std::move(result);
 }
 
 // ---------------------------------------------------------------------------
@@ -140,18 +126,9 @@ sim::Task Amfs::QueryMeta(VfsContext ctx, std::string path,
 
 sim::Future<Result<FileHandle>> Amfs::Create(VfsContext ctx,
                                              std::string path) {
-  sim::Promise<Result<FileHandle>> done(sim_);
-  auto future = done.GetFuture();
-  DoCreate(ctx, std::move(path), std::move(done));
-  return future;
-}
-
-sim::Task Amfs::DoCreate(VfsContext ctx, std::string path,
-                         sim::Promise<Result<FileHandle>> done) {
   co_await fuse_.Enter(ctx.node, ctx.process);
   if (!fs::path::IsNormalized(path) || path == "/") {
-    done.Set(status::InvalidArgument("bad path"));
-    co_return;
+    co_return status::InvalidArgument("bad path");
   }
   // Register the record at its (skewed) home node.
   const net::NodeId home = MetaServerFor(path);
@@ -160,8 +137,7 @@ sim::Task Amfs::DoCreate(VfsContext ctx, std::string path,
   auto& shard = metadata_[home];
   if (shard.contains(path)) {
     if (home != ctx.node) co_await network_.Transfer(home, ctx.node, 64);
-    done.Set(status::Exists(path));
-    co_return;
+    co_return status::Exists(path);
   }
   MetaRecord record;
   record.owner = ctx.node;
@@ -179,8 +155,7 @@ sim::Task Amfs::DoCreate(VfsContext ctx, std::string path,
   auto parent_it = parent_shard.find(parent);
   if (parent_it == parent_shard.end() || !parent_it->second.is_directory) {
     metadata_[home].erase(path);
-    done.Set(status::NotFound("parent directory: " + parent));
-    co_return;
+    co_return status::NotFound("parent directory: " + parent);
   }
   parent_it->second.entries.push_back(fs::path::Basename(path));
   if (parent_home != ctx.node) {
@@ -193,24 +168,15 @@ sim::Task Amfs::DoCreate(VfsContext ctx, std::string path,
   file->writing = true;
   const FileHandle handle = next_handle_++;
   handles_.emplace(handle, std::move(file));
-  done.Set(handle);
+  co_return handle;
 }
 
 sim::Future<Status> Amfs::Write(VfsContext ctx, FileHandle handle,
                                 Bytes data) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  DoWrite(ctx, handle, std::move(data), std::move(done));
-  return future;
-}
-
-sim::Task Amfs::DoWrite(VfsContext ctx, FileHandle handle, Bytes data,
-                        sim::Promise<Status> done) {
   co_await fuse_.Enter(ctx.node, ctx.process);
   auto it = handles_.find(handle);
   if (it == handles_.end() || !it->second->writing) {
-    done.Set(status::BadHandle());
-    co_return;
+    co_return status::BadHandle();
   }
   OpenFile* file = it->second.get();
   // Local write path: FUSE + in-memory file system copy; no network.
@@ -219,38 +185,20 @@ sim::Task Amfs::DoWrite(VfsContext ctx, FileHandle handle, Bytes data,
                           config_.write_ns_per_byte *
                           static_cast<double>(data.size())));
   file->buffer.Append(data);
-  done.Set(Status::Ok());
+  co_return Status::Ok();
 }
 
 sim::Future<Status> Amfs::Flush(VfsContext ctx, FileHandle handle) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
   // AMFS buffers the whole file in the writer's memory until close; flush
   // has nothing to push but still crosses the FUSE boundary.
-  [](Amfs* self, VfsContext context, FileHandle h,
-     sim::Promise<Status> promise) -> sim::Task {
-    co_await self->fuse_.Enter(context.node, context.process);
-    promise.Set(self->handles_.contains(h) ? Status::Ok()
-                                           : status::BadHandle());
-  }(this, ctx, handle, std::move(done));
-  return future;
+  co_await fuse_.Enter(ctx.node, ctx.process);
+  co_return handles_.contains(handle) ? Status::Ok() : status::BadHandle();
 }
 
 sim::Future<Status> Amfs::Close(VfsContext ctx, FileHandle handle) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  DoClose(ctx, handle, std::move(done));
-  return future;
-}
-
-sim::Task Amfs::DoClose(VfsContext ctx, FileHandle handle,
-                        sim::Promise<Status> done) {
   co_await fuse_.Enter(ctx.node, ctx.process);
   auto it = handles_.find(handle);
-  if (it == handles_.end()) {
-    done.Set(status::BadHandle());
-    co_return;
-  }
+  if (it == handles_.end()) co_return status::BadHandle();
   OpenFile* file = it->second.get();
   Status result;
   if (file->writing) {
@@ -288,50 +236,26 @@ sim::Task Amfs::DoClose(VfsContext ctx, FileHandle handle,
     }
   }
   handles_.erase(handle);
-  done.Set(std::move(result));
+  co_return std::move(result);
 }
 
 // ---------------------------------------------------------------------------
 // Open / read path (replication-on-read)
 
 sim::Future<Result<FileHandle>> Amfs::Open(VfsContext ctx, std::string path) {
-  sim::Promise<Result<FileHandle>> done(sim_);
-  auto future = done.GetFuture();
-  DoOpen(ctx, std::move(path), std::move(done));
-  return future;
-}
-
-sim::Task Amfs::DoOpen(VfsContext ctx, std::string path,
-                       sim::Promise<Result<FileHandle>> done) {
   co_await fuse_.Enter(ctx.node, ctx.process);
-  sim::Promise<Result<MetaRecord>> meta_promise(sim_);
-  auto meta_future = meta_promise.GetFuture();
-  QueryMeta(ctx, path, std::move(meta_promise));
-  Result<MetaRecord> meta = co_await meta_future;
-  if (!meta.ok()) {
-    done.Set(meta.status());
-    co_return;
-  }
-  if (meta->is_directory) {
-    done.Set(status::IsDirectory(path));
-    co_return;
-  }
+  Result<MetaRecord> meta = co_await QueryMeta(ctx, path);
+  if (!meta.ok()) co_return meta.status();
+  if (meta->is_directory) co_return status::IsDirectory(path);
   if (!meta->sealed) {
-    done.Set(status::Permission("file still open for writing: " + path));
-    co_return;
+    co_return status::Permission("file still open for writing: " + path);
   }
 
   if (!stores_[ctx.node]->Exists(path)) {
     // Locality was not achieved: fetch from the owner and keep a replica —
     // the expensive path of Table 1 and the memory blow-up of Fig. 9.
-    sim::Promise<Status> fetch_promise(sim_);
-    auto fetch_future = fetch_promise.GetFuture();
-    FetchAndReplicate(meta->owner, ctx.node, path, std::move(fetch_promise));
-    Status fetched = co_await fetch_future;
-    if (!fetched.ok()) {
-      done.Set(std::move(fetched));
-      co_return;
-    }
+    Status fetched = co_await FetchAndReplicate(meta->owner, ctx.node, path);
+    if (!fetched.ok()) co_return std::move(fetched);
   }
 
   auto file = std::make_unique<OpenFile>();
@@ -341,17 +265,14 @@ sim::Task Amfs::DoOpen(VfsContext ctx, std::string path,
   file->size = meta->size;
   const FileHandle handle = next_handle_++;
   handles_.emplace(handle, std::move(file));
-  done.Set(handle);
+  co_return handle;
 }
 
-sim::Task Amfs::FetchAndReplicate(net::NodeId from, net::NodeId to,
-                                  std::string path,
-                                  sim::Promise<Status> done) {
+sim::Future<Status> Amfs::FetchAndReplicate(net::NodeId from,
+                                            net::NodeId to,
+                                            std::string path) {
   auto value = stores_[from]->Get(path);
-  if (!value.ok()) {
-    done.Set(status::Internal("owner lost " + path));
-    co_return;
-  }
+  if (!value.ok()) co_return status::Internal("owner lost " + path);
   // Sequential chunked protocol: one request/response round trip per chunk.
   // This is what keeps AMFS remote reads far below line rate.
   const std::uint64_t size = value->size();
@@ -364,66 +285,41 @@ sim::Task Amfs::FetchAndReplicate(net::NodeId from, net::NodeId to,
     offset += chunk;
   }
   Status stored = stores_[to]->Set(path, std::move(value.value()));
-  done.Set(std::move(stored));
+  co_return std::move(stored);
 }
 
 sim::Future<Result<Bytes>> Amfs::Read(VfsContext ctx, FileHandle handle,
                                       std::uint64_t offset,
                                       std::uint64_t length) {
-  sim::Promise<Result<Bytes>> done(sim_);
-  auto future = done.GetFuture();
-  DoRead(ctx, handle, offset, length, std::move(done));
-  return future;
-}
-
-sim::Task Amfs::DoRead(VfsContext ctx, FileHandle handle, std::uint64_t offset,
-                       std::uint64_t length,
-                       sim::Promise<Result<Bytes>> done) {
   co_await fuse_.Enter(ctx.node, ctx.process);
   auto it = handles_.find(handle);
   if (it == handles_.end() || it->second->writing) {
-    done.Set(status::BadHandle());
-    co_return;
+    co_return status::BadHandle();
   }
   OpenFile* file = it->second.get();
   auto value = stores_[file->node]->Get(file->path);
-  if (!value.ok()) {
-    done.Set(status::Internal("replica missing: " + file->path));
-    co_return;
-  }
+  if (!value.ok()) co_return status::Internal("replica missing: " + file->path);
   Bytes out = value->Slice(offset, length);
   co_await sim_.Delay(config_.op_base +
                       static_cast<sim::SimTime>(
                           config_.read_ns_per_byte *
                           static_cast<double>(out.size())));
-  done.Set(std::move(out));
+  co_return std::move(out);
 }
 
 // ---------------------------------------------------------------------------
 // Namespace operations
 
 sim::Future<Status> Amfs::Mkdir(VfsContext ctx, std::string path) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  DoMkdir(ctx, std::move(path), std::move(done));
-  return future;
-}
-
-sim::Task Amfs::DoMkdir(VfsContext ctx, std::string path,
-                        sim::Promise<Status> done) {
   co_await fuse_.Enter(ctx.node, ctx.process);
   if (!fs::path::IsNormalized(path) || path == "/") {
-    done.Set(status::InvalidArgument("bad path"));
-    co_return;
+    co_return status::InvalidArgument("bad path");
   }
   const net::NodeId home = MetaServerFor(path);
   if (home != ctx.node) co_await network_.Transfer(ctx.node, home, 128);
   co_await MetaService(home);
   auto& shard = metadata_[home];
-  if (shard.contains(path)) {
-    done.Set(status::Exists(path));
-    co_return;
-  }
+  if (shard.contains(path)) co_return status::Exists(path);
   MetaRecord record;
   record.owner = ctx.node;
   record.is_directory = true;
@@ -439,55 +335,35 @@ sim::Task Amfs::DoMkdir(VfsContext ctx, std::string path,
   auto parent_it = parent_shard.find(parent);
   if (parent_it == parent_shard.end() || !parent_it->second.is_directory) {
     metadata_[home].erase(path);
-    done.Set(status::NotFound("parent directory: " + parent));
-    co_return;
+    co_return status::NotFound("parent directory: " + parent);
   }
   parent_it->second.entries.push_back(fs::path::Basename(path));
-  done.Set(Status::Ok());
+  co_return Status::Ok();
 }
 
 sim::Future<Result<std::vector<FileInfo>>> Amfs::ReadDir(VfsContext ctx,
                                                          std::string path) {
-  sim::Promise<Result<std::vector<FileInfo>>> done(sim_);
-  auto future = done.GetFuture();
   // Paged readback: each round trip carries one sorted page, so no single
   // response scales with the directory size (the fig06 apples-to-apples fix).
-  [](Amfs* self, VfsContext context, std::string p,
-     sim::Promise<Result<std::vector<FileInfo>>> promise) -> sim::Task {
-    std::vector<FileInfo> infos;
-    fs::DirCursor cursor;
-    while (true) {
-      auto page = co_await self->ReadDirPage(context, p, cursor, 0);
-      if (!page.ok()) {
-        promise.Set(page.status());
-        co_return;
-      }
-      for (auto& info : page->entries) infos.push_back(std::move(info));
-      if (!page->more) break;
-      cursor = page->next;
-    }
-    promise.Set(std::move(infos));
-  }(this, ctx, std::move(path), std::move(done));
-  return future;
+  std::vector<FileInfo> infos;
+  fs::DirCursor cursor;
+  while (true) {
+    auto page = co_await ReadDirPage(ctx, path, cursor, 0);
+    if (!page.ok()) co_return page.status();
+    for (auto& info : page->entries) infos.push_back(std::move(info));
+    if (!page->more) break;
+    cursor = page->next;
+  }
+  co_return std::move(infos);
 }
 
 sim::Future<Result<fs::DirPage>> Amfs::ReadDirPage(VfsContext ctx,
                                                    std::string path,
                                                    fs::DirCursor cursor,
                                                    std::uint32_t limit) {
-  sim::Promise<Result<fs::DirPage>> done(sim_);
-  auto future = done.GetFuture();
-  DoReadDirPage(ctx, std::move(path), cursor, limit, std::move(done));
-  return future;
-}
-
-sim::Task Amfs::DoReadDirPage(VfsContext ctx, std::string path,
-                              fs::DirCursor cursor, std::uint32_t limit,
-                              sim::Promise<Result<fs::DirPage>> done) {
   co_await fuse_.Enter(ctx.node, ctx.process);
   if (cursor.shard > 1) {
-    done.Set(status::InvalidArgument("AMFS cursors have one shard"));
-    co_return;
+    co_return status::InvalidArgument("AMFS cursors have one shard");
   }
   const std::uint32_t page_limit = limit > 0 ? limit : config_.readdir_page;
   const net::NodeId home = MetaServerFor(path);
@@ -506,8 +382,7 @@ sim::Task Amfs::DoReadDirPage(VfsContext ctx, std::string path,
                                ? status::NotFound(path)
                                : status::NotDirectory(path);
     if (!local_answer) co_await network_.Transfer(home, ctx.node, 64);
-    done.Set(failure);
-    co_return;
+    co_return failure;
   }
   std::vector<std::string> names = it->second.entries;
   std::sort(names.begin(), names.end());
@@ -529,24 +404,15 @@ sim::Task Amfs::DoReadDirPage(VfsContext ctx, std::string path,
     // whole listing.
     co_await network_.Transfer(home, ctx.node, wire_bytes);
   }
-  done.Set(std::move(page));
+  co_return std::move(page);
 }
 
 sim::Future<Status> Amfs::Rename(VfsContext ctx, std::string from,
                                  std::string to) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  DoRename(ctx, std::move(from), std::move(to), std::move(done));
-  return future;
-}
-
-sim::Task Amfs::DoRename(VfsContext ctx, std::string from, std::string to,
-                         sim::Promise<Status> done) {
   co_await fuse_.Enter(ctx.node, ctx.process);
   if (!fs::path::IsNormalized(from) || !fs::path::IsNormalized(to) ||
       from == "/" || to == "/" || from == to) {
-    done.Set(status::InvalidArgument("bad rename paths"));
-    co_return;
+    co_return status::InvalidArgument("bad rename paths");
   }
   const net::NodeId from_home = MetaServerFor(from);
   if (from_home != ctx.node) {
@@ -556,17 +422,12 @@ sim::Task Amfs::DoRename(VfsContext ctx, std::string from, std::string to,
   {
     auto& shard = metadata_[from_home];
     auto it = shard.find(from);
-    if (it == shard.end()) {
-      done.Set(status::NotFound(from));
-      co_return;
-    }
+    if (it == shard.end()) co_return status::NotFound(from);
     if (it->second.is_directory) {
-      done.Set(status::Permission("directory rename not supported by AMFS"));
-      co_return;
+      co_return status::Permission("directory rename not supported by AMFS");
     }
     if (!it->second.sealed) {
-      done.Set(status::Permission("file still open for writing: " + from));
-      co_return;
+      co_return status::Permission("file still open for writing: " + from);
     }
   }
   const net::NodeId to_home = MetaServerFor(to);
@@ -574,15 +435,11 @@ sim::Task Amfs::DoRename(VfsContext ctx, std::string from, std::string to,
     co_await network_.Transfer(ctx.node, to_home, 128);
   }
   co_await MetaService(to_home);
-  if (metadata_[to_home].contains(to)) {
-    done.Set(status::Exists(to));
-    co_return;
-  }
+  if (metadata_[to_home].contains(to)) co_return status::Exists(to);
   const std::string to_parent = fs::path::Parent(to);
   auto parent_meta = FindMeta(to_parent);
   if (!parent_meta.ok() || !(*parent_meta)->is_directory) {
-    done.Set(status::NotFound("parent directory: " + to_parent));
-    co_return;
+    co_return status::NotFound("parent directory: " + to_parent);
   }
   // Commit: move the record between homes (re-found — the shard may have
   // changed across the service waits), then re-key every stored copy
@@ -590,10 +447,7 @@ sim::Task Amfs::DoRename(VfsContext ctx, std::string from, std::string to,
   {
     auto& shard = metadata_[from_home];
     auto it = shard.find(from);
-    if (it == shard.end()) {
-      done.Set(status::NotFound(from));
-      co_return;
-    }
+    if (it == shard.end()) co_return status::NotFound(from);
     MetaRecord moved = std::move(it->second);
     shard.erase(it);
     metadata_[to_home].emplace(to, std::move(moved));
@@ -628,151 +482,88 @@ sim::Task Amfs::DoRename(VfsContext ctx, std::string from, std::string to,
       parent_it->second.entries.push_back(fs::path::Basename(to));
     }
   }
-  done.Set(Status::Ok());
+  co_return Status::Ok();
 }
 
-sim::Future<Status> Amfs::Link(VfsContext ctx, std::string existing,
-                               std::string link) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  (void)existing;
-  (void)link;
-  [](Amfs* self, VfsContext context, sim::Promise<Status> promise)
-      -> sim::Task {
-    co_await self->fuse_.Enter(context.node, context.process);
-    promise.Set(status::Permission("hard links not supported by AMFS"));
-  }(this, ctx, std::move(done));
-  return future;
+sim::Future<Status> Amfs::Link(VfsContext ctx, std::string /*existing*/,
+                               std::string /*link*/) {
+  co_await fuse_.Enter(ctx.node, ctx.process);
+  co_return status::Permission("hard links not supported by AMFS");
 }
 
 sim::Future<Result<FileInfo>> Amfs::Stat(VfsContext ctx, std::string path) {
-  sim::Promise<Result<FileInfo>> done(sim_);
-  auto future = done.GetFuture();
-  [](Amfs* self, VfsContext context, std::string p,
-     sim::Promise<Result<FileInfo>> promise) -> sim::Task {
-    co_await self->fuse_.Enter(context.node, context.process);
-    sim::Promise<Result<MetaRecord>> meta_promise(self->sim_);
-    auto meta_future = meta_promise.GetFuture();
-    self->QueryMeta(context, p, std::move(meta_promise));
-    Result<MetaRecord> meta = co_await meta_future;
-    if (!meta.ok()) {
-      promise.Set(meta.status());
-      co_return;
-    }
-    FileInfo info;
-    info.name = fs::path::Basename(p);
-    info.size = meta->size;
-    info.is_directory = meta->is_directory;
-    info.sealed = meta->sealed;
-    promise.Set(std::move(info));
-  }(this, ctx, std::move(path), std::move(done));
-  return future;
+  co_await fuse_.Enter(ctx.node, ctx.process);
+  Result<MetaRecord> meta = co_await QueryMeta(ctx, path);
+  if (!meta.ok()) co_return meta.status();
+  FileInfo info;
+  info.name = fs::path::Basename(path);
+  info.size = meta->size;
+  info.is_directory = meta->is_directory;
+  info.sealed = meta->sealed;
+  co_return std::move(info);
 }
 
 sim::Future<Status> Amfs::Unlink(VfsContext ctx, std::string path) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  [](Amfs* self, VfsContext context, std::string p,
-     sim::Promise<Status> promise) -> sim::Task {
-    co_await self->fuse_.Enter(context.node, context.process);
-    const net::NodeId home = self->MetaServerFor(p);
-    if (home != context.node) {
-      co_await self->network_.Transfer(context.node, home, 128);
-    }
-    co_await self->MetaService(home);
-    auto& shard = self->metadata_[home];
-    auto it = shard.find(p);
-    if (it == shard.end()) {
-      promise.Set(status::NotFound(p));
-      co_return;
-    }
-    if (it->second.is_directory) {
-      promise.Set(status::IsDirectory(p));
-      co_return;
-    }
-    shard.erase(it);
-    // Reclaim the original and every replica.
-    for (auto& store : self->stores_) {
-      if (store->Exists(p)) (void)store->Delete(p);
-    }
-    // Tombstone in the parent listing.
-    const std::string parent = fs::path::Parent(p);
-    auto& parent_shard = self->metadata_[self->MetaServerFor(parent)];
-    auto parent_it = parent_shard.find(parent);
-    if (parent_it != parent_shard.end()) {
-      auto& entries = parent_it->second.entries;
-      entries.erase(
-          std::remove(entries.begin(), entries.end(), fs::path::Basename(p)),
-          entries.end());
-    }
-    promise.Set(Status::Ok());
-  }(this, ctx, std::move(path), std::move(done));
-  return future;
+  co_await fuse_.Enter(ctx.node, ctx.process);
+  const net::NodeId home = MetaServerFor(path);
+  if (home != ctx.node) co_await network_.Transfer(ctx.node, home, 128);
+  co_await MetaService(home);
+  auto& shard = metadata_[home];
+  auto it = shard.find(path);
+  if (it == shard.end()) co_return status::NotFound(path);
+  if (it->second.is_directory) co_return status::IsDirectory(path);
+  shard.erase(it);
+  // Reclaim the original and every replica.
+  for (auto& store : stores_) {
+    if (store->Exists(path)) (void)store->Delete(path);
+  }
+  // Tombstone in the parent listing.
+  const std::string parent = fs::path::Parent(path);
+  auto& parent_shard = metadata_[MetaServerFor(parent)];
+  auto parent_it = parent_shard.find(parent);
+  if (parent_it != parent_shard.end()) {
+    auto& entries = parent_it->second.entries;
+    entries.erase(
+        std::remove(entries.begin(), entries.end(), fs::path::Basename(path)),
+        entries.end());
+  }
+  co_return Status::Ok();
 }
 
 sim::Future<Status> Amfs::Rmdir(VfsContext ctx, std::string path) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  [](Amfs* self, VfsContext context, std::string p,
-     sim::Promise<Status> promise) -> sim::Task {
-    co_await self->fuse_.Enter(context.node, context.process);
-    if (!fs::path::IsNormalized(p) || p == "/") {
-      promise.Set(status::InvalidArgument("bad path"));
-      co_return;
-    }
-    const net::NodeId home = self->MetaServerFor(p);
-    if (home != context.node) {
-      co_await self->network_.Transfer(context.node, home, 128);
-    }
-    co_await self->MetaService(home);
-    auto& shard = self->metadata_[home];
-    auto it = shard.find(p);
-    if (it == shard.end()) {
-      promise.Set(status::NotFound(p));
-      co_return;
-    }
-    if (!it->second.is_directory) {
-      promise.Set(status::NotDirectory(p));
-      co_return;
-    }
-    if (!it->second.entries.empty()) {
-      promise.Set(status::NotEmpty(p));
-      co_return;
-    }
-    shard.erase(it);
-    const std::string parent = fs::path::Parent(p);
-    const net::NodeId parent_home = self->MetaServerFor(parent);
-    co_await self->DirUpdateService(parent_home);
-    auto& parent_shard = self->metadata_[parent_home];
-    auto parent_it = parent_shard.find(parent);
-    if (parent_it != parent_shard.end()) {
-      auto& entries = parent_it->second.entries;
-      entries.erase(
-          std::remove(entries.begin(), entries.end(), fs::path::Basename(p)),
-          entries.end());
-    }
-    promise.Set(Status::Ok());
-  }(this, ctx, std::move(path), std::move(done));
-  return future;
+  co_await fuse_.Enter(ctx.node, ctx.process);
+  if (!fs::path::IsNormalized(path) || path == "/") {
+    co_return status::InvalidArgument("bad path");
+  }
+  const net::NodeId home = MetaServerFor(path);
+  if (home != ctx.node) co_await network_.Transfer(ctx.node, home, 128);
+  co_await MetaService(home);
+  auto& shard = metadata_[home];
+  auto it = shard.find(path);
+  if (it == shard.end()) co_return status::NotFound(path);
+  if (!it->second.is_directory) co_return status::NotDirectory(path);
+  if (!it->second.entries.empty()) co_return status::NotEmpty(path);
+  shard.erase(it);
+  const std::string parent = fs::path::Parent(path);
+  const net::NodeId parent_home = MetaServerFor(parent);
+  co_await DirUpdateService(parent_home);
+  auto& parent_shard = metadata_[parent_home];
+  auto parent_it = parent_shard.find(parent);
+  if (parent_it != parent_shard.end()) {
+    auto& entries = parent_it->second.entries;
+    entries.erase(
+        std::remove(entries.begin(), entries.end(), fs::path::Basename(path)),
+        entries.end());
+  }
+  co_return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
 // Software multicast (AMFS Shell collective)
 
 sim::Future<Status> Amfs::Multicast(VfsContext ctx, std::string path) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  DoMulticast(ctx, std::move(path), std::move(done));
-  return future;
-}
-
-sim::Task Amfs::DoMulticast(VfsContext ctx, std::string path,
-                            sim::Promise<Status> done) {
   auto meta = FindMeta(path);
-  if (!meta.ok()) {
-    done.Set(meta.status());
-    co_return;
-  }
+  if (!meta.ok()) co_return meta.status();
   (void)ctx;
   const std::uint32_t nodes = network_.config().nodes;
 
@@ -788,8 +579,7 @@ sim::Task Amfs::DoMulticast(VfsContext ctx, std::string path,
     }
   }
   if (holders.empty()) {
-    done.Set(status::Internal("multicast source lost " + path));
-    co_return;
+    co_return status::Internal("multicast source lost " + path);
   }
 
   Status first_error;
@@ -799,10 +589,8 @@ sim::Task Amfs::DoMulticast(VfsContext ctx, std::string path,
     std::vector<sim::Future<Status>> results;
     results.reserve(sends);
     for (std::size_t i = 0; i < sends; ++i) {
-      sim::Promise<Status> sent(sim_);
-      results.push_back(sent.GetFuture());
       round.Add();
-      FetchAndReplicate(holders[i], pending[i], path, std::move(sent));
+      results.push_back(FetchAndReplicate(holders[i], pending[i], path));
       [](sim::Future<Status> f, sim::WaitGroup& group) -> sim::Task {
         co_await f;
         group.Done();
@@ -817,7 +605,7 @@ sim::Task Amfs::DoMulticast(VfsContext ctx, std::string path,
     pending.erase(pending.begin(),
                   pending.begin() + static_cast<std::ptrdiff_t>(sends));
   }
-  done.Set(std::move(first_error));
+  co_return std::move(first_error);
 }
 
 }  // namespace memfs::amfs

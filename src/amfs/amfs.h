@@ -129,6 +129,8 @@ class Amfs final : public fs::Vfs {
 
   const AmfsConfig& config() const { return config_; }
   fs::FuseLayer& fuse() { return fuse_; }
+  // The Simulation this file system's coroutines run on.
+  sim::Simulation& simulation() const { return sim_; }
 
  private:
   struct MetaRecord {
@@ -153,42 +155,20 @@ class Amfs final : public fs::Vfs {
   // One unit of service at `home`'s metadata shard: waits for a worker slot
   // and pays the service time. Hot shards queue here.
   sim::VoidFuture MetaService(net::NodeId home);
-  sim::Task RunMetaService(net::NodeId home, sim::VoidPromise done);
 
   // Directory-record mutation at `home`: exclusive per-shard lock.
   sim::VoidFuture DirUpdateService(net::NodeId home);
-  sim::Task RunDirUpdateService(net::NodeId home, sim::VoidPromise done);
 
   // One metadata round trip unless the answer is local.
-  sim::Task QueryMeta(fs::VfsContext ctx, std::string path,
-                      sim::Promise<Result<MetaRecord>> done);
+  [[nodiscard]] sim::Future<Result<MetaRecord>> QueryMeta(fs::VfsContext ctx,
+                                                          std::string path);
 
   // Chunked sequential remote fetch + replica store.
-  sim::Task FetchAndReplicate(net::NodeId from, net::NodeId to,
-                              std::string path, sim::Promise<Status> done);
+  [[nodiscard]] sim::Future<Status> FetchAndReplicate(net::NodeId from,
+                                                      net::NodeId to,
+                                                      std::string path);
 
   Result<MetaRecord*> FindMeta(const std::string& path);
-
-  sim::Task DoCreate(fs::VfsContext ctx, std::string path,
-                     sim::Promise<Result<fs::FileHandle>> done);
-  sim::Task DoOpen(fs::VfsContext ctx, std::string path,
-                   sim::Promise<Result<fs::FileHandle>> done);
-  sim::Task DoWrite(fs::VfsContext ctx, fs::FileHandle handle, Bytes data,
-                    sim::Promise<Status> done);
-  sim::Task DoRead(fs::VfsContext ctx, fs::FileHandle handle,
-                   std::uint64_t offset, std::uint64_t length,
-                   sim::Promise<Result<Bytes>> done);
-  sim::Task DoClose(fs::VfsContext ctx, fs::FileHandle handle,
-                    sim::Promise<Status> done);
-  sim::Task DoMkdir(fs::VfsContext ctx, std::string path,
-                    sim::Promise<Status> done);
-  sim::Task DoReadDirPage(fs::VfsContext ctx, std::string path,
-                          fs::DirCursor cursor, std::uint32_t limit,
-                          sim::Promise<Result<fs::DirPage>> done);
-  sim::Task DoRename(fs::VfsContext ctx, std::string from, std::string to,
-                     sim::Promise<Status> done);
-  sim::Task DoMulticast(fs::VfsContext ctx, std::string path,
-                        sim::Promise<Status> done);
 
   sim::Simulation& sim_;
   net::Network& network_;

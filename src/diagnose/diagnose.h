@@ -203,4 +203,19 @@ class FlightRecorder {
   std::vector<sim::FaultEvent> faults_;
 };
 
+// The verdicts of one finished run: SLO results, then the incidents the
+// flight recorder froze from them.
+struct RunDiagnosis {
+  std::vector<monitor::SloResult> slo;  // one per rule that parsed
+  std::vector<Incident> incidents;
+};
+
+// Evaluates `rules` over `monitor` (rules that fail to parse are skipped)
+// and runs the flight recorder over the same windows with `tracer` and the
+// fault schedule `faults`. Call after Monitor::Finish().
+RunDiagnosis DiagnoseRun(const monitor::Monitor& monitor,
+                         const std::vector<std::string>& rules,
+                         const trace::Tracer* tracer,
+                         std::vector<sim::FaultEvent> faults);
+
 }  // namespace memfs::diagnose

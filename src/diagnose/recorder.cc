@@ -480,4 +480,20 @@ std::vector<CauseScore> RankCauses(const Incident& incident) {
   return ranked;
 }
 
+RunDiagnosis DiagnoseRun(const monitor::Monitor& monitor,
+                         const std::vector<std::string>& rules,
+                         const trace::Tracer* tracer,
+                         std::vector<sim::FaultEvent> faults) {
+  monitor::SloWatchdog watchdog(monitor);
+  for (const std::string& rule : rules) (void)watchdog.AddRule(rule);
+  RunDiagnosis diagnosis;
+  diagnosis.slo = watchdog.Evaluate();
+  FlightRecorder recorder(monitor);
+  recorder.SetSloResults(diagnosis.slo);
+  recorder.SetTracer(tracer);
+  recorder.SetFaults(std::move(faults));
+  diagnosis.incidents = recorder.Diagnose();
+  return diagnosis;
+}
+
 }  // namespace memfs::diagnose

@@ -217,28 +217,20 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
   SettleAttempt(*call);
 }
 
-// Resolves `done` to a single-key call's one verdict: a Status, or a
-// Result<Bytes> holding the value a GET read.
+// The future a single-key method returns for its one-item `call`: the
+// call's one verdict (a Status, or a Result<Bytes> holding the value a GET
+// read), one zero-time resume after the call resolves.
 template <typename T>
-sim::Task ForwardVerdict(sim::Future<BatchResult> call, sim::Promise<T> done) {
+sim::Future<T> Unwrap(sim::Simulation& /*sim*/,
+                      sim::Future<BatchResult> call) {
   const BatchResult finished = co_await call;
   BatchItemResult& item = finished->result(0);
   if constexpr (std::is_same_v<T, Status>) {
-    done.Set(std::move(item.status));
+    co_return std::move(item.status);
   } else {
-    done.Set(item.status.ok() ? T(std::move(item.value))
-                              : T(std::move(item.status)));
+    co_return item.status.ok() ? T(std::move(item.value))
+                               : T(std::move(item.status));
   }
-}
-
-// The future a single-key method returns for its one-item `call`; the
-// verdict reaches it one zero-time resume after the call resolves.
-template <typename T>
-sim::Future<T> Unwrap(sim::Simulation& sim, sim::Future<BatchResult> call) {
-  sim::Promise<T> done(sim);
-  auto future = done.GetFuture();
-  ForwardVerdict(std::move(call), std::move(done));
-  return future;
 }
 
 std::vector<BatchItem> OneItem(std::string key, Bytes value) {

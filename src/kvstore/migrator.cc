@@ -89,20 +89,11 @@ std::vector<std::string> Migrator::CollectPending() const {
 sim::Future<Status> Migrator::Rebalance(trace::TraceContext trace) {
   assert(!running_ && "one migration run at a time");
   running_ = true;
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  RunLoop(std::move(done), trace);
-  return future;
-}
-
-sim::Task Migrator::RunLoop(sim::Promise<Status> done,
-                            trace::TraceContext trace) {
   trace::ScopedSpan run(trace, "migrate.run", "migrate");
   const trace::TraceContext tctx = run.context();
   if (!membership_.migrating()) {
     running_ = false;
-    done.Set(Status::Ok());
-    co_return;
+    co_return Status::Ok();
   }
   progress_.active = true;
   SyncGauges();
@@ -159,7 +150,7 @@ sim::Task Migrator::RunLoop(sim::Promise<Status> done,
   progress_.active = false;
   SyncGauges();
   running_ = false;
-  done.Set(std::move(result));
+  co_return std::move(result);
 }
 
 sim::Task Migrator::MoveChunk(std::vector<std::string> keys,

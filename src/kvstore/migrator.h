@@ -77,6 +77,8 @@ class Migrator {
 
   const MigratorProgress& progress() const { return progress_; }
   const MigratorConfig& config() const { return config_; }
+  // The Simulation this migrator's coroutines run on.
+  sim::Simulation& simulation() const { return sim_; }
 
  private:
   struct KeyPlan {
@@ -104,7 +106,6 @@ class Migrator {
   std::vector<std::string> CollectPending() const;
   bool TargetsSatisfied(const std::string& key) const;
 
-  sim::Task RunLoop(sim::Promise<Status> done, trace::TraceContext trace);
   sim::Task MoveChunk(std::vector<std::string> keys, SweepState* sweep,
                       trace::TraceContext trace);
 

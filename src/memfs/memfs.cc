@@ -192,11 +192,11 @@ std::uint32_t MemFs::ReplicaServer(std::uint32_t epoch, std::string_view key,
   return (ring.ServerFor(key) + replica) % ring.server_count();
 }
 
-sim::Task MemFs::RunReplicatedMutation(std::uint32_t epoch, net::NodeId node,
-                                       std::string key, Bytes value,
-                                       bool append,
-                                       sim::Promise<Status> done,
-                                       trace::TraceContext trace) {
+sim::Future<Status> MemFs::ReplicatedMutation(std::uint32_t epoch,
+                                              net::NodeId node,
+                                              std::string key, Bytes value,
+                                              bool append,
+                                              trace::TraceContext trace) {
   // Elastic handoff window: serialize against the migrator so a concurrent
   // copy can never install a value older than this write. The route is
   // computed only after the gate admits us — the handoff may have committed
@@ -218,8 +218,7 @@ sim::Task MemFs::RunReplicatedMutation(std::uint32_t epoch, net::NodeId node,
                                    trace);
     }
     if (gated) membership_->gate().ExitWriter(key);
-    done.Set(std::move(status));
-    co_return;
+    co_return std::move(status);
   }
   trace::ScopedSpan span(trace, append ? "replica.append" : "replica.set",
                          "replica");
@@ -262,10 +261,7 @@ sim::Task MemFs::RunReplicatedMutation(std::uint32_t epoch, net::NodeId node,
     (void)co_await future;
   }
   if (gated) membership_->gate().ExitWriter(key);
-  if (acks == route.primary.size()) {
-    done.Set(Status::Ok());
-    co_return;
-  }
+  if (acks == route.primary.size()) co_return Status::Ok();
   // Only availability errors are forgivable; a replica that answered with a
   // real error (NO_SPACE, NOT_FOUND on append...) still fails the write.
   if (acks > 0 && config_.degraded_writes && all_errors_retryable) {
@@ -274,38 +270,14 @@ sim::Task MemFs::RunReplicatedMutation(std::uint32_t epoch, net::NodeId node,
     if (config_.metrics != nullptr) {
       ++config_.metrics->Counter("fs.degraded_writes");
     }
-    done.Set(Status::Ok());
-    co_return;
+    co_return Status::Ok();
   }
-  done.Set(std::move(first_error));
+  co_return std::move(first_error);
 }
 
-sim::Future<Status> MemFs::ReplicatedSet(std::uint32_t epoch,
-                                         net::NodeId node, std::string key,
-                                         Bytes value,
+sim::Future<Status> MemFs::ReplicatedAdd(std::uint32_t epoch, net::NodeId node,
+                                         std::string key, Bytes value,
                                          trace::TraceContext trace) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  RunReplicatedMutation(epoch, node, std::move(key), std::move(value),
-                        /*append=*/false, std::move(done), trace);
-  return future;
-}
-
-sim::Future<Status> MemFs::ReplicatedAppend(std::uint32_t epoch,
-                                            net::NodeId node, std::string key,
-                                            Bytes suffix,
-                                            trace::TraceContext trace) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  RunReplicatedMutation(epoch, node, std::move(key), std::move(suffix),
-                        /*append=*/true, std::move(done), trace);
-  return future;
-}
-
-sim::Task MemFs::RunReplicatedAdd(std::uint32_t epoch, net::NodeId node,
-                                  std::string key, Bytes value,
-                                  sim::Promise<Status> done,
-                                  trace::TraceContext trace) {
   const bool gated =
       membership_ != nullptr && membership_->ShouldGate(key);
   if (gated) co_await membership_->gate().EnterWriter(key);
@@ -349,27 +321,13 @@ sim::Task MemFs::RunReplicatedAdd(std::uint32_t epoch, net::NodeId node,
     }
   }
   if (gated) membership_->gate().ExitWriter(key);
-  done.Set(std::move(last));
+  co_return std::move(last);
 }
 
-sim::Future<Status> MemFs::ReplicatedAdd(std::uint32_t epoch, net::NodeId node,
-                                         std::string key, Bytes value,
-                                         trace::TraceContext trace) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  RunReplicatedAdd(epoch, node, std::move(key), std::move(value),
-                   std::move(done), trace);
-  return future;
-}
-
-sim::Task MemFs::RunMetaAdd(net::NodeId node, std::string key, Bytes value,
-                            sim::Promise<Status> done,
-                            trace::TraceContext trace) {
+sim::Future<Status> MemFs::MetaAdd(net::NodeId node, std::string key,
+                                   Bytes value, trace::TraceContext trace) {
   Status added = co_await ReplicatedAdd(0, node, key, value, trace);
-  if (!added.ok()) {
-    done.Set(std::move(added));
-    co_return;
-  }
+  if (!added.ok()) co_return std::move(added);
   // The accepted record fans out to the rest of the chain so every replica
   // can answer failover reads and take APPENDs; a replica that is down stays
   // empty until read repair finds it (same window legacy mkdir accepts).
@@ -382,21 +340,13 @@ sim::Task MemFs::RunMetaAdd(net::NodeId node, std::string key, Bytes value,
     // best-effort dual-commit
     (void)co_await sched_.Set(node, server, key, value, trace);
   }
-  done.Set(Status::Ok());
+  co_return Status::Ok();
 }
 
-sim::Future<Status> MemFs::MetaAdd(net::NodeId node, std::string key,
-                                   Bytes value, trace::TraceContext trace) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  RunMetaAdd(node, std::move(key), std::move(value), std::move(done), trace);
-  return future;
-}
-
-sim::Task MemFs::RunReplicatedDelete(std::uint32_t epoch, net::NodeId node,
-                                     std::string key,
-                                     sim::Promise<Status> done,
-                                     trace::TraceContext trace) {
+sim::Future<Status> MemFs::ReplicatedDelete(std::uint32_t epoch,
+                                            net::NodeId node,
+                                            std::string key,
+                                            trace::TraceContext trace) {
   const bool gated =
       membership_ != nullptr && membership_->ShouldGate(key);
   if (gated) co_await membership_->gate().EnterWriter(key);
@@ -426,23 +376,13 @@ sim::Task MemFs::RunReplicatedDelete(std::uint32_t epoch, net::NodeId node,
     if (&future == &futures.front()) result = std::move(status);
   }
   if (gated) membership_->gate().ExitWriter(key);
-  done.Set(std::move(result));
+  co_return std::move(result);
 }
 
-sim::Future<Status> MemFs::ReplicatedDelete(std::uint32_t epoch,
-                                            net::NodeId node,
-                                            std::string key,
-                                            trace::TraceContext trace) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  RunReplicatedDelete(epoch, node, std::move(key), std::move(done), trace);
-  return future;
-}
-
-sim::Task MemFs::RunFailoverGet(std::uint32_t epoch, net::NodeId node,
-                                std::string key,
-                                sim::Promise<Result<Bytes>> done,
-                                trace::TraceContext trace) {
+sim::Future<Result<Bytes>> MemFs::FailoverGet(std::uint32_t epoch,
+                                              net::NodeId node,
+                                              std::string key,
+                                              trace::TraceContext trace) {
   const std::uint32_t passes =
       std::max<std::uint32_t>(config_.read_chain_attempts, 1);
   trace::ScopedSpan span;
@@ -483,8 +423,7 @@ sim::Task MemFs::RunFailoverGet(std::uint32_t epoch, net::NodeId node,
             }
           }
         }
-        done.Set(std::move(got));
-        co_return;
+        co_return std::move(got);
       }
       if (got.status().code() == ErrorCode::kNotFound) {
         ++not_found;
@@ -499,9 +438,8 @@ sim::Task MemFs::RunFailoverGet(std::uint32_t epoch, net::NodeId node,
       if (permanent > 0) {
         // Some copy was on a server that drained and LEFT; no amount of
         // retrying brings it back.
-        done.Set(Result<Bytes>(status::UnavailablePermanent(
-            "replica chain left the cluster: " + key)));
-        co_return;
+        co_return status::UnavailablePermanent(
+            "replica chain left the cluster: " + key);
       }
       // Every replica answered and none holds the key. Mid-handoff that can
       // be a race (probed the new home before the copy, the old after the
@@ -514,8 +452,7 @@ sim::Task MemFs::RunFailoverGet(std::uint32_t epoch, net::NodeId node,
         co_await sim_.Delay(storage_.cost_model().failure_timeout);
         continue;  // does not consume a pass
       }
-      done.Set(Result<Bytes>(status::NotFound(key)));
-      co_return;
+      co_return status::NotFound(key);
     }
     // Some replica was unreachable and may hold the only copy; run the chain
     // again after an escalating delay (it may be restarting, or its breaker
@@ -525,9 +462,9 @@ sim::Task MemFs::RunFailoverGet(std::uint32_t epoch, net::NodeId node,
     trace::ScopedSpan wait(tctx, "chain_backoff", "retry");
     co_await sim_.Delay(storage_.cost_model().failure_timeout * pass);
   }
-  done.Set(Result<Bytes>(
-      unreachable.ok() ? status::Unavailable("all replicas unreachable: " + key)
-                       : unreachable));
+  co_return unreachable.ok()
+                ? status::Unavailable("all replicas unreachable: " + key)
+                : unreachable;
 }
 
 sim::Task MemFs::RunReadRepair(net::NodeId node, std::uint32_t server,
@@ -540,16 +477,6 @@ sim::Task MemFs::RunReadRepair(net::NodeId node, std::uint32_t server,
       ++config_.metrics->Counter("fs.read_repairs");
     }
   }
-}
-
-sim::Future<Result<Bytes>> MemFs::FailoverGet(std::uint32_t epoch,
-                                              net::NodeId node,
-                                              std::string key,
-                                              trace::TraceContext trace) {
-  sim::Promise<Result<Bytes>> done(sim_);
-  auto future = done.GetFuture();
-  RunFailoverGet(epoch, node, std::move(key), std::move(done), trace);
-  return future;
 }
 
 namespace {
@@ -595,6 +522,16 @@ Status LookupError(const Result<Bytes>& record, const std::string& path) {
 
 }  // namespace
 
+template <typename T>
+sim::Future<T> MemFs::Timed(std::string_view name, const VfsContext& ctx,
+                            sim::Future<T> future) {
+  if (config_.metrics != nullptr) {
+    RecordLatency(future, &sim_, &config_.metrics->Histogram(name),
+                  sim_.now(), TagOf(ctx));
+  }
+  return future;
+}
+
 FileHandle MemFs::InstallHandle(std::string path, std::string ident,
                                 mds::Ino ino, net::NodeId node, bool writing,
                                 std::uint32_t epoch, std::uint64_t size) {
@@ -638,22 +575,14 @@ Result<MemFs::OpenFile*> MemFs::FindHandle(FileHandle handle, bool writing) {
 
 sim::Future<Result<FileHandle>> MemFs::Create(VfsContext ctx,
                                               std::string path) {
-  sim::Promise<Result<FileHandle>> done(sim_);
-  auto future = done.GetFuture();
   // Open the op span here (not in the coroutine) so the latency recorder
-  // can tag its exemplar with the span's identity; DoCreate adopts it.
+  // can tag its exemplar with the span's identity; the body adopts it.
   ctx.trace = trace::Child(ctx.trace, "vfs.create", "vfs");
-  DoCreate(ctx, std::move(path), std::move(done));
-  if (config_.metrics != nullptr) {
-    RecordLatency(future, &sim_,
-                  &config_.metrics->Histogram("vfs.create"), sim_.now(),
-                  TagOf(ctx));
-  }
-  return future;
+  return Timed("vfs.create", ctx, CreateOp(ctx, std::move(path)));
 }
 
-sim::Task MemFs::DoCreate(VfsContext ctx, std::string path,
-                          sim::Promise<Result<FileHandle>> done) {
+sim::Future<Result<FileHandle>> MemFs::CreateOp(VfsContext ctx,
+                                                std::string path) {
   trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
@@ -662,32 +591,26 @@ sim::Task MemFs::DoCreate(VfsContext ctx, std::string path,
     co_await fuse_.Enter(ctx.node, ctx.process);
   }
   if (!path::IsNormalized(path) || path == "/") {
-    done.Set(status::InvalidArgument("bad path"));
-    co_return;
+    co_return status::InvalidArgument("bad path");
   }
   if (meta_client_ != nullptr) {
     auto created =
         co_await meta_client_->CreateFile(ctx.node, path, current_epoch(),
                                           tctx);
-    if (!created.ok()) {
-      done.Set(created.status());
-      co_return;
-    }
+    if (!created.ok()) co_return created.status();
     // Stripes key on the ino, not the path: rename moves the dentry only.
-    done.Set(InstallHandle(std::move(path), mds::InodeKey(created->ino),
-                           created->ino, ctx.node, /*writing=*/true,
-                           current_epoch(), 0));
-    co_return;
+    co_return InstallHandle(std::move(path), mds::InodeKey(created->ino),
+                            created->ino, ctx.node, /*writing=*/true,
+                            current_epoch(), 0);
   }
   // Register an unsealed file record; ADD makes concurrent double-create
   // lose deterministically (write-once implies a single writer).
   Status added = co_await ReplicatedAdd(
       0, ctx.node, path, meta::EncodeFile({0, false, current_epoch()}), tctx);
   if (!added.ok()) {
-    done.Set(added.code() == ErrorCode::kExists
-                 ? status::Exists(path)
-                 : added);
-    co_return;
+    co_return added.code() == ErrorCode::kExists
+                  ? status::Exists(path)
+                  : added;
   }
   // Link into the parent's directory event log (atomic APPEND, all
   // replicas).
@@ -699,30 +622,21 @@ sim::Task MemFs::DoCreate(VfsContext ctx, std::string path,
     // create already fails with NOT_FOUND and an orphaned record is inert.
     // lint: allow(ignored-status) best-effort rollback of an inert record
     co_await ReplicatedDelete(0, ctx.node, path, tctx);
-    done.Set(status::NotFound("parent directory: " + parent));
-    co_return;
+    co_return status::NotFound("parent directory: " + parent);
   }
   std::string ident = path;
-  done.Set(InstallHandle(std::move(path), std::move(ident), 0, ctx.node,
-                         /*writing=*/true, current_epoch(), 0));
+  co_return InstallHandle(std::move(path), std::move(ident), 0, ctx.node,
+                          /*writing=*/true, current_epoch(), 0);
 }
 
 sim::Future<Status> MemFs::Write(VfsContext ctx, FileHandle handle,
                                  Bytes data) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
   ctx.trace = trace::Child(ctx.trace, "vfs.write", "vfs");
-  DoWrite(ctx, handle, std::move(data), std::move(done));
-  if (config_.metrics != nullptr) {
-    RecordLatency(future, &sim_,
-                  &config_.metrics->Histogram("vfs.write"), sim_.now(),
-                  TagOf(ctx));
-  }
-  return future;
+  return Timed("vfs.write", ctx, WriteOp(ctx, handle, std::move(data)));
 }
 
-sim::Task MemFs::DoWrite(VfsContext ctx, FileHandle handle, Bytes data,
-                         sim::Promise<Status> done) {
+sim::Future<Status> MemFs::WriteOp(VfsContext ctx, FileHandle handle,
+                                   Bytes data) {
   trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "bytes", std::to_string(data.size()));
@@ -731,10 +645,7 @@ sim::Task MemFs::DoWrite(VfsContext ctx, FileHandle handle, Bytes data,
     co_await fuse_.Enter(ctx.node, ctx.process);
   }
   auto found = FindHandle(handle, /*writing=*/true);
-  if (!found.ok()) {
-    done.Set(found.status());
-    co_return;
-  }
+  if (!found.ok()) co_return found.status();
   OpenFile* file = *found;
   stats_.bytes_written += data.size();
   file->written += data.size();
@@ -757,7 +668,7 @@ sim::Task MemFs::DoWrite(VfsContext ctx, FileHandle handle, Bytes data,
                  std::move(accepted), tctx);
     co_await accepted_future;
   }
-  done.Set(file->first_error);
+  co_return file->first_error;
 }
 
 sim::Task MemFs::SubmitStripe(OpenFile* file, std::uint32_t index, Bytes data,
@@ -810,20 +721,11 @@ sim::Task MemFs::FlushStripe(OpenFile* file, std::string key, Bytes data,
 }
 
 sim::Future<Status> MemFs::Flush(VfsContext ctx, FileHandle handle) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
   ctx.trace = trace::Child(ctx.trace, "vfs.flush", "vfs");
-  DoFlush(ctx, handle, std::move(done));
-  if (config_.metrics != nullptr) {
-    RecordLatency(future, &sim_,
-                  &config_.metrics->Histogram("vfs.flush"), sim_.now(),
-                  TagOf(ctx));
-  }
-  return future;
+  return Timed("vfs.flush", ctx, FlushOp(ctx, handle));
 }
 
-sim::Task MemFs::DoFlush(VfsContext ctx, FileHandle handle,
-                         sim::Promise<Status> done) {
+sim::Future<Status> MemFs::FlushOp(VfsContext ctx, FileHandle handle) {
   trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
   const trace::TraceContext tctx = op_span.context();
   {
@@ -831,38 +733,25 @@ sim::Task MemFs::DoFlush(VfsContext ctx, FileHandle handle,
     co_await fuse_.Enter(ctx.node, ctx.process);
   }
   auto it = handles_.find(handle);
-  if (it == handles_.end()) {
-    done.Set(status::BadHandle());
-    co_return;
-  }
+  if (it == handles_.end()) co_return status::BadHandle();
   OpenFile* file = it->second.get();
   if (!file->writing) {
-    done.Set(Status::Ok());  // POSIX: fsync on a read fd is a no-op here
-    co_return;
+    co_return Status::Ok();  // POSIX: fsync on a read fd is a no-op here
   }
   // Wait until the write buffer has been emptied (§3.2.2). The partial tail
   // stays buffered: it is not a whole stripe yet, and shipping it early
   // would break the fixed-stripe arithmetic readers rely on; only close()
   // may emit the short final stripe.
   co_await file->inflight->Wait();
-  done.Set(file->first_error);
+  co_return file->first_error;
 }
 
 sim::Future<Status> MemFs::Close(VfsContext ctx, FileHandle handle) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
   ctx.trace = trace::Child(ctx.trace, "vfs.close", "vfs");
-  DoClose(ctx, handle, std::move(done));
-  if (config_.metrics != nullptr) {
-    RecordLatency(future, &sim_,
-                  &config_.metrics->Histogram("vfs.close"), sim_.now(),
-                  TagOf(ctx));
-  }
-  return future;
+  return Timed("vfs.close", ctx, CloseOp(ctx, handle));
 }
 
-sim::Task MemFs::DoClose(VfsContext ctx, FileHandle handle,
-                         sim::Promise<Status> done) {
+sim::Future<Status> MemFs::CloseOp(VfsContext ctx, FileHandle handle) {
   trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
   const trace::TraceContext tctx = op_span.context();
   {
@@ -870,10 +759,7 @@ sim::Task MemFs::DoClose(VfsContext ctx, FileHandle handle,
     co_await fuse_.Enter(ctx.node, ctx.process);
   }
   auto it = handles_.find(handle);
-  if (it == handles_.end()) {
-    done.Set(status::BadHandle());
-    co_return;
-  }
+  if (it == handles_.end()) co_return status::BadHandle();
   OpenFile* file = it->second.get();
   Status result;
   if (file->writing) {
@@ -907,26 +793,19 @@ sim::Task MemFs::DoClose(VfsContext ctx, FileHandle handle,
   }
   handles_.erase(handle);
   GaugeAdd(OpenFilesGauge(ctx.node), -1);
-  done.Set(std::move(result));
+  co_return std::move(result);
 }
 
 // ---------------------------------------------------------------------------
 // Open / read path
 
 sim::Future<Result<FileHandle>> MemFs::Open(VfsContext ctx, std::string path) {
-  sim::Promise<Result<FileHandle>> done(sim_);
-  auto future = done.GetFuture();
   ctx.trace = trace::Child(ctx.trace, "vfs.open", "vfs");
-  DoOpen(ctx, std::move(path), std::move(done));
-  if (config_.metrics != nullptr) {
-    RecordLatency(future, &sim_, &config_.metrics->Histogram("vfs.open"),
-                  sim_.now(), TagOf(ctx));
-  }
-  return future;
+  return Timed("vfs.open", ctx, OpenOp(ctx, std::move(path)));
 }
 
-sim::Task MemFs::DoOpen(VfsContext ctx, std::string path,
-                        sim::Promise<Result<FileHandle>> done) {
+sim::Future<Result<FileHandle>> MemFs::OpenOp(VfsContext ctx,
+                                              std::string path) {
   trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
@@ -936,73 +815,49 @@ sim::Task MemFs::DoOpen(VfsContext ctx, std::string path,
   }
   if (meta_client_ != nullptr) {
     auto attr = co_await meta_client_->Resolve(ctx.node, path, tctx);
-    if (!attr.ok()) {
-      done.Set(attr.status());
-      co_return;
-    }
+    if (!attr.ok()) co_return attr.status();
     if (attr->rec.kind == mds::InodeKind::kDirectory) {
-      done.Set(status::IsDirectory(path));
-      co_return;
+      co_return status::IsDirectory(path);
     }
     if (attr->rec.epoch >= epochs_.size()) {
-      done.Set(status::Internal("file from unknown ring epoch: " + path));
-      co_return;
+      co_return status::Internal("file from unknown ring epoch: " + path);
     }
     if (!attr->rec.sealed) {
-      done.Set(status::Permission("file still open for writing: " + path));
-      co_return;
+      co_return status::Permission("file still open for writing: " + path);
     }
-    done.Set(InstallHandle(std::move(path), mds::InodeKey(attr->ino),
-                           attr->ino, ctx.node, /*writing=*/false,
-                           attr->rec.epoch, attr->rec.size));
-    co_return;
+    co_return InstallHandle(std::move(path), mds::InodeKey(attr->ino),
+                            attr->ino, ctx.node, /*writing=*/false,
+                            attr->rec.epoch, attr->rec.size);
   }
   Result<Bytes> record = co_await FailoverGet(0, ctx.node, path, tctx);
-  if (!record.ok()) {
-    done.Set(LookupError(record, path));
-    co_return;
-  }
+  if (!record.ok()) co_return LookupError(record, path);
   auto decoded = meta::Decode(record.value());
-  if (!decoded.ok()) {
-    done.Set(decoded.status());
-    co_return;
-  }
+  if (!decoded.ok()) co_return decoded.status();
   if (decoded->kind == meta::Kind::kDirectory) {
-    done.Set(status::IsDirectory(path));
-    co_return;
+    co_return status::IsDirectory(path);
   }
   if (decoded->file.epoch >= epochs_.size()) {
-    done.Set(status::Internal("file from unknown ring epoch: " + path));
-    co_return;
+    co_return status::Internal("file from unknown ring epoch: " + path);
   }
   if (!decoded->file.sealed) {
-    done.Set(status::Permission("file still open for writing: " + path));
-    co_return;
+    co_return status::Permission("file still open for writing: " + path);
   }
   std::string ident = path;
-  done.Set(InstallHandle(std::move(path), std::move(ident), 0, ctx.node,
-                         /*writing=*/false, decoded->file.epoch,
-                         decoded->file.size));
+  co_return InstallHandle(std::move(path), std::move(ident), 0, ctx.node,
+                          /*writing=*/false, decoded->file.epoch,
+                          decoded->file.size);
 }
 
 sim::Future<Result<Bytes>> MemFs::Read(VfsContext ctx, FileHandle handle,
                                        std::uint64_t offset,
                                        std::uint64_t length) {
-  sim::Promise<Result<Bytes>> done(sim_);
-  auto future = done.GetFuture();
   ctx.trace = trace::Child(ctx.trace, "vfs.read", "vfs");
-  DoRead(ctx, handle, offset, length, std::move(done));
-  if (config_.metrics != nullptr) {
-    RecordLatency(future, &sim_,
-                  &config_.metrics->Histogram("vfs.read"), sim_.now(),
-                  TagOf(ctx));
-  }
-  return future;
+  return Timed("vfs.read", ctx, ReadOp(ctx, handle, offset, length));
 }
 
-sim::Task MemFs::DoRead(VfsContext ctx, FileHandle handle,
-                        std::uint64_t offset, std::uint64_t length,
-                        sim::Promise<Result<Bytes>> done) {
+sim::Future<Result<Bytes>> MemFs::ReadOp(VfsContext ctx, FileHandle handle,
+                                         std::uint64_t offset,
+                                         std::uint64_t length) {
   trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "offset", std::to_string(offset));
@@ -1012,10 +867,7 @@ sim::Task MemFs::DoRead(VfsContext ctx, FileHandle handle,
     co_await fuse_.Enter(ctx.node, ctx.process);
   }
   auto found = FindHandle(handle, /*writing=*/false);
-  if (!found.ok()) {
-    done.Set(found.status());
-    co_return;
-  }
+  if (!found.ok()) co_return found.status();
   OpenFile* file = *found;
   const auto spans = striper_.Spans(offset, length, file->size);
 
@@ -1060,21 +912,20 @@ sim::Task MemFs::DoRead(VfsContext ctx, FileHandle handle,
                   order.end());
       // UNAVAILABLE_PERMANENT passes through untranslated: a drained server
       // took the only copy with it, and the caller must not retry.
-      done.Set(IsRetryable(stripe.status().code()) ||
-                       stripe.status().code() ==
-                           ErrorCode::kUnavailablePermanent
-                   ? stripe.status()
-                   : status::Internal("missing stripe " +
-                                      std::to_string(spans[i].stripe) +
-                                      " of " + file->path));
-      co_return;
+      const ErrorCode code = stripe.status().code();
+      if (IsRetryable(code) || code == ErrorCode::kUnavailablePermanent) {
+        co_return stripe.status();
+      }
+      co_return status::Internal("missing stripe " +
+                                 std::to_string(spans[i].stripe) + " of " +
+                                 file->path);
     }
     out.Append(
         stripe.value().Slice(spans[i].offset_in_stripe, spans[i].length));
   }
   file->sequential_end = offset + out.size();
   stats_.bytes_read += out.size();
-  done.Set(std::move(out));
+  co_return std::move(out);
 }
 
 sim::Future<Result<Bytes>> MemFs::EnsureStripe(OpenFile* file,
@@ -1096,8 +947,9 @@ sim::Future<Result<Bytes>> MemFs::EnsureStripe(OpenFile* file,
     ++stats_.prefetch_issued;
   }
 
-  sim::Promise<Result<Bytes>> promise(sim_);
-  auto future = promise.GetFuture();
+  auto future = FetchStripe(file->node, file->epoch,
+                            std::string(file->stripe_keys.Render(index)),
+                            trace);
   file->cache.emplace(index, future);
   file->cache_order.push_back(index);
 
@@ -1110,17 +962,13 @@ sim::Future<Result<Bytes>> MemFs::EnsureStripe(OpenFile* file,
     file->cache.erase(file->cache_order.front());
     file->cache_order.pop_front();
   }
-
-  FetchStripe(file->node, file->epoch,
-              std::string(file->stripe_keys.Render(index)),
-              std::move(promise), trace);
   return future;
 }
 
-sim::Task MemFs::FetchStripe(net::NodeId node, std::uint32_t epoch,
-                             std::string key,
-                             sim::Promise<Result<Bytes>> promise,
-                             trace::TraceContext trace) {
+sim::Future<Result<Bytes>> MemFs::FetchStripe(net::NodeId node,
+                                              std::uint32_t epoch,
+                                              std::string key,
+                                              trace::TraceContext trace) {
   // A prefetched stripe's span outlives the read that issued it; it still
   // parents correctly because contexts are values, not stack state.
   trace::ScopedSpan span(trace, "stripe.get", "striper");
@@ -1134,21 +982,13 @@ sim::Task MemFs::FetchStripe(net::NodeId node, std::uint32_t epoch,
   Result<Bytes> result =
       co_await FailoverGet(epoch, node, std::move(key), span.context());
   pool.Release();
-  promise.Set(std::move(result));
+  co_return std::move(result);
 }
 
 // ---------------------------------------------------------------------------
 // Namespace operations
 
 sim::Future<Status> MemFs::Mkdir(VfsContext ctx, std::string path) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  DoMkdir(ctx, std::move(path), std::move(done));
-  return future;
-}
-
-sim::Task MemFs::DoMkdir(VfsContext ctx, std::string path,
-                         sim::Promise<Status> done) {
   trace::ScopedSpan op_span(ctx.trace, "vfs.mkdir", "vfs");
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
@@ -1157,19 +997,14 @@ sim::Task MemFs::DoMkdir(VfsContext ctx, std::string path,
     co_await fuse_.Enter(ctx.node, ctx.process);
   }
   if (!path::IsNormalized(path) || path == "/") {
-    done.Set(status::InvalidArgument("bad path"));
-    co_return;
+    co_return status::InvalidArgument("bad path");
   }
   if (meta_client_ != nullptr) {
-    done.Set(co_await meta_client_->Mkdir(ctx.node, std::move(path), tctx));
-    co_return;
+    co_return co_await meta_client_->Mkdir(ctx.node, std::move(path), tctx);
   }
   Status added =
       co_await ReplicatedAdd(0, ctx.node, path, meta::DirHeader(), tctx);
-  if (!added.ok()) {
-    done.Set(added);
-    co_return;
-  }
+  if (!added.ok()) co_return added;
   // Secondary replicas of the directory record (appends go to all; a replica
   // that is down stays empty until read repair finds it). The header is a
   // constant, so installing it on a mid-handoff shadow home is harmless.
@@ -1190,22 +1025,13 @@ sim::Task MemFs::DoMkdir(VfsContext ctx, std::string path,
   if (!linked.ok()) {
     // lint: allow(ignored-status) best-effort rollback of an inert record
     co_await ReplicatedDelete(0, ctx.node, path, tctx);
-    done.Set(status::NotFound("parent directory: " + parent));
-    co_return;
+    co_return status::NotFound("parent directory: " + parent);
   }
-  done.Set(Status::Ok());
+  co_return Status::Ok();
 }
 
 sim::Future<Result<std::vector<FileInfo>>> MemFs::ReadDir(VfsContext ctx,
                                                           std::string path) {
-  sim::Promise<Result<std::vector<FileInfo>>> done(sim_);
-  auto future = done.GetFuture();
-  DoReadDir(ctx, std::move(path), std::move(done));
-  return future;
-}
-
-sim::Task MemFs::DoReadDir(VfsContext ctx, std::string path,
-                           sim::Promise<Result<std::vector<FileInfo>>> done) {
   trace::ScopedSpan op_span(ctx.trace, "vfs.readdir", "vfs");
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
@@ -1215,13 +1041,9 @@ sim::Task MemFs::DoReadDir(VfsContext ctx, std::string path,
   }
   if (meta_client_ != nullptr) {
     auto attr = co_await meta_client_->Resolve(ctx.node, path, tctx);
-    if (!attr.ok()) {
-      done.Set(attr.status());
-      co_return;
-    }
+    if (!attr.ok()) co_return attr.status();
     if (attr->rec.kind != mds::InodeKind::kDirectory) {
-      done.Set(status::NotDirectory(path));
-      co_return;
+      co_return status::NotDirectory(path);
     }
     // Page through the token ranges; each iteration reads bounded blobs, so
     // no single RPC carries the whole directory even here.
@@ -1232,10 +1054,7 @@ sim::Task MemFs::DoReadDir(VfsContext ctx, std::string path,
       auto page = co_await meta_client_->ReadDirPage(
           ctx.node, attr->ino, shard, offset, config_.meta.readdir_page,
           tctx);
-      if (!page.ok()) {
-        done.Set(page.status());
-        co_return;
-      }
+      if (!page.ok()) co_return page.status();
       for (auto& name : page->names) {
         FileInfo info;
         info.name = std::move(name);
@@ -1251,22 +1070,14 @@ sim::Task MemFs::DoReadDir(VfsContext ctx, std::string path,
               [](const FileInfo& a, const FileInfo& b) {
                 return a.name < b.name;
               });
-    done.Set(std::move(infos));
-    co_return;
+    co_return std::move(infos);
   }
   Result<Bytes> record = co_await FailoverGet(0, ctx.node, path, tctx);
-  if (!record.ok()) {
-    done.Set(LookupError(record, path));
-    co_return;
-  }
+  if (!record.ok()) co_return LookupError(record, path);
   auto decoded = meta::Decode(record.value());
-  if (!decoded.ok()) {
-    done.Set(decoded.status());
-    co_return;
-  }
+  if (!decoded.ok()) co_return decoded.status();
   if (decoded->kind != meta::Kind::kDirectory) {
-    done.Set(status::NotDirectory(path));
-    co_return;
+    co_return status::NotDirectory(path);
   }
   std::vector<FileInfo> infos;
   infos.reserve(decoded->entries.size());
@@ -1275,18 +1086,10 @@ sim::Task MemFs::DoReadDir(VfsContext ctx, std::string path,
     info.name = std::move(name);
     infos.push_back(std::move(info));
   }
-  done.Set(std::move(infos));
+  co_return std::move(infos);
 }
 
 sim::Future<Result<FileInfo>> MemFs::Stat(VfsContext ctx, std::string path) {
-  sim::Promise<Result<FileInfo>> done(sim_);
-  auto future = done.GetFuture();
-  DoStat(ctx, std::move(path), std::move(done));
-  return future;
-}
-
-sim::Task MemFs::DoStat(VfsContext ctx, std::string path,
-                        sim::Promise<Result<FileInfo>> done) {
   trace::ScopedSpan op_span(ctx.trace, "vfs.stat", "vfs");
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
@@ -1296,10 +1099,7 @@ sim::Task MemFs::DoStat(VfsContext ctx, std::string path,
   }
   if (meta_client_ != nullptr) {
     auto attr = co_await meta_client_->Resolve(ctx.node, path, tctx);
-    if (!attr.ok()) {
-      done.Set(attr.status());
-      co_return;
-    }
+    if (!attr.ok()) co_return attr.status();
     FileInfo stat_info;
     stat_info.name = path::Basename(path);
     if (attr->rec.kind == mds::InodeKind::kDirectory) {
@@ -1308,19 +1108,12 @@ sim::Task MemFs::DoStat(VfsContext ctx, std::string path,
       stat_info.size = attr->rec.size;
       stat_info.sealed = attr->rec.sealed;
     }
-    done.Set(std::move(stat_info));
-    co_return;
+    co_return std::move(stat_info);
   }
   Result<Bytes> record = co_await FailoverGet(0, ctx.node, path, tctx);
-  if (!record.ok()) {
-    done.Set(LookupError(record, path));
-    co_return;
-  }
+  if (!record.ok()) co_return LookupError(record, path);
   auto decoded = meta::Decode(record.value());
-  if (!decoded.ok()) {
-    done.Set(decoded.status());
-    co_return;
-  }
+  if (!decoded.ok()) co_return decoded.status();
   FileInfo info;
   info.name = path::Basename(path);
   if (decoded->kind == meta::Kind::kDirectory) {
@@ -1329,18 +1122,10 @@ sim::Task MemFs::DoStat(VfsContext ctx, std::string path,
     info.size = decoded->file.size;
     info.sealed = decoded->file.sealed;
   }
-  done.Set(std::move(info));
+  co_return std::move(info);
 }
 
 sim::Future<Status> MemFs::Rmdir(VfsContext ctx, std::string path) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  DoRmdir(ctx, std::move(path), std::move(done));
-  return future;
-}
-
-sim::Task MemFs::DoRmdir(VfsContext ctx, std::string path,
-                         sim::Promise<Status> done) {
   trace::ScopedSpan op_span(ctx.trace, "vfs.rmdir", "vfs");
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
@@ -1349,54 +1134,31 @@ sim::Task MemFs::DoRmdir(VfsContext ctx, std::string path,
     co_await fuse_.Enter(ctx.node, ctx.process);
   }
   if (!path::IsNormalized(path) || path == "/") {
-    done.Set(status::InvalidArgument("bad path"));
-    co_return;
+    co_return status::InvalidArgument("bad path");
   }
   if (meta_client_ != nullptr) {
-    done.Set(co_await meta_client_->Rmdir(ctx.node, std::move(path), tctx));
-    co_return;
+    co_return co_await meta_client_->Rmdir(ctx.node, std::move(path), tctx);
   }
   Result<Bytes> record = co_await FailoverGet(0, ctx.node, path, tctx);
-  if (!record.ok()) {
-    done.Set(LookupError(record, path));
-    co_return;
-  }
+  if (!record.ok()) co_return LookupError(record, path);
   auto decoded = meta::Decode(record.value());
-  if (!decoded.ok()) {
-    done.Set(decoded.status());
-    co_return;
-  }
+  if (!decoded.ok()) co_return decoded.status();
   if (decoded->kind != meta::Kind::kDirectory) {
-    done.Set(status::NotDirectory(path));
-    co_return;
+    co_return status::NotDirectory(path);
   }
-  if (!decoded->entries.empty()) {
-    done.Set(status::NotEmpty(path));
-    co_return;
-  }
+  if (!decoded->entries.empty()) co_return status::NotEmpty(path);
   // Tombstone in the parent, then drop the directory record. A failed
   // tombstone aborts the removal while the directory is still fully intact;
   // silently continuing would leave a phantom entry in the parent's log.
   const std::string parent = path::Parent(path);
   Status tombstoned = co_await ReplicatedAppend(
       0, ctx.node, parent, meta::DirEvent(path::Basename(path), true), tctx);
-  if (!tombstoned.ok()) {
-    done.Set(std::move(tombstoned));
-    co_return;
-  }
+  if (!tombstoned.ok()) co_return std::move(tombstoned);
   Status dropped = co_await ReplicatedDelete(0, ctx.node, path, tctx);
-  done.Set(std::move(dropped));
+  co_return std::move(dropped);
 }
 
 sim::Future<Status> MemFs::Unlink(VfsContext ctx, std::string path) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  DoUnlink(ctx, std::move(path), std::move(done));
-  return future;
-}
-
-sim::Task MemFs::DoUnlink(VfsContext ctx, std::string path,
-                          sim::Promise<Status> done) {
   trace::ScopedSpan op_span(ctx.trace, "vfs.unlink", "vfs");
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
@@ -1406,37 +1168,23 @@ sim::Task MemFs::DoUnlink(VfsContext ctx, std::string path,
   }
   if (meta_client_ != nullptr) {
     auto outcome = co_await meta_client_->Unlink(ctx.node, path, tctx);
-    if (!outcome.ok()) {
-      done.Set(outcome.status());
-      co_return;
-    }
+    if (!outcome.ok()) co_return outcome.status();
     if (outcome->removed_inode) {
       // Last link gone: reclaim the stripes, keyed by the ino under the
       // epoch recorded in the inode (never moved by any rename).
       const std::uint32_t stripe_epoch =
           outcome->rec.epoch < epochs_.size() ? outcome->rec.epoch : 0;
-      sim::VoidPromise reclaimed(sim_);
-      auto reclaimed_future = reclaimed.GetFuture();
-      ReclaimStripes(ctx.node, mds::InodeKey(outcome->ino), stripe_epoch,
-                     outcome->rec.size, std::move(reclaimed), tctx);
-      co_await reclaimed_future;
+      co_await ReclaimStripes(ctx.node, mds::InodeKey(outcome->ino),
+                              stripe_epoch, outcome->rec.size, tctx);
     }
-    done.Set(Status::Ok());
-    co_return;
+    co_return Status::Ok();
   }
   Result<Bytes> record = co_await FailoverGet(0, ctx.node, path, tctx);
-  if (!record.ok()) {
-    done.Set(LookupError(record, path));
-    co_return;
-  }
+  if (!record.ok()) co_return LookupError(record, path);
   auto decoded = meta::Decode(record.value());
-  if (!decoded.ok()) {
-    done.Set(decoded.status());
-    co_return;
-  }
+  if (!decoded.ok()) co_return decoded.status();
   if (decoded->kind == meta::Kind::kDirectory) {
-    done.Set(status::IsDirectory(path));
-    co_return;
+    co_return status::IsDirectory(path);
   }
 
   // Tombstone in the parent log (the paper's protocol), then reclaim the
@@ -1447,15 +1195,9 @@ sim::Task MemFs::DoUnlink(VfsContext ctx, std::string path,
   const std::string parent = path::Parent(path);
   Status tombstoned = co_await ReplicatedAppend(
       0, ctx.node, parent, meta::DirEvent(path::Basename(path), true), tctx);
-  if (!tombstoned.ok()) {
-    done.Set(std::move(tombstoned));
-    co_return;
-  }
+  if (!tombstoned.ok()) co_return std::move(tombstoned);
   Status dropped = co_await ReplicatedDelete(0, ctx.node, path, tctx);
-  if (!dropped.ok()) {
-    done.Set(std::move(dropped));
-    co_return;
-  }
+  if (!dropped.ok()) co_return std::move(dropped);
 
   const std::uint32_t stripe_epoch =
       decoded->file.epoch < epochs_.size() ? decoded->file.epoch : 0;
@@ -1472,13 +1214,12 @@ sim::Task MemFs::DoUnlink(VfsContext ctx, std::string path,
     }(std::move(deletion), wg);
   }
   co_await wg.Wait();
-  done.Set(Status::Ok());
+  co_return Status::Ok();
 }
 
-sim::Task MemFs::ReclaimStripes(net::NodeId node, std::string ident,
-                                std::uint32_t epoch, std::uint64_t size,
-                                sim::VoidPromise reclaimed,
-                                trace::TraceContext trace) {
+sim::VoidFuture MemFs::ReclaimStripes(net::NodeId node, std::string ident,
+                                      std::uint32_t epoch, std::uint64_t size,
+                                      trace::TraceContext trace) {
   const std::uint32_t stripes = striper_.StripeCount(size);
   sim::WaitGroup wg(sim_);
   StripeKeyBuf keys(ident);
@@ -1492,7 +1233,7 @@ sim::Task MemFs::ReclaimStripes(net::NodeId node, std::string ident,
     }(std::move(deletion), wg);
   }
   co_await wg.Wait();
-  reclaimed.Set(sim::Done{});
+  co_return sim::Done{};
 }
 
 // ---------------------------------------------------------------------------
@@ -1502,15 +1243,6 @@ sim::Future<Result<DirPage>> MemFs::ReadDirPage(VfsContext ctx,
                                                 std::string path,
                                                 DirCursor cursor,
                                                 std::uint32_t limit) {
-  sim::Promise<Result<DirPage>> done(sim_);
-  auto future = done.GetFuture();
-  DoReadDirPage(ctx, std::move(path), cursor, limit, std::move(done));
-  return future;
-}
-
-sim::Task MemFs::DoReadDirPage(VfsContext ctx, std::string path,
-                               DirCursor cursor, std::uint32_t limit,
-                               sim::Promise<Result<DirPage>> done) {
   trace::ScopedSpan op_span(ctx.trace, "vfs.readdir_page", "vfs");
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
@@ -1522,20 +1254,13 @@ sim::Task MemFs::DoReadDirPage(VfsContext ctx, std::string path,
       limit > 0 ? limit : config_.meta.readdir_page;
   if (meta_client_ != nullptr) {
     auto attr = co_await meta_client_->Resolve(ctx.node, path, tctx);
-    if (!attr.ok()) {
-      done.Set(attr.status());
-      co_return;
-    }
+    if (!attr.ok()) co_return attr.status();
     if (attr->rec.kind != mds::InodeKind::kDirectory) {
-      done.Set(status::NotDirectory(path));
-      co_return;
+      co_return status::NotDirectory(path);
     }
     auto result = co_await meta_client_->ReadDirPage(
         ctx.node, attr->ino, cursor.shard, cursor.offset, page_limit, tctx);
-    if (!result.ok()) {
-      done.Set(result.status());
-      co_return;
-    }
+    if (!result.ok()) co_return result.status();
     DirPage page;
     page.entries.reserve(result->names.size());
     for (auto& name : result->names) {
@@ -1546,29 +1271,20 @@ sim::Task MemFs::DoReadDirPage(VfsContext ctx, std::string path,
     page.next.shard = result->next_shard;
     page.next.offset = result->next_offset;
     page.more = result->more;
-    done.Set(std::move(page));
-    co_return;
+    co_return std::move(page);
   }
   // Legacy protocol: one directory = one record, so the page is a sorted
   // slice of the folded log (shard is always 0). The whole log still crosses
   // the wire — the limitation this PR's sharded mode removes.
   if (cursor.shard > 0) {
-    done.Set(status::InvalidArgument("append_log cursors have one shard"));
-    co_return;
+    co_return status::InvalidArgument("append_log cursors have one shard");
   }
   Result<Bytes> record = co_await FailoverGet(0, ctx.node, path, tctx);
-  if (!record.ok()) {
-    done.Set(LookupError(record, path));
-    co_return;
-  }
+  if (!record.ok()) co_return LookupError(record, path);
   auto decoded = meta::Decode(record.value());
-  if (!decoded.ok()) {
-    done.Set(decoded.status());
-    co_return;
-  }
+  if (!decoded.ok()) co_return decoded.status();
   if (decoded->kind != meta::Kind::kDirectory) {
-    done.Set(status::NotDirectory(path));
-    co_return;
+    co_return status::NotDirectory(path);
   }
   std::sort(decoded->entries.begin(), decoded->entries.end());
   DirPage page;
@@ -1583,19 +1299,11 @@ sim::Task MemFs::DoReadDirPage(VfsContext ctx, std::string path,
   page.next.shard = offset < decoded->entries.size() ? 0 : 1;
   page.next.offset = offset < decoded->entries.size() ? offset : 0;
   page.more = offset < decoded->entries.size();
-  done.Set(std::move(page));
+  co_return std::move(page);
 }
 
 sim::Future<Status> MemFs::Rename(VfsContext ctx, std::string from,
                                   std::string to) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  DoRename(ctx, std::move(from), std::move(to), std::move(done));
-  return future;
-}
-
-sim::Task MemFs::DoRename(VfsContext ctx, std::string from, std::string to,
-                          sim::Promise<Status> done) {
   trace::ScopedSpan op_span(ctx.trace, "vfs.rename", "vfs");
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "from", from);
@@ -1606,32 +1314,21 @@ sim::Task MemFs::DoRename(VfsContext ctx, std::string from, std::string to,
   }
   if (!path::IsNormalized(from) || !path::IsNormalized(to) || from == "/" ||
       to == "/" || from == to) {
-    done.Set(status::InvalidArgument("bad rename paths"));
-    co_return;
+    co_return status::InvalidArgument("bad rename paths");
   }
   if (to.size() > from.size() && to.compare(0, from.size(), from) == 0 &&
       to[from.size()] == '/') {
-    done.Set(status::InvalidArgument("cannot move a directory under itself"));
-    co_return;
+    co_return status::InvalidArgument("cannot move a directory under itself");
   }
   if (meta_client_ == nullptr) {
-    done.Set(status::Permission("rename requires sharded metadata"));
-    co_return;
+    co_return status::Permission("rename requires sharded metadata");
   }
-  done.Set(co_await meta_client_->Rename(ctx.node, std::move(from),
-                                         std::move(to), tctx));
+  co_return co_await meta_client_->Rename(ctx.node, std::move(from),
+                                          std::move(to), tctx);
 }
 
 sim::Future<Status> MemFs::Link(VfsContext ctx, std::string existing,
                                 std::string link) {
-  sim::Promise<Status> done(sim_);
-  auto future = done.GetFuture();
-  DoLink(ctx, std::move(existing), std::move(link), std::move(done));
-  return future;
-}
-
-sim::Task MemFs::DoLink(VfsContext ctx, std::string existing,
-                        std::string link, sim::Promise<Status> done) {
   trace::ScopedSpan op_span(ctx.trace, "vfs.link", "vfs");
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "existing", existing);
@@ -1642,15 +1339,13 @@ sim::Task MemFs::DoLink(VfsContext ctx, std::string existing,
   }
   if (!path::IsNormalized(existing) || !path::IsNormalized(link) ||
       existing == "/" || link == "/" || existing == link) {
-    done.Set(status::InvalidArgument("bad link paths"));
-    co_return;
+    co_return status::InvalidArgument("bad link paths");
   }
   if (meta_client_ == nullptr) {
-    done.Set(status::Permission("hard links require sharded metadata"));
-    co_return;
+    co_return status::Permission("hard links require sharded metadata");
   }
-  done.Set(co_await meta_client_->Link(ctx.node, std::move(existing),
-                                       std::move(link), tctx));
+  co_return co_await meta_client_->Link(ctx.node, std::move(existing),
+                                        std::move(link), tctx);
 }
 
 }  // namespace memfs::fs

@@ -176,6 +176,8 @@ class MemFs final : public Vfs {
   // Distributor of the current (newest) ring epoch.
   const hash::Distributor& distributor() const { return *epochs_.back(); }
   FuseLayer& fuse() { return fuse_; }
+  // The Simulation this file system's coroutines run on.
+  sim::Simulation& simulation() const { return sim_; }
 
   // Elastic scale-out (the paper's future work, §5): registers server
   // `kv_node` with the storage layer and opens a new ring epoch over the
@@ -272,18 +274,28 @@ class MemFs final : public Vfs {
   // Replication-aware storage primitives. With replication == 1 these are
   // plain single-server operations. `epoch` selects the placement ring
   // (metadata uses 0, stripes their file's epoch).
-  [[nodiscard]] sim::Future<Status> ReplicatedSet(std::uint32_t epoch, net::NodeId node,
-                                    std::string key, Bytes value,
-                                    trace::TraceContext trace);
+  [[nodiscard]] sim::Future<Status> ReplicatedMutation(
+      std::uint32_t epoch, net::NodeId node, std::string key, Bytes value,
+      bool append, trace::TraceContext trace);
+  [[nodiscard]] sim::Future<Status> ReplicatedSet(std::uint32_t epoch,
+                                                  net::NodeId node,
+                                                  std::string key, Bytes value,
+                                                  trace::TraceContext trace) {
+    return ReplicatedMutation(epoch, node, std::move(key), std::move(value),
+                              /*append=*/false, trace);
+  }
+  [[nodiscard]] sim::Future<Status> ReplicatedAppend(
+      std::uint32_t epoch, net::NodeId node, std::string key, Bytes suffix,
+      trace::TraceContext trace) {
+    return ReplicatedMutation(epoch, node, std::move(key), std::move(suffix),
+                              /*append=*/true, trace);
+  }
   // ADD with failover: tries replicas in ring order until one is reachable;
   // that replica's verdict (OK or EXISTS) decides. Degraded mode only — in
   // strict mode the primary alone is tried.
   [[nodiscard]] sim::Future<Status> ReplicatedAdd(std::uint32_t epoch, net::NodeId node,
                                     std::string key, Bytes value,
                                     trace::TraceContext trace);
-  [[nodiscard]] sim::Future<Status> ReplicatedAppend(std::uint32_t epoch, net::NodeId node,
-                                       std::string key, Bytes suffix,
-                                       trace::TraceContext trace);
   [[nodiscard]] sim::Future<Status> ReplicatedDelete(std::uint32_t epoch, net::NodeId node,
                                        std::string key,
                                        trace::TraceContext trace);
@@ -300,23 +312,6 @@ class MemFs final : public Vfs {
                                          net::NodeId node, std::string key,
                                          trace::TraceContext trace);
 
-  sim::Task RunReplicatedMutation(std::uint32_t epoch, net::NodeId node,
-                                  std::string key, Bytes value, bool append,
-                                  sim::Promise<Status> done,
-                                  trace::TraceContext trace);
-  sim::Task RunReplicatedAdd(std::uint32_t epoch, net::NodeId node,
-                             std::string key, Bytes value,
-                             sim::Promise<Status> done,
-                             trace::TraceContext trace);
-  sim::Task RunReplicatedDelete(std::uint32_t epoch, net::NodeId node,
-                                std::string key, sim::Promise<Status> done,
-                                trace::TraceContext trace);
-  sim::Task RunMetaAdd(net::NodeId node, std::string key, Bytes value,
-                       sim::Promise<Status> done, trace::TraceContext trace);
-  sim::Task RunFailoverGet(std::uint32_t epoch, net::NodeId node,
-                           std::string key,
-                           sim::Promise<Result<Bytes>> done,
-                           trace::TraceContext trace);
   // Fire-and-forget reinstall of a copy that a failover read found missing.
   sim::Task RunReadRepair(net::NodeId node, std::uint32_t server,
                           std::string key, Bytes value);
@@ -376,51 +371,34 @@ class MemFs final : public Vfs {
   sim::Task FlushStripe(OpenFile* file, std::string key, Bytes data,
                         trace::TraceContext trace);
 
-  // Returns the cached or newly fetched stripe future; starts a fetch task
-  // when absent.
+  // Returns the cached or newly fetched stripe future; starts a fetch when
+  // absent.
   [[nodiscard]] sim::Future<Result<Bytes>> EnsureStripe(OpenFile* file, std::uint32_t index,
                                           bool prefetch,
                                           trace::TraceContext trace);
-  sim::Task FetchStripe(net::NodeId node, std::uint32_t epoch,
-                        std::string key,
-                        sim::Promise<Result<Bytes>> promise,
-                        trace::TraceContext trace);
+  sim::Future<Result<Bytes>> FetchStripe(net::NodeId node, std::uint32_t epoch,
+                                         std::string key,
+                                         trace::TraceContext trace);
 
-  // Operation bodies (coroutines writing into promises).
-  sim::Task DoCreate(VfsContext ctx, std::string path,
-                     sim::Promise<Result<FileHandle>> done);
-  sim::Task DoOpen(VfsContext ctx, std::string path,
-                   sim::Promise<Result<FileHandle>> done);
-  sim::Task DoWrite(VfsContext ctx, FileHandle handle, Bytes data,
-                    sim::Promise<Status> done);
-  sim::Task DoRead(VfsContext ctx, FileHandle handle, std::uint64_t offset,
-                   std::uint64_t length, sim::Promise<Result<Bytes>> done);
-  sim::Task DoFlush(VfsContext ctx, FileHandle handle,
-                    sim::Promise<Status> done);
-  sim::Task DoClose(VfsContext ctx, FileHandle handle,
-                    sim::Promise<Status> done);
-  sim::Task DoMkdir(VfsContext ctx, std::string path,
-                    sim::Promise<Status> done);
-  sim::Task DoReadDir(VfsContext ctx, std::string path,
-                      sim::Promise<Result<std::vector<FileInfo>>> done);
-  sim::Task DoStat(VfsContext ctx, std::string path,
-                   sim::Promise<Result<FileInfo>> done);
-  sim::Task DoUnlink(VfsContext ctx, std::string path,
-                     sim::Promise<Status> done);
-  sim::Task DoRmdir(VfsContext ctx, std::string path,
-                    sim::Promise<Status> done);
-  sim::Task DoReadDirPage(VfsContext ctx, std::string path, DirCursor cursor,
-                          std::uint32_t limit,
-                          sim::Promise<Result<DirPage>> done);
-  sim::Task DoRename(VfsContext ctx, std::string from, std::string to,
-                     sim::Promise<Status> done);
-  sim::Task DoLink(VfsContext ctx, std::string existing, std::string link,
-                   sim::Promise<Status> done);
+  // Bodies of the latency-instrumented entry points, which open the op
+  // span first and hand the body's future to Timed.
+  sim::Future<Result<FileHandle>> CreateOp(VfsContext ctx, std::string path);
+  sim::Future<Result<FileHandle>> OpenOp(VfsContext ctx, std::string path);
+  sim::Future<Status> WriteOp(VfsContext ctx, FileHandle handle, Bytes data);
+  sim::Future<Result<Bytes>> ReadOp(VfsContext ctx, FileHandle handle,
+                                    std::uint64_t offset,
+                                    std::uint64_t length);
+  sim::Future<Status> FlushOp(VfsContext ctx, FileHandle handle);
+  sim::Future<Status> CloseOp(VfsContext ctx, FileHandle handle);
+  // Records `future`'s latency in histogram `name` when a registry is
+  // configured (its first waiter), tagged with the op span in `ctx`.
+  template <typename T>
+  sim::Future<T> Timed(std::string_view name, const VfsContext& ctx,
+                       sim::Future<T> future);
   // Reclaims every stripe of a dead inode (awaited by the unlink).
-  sim::Task ReclaimStripes(net::NodeId node, std::string ident,
-                           std::uint32_t epoch, std::uint64_t size,
-                           sim::VoidPromise reclaimed,
-                           trace::TraceContext trace);
+  sim::VoidFuture ReclaimStripes(net::NodeId node, std::string ident,
+                                 std::uint32_t epoch, std::uint64_t size,
+                                 trace::TraceContext trace);
 
   std::unique_ptr<hash::Distributor> MakeDistributor(
       std::uint32_t servers) const;

@@ -36,7 +36,6 @@
 #include "net/network.h"
 #include "sim/future.h"
 #include "sim/simulation.h"
-#include "sim/task.h"
 #include "trace/trace.h"
 
 namespace memfs::meta {
@@ -162,6 +161,8 @@ class Client {
 
   const MetaConfig& config() const { return config_; }
   const ClientStats& stats() const { return stats_; }
+  // The Simulation this client's coroutines run on.
+  sim::Simulation& simulation() const { return sim_; }
   std::uint32_t pending_intents() const {
     return static_cast<std::uint32_t>(pending_.size());
   }
@@ -182,18 +183,12 @@ class Client {
   }
 
   // Point read of one dentry.
-  sim::Task RunLookup(net::NodeId node, Ino parent, std::string name,
-                      sim::Promise<Result<Dentry>> done,
-                      trace::TraceContext trace);
   [[nodiscard]] sim::Future<Result<Dentry>> Lookup(net::NodeId node,
                                                    Ino parent,
                                                    std::string name,
                                                    trace::TraceContext trace);
 
   // Resolves `path` to a directory ino (NOT_DIRECTORY on a file).
-  sim::Task RunResolveDir(net::NodeId node, std::string path,
-                          sim::Promise<Result<Ino>> done,
-                          trace::TraceContext trace);
   [[nodiscard]] sim::Future<Result<Ino>> ResolveDir(net::NodeId node,
                                                     std::string path,
                                                     trace::TraceContext trace);
@@ -201,47 +196,13 @@ class Client {
   // Appends one event to the right index blob of `dir`, creating the blob on
   // first touch (APPEND -> NOT_FOUND -> ADD(header+event) -> EXISTS lost the
   // race -> retry APPEND).
-  sim::Task RunAppendIndex(net::NodeId node, Ino dir, std::string name,
-                           bool deleted, sim::Promise<Status> done,
-                           trace::TraceContext trace);
   [[nodiscard]] sim::Future<Status> AppendIndex(net::NodeId node, Ino dir,
                                                 std::string name, bool deleted,
                                                 trace::TraceContext trace);
 
   // Idempotent tail of a rename, shared by Rename and RecoverPending.
-  sim::Task RunCompleteRename(net::NodeId node, Ino ino,
-                              sim::Promise<Status> done,
-                              trace::TraceContext trace);
   [[nodiscard]] sim::Future<Status> CompleteRename(net::NodeId node, Ino ino,
                                                    trace::TraceContext trace);
-
-  sim::Task RunResolve(net::NodeId node, std::string path,
-                       sim::Promise<Result<Attr>> done,
-                       trace::TraceContext trace);
-  sim::Task RunCreateFile(net::NodeId node, std::string path,
-                          std::uint32_t epoch, sim::Promise<Result<Attr>> done,
-                          trace::TraceContext trace);
-  sim::Task RunSealFile(net::NodeId node, Ino ino, std::uint64_t size,
-                        std::uint32_t epoch, sim::Promise<Status> done,
-                        trace::TraceContext trace);
-  sim::Task RunMkdir(net::NodeId node, std::string path,
-                     sim::Promise<Status> done, trace::TraceContext trace);
-  sim::Task RunReadDirPage(net::NodeId node, Ino dir, std::uint32_t shard,
-                           std::uint64_t offset, std::uint32_t limit,
-                           sim::Promise<Result<DirPageResult>> done,
-                           trace::TraceContext trace);
-  sim::Task RunUnlink(net::NodeId node, std::string path,
-                      sim::Promise<Result<UnlinkOutcome>> done,
-                      trace::TraceContext trace);
-  sim::Task RunRmdir(net::NodeId node, std::string path,
-                     sim::Promise<Status> done, trace::TraceContext trace);
-  sim::Task RunRename(net::NodeId node, std::string from, std::string to,
-                      sim::Promise<Status> done, trace::TraceContext trace);
-  sim::Task RunLink(net::NodeId node, std::string existing, std::string link,
-                    sim::Promise<Status> done, trace::TraceContext trace);
-  sim::Task RunRecoverPending(net::NodeId node,
-                              sim::Promise<Result<std::uint32_t>> done,
-                              trace::TraceContext trace);
 
   sim::Simulation& sim_;
   Store& store_;

@@ -36,4 +36,12 @@ void AttachWriteP99Probe(Monitor& monitor, const MetricsRegistry& registry) {
   });
 }
 
+void AttachRunObservers(Monitor& monitor, MetricsRegistry& registry,
+                        const net::Network& network) {
+  monitor.WatchRegistry(&registry);
+  monitor.HarvestExemplars(&registry);
+  AttachNetworkProbes(monitor, network);
+  AttachWriteP99Probe(monitor, registry);
+}
+
 }  // namespace memfs::monitor

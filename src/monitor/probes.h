@@ -24,4 +24,11 @@ void AttachNetworkProbes(Monitor& monitor, const net::Network& network);
 // `registry` must outlive `monitor`.
 void AttachWriteP99Probe(Monitor& monitor, const MetricsRegistry& registry);
 
+// The observer wiring of a whole-cluster run (the determinism gate's `all`
+// column, memfs_run): scrape `registry` and harvest its exemplars, then the
+// network and write-p99 probes, in that order. `registry` and `network`
+// must outlive `monitor`.
+void AttachRunObservers(Monitor& monitor, MetricsRegistry& registry,
+                        const net::Network& network);
+
 }  // namespace memfs::monitor

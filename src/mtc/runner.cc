@@ -221,10 +221,7 @@ sim::Task Runner::ExecuteTask(const TaskSpec& task, std::size_t index,
 
   Status status;
   for (const auto& input : task.inputs) {
-    sim::Promise<Result<std::uint64_t>> read_done(sim_);
-    auto read_future = read_done.GetFuture();
-    ReadWholeFile(ctx, input, std::move(read_done));
-    Result<std::uint64_t> bytes = co_await read_future;
+    Result<std::uint64_t> bytes = co_await ReadWholeFile(ctx, input);
     if (!bytes.ok()) {
       status = bytes.status();
       break;
@@ -239,10 +236,7 @@ sim::Task Runner::ExecuteTask(const TaskSpec& task, std::size_t index,
 
   if (status.ok()) {
     for (const auto& output : task.outputs) {
-      sim::Promise<Status> write_done(sim_);
-      auto write_future = write_done.GetFuture();
-      WriteWholeFile(ctx, output, std::move(write_done));
-      Status written = co_await write_future;
+      Status written = co_await WriteWholeFile(ctx, output);
       if (!written.ok()) {
         status = written;
         break;
@@ -257,13 +251,10 @@ sim::Task Runner::ExecuteTask(const TaskSpec& task, std::size_t index,
   wake_->Release();
 }
 
-sim::Task Runner::ReadWholeFile(fs::VfsContext ctx, std::string path,
-                                sim::Promise<Result<std::uint64_t>> done) {
+sim::Future<Result<std::uint64_t>> Runner::ReadWholeFile(fs::VfsContext ctx,
+                                                         std::string path) {
   auto opened = co_await vfs_.Open(ctx, path);
-  if (!opened.ok()) {
-    done.Set(opened.status());
-    co_return;
-  }
+  if (!opened.ok()) co_return opened.status();
   const fs::FileHandle handle = opened.value();
   const std::uint64_t seed = FileSeed(path);
   std::uint64_t offset = 0;
@@ -290,20 +281,14 @@ sim::Task Runner::ReadWholeFile(fs::VfsContext ctx, std::string path,
   }
   // lint: allow(ignored-status) teardown; `status` already holds any failure
   co_await vfs_.Close(ctx, handle);
-  if (!status.ok()) {
-    done.Set(std::move(status));
-  } else {
-    done.Set(offset);
-  }
+  if (!status.ok()) co_return std::move(status);
+  co_return offset;
 }
 
-sim::Task Runner::WriteWholeFile(fs::VfsContext ctx, const OutputSpec& output,
-                                 sim::Promise<Status> done) {
+sim::Future<Status> Runner::WriteWholeFile(fs::VfsContext ctx,
+                                           const OutputSpec& output) {
   auto created = co_await vfs_.Create(ctx, output.path);
-  if (!created.ok()) {
-    done.Set(created.status());
-    co_return;
-  }
+  if (!created.ok()) co_return created.status();
   const fs::FileHandle handle = created.value();
   const Bytes content = Bytes::Synthetic(output.size, FileSeed(output.path));
   std::uint64_t offset = 0;
@@ -317,7 +302,7 @@ sim::Task Runner::WriteWholeFile(fs::VfsContext ctx, const OutputSpec& output,
   }
   Status closed = co_await vfs_.Close(ctx, handle);
   if (status.ok()) status = closed;
-  done.Set(std::move(status));
+  co_return std::move(status);
 }
 
 }  // namespace memfs::mtc

@@ -107,6 +107,9 @@ class Runner {
   // returns per-stage timing and I/O accounting.
   WorkflowResult Run(const Workflow& workflow);
 
+  // The Simulation this runner's coroutines run on.
+  sim::Simulation& simulation() const { return sim_; }
+
  private:
   struct Completion {
     std::size_t task_index;
@@ -127,10 +130,10 @@ class Runner {
 
   // Reads `path` fully in io_block chunks; returns bytes read or an error.
   // Verifies content against FileSeed(path) when verify_reads is set.
-  sim::Task ReadWholeFile(fs::VfsContext ctx, std::string path,
-                          sim::Promise<Result<std::uint64_t>> done);
-  sim::Task WriteWholeFile(fs::VfsContext ctx, const OutputSpec& output,
-                           sim::Promise<Status> done);
+  [[nodiscard]] sim::Future<Result<std::uint64_t>> ReadWholeFile(
+      fs::VfsContext ctx, std::string path);
+  [[nodiscard]] sim::Future<Status> WriteWholeFile(fs::VfsContext ctx,
+                                                   const OutputSpec& output);
 
   sim::Simulation& sim_;
   fs::Vfs& vfs_;

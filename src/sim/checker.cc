@@ -7,7 +7,8 @@ namespace memfs::sim {
 
 namespace {
 
-// The checker reached from sim::Task lifetime hooks. A single simulation
+// The checker reached from the coroutine-frame lifetime hooks (sim::Task and
+// sim::Future frames). A single simulation
 // (and at most one checker) is live at a time in tests and tools; when
 // several coexist, task frames are attributed to the earliest-attached one.
 SimChecker* g_task_checker = nullptr;
@@ -116,7 +117,7 @@ const std::vector<CheckerFinding>& SimChecker::Finish() {
   }
   if (leaked > 0) {
     std::ostringstream detail;
-    detail << leaked << " sim::Task coroutine frame(s) still alive at "
+    detail << leaked << " coroutine frame(s) still alive at "
            << "Finish() and not waiting on any instrumented primitive "
            << "(suspended on a raw awaitable or never resumed): leaked task";
     findings_.push_back({"leaked-task", detail.str()});

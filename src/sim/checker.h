@@ -1,7 +1,7 @@
 // Opt-in runtime correctness checker for the simulation core.
 //
 // A SimChecker attaches to one Simulation and instruments the coroutine
-// primitives (Semaphore, WaitGroup, Future) plus detached sim::Task frames:
+// primitives (Semaphore, WaitGroup, Future) plus coroutine frames:
 //
 //  * Wait-for registry — every suspension on an instrumented primitive is
 //    recorded with the primitive kind, its registration site (debug name) and
@@ -16,10 +16,10 @@
 //    Release() produces the permit a later Acquire() consumes, so releasing
 //    it first is legal. Semaphores created before the checker attached are
 //    registered lazily and always follow the lock rule.
-//  * Task lifetimes — sim::Task coroutine frames are counted at creation and
-//    destruction. A frame still alive at Finish() that is not parked on any
-//    instrumented primitive is a leaked task (suspended on a raw awaitable,
-//    or orphaned by a missing resume).
+//  * Task lifetimes — sim::Task and sim::Future coroutine frames are counted
+//    at creation and destruction. A frame still alive at Finish() that is
+//    not parked on any instrumented primitive is a leaked task (suspended on
+//    a raw awaitable, or orphaned by a missing resume).
 //
 // The checker is strictly opt-in: primitives consult
 // Simulation::checker() and pay one null-pointer test when none is attached,

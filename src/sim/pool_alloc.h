@@ -1,9 +1,10 @@
 // Size-class recycling allocator for high-churn simulation objects:
-// coroutine frames (sim::Task promise frames via operator new overloads) and
-// Future shared state. The simulator allocates millions of short-lived,
-// identically-sized blocks per run; recycling them through per-thread free
-// lists removes the dominant allocation cost without changing any observable
-// behaviour — addresses never feed hashing, ordering or the event digest.
+// coroutine frames (sim::Task and sim::Future frames via their promise
+// types' operator new overloads) and Future shared state. The simulator
+// allocates millions of short-lived, identically-sized blocks per run;
+// recycling them through per-thread free lists removes the dominant
+// allocation cost without changing any observable behaviour — addresses
+// never feed hashing, ordering or the event digest.
 //
 // Lifetime rules (see DESIGN.md §11):
 //  * Blocks are recycled per size class, never returned to the OS until

@@ -19,12 +19,16 @@
 // slab is warm; captures larger than a cell fall back to one boxed
 // allocation.
 //
-// Concurrency model: simulated processes are C++20 coroutines (sim::Task)
-// that suspend on awaitables (Delay, Future, Semaphore, ...) and are resumed
-// by the event loop. There is no real threading inside a Simulation; "thread
-// pools" in the file-system clients are modelled as bounded concurrent
-// coroutines, which matches how the paper's buffering/prefetching threads
-// behave (they are I/O-bound and serialize on the network anyway).
+// Concurrency model: simulated processes are C++20 coroutines — sim::Task
+// when fire-and-forget, sim::Future<T> when they produce a value — that
+// suspend on awaitables (Delay, Future, Semaphore, ...) and are resumed by
+// the event loop. A Future coroutine finds its Simulation in its own
+// arguments (an object's simulation() accessor, or a leading Simulation&
+// parameter); there is no ambient "current simulation". There is no real
+// threading inside a Simulation; "thread pools" in the file-system clients
+// are modelled as bounded concurrent coroutines, which matches how the
+// paper's buffering/prefetching threads behave (they are I/O-bound and
+// serialize on the network anyway).
 #pragma once
 
 #include <cassert>

@@ -4,7 +4,9 @@
 // immediately when called and owns its own frame: when it finishes, the frame
 // is destroyed automatically. Processes communicate through sim::Future,
 // sim::Semaphore and sim::WaitGroup rather than through the Task handle, so
-// there is deliberately nothing to join on here.
+// there is deliberately nothing to join on here. A coroutine that produces a
+// value returns sim::Future<T> instead (sim/future.h): same eager start,
+// pooled frame and checker accounting, and `co_return v` fulfils it.
 //
 //   sim::Task Worker(Simulation& sim, WaitGroup& wg) {
 //     co_await sim.Delay(units::Millis(3));
@@ -22,9 +24,9 @@ namespace memfs::sim {
 
 namespace detail {
 
-// Defined in checker.cc: reports frame lifetimes to the active SimChecker so
-// leaked (never-resumed) tasks are detectable; no-ops when no checker is
-// attached.
+// Defined in checker.cc: reports frame lifetimes (sim::Task and sim::Future
+// coroutines) to the active SimChecker so leaked (never-resumed) frames are
+// detectable; no-ops when no checker is attached.
 void NoteTaskCreated(void* frame) noexcept;
 void NoteTaskDestroyed(void* frame) noexcept;
 

@@ -215,6 +215,51 @@ TEST(SimCheckerTest, LeakedTaskReportedAtFinish) {
   EXPECT_EQ(checker.live_tasks(), 0u);
 }
 
+// A Future coroutine's frame is counted like a Task's.
+sim::Future<int> ParkedFuture(sim::Simulation& /*sim*/,
+                              std::coroutine_handle<>& slot) {
+  co_await Park{&slot};
+  co_return 1;
+}
+
+sim::Future<int> DelayedFuture(sim::Simulation& sim) {
+  co_await sim.Delay(units::Micros(1));
+  co_return 2;
+}
+
+TEST(SimCheckerTest, FutureCoroutineParkedOnRawAwaitableIsALeakedTask) {
+  sim::Simulation sim;
+  sim::SimChecker checker(sim);
+  std::coroutine_handle<> parked;
+  sim::Future<int> future = ParkedFuture(sim, parked);
+  sim.Run();
+
+  EXPECT_FALSE(future.ready());
+  EXPECT_EQ(checker.waiting(), 0u);
+  EXPECT_EQ(checker.live_tasks(), 1u);
+  const auto& findings = checker.Finish();
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "leaked-task");
+
+  ASSERT_TRUE(parked);
+  parked.destroy();
+  EXPECT_EQ(checker.live_tasks(), 0u);
+}
+
+TEST(SimCheckerTest, FinishedFutureCoroutineIsNotLeaked) {
+  sim::Simulation sim;
+  sim::SimChecker checker(sim);
+  sim::Future<int> future = DelayedFuture(sim);
+  int value = 0;
+  AwaitFuture(future, value);
+  EXPECT_EQ(checker.live_tasks(), 2u);  // the producer and its waiter
+  sim.Run();
+
+  EXPECT_EQ(value, 2);
+  EXPECT_EQ(checker.live_tasks(), 0u);
+  EXPECT_TRUE(checker.Finish().empty()) << checker.Summary();
+}
+
 sim::Task DelayTwice(sim::Simulation& sim, std::uint64_t first,
                      std::uint64_t second) {
   co_await sim.Delay(first);

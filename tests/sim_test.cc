@@ -164,6 +164,113 @@ TEST(FutureTest, ValuePeekAfterRun) {
   EXPECT_EQ(future.value(), 1);
 }
 
+// --- Future as a coroutine return type ---
+
+Future<int> Immediate(Simulation& /*sim*/, int value) { co_return value; }
+
+TEST(FutureTest, CoroutineReturningBeforeSuspendingIsReadyAndSchedulesNothing) {
+  Simulation sim;
+  Future<int> future = Immediate(sim, 7);
+  ASSERT_TRUE(future.ready());
+  EXPECT_EQ(future.value(), 7);
+  EXPECT_TRUE(sim.empty());
+  sim.Run();
+  EXPECT_EQ(sim.events_processed(), 0u);
+}
+
+// The same producer written both ways: a Task twin fulfilling a Promise its
+// wrapper handed out, and a Future coroutine. Three waiters log their
+// resumption order.
+Task ProduceInto(Simulation& sim, SimTime delay, int value,
+                 Promise<int> done) {
+  co_await sim.Delay(delay);
+  done.Set(value);
+}
+
+Future<int> ProduceWithPromise(Simulation& sim, SimTime delay, int value) {
+  Promise<int> done(sim);
+  auto future = done.GetFuture();
+  ProduceInto(sim, delay, value, std::move(done));
+  return future;
+}
+
+Future<int> ProduceAsCoroutine(Simulation& sim, SimTime delay, int value) {
+  co_await sim.Delay(delay);
+  co_return value;
+}
+
+Task LogWhenReady(Future<int> future, int who, std::vector<int>& log) {
+  log.push_back(10 * who + co_await future);
+}
+
+template <typename Produce>
+std::pair<std::uint64_t, std::vector<int>> RunProducers(Produce produce) {
+  Simulation sim;
+  std::vector<int> log;
+  for (int round = 0; round < 3; ++round) {
+    Future<int> future = produce(sim, static_cast<SimTime>(5 - round), round);
+    for (int who = 0; who < 3; ++who) LogWhenReady(future, who, log);
+  }
+  sim.Run();
+  return {sim.EventDigest(), log};
+}
+
+TEST(FutureTest, CoroutineMatchesPromiseAndTaskEventForEvent) {
+  const auto with_promise = RunProducers(ProduceWithPromise);
+  const auto as_coroutine = RunProducers(ProduceAsCoroutine);
+  EXPECT_EQ(with_promise.first, as_coroutine.first);
+  EXPECT_EQ(with_promise.second, as_coroutine.second);
+  EXPECT_EQ(as_coroutine.second,
+            (std::vector<int>{2, 12, 22, 1, 11, 21, 0, 10, 20}));
+}
+
+// A member coroutine binds through the object's simulation() accessor.
+class Doubler {
+ public:
+  explicit Doubler(Simulation& sim) : sim_(sim) {}
+  Simulation& simulation() const { return sim_; }
+
+  Future<int> Twice(int value) {
+    co_await sim_.Delay(3);
+    ++calls_;
+    co_return 2 * value;
+  }
+  Future<int> TwiceConst(int value) const {
+    co_await sim_.Delay(1);
+    co_return 2 * value;
+  }
+  int calls() const { return calls_; }
+
+ private:
+  Simulation& sim_;
+  int calls_ = 0;
+};
+
+TEST(FutureTest, MemberCoroutineBindsThroughSimulationAccessor) {
+  Simulation sim;
+  Doubler doubler(sim);
+  Future<int> future = doubler.Twice(21);
+  Future<int> from_const = std::as_const(doubler).TwiceConst(4);
+  EXPECT_FALSE(future.ready());
+  int awaited = 0;
+  [](Future<int> f, int& out) -> Task { out = co_await f; }(future, awaited);
+  sim.Run();
+  EXPECT_EQ(future.value(), 42);
+  EXPECT_EQ(from_const.value(), 8);
+  EXPECT_EQ(awaited, 42);
+  EXPECT_EQ(doubler.calls(), 1);
+  EXPECT_EQ(sim.now(), 3u);
+}
+
+TEST(FutureTest, FreeCoroutineBindsThroughLeadingSimulation) {
+  Simulation sim;
+  Future<int> future = ProduceAsCoroutine(sim, 4, 9);
+  EXPECT_FALSE(future.ready());
+  sim.Run();
+  EXPECT_EQ(future.value(), 9);
+  EXPECT_EQ(sim.now(), 4u);
+}
+
 // --- Semaphore ---
 
 Task AcquireHoldRelease(Simulation& sim, Semaphore& sem, SimTime hold,

@@ -17,7 +17,8 @@
 #      build-asan/ and re-run the determinism gate under the sanitizers
 #      (`ctest -L determinism`: every scenario x observer cell of
 #      tools/determinism_gate.cc, the label's only test), then the event
-#      heap, pool, future, solver, kv call and chaos tests,
+#      heap, pool, future, solver, kv call, chaos and file-system client
+#      tests,
 #   6. configure + build with -DMEMFS_SANITIZE=thread in build-tsan/ and
 #      re-run the same under TSan (skipped with a notice when the toolchain
 #      has no libtsan).
@@ -71,10 +72,15 @@ ctest --test-dir "$root/build-asan" -L determinism --output-on-failure
 # verdict is read out of that call one resume later, which is where a
 # lifetime bug in the kv RPC engine would hide. So do the chaos tests: the
 # chaos coroutines (src/workloads/chaos.h) write into caller-owned results.
+# And so do the file-system client tests (MemFS, AMFS, the sharded metadata
+# client, the workflow runner, elastic membership): their operations are
+# sim::Future coroutines, and one that took a reference parameter and read it
+# after its first suspension would read a dead caller's frame.
 tests='EventHeap|PoolAlloc|SimChecker|FutureTest|FluidNetwork|SolverEquivalence'
 tests="$tests|KvCluster|KvBatch|KvGauge|FaultCluster|OpScheduler"
 tests="$tests|ChaosSoak|MigrationChaos"
-echo "== sanitizers: event heap, pool, future, solver, kv call and chaos tests =="
+tests="$tests|MemFsTest|AmfsTest|MetaFsTest|MetaChaos|RunnerTest|ElasticClusterTest"
+echo "== sanitizers: event heap, pool, future, solver, kv call, chaos and client tests =="
 ctest --test-dir "$root/build-asan" -R "$tests" --output-on-failure
 
 # TSan and ASan cannot live in one binary, so thread gets its own tree.
@@ -89,7 +95,7 @@ if printf 'int main(){return 0;}' | \
   echo "== sanitizers: determinism gate under TSan =="
   ctest --test-dir "$root/build-tsan" -L determinism --output-on-failure
 
-  echo "== sanitizers: event heap, pool, future, solver, kv call and chaos tests under TSan =="
+  echo "== sanitizers: event heap, pool, future, solver, kv call, chaos and client tests under TSan =="
   ctest --test-dir "$root/build-tsan" -R "$tests" --output-on-failure
 else
   echo "== sanitizers: thread skipped (toolchain has no libtsan) =="

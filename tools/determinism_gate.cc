@@ -350,20 +350,15 @@ void Diagnose(monitor::Monitor& mon, const trace::Tracer& tracer,
   facts.symmetry_audited =
       balance.instance_count == kNodes && !balance.windows.empty();
 
-  monitor::SloWatchdog watchdog(mon);
-  for (const char* rule : monitor::kDefaultSloRules) {
-    (void)watchdog.AddRule(rule);
-  }
-  std::vector<monitor::SloResult> slo = watchdog.Evaluate();
+  const diagnose::RunDiagnosis diagnosis = diagnose::DiagnoseRun(
+      mon,
+      {std::begin(monitor::kDefaultSloRules),
+       std::end(monitor::kDefaultSloRules)},
+      &tracer, faults);
   facts.slo_evaluated =
-      watchdog.rules().size() == std::size(monitor::kDefaultSloRules) &&
-      slo[0].windows_evaluated > 0;
-
-  diagnose::FlightRecorder recorder(mon);
-  recorder.SetSloResults(std::move(slo));
-  recorder.SetTracer(&tracer);
-  recorder.SetFaults(faults);
-  const std::vector<diagnose::Incident> incidents = recorder.Diagnose();
+      diagnosis.slo.size() == std::size(monitor::kDefaultSloRules) &&
+      diagnosis.slo[0].windows_evaluated > 0;
+  const std::vector<diagnose::Incident>& incidents = diagnosis.incidents;
   std::ostringstream json;
   diagnose::FlightRecorder::WriteJson(incidents, json);
   facts.incidents_json = json.str();
@@ -418,10 +413,7 @@ Facts RunOnce(const Scenario& row, int column, std::uint64_t seed) {
   std::unique_ptr<monitor::Monitor> mon;
   if (column == kAll) {
     mon = std::make_unique<monitor::Monitor>(sim);
-    mon->WatchRegistry(&registry);
-    mon->HarvestExemplars(&registry);
-    monitor::AttachNetworkProbes(*mon, bed.network());
-    monitor::AttachWriteP99Probe(*mon, registry);
+    monitor::AttachRunObservers(*mon, registry, bed.network());
   }
   sim::FaultInjector injector(sim, bed.fault_hooks());
   if (row.faults != Faults::kNone) {

@@ -400,10 +400,7 @@ int main(int argc, char** argv) {
   workloads::Testbed bed(o.fs, config);
   sim::Simulation& sim = bed.simulation();
   monitor::Monitor mon(sim);
-  mon.WatchRegistry(&metrics);
-  monitor::AttachNetworkProbes(mon, bed.network());
-  mon.HarvestExemplars(&metrics);
-  monitor::AttachWriteP99Probe(mon, metrics);
+  monitor::AttachRunObservers(mon, metrics, bed.network());
   trace::Tracer tracer(sim);
   // --elastic: once the workload has ramped, the standby node joins and
   // server 1 drains, while the workload keeps issuing I/O.
@@ -447,23 +444,20 @@ int main(int argc, char** argv) {
   PrintMetadataBalance(mon, std::cout);
   if (config.elastic && !PrintMembership(bed, std::cout)) exit_code = 3;
 
-  monitor::SloWatchdog watchdog(mon);
-  for (const std::string& rule : o.slo) (void)watchdog.AddRule(rule);
-  std::vector<monitor::SloResult> slo = watchdog.Evaluate();
+  const diagnose::RunDiagnosis diagnosis =
+      diagnose::DiagnoseRun(mon, o.slo, &tracer, injector.scheduled());
   std::cout << "\n# SLO watchdog\n";
-  monitor::SloWatchdog::PrintResults(slo, std::cout, o.csv, /*verbose=*/true);
-  for (const monitor::SloResult& result : slo) {
+  monitor::SloWatchdog::PrintResults(diagnosis.slo, std::cout, o.csv,
+                                     /*verbose=*/true);
+  for (const monitor::SloResult& result : diagnosis.slo) {
     if (!result.satisfied) exit_code = 3;
   }
-
-  diagnose::FlightRecorder recorder(mon);
-  recorder.SetSloResults(std::move(slo));
-  recorder.SetTracer(&tracer);
-  recorder.SetFaults(injector.scheduled());
-  const std::vector<diagnose::Incident> incidents = recorder.Diagnose();
   std::cout << "\n# incident flight recorder\n";
-  diagnose::FlightRecorder::Print(incidents, std::cout);
+  diagnose::FlightRecorder::Print(diagnosis.incidents, std::cout);
 
-  if (!o.out.empty() && !WriteBundle(o.out, tracer, mon, incidents)) return 1;
+  if (!o.out.empty() &&
+      !WriteBundle(o.out, tracer, mon, diagnosis.incidents)) {
+    return 1;
+  }
   return ran ? exit_code : 1;
 }
