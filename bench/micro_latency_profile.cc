@@ -14,12 +14,15 @@
 // sim-events/sec, and — when built with MEMFS_PROFILE_ALLOC, which this
 // target is — global heap allocation/free counts, as JSON on stdout in the
 // BENCH_scale.json schema. --sweep adds a Montage-6/MemFS node sweep
-// (8 → 1024). --baseline=FILE compares the measured 64-node wall-clock
-// against the committed baseline and exits nonzero when it is >20% slower
-// (override the tolerance with MEMFS_PERF_GATE_TOLERANCE when gating on
-// hardware other than the baseline's). The gate is on wall-clock, not on
-// sim-events/sec: events/sec rewards adding cheap events and punishes
-// removing them, while the time to simulate the same workload does not.
+// (8 → 1024). --baseline=FILE compares the 64-node point with the committed
+// baseline and exits nonzero when its wall-clock is >20% slower (override
+// the tolerance with MEMFS_PERF_GATE_TOLERANCE when gating on hardware other
+// than the baseline's), when its sim_events differ, or when its heap
+// allocations exceed the baseline's by more than 1%. The time gate is
+// on wall-clock, not on sim-events/sec: events/sec rewards adding cheap
+// events and punishes removing them, while the time to simulate the same
+// workload does not. The counters are exact run to run, so a regression in
+// them cannot hide in host noise.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -233,12 +236,19 @@ int RunScaleProfile(bool sweep, const std::string& baseline_path) {
     buf << in.rdbuf();
     const std::string text = buf.str();
     const std::size_t at = text.find("\"fig08_64\"");
-    const double baseline_wall =
-        at == std::string::npos ? -1.0 : JsonNumberAfter(text, "wall_s", at);
-    if (baseline_wall <= 0.0) {
-      std::cerr << "perf gate: baseline has no fig08_64 wall_s\n";
+    auto baseline_value = [&](const std::string& key) {
+      return at == std::string::npos ? -1.0 : JsonNumberAfter(text, key, at);
+    };
+    const double baseline_wall = baseline_value("wall_s");
+    const double baseline_events = baseline_value("sim_events");
+    const double baseline_allocs = baseline_value("heap_allocs");
+    if (baseline_wall <= 0.0 || baseline_events <= 0.0 ||
+        baseline_allocs <= 0.0) {
+      std::cerr << "perf gate: baseline lacks fig08_64 wall_s, sim_events "
+                   "or heap_allocs\n";
       return 1;
     }
+    bool ok = true;
     double tolerance = 0.20;
     if (const char* env = std::getenv("MEMFS_PERF_GATE_TOLERANCE")) {
       tolerance = std::strtod(env, nullptr);
@@ -250,8 +260,32 @@ int RunScaleProfile(bool sweep, const std::string& baseline_path) {
     if (fig08.wall_s > ceiling) {
       std::cerr << "perf gate: FAIL (wall-clock regressed more than "
                 << tolerance * 100.0 << "%)\n";
-      return 1;
+      ok = false;
     }
+    // The counters are exact run to run, so they are gated tightly: the
+    // event count must match, and heap allocations may grow by 1% at most.
+    // A change that moves them on purpose regenerates the baseline.
+    if (static_cast<double>(fig08.sim_events) != baseline_events) {
+      std::cerr << "perf gate: FAIL (sim_events " << fig08.sim_events
+                << " differs from the baseline's "
+                << static_cast<std::uint64_t>(baseline_events) << ")\n";
+      ok = false;
+    }
+#ifdef MEMFS_PROFILE_ALLOC
+    const double alloc_ceiling = baseline_allocs * 1.01;
+    std::cerr << "perf gate: heap_allocs " << fig08.heap_allocs
+              << ", baseline "
+              << static_cast<std::uint64_t>(baseline_allocs) << ", ceiling "
+              << static_cast<std::uint64_t>(alloc_ceiling) << "\n";
+    if (static_cast<double>(fig08.heap_allocs) > alloc_ceiling) {
+      std::cerr << "perf gate: FAIL (heap allocations grew more than 1%)\n";
+      ok = false;
+    }
+#else
+    std::cerr << "perf gate: heap_allocs not checked (built without "
+                 "MEMFS_PROFILE_ALLOC)\n";
+#endif
+    if (!ok) return 1;
     std::cerr << "perf gate: ok\n";
   }
   return 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <new>
 
 namespace memfs {
 namespace {
@@ -66,41 +68,117 @@ std::uint64_t RealContribution(const std::uint8_t* data, std::uint64_t len,
   return sum;
 }
 
-}  // namespace
-
-Bytes Bytes::Copy(std::string_view data) {
-  Bytes out;
-  out.storage_.assign(data.begin(), data.end());
-  out.size_ = out.storage_.size();
-  out.fingerprint_ = RealContribution(out.storage_.data(), out.size_, 0);
-  return out;
-}
-
-Bytes Bytes::Own(std::vector<std::uint8_t> data) {
-  Bytes out;
-  out.storage_ = std::move(data);
-  out.size_ = out.storage_.size();
-  out.fingerprint_ = RealContribution(out.storage_.data(), out.size_, 0);
-  return out;
-}
-
-std::uint8_t Bytes::PatternByte(std::uint64_t seed, std::uint64_t index) {
+std::uint8_t PatternByte(std::uint64_t seed, std::uint64_t index) {
   const std::uint64_t word = SplitMix(seed ^ (index >> 3));
   return static_cast<std::uint8_t>(word >> (8 * (index & 7)));
 }
 
+std::uint8_t* Allocate(std::size_t capacity) {
+  if (capacity == 0) return nullptr;
+  return static_cast<std::uint8_t*>(::operator new(capacity));
+}
+
+}  // namespace
+
+Bytes::Bytes(const Bytes& other) : storage_{} {
+  if (!other.real_) {
+    size_ = other.size_;
+    fingerprint_ = other.fingerprint_;
+    storage_ = other.storage_;
+    real_ = false;
+    sliceable_synthetic_ = other.sliceable_synthetic_;
+    return;
+  }
+  std::uint8_t* data = InitReal(other.size_);
+  if (size_ != 0) std::memcpy(data, other.real_data(), size_);
+  fingerprint_ = other.fingerprint_;
+}
+
+Bytes::Bytes(Bytes&& other) noexcept : storage_{} { StealFrom(other); }
+
+Bytes& Bytes::operator=(const Bytes& other) {
+  if (this == &other) return *this;
+  if (real_ && other.real_ && real_capacity() >= other.size_) {
+    // Reuse the buffer we already own, as a vector's copy-assign would.
+    if (other.size_ != 0) {
+      std::memcpy(real_data(), other.real_data(), other.size_);
+    }
+    size_ = other.size_;
+    fingerprint_ = other.fingerprint_;
+    return *this;
+  }
+  Bytes copy(other);
+  Release();
+  StealFrom(copy);
+  return *this;
+}
+
+Bytes& Bytes::operator=(Bytes&& other) noexcept {
+  if (this == &other) return *this;
+  Release();
+  StealFrom(other);
+  return *this;
+}
+
+std::uint8_t* Bytes::InitReal(std::size_t size) {
+  real_ = true;
+  sliceable_synthetic_ = false;
+  size_ = size;
+  fingerprint_ = 0;
+  heap_ = size > kInlineBytes;
+  if (heap_) storage_.heap = {Allocate(size), size};
+  return real_data();
+}
+
+void Bytes::Release() noexcept {
+  if (real_ && heap_) ::operator delete(storage_.heap.data);
+  heap_ = false;
+}
+
+void Bytes::Reserve(std::size_t capacity) {
+  std::uint8_t* grown = Allocate(capacity);
+  if (size_ != 0) std::memcpy(grown, real_data(), size_);
+  Release();
+  heap_ = true;
+  storage_.heap = {grown, capacity};
+}
+
+// Precondition: this holds no heap buffer (constructed or Release()d).
+void Bytes::StealFrom(Bytes& other) noexcept {
+  size_ = other.size_;
+  fingerprint_ = other.fingerprint_;
+  storage_ = other.storage_;
+  real_ = other.real_;
+  heap_ = other.heap_;
+  sliceable_synthetic_ = other.sliceable_synthetic_;
+  other.size_ = 0;
+  other.fingerprint_ = 0;
+  other.real_ = true;
+  other.heap_ = false;
+  other.sliceable_synthetic_ = false;
+}
+
+Bytes Bytes::Copy(std::string_view data) {
+  Bytes out;
+  std::uint8_t* dst = out.InitReal(data.size());
+  if (!data.empty()) std::memcpy(dst, data.data(), data.size());
+  out.fingerprint_ = RealContribution(dst, data.size(), 0);
+  return out;
+}
+
 Bytes Bytes::Pattern(std::size_t size, std::uint64_t seed) {
-  std::vector<std::uint8_t> data(size);
-  for (std::size_t i = 0; i < size; ++i) data[i] = PatternByte(seed, i);
-  return Own(std::move(data));
+  Bytes out;
+  std::uint8_t* dst = out.InitReal(size);
+  for (std::size_t i = 0; i < size; ++i) dst[i] = PatternByte(seed, i);
+  out.fingerprint_ = RealContribution(dst, size, 0);
+  return out;
 }
 
 Bytes Bytes::Synthetic(std::size_t size, std::uint64_t seed) {
   Bytes out;
   out.real_ = false;
   out.size_ = size;
-  out.pattern_seed_ = seed;
-  out.pattern_offset_ = 0;
+  out.storage_.source = {seed, 0};
   out.sliceable_synthetic_ = true;
   out.fingerprint_ = SyntheticContribution(seed, 0, 0, size);
   return out;
@@ -108,40 +186,32 @@ Bytes Bytes::Synthetic(std::size_t size, std::uint64_t seed) {
 
 std::string_view Bytes::view() const {
   assert(real_ && "view() on a synthetic payload");
-  return {reinterpret_cast<const char*>(storage_.data()), storage_.size()};
-}
-
-const std::vector<std::uint8_t>& Bytes::data() const {
-  assert(real_ && "data() on a synthetic payload");
-  return storage_;
+  return {reinterpret_cast<const char*>(real_data()), size_};
 }
 
 Bytes Bytes::Slice(std::size_t offset, std::size_t length) const {
   if (offset >= size_) return Bytes();
   const std::size_t len = std::min(length, size_ - offset);
+  Bytes out;
   if (real_) {
-    Bytes out;
-    out.storage_.assign(storage_.begin() + static_cast<std::ptrdiff_t>(offset),
-                        storage_.begin() +
-                            static_cast<std::ptrdiff_t>(offset + len));
-    out.size_ = len;
-    out.fingerprint_ = RealContribution(out.storage_.data(), len, 0);
+    std::uint8_t* dst = out.InitReal(len);
+    if (len != 0) std::memcpy(dst, real_data() + offset, len);
+    out.fingerprint_ = RealContribution(dst, len, 0);
     return out;
   }
-  Bytes out;
   out.real_ = false;
   out.size_ = len;
   if (sliceable_synthetic_) {
-    out.pattern_seed_ = pattern_seed_;
-    out.pattern_offset_ = pattern_offset_ + offset;
+    const Generator& source = storage_.source;
+    out.storage_.source = {source.seed, source.offset + offset};
     out.sliceable_synthetic_ = true;
     out.fingerprint_ =
-        SyntheticContribution(pattern_seed_, pattern_offset_ + offset, 0, len);
+        SyntheticContribution(source.seed, source.offset + offset, 0, len);
   } else {
     // A synthetic payload assembled from heterogeneous pieces has no
     // closed-form sub-range content; the slice is still deterministic but is
     // only equal to another slice taken the same way from an equal parent.
-    out.sliceable_synthetic_ = false;
+    out.storage_.source = {0, 0};
     out.fingerprint_ =
         SplitMix(fingerprint_ ^ SplitMix(offset) ^ SplitMix(len * 0x9e37ull));
   }
@@ -151,32 +221,29 @@ Bytes Bytes::Slice(std::size_t offset, std::size_t length) const {
 void Bytes::Append(const Bytes& other) {
   if (other.empty()) return;
   const std::uint64_t out_offset = size_;
+  const std::size_t added = other.size_;
   if (real_ && other.real_) {
-    // Grow geometrically: a stream assembled from many small real appends
-    // (write buffering, batch reply assembly) must stay amortized O(n) even
-    // where the library's range-insert would reallocate to fit exactly.
-    const std::size_t want = storage_.size() + other.storage_.size();
-    if (want > storage_.capacity()) {
-      storage_.reserve(std::max({want, storage_.capacity() * 2,
-                                 static_cast<std::size_t>(64)}));
+    fingerprint_ += RealContribution(other.real_data(), added, out_offset);
+    const std::size_t want = size_ + added;
+    if (want > real_capacity()) {
+      Reserve(std::max({want, real_capacity() * 2,
+                        static_cast<std::size_t>(64)}));
     }
-    storage_.insert(storage_.end(), other.storage_.begin(),
-                    other.storage_.end());
-    fingerprint_ +=
-        RealContribution(other.storage_.data(), other.size_, out_offset);
-    size_ += other.size_;
+    // Read `other` only now: on a self-append it is this payload, whose
+    // content may just have moved into the grown buffer.
+    std::memcpy(real_data() + size_, other.real_data(), added);
+    size_ += added;
     return;
   }
   // Mixed or synthetic append: the result is synthetic. Track source
   // contiguity so that slices of a stream written in order stay verifiable.
+  const Generator& theirs = other.storage_.source;
   std::uint64_t contribution;
   if (other.real_) {
-    contribution =
-        RealContribution(other.storage_.data(), other.size_, out_offset);
+    contribution = RealContribution(other.real_data(), added, out_offset);
   } else if (other.sliceable_synthetic_) {
-    contribution = SyntheticContribution(other.pattern_seed_,
-                                         other.pattern_offset_, out_offset,
-                                         other.size_);
+    contribution =
+        SyntheticContribution(theirs.seed, theirs.offset, out_offset, added);
   } else {
     // No closed form for the appended content; fold its fingerprint in a
     // position-dependent way.
@@ -185,28 +252,24 @@ void Bytes::Append(const Bytes& other) {
 
   const bool continues_pattern =
       !real_ && !other.real_ && sliceable_synthetic_ &&
-      other.sliceable_synthetic_ && other.pattern_seed_ == pattern_seed_ &&
-      other.pattern_offset_ == pattern_offset_ + size_;
+      other.sliceable_synthetic_ && theirs.seed == storage_.source.seed &&
+      theirs.offset == storage_.source.offset + size_;
   const bool starts_pattern = empty() && !other.real_ &&
                               other.sliceable_synthetic_;
 
+  if (real_) {
+    Release();
+    real_ = false;
+    storage_.source = {0, 0};
+  }
   if (starts_pattern) {
-    pattern_seed_ = other.pattern_seed_;
-    pattern_offset_ = other.pattern_offset_;
+    storage_.source = theirs;
     sliceable_synthetic_ = true;
   } else if (!continues_pattern) {
     sliceable_synthetic_ = false;
   }
-  real_ = false;
-  storage_.clear();
-  storage_.shrink_to_fit();
   fingerprint_ += contribution;
-  size_ += other.size_;
-}
-
-std::uint64_t Bytes::FingerprintOf(const std::uint8_t* data, std::size_t size,
-                                   std::uint64_t seed) {
-  return RealContribution(data, size, 0) ^ seed;
+  size_ += added;
 }
 
 }  // namespace memfs

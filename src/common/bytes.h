@@ -6,7 +6,7 @@
 // only depend on sizes and on end-to-end content integrity. `Bytes` therefore
 // has two forms sharing one interface:
 //
-//  * real     — owns a byte vector; used by unit tests, the examples, and any
+//  * real     — owns a byte buffer; used by unit tests, the examples, and any
 //               workload small enough to materialize.
 //  * synthetic — carries only (size, fingerprint); slicing and concatenation
 //               update the fingerprint deterministically, so a read-back
@@ -14,23 +14,31 @@
 //
 // Both forms support Slice/Append so the striping and buffering code paths in
 // the file-system clients are identical regardless of payload form.
+//
+// A `Bytes` rides in every stored object, batch item, result and coroutine
+// frame, so it is kept to 40 bytes: the real heap buffer (pointer +
+// capacity), up to 16 bytes of inline real content, and the synthetic
+// generator (seed + offset) share one union. A moved-from payload is
+// `Bytes()`: real, empty, fingerprint 0.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
 
 namespace memfs {
 
 class Bytes {
  public:
-  Bytes() = default;
+  Bytes() noexcept : storage_{} {}
+  Bytes(const Bytes& other);
+  Bytes(Bytes&& other) noexcept;
+  Bytes& operator=(const Bytes& other);
+  Bytes& operator=(Bytes&& other) noexcept;
+  ~Bytes() { Release(); }
 
   // Real payloads.
   static Bytes Copy(std::string_view data);
-  static Bytes Own(std::vector<std::uint8_t> data);
   // Deterministic pseudo-random content of `size` bytes derived from `seed`.
   static Bytes Pattern(std::size_t size, std::uint64_t seed);
 
@@ -50,14 +58,14 @@ class Bytes {
 
   // Read-only view of real content. Precondition: is_real().
   std::string_view view() const;
-  const std::vector<std::uint8_t>& data() const;
 
   // Sub-range [offset, offset+length); clamps to the payload end.
   Bytes Slice(std::size_t offset, std::size_t length) const;
 
   // Concatenation (used by the directory-append metadata protocol and the
   // write buffer). Appending a synthetic payload to a real one degrades the
-  // result to synthetic.
+  // result to synthetic. Real appends grow the buffer geometrically, so a
+  // stream assembled from many small appends stays amortized O(n).
   void Append(const Bytes& other);
 
   // Two payloads are content-equal when sizes and fingerprints agree (exact
@@ -71,19 +79,56 @@ class Bytes {
   std::size_t StoredSize() const { return size_; }
 
  private:
-  static std::uint64_t FingerprintOf(const std::uint8_t* data,
-                                     std::size_t size, std::uint64_t seed);
-  static std::uint8_t PatternByte(std::uint64_t seed, std::uint64_t index);
+  // A real payload created with at most this many bytes (most metadata
+  // records) keeps them inline in the union and allocates nothing; longer
+  // or grown content lives in a heap buffer.
+  static constexpr std::size_t kInlineBytes = 16;
 
-  bool real_ = true;
+  // A real payload's heap buffer: content is data[0, size_).
+  struct Buffer {
+    std::uint8_t* data;
+    std::size_t capacity;
+  };
+  // A synthetic payload's generator: when sliceable_synthetic_, content at
+  // position p is source index offset + p, so slices stay verifiable.
+  struct Generator {
+    std::uint64_t seed;
+    std::uint64_t offset;
+  };
+  union Storage {
+    Buffer heap;                       // real_ && heap_
+    std::uint8_t local[kInlineBytes];  // real_ && !heap_
+    Generator source;                  // !real_
+  };
+
+  std::uint8_t* real_data() {
+    return heap_ ? storage_.heap.data : storage_.local;
+  }
+  const std::uint8_t* real_data() const {
+    return heap_ ? storage_.heap.data : storage_.local;
+  }
+  std::size_t real_capacity() const {
+    return heap_ ? storage_.heap.capacity : kInlineBytes;
+  }
+  // Turns this (holding no heap buffer) into a real payload of `size`
+  // uninitialized bytes with fingerprint 0; returns where they go.
+  std::uint8_t* InitReal(std::size_t size);
+  // Frees the heap buffer, if any, and marks the storage inline; the
+  // caller then sets the rest of the state.
+  void Release() noexcept;
+  // Moves real content into a heap buffer of `capacity` bytes.
+  void Reserve(std::size_t capacity);
+  // Takes other's state and leaves it as Bytes().
+  void StealFrom(Bytes& other) noexcept;
+
   std::size_t size_ = 0;
   std::uint64_t fingerprint_ = 0;
-  std::vector<std::uint8_t> storage_;  // empty when synthetic
-
-  // Synthetic payloads remember their generator so slices stay verifiable.
-  std::uint64_t pattern_seed_ = 0;
-  std::uint64_t pattern_offset_ = 0;
+  Storage storage_;
+  bool real_ = true;
+  bool heap_ = false;
   bool sliceable_synthetic_ = false;
 };
+
+static_assert(sizeof(Bytes) <= 40, "Bytes is stored once per kv object");
 
 }  // namespace memfs

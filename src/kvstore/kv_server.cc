@@ -1,6 +1,11 @@
 #include "kvstore/kv_server.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <new>
 #include <utility>
 
 namespace memfs::kv {
@@ -16,6 +21,87 @@ const char* BatchKindName(BatchKind kind) {
   return "unknown";
 }
 
+ObjectTable::Iterator::Iterator(const ObjectTable* table, std::size_t bucket,
+                                const Object* object)
+    : table_(table), bucket_(bucket), object_(object) {
+  while (object_ == nullptr && bucket_ < table_->buckets_.size()) {
+    object_ = table_->buckets_[bucket_];
+    if (object_ == nullptr) ++bucket_;
+  }
+}
+
+ObjectTable::Iterator& ObjectTable::Iterator::operator++() {
+  object_ = object_->next;
+  if (object_ == nullptr) *this = Iterator(table_, bucket_ + 1, nullptr);
+  return *this;
+}
+
+std::size_t ObjectTable::Hash(std::string_view key) {
+  return std::hash<std::string_view>{}(key);
+}
+
+ObjectTable::Object* ObjectTable::Find(std::string_view key) const {
+  if (size_ == 0) return nullptr;
+  const std::size_t hash = Hash(key);
+  for (Object* object = buckets_[hash & (buckets_.size() - 1)];
+       object != nullptr; object = object->next) {
+    if (object->hash == hash && object->key() == key) return object;
+  }
+  return nullptr;
+}
+
+void ObjectTable::Insert(std::string_view key, Bytes value) {
+  if (size_ + 1 > buckets_.size()) Grow();
+  const std::size_t hash = Hash(key);
+  assert(key.size() <= std::numeric_limits<std::uint32_t>::max());
+  void* block = ::operator new(sizeof(Object) + key.size());
+  auto* object = new (block) Object{nullptr, hash, std::move(value),
+                                    static_cast<std::uint32_t>(key.size())};
+  if (!key.empty()) {
+    std::memcpy(reinterpret_cast<char*>(object + 1), key.data(), key.size());
+  }
+  Object** head = Bucket(hash);
+  object->next = *head;
+  *head = object;
+  ++size_;
+}
+
+void ObjectTable::Erase(Object* object) {
+  Object** link = Bucket(object->hash);
+  while (*link != object) link = &(*link)->next;
+  *link = object->next;
+  object->~Object();
+  ::operator delete(object);
+  --size_;
+}
+
+void ObjectTable::Clear() {
+  for (Object*& head : buckets_) {
+    while (head != nullptr) {
+      Object* next = head->next;
+      head->~Object();
+      ::operator delete(head);
+      head = next;
+    }
+  }
+  size_ = 0;
+}
+
+void ObjectTable::Grow() {
+  const std::size_t grown = std::max<std::size_t>(8, buckets_.size() * 2);
+  const std::vector<Object*> old =
+      std::exchange(buckets_, std::vector<Object*>(grown, nullptr));
+  for (Object* head : old) {
+    while (head != nullptr) {
+      Object* next = head->next;
+      Object** slot = Bucket(head->hash);
+      head->next = *slot;
+      *slot = head;
+      head = next;
+    }
+  }
+}
+
 KvServer::KvServer(KvServerConfig config) : config_(config) {}
 
 Status KvServer::CheckedInsert(std::string_view key, Bytes&& value,
@@ -23,11 +109,11 @@ Status KvServer::CheckedInsert(std::string_view key, Bytes&& value,
   if (value.StoredSize() > config_.max_object_size) {
     return status::TooLarge("object exceeds per-item limit");
   }
-  auto it = store_.find(key);
+  ObjectTable::Object* existing = store_.Find(key);
   std::uint64_t replaced = 0;
-  if (it != store_.end()) {
+  if (existing != nullptr) {
     if (!overwrite) return status::Exists();
-    replaced = it->second.StoredSize();
+    replaced = existing->value.StoredSize();
   }
   const std::uint64_t incoming = value.StoredSize();
   if (memory_used_ - replaced + incoming > config_.memory_limit) {
@@ -35,10 +121,10 @@ Status KvServer::CheckedInsert(std::string_view key, Bytes&& value,
   }
   memory_used_ = memory_used_ - replaced + incoming;
   stats_.bytes_written += incoming;
-  if (it != store_.end()) {
-    it->second = std::move(value);
+  if (existing != nullptr) {
+    existing->value = std::move(value);
   } else {
-    store_.emplace(std::string(key), std::move(value));
+    store_.Insert(key, std::move(value));
   }
   return Status::Ok();
 }
@@ -55,28 +141,28 @@ Status KvServer::Add(std::string_view key, Bytes value) {
 
 Result<Bytes> KvServer::Get(std::string_view key) {
   ++stats_.gets;
-  auto it = store_.find(key);
-  if (it == store_.end()) {
+  const ObjectTable::Object* object = store_.Find(key);
+  if (object == nullptr) {
     ++stats_.misses;
     return status::NotFound();
   }
   ++stats_.hits;
-  stats_.bytes_read += it->second.StoredSize();
-  return it->second;
+  stats_.bytes_read += object->value.StoredSize();
+  return object->value;
 }
 
 Status KvServer::Append(std::string_view key, const Bytes& suffix) {
   ++stats_.appends;
-  auto it = store_.find(key);
-  if (it == store_.end()) return status::NotFound();
+  ObjectTable::Object* object = store_.Find(key);
+  if (object == nullptr) return status::NotFound();
   const std::uint64_t grown = suffix.StoredSize();
-  if (it->second.StoredSize() + grown > config_.max_object_size) {
+  if (object->value.StoredSize() + grown > config_.max_object_size) {
     return status::TooLarge();
   }
   if (memory_used_ + grown > config_.memory_limit) {
     return status::NoSpace();
   }
-  it->second.Append(suffix);
+  object->value.Append(suffix);
   memory_used_ += grown;
   stats_.bytes_written += grown;
   return Status::Ok();
@@ -84,10 +170,10 @@ Status KvServer::Append(std::string_view key, const Bytes& suffix) {
 
 Status KvServer::Delete(std::string_view key) {
   ++stats_.deletes;
-  auto it = store_.find(key);
-  if (it == store_.end()) return status::NotFound();
-  memory_used_ -= it->second.StoredSize();
-  store_.erase(it);
+  ObjectTable::Object* object = store_.Find(key);
+  if (object == nullptr) return status::NotFound();
+  memory_used_ -= object->value.StoredSize();
+  store_.Erase(object);
   return Status::Ok();
 }
 
@@ -142,26 +228,28 @@ std::vector<BatchItemResult> KvServer::MultiDelete(
 }
 
 bool KvServer::Exists(std::string_view key) const {
-  return store_.contains(key);
+  return store_.Find(key) != nullptr;
 }
 
 std::vector<std::string> KvServer::Keys() const {
   std::vector<std::string> keys;
   keys.reserve(store_.size());
-  // hash-map iteration feeds a sort below, so the returned enumeration is
+  // hash-order iteration feeds a sort below, so the returned enumeration is
   // order-independent.
-  for (const auto& [key, value] : store_) keys.push_back(key);
+  for (const ObjectTable::Object& object : store_) {
+    keys.emplace_back(object.key());
+  }
   std::sort(keys.begin(), keys.end());
   return keys;
 }
 
 std::uint64_t KvServer::ValueSize(std::string_view key) const {
-  auto it = store_.find(key);
-  return it == store_.end() ? 0 : it->second.StoredSize();
+  const ObjectTable::Object* object = store_.Find(key);
+  return object == nullptr ? 0 : object->value.StoredSize();
 }
 
 void KvServer::Clear() {
-  store_.clear();
+  store_.Clear();
   memory_used_ = 0;
 }
 

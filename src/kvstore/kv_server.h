@@ -14,10 +14,10 @@
 //    on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
@@ -61,6 +61,69 @@ struct KvServerStats {
   std::uint64_t deletes = 0;
   std::uint64_t bytes_written = 0;
   std::uint64_t bytes_read = 0;
+};
+
+// The server's object store: a chained hash table whose objects each live in
+// one heap block holding the chain link, the key hash, the value and the key
+// bytes, over a power-of-two bucket array kept at load factor <= 1.
+// Iteration visits objects in hash order, which is not a stable order:
+// callers that need one sort (KvServer::Keys()).
+class ObjectTable {
+ public:
+  struct Object {
+    Object* next;
+    std::size_t hash;
+    Bytes value;
+    std::uint32_t key_size;
+
+    // The key bytes follow the object in the same block.
+    std::string_view key() const {
+      return {reinterpret_cast<const char*>(this + 1), key_size};
+    }
+  };
+
+  class Iterator {
+   public:
+    const Object& operator*() const { return *object_; }
+    Iterator& operator++();
+    bool operator==(const Iterator& other) const {
+      return object_ == other.object_;
+    }
+
+   private:
+    friend class ObjectTable;
+    Iterator(const ObjectTable* table, std::size_t bucket,
+             const Object* object);
+
+    const ObjectTable* table_;
+    std::size_t bucket_;
+    const Object* object_;
+  };
+
+  ObjectTable() = default;
+  ObjectTable(const ObjectTable&) = delete;
+  ObjectTable& operator=(const ObjectTable&) = delete;
+  ~ObjectTable() { Clear(); }
+
+  Object* Find(std::string_view key) const;
+  // Precondition: `key` is absent.
+  void Insert(std::string_view key, Bytes value);
+  void Erase(Object* object);
+  void Clear();
+
+  std::size_t size() const { return size_; }
+  Iterator begin() const { return Iterator(this, 0, nullptr); }
+  Iterator end() const { return Iterator(this, buckets_.size(), nullptr); }
+
+ private:
+  static std::size_t Hash(std::string_view key);
+  Object** Bucket(std::size_t hash) {
+    return &buckets_[hash & (buckets_.size() - 1)];
+  }
+  void Grow();
+
+  std::vector<Object*> buckets_;  // empty until the first insert
+  std::size_t size_ = 0;
 };
 
 class KvServer {
@@ -119,18 +182,10 @@ class KvServer {
   void Clear();
 
  private:
-  // Transparent hashing so lookups by string_view do not allocate.
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
   [[nodiscard]] Status CheckedInsert(std::string_view key, Bytes&& value, bool overwrite);
 
   KvServerConfig config_;
-  std::unordered_map<std::string, Bytes, StringHash, std::equal_to<>> store_;
+  ObjectTable store_;
   std::uint64_t memory_used_ = 0;
   KvServerStats stats_;
 };

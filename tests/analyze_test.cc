@@ -334,6 +334,34 @@ TEST(AnalyzeUnorderedSinkTest, SuppressionIsHonored) {
   EXPECT_EQ(CountRule(Analyze({{"u.cc", tu}}, true), "unordered-sink"), 1);
 }
 
+// The kv object store is a project hash table, not a std::unordered_*, and
+// iterates in hash order all the same: walking it into a sink is flagged,
+// while KvServer::Keys()'s walk into a sorted copy is clean.
+TEST(AnalyzeUnorderedSinkTest, ObjectTableIterationFeedingDigestIsFlagged) {
+  const std::string tu = R"cc(
+    class KvServer {
+      ObjectTable store_;
+    };
+    void KvServer::Emit(Bytes& digest) const {
+      for (const ObjectTable::Object& object : store_) {
+        digest.Append(object.value);
+      }
+    }
+    std::vector<std::string> KvServer::Keys() const {
+      std::vector<std::string> keys;
+      for (const ObjectTable::Object& object : store_) {
+        keys.emplace_back(object.key());
+      }
+      std::sort(keys.begin(), keys.end());
+      return keys;
+    }
+  )cc";
+  const auto findings = Analyze({{"kv_server.cc", tu}});
+  ASSERT_EQ(CountRule(findings, "unordered-sink"), 1);
+  EXPECT_NE(FindRule(findings, "unordered-sink")->message.find("store_"),
+            std::string::npos);
+}
+
 // Regression fixture for the FluidNetwork::Reallocate() hazard removed by
 // the slot-vector refactor (ISSUE 9): per-flow rate recomputation iterating
 // a std::unordered_map of active flows. The historical code escaped this

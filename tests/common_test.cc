@@ -1,5 +1,8 @@
 // Unit tests for src/common: payloads, stats, RNG, status, table output.
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -235,6 +238,132 @@ TEST(BytesTest, MixedAppendDegradesToSynthetic) {
   Bytes c = Bytes::Copy("header");
   c.Append(Bytes::Synthetic(100, 3));
   EXPECT_TRUE(b.ContentEquals(c));
+}
+
+// --- Bytes: value semantics ---
+
+// Real payloads stored inline (<= 16 bytes) and on the heap, and a
+// synthetic one whose slices are still verifiable.
+std::vector<Bytes> ValueSemanticsSamples() {
+  return {Bytes::Copy("inline payload"),
+          Bytes::Copy("a real payload too long to be stored inline"),
+          Bytes::Synthetic(4096, 11).Slice(7, 900)};
+}
+
+TEST(BytesTest, CopyPreservesContentAndForm) {
+  for (const Bytes& original : ValueSemanticsSamples()) {
+    Bytes copy(original);
+    EXPECT_TRUE(copy.ContentEquals(original));
+    EXPECT_EQ(copy.is_real(), original.is_real());
+    if (original.is_real()) {
+      EXPECT_EQ(copy.view(), original.view());
+    }
+    EXPECT_TRUE(copy.Slice(3, 5).ContentEquals(original.Slice(3, 5)));
+
+    Bytes assigned = Bytes::Synthetic(10, 1);
+    assigned = original;
+    EXPECT_TRUE(assigned.ContentEquals(original));
+    EXPECT_EQ(assigned.is_real(), original.is_real());
+    Bytes into_real = Bytes::Copy(std::string(100, 'x'));
+    into_real = original;
+    EXPECT_TRUE(into_real.ContentEquals(original));
+    if (original.is_real()) {
+      EXPECT_EQ(into_real.view(), original.view());
+    }
+  }
+}
+
+TEST(BytesTest, MovedFromIsEmptyReal) {
+  for (const Bytes& original : ValueSemanticsSamples()) {
+    Bytes source(original);
+    Bytes moved(std::move(source));
+    EXPECT_TRUE(moved.ContentEquals(original));
+    EXPECT_TRUE(source.is_real());
+    EXPECT_EQ(source.size(), 0u);
+    EXPECT_EQ(source.fingerprint(), 0u);
+    EXPECT_EQ(source.view(), "");
+    EXPECT_FALSE(source.ContentEquals(moved));
+    EXPECT_TRUE(source.ContentEquals(Bytes()));
+
+    Bytes target = Bytes::Copy("overwritten");
+    target = std::move(moved);
+    EXPECT_TRUE(target.ContentEquals(original));
+    EXPECT_TRUE(moved.ContentEquals(Bytes()));
+    EXPECT_TRUE(moved.is_real());
+    // A moved-from payload is usable again.
+    moved.Append(Bytes::Copy("again"));
+    EXPECT_EQ(moved.view(), "again");
+  }
+}
+
+TEST(BytesTest, SelfAssignmentKeepsContent) {
+  for (const Bytes& original : ValueSemanticsSamples()) {
+    Bytes b(original);
+    Bytes& alias = b;
+    b = alias;
+    EXPECT_TRUE(b.ContentEquals(original));
+    b = std::move(alias);
+    EXPECT_TRUE(b.ContentEquals(original));
+    EXPECT_EQ(b.is_real(), original.is_real());
+  }
+}
+
+TEST(BytesTest, SelfAppendDoublesContent) {
+  // From inline storage, across the move to the heap, and through appends
+  // that fit the heap buffer's spare capacity.
+  Bytes real = Bytes::Copy("abc");
+  std::string expected = "abc";
+  while (expected.size() < 1000) {
+    real.Append(real);
+    expected += expected;
+    ASSERT_EQ(real.view(), expected);
+    ASSERT_TRUE(real.ContentEquals(Bytes::Copy(expected)));
+  }
+
+  Bytes synthetic = Bytes::Synthetic(100, 4);
+  Bytes doubled = synthetic;
+  doubled.Append(Bytes::Synthetic(100, 4));
+  synthetic.Append(synthetic);
+  EXPECT_EQ(synthetic.size(), 200u);
+  EXPECT_TRUE(synthetic.ContentEquals(doubled));
+}
+
+TEST(BytesTest, ManySmallRealAppendsEqualOneCopy) {
+  std::string whole;
+  Bytes built;
+  for (int i = 0; i < 10000; ++i) {
+    const char c = static_cast<char>('a' + (i * 7) % 26);
+    whole.push_back(c);
+    built.Append(Bytes::Copy(std::string_view(&c, 1)));
+  }
+  const Bytes copy = Bytes::Copy(whole);
+  EXPECT_TRUE(built.is_real());
+  EXPECT_EQ(built.view(), whole);
+  EXPECT_EQ(built.fingerprint(), copy.fingerprint());
+  EXPECT_TRUE(built.ContentEquals(copy));
+}
+
+TEST(BytesTest, RealDegradedToSyntheticKeepsSlicesVerifiable) {
+  const Bytes pattern = Bytes::Synthetic(5000, 21);
+  // An empty real payload takes on the generator of what is appended.
+  Bytes stream;
+  stream.Append(pattern.Slice(0, 1000));
+  stream.Append(pattern.Slice(1000, 4000));
+  EXPECT_FALSE(stream.is_real());
+  EXPECT_TRUE(stream.ContentEquals(pattern));
+  EXPECT_TRUE(stream.Slice(1234, 777).ContentEquals(pattern.Slice(1234, 777)));
+
+  // A non-empty real payload degrades: its slices are deterministic and
+  // equal to the same slices of an equal assembly.
+  Bytes mixed = Bytes::Copy("header");
+  mixed.Append(pattern);
+  Bytes twin = Bytes::Copy("header");
+  twin.Append(pattern);
+  EXPECT_FALSE(mixed.is_real());
+  EXPECT_EQ(mixed.size(), 5006u);
+  EXPECT_TRUE(mixed.Slice(3, 500).ContentEquals(twin.Slice(3, 500)));
+  EXPECT_FALSE(mixed.Slice(3, 500).ContentEquals(twin.Slice(4, 500)));
+  EXPECT_TRUE(Bytes(mixed).ContentEquals(twin));
 }
 
 // --- RunningStats / Samples ---

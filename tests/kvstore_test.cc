@@ -1,7 +1,14 @@
 // Tests for the Memcached stand-in: server state machine semantics, memory
 // accounting, and the simulated cluster protocol binding.
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/units.h"
 #include "kvstore/kv_cluster.h"
 #include "kvstore/kv_server.h"
@@ -119,6 +126,110 @@ TEST(KvServerTest, StatsCountOperations) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.appends, 1u);
   EXPECT_EQ(stats.deletes, 1u);
+}
+
+// Model check of the object table: a seeded mix of Set/Add/Append/Delete
+// over 20k keys with a Clear every 15k steps, so the bucket array grows many
+// times from empty, compared with a std::map model after every step. Keys
+// cover the lengths 0, 1, 15, 16 and 4096.
+TEST(KvServerTest, MatchesOrderedMapModel) {
+  constexpr std::size_t kKeys = 20000;
+  std::vector<std::string> keys;
+  keys.reserve(kKeys);
+  keys.emplace_back();
+  for (std::size_t i = 1; keys.size() < kKeys; ++i) {
+    const std::string id = std::to_string(i);
+    if (i <= 200) {
+      keys.emplace_back(1, static_cast<char>(i));
+    } else if (i % 1000 == 0) {
+      keys.push_back(id + std::string(4096 - id.size(), 'L'));
+    } else {
+      const std::size_t len = i % 2 == 0 ? 15 : 16;
+      keys.push_back(std::string(len - id.size(), 'k') + id);
+    }
+  }
+
+  KvServer server;
+  std::map<std::string, Bytes, std::less<>> model;
+  std::uint64_t model_memory = 0;
+  Rng rng(2014);
+  std::size_t keys_checks = 0;
+  for (int step = 0; step < 40000; ++step) {
+    // Writes outnumber deletes so the table keeps growing; the Clear
+    // exercises reuse of the grown bucket array.
+    const std::string& key = keys[rng.Below(kKeys)];
+    const Bytes value =
+        rng.Below(2) == 0
+            ? Bytes::Copy(std::string(rng.Below(40), static_cast<char>(step)))
+            : Bytes::Synthetic(rng.Below(5000), rng.Next());
+    const auto it = model.find(key);
+    const bool present = it != model.end();
+    const std::uint64_t op = rng.Below(5);
+    if (step % 15000 == 14999) {
+      server.Clear();
+      model.clear();
+      model_memory = 0;
+    } else if (op < 2) {
+      ASSERT_TRUE(server.Set(key, value).ok());
+      model_memory += value.size() - (present ? it->second.size() : 0);
+      model[key] = value;
+    } else if (op == 2) {
+      EXPECT_EQ(server.Add(key, value).code(),
+                present ? ErrorCode::kExists : ErrorCode::kOk);
+      if (!present) {
+        model.emplace(key, value);
+        model_memory += value.size();
+      }
+    } else if (op == 3) {
+      EXPECT_EQ(server.Append(key, value).code(),
+                present ? ErrorCode::kOk : ErrorCode::kNotFound);
+      if (present) {
+        it->second.Append(value);
+        model_memory += value.size();
+      }
+    } else {
+      EXPECT_EQ(server.Delete(key).code(),
+                present ? ErrorCode::kOk : ErrorCode::kNotFound);
+      if (present) {
+        model_memory -= it->second.size();
+        model.erase(it);
+      }
+    }
+
+    ASSERT_EQ(server.object_count(), model.size()) << "step " << step;
+    ASSERT_EQ(server.memory_used(), model_memory) << "step " << step;
+    // The touched key and one other, through every read path.
+    const std::string& other = keys[rng.Below(kKeys)];
+    for (const std::string* probe : {&key, &other}) {
+      const auto m = model.find(*probe);
+      ASSERT_EQ(server.Exists(*probe), m != model.end()) << "step " << step;
+      ASSERT_EQ(server.ValueSize(*probe),
+                m == model.end() ? 0 : m->second.size());
+      const Result<Bytes> got = server.Get(*probe);
+      ASSERT_EQ(got.ok(), m != model.end()) << "step " << step;
+      if (got.ok()) {
+        ASSERT_TRUE(got->ContentEquals(m->second)) << "step " << step;
+        ASSERT_EQ(got->is_real(), m->second.is_real());
+        if (got->is_real()) {
+          ASSERT_EQ(got->view(), m->second.view());
+        }
+      }
+    }
+    // The sorted enumeration: every step up to 1024 objects, then
+    // every 97th step (the listing is O(n log n) per call).
+    if (model.size() <= 1024 || step % 97 == 0) {
+      ++keys_checks;
+      const std::vector<std::string> listed = server.Keys();
+      ASSERT_EQ(listed.size(), model.size());
+      ASSERT_TRUE(std::equal(listed.begin(), listed.end(), model.begin(),
+                             [](const std::string& a, const auto& entry) {
+                               return a == entry.first;
+                             }))
+          << "step " << step;
+    }
+  }
+  EXPECT_GT(model.size(), 4096u);  // the bucket array grew ten times
+  EXPECT_GT(keys_checks, 1000u);
 }
 
 // --- KvCluster protocol over the simulated network ---

@@ -85,6 +85,16 @@ const std::set<std::string>& BlockingNames() {
   return kSet;
 }
 
+// The project's own hash tables. Iterating one visits elements in hash
+// order, as with a std::unordered_* container, so declarations of these
+// types are tracked exactly like unordered type aliases.
+const std::set<std::string>& HashOrderedTypes() {
+  static const std::set<std::string> kTypes = {
+      "ObjectTable",  // src/kvstore/kv_server.h: the kv object store
+  };
+  return kTypes;
+}
+
 // Order-sensitive sinks for the determinism dataflow rule: anything whose
 // observable output depends on call order. Digest/byte streams (Append),
 // trace emission, simulation event scheduling, RPC/op issue, and monitor
@@ -433,6 +443,9 @@ void Analysis::CollectGlobalDecls() {
     return {t[k].text, is_fn};
   };
 
+  const std::set<std::string>& hash_ordered = HashOrderedTypes();
+  unordered_types_.insert(hash_ordered.begin(), hash_ordered.end());
+
   // Pass 1: literal std::unordered_* declarations, pointer containers,
   // unordered type aliases, function declarations.
   for (const TranslationUnit& tu : tus_) {
@@ -492,8 +505,8 @@ void Analysis::CollectGlobalDecls() {
       }
     }
   }
-  // Pass 2: declarations through unordered type aliases.
-  if (unordered_types_.empty()) return;
+  // Pass 2: declarations through unordered type aliases and the project's
+  // hash-ordered types.
   for (const TranslationUnit& tu : tus_) {
     const std::vector<Token>& t = tu.lexed.tokens;
     for (std::size_t i = 0; i + 1 < t.size(); ++i) {

@@ -29,8 +29,9 @@
 //                        the consumer acquired) uses the suppression comment.
 //
 //  determinism         unordered-sink:  a range-for over an
-//                        std::unordered_map/set (or a function returning
-//                        one) whose loop body reaches an order-sensitive
+//                        std::unordered_map/set, a project hash table
+//                        (kv::ObjectTable), or a function returning one,
+//                        whose loop body reaches an order-sensitive
 //                        sink — digest/trace/monitor emission, RPC issue,
 //                        event scheduling, or any co_await (suspension
 //                        order is part of the event stream).

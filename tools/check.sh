@@ -12,13 +12,13 @@
 #      and compare it with the committed BENCH_paper.json within each
 #      metric's tolerance (bench/paper_cells.cc),
 #   4. re-run the fig08 simulator speed gate against BENCH_scale.json
-#      (wall-clock of the 64-node point),
+#      (wall-clock, sim_events and heap allocations of the 64-node point),
 #   5. configure + build with -DMEMFS_SANITIZE=address,undefined in
 #      build-asan/ and re-run the determinism gate under the sanitizers
 #      (`ctest -L determinism`: every scenario x observer cell of
 #      tools/determinism_gate.cc, the label's only test), then the event
-#      heap, pool, future, solver, kv call, chaos and file-system client
-#      tests,
+#      heap, pool, future, solver, payload, kv, chaos and file-system
+#      client tests,
 #   6. configure + build with -DMEMFS_SANITIZE=thread in build-tsan/ and
 #      re-run the same under TSan (skipped with a notice when the toolchain
 #      has no libtsan).
@@ -45,12 +45,14 @@ echo "== paper ledger: fig03a fig03b table1 vs BENCH_paper.json =="
 "$root/build/bench/paper_figures" --check="$root/BENCH_paper.json" \
   fig03a fig03b table1 > /dev/null
 
-# Simulator speed gate: re-run the fig08 64-node point and compare its
-# wall-clock against the committed BENCH_scale.json trajectory; fails when it
-# is >20% slower (sim-events/sec is still reported). On hardware slower than
-# the baseline's, widen the gate with MEMFS_PERF_GATE_TOLERANCE (e.g. 0.5)
-# instead of skipping it.
-echo "== perf gate: fig08 64-node wall-clock vs BENCH_scale.json =="
+# Simulator speed gate: re-run the fig08 64-node point and compare it with
+# the committed BENCH_scale.json trajectory; fails when its wall-clock is
+# >20% slower (sim-events/sec is still reported), when its sim_events differ
+# from the baseline's, or when its heap allocations exceed the baseline's by
+# more than 1% (both counters are exact run to run). On hardware slower than
+# the baseline's, widen the wall-clock gate with MEMFS_PERF_GATE_TOLERANCE
+# (e.g. 0.5) instead of skipping it.
+echo "== perf gate: fig08 64-node wall-clock and counters vs BENCH_scale.json =="
 "$root/build/bench/micro_latency_profile" --scale \
   --baseline="$root/BENCH_scale.json" > /dev/null
 
@@ -75,12 +77,16 @@ ctest --test-dir "$root/build-asan" -L determinism --output-on-failure
 # And so do the file-system client tests (MemFS, AMFS, the sharded metadata
 # client, the workflow runner, elastic membership): their operations are
 # sim::Future coroutines, and one that took a reference parameter and read it
-# after its first suspension would read a dead caller's frame.
+# after its first suspension would read a dead caller's frame. The payload
+# and kv server tests cover the manual memory of a stored object: Bytes keeps
+# its real buffer in a union with the synthetic generator, and the kv object
+# table places each value and its key in one raw heap block.
 tests='EventHeap|PoolAlloc|SimChecker|FutureTest|FluidNetwork|SolverEquivalence'
+tests="$tests|BytesTest|KvServerTest"
 tests="$tests|KvCluster|KvBatch|KvGauge|FaultCluster|OpScheduler"
 tests="$tests|ChaosSoak|MigrationChaos"
 tests="$tests|MemFsTest|AmfsTest|MetaFsTest|MetaChaos|RunnerTest|ElasticClusterTest"
-echo "== sanitizers: event heap, pool, future, solver, kv call, chaos and client tests =="
+echo "== sanitizers: event heap, pool, future, solver, payload, kv, chaos and client tests =="
 ctest --test-dir "$root/build-asan" -R "$tests" --output-on-failure
 
 # TSan and ASan cannot live in one binary, so thread gets its own tree.
@@ -95,7 +101,7 @@ if printf 'int main(){return 0;}' | \
   echo "== sanitizers: determinism gate under TSan =="
   ctest --test-dir "$root/build-tsan" -L determinism --output-on-failure
 
-  echo "== sanitizers: event heap, pool, future, solver, kv call, chaos and client tests under TSan =="
+  echo "== sanitizers: event heap, pool, future, solver, payload, kv, chaos and client tests under TSan =="
   ctest --test-dir "$root/build-tsan" -R "$tests" --output-on-failure
 else
   echo "== sanitizers: thread skipped (toolchain has no libtsan) =="
