@@ -206,14 +206,15 @@ void RunInventory(const CellParams& p, CellResult& out) {
   std::uint64_t smallest = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t largest = 0;
   for (const auto& task : wf.tasks) {
-    for (const auto& file : task.outputs) {
+    for (const mtc::FileId output : wf.Outputs(task)) {
+      const std::uint64_t size = wf.files[output].size;
       (task.stage == "stage_in" ? input : runtime) +=
-          static_cast<double>(file.size) / 1e9;
+          static_cast<double>(size) / 1e9;
       // The paper's "File Size" column describes the per-task intermediate
       // files, not the global aggregation products.
       if (task.stage != "stage_in" && !IsAggregateStage(task.stage)) {
-        smallest = std::min(smallest, file.size);
-        largest = std::max(largest, file.size);
+        smallest = std::min(smallest, size);
+        largest = std::max(largest, size);
       }
     }
   }

@@ -5,6 +5,7 @@
 //
 //   $ ./build/examples/workflow_lifecycle
 #include <cstdio>
+#include <string>
 
 #include "common/units.h"
 #include "kvstore/kv_cluster.h"
@@ -74,13 +75,23 @@ int main() {
               kNodes, workflow.tasks.size(),
               static_cast<double>(workflow.TotalOutputBytes()) / 1e6);
 
+  // Splits off the tasks of (or outside) stage_in; both parts share the
+  // workflow's file table.
+  auto split = [&workflow](std::string name, bool stage_in) {
+    mtc::Workflow part;
+    part.name = std::move(name);
+    part.files = workflow.files;
+    for (const auto& task : workflow.tasks) {
+      if ((task.stage == "stage_in") != stage_in) continue;
+      part.AddTask(task.name, task.stage, workflow.Inputs(task),
+                   workflow.Outputs(task), task.cpu_time);
+    }
+    return part;
+  };
+
   // 1. Seed the permanent store with the input images (archive contents).
-  mtc::Workflow seed;
-  seed.name = "seed-archive";
+  mtc::Workflow seed = split("seed-archive", true);
   seed.directories = workflow.directories;
-  for (const auto& task : workflow.tasks) {
-    if (task.stage == "stage_in") seed.tasks.push_back(task);
-  }
   mtc::UniformScheduler seed_scheduler;
   mtc::Runner seeder(sim, permanent, seed_scheduler,
                      {.nodes = kNodes, .cores_per_node = 4});
@@ -106,11 +117,7 @@ int main() {
               ToSeconds(stage_in.elapsed), stage_in.BandwidthMBps());
 
   // 3. Run the workflow (minus stage_in) against the runtime FS.
-  mtc::Workflow compute;
-  compute.name = workflow.name;
-  for (auto& task : workflow.tasks) {
-    if (task.stage != "stage_in") compute.tasks.push_back(task);
-  }
+  const mtc::Workflow compute = split(workflow.name, false);
   mtc::UniformScheduler scheduler;
   mtc::Runner runner(sim, runtime, scheduler,
                      {.nodes = kNodes, .cores_per_node = 8});

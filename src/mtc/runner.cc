@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 namespace memfs::mtc {
 
@@ -43,18 +42,38 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
   }
 
   const std::size_t total = workflow.tasks.size();
+  const std::size_t file_count = workflow.files.size();
 
-  // Dependency bookkeeping: a task waits for every input that some other
-  // task produces; inputs without a producer must pre-exist in the FS.
-  const auto producers = workflow.Producers();
+  // Dependency bookkeeping: a task waits once per listed input that some
+  // task produces; inputs without a producer must pre-exist in the FS. A
+  // produced file releases its consumers once, when the first of its
+  // producers completes.
+  enum FileState : std::uint8_t { kPreexisting, kPending, kReleased };
+  std::vector<FileState> file_state(file_count, kPreexisting);
+  for (const TaskSpec& task : workflow.tasks) {
+    for (FileId output : workflow.Outputs(task)) file_state[output] = kPending;
+  }
+  // Consumers of file f, in task order, are
+  // consumers[consumer_begin[f], consumer_begin[f + 1]) (CSR form). Counted
+  // into consumer_begin[f], summed into each range's end, then filled
+  // backwards so every begin ends up at its range's start.
   std::vector<std::uint32_t> waiting(total, 0);
-  std::unordered_map<std::string, std::vector<std::size_t>> consumers;
+  std::vector<std::uint32_t> consumer_begin(file_count + 1, 0);
   for (std::size_t i = 0; i < total; ++i) {
-    for (const auto& input : workflow.tasks[i].inputs) {
-      if (producers.contains(input)) {
-        ++waiting[i];
-        consumers[input].push_back(i);
-      }
+    for (FileId input : workflow.Inputs(workflow.tasks[i])) {
+      if (file_state[input] != kPending) continue;
+      ++waiting[i];
+      ++consumer_begin[input];
+    }
+  }
+  for (std::size_t f = 1; f <= file_count; ++f) {
+    consumer_begin[f] += consumer_begin[f - 1];
+  }
+  std::vector<std::uint32_t> consumers(consumer_begin[file_count]);
+  for (std::size_t i = total; i-- > 0;) {
+    for (FileId input : workflow.Inputs(workflow.tasks[i])) {
+      if (file_state[input] != kPending) continue;
+      consumers[--consumer_begin[input]] = static_cast<std::uint32_t>(i);
     }
   }
 
@@ -73,7 +92,8 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
     }
   }
 
-  std::unordered_map<std::string, StageStats> stages;
+  // A handful per workflow, found by name in order of first completion.
+  std::vector<StageStats> stages;
   std::size_t running = 0;
   std::size_t done = 0;
   bool fatal = false;
@@ -93,7 +113,8 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
         placed_any = false;
         for (std::size_t pos = 0; pos < ready.size(); ++pos) {
           const std::size_t index = ready[pos];
-          auto node = scheduler_.Place(workflow.tasks[index], free_cores);
+          auto node =
+              scheduler_.Place(workflow, workflow.tasks[index], free_cores);
           if (!node.has_value() && running == 0 && pos + 1 == ready.size() &&
               !placed_any) {
             // Nothing is running and the scheduler deferred everything:
@@ -112,7 +133,7 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
           --free_total;
           const std::uint32_t slot = free_slots[n].back();
           free_slots[n].pop_back();
-          ExecuteTask(workflow.tasks[index], index, n, slot, root);
+          ExecuteTask(workflow, index, n, slot, root);
           ++running;
           ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(pos));
           placed_any = true;
@@ -136,8 +157,13 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
     free_slots[completion.node].push_back(completion.slot);
 
     const TaskSpec& task = workflow.tasks[completion.task_index];
-    auto& stage = stages[task.stage];
-    stage.stage = task.stage;
+    auto stage_it = std::find_if(
+        stages.begin(), stages.end(),
+        [&](const StageStats& s) { return s.stage == task.stage; });
+    if (stage_it == stages.end()) {
+      stage_it = stages.insert(stages.end(), StageStats{.stage = task.stage});
+    }
+    StageStats& stage = *stage_it;
     ++stage.tasks;
     stage.first_start = std::min(stage.first_start, completion.started);
     stage.last_end = std::max(stage.last_end, completion.ended);
@@ -166,13 +192,14 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
 
     if (completion.status.ok()) {
       const std::size_t old_size = ready.size();
-      for (const auto& output : task.outputs) {
-        auto it = consumers.find(output.path);
-        if (it == consumers.end()) continue;
-        for (std::size_t consumer : it->second) {
+      for (FileId output : workflow.Outputs(task)) {
+        if (file_state[output] != kPending) continue;
+        file_state[output] = kReleased;
+        for (std::uint32_t k = consumer_begin[output];
+             k < consumer_begin[output + 1]; ++k) {
+          const std::uint32_t consumer = consumers[k];
           if (--waiting[consumer] == 0) ready.push_back(consumer);
         }
-        consumers.erase(it);
       }
       // `ready` stays sorted between completions (erase preserves order), so
       // only the freshly unblocked tail needs sorting before a merge — same
@@ -191,8 +218,7 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
         " tasks never became runnable (missing producer or dependency cycle)");
   }
   result->finished = sim_.now();
-  result->stages.reserve(stages.size());
-  for (auto& [name, stats] : stages) result->stages.push_back(stats);
+  result->stages = std::move(stages);
   std::sort(result->stages.begin(), result->stages.end(),
             [](const StageStats& a, const StageStats& b) {
               if (a.first_start != b.first_start) {
@@ -203,9 +229,10 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
   *finished_flag = true;
 }
 
-sim::Task Runner::ExecuteTask(const TaskSpec& task, std::size_t index,
+sim::Task Runner::ExecuteTask(const Workflow& workflow, std::size_t index,
                               net::NodeId node, std::uint32_t slot,
                               trace::TraceContext root) {
+  const TaskSpec& task = workflow.tasks[index];
   trace::ScopedSpan task_span =
       trace::ScopedSpan::Adopt(trace::ChildOn(root, task.name, "task", node));
   trace::Annotate(task_span.context(), "stage", task.stage);
@@ -220,8 +247,9 @@ sim::Task Runner::ExecuteTask(const TaskSpec& task, std::size_t index,
   completion.bytes_written = 0;
 
   Status status;
-  for (const auto& input : task.inputs) {
-    Result<std::uint64_t> bytes = co_await ReadWholeFile(ctx, input);
+  for (FileId input : workflow.Inputs(task)) {
+    Result<std::uint64_t> bytes =
+        co_await ReadWholeFile(ctx, workflow.files[input]);
     if (!bytes.ok()) {
       status = bytes.status();
       break;
@@ -235,13 +263,14 @@ sim::Task Runner::ExecuteTask(const TaskSpec& task, std::size_t index,
   }
 
   if (status.ok()) {
-    for (const auto& output : task.outputs) {
-      Status written = co_await WriteWholeFile(ctx, output);
+    for (FileId output : workflow.Outputs(task)) {
+      const File& file = workflow.files[output];
+      Status written = co_await WriteWholeFile(ctx, file);
       if (!written.ok()) {
         status = written;
         break;
       }
-      completion.bytes_written += output.size;
+      completion.bytes_written += file.size;
     }
   }
 
@@ -252,7 +281,8 @@ sim::Task Runner::ExecuteTask(const TaskSpec& task, std::size_t index,
 }
 
 sim::Future<Result<std::uint64_t>> Runner::ReadWholeFile(fs::VfsContext ctx,
-                                                         std::string path) {
+                                                         const File& file) {
+  const std::string& path = file.path;
   auto opened = co_await vfs_.Open(ctx, path);
   if (!opened.ok()) co_return opened.status();
   const fs::FileHandle handle = opened.value();
@@ -286,16 +316,16 @@ sim::Future<Result<std::uint64_t>> Runner::ReadWholeFile(fs::VfsContext ctx,
 }
 
 sim::Future<Status> Runner::WriteWholeFile(fs::VfsContext ctx,
-                                           const OutputSpec& output) {
-  auto created = co_await vfs_.Create(ctx, output.path);
+                                           const File& file) {
+  auto created = co_await vfs_.Create(ctx, file.path);
   if (!created.ok()) co_return created.status();
   const fs::FileHandle handle = created.value();
-  const Bytes content = Bytes::Synthetic(output.size, FileSeed(output.path));
+  const Bytes content = Bytes::Synthetic(file.size, FileSeed(file.path));
   std::uint64_t offset = 0;
   Status status;
-  while (offset < output.size) {
+  while (offset < file.size) {
     const std::uint64_t len =
-        std::min<std::uint64_t>(config_.io_block, output.size - offset);
+        std::min<std::uint64_t>(config_.io_block, file.size - offset);
     status = co_await vfs_.Write(ctx, handle, content.Slice(offset, len));
     if (!status.ok()) break;
     offset += len;

@@ -3,7 +3,8 @@
 // The runner owns the cluster's core slots (nodes x cores), asks a Scheduler
 // where each ready task should run, and executes tasks as simulated
 // processes: read every input through the Vfs, compute, write every output.
-// Task dependencies are the producer/consumer relations over file paths.
+// Task dependencies are the producer/consumer relations over the workflow's
+// file table.
 //
 // Every byte read is verified against the deterministic content seed of its
 // file, so a striping, buffering, caching or replication bug in either file
@@ -124,16 +125,17 @@ class Runner {
 
   sim::Task Drive(const Workflow& workflow, WorkflowResult* result,
                   bool* finished_flag, trace::TraceContext root);
-  sim::Task ExecuteTask(const TaskSpec& task, std::size_t index,
+  sim::Task ExecuteTask(const Workflow& workflow, std::size_t index,
                         net::NodeId node, std::uint32_t slot,
                         trace::TraceContext root);
 
-  // Reads `path` fully in io_block chunks; returns bytes read or an error.
-  // Verifies content against FileSeed(path) when verify_reads is set.
+  // Reads `file` fully in io_block chunks; returns bytes read or an error.
+  // Verifies content against FileSeed(path) when verify_reads is set. The
+  // file lives in the workflow's table, which outlives the run.
   [[nodiscard]] sim::Future<Result<std::uint64_t>> ReadWholeFile(
-      fs::VfsContext ctx, std::string path);
+      fs::VfsContext ctx, const File& file);
   [[nodiscard]] sim::Future<Status> WriteWholeFile(fs::VfsContext ctx,
-                                                   const OutputSpec& output);
+                                                   const File& file);
 
   sim::Simulation& sim_;
   fs::Vfs& vfs_;

@@ -11,7 +11,9 @@ std::uint64_t FileSeed(const std::string& path) {
 }
 
 std::optional<net::NodeId> UniformScheduler::Place(
-    const TaskSpec& task, const std::vector<std::uint32_t>& free_cores) {
+    const Workflow& workflow, const TaskSpec& task,
+    const std::vector<std::uint32_t>& free_cores) {
+  (void)workflow;
   (void)task;
   const auto nodes = static_cast<std::uint32_t>(free_cores.size());
   for (std::uint32_t step = 0; step < nodes; ++step) {
@@ -25,7 +27,8 @@ std::optional<net::NodeId> UniformScheduler::Place(
 }
 
 std::optional<net::NodeId> LocalityScheduler::Place(
-    const TaskSpec& task, const std::vector<std::uint32_t>& free_cores) {
+    const Workflow& workflow, const TaskSpec& task,
+    const std::vector<std::uint32_t>& free_cores) {
   const auto nodes = static_cast<std::uint32_t>(free_cores.size());
 
   auto round_robin = [&]() -> std::optional<net::NodeId> {
@@ -39,19 +42,20 @@ std::optional<net::NodeId> LocalityScheduler::Place(
     return std::nullopt;
   };
 
-  if (task.inputs.empty()) return round_robin();
+  const std::span<const FileId> inputs = workflow.Inputs(task);
+  if (inputs.empty()) return round_robin();
 
   net::NodeId preferred;
-  if (task.inputs.size() <= 2) {
+  if (inputs.size() <= 2) {
     // AMFS Shell guarantees locality for one file per job: follow the first
     // input. Any further inputs become remote reads (Table 1's penalty).
-    preferred = fs_.OwnerHint(task.inputs.front());
+    preferred = fs_.OwnerHint(workflow.files[inputs.front()].path);
   } else {
     // Aggregation task: run where the most input data lives. This is the
     // policy that turns one node into the overloaded "scheduler node".
     std::vector<std::uint64_t> bytes(nodes, 0);
-    for (const auto& input : task.inputs) {
-      const net::NodeId owner = fs_.OwnerHint(input);
+    for (FileId input : inputs) {
+      const net::NodeId owner = fs_.OwnerHint(workflow.files[input].path);
       if (owner < nodes) {
         // Owner granularity is enough; sizes are unknown to the Shell.
         ++bytes[owner];

@@ -24,11 +24,14 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  // Chooses a node for `task`. `free_cores[n]` is the number of idle core
-  // slots on node n. Returns nullopt to defer the task (no acceptable node
-  // is free right now); the runner retries after the next task completion.
+  // Chooses a node for `task`, one of `workflow`'s tasks (its files resolve
+  // through the workflow's table). `free_cores[n]` is the number of idle
+  // core slots on node n. Returns nullopt to defer the task (no acceptable
+  // node is free right now); the runner retries after the next task
+  // completion.
   virtual std::optional<net::NodeId> Place(
-      const TaskSpec& task, const std::vector<std::uint32_t>& free_cores) = 0;
+      const Workflow& workflow, const TaskSpec& task,
+      const std::vector<std::uint32_t>& free_cores) = 0;
 
   // True when Place is a guaranteed side-effect-free nullopt while no core
   // anywhere is free — the runner then skips the dispatch scan entirely on a
@@ -43,7 +46,7 @@ class Scheduler {
 class UniformScheduler final : public Scheduler {
  public:
   std::optional<net::NodeId> Place(
-      const TaskSpec& task,
+      const Workflow& workflow, const TaskSpec& task,
       const std::vector<std::uint32_t>& free_cores) override;
 
   // The cursor only advances on successful placements, so a failed probe
@@ -64,7 +67,7 @@ class LocalityScheduler final : public Scheduler {
   explicit LocalityScheduler(const amfs::Amfs& fs) : fs_(fs) {}
 
   std::optional<net::NodeId> Place(
-      const TaskSpec& task,
+      const Workflow& workflow, const TaskSpec& task,
       const std::vector<std::uint32_t>& free_cores) override;
 
   // After how many deferrals a task may run anywhere (the Shell eventually

@@ -3,13 +3,18 @@
 // An MTC application is a set of tasks communicating through files in the
 // runtime file system (§1). A task reads its input files, computes, and
 // writes its output files; the DAG is implicit in the producer/consumer
-// relation over paths. Workload generators (src/workloads) build these
+// relation over files. Workload generators (src/workloads) build these
 // structures with the paper's stage shapes and file-size distributions.
+//
+// Each path is stored once, in the workflow's file table; tasks name their
+// files by FileId through one flat `refs` array, so a file read by a
+// thousand tasks costs a thousand 4-byte ids, not a thousand strings.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.h"
@@ -17,46 +22,78 @@
 
 namespace memfs::mtc {
 
-struct OutputSpec {
+// Index into Workflow::files.
+using FileId = std::uint32_t;
+
+struct File {
   std::string path;
+  // Bytes its producers write; unused for a pre-existing input.
   std::uint64_t size = 0;
 };
 
 struct TaskSpec {
   std::string name;   // unique, e.g. "mDiffFit-0042"
   std::string stage;  // reporting group, e.g. "mDiffFit"
-  std::vector<std::string> inputs;
-  std::vector<OutputSpec> outputs;
   // Pure compute time on one core (scaled per workload; §4.2's CPU-bound vs
   // I/O-bound stage distinction lives here).
   sim::SimTime cpu_time = 0;
+  // Workflow::refs[first_ref, +input_count) are the inputs in read order;
+  // the next output_count ids are the outputs in write order.
+  std::uint32_t first_ref = 0;
+  std::uint32_t input_count = 0;
+  std::uint32_t output_count = 0;
 };
 
 struct Workflow {
   std::string name;
   std::vector<TaskSpec> tasks;
+  std::vector<File> files;
+  std::vector<FileId> refs;
   // Directories created (in order) before any task runs.
   std::vector<std::string> directories;
+
+  FileId AddFile(std::string path, std::uint64_t size = 0) {
+    files.push_back({std::move(path), size});
+    return static_cast<FileId>(files.size() - 1);
+  }
+
+  // Appends a task reading `inputs` and writing `outputs` (ids of files
+  // already in the table). A file listed twice is read or written twice.
+  void AddTask(std::string task_name, std::string stage,
+               std::span<const FileId> inputs,
+               std::span<const FileId> outputs, sim::SimTime cpu_time = 0) {
+    TaskSpec& task = tasks.emplace_back();
+    task.name = std::move(task_name);
+    task.stage = std::move(stage);
+    task.cpu_time = cpu_time;
+    task.first_ref = static_cast<std::uint32_t>(refs.size());
+    task.input_count = static_cast<std::uint32_t>(inputs.size());
+    task.output_count = static_cast<std::uint32_t>(outputs.size());
+    for (FileId id : inputs) {
+      assert(id < files.size());
+      refs.push_back(id);
+    }
+    for (FileId id : outputs) {
+      assert(id < files.size());
+      refs.push_back(id);
+    }
+  }
+
+  std::span<const FileId> Inputs(const TaskSpec& task) const {
+    return {refs.data() + task.first_ref, task.input_count};
+  }
+  std::span<const FileId> Outputs(const TaskSpec& task) const {
+    return {refs.data() + task.first_ref + task.input_count,
+            task.output_count};
+  }
 
   // Total bytes of every output in the workflow ("runtime data", Table 2).
   std::uint64_t TotalOutputBytes() const {
     std::uint64_t total = 0;
     for (const auto& task : tasks) {
-      for (const auto& out : task.outputs) total += out.size;
+      for (FileId out : Outputs(task)) total += files[out].size;
     }
     return total;
-  }
-
-  // Producer index: path -> task index that writes it. Paths with no
-  // producer must pre-exist in the file system.
-  std::unordered_map<std::string, std::size_t> Producers() const {
-    std::unordered_map<std::string, std::size_t> out;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      for (const auto& output : tasks[i].outputs) {
-        out.emplace(output.path, i);
-      }
-    }
-    return out;
   }
 };
 

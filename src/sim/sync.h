@@ -17,8 +17,8 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,7 +50,7 @@ class Semaphore {
   struct Acquirer {
     Semaphore* sem;
     bool await_ready() const noexcept {
-      if (sem->count_ > 0 && sem->waiters_.empty()) {
+      if (sem->count_ > 0 && sem->waiting() == 0) {
         --sem->count_;
         if (SimChecker* checker = sem->sim_->checker()) {
           checker->OnAcquire(sem);
@@ -73,7 +73,7 @@ class Semaphore {
 
   // Non-blocking acquire.
   bool TryAcquire() {
-    if (count_ > 0 && waiters_.empty()) {
+    if (count_ > 0 && waiting() == 0) {
       --count_;
       if (SimChecker* checker = sim_->checker()) checker->OnAcquire(this);
       return true;
@@ -84,11 +84,18 @@ class Semaphore {
   void Release() {
     SimChecker* checker = sim_->checker();
     if (checker != nullptr) checker->OnRelease(this, name_);
-    if (!waiters_.empty()) {
+    if (waiting() > 0) {
       // Hand the permit directly to the longest waiter; it resumes through
       // the event queue at the current simulated instant.
-      auto handle = waiters_.front();
-      waiters_.pop_front();
+      auto handle = waiters_[head_++];
+      if (head_ * 2 >= waiters_.size()) {
+        // Drop the served prefix once it is half the buffer: a drained queue
+        // restarts at the front, and one that never drains stays within
+        // twice its peak number of waiters.
+        waiters_.erase(waiters_.begin(),
+                       waiters_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
       if (checker != nullptr) {
         checker->OnAcquire(this);  // the permit passes straight to the waiter
         checker->OnResume(handle);
@@ -100,14 +107,17 @@ class Semaphore {
   }
 
   std::uint64_t available() const { return count_; }
-  std::size_t waiting() const { return waiters_.size(); }
+  std::size_t waiting() const { return waiters_.size() - head_; }
   const std::string& name() const { return name_; }
 
  private:
   Simulation* sim_;
   std::uint64_t count_;
   std::string name_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  // FIFO of waiters: waiters_[head_, size) in arrival order. A vector, not a
+  // deque, so an uncontended semaphore allocates nothing.
+  std::vector<std::coroutine_handle<>> waiters_;
+  std::size_t head_ = 0;
 };
 
 // RAII-ish helper for the common "hold a permit for a simulated duration"

@@ -1,7 +1,9 @@
 #include "workloads/blast.h"
 
 #include <algorithm>
+#include <array>
 #include <string>
+#include <vector>
 
 #include "common/units.h"
 
@@ -64,61 +66,53 @@ mtc::Workflow BuildBlast(const BlastParams& params) {
     return base + "/result/out_" + Zero5(i) + ".xml";
   };
 
+  // Each loop adds its files in index order, so file i of a stage is the
+  // stage's first id plus i.
+  using mtc::FileId;
+
   // stage_in: raw fragments and query batches enter the runtime FS.
+  const auto first_raw = static_cast<FileId>(wf.files.size());
   for (std::uint32_t i = 0; i < fragments; ++i) {
-    mtc::TaskSpec task;
-    task.name = "stage_in-frag-" + Zero5(i);
-    task.stage = "stage_in";
-    task.outputs.push_back({raw_path(i), fragment_size});
-    wf.tasks.push_back(std::move(task));
+    const FileId out = wf.AddFile(raw_path(i), fragment_size);
+    wf.AddTask("stage_in-frag-" + Zero5(i), "stage_in", {}, std::array{out});
   }
+  const auto first_query = static_cast<FileId>(wf.files.size());
   for (std::uint32_t b = 0; b < batches; ++b) {
-    mtc::TaskSpec task;
-    task.name = "stage_in-query-" + Zero5(b);
-    task.stage = "stage_in";
-    task.outputs.push_back({query_path(b), query_size});
-    wf.tasks.push_back(std::move(task));
+    const FileId out = wf.AddFile(query_path(b), query_size);
+    wf.AddTask("stage_in-query-" + Zero5(b), "stage_in", {}, std::array{out});
   }
 
   // formatdb: CPU-bound conversion of each fragment.
+  const auto first_db = static_cast<FileId>(wf.files.size());
   for (std::uint32_t i = 0; i < fragments; ++i) {
-    mtc::TaskSpec task;
-    task.name = "formatdb-" + Zero5(i);
-    task.stage = "formatdb";
-    task.inputs.push_back(raw_path(i));
-    task.outputs.push_back({db_path(i), fragment_size});
-    task.cpu_time = CpuTime(params.formatdb_cpu_s, scale);
-    wf.tasks.push_back(std::move(task));
+    const FileId out = wf.AddFile(db_path(i), fragment_size);
+    wf.AddTask("formatdb-" + Zero5(i), "formatdb", std::array{first_raw + i},
+               std::array{out}, CpuTime(params.formatdb_cpu_s, scale));
   }
 
   // blastall: query batch + database fragment -> result. The fragment is the
   // first input (the file AMFS Shell schedules for); the query batch is the
   // second (small, read remotely under AMFS).
+  const auto first_result = static_cast<FileId>(wf.files.size());
   for (std::uint32_t q = 0; q < queries; ++q) {
-    mtc::TaskSpec task;
-    task.name = "blastall-" + Zero5(q);
-    task.stage = "blastall";
-    task.inputs.push_back(db_path(q % fragments));
-    task.inputs.push_back(query_path(q % batches));
-    task.outputs.push_back({result_path(q), result_size});
-    task.cpu_time = CpuTime(params.blastall_cpu_s, scale);
-    wf.tasks.push_back(std::move(task));
+    const FileId out = wf.AddFile(result_path(q), result_size);
+    wf.AddTask("blastall-" + Zero5(q), "blastall",
+               std::array{first_db + q % fragments, first_query + q % batches},
+               std::array{out}, CpuTime(params.blastall_cpu_s, scale));
   }
 
   // merge: each task folds an equal share of results.
+  std::vector<FileId> inputs;
   for (std::uint32_t m = 0; m < merges; ++m) {
-    mtc::TaskSpec task;
-    task.name = "merge-" + Zero5(m);
-    task.stage = "merge";
+    inputs.clear();
     for (std::uint32_t q = m; q < queries; q += merges) {
-      task.inputs.push_back(result_path(q));
+      inputs.push_back(first_result + q);
     }
-    task.outputs.push_back(
-        {base + "/merged/part_" + Zero5(m) + ".xml",
-         std::max<std::uint64_t>(
-             result_size * (queries / merges) / 4, 1)});
-    task.cpu_time = CpuTime(params.merge_cpu_s, scale);
-    wf.tasks.push_back(std::move(task));
+    const FileId out = wf.AddFile(
+        base + "/merged/part_" + Zero5(m) + ".xml",
+        std::max<std::uint64_t>(result_size * (queries / merges) / 4, 1));
+    wf.AddTask("merge-" + Zero5(m), "merge", inputs, std::array{out},
+               CpuTime(params.merge_cpu_s, scale));
   }
 
   return wf;

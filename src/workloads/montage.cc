@@ -1,8 +1,10 @@
 #include "workloads/montage.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "common/units.h"
 
@@ -61,37 +63,34 @@ mtc::Workflow BuildMontage(const MontageParams& params) {
     return base + "/corr/c_" + Zero4(i) + ".fits";
   };
 
+  // Each loop adds its files in index order, so file i of a stage is the
+  // stage's first id plus i.
+  using mtc::FileId;
+
   // stage_in: the input images are copied into the runtime file system.
+  const auto first_input = static_cast<FileId>(wf.files.size());
   for (std::uint32_t i = 0; i < images; ++i) {
-    mtc::TaskSpec task;
-    task.name = "stage_in-" + Zero4(i);
-    task.stage = "stage_in";
-    task.outputs.push_back({input_path(i), input_size});
-    wf.tasks.push_back(std::move(task));
+    const FileId out = wf.AddFile(input_path(i), input_size);
+    wf.AddTask("stage_in-" + Zero4(i), "stage_in", {}, std::array{out});
   }
 
   // mProjectPP: one task per image, CPU-bound.
+  const auto first_projected = static_cast<FileId>(wf.files.size());
   for (std::uint32_t i = 0; i < images; ++i) {
-    mtc::TaskSpec task;
-    task.name = "mProjectPP-" + Zero4(i);
-    task.stage = "mProjectPP";
-    task.inputs.push_back(input_path(i));
-    task.outputs.push_back({projected_path(i), projected_size});
-    task.cpu_time = CpuTime(params.project_cpu_s, scale);
-    wf.tasks.push_back(std::move(task));
+    const FileId out = wf.AddFile(projected_path(i), projected_size);
+    wf.AddTask("mProjectPP-" + Zero4(i), "mProjectPP",
+               std::array{first_input + i}, std::array{out},
+               CpuTime(params.project_cpu_s, scale));
   }
 
   // mImgTbl: global aggregation over all projected images.
+  const FileId images_table =
+      wf.AddFile(base + "/tables/images.tbl", table_size);
   {
-    mtc::TaskSpec task;
-    task.name = "mImgTbl-0";
-    task.stage = "mImgTbl";
-    for (std::uint32_t i = 0; i < images; ++i) {
-      task.inputs.push_back(projected_path(i));
-    }
-    task.outputs.push_back({base + "/tables/images.tbl", table_size});
-    task.cpu_time = CpuTime(params.aggregate_cpu_s, scale);
-    wf.tasks.push_back(std::move(task));
+    std::vector<FileId> inputs(images);
+    for (std::uint32_t i = 0; i < images; ++i) inputs[i] = first_projected + i;
+    wf.AddTask("mImgTbl-0", "mImgTbl", inputs, std::array{images_table},
+               CpuTime(params.aggregate_cpu_s, scale));
   }
 
   // mDiffFit: one task per overlapping pair; a grid image overlaps its
@@ -100,6 +99,7 @@ mtc::Workflow BuildMontage(const MontageParams& params) {
   // fully serve locally.
   const std::uint32_t columns = std::max<std::uint32_t>(
       static_cast<std::uint32_t>(std::max(1.0, std::sqrt(double(images)))), 1);
+  const auto first_diff = static_cast<FileId>(wf.files.size());
   std::uint32_t diffs = 0;
   for (std::uint32_t i = 0; i < images; ++i) {
     const std::uint32_t col = i % columns;
@@ -113,67 +113,47 @@ mtc::Workflow BuildMontage(const MontageParams& params) {
       if (j >= images) continue;
       if (k == 0 && col + 1 == columns) continue;           // row edge
       if (k == 2 && col + 1 == columns) continue;           // diagonal edge
-      mtc::TaskSpec task;
-      task.name = "mDiffFit-" + Zero4(diffs);
-      task.stage = "mDiffFit";
-      task.inputs.push_back(projected_path(i));
-      task.inputs.push_back(projected_path(j));
-      task.outputs.push_back({diff_path(diffs), diff_size});
-      task.cpu_time = CpuTime(params.diff_cpu_s, scale);
-      wf.tasks.push_back(std::move(task));
+      const FileId out = wf.AddFile(diff_path(diffs), diff_size);
+      wf.AddTask("mDiffFit-" + Zero4(diffs), "mDiffFit",
+                 std::array{first_projected + i, first_projected + j},
+                 std::array{out}, CpuTime(params.diff_cpu_s, scale));
       ++diffs;
     }
   }
 
   // mConcatFit: aggregates every fit result.
+  const FileId fits_table = wf.AddFile(base + "/tables/fits.tbl", table_size);
   {
-    mtc::TaskSpec task;
-    task.name = "mConcatFit-0";
-    task.stage = "mConcatFit";
-    for (std::uint32_t i = 0; i < diffs; ++i) task.inputs.push_back(diff_path(i));
-    task.outputs.push_back({base + "/tables/fits.tbl", table_size});
-    task.cpu_time = CpuTime(params.aggregate_cpu_s, scale);
-    wf.tasks.push_back(std::move(task));
+    std::vector<FileId> inputs(diffs);
+    for (std::uint32_t i = 0; i < diffs; ++i) inputs[i] = first_diff + i;
+    wf.AddTask("mConcatFit-0", "mConcatFit", inputs, std::array{fits_table},
+               CpuTime(params.aggregate_cpu_s, scale));
   }
 
   // mBgModel: computes the background corrections from the fit table.
-  {
-    mtc::TaskSpec task;
-    task.name = "mBgModel-0";
-    task.stage = "mBgModel";
-    task.inputs.push_back(base + "/tables/fits.tbl");
-    task.inputs.push_back(base + "/tables/images.tbl");
-    task.outputs.push_back({base + "/tables/corrections.tbl",
-                            corrections_size});
-    task.cpu_time = CpuTime(params.aggregate_cpu_s, scale);
-    wf.tasks.push_back(std::move(task));
-  }
+  const FileId corrections =
+      wf.AddFile(base + "/tables/corrections.tbl", corrections_size);
+  wf.AddTask("mBgModel-0", "mBgModel", std::array{fits_table, images_table},
+             std::array{corrections}, CpuTime(params.aggregate_cpu_s, scale));
 
   // mBackground: per image, applies the corrections.
+  const auto first_corrected = static_cast<FileId>(wf.files.size());
   for (std::uint32_t i = 0; i < images; ++i) {
-    mtc::TaskSpec task;
-    task.name = "mBackground-" + Zero4(i);
-    task.stage = "mBackground";
-    task.inputs.push_back(projected_path(i));
-    task.inputs.push_back(base + "/tables/corrections.tbl");
-    task.outputs.push_back({corrected_path(i), corrected_size});
-    task.cpu_time = CpuTime(params.background_cpu_s, scale);
-    wf.tasks.push_back(std::move(task));
+    const FileId out = wf.AddFile(corrected_path(i), corrected_size);
+    wf.AddTask("mBackground-" + Zero4(i), "mBackground",
+               std::array{first_projected + i, corrections}, std::array{out},
+               CpuTime(params.background_cpu_s, scale));
   }
 
   // mAdd: global aggregation into the final mosaic.
   {
-    mtc::TaskSpec task;
-    task.name = "mAdd-0";
-    task.stage = "mAdd";
-    for (std::uint32_t i = 0; i < images; ++i) {
-      task.inputs.push_back(corrected_path(i));
-    }
-    task.outputs.push_back(
-        {base + "/mosaic.fits",
-         std::max<std::uint64_t>(images * (units::MiB(1) / scale), 1)});
-    task.cpu_time = CpuTime(params.aggregate_cpu_s, scale);
-    wf.tasks.push_back(std::move(task));
+    const FileId mosaic = wf.AddFile(
+        base + "/mosaic.fits",
+        std::max<std::uint64_t>(images * (units::MiB(1) / scale), 1));
+    std::vector<FileId> inputs(images);
+    for (std::uint32_t i = 0; i < images; ++i) inputs[i] = first_corrected + i;
+    wf.AddTask("mAdd-0", "mAdd", inputs, std::array{mosaic},
+               CpuTime(params.aggregate_cpu_s, scale));
   }
 
   return wf;

@@ -1,6 +1,9 @@
 // Tests for the workflow engine: dependency resolution, schedulers, stage
 // accounting, failure propagation; and for the workload generators.
+#include <array>
+#include <optional>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
@@ -28,13 +31,47 @@ Workflow Diamond() {
   Workflow wf;
   wf.name = "diamond";
   wf.directories = {"/wf"};
-  wf.tasks.push_back({"in", "stage_in", {}, {{"/wf/src", KiB(700)}}, 0});
-  wf.tasks.push_back({"left", "fan", {"/wf/src"}, {{"/wf/l", KiB(300)}},
-                      units::Millis(10)});
-  wf.tasks.push_back({"right", "fan", {"/wf/src"}, {{"/wf/r", KiB(300)}},
-                      units::Millis(10)});
-  wf.tasks.push_back(
-      {"join", "join", {"/wf/l", "/wf/r"}, {{"/wf/out", KiB(100)}}, 0});
+  const FileId src = wf.AddFile("/wf/src", KiB(700));
+  const FileId left = wf.AddFile("/wf/l", KiB(300));
+  const FileId right = wf.AddFile("/wf/r", KiB(300));
+  const FileId out = wf.AddFile("/wf/out", KiB(100));
+  wf.AddTask("in", "stage_in", {}, std::array{src});
+  wf.AddTask("left", "fan", std::array{src}, std::array{left},
+             units::Millis(10));
+  wf.AddTask("right", "fan", std::array{src}, std::array{right},
+             units::Millis(10));
+  wf.AddTask("join", "join", std::array{left, right}, std::array{out});
+  return wf;
+}
+
+// The first task (lowest index) writing `path`, if any.
+std::optional<std::size_t> FirstProducer(const Workflow& wf,
+                                         std::string_view path) {
+  for (std::size_t i = 0; i < wf.tasks.size(); ++i) {
+    for (FileId output : wf.Outputs(wf.tasks[i])) {
+      if (wf.files[output].path == path) return i;
+    }
+  }
+  return std::nullopt;
+}
+
+// Per file: does some task write it?
+std::vector<bool> Produced(const Workflow& wf) {
+  std::vector<bool> produced(wf.files.size(), false);
+  for (const auto& task : wf.tasks) {
+    for (FileId output : wf.Outputs(task)) produced[output] = true;
+  }
+  return produced;
+}
+
+// A one-task workflow over `inputs` (paths added to its file table), for
+// placement tests.
+Workflow SingleTask(std::string name,
+                    const std::vector<std::string>& inputs = {}) {
+  Workflow wf;
+  std::vector<FileId> ids;
+  for (const auto& path : inputs) ids.push_back(wf.AddFile(path));
+  wf.AddTask(std::move(name), "s", ids, {});
   return wf;
 }
 
@@ -55,9 +92,8 @@ struct MemFsCluster {
 
 TEST(WorkflowTest, ProducersIndex) {
   const Workflow wf = Diamond();
-  const auto producers = wf.Producers();
-  EXPECT_EQ(producers.at("/wf/src"), 0u);
-  EXPECT_EQ(producers.at("/wf/out"), 3u);
+  EXPECT_EQ(FirstProducer(wf, "/wf/src"), 0u);
+  EXPECT_EQ(FirstProducer(wf, "/wf/out"), 3u);
   EXPECT_EQ(wf.TotalOutputBytes(), KiB(700) + KiB(300) * 2 + KiB(100));
 }
 
@@ -85,9 +121,8 @@ TEST(RunnerTest, ReadVerificationCatchesCorruption) {
   UniformScheduler scheduler;
   Runner runner(cluster.sim, *cluster.memfs, scheduler,
                 {.nodes = 2, .cores_per_node = 1});
-  Workflow wf;
+  Workflow wf = SingleTask("t", {"/missing"});
   wf.name = "broken";
-  wf.tasks.push_back({"t", "s", {"/missing"}, {}, 0});
   const auto result = runner.Run(wf);
   EXPECT_FALSE(result.status.ok());
   EXPECT_EQ(result.failed_task, "t");
@@ -101,10 +136,176 @@ TEST(RunnerTest, StalledWorkflowReported) {
   // Two tasks that consume each other's outputs: a dependency cycle.
   Workflow wf;
   wf.name = "cycle";
-  wf.tasks.push_back({"a", "s", {"/x"}, {{"/y", 10}}, 0});
-  wf.tasks.push_back({"b", "s", {"/y"}, {{"/x", 10}}, 0});
+  const FileId x = wf.AddFile("/x", 10);
+  const FileId y = wf.AddFile("/y", 10);
+  wf.AddTask("a", "s", std::array{x}, std::array{y});
+  wf.AddTask("b", "s", std::array{y}, std::array{x});
   const auto result = runner.Run(wf);
   EXPECT_FALSE(result.status.ok());
+}
+
+// MemFS files are write-once; this view lets a second producer of a path
+// replace the file (unlink, then create again), so a workflow with two
+// producers of one file can run to completion. Everything else forwards.
+class RewritableVfs final : public fs::Vfs {
+ public:
+  RewritableVfs(sim::Simulation& sim, fs::Vfs& inner)
+      : sim_(sim), inner_(inner) {}
+
+  sim::Simulation& simulation() const { return sim_; }
+
+  sim::Future<Result<fs::FileHandle>> Create(fs::VfsContext ctx,
+                                             std::string path) override {
+    auto created = co_await inner_.Create(ctx, path);
+    if (created.ok() || created.status().code() != ErrorCode::kExists) {
+      co_return created;
+    }
+    Status removed = co_await inner_.Unlink(ctx, path);
+    if (!removed.ok()) co_return removed;
+    co_return co_await inner_.Create(ctx, std::move(path));
+  }
+  sim::Future<Result<fs::FileHandle>> Open(fs::VfsContext ctx,
+                                           std::string path) override {
+    return inner_.Open(ctx, std::move(path));
+  }
+  sim::Future<Status> Write(fs::VfsContext ctx, fs::FileHandle handle,
+                            Bytes data) override {
+    return inner_.Write(ctx, handle, std::move(data));
+  }
+  sim::Future<Result<Bytes>> Read(fs::VfsContext ctx, fs::FileHandle handle,
+                                  std::uint64_t offset,
+                                  std::uint64_t length) override {
+    return inner_.Read(ctx, handle, offset, length);
+  }
+  sim::Future<Status> Flush(fs::VfsContext ctx,
+                            fs::FileHandle handle) override {
+    return inner_.Flush(ctx, handle);
+  }
+  sim::Future<Status> Close(fs::VfsContext ctx,
+                            fs::FileHandle handle) override {
+    return inner_.Close(ctx, handle);
+  }
+  sim::Future<Status> Mkdir(fs::VfsContext ctx, std::string path) override {
+    return inner_.Mkdir(ctx, std::move(path));
+  }
+  sim::Future<Result<std::vector<fs::FileInfo>>> ReadDir(
+      fs::VfsContext ctx, std::string path) override {
+    return inner_.ReadDir(ctx, std::move(path));
+  }
+  sim::Future<Result<fs::DirPage>> ReadDirPage(fs::VfsContext ctx,
+                                               std::string path,
+                                               fs::DirCursor cursor,
+                                               std::uint32_t limit) override {
+    return inner_.ReadDirPage(ctx, std::move(path), cursor, limit);
+  }
+  sim::Future<Result<fs::FileInfo>> Stat(fs::VfsContext ctx,
+                                         std::string path) override {
+    return inner_.Stat(ctx, std::move(path));
+  }
+  sim::Future<Status> Unlink(fs::VfsContext ctx, std::string path) override {
+    return inner_.Unlink(ctx, std::move(path));
+  }
+  sim::Future<Status> Rmdir(fs::VfsContext ctx, std::string path) override {
+    return inner_.Rmdir(ctx, std::move(path));
+  }
+  sim::Future<Status> Rename(fs::VfsContext ctx, std::string from,
+                             std::string to) override {
+    return inner_.Rename(ctx, std::move(from), std::move(to));
+  }
+  sim::Future<Status> Link(fs::VfsContext ctx, std::string existing,
+                           std::string link) override {
+    return inner_.Link(ctx, std::move(existing), std::move(link));
+  }
+
+ private:
+  sim::Simulation& sim_;
+  fs::Vfs& inner_;
+};
+
+TEST(WorkflowTest, SecondProducerDoesNotReleaseAgain) {
+  // /x has two producers; "early" reads only /x, "join" reads /x and /y.
+  // The first producer to complete releases both consumers' /x dependency;
+  // the second producer's completion must not count again, or "join" would
+  // start before /y exists.
+  MemFsCluster cluster(1);
+  RewritableVfs vfs(cluster.sim, *cluster.memfs);
+  UniformScheduler scheduler;
+  Runner runner(cluster.sim, vfs, scheduler,
+                {.nodes = 1, .cores_per_node = 4});
+  Workflow wf;
+  wf.name = "two_producers";
+  wf.directories = {"/d"};
+  const FileId x = wf.AddFile("/d/x", KiB(4));
+  const FileId y = wf.AddFile("/d/y", KiB(4));
+  const FileId early_out = wf.AddFile("/d/early", KiB(1));
+  const FileId join_out = wf.AddFile("/d/join", KiB(1));
+  wf.AddTask("first", "first", {}, std::array{x});
+  wf.AddTask("second", "second", {}, std::array{x}, units::Millis(20));
+  wf.AddTask("slow", "slow", {}, std::array{y}, units::Millis(50));
+  wf.AddTask("early", "early", std::array{x}, std::array{early_out});
+  wf.AddTask("join", "join", std::array{x, y}, std::array{join_out});
+  const auto result = runner.Run(wf);
+  ASSERT_TRUE(result.status.ok()) << result.status;
+
+  const StageStats* first = result.Stage("first");
+  const StageStats* second = result.Stage("second");
+  const StageStats* slow = result.Stage("slow");
+  const StageStats* early = result.Stage("early");
+  const StageStats* join = result.Stage("join");
+  ASSERT_TRUE(first && second && slow && early && join);
+  EXPECT_EQ(early->tasks, 1u);
+  EXPECT_EQ(join->tasks, 1u);
+  // Released by the first producer, not the second.
+  EXPECT_GE(early->first_start, first->last_end);
+  EXPECT_LT(early->first_start, second->last_end);
+  EXPECT_GE(join->first_start, slow->last_end);
+}
+
+TEST(WorkflowTest, InputWithoutProducerIsPreexisting) {
+  MemFsCluster cluster(2);
+  UniformScheduler scheduler;
+  Runner runner(cluster.sim, *cluster.memfs, scheduler,
+                {.nodes = 2, .cores_per_node = 1});
+  // An earlier run leaves /pre/data behind.
+  Workflow seed;
+  seed.name = "seed";
+  seed.directories = {"/pre"};
+  const FileId written = seed.AddFile("/pre/data", KiB(96));
+  seed.AddTask("write", "seed", {}, std::array{written});
+  ASSERT_TRUE(runner.Run(seed).status.ok());
+
+  // A workflow naming it without a producer runs its reader at once.
+  Workflow wf;
+  wf.name = "reader";
+  const FileId data = wf.AddFile("/pre/data");
+  wf.AddTask("read", "read", std::array{data}, {});
+  const auto result = runner.Run(wf);
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  EXPECT_EQ(result.bytes_read, KiB(96));
+  EXPECT_EQ(result.bytes_written, 0u);
+}
+
+TEST(WorkflowTest, DuplicateInputWaitsOnItTwice) {
+  // A task listing one produced input twice holds two waits on it; its
+  // producer's completion clears both, and the task reads the file twice.
+  MemFsCluster cluster(2);
+  UniformScheduler scheduler;
+  Runner runner(cluster.sim, *cluster.memfs, scheduler,
+                {.nodes = 2, .cores_per_node = 2});
+  Workflow wf;
+  wf.name = "twice";
+  wf.directories = {"/t"};
+  const FileId data = wf.AddFile("/t/data", KiB(64));
+  const FileId out = wf.AddFile("/t/out", KiB(8));
+  wf.AddTask("make", "make", {}, std::array{data}, units::Millis(5));
+  wf.AddTask("use", "use", std::array{data, data}, std::array{out});
+  EXPECT_EQ(wf.Inputs(wf.tasks[1]).size(), 2u);
+  const auto result = runner.Run(wf);
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  ASSERT_EQ(result.stages.size(), 2u);
+  EXPECT_EQ(result.stages[1].stage, "use");
+  EXPECT_GE(result.stages[1].first_start, result.stages[0].last_end);
+  EXPECT_EQ(result.bytes_read, KiB(64) * 2);
 }
 
 TEST(RunnerTest, MoreTasksThanCores) {
@@ -116,9 +317,9 @@ TEST(RunnerTest, MoreTasksThanCores) {
   wf.name = "wide";
   wf.directories = {"/w"};
   for (int i = 0; i < 20; ++i) {
-    wf.tasks.push_back({"t" + std::to_string(i), "wide", {},
-                        {{"/w/f" + std::to_string(i), KiB(64)}},
-                        units::Millis(50)});
+    const FileId out = wf.AddFile("/w/f" + std::to_string(i), KiB(64));
+    wf.AddTask("t" + std::to_string(i), "wide", {}, std::array{out},
+               units::Millis(50));
   }
   const auto result = runner.Run(wf);
   ASSERT_TRUE(result.status.ok()) << result.status;
@@ -136,9 +337,9 @@ TEST(RunnerTest, VerticalScalingReducesMakespan) {
     wf.name = "scale";
     wf.directories = {"/s"};
     for (int i = 0; i < 32; ++i) {
-      wf.tasks.push_back({"t" + std::to_string(i), "cpu", {},
-                          {{"/s/f" + std::to_string(i), KiB(16)}},
-                          units::Millis(100)});
+      const FileId out = wf.AddFile("/s/f" + std::to_string(i), KiB(16));
+      wf.AddTask("t" + std::to_string(i), "cpu", {}, std::array{out},
+                 units::Millis(100));
     }
     return runner.Run(wf).MakespanSeconds();
   };
@@ -156,8 +357,7 @@ TEST(RunnerTest, WidthLimitedParallelism) {
   Workflow wf;
   wf.name = "pure_cpu";
   for (int i = 0; i < 12; ++i) {
-    wf.tasks.push_back(
-        {"t" + std::to_string(i), "cpu", {}, {}, units::Millis(20)});
+    wf.AddTask("t" + std::to_string(i), "cpu", {}, {}, units::Millis(20));
   }
   const auto result = runner.Run(wf);
   ASSERT_TRUE(result.status.ok()) << result.status;
@@ -206,9 +406,8 @@ TEST(RunnerTest, FailedTaskCountedInMetrics) {
   config.cores_per_node = 1;
   config.metrics = &metrics;
   Runner runner(cluster.sim, *cluster.memfs, scheduler, config);
-  Workflow wf;
+  Workflow wf = SingleTask("t", {"/missing"});
   wf.name = "broken";
-  wf.tasks.push_back({"t", "s", {"/missing"}, {}, 0});
   const auto result = runner.Run(wf);
   EXPECT_FALSE(result.status.ok());
   EXPECT_EQ(metrics.CounterValue("mtc.tasks_run"), 1u);
@@ -219,21 +418,23 @@ TEST(RunnerTest, FailedTaskCountedInMetrics) {
 
 TEST(UniformSchedulerTest, RoundRobinOverFreeNodes) {
   UniformScheduler scheduler;
-  TaskSpec task;
+  const Workflow wf = SingleTask("t");
+  const TaskSpec& task = wf.tasks[0];
   std::vector<std::uint32_t> free = {1, 1, 1};
-  EXPECT_EQ(scheduler.Place(task, free), 0u);
-  EXPECT_EQ(scheduler.Place(task, free), 1u);
-  EXPECT_EQ(scheduler.Place(task, free), 2u);
-  EXPECT_EQ(scheduler.Place(task, free), 0u);
+  EXPECT_EQ(scheduler.Place(wf, task, free), 0u);
+  EXPECT_EQ(scheduler.Place(wf, task, free), 1u);
+  EXPECT_EQ(scheduler.Place(wf, task, free), 2u);
+  EXPECT_EQ(scheduler.Place(wf, task, free), 0u);
 }
 
 TEST(UniformSchedulerTest, SkipsBusyNodes) {
   UniformScheduler scheduler;
-  TaskSpec task;
+  const Workflow wf = SingleTask("t");
+  const TaskSpec& task = wf.tasks[0];
   std::vector<std::uint32_t> free = {0, 1, 0};
-  EXPECT_EQ(scheduler.Place(task, free), 1u);
+  EXPECT_EQ(scheduler.Place(wf, task, free), 1u);
   free = {0, 0, 0};
-  EXPECT_EQ(scheduler.Place(task, free), std::nullopt);
+  EXPECT_EQ(scheduler.Place(wf, task, free), std::nullopt);
 }
 
 class LocalitySchedulerTest : public ::testing::Test {
@@ -269,35 +470,30 @@ class LocalitySchedulerTest : public ::testing::Test {
 TEST_F(LocalitySchedulerTest, FollowsFirstInput) {
   StoreFile(2, "/data", KiB(10));
   LocalityScheduler scheduler(amfs_);
-  TaskSpec task;
-  task.name = "t";
-  task.inputs = {"/data"};
+  const Workflow wf = SingleTask("t", {"/data"});
   std::vector<std::uint32_t> free = {1, 1, 1, 1};
-  EXPECT_EQ(scheduler.Place(task, free), 2u);
+  EXPECT_EQ(scheduler.Place(wf, wf.tasks[0], free), 2u);
 }
 
 TEST_F(LocalitySchedulerTest, DefersWhenPreferredBusy) {
   StoreFile(1, "/busy", KiB(10));
   LocalityScheduler scheduler(amfs_);
-  TaskSpec task;
-  task.name = "t";
-  task.inputs = {"/busy"};
+  const Workflow wf = SingleTask("t", {"/busy"});
   std::vector<std::uint32_t> free = {1, 0, 1, 1};
-  EXPECT_EQ(scheduler.Place(task, free), std::nullopt);
+  EXPECT_EQ(scheduler.Place(wf, wf.tasks[0], free), std::nullopt);
 }
 
 TEST_F(LocalitySchedulerTest, PatienceEventuallyRunsAnywhere) {
   StoreFile(1, "/starve", KiB(10));
   LocalityScheduler scheduler(amfs_);
   scheduler.set_patience(3);
-  TaskSpec task;
-  task.name = "t";
-  task.inputs = {"/starve"};
+  const Workflow wf = SingleTask("t", {"/starve"});
+  const TaskSpec& task = wf.tasks[0];
   std::vector<std::uint32_t> free = {1, 0, 1, 1};
-  EXPECT_EQ(scheduler.Place(task, free), std::nullopt);
-  EXPECT_EQ(scheduler.Place(task, free), std::nullopt);
-  EXPECT_EQ(scheduler.Place(task, free), std::nullopt);
-  EXPECT_TRUE(scheduler.Place(task, free).has_value());
+  EXPECT_EQ(scheduler.Place(wf, task, free), std::nullopt);
+  EXPECT_EQ(scheduler.Place(wf, task, free), std::nullopt);
+  EXPECT_EQ(scheduler.Place(wf, task, free), std::nullopt);
+  EXPECT_TRUE(scheduler.Place(wf, task, free).has_value());
 }
 
 TEST_F(LocalitySchedulerTest, AggregationGoesToDataHeavyNode) {
@@ -305,20 +501,19 @@ TEST_F(LocalitySchedulerTest, AggregationGoesToDataHeavyNode) {
   StoreFile(3, "/agg1", KiB(10));
   StoreFile(0, "/agg2", KiB(10));
   LocalityScheduler scheduler(amfs_);
-  TaskSpec task;
-  task.name = "agg";
-  task.inputs = {"/agg0", "/agg1", "/agg2"};
+  const Workflow wf = SingleTask("agg", {"/agg0", "/agg1", "/agg2"});
   std::vector<std::uint32_t> free = {1, 1, 1, 1};
-  EXPECT_EQ(scheduler.Place(task, free), 3u);
+  EXPECT_EQ(scheduler.Place(wf, wf.tasks[0], free), 3u);
 }
 
 TEST_F(LocalitySchedulerTest, NoInputTasksRoundRobin) {
   LocalityScheduler scheduler(amfs_);
-  TaskSpec task;
-  task.name = "src";
+  const Workflow wf = SingleTask("src");
   std::vector<std::uint32_t> free = {1, 1, 1, 1};
   std::set<std::uint32_t> seen;
-  for (int i = 0; i < 4; ++i) seen.insert(*scheduler.Place(task, free));
+  for (int i = 0; i < 4; ++i) {
+    seen.insert(*scheduler.Place(wf, wf.tasks[0], free));
+  }
   EXPECT_EQ(seen.size(), 4u);
 }
 
@@ -346,7 +541,7 @@ TEST(MontageTest, StructureMatchesPaper) {
   // Every mDiffFit task reads exactly two projected files.
   for (const auto& task : wf.tasks) {
     if (task.stage == "mDiffFit") {
-      EXPECT_EQ(task.inputs.size(), 2u);
+      EXPECT_EQ(wf.Inputs(task).size(), 2u);
     }
   }
 }
@@ -355,10 +550,10 @@ TEST(MontageTest, NoMissingProducers) {
   workloads::MontageParams params;
   params.task_scale = 128;
   const Workflow wf = workloads::BuildMontage(params);
-  const auto producers = wf.Producers();
+  const std::vector<bool> produced = Produced(wf);
   for (const auto& task : wf.tasks) {
-    for (const auto& input : task.inputs) {
-      EXPECT_TRUE(producers.contains(input)) << input;
+    for (FileId input : wf.Inputs(task)) {
+      EXPECT_TRUE(produced[input]) << wf.files[input].path;
     }
   }
 }
@@ -391,13 +586,13 @@ TEST(BlastTest, StructureMatchesPaper) {
 
   for (const auto& task : wf.tasks) {
     if (task.stage == "blastall") {
-      EXPECT_EQ(task.inputs.size(), 2u);
+      EXPECT_EQ(wf.Inputs(task).size(), 2u);
     }
   }
-  const auto producers = wf.Producers();
+  const std::vector<bool> produced = Produced(wf);
   for (const auto& task : wf.tasks) {
-    for (const auto& input : task.inputs) {
-      EXPECT_TRUE(producers.contains(input)) << input;
+    for (FileId input : wf.Inputs(task)) {
+      EXPECT_TRUE(produced[input]) << wf.files[input].path;
     }
   }
 }

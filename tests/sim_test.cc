@@ -307,6 +307,62 @@ TEST(SemaphoreTest, FifoOrdering) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
+TEST(SemaphoreTest, FifoOrderingAcrossDrain) {
+  // Three waiters drain the queue completely; two more then queue on the
+  // emptied (reset) FIFO and must still wake in arrival order.
+  Simulation sim;
+  Semaphore sem(sim, 0);
+  std::vector<int> order;
+  auto waiter = [](Semaphore& m, int id, std::vector<int>& log) -> Task {
+    co_await m.Acquire();
+    log.push_back(id);
+  };
+  for (int i = 0; i < 3; ++i) waiter(sem, i, order);
+  EXPECT_EQ(sem.waiting(), 3u);
+  for (int i = 0; i < 3; ++i) sem.Release();
+  EXPECT_EQ(sem.waiting(), 0u);
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+
+  for (int i = 3; i < 5; ++i) waiter(sem, i, order);
+  EXPECT_EQ(sem.waiting(), 2u);
+  sem.Release();
+  sem.Release();
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sem.available(), 0u);
+  EXPECT_FALSE(sem.TryAcquire());
+}
+
+TEST(SemaphoreTest, FifoOrderingWhileQueueNeverDrains) {
+  // 64 tasks take turns on one permit twice over: each re-queues behind the
+  // others before the queue empties, so the FIFO keeps serving from a
+  // growing buffer (and sheds its served prefix) without reordering.
+  Simulation sim;
+  Semaphore sem(sim, 1);
+  std::vector<int> order;
+  constexpr int kTasks = 64;
+  for (int i = 0; i < kTasks; ++i) {
+    [](Simulation& s, Semaphore& m, int id, std::vector<int>& log) -> Task {
+      for (int round = 0; round < 2; ++round) {
+        co_await m.Acquire();
+        co_await s.Delay(10);
+        log.push_back(id);
+        m.Release();
+        co_await s.Delay(1);
+      }
+    }(sim, sem, i, order);
+  }
+  sim.Run();
+  std::vector<int> expected;
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < kTasks; ++i) expected.push_back(i);
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sem.waiting(), 0u);
+  EXPECT_EQ(sem.available(), 1u);
+}
+
 TEST(SemaphoreTest, TryAcquire) {
   Simulation sim;
   Semaphore sem(sim, 1);

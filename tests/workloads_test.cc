@@ -328,10 +328,13 @@ TEST(GeneratorEdgeTest, MontageMinimumSize) {
     images += task.stage == "stage_in" ? 1 : 0;
   }
   EXPECT_EQ(images, 4);
-  const auto producers = wf.Producers();
+  std::vector<bool> produced(wf.files.size(), false);
   for (const auto& task : wf.tasks) {
-    for (const auto& input : task.inputs) {
-      EXPECT_TRUE(producers.contains(input));
+    for (mtc::FileId output : wf.Outputs(task)) produced[output] = true;
+  }
+  for (const auto& task : wf.tasks) {
+    for (mtc::FileId input : wf.Inputs(task)) {
+      EXPECT_TRUE(produced[input]) << wf.files[input].path;
     }
   }
 }
@@ -369,7 +372,7 @@ TEST(GeneratorEdgeTest, BlastMergeCoversAllResults) {
   int results_produced = 0;
   for (const auto& task : wf.tasks) {
     if (task.stage == "merge") {
-      results_consumed += static_cast<int>(task.inputs.size());
+      results_consumed += static_cast<int>(wf.Inputs(task).size());
     }
     if (task.stage == "blastall") ++results_produced;
   }

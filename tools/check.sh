@@ -17,8 +17,8 @@
 #      build-asan/ and re-run the determinism gate under the sanitizers
 #      (`ctest -L determinism`: every scenario x observer cell of
 #      tools/determinism_gate.cc, the label's only test), then the event
-#      heap, pool, future, solver, payload, kv, chaos and file-system
-#      client tests,
+#      heap, pool, future, semaphore, solver, payload, kv, chaos,
+#      file-system client and workflow tests,
 #   6. configure + build with -DMEMFS_SANITIZE=thread in build-tsan/ and
 #      re-run the same under TSan (skipped with a notice when the toolchain
 #      has no libtsan).
@@ -80,13 +80,17 @@ ctest --test-dir "$root/build-asan" -L determinism --output-on-failure
 # after its first suspension would read a dead caller's frame. The payload
 # and kv server tests cover the manual memory of a stored object: Bytes keeps
 # its real buffer in a union with the synthetic generator, and the kv object
-# table places each value and its key in one raw heap block.
+# table places each value and its key in one raw heap block. The semaphore
+# keeps its waiter FIFO in a vector with its own head index, and the workflow
+# tests cover the file table: a running task holds spans into the workflow's
+# flat id array across every co_await.
 tests='EventHeap|PoolAlloc|SimChecker|FutureTest|FluidNetwork|SolverEquivalence'
-tests="$tests|BytesTest|KvServerTest"
+tests="$tests|SemaphoreTest|BytesTest|KvServerTest"
 tests="$tests|KvCluster|KvBatch|KvGauge|FaultCluster|OpScheduler"
 tests="$tests|ChaosSoak|MigrationChaos"
 tests="$tests|MemFsTest|AmfsTest|MetaFsTest|MetaChaos|RunnerTest|ElasticClusterTest"
-echo "== sanitizers: event heap, pool, future, solver, payload, kv, chaos and client tests =="
+tests="$tests|WorkflowTest|MontageTest|BlastTest"
+echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client and workflow tests =="
 ctest --test-dir "$root/build-asan" -R "$tests" --output-on-failure
 
 # TSan and ASan cannot live in one binary, so thread gets its own tree.
@@ -101,7 +105,7 @@ if printf 'int main(){return 0;}' | \
   echo "== sanitizers: determinism gate under TSan =="
   ctest --test-dir "$root/build-tsan" -L determinism --output-on-failure
 
-  echo "== sanitizers: event heap, pool, future, solver, payload, kv, chaos and client tests under TSan =="
+  echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client and workflow tests under TSan =="
   ctest --test-dir "$root/build-tsan" -R "$tests" --output-on-failure
 else
   echo "== sanitizers: thread skipped (toolchain has no libtsan) =="
