@@ -11,18 +11,19 @@
 // --scale mode profiles the simulator itself instead of the simulated
 // system: it re-runs the fig08 64-node point (all six workflow cells of the
 // figure's rightmost column) and reports wall-clock, simulated events,
-// sim-events/sec, and — when built with MEMFS_PROFILE_ALLOC, which this
-// target is — global heap allocation/free counts, as JSON on stdout in the
-// BENCH_scale.json schema. --sweep adds a Montage-6/MemFS node sweep
-// (8 → 1024). --baseline=FILE compares the 64-node point with the committed
-// baseline and exits nonzero when its wall-clock is >20% slower (override
-// the tolerance with MEMFS_PERF_GATE_TOLERANCE when gating on hardware other
-// than the baseline's), when its sim_events differ, or when its heap
-// allocations exceed the baseline's by more than 1%. The time gate is
-// on wall-clock, not on sim-events/sec: events/sec rewards adding cheap
-// events and punishes removing them, while the time to simulate the same
-// workload does not. The counters are exact run to run, so a regression in
-// them cannot hide in host noise.
+// sim-events/sec, the frame pool's peak held bytes, and — when built with
+// MEMFS_PROFILE_ALLOC, which this target is — global heap allocation/free
+// counts, as JSON on stdout in the BENCH_scale.json schema. --sweep adds a
+// Montage-6/MemFS node sweep (8 → 1024). --baseline=FILE compares the
+// 64-node point with the committed baseline and exits nonzero when its
+// wall-clock is >20% slower (override the tolerance with
+// MEMFS_PERF_GATE_TOLERANCE when gating on hardware other than the
+// baseline's), when its sim_events differ, or when its heap allocations or
+// the pool's peak held bytes exceed the baseline's by more than 1%. The
+// time gate is on wall-clock, not on sim-events/sec: events/sec rewards
+// adding cheap events and punishes removing them, while the time to
+// simulate the same workload does not. The counters are exact run to run,
+// so a regression in them cannot hide in host noise.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -34,6 +35,7 @@
 
 #include "bench_common.h"
 #include "paper_cells.h"
+#include "sim/pool_alloc.h"
 
 #ifdef MEMFS_PROFILE_ALLOC
 #include <atomic>
@@ -201,9 +203,12 @@ int RunScaleProfile(bool sweep, const std::string& baseline_path) {
 
   std::cerr << "running fig08 64-node point...\n";
   const ScalePoint fig08 = Measure([] { return RunFig08Point(); });
+  // fig08 is this process's first simulation, so the thread's pool peak is
+  // its own.
+  const std::size_t pool_peak = sim::detail::PoolHeld().peak;
   json << "  \"fig08_64\": {";
   AppendPoint(json, fig08);
-  json << "},\n";
+  json << ", \"pool_peak_bytes\": " << pool_peak << "},\n";
 
   json << "  \"sweep_workload\": \"montage6 memfs 8 cores/node, constant "
           "work (task_scale 4, size_scale 16) at every cluster size\",\n";
@@ -242,10 +247,11 @@ int RunScaleProfile(bool sweep, const std::string& baseline_path) {
     const double baseline_wall = baseline_value("wall_s");
     const double baseline_events = baseline_value("sim_events");
     const double baseline_allocs = baseline_value("heap_allocs");
+    const double baseline_pool = baseline_value("pool_peak_bytes");
     if (baseline_wall <= 0.0 || baseline_events <= 0.0 ||
-        baseline_allocs <= 0.0) {
-      std::cerr << "perf gate: baseline lacks fig08_64 wall_s, sim_events "
-                   "or heap_allocs\n";
+        baseline_allocs <= 0.0 || baseline_pool <= 0.0) {
+      std::cerr << "perf gate: baseline lacks fig08_64 wall_s, sim_events, "
+                   "heap_allocs or pool_peak_bytes\n";
       return 1;
     }
     bool ok = true;
@@ -263,8 +269,9 @@ int RunScaleProfile(bool sweep, const std::string& baseline_path) {
       ok = false;
     }
     // The counters are exact run to run, so they are gated tightly: the
-    // event count must match, and heap allocations may grow by 1% at most.
-    // A change that moves them on purpose regenerates the baseline.
+    // event count must match, and heap allocations and the pool's peak held
+    // bytes may grow by 1% at most. A change that moves them on purpose
+    // regenerates the baseline.
     if (static_cast<double>(fig08.sim_events) != baseline_events) {
       std::cerr << "perf gate: FAIL (sim_events " << fig08.sim_events
                 << " differs from the baseline's "
@@ -284,6 +291,20 @@ int RunScaleProfile(bool sweep, const std::string& baseline_path) {
 #else
     std::cerr << "perf gate: heap_allocs not checked (built without "
                  "MEMFS_PROFILE_ALLOC)\n";
+#endif
+#ifndef MEMFS_POOL_ALLOC_BYPASS
+    const double pool_ceiling = baseline_pool * 1.01;
+    std::cerr << "perf gate: pool_peak_bytes " << pool_peak << ", baseline "
+              << static_cast<std::uint64_t>(baseline_pool) << ", ceiling "
+              << static_cast<std::uint64_t>(pool_ceiling) << "\n";
+    if (static_cast<double>(pool_peak) > pool_ceiling) {
+      std::cerr << "perf gate: FAIL (pool peak held bytes grew more than "
+                   "1%)\n";
+      ok = false;
+    }
+#else
+    std::cerr << "perf gate: pool_peak_bytes not checked (pool bypassed "
+                 "under sanitizers)\n";
 #endif
     if (!ok) return 1;
     std::cerr << "perf gate: ok\n";

@@ -385,19 +385,22 @@ sim::Future<Result<Bytes>> MemFs::FailoverGet(std::uint32_t epoch,
                                               trace::TraceContext trace) {
   const std::uint32_t passes =
       std::max<std::uint32_t>(config_.read_chain_attempts, 1);
+  // The first look reuses the chain that decides the span; every later one
+  // (a pass retry or a handoff-race retry) recomputes it: during an elastic
+  // handoff the chain covers both the old and the new home, and a commit
+  // between looks may shrink it.
+  std::vector<std::uint32_t> chain = GetChain(epoch, key);
   trace::ScopedSpan span;
   trace::TraceContext tctx = trace;
-  if (GetChain(epoch, key).size() > 1) {
+  if (chain.size() > 1) {
     span = trace::ScopedSpan(trace, "replica.get", "replica");
     tctx = span.context();
   }
   Status unreachable;
   bool retried_absent = false;
   std::uint32_t pass = 0;
-  while (true) {
-    // Recompute per pass: during an elastic handoff the chain covers both the
-    // old and the new home, and a commit between passes may shrink it.
-    const std::vector<std::uint32_t> chain = GetChain(epoch, key);
+  for (bool first_look = true;; first_look = false) {
+    if (!first_look) chain = GetChain(epoch, key);
     std::uint32_t not_found = 0;
     std::uint32_t permanent = 0;  // replicas gone for good (drained to LEFT)
     std::vector<std::uint32_t> missing;  // reachable replicas lacking the key
@@ -958,9 +961,10 @@ sim::Future<Result<Bytes>> MemFs::EnsureStripe(OpenFile* file,
   // cache entry.
   const auto capacity = std::max<std::uint64_t>(
       config_.read_cache_bytes / config_.stripe_size, 1);
-  while (file->cache_order.size() > capacity) {
-    file->cache.erase(file->cache_order.front());
-    file->cache_order.pop_front();
+  auto& order = file->cache_order;
+  while (order.size() > capacity) {
+    file->cache.erase(order.front());
+    order.erase(order.begin());
   }
   return future;
 }

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -238,7 +237,9 @@ class MemFs final : public Vfs {
     // Read state.
     std::uint64_t size = 0;
     std::unordered_map<std::uint32_t, sim::Future<Result<Bytes>>> cache;
-    std::deque<std::uint32_t> cache_order;
+    // Cached stripes in fetch order, oldest first: a FIFO of at most the
+    // cache capacity plus one, so a vector (a deque allocates even empty).
+    std::vector<std::uint32_t> cache_order;
     std::uint64_t sequential_end = 0;  // end offset of the last read
   };
 

@@ -50,14 +50,18 @@ struct FutureState {
 
   Simulation* sim;
   std::optional<T> value;
-  // Almost every future has exactly one waiter, so the first lives inline
-  // and only later ones pay for the vector.
+  // Almost every future has one waiter, and most others two (a caller plus
+  // a Vfs decorator such as TimedVfs), so the first two live inline and only
+  // later ones pay for the vector.
   std::coroutine_handle<> first_waiter;
+  std::coroutine_handle<> second_waiter;
   std::vector<std::coroutine_handle<>> more_waiters;
 
   void AddWaiter(std::coroutine_handle<> handle) {
     if (!first_waiter) {
       first_waiter = handle;
+    } else if (!second_waiter) {
+      second_waiter = handle;
     } else {
       more_waiters.push_back(handle);
     }
@@ -69,6 +73,9 @@ struct FutureState {
     if (!first_waiter) return;
     Wake(first_waiter);
     first_waiter = nullptr;
+    if (!second_waiter) return;
+    Wake(second_waiter);
+    second_waiter = nullptr;
     for (auto handle : more_waiters) Wake(handle);
     more_waiters.clear();
   }

@@ -136,8 +136,8 @@ TEST(FutureTest, MultipleWaitersAllResume) {
 }
 
 TEST(FutureTest, InlineWaiterAndTwoMoreResumeInAwaitOrder) {
-  // The first waiter is stored inline, later ones in a side vector; all
-  // three must still resume in the order they suspended.
+  // The first two waiters are stored inline, later ones in a side vector;
+  // all three must still resume in the order they suspended.
   Simulation sim;
   Promise<int> promise(sim);
   auto future = promise.GetFuture();
@@ -612,6 +612,116 @@ TEST(PoolAllocTest, DistinctClassesDoNotShareBlocks) {
   void* large = detail::PoolAlloc(512);  // different class: no reuse
   EXPECT_NE(small, large);
   detail::PoolFree(large);
+}
+
+// Decay tests: the class under test has 2 KiB blocks (payload 2000 plus
+// the header), and the pool's clock is driven by a filler block from a
+// third class, which stays pooled because every tick reuses it.
+constexpr std::size_t kIdlePayload = 2000;
+constexpr std::size_t kIdleBlock = 2048;
+
+// Runs `n` PoolAlloc calls that touch nothing but the filler's class.
+void Tick(std::uint32_t n) {
+  for (std::uint32_t i = 0; i < n; ++i) {
+    detail::PoolFree(detail::PoolAlloc(3000));
+  }
+}
+
+// Advances the clock until the next PoolAlloc call runs a decay.
+void TickUntilDecayIsNext() {
+  Tick(detail::kPoolDecayPeriod - 1 - detail::PoolLists().calls);
+}
+
+// Crosses the next decay, then one more full period, so every class the
+// caller did not touch has handed its free blocks back; leaves the clock
+// just past a decay.
+void DrainIdleClasses() {
+  TickUntilDecayIsNext();
+  Tick(detail::kPoolDecayPeriod + 1);
+}
+
+std::size_t HeldBytes() { return detail::PoolHeld().bytes; }
+
+TEST(PoolAllocTest, BlocksIdleForAWholePeriodGoBackToTheHeap) {
+  DrainIdleClasses();
+  const std::size_t base = HeldBytes();
+  std::vector<void*> blocks;
+  for (int i = 0; i < 5; ++i) blocks.push_back(detail::PoolAlloc(kIdlePayload));
+  EXPECT_EQ(HeldBytes(), base + 5 * kIdleBlock);
+  EXPECT_GE(detail::PoolHeld().peak, HeldBytes());
+  for (void* block : blocks) detail::PoolFree(block);
+  // The first decay sees a list that was empty this period: its low-water
+  // mark is 0, so nothing goes back yet.
+  TickUntilDecayIsNext();
+  Tick(1);
+  EXPECT_EQ(HeldBytes(), base + 5 * kIdleBlock);
+  // A whole period untouched: all five go back, and held bytes drop by them.
+  TickUntilDecayIsNext();
+  Tick(1);
+  EXPECT_EQ(HeldBytes(), base);
+}
+
+TEST(PoolAllocTest, BlockFreedMidPeriodSurvivesTheNextDecay) {
+  DrainIdleClasses();
+  const std::size_t base = HeldBytes();
+  void* a = detail::PoolAlloc(kIdlePayload);
+  void* b = detail::PoolAlloc(kIdlePayload);
+  void* c = detail::PoolAlloc(kIdlePayload);
+  detail::PoolFree(a);
+  detail::PoolFree(b);
+  // This decay restarts the mark at the two idle blocks.
+  TickUntilDecayIsNext();
+  Tick(1);
+  Tick(detail::kPoolDecayPeriod / 2);
+  detail::PoolFree(c);  // mid-period: on top of the idle pair
+  TickUntilDecayIsNext();
+  Tick(1);
+  // The idle pair went back; the block freed mid-period is still pooled and
+  // is the next one handed out.
+  EXPECT_EQ(HeldBytes(), base + kIdleBlock);
+  void* again = detail::PoolAlloc(kIdlePayload);
+  EXPECT_EQ(again, c);
+  detail::PoolFree(again);
+}
+
+TEST(PoolAllocTest, SteadyChurnGivesNothingBack) {
+  DrainIdleClasses();
+  const std::size_t base = HeldBytes();
+  // A floor of live blocks that never go away, plus a burst allocated and
+  // freed again every round: the list empties each round, so the low-water
+  // mark is 0 at every decay. The filler ticks along so it stays pooled too.
+  constexpr std::size_t kFloor = 4;
+  constexpr std::size_t kBurst = 4;
+  std::vector<void*> floor;
+  for (std::size_t i = 0; i < kFloor; ++i) {
+    floor.push_back(detail::PoolAlloc(kIdlePayload));
+  }
+  const std::size_t steady = base + (kFloor + kBurst) * kIdleBlock;
+  std::vector<void*> burst(kBurst);
+  std::uint32_t dips = 0;  // allocs after which the pool held less
+  // Four periods' worth of PoolAlloc calls cross at least four decays.
+  const std::uint32_t rounds = 4 * detail::kPoolDecayPeriod / (kBurst + 1) + 1;
+  for (std::uint32_t round = 0; round < rounds; ++round) {
+    for (void*& block : burst) {
+      block = detail::PoolAlloc(kIdlePayload);
+      if (round > 0 && HeldBytes() != steady) ++dips;
+    }
+    for (void* block : burst) detail::PoolFree(block);
+    Tick(1);
+  }
+  EXPECT_EQ(dips, 0u);
+  EXPECT_EQ(HeldBytes(), steady);
+  for (void* block : floor) detail::PoolFree(block);
+}
+
+TEST(PoolAllocTest, SameSizeClassRecyclesTheBlockAcrossADecay) {
+  void* a = detail::PoolAlloc(48);
+  detail::PoolFree(a);
+  TickUntilDecayIsNext();
+  void* b = detail::PoolAlloc(40);  // runs the decay, then pops
+  EXPECT_EQ(detail::PoolLists().calls, 0u);
+  EXPECT_EQ(a, b);
+  detail::PoolFree(b);
 }
 #endif  // MEMFS_POOL_ALLOC_BYPASS
 

@@ -12,7 +12,8 @@
 #      and compare it with the committed BENCH_paper.json within each
 #      metric's tolerance (bench/paper_cells.cc),
 #   4. re-run the fig08 simulator speed gate against BENCH_scale.json
-#      (wall-clock, sim_events and heap allocations of the 64-node point),
+#      (wall-clock, sim_events, heap allocations and the frame pool's peak
+#      held bytes of the 64-node point),
 #   5. configure + build with -DMEMFS_SANITIZE=address,undefined in
 #      build-asan/ and re-run the determinism gate under the sanitizers
 #      (`ctest -L determinism`: every scenario x observer cell of
@@ -48,10 +49,11 @@ echo "== paper ledger: fig03a fig03b table1 vs BENCH_paper.json =="
 # Simulator speed gate: re-run the fig08 64-node point and compare it with
 # the committed BENCH_scale.json trajectory; fails when its wall-clock is
 # >20% slower (sim-events/sec is still reported), when its sim_events differ
-# from the baseline's, or when its heap allocations exceed the baseline's by
-# more than 1% (both counters are exact run to run). On hardware slower than
-# the baseline's, widen the wall-clock gate with MEMFS_PERF_GATE_TOLERANCE
-# (e.g. 0.5) instead of skipping it.
+# from the baseline's, or when its heap allocations or the frame pool's peak
+# held bytes exceed the baseline's by more than 1% (all three counters are
+# exact run to run). On hardware slower than the baseline's, widen the
+# wall-clock gate with MEMFS_PERF_GATE_TOLERANCE (e.g. 0.5) instead of
+# skipping it.
 echo "== perf gate: fig08 64-node wall-clock and counters vs BENCH_scale.json =="
 "$root/build/bench/micro_latency_profile" --scale \
   --baseline="$root/BENCH_scale.json" > /dev/null
@@ -67,9 +69,11 @@ ctest --test-dir "$root/build-asan" -L determinism --output-on-failure
 # The event-cell slab, the same-instant FIFO and the frame pool run under
 # ASan/UBSan here (the pool's free lists bypass to plain new/delete under
 # sanitizers so every frame keeps its true lifetime — the slab does not
-# bypass and is fully checked), as do the futures' inline first waiter and
-# the fluid solver's finish-heap indices. The kv call tests ride along: an
-# attempt cut off by its deadline keeps the shared BatchCall alive after the
+# bypass and is fully checked; the PoolAllocTest cases that test recycling
+# and the idle-block decay are compiled out in these builds, and only the
+# oversize case runs), as do the futures' two inline waiters and the fluid
+# solver's finish-heap indices. The kv call tests ride along: an attempt
+# cut off by its deadline keeps the shared BatchCall alive after the
 # retry driver has moved on to the next attempt, and a single-key call's
 # verdict is read out of that call one resume later, which is where a
 # lifetime bug in the kv RPC engine would hide. So do the chaos tests: the
