@@ -6,16 +6,20 @@
 // completion rate, wall-clock (simulated) overhead versus the healthy
 // baseline, and every fault/recovery counter, so a change to the retry or
 // degradation logic shows up as a shifted row, not a vague test failure.
+// A last table kills one of 16 servers after a write phase and counts the
+// files that replication (§3.2.5) keeps readable.
 #include <cstdint>
 #include <iostream>
 #include <vector>
 
-#include "bench_common.h"
+#include "common/table.h"
+#include "common/units.h"
 #include "sim/fault.h"
 #include "workloads/chaos.h"
+#include "workloads/envelope.h"
+#include "workloads/testbed.h"
 
-using namespace memfs;         // NOLINT
-using namespace memfs::bench;  // NOLINT
+using namespace memfs;  // NOLINT
 
 namespace {
 
@@ -123,6 +127,61 @@ MigrationChaosRow RunMigrationChaos(std::uint32_t victim) {
   return row;
 }
 
+// --- Replication survival: one dead server, no fault schedule -----------
+
+struct SurvivalRow {
+  std::uint32_t readable = 0;
+  std::uint32_t total = 0;
+  std::uint64_t failover_reads = 0;
+};
+
+// 16 nodes write 4 x 1 MiB files each; server 3 dies; every file is re-read.
+// A read that hits the dead server without a replica returns UNAVAILABLE
+// and loses the file.
+SurvivalRow RunSurvival(std::uint32_t replicas) {
+  workloads::TestbedConfig config;
+  config.nodes = 16;
+  config.memfs.replication = replicas;
+  workloads::Testbed bed(workloads::FsKind::kMemFs, config);
+
+  workloads::EnvelopeParams env;
+  env.nodes = 16;
+  env.file_size = units::MiB(1);
+  env.files_per_proc = 4;
+  workloads::EnvelopeBench bench(bed.simulation(), bed.vfs(), env, nullptr);
+  (void)bench.RunWrite();
+  bed.storage()->SetServerDown(3, true);
+
+  SurvivalRow row;
+  for (std::uint32_t node = 0; node < 16; ++node) {
+    for (std::uint32_t f = 0; f < 4; ++f) {
+      ++row.total;
+      const std::string path = "/env/d_n" + std::to_string(node) + "_p0_f" +
+                               std::to_string(f);
+      bool ok = false;
+      [](fs::Vfs& vfs, std::string p, bool& flag) -> sim::Task {
+        fs::VfsContext ctx{0, 0};
+        auto opened = co_await vfs.Open(ctx, p);
+        if (!opened.ok()) co_return;
+        std::uint64_t off = 0;
+        while (true) {
+          auto chunk =
+              co_await vfs.Read(ctx, opened.value(), off, units::MiB(1));
+          if (!chunk.ok()) co_return;
+          if (chunk->empty()) break;
+          off += chunk->size();
+        }
+        (void)co_await vfs.Close(ctx, opened.value());
+        flag = off == units::MiB(1);
+      }(bed.vfs(), path, ok);
+      bed.simulation().Run();
+      row.readable += ok ? 1 : 0;
+    }
+  }
+  row.failover_reads = bed.memfs()->stats().replica_failovers;
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -201,5 +260,16 @@ int main(int argc, char** argv) {
                       Table::Num(row.makespan_ms, 2)});
   }
   migration.Print(std::cout, csv);
+
+  std::cout << "\n# Fault tolerance: 1 of 16 servers killed after the write "
+               "phase; fraction of files still fully readable\n";
+  Table survival({"replicas", "files readable", "failover reads"});
+  for (std::uint32_t replicas : {1u, 2u}) {
+    const SurvivalRow row = RunSurvival(replicas);
+    survival.AddRow({Table::Int(replicas),
+                     Table::Int(row.readable) + "/" + Table::Int(row.total),
+                     Table::Int(row.failover_reads)});
+  }
+  survival.Print(std::cout, csv);
   return 0;
 }

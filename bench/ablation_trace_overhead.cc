@@ -13,12 +13,14 @@
 #include <cstdint>
 #include <iostream>
 
-#include "bench_common.h"
+#include "common/table.h"
+#include "mtc/runner.h"
+#include "mtc/scheduler.h"
 #include "trace/trace.h"
 #include "workloads/montage.h"
+#include "workloads/testbed.h"
 
-using namespace memfs;         // NOLINT
-using namespace memfs::bench;  // NOLINT
+using namespace memfs;  // NOLINT
 
 namespace {
 

@@ -23,13 +23,14 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
 #include "common/flags.h"
 #include "common/metrics.h"
+#include "common/table.h"
+#include "common/units.h"
 #include "sim/task.h"
+#include "workloads/testbed.h"
 
-using namespace memfs;         // NOLINT
-using namespace memfs::bench;  // NOLINT
+using namespace memfs;  // NOLINT
 
 namespace {
 

@@ -33,9 +33,12 @@
 #include <sstream>
 #include <string>
 
-#include "bench_common.h"
+#include "common/table.h"
+#include "common/units.h"
 #include "paper_cells.h"
 #include "sim/pool_alloc.h"
+#include "workloads/envelope.h"
+#include "workloads/testbed.h"
 
 #ifdef MEMFS_PROFILE_ALLOC
 #include <atomic>
@@ -338,7 +341,7 @@ int main(int argc, char** argv) {
     config.nodes = 16;
     // This profile measures per-RPC service latency; with coalescing on, lane
     // queueing during read/write bursts would dominate every kv.* histogram
-    // (that effect is ablation_batching's subject, not this one's).
+    // (that effect is paper_figures abl_batching's subject, not this one's).
     config.memfs.io.batching = false;
     config.metrics = &registry;
     workloads::Testbed bed(workloads::FsKind::kMemFs, config);

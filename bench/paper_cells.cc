@@ -10,11 +10,17 @@
 #include <ostream>
 #include <sstream>
 
-#include "bench_common.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "hash/distributor.h"
+#include "kvstore/kv_cluster.h"
+#include "memfs/memfs.h"
+#include "mtc/runner.h"
+#include "mtc/scheduler.h"
+#include "net/network.h"
 #include "workloads/blast.h"
+#include "workloads/envelope.h"
 #include "workloads/montage.h"
 
 namespace memfs::bench {
@@ -41,6 +47,15 @@ mtc::Workflow BuildScaled(Workload workload, bool full_scale) {
         m.size_scale = 16;
         m.project_cpu_s = 6.0;
       }
+      return workloads::BuildMontage(m);
+    }
+    case Workload::kMontage6Io:
+    case Workload::kMontage6Small: {
+      const bool io = workload == Workload::kMontage6Io;
+      workloads::MontageParams m;
+      m.task_scale = io ? 8 : 16;
+      m.size_scale = io ? 4 : 16;
+      m.project_cpu_s = io ? 0.5 : 2.0;
       return workloads::BuildMontage(m);
     }
     case Workload::kBlastDas4:
@@ -71,6 +86,12 @@ fs::MemFsConfig MemFsKnobs(const CellParams& p) {
     config.read_threads = *p.read_threads;
     config.prefetch_depth = *p.read_threads;
   }
+  if (p.prefetch_depth) config.prefetch_depth = *p.prefetch_depth;
+  if (p.read_cache_bytes != 0) config.read_cache_bytes = p.read_cache_bytes;
+  config.replication = p.replication;
+  config.io.batching = p.io_batching;
+  if (p.max_batch_ops != 0) config.io.max_batch_ops = p.max_batch_ops;
+  config.fuse.enabled = !p.library_mode;
   config.fuse.mounts_per_node = p.mounts;
   if (p.contended_fuse) {
     // Montage's 4 KB calls on the c3.8xlarge NUMA nodes: every call crosses
@@ -79,59 +100,141 @@ fs::MemFsConfig MemFsKnobs(const CellParams& p) {
     config.fuse.op_cost = units::Micros(25);
     config.fuse.contention_factor = 0.30;
   }
+  config.use_ketama = p.use_ketama;
+  config.hash_kind = p.hash;
   return config;
 }
 
-void RunEnvelope(const CellParams& p, CellResult& out) {
-  EnvelopeCellParams params;
-  params.kind = p.fs;
-  params.fabric = p.fabric;
-  params.nodes = p.nodes;
-  params.procs_per_node = p.procs;
-  params.file_size = p.file_size;
-  params.files_per_proc = p.files;
-  params.io_block = p.io_block;
-  params.meta_files_per_proc = p.meta_files;
-  params.run_remote_read = p.remote_read;
-  params.memfs = MemFsKnobs(p);
-  const EnvelopeCell cell = RunEnvelopeCell(params);
-  for (const auto* phase : {&cell.write, &cell.read11, &cell.read11_remote,
-                            &cell.readn1, &cell.create, &cell.open}) {
-    if (out.status.ok()) out.status = phase->status;  // the first failure
-  }
-  auto& m = out.metrics;
-  m["write_MBps"] = cell.write.BandwidthMBps();
-  m["read11_MBps"] = cell.read11.BandwidthMBps();
-  m["readn1_MBps"] = cell.readn1.BandwidthMBps();
-  m["write_ops"] = cell.write.OpsPerSec();
-  m["read11_ops"] = cell.read11.OpsPerSec();
-  m["readn1_ops"] = cell.readn1.OpsPerSec();
-  m["create_ops"] = cell.create.OpsPerSec();
-  m["open_ops"] = cell.open.OpsPerSec();
-  m["write_MBps_node"] = m["write_MBps"] / p.nodes;
-  m["read11_MBps_node"] = m["read11_MBps"] / p.nodes;
-  if (p.remote_read) {
-    m["remote11_MBps"] = cell.read11_remote.BandwidthMBps();
-    m["remote_penalty"] = m["read11_MBps"] / m["remote11_MBps"];
-  }
-}
-
-// Application bytes vs bytes on the wire while every process writes its
-// files and reads a neighbour's back (shift-by-one forces remote reads).
-void RunWire(const CellParams& p, CellResult& out) {
+workloads::TestbedConfig BedConfig(const CellParams& p) {
   workloads::TestbedConfig config;
   config.nodes = p.nodes;
   config.fabric = p.fabric;
+  config.net_model = p.net_model;
+  config.fabric_bandwidth = p.fabric_bandwidth;
+  if (p.node_memory != 0) config.node_memory_limit = p.node_memory;
   config.memfs = MemFsKnobs(p);
-  workloads::Testbed bed(p.fs, config);
+  return config;
+}
 
+workloads::EnvelopeParams EnvelopeOf(const CellParams& p) {
   workloads::EnvelopeParams env;
   env.nodes = p.nodes;
   env.procs_per_node = p.procs;
   env.file_size = p.file_size;
   env.files_per_proc = p.files;
   env.io_block = p.io_block;
-  workloads::EnvelopeBench bench(bed.simulation(), bed.vfs(), env, nullptr);
+  if (p.fs == FsKind::kAmfs && p.amfs_shell_jobs) {
+    // Every iozone file runs as its own AMFS Shell job and pays the Shell's
+    // locality-scheduling latency in the data phases.
+    env.per_file_job_overhead = units::Micros(800);
+  }
+  return env;
+}
+
+// What the data path has done so far; a phase's share is the difference
+// between the snapshots around it.
+struct Counters {
+  std::uint64_t wire_bytes = 0;
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
+  std::uint64_t rpcs = 0;    // single-key and batch RPCs the servers saw
+  std::uint64_t kv_ops = 0;  // the kv operations those RPCs carried
+};
+
+Counters Snapshot(workloads::Testbed& bed) {
+  Counters c;
+  c.wire_bytes = bed.network().total_bytes();
+  if (const fs::MemFs* memfs = bed.memfs()) {
+    c.cache_hits = memfs->stats().cache_hits;
+    c.cache_misses = memfs->stats().cache_misses;
+  }
+  if (const kv::KvCluster* storage = bed.storage()) {
+    for (std::uint32_t s = 0; s < storage->server_count(); ++s) {
+      const kv::KvServerClientStats& stats = storage->server_stats(s);
+      c.rpcs += stats.single_ops + stats.batches;
+      c.kv_ops += stats.single_ops + stats.batched_items;
+    }
+  }
+  return c;
+}
+
+// Write -> 1-1 read -> (remote 1-1) -> N-1 read -> create -> open. Counters
+// are read at the phase boundaries: the write's wire bytes, the bytes
+// stored after the 1-1 read, the 1-1 read's cache hit rate, and the kv RPCs
+// of the whole run but the remote and N-1 reads (total_s leaves out their
+// seconds too).
+void RunEnvelope(const CellParams& p, CellResult& out) {
+  workloads::Testbed bed(p.fs, BedConfig(p));
+  workloads::EnvelopeBench bench(bed.simulation(), bed.vfs(), EnvelopeOf(p),
+                                 bed.amfs());
+  const Counters at_start = Snapshot(bed);
+  const workloads::PhaseResult write = bench.RunWrite();
+  const Counters after_write = Snapshot(bed);
+  const workloads::PhaseResult read11 = bench.RunRead11();
+  const Counters after_read11 = Snapshot(bed);
+  const std::uint64_t stored = bed.TotalMemoryUsed();
+  const workloads::PhaseResult remote = p.remote_read && p.nodes > 1
+                                            ? bench.RunRead11(1)
+                                            : workloads::PhaseResult{};
+  const workloads::PhaseResult readn1 = bench.RunReadN1();
+  const Counters after_readn1 = Snapshot(bed);
+  const workloads::PhaseResult create = bench.RunCreate(p.meta_files);
+  const workloads::PhaseResult open = bench.RunOpen();
+  const Counters at_end = Snapshot(bed);
+  for (const auto* phase :
+       {&write, &read11, &remote, &readn1, &create, &open}) {
+    if (out.status.ok()) out.status = phase->status;  // the first failure
+  }
+
+  auto& m = out.metrics;
+  m["write_MBps"] = write.BandwidthMBps();
+  m["read11_MBps"] = read11.BandwidthMBps();
+  m["readn1_MBps"] = readn1.BandwidthMBps();
+  m["write_ops"] = write.OpsPerSec();
+  m["read11_ops"] = read11.OpsPerSec();
+  m["readn1_ops"] = readn1.OpsPerSec();
+  m["create_ops"] = create.OpsPerSec();
+  m["open_ops"] = open.OpsPerSec();
+  m["write_MBps_node"] = m["write_MBps"] / p.nodes;
+  m["read11_MBps_node"] = m["read11_MBps"] / p.nodes;
+  if (p.remote_read) {
+    m["remote11_MBps"] = remote.BandwidthMBps();
+    m["remote_penalty"] = m["read11_MBps"] / m["remote11_MBps"];
+  }
+  m["write_s"] = units::ToSeconds(write.span);
+  m["read11_s"] = units::ToSeconds(read11.span);
+  m["create_s"] = units::ToSeconds(create.span);
+  m["open_s"] = units::ToSeconds(open.span);
+  m["total_s"] = m["write_s"] + m["read11_s"] + m["create_s"] + m["open_s"];
+
+  m["stored_MB"] = static_cast<double>(stored) / 1e6;
+  m["write_wire_MB"] =
+      static_cast<double>(after_write.wire_bytes - at_start.wire_bytes) / 1e6;
+  const double hits = static_cast<double>(after_read11.cache_hits -
+                                          after_write.cache_hits);
+  const double misses = static_cast<double>(after_read11.cache_misses -
+                                            after_write.cache_misses);
+  m["read11_hit_rate"] = hits + misses > 0 ? hits / (hits + misses) : 0.0;
+  const std::uint64_t rpcs =
+      after_read11.rpcs + at_end.rpcs - after_readn1.rpcs;
+  const std::uint64_t ops =
+      after_read11.kv_ops + at_end.kv_ops - after_readn1.kv_ops;
+  m["kv_rpcs"] = static_cast<double>(rpcs);
+  m["ops_per_rpc"] = rpcs == 0 ? 0.0
+                               : static_cast<double>(ops) /
+                                     static_cast<double>(rpcs);
+  // A running maximum, so it covers every phase.
+  if (const fs::MemFs* memfs = bed.memfs()) {
+    m["max_batch"] = static_cast<double>(memfs->scheduler().stats().max_batch);
+  }
+}
+
+// Application bytes vs bytes on the wire while every process writes its
+// files and reads a neighbour's back (shift-by-one forces remote reads).
+void RunWire(const CellParams& p, CellResult& out) {
+  workloads::Testbed bed(p.fs, BedConfig(p));
+  workloads::EnvelopeBench bench(bed.simulation(), bed.vfs(), EnvelopeOf(p),
+                                 bed.amfs());
   const std::uint64_t wire_before = bed.network().total_bytes();
   const sim::SimTime t0 = bed.simulation().now();
   const auto write = bench.RunWrite();
@@ -151,21 +254,26 @@ void RunWire(const CellParams& p, CellResult& out) {
 
 void RunWorkflow(const CellParams& p, const mtc::Workflow& workflow,
                  CellResult& out) {
-  WorkflowCellParams params;
-  params.kind = p.fs;
-  params.fabric = p.fabric;
-  params.nodes = p.nodes;
-  params.cores_per_node = p.procs;
-  if (p.io_block != 0) params.io_block = p.io_block;
-  if (p.node_memory != 0) params.node_memory_limit = p.node_memory;
-  params.memfs = MemFsKnobs(p);
-  const WorkflowCell cell = RunWorkflowCell(params, workflow);
-  out.status = cell.result.status;
-  out.sim_events = cell.bed->simulation().events_processed();
+  workloads::Testbed bed(p.fs, BedConfig(p));
+  mtc::RunnerConfig runner_config;
+  runner_config.nodes = p.nodes;
+  runner_config.cores_per_node = p.procs;
+  if (p.io_block != 0) runner_config.io_block = p.io_block;
+  // The paper pairs AMFS with the locality-aware AMFS Shell scheduler; every
+  // striping-based file system runs locality-agnostic.
+  mtc::UniformScheduler uniform;
+  std::optional<mtc::LocalityScheduler> locality;
+  if (p.fs == FsKind::kAmfs) locality.emplace(*bed.amfs());
+  mtc::Scheduler& scheduler =
+      locality ? static_cast<mtc::Scheduler&>(*locality) : uniform;
+  mtc::Runner runner(bed.simulation(), bed.vfs(), scheduler, runner_config);
+  const mtc::WorkflowResult result = runner.Run(workflow);
+  out.status = result.status;
+  out.sim_events = bed.simulation().events_processed();
 
   auto& m = out.metrics;
-  m["makespan_s"] = cell.result.MakespanSeconds();
-  for (const mtc::StageStats& stage : cell.result.stages) {
+  m["makespan_s"] = result.MakespanSeconds();
+  for (const mtc::StageStats& stage : result.stages) {
     m[stage.stage + "_s"] = stage.SpanSeconds();
     // Per-node application bandwidth while the node's cores run the stage,
     // from core-busy time so sparse stage packing does not dilute it.
@@ -176,12 +284,12 @@ void RunWorkflow(const CellParams& p, const mtc::Workflow& workflow,
   std::uint64_t total = 0;
   std::uint64_t busiest = 0;
   for (std::uint32_t n = 0; n < p.nodes; ++n) {
-    const std::uint64_t used = cell.bed->NodeMemoryUsed(n);
+    const std::uint64_t used = bed.NodeMemoryUsed(n);
     balance.Add(static_cast<double>(used));
     total += used;
     busiest = std::max(busiest, used);
   }
-  m["mem_total_MB"] = static_cast<double>(cell.bed->TotalMemoryUsed()) / 1e6;
+  m["mem_total_MB"] = static_cast<double>(bed.TotalMemoryUsed()) / 1e6;
   m["mem_cv"] = balance.cv();
   // The AMFS scheduler node runs the aggregation stages, which replicate
   // everything they read (Table 3).
@@ -191,6 +299,35 @@ void RunWorkflow(const CellParams& p, const mtc::Workflow& workflow,
   m["sched_node_MB"] = static_cast<double>(busiest) / 1e6;
   m["other_nodes_MB"] = others;
   m["sched_ratio"] = others > 0 ? m["sched_node_MB"] / others : 0.0;
+}
+
+// Where a Montage-like population of stripe keys (400 files x 8 stripes)
+// lands on `nodes` servers, and the share that moves when one more joins.
+void RunDistribution(const CellParams& p, CellResult& out) {
+  const auto make = [&p](std::uint32_t servers) {
+    // 160 ring points per server, as the MemFS client builds its ring.
+    return p.use_ketama ? hash::MakeKetama(servers, 160, p.hash)
+                        : hash::MakeModulo(servers, p.hash);
+  };
+  const auto before = make(p.nodes);
+  const auto after = make(p.nodes + 1);
+  std::vector<double> load(p.nodes, 0);
+  std::uint64_t keys = 0;
+  std::uint64_t moved = 0;
+  for (int f = 0; f < 400; ++f) {
+    for (int s = 0; s < 8; ++s) {
+      const std::string key = "/montage6/proj/p_" + std::to_string(10000 + f) +
+                              ".fits#" + std::to_string(s);
+      ++load[before->ServerFor(key)];
+      moved += before->ServerFor(key) != after->ServerFor(key);
+      ++keys;
+    }
+  }
+  RunningStats balance;
+  for (double l : load) balance.Add(l);
+  out.metrics["key_cv"] = balance.cv();
+  out.metrics["remap_pct"] =
+      100.0 * static_cast<double>(moved) / static_cast<double>(keys);
 }
 
 bool IsAggregateStage(const std::string& stage) {
@@ -270,6 +407,19 @@ constexpr MetricSpec kMetrics[] = {
     {"runtime_GB", "runtime data GB", 1, 0.001},
     {"min_file_MB", "smallest file MB", 1, 0.001},
     {"max_file_MB", "largest file MB", 1, 0.001},
+    {"read11_hit_rate", "1-1 read hit rate", 3, 0.01},
+    {"write_s", "write s", 4, 0.01},
+    {"read11_s", "1-1 read s", 4, 0.01},
+    {"create_s", "create s", 4, 0.01},
+    {"open_s", "open s", 4, 0.01},
+    {"total_s", "total s", 4, 0.01},
+    {"kv_rpcs", "kv RPCs", 0, 0.01},
+    {"ops_per_rpc", "ops/RPC", 2, 0.01},
+    {"max_batch", "max batch", 0, 0.01},
+    {"stored_MB", "stored MB", 1, 0.01},
+    {"write_wire_MB", "write wire MB", 1, 0.01},
+    {"key_cv", "key balance cv", 3, 0.001},
+    {"remap_pct", "remapped % (+1 server)", 1, 0.001},
 };
 
 std::string Label(std::uint32_t count, std::string_view unit,
@@ -554,6 +704,158 @@ std::vector<Figure> BuildFigures() {
       row(Label(procs, "procs/node"), c);
     }
   }
+
+  // --- ablations beyond the paper -----------------------------------------
+
+  // The paper's premise: a full-bisection core makes locality unnecessary.
+  // Capping the core at 16 NICs / ratio puts MemFS's striped traffic on it,
+  // while AMFS's local writes bypass it.
+  const std::uint64_t nics = 16 * net::Das4Ipoib(16).nic_bandwidth;
+  for (const bool montage : {false, true}) {
+    if (montage) {
+      add("abl_bisection_montage", "Ablation: fabric oversubscription, "
+          "I/O-dominated Montage 6 on 16 nodes x 8 cores", {"makespan_s"});
+    } else {
+      add("abl_bisection", "Ablation: fabric oversubscription (core = 16 "
+          "IPoIB NICs / ratio), 16-node envelope write, 1 MiB files",
+          {"write_MBps"});
+    }
+    for (std::uint32_t ratio : {1, 2, 4, 8, 16}) {
+      for (FsKind fs : {kMem, kAm}) {
+        CellParams c = montage ? Flow(Workload::kMontage6Io, fs, 16, 8)
+                               : Envelope(fs, 16, MiB(1), 4, 0, 16);
+        c.fabric_bandwidth = ratio == 1 ? 0 : nics / ratio;
+        // Raw write paths: no AMFS Shell job cost per file.
+        if (!montage && fs == kAm) c.amfs_shell_jobs = false;
+        row(std::to_string(ratio) + ":1 " +
+                std::string(workloads::ToString(fs)),
+            c);
+      }
+    }
+  }
+
+  // §1-2 and §5: DRAM vs disk-backed strict-POSIX servers under the same
+  // striping client, and IPoIB vs native RDMA verbs.
+  add("abl_substrate", "Ablation: DRAM (MemFS) vs disk (DiskPFS) servers, "
+      "16-node envelope, 1 MiB files", {"write_MBps", "read11_MBps",
+                                        "create_ops"});
+  for (FsKind fs : {kMem, FsKind::kDiskPfs}) {
+    row(std::string(workloads::ToString(fs)),
+        Envelope(fs, 16, MiB(1), 4, 0, 16));
+  }
+  add("abl_substrate_montage", "Ablation: DRAM vs disk servers, small "
+      "Montage 6 on 16 nodes x 4 cores", {"makespan_s"});
+  for (FsKind fs : {kMem, FsKind::kDiskPfs}) {
+    row(std::string(workloads::ToString(fs)),
+        Flow(Workload::kMontage6Small, fs, 16, 4));
+  }
+  // One 16-node, 8 x 1 MiB MemFS envelope is the baseline row of the
+  // transport, replication and network-model ablations.
+  const CellParams envelope16 = Envelope(kMem, 16, MiB(1), 8, 0, 64);
+  add("abl_transport", "Ablation: MemFS over IPoIB vs native RDMA verbs "
+      "(§5), 16-node envelope, 1 MiB files",
+      {"write_MBps", "read11_MBps", "create_ops", "open_ops"});
+  for (Fabric fabric : {Fabric::kDas4Ipoib, Fabric::kRdma}) {
+    CellParams c = envelope16;
+    c.fabric = fabric;
+    row(std::string(workloads::ToString(fabric)), c);
+  }
+
+  // The prefetcher's two knobs Fig. 3b leaves fixed: lookahead depth and
+  // per-file cache size (the paper's 8 MB).
+  const fs::MemFsConfig defaults;
+  const CellParams sequential = Envelope(kMem, 8, MiB(16), 2, KiB(64), 0);
+  add("abl_prefetch_depth", "Ablation: prefetch depth, 8 nodes, 16 MiB files "
+      "read in 64 KiB calls (per-node MB/s)",
+      {"read11_MBps_node", "read11_hit_rate"});
+  for (std::uint32_t depth : {0, 1, 2, 4, 8, 16}) {
+    CellParams c = sequential;
+    if (depth != defaults.prefetch_depth) c.prefetch_depth = depth;
+    row(Label(depth, "stripes"), c);
+  }
+  add("abl_prefetch_cache", "Ablation: read cache size at prefetch depth 8, "
+      "the same reads", {"read11_MBps_node", "read11_hit_rate"});
+  for (std::uint64_t mib : {1, 2, 4, 8, 16}) {
+    CellParams c = sequential;
+    if (MiB(mib) != defaults.read_cache_bytes) c.read_cache_bytes = MiB(mib);
+    row(Label(static_cast<std::uint32_t>(mib), "MiB"), c);
+  }
+
+  // §3.2.5's predicted cost of n replicas: n times the stored bytes (after
+  // the 1-1 read) and n times the wire bytes of the write phase.
+  add("abl_replication", "Ablation: replication factor, 16-node envelope, "
+      "8 x 1 MiB files per node",
+      {"write_MBps", "read11_MBps", "stored_MB", "write_wire_MB"});
+  for (std::uint32_t replicas : {1, 2, 3}) {
+    CellParams c = envelope16;
+    c.replication = replicas;
+    row(Label(replicas, "replicas"), c);
+  }
+
+  // §3.2.2's multi-op amortization at saturation: library-mode clients (no
+  // FUSE) on kernel-bypass nodes, so the servers are the bottleneck. The
+  // kv RPCs and total_s leave out the cell's N-1 read, which this envelope
+  // does not measure; max batch is the largest batch of the run.
+  CellParams small = Envelope(kMem, 8, KiB(1), 8, 0, 16);
+  small.fabric = Fabric::kRdma;
+  small.procs = 64;
+  small.library_mode = true;
+  add("abl_batching", "Ablation: op batching, 1 KiB envelope on 8 RDMA "
+      "nodes x 64 library-mode procs",
+      {"kv_rpcs", "ops_per_rpc", "max_batch", "write_s", "read11_s",
+       "create_s", "open_s", "total_s"});
+  for (const bool batching : {false, true}) {
+    CellParams c = small;
+    c.io_batching = batching;
+    row(batching ? "on" : "off", c);
+  }
+  add("abl_batching_ceiling", "Ablation: per-batch item ceiling, the same "
+      "envelope with batching on",
+      {"kv_rpcs", "ops_per_rpc", "write_s", "total_s"});
+  for (std::uint32_t ops : {1, 2, 4, 8, 16, 32}) {
+    CellParams c = small;
+    if (ops != io::IoConfig{}.max_batch_ops) c.max_batch_ops = ops;
+    row(Label(ops, "ops/batch"), c);
+  }
+
+  // The cheap count-based fair share every figure uses vs exact max-min
+  // water-filling.
+  add("abl_network_model", "Ablation: fair-share vs water-filling network "
+      "allocator, 16-node envelope, 1 MiB files",
+      {"write_MBps", "read11_MBps", "readn1_MBps"});
+  for (workloads::NetModel model :
+       {workloads::NetModel::kFairShare, workloads::NetModel::kWaterfill}) {
+    CellParams c = envelope16;
+    c.net_model = model;
+    row(model == workloads::NetModel::kFairShare ? "FairShare" : "Waterfill",
+        c);
+  }
+
+  // §3.1.2: modulo balances a fixed server set; ketama remaps ~1/N of the
+  // keys when one joins.
+  add("abl_distribution", "Ablation: modulo vs ketama placement of 3200 "
+      "stripe keys on 32 servers", {"key_cv", "remap_pct"});
+  for (const bool ketama : {false, true}) {
+    for (hash::HashKind kind :
+         {hash::HashKind::kFnv1a64, hash::HashKind::kMurmur3_64,
+          hash::HashKind::kJenkinsLookup3, hash::HashKind::kCrc32c}) {
+      CellParams c;
+      c.kind = CellKind::kDistribution;
+      c.nodes = 32;
+      c.use_ketama = ketama;
+      c.hash = kind;
+      row(std::string(ketama ? "ketama " : "modulo ") +
+              std::string(hash::ToString(kind)),
+          c);
+    }
+  }
+  add("abl_distribution_envelope", "Ablation: MemFS envelope under both "
+      "distributors, 8 nodes, 1 MiB files", {"write_MBps", "read11_MBps"});
+  for (const bool ketama : {false, true}) {
+    CellParams c = Envelope(kMem, 8, MiB(1), 8, 0, 1);
+    c.use_ketama = ketama;
+    row(ketama ? "ketama" : "modulo", c);
+  }
   return figs;
 }
 
@@ -663,19 +965,36 @@ std::optional<double> NumberField(const std::string& line,
   return value;
 }
 
+constexpr std::string_view kBlockBegin = "<!-- paper_figures ";
+constexpr std::string_view kBlockEnd = "<!-- /paper_figures -->";
+
+// The figure id a doc block's begin marker names.
+std::optional<std::string> BlockId(const std::string& line) {
+  if (!line.starts_with(kBlockBegin) || !line.ends_with(" -->")) {
+    return std::nullopt;
+  }
+  return line.substr(kBlockBegin.size(), line.size() - kBlockBegin.size() - 4);
+}
+
 }  // namespace
 
 std::string CellId(const CellParams& p) {
-  static constexpr std::string_view kKinds[] = {"envelope", "workflow",
-                                                "wire", "inventory"};
+  static constexpr std::string_view kKinds[] = {
+      "envelope", "workflow", "wire", "inventory", "distribution"};
   static constexpr std::string_view kWorkloads[] = {
-      "", "montage6", "montage12", "montage16", "blast512", "blast1024"};
+      "",         "montage6",  "montage12",   "montage16",
+      "blast512", "blast1024", "montage6io", "montage6small"};
   std::ostringstream id;
   id << kKinds[static_cast<int>(p.kind)];
   if (p.workload != Workload::kNone) {
     id << '/' << kWorkloads[static_cast<int>(p.workload)];
   }
   if (p.kind == CellKind::kInventory) return id.str();
+  if (p.kind == CellKind::kDistribution) {
+    id << "/n" << p.nodes << '/' << (p.use_ketama ? "ketama" : "modulo")
+       << '/' << hash::ToString(p.hash);
+    return id.str();
+  }
   id << '/' << workloads::ToString(p.fs) << '/' << workloads::ToString(p.fabric)
      << "/n" << p.nodes << 'x' << p.procs;
   if (p.file_size != 0) id << "/files=" << p.files << 'x' << Size(p.file_size);
@@ -685,9 +1004,22 @@ std::string CellId(const CellParams& p) {
   if (p.stripe != 0) id << "/stripe=" << Size(p.stripe);
   if (p.io_threads) id << "/io_threads=" << *p.io_threads;
   if (p.read_threads) id << "/read_threads=" << *p.read_threads;
+  if (p.prefetch_depth) id << "/prefetch=" << *p.prefetch_depth;
+  if (p.read_cache_bytes != 0) id << "/cache=" << Size(p.read_cache_bytes);
+  if (p.replication != 1) id << "/replicas=" << p.replication;
+  if (!p.io_batching) id << "/unbatched";
+  if (p.max_batch_ops != 0) id << "/max_batch=" << p.max_batch_ops;
+  if (p.library_mode) id << "/library";
   if (p.mounts != 1) id << "/mounts=" << p.mounts;
   if (p.contended_fuse) id << "/contended_fuse";
+  if (p.use_ketama) id << "/ketama";
+  if (p.hash != hash::HashKind::kFnv1a64) {
+    id << "/hash=" << hash::ToString(p.hash);
+  }
   if (p.node_memory != 0) id << "/memory=" << Size(p.node_memory);
+  if (p.fabric_bandwidth != 0) id << "/core=" << p.fabric_bandwidth << "Bps";
+  if (p.net_model == workloads::NetModel::kWaterfill) id << "/waterfill";
+  if (!p.amfs_shell_jobs) id << "/no_shell_jobs";
   return id.str();
 }
 
@@ -708,6 +1040,7 @@ CellResult RunCell(const CellParams& params, const mtc::Workflow* workflow) {
       break;
     case CellKind::kWire: RunWire(params, result); break;
     case CellKind::kInventory: RunInventory(params, result); break;
+    case CellKind::kDistribution: RunDistribution(params, result); break;
   }
   return result;
 }
@@ -848,30 +1181,56 @@ void RenderFigure(std::ostream& os, const Figure& figure, const Ledger& ledger,
   os << "\n";
 }
 
-std::string RenderMarkdownBlocks(const std::string& doc, const Ledger& ledger) {
-  static constexpr std::string_view kBegin = "<!-- paper_figures ";
-  static constexpr std::string_view kEnd = "<!-- /paper_figures -->";
+Result<std::string> RenderMarkdownBlocks(const std::string& doc,
+                                         const Ledger& ledger) {
   std::istringstream in(doc);
   std::ostringstream out;
   std::string line;
   while (std::getline(in, line)) {
     out << line << '\n';
-    if (!line.starts_with(kBegin) || !line.ends_with(" -->")) continue;
-    const std::string id =
-        line.substr(kBegin.size(), line.size() - kBegin.size() - 4);
+    const auto id = BlockId(line);
+    if (!id) continue;
+    const Figure* figure = FindFigure(*id);
+    if (figure == nullptr) {
+      return status::InvalidArgument("a block names no figure: " + *id);
+    }
     std::string body;
-    while (std::getline(in, line) && line != kEnd) body += line + '\n';
-    const Figure* figure = FindFigure(id);
-    const auto first = ledger.lower_bound({id, "", ""});
-    if (figure != nullptr && first != ledger.end() &&
-        std::get<0>(first->first) == id) {
+    bool ended = false;
+    while (!ended && std::getline(in, line) && !BlockId(line)) {
+      ended = line == kBlockEnd;
+      if (!ended) body += line + '\n';
+    }
+    if (!ended) {
+      return status::InvalidArgument("the " + *id +
+                                     " block has no end marker");
+    }
+    const auto first = ledger.lower_bound({*id, "", ""});
+    if (first != ledger.end() && std::get<0>(first->first) == *id) {
       RenderFigure(out, *figure, ledger, Format::kMarkdown);
     } else {
       out << body;
     }
-    out << kEnd << '\n';
+    out << kBlockEnd << '\n';
   }
   return out.str();
+}
+
+std::vector<std::string> CheckMarkdownBlocks(const std::string& doc) {
+  std::map<std::string, int> blocks;
+  std::istringstream in(doc);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (const auto id = BlockId(line)) ++blocks[*id];
+  }
+  std::vector<std::string> problems;
+  for (const Figure& figure : PaperFigures()) {
+    const int count = blocks[figure.id];
+    if (count != 1) {
+      problems.push_back(figure.id + ": " + std::to_string(count) +
+                         " doc blocks, want 1");
+    }
+  }
+  return problems;
 }
 
 std::vector<std::string> CheckLedger(const Ledger& run,
@@ -895,6 +1254,17 @@ std::vector<std::string> CheckLedger(const Ledger& run,
                            " (tolerance " + LedgerNum(tolerance * 100) +
                            "%)");
       }
+    }
+  }
+  // A figure the run measured must still produce every record the ledger
+  // has for it.
+  for (const auto& [key, record] : baseline) {
+    const auto& [figure, cell, metric] = key;
+    const auto first = run.lower_bound({figure, "", ""});
+    if (first != run.end() && std::get<0>(first->first) == figure &&
+        !run.contains(key)) {
+      problems.push_back(figure + " " + cell + " " + metric +
+                         ": in the ledger, not in the run");
     }
   }
   return problems;

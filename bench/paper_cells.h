@@ -1,6 +1,7 @@
-// The paper's evaluation (§4: Figs. 3-16, Tables 1-3) as one declarative
-// table, the runner that measures one cell of it, and the ledger every
-// output renders from.
+// The paper's evaluation (§4: Figs. 3-16, Tables 1-3) and the design
+// ablations beyond it (the `abl_*` figures) as one declarative table, the
+// runner that measures one cell of it, and the ledger every output renders
+// from.
 //
 // A cell is one simulated configuration (CellParams). Its id is derived
 // from its params, so figures that use the same configuration share the
@@ -24,27 +25,32 @@
 #include <vector>
 
 #include "common/status.h"
+#include "hash/hash.h"
 #include "mtc/workflow.h"
 #include "workloads/testbed.h"
 
 namespace memfs::bench {
 
 enum class CellKind : std::uint8_t {
-  kEnvelope,   // MTC envelope phases on a fresh testbed
-  kWorkflow,   // one Montage or BLAST run
-  kWire,       // Fig. 16's application-vs-wire bandwidth probe
-  kInventory,  // Table 2: generator volumes at full scale, no simulation
+  kEnvelope,      // MTC envelope phases on a fresh testbed
+  kWorkflow,      // one Montage or BLAST run
+  kWire,          // Fig. 16's application-vs-wire bandwidth probe
+  kInventory,     // Table 2: generator volumes at full scale, no simulation
+  kDistribution,  // stripe-key placement on `nodes` servers, no simulation
 };
 
 // The workflows of §4.2 at the scale-downs the figures use (inventory cells
-// build them at full scale).
+// build them at full scale), and two small Montage 6 instances for the
+// ablations.
 enum class Workload : std::uint8_t {
   kNone,
   kMontage6,
   kMontage12,
   kMontage16,
-  kBlastDas4,  // 512 fragments
-  kBlastEc2,   // 1024 fragments
+  kBlastDas4,      // 512 fragments
+  kBlastEc2,       // 1024 fragments
+  kMontage6Io,     // little CPU per task, so the fabric decides
+  kMontage6Small,  // small enough for the disk-backed DiskPFS
 };
 
 struct CellParams {
@@ -60,11 +66,22 @@ struct CellParams {
   std::uint32_t meta_files = 0;   // create/open files per process
   bool remote_read = false;       // also time shift-by-one 1-1 reads
   std::uint64_t stripe = 0;       // 0 = the MemFsConfig default
-  std::optional<std::uint32_t> io_threads;    // flush pool
-  std::optional<std::uint32_t> read_threads;  // read pool and prefetch depth
+  std::optional<std::uint32_t> io_threads;      // flush pool
+  std::optional<std::uint32_t> read_threads;    // read pool and prefetch depth
+  std::optional<std::uint32_t> prefetch_depth;  // overrides read_threads'
+  std::uint64_t read_cache_bytes = 0;  // 0 = the MemFsConfig default
+  std::uint32_t replication = 1;
+  bool io_batching = true;
+  std::uint32_t max_batch_ops = 0;  // 0 = the IoConfig default
+  bool library_mode = false;        // libmemfs linked in, no FUSE
   std::uint32_t mounts = 1;       // FUSE mountpoints per node
   bool contended_fuse = false;    // Fig. 10's contended kernel path
+  bool use_ketama = false;        // consistent hashing instead of modulo
+  hash::HashKind hash = hash::HashKind::kFnv1a64;
   std::uint64_t node_memory = 0;  // 0 = 20 GiB
+  std::uint64_t fabric_bandwidth = 0;  // core capacity, 0 = full bisection
+  workloads::NetModel net_model = workloads::NetModel::kFairShare;
+  bool amfs_shell_jobs = true;    // AMFS data phases pay the Shell job cost
 
   bool operator==(const CellParams&) const = default;
 };
@@ -162,11 +179,18 @@ void RenderFigure(std::ostream& os, const Figure& figure, const Ledger& ledger,
                   Format format);
 
 // Replaces the body of every `<!-- paper_figures ID -->` ...
-// `<!-- /paper_figures -->` block whose figure is in the ledger.
-std::string RenderMarkdownBlocks(const std::string& doc, const Ledger& ledger);
+// `<!-- /paper_figures -->` block whose figure is in the ledger. Fails on a
+// block with no end marker or one that names no figure of the table.
+Result<std::string> RenderMarkdownBlocks(const std::string& doc,
+                                         const Ledger& ledger);
+
+// One line per figure of the table that has no block in `doc`, or more
+// than one.
+std::vector<std::string> CheckMarkdownBlocks(const std::string& doc);
 
 // One line per record of `run` that `baseline` lacks, or whose status
-// differs, or whose value is outside the metric's tolerance.
+// differs, or whose value is outside the metric's tolerance, and one per
+// record `baseline` has for a figure of `run` that `run` lacks.
 std::vector<std::string> CheckLedger(const Ledger& run,
                                      const Ledger& baseline);
 

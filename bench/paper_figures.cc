@@ -1,5 +1,6 @@
 // paper_figures — the paper's whole evaluation (§4: Figs. 3-16, Tables 1-3)
-// from the one cell table in paper_cells.h.
+// and the design ablations beyond it (abl_*) from the one cell table in
+// paper_cells.h.
 //
 //   paper_figures [FIGURE...] [--csv] [--json=PATH] [--markdown=PATH]
 //                 [--check=PATH]
@@ -10,9 +11,14 @@
 // with --csv). All outputs render from the run's ledger:
 //   --json=PATH      writes the ledger, one (figure, cell, metric) per line;
 //   --markdown=PATH  rewrites PATH's `<!-- paper_figures ID -->` blocks;
-//   --check=PATH     writes nothing and exits 1 unless every value is within
-//                    its metric's tolerance of the ledger at PATH (and, with
-//                    --markdown, PATH's blocks are that ledger's rendering).
+//   --check=PATH     writes nothing and exits 1 unless the run has exactly
+//                    the ledger's records of the selected figures, each
+//                    within its metric's tolerance of the ledger at PATH
+//                    (and, with --markdown, the doc has one block per figure
+//                    of the table and its blocks are that ledger's
+//                    rendering).
+// A doc block with no end marker, or naming no figure, is an error: the
+// doc is left as it is and the exit status is 1.
 //
 // Regenerate BENCH_paper.json and EXPERIMENTS.md's tables from the repo
 // root with:
@@ -24,6 +30,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "paper_cells.h"
@@ -114,9 +121,15 @@ int main(int argc, char** argv) {
     std::vector<std::string> problems = CheckLedger(ledger, *baseline);
     if (!markdown_path.empty()) {
       const std::string doc = ReadFile(markdown_path);
-      if (doc.empty() || RenderMarkdownBlocks(doc, *baseline) != doc) {
+      const auto rendered = RenderMarkdownBlocks(doc, *baseline);
+      if (!rendered.ok()) {
+        problems.push_back(markdown_path + ": " + rendered.status().message());
+      } else if (doc.empty() || *rendered != doc) {
         problems.push_back(markdown_path + ": generated blocks differ from " +
                            check_path);
+      }
+      for (const std::string& problem : CheckMarkdownBlocks(doc)) {
+        problems.push_back(markdown_path + ": " + problem);
       }
     }
     for (const std::string& problem : problems) {
@@ -125,6 +138,19 @@ int main(int argc, char** argv) {
     std::cerr << "check: " << ledger.size() << " values against "
               << check_path << ", " << problems.size() << " problems\n";
     return problems.empty() ? 0 : 1;
+  }
+  // Render the doc before writing anything, so a malformed doc leaves both
+  // files as they are.
+  std::string doc;
+  if (!markdown_path.empty()) {
+    doc = ReadFile(markdown_path);
+    auto rendered = RenderMarkdownBlocks(doc, ledger);
+    if (!rendered.ok()) {
+      std::cerr << "paper_figures: " << markdown_path << ": "
+                << rendered.status().message() << "\n";
+      return 1;
+    }
+    doc = std::move(rendered).value();
   }
   if (!json_path.empty()) {
     std::ofstream out(json_path, std::ios::binary);
@@ -135,10 +161,9 @@ int main(int argc, char** argv) {
     }
   }
   if (!markdown_path.empty()) {
-    const std::string doc = ReadFile(markdown_path);
     std::ofstream out;
     if (!doc.empty()) out.open(markdown_path, std::ios::binary);
-    out << RenderMarkdownBlocks(doc, ledger);
+    out << doc;
     if (!out) {
       std::cerr << "paper_figures: cannot rewrite " << markdown_path << "\n";
       return 1;

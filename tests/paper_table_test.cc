@@ -91,6 +91,11 @@ TEST(PaperTable, CellIdsAreOneToOneWithParams) {
   EXPECT_EQ(id("fig07a", "512 cores MemFS"),
             id("fig08a", "64 nodes MemFS_8"));
   EXPECT_EQ(id("fig13", "1024 cores"), id("fig15", "32 nodes"));
+  EXPECT_EQ(id("abl_distribution_envelope", "modulo"),
+            id("fig04b", "8 nodes MemFS"));
+  EXPECT_EQ(id("abl_replication", "1 replicas"),
+            id("abl_network_model", "FairShare"));
+  EXPECT_EQ(id("abl_bisection", "1:1 MemFS"), id("abl_substrate", "MemFS"));
 }
 
 TEST(PaperTable, LedgerRoundTripsThroughJson) {
@@ -111,6 +116,66 @@ TEST(PaperTable, LedgerRoundTripsThroughJson) {
   bench::Ledger drifted = ledger;
   drifted.begin()->second.value *= 1.02;
   EXPECT_EQ(bench::CheckLedger(drifted, ledger).size(), 1u);
+}
+
+// A record the ledger has for a figure the run measured, but the run no
+// longer produces, is a problem; records of figures the run did not select
+// are not.
+TEST(PaperTable, CheckLedgerReportsRecordsTheRunDropped) {
+  const bench::Figure& figure = bench::PaperFigures().front();
+  bench::CellResult result;
+  result.metrics = {{"write_MBps_node", 600}, {"read11_MBps_node", 700}};
+  bench::Ledger run;
+  bench::AddRecords(run, figure, figure.rows.front(), result);
+
+  bench::Ledger baseline = run;
+  baseline[{figure.id, "envelope/dropped", "write_MBps_node"}] = {};
+  baseline[{"unselected", "envelope/other", "write_MBps"}] = {};
+  const auto problems = bench::CheckLedger(run, baseline);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems.front().find("envelope/dropped"), std::string::npos)
+      << problems.front();
+}
+
+// A block with no end marker, or naming no figure, would swallow or keep
+// text the doc did not mean to; both are errors, not renderings.
+TEST(PaperTable, MalformedDocBlocksAreErrors) {
+  const bench::Ledger ledger;
+  const std::string good =
+      "intro\n<!-- paper_figures table2 -->\nold\n<!-- /paper_figures -->\n"
+      "## next section\n";
+  const auto rendered = bench::RenderMarkdownBlocks(good, ledger);
+  ASSERT_TRUE(rendered.ok()) << rendered.status();
+  EXPECT_EQ(*rendered, good);
+
+  for (const std::string doc :
+       {"<!-- paper_figures table2 -->\nold\n## next section\n",
+        "<!-- paper_figures table2 -->\n<!-- paper_figures fig06 -->\n"
+        "<!-- /paper_figures -->\n",
+        "<!-- paper_figures fig99 -->\n<!-- /paper_figures -->\n"}) {
+    EXPECT_FALSE(bench::RenderMarkdownBlocks(doc, ledger).ok()) << doc;
+  }
+}
+
+// Every figure of the table has exactly one generated block in the doc.
+TEST(PaperTable, CheckMarkdownBlocksWantsOneBlockPerFigure) {
+  const auto block = [](const std::string& id) {
+    return "<!-- paper_figures " + id + " -->\n<!-- /paper_figures -->\n";
+  };
+  const auto& figures = bench::PaperFigures();
+  std::string doc;
+  for (const bench::Figure& figure : figures) doc += block(figure.id);
+  EXPECT_TRUE(bench::CheckMarkdownBlocks(doc).empty());
+
+  // The first figure twice, the last not at all.
+  doc = block(figures.front().id);
+  for (std::size_t i = 0; i + 1 < figures.size(); ++i) {
+    doc += block(figures[i].id);
+  }
+  const auto problems = bench::CheckMarkdownBlocks(doc);
+  ASSERT_EQ(problems.size(), 2u);
+  EXPECT_EQ(problems.front(), figures.front().id + ": 2 doc blocks, want 1");
+  EXPECT_EQ(problems.back(), figures.back().id + ": 0 doc blocks, want 1");
 }
 
 // A failed run records its status, and every rendering shows that status

@@ -9,8 +9,11 @@
 #      the paper-ledger doc and drift checks; the BENCH_elastic.json
 #      reproduction; the benchmark smoke),
 #   3. re-run a cheap subset of the paper figures (fig03a, fig03b, table1)
-#      and compare it with the committed BENCH_paper.json within each
-#      metric's tolerance (bench/paper_cells.cc),
+#      and of the design ablations (substrate, transport, prefetch,
+#      replication, network model, distribution; under 1 s together) and
+#      compare it with the committed BENCH_paper.json within each metric's
+#      tolerance (bench/paper_cells.cc), failing also on a ledger record of
+#      those figures that the run no longer produces,
 #   4. re-run the fig08 simulator speed gate against BENCH_scale.json
 #      (wall-clock, sim_events, heap allocations and the frame pool's peak
 #      held bytes of the 64-node point),
@@ -42,9 +45,10 @@ ctest --test-dir "$root/build" --output-on-failure
 # Paper-ledger gate: the figures re-run here must reproduce the committed
 # ledger (regenerate it with paper_figures --json=BENCH_paper.json
 # --markdown=EXPERIMENTS.md when a change moves them on purpose).
-echo "== paper ledger: fig03a fig03b table1 vs BENCH_paper.json =="
+echo "== paper ledger: fig03a fig03b table1 and cheap abl_* vs BENCH_paper.json =="
 "$root/build/bench/paper_figures" --check="$root/BENCH_paper.json" \
-  fig03a fig03b table1 > /dev/null
+  fig03a fig03b table1 abl_substrate abl_transport abl_prefetch \
+  abl_replication abl_network_model abl_distribution > /dev/null
 
 # Simulator speed gate: re-run the fig08 64-node point and compare it with
 # the committed BENCH_scale.json trajectory; fails when its wall-clock is
