@@ -10,6 +10,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/metrics.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/units.h"
@@ -19,7 +20,10 @@
 #include "mtc/runner.h"
 #include "mtc/scheduler.h"
 #include "net/network.h"
+#include "sim/fault.h"
+#include "sim/task.h"
 #include "workloads/blast.h"
+#include "workloads/chaos.h"
 #include "workloads/envelope.h"
 #include "workloads/montage.h"
 
@@ -102,6 +106,8 @@ fs::MemFsConfig MemFsKnobs(const CellParams& p) {
   }
   config.use_ketama = p.use_ketama;
   config.hash_kind = p.hash;
+  config.metadata = p.metadata;
+  if (p.dir_shards != 0) config.meta.dir_shards = p.dir_shards;
   return config;
 }
 
@@ -362,6 +368,447 @@ void RunInventory(const CellParams& p, CellResult& out) {
   out.metrics["max_file_MB"] = static_cast<double>(largest) / 1e6;
 }
 
+// --- chaos cells: the round trip of src/workloads/chaos.h ---------------
+
+// `files` per node, written round robin from every node.
+workloads::Wave ChaosWave(const CellParams& p, sim::SimTime spacing,
+                          std::string prefix, std::uint64_t seed_base) {
+  return {p.files * p.nodes, p.file_size, spacing, std::move(prefix),
+          seed_base, p.nodes};
+}
+
+std::vector<sim::FaultEvent> FaultSchedule(const CellParams& p) {
+  if (p.faults == Faults::kScripted) return workloads::ScriptedChaosSchedule();
+  if (p.faults != Faults::kGenerated) return {};
+  sim::FaultScheduleConfig generated;
+  generated.seed = 1;
+  generated.servers = generated.nodes = p.nodes;
+  generated.horizon = units::Millis(90);
+  generated.crashes = 3;
+  generated.slow_episodes = 2;
+  generated.link_faults = 2;
+  return sim::GenerateFaultSchedule(generated);
+}
+
+// One wave under the cell's fault schedule, then read back; the write span
+// runs from the start, the verify span from its end. A migration-victim
+// cell instead writes 1 ms apart while a standby node joins at 4 ms, and
+// the victim (a source server, or the joiner itself when victim == nodes)
+// crashes at 5 ms, right after the first handoff sweep begins, and restarts
+// with its data at 13 ms. The resumed sweeps must be idempotent over what
+// the crashed attempt copied; a join that does not commit fails the cell.
+void RunFaultChaos(const CellParams& p, CellResult& out) {
+  const bool join = p.migration_victim.has_value();
+  workloads::TestbedConfig config = BedConfig(p);
+  config.kv_policy = workloads::ChaosPolicy();
+  config.standby_nodes = join ? 1 : 0;
+  config.elastic = join;
+  workloads::Testbed bed(p.fs, config);
+  sim::Simulation& sim = bed.simulation();
+  sim::FaultInjector injector(sim, bed.fault_hooks());
+  injector.ScheduleAll(FaultSchedule(p));
+
+  const workloads::Wave wave =
+      join ? ChaosWave(p, units::Millis(1), "/mig_", 3000)
+           : ChaosWave(p, units::Millis(3), "/chaos_", 1000);
+  workloads::WaveResult files;
+  workloads::LaunchWave(sim, bed.vfs(), wave, files);
+  workloads::TransitionReport report;
+  if (join) {
+    workloads::RunTransitions(sim, *bed.membership(), *bed.migrator(),
+                              {{workloads::Transition::kJoin, p.nodes,
+                                units::Millis(4), units::Millis(1)}},
+                              report);
+    injector.Schedule({.kind = sim::FaultKind::kServerCrash,
+                       .start = units::Millis(5), .duration = units::Millis(8),
+                       .server = *p.migration_victim});
+  }
+  sim.Run();
+  const sim::SimTime write_end = sim.now();
+  workloads::VerifyWave(bed.vfs(), wave, files);
+  sim.Run();
+
+  const kv::KvClusterStats& kv = bed.storage()->stats();
+  const fs::MemFsStats& memfs = bed.memfs()->stats();
+  auto& m = out.metrics;
+  m["files"] = wave.files;
+  m["writes_ok"] = files.writes_ok();
+  m["reads_intact"] = files.Count(workloads::Verdict::kIntact);
+  m["write_span_ms"] = static_cast<double>(write_end) / 1e6;
+  m["verify_span_ms"] = static_cast<double>(sim.now() - write_end) / 1e6;
+  m["retries"] = static_cast<double>(kv.retries);
+  m["deadline_exceeded"] = static_cast<double>(kv.deadline_exceeded);
+  m["breaker_opens"] = static_cast<double>(kv.breaker_opens);
+  m["fast_fails"] = static_cast<double>(kv.breaker_fast_fails);
+  m["degraded_writes"] = static_cast<double>(memfs.degraded_writes);
+  m["failover_reads"] = static_cast<double>(memfs.replica_failovers);
+  m["failover_writes"] = static_cast<double>(memfs.write_failovers);
+  m["read_repairs"] = static_cast<double>(memfs.read_repairs);
+  m["dropped_msgs"] = static_cast<double>(bed.network().dropped_messages());
+  m["fault_events"] = static_cast<double>(injector.stats().total_events());
+  if (!join) return;
+  if (!report.committed()) {
+    out.status = status::Unavailable("the join of node " +
+                                     std::to_string(p.nodes) +
+                                     " did not commit");
+  }
+  const kv::MigratorProgress& progress = bed.migrator()->progress();
+  m["failed_chunks"] = static_cast<double>(progress.failed_chunks);
+  m["join_keys_moved"] = static_cast<double>(progress.keys_moved);
+  m["join_makespan_ms"] = static_cast<double>(report.steps[0].makespan) / 1e6;
+}
+
+// Envelope writes, then server 3 dies with no fault schedule and every file
+// is read back in turn. A read that finds the dead server without a replica
+// loses the file, so the cell counts readable files, not a failed status.
+void RunSurvival(const CellParams& p, CellResult& out) {
+  workloads::Testbed bed(p.fs, BedConfig(p));
+  workloads::EnvelopeBench bench(bed.simulation(), bed.vfs(), EnvelopeOf(p),
+                                 bed.amfs());
+  out.status = bench.RunWrite().status;
+  bed.storage()->SetServerDown(3, true);
+
+  std::uint32_t readable = 0;
+  for (std::uint32_t node = 0; node < p.nodes; ++node) {
+    for (std::uint32_t proc = 0; proc < p.procs; ++proc) {
+      for (std::uint32_t f = 0; f < p.files; ++f) {
+        const std::string path = "/env/d_n" + std::to_string(node) + "_p" +
+                                 std::to_string(proc) + "_f" +
+                                 std::to_string(f);
+        workloads::Verdict verdict = workloads::Verdict::kUnread;
+        workloads::VerifyChaosFile(bed.vfs(), nullptr, 0, path, p.file_size,
+                                   mtc::FileSeed(path), verdict);
+        bed.simulation().Run();
+        readable += verdict == workloads::Verdict::kIntact;
+      }
+    }
+  }
+  out.metrics["files"] = p.nodes * p.procs * p.files;
+  out.metrics["readable"] = readable;
+  out.metrics["failover_reads"] =
+      static_cast<double>(bed.memfs()->stats().replica_failovers);
+}
+
+// Max over mean: 1 when the values are equal, 0 when they sum to 0.
+double MaxOverMean(const std::vector<double>& values) {
+  double max = 0;
+  double sum = 0;
+  for (const double value : values) {
+    max = std::max(max, value);
+    sum += value;
+  }
+  return sum > 0 ? max / (sum / static_cast<double>(values.size())) : 0.0;
+}
+
+// A corpus wave, then a standby node joins under a second wave and server 2
+// drains under a third; every file of every wave is read back at the end.
+// The epoch-pin arm grows by a ring epoch and "drains" by marking the server
+// left, so no data moves either way. A migrate-arm transition that does not
+// commit fails the cell.
+void RunElastic(const CellParams& p, CellResult& out) {
+  constexpr std::uint32_t kDrained = 2;
+  const bool migrate = p.elastic == ElasticArm::kMigrate;
+  const std::uint32_t joiner = p.nodes;
+  workloads::TestbedConfig config = BedConfig(p);
+  config.standby_nodes = 1;
+  config.elastic = migrate;
+  workloads::Testbed bed(p.fs, config);
+  sim::Simulation& sim = bed.simulation();
+
+  std::vector<std::uint8_t> live(p.nodes + 1, 1);
+  live[joiner] = 0;  // standby: empty until it joins
+  // The balance of kv memory across the live servers.
+  const auto skew = [&bed, &live] {
+    const kv::KvCluster& storage = *bed.storage();
+    std::vector<double> used;
+    for (std::uint32_t s = 0; s < storage.server_count(); ++s) {
+      if (s >= live.size() || live[s] != 0) {
+        used.push_back(static_cast<double>(storage.server(s).memory_used()));
+      }
+    }
+    return MaxOverMean(used);
+  };
+  std::vector<workloads::Wave> waves;
+  for (std::uint64_t w = 0; w < 3; ++w) {
+    waves.push_back(ChaosWave(p, units::Millis(1),
+                              "/w" + std::to_string(w) + "_", 1000 * w));
+  }
+  workloads::WaveResult files[3];
+  auto& m = out.metrics;
+
+  workloads::LaunchWave(sim, bed.vfs(), waves[0], files[0]);
+  sim.Run();
+  m["corpus_skew"] = skew();
+
+  // One transition while `wave` is in flight, driven to completion.
+  const auto transition = [&](std::string_view phase, int wave,
+                              workloads::Transition kind,
+                              std::uint32_t server) {
+    const std::string at = std::string(phase) + "_";
+    const kv::MigratorProgress before =
+        migrate ? bed.migrator()->progress() : kv::MigratorProgress{};
+    workloads::LaunchWave(sim, bed.vfs(), waves[wave], files[wave]);
+    workloads::TransitionReport report;
+    if (migrate) {
+      workloads::RunTransitions(sim, *bed.membership(), *bed.migrator(),
+                                {{kind, server, units::Millis(4)}}, report);
+    } else if (kind == workloads::Transition::kJoin) {
+      (void)bed.memfs()->AddStorageServer(server);
+    } else {
+      bed.storage()->SetServerLeft(server);
+    }
+    sim.Run();
+    if (migrate && !report.committed() && out.status.ok()) {
+      out.status = status::Unavailable(std::string(phase) + " of server " +
+                                       std::to_string(server) +
+                                       " did not commit");
+    }
+    const kv::MigratorProgress after =
+        migrate ? bed.migrator()->progress() : kv::MigratorProgress{};
+    live[server] = kind == workloads::Transition::kJoin;
+    m[at + "makespan_ms"] =
+        migrate ? static_cast<double>(report.steps[0].makespan) / 1e6 : 0.0;
+    m[at + "MiB_moved"] =
+        static_cast<double>(after.bytes_moved - before.bytes_moved) /
+        static_cast<double>(MiB(1));
+    m[at + "keys_moved"] =
+        static_cast<double>(after.keys_moved - before.keys_moved);
+    m[at + "skew"] = skew();
+    m[at + "writes_ok"] = files[wave].writes_ok();
+  };
+  transition("join", 1, workloads::Transition::kJoin, joiner);
+  transition("drain", 2, workloads::Transition::kDrain, kDrained);
+
+  for (int w = 0; w < 3; ++w) {
+    workloads::VerifyWave(bed.vfs(), waves[w], files[w]);
+  }
+  sim.Run();
+  double intact = 0;
+  double permanent = 0;
+  for (const workloads::WaveResult& wave : files) {
+    intact += wave.Count(workloads::Verdict::kIntact);
+    permanent += wave.Count(workloads::Verdict::kUnavailablePermanent);
+  }
+  m["files"] = 3.0 * waves[0].files;
+  m["reads_intact"] = intact;
+  m["permanent_fails"] = permanent;
+}
+
+void RunChaos(const CellParams& p, CellResult& out) {
+  if (p.elastic != ElasticArm::kNone) {
+    RunElastic(p, out);
+  } else if (p.faults == Faults::kKillServer) {
+    RunSurvival(p, out);
+  } else {
+    RunFaultChaos(p, out);
+  }
+}
+
+// --- namespace cells: the mdtest-style sweep beyond Fig. 6 ---------------
+
+constexpr std::uint32_t kPageLimit = 256;
+
+// A listing entry's and a listing response's serialized size, as the wire
+// accounting charges them: a fixed attr overhead plus the name.
+std::uint64_t EntryWireBytes(const fs::FileInfo& info) {
+  return info.name.size() + 16;
+}
+
+// One phase's ops: how many succeeded; the cell keeps the first failure.
+struct PhaseOps {
+  std::uint32_t ok = 0;
+  Status& failed;
+  void Note(const Status& status) {
+    if (status.ok()) {
+      ++ok;
+    } else if (failed.ok()) {
+      failed = status;
+    }
+  }
+};
+
+// mdtest's loop: process `proc` of `procs` takes every procs-th path in
+// turn, one op at a time. The sweep runs one process per node in parallel.
+enum class SweepOp : std::uint8_t { kMkdir, kCreate, kStat, kUnlink };
+
+sim::Task RunSweepProc(fs::Vfs& vfs, SweepOp op,
+                       const std::vector<std::string>& paths,
+                       std::uint32_t proc, std::uint32_t procs,
+                       PhaseOps& ops) {
+  const fs::VfsContext ctx{proc, 0};
+  for (std::size_t i = proc; i < paths.size(); i += procs) {
+    if (op == SweepOp::kMkdir) {
+      ops.Note(co_await vfs.Mkdir(ctx, paths[i]));
+    } else if (op == SweepOp::kStat) {
+      ops.Note((co_await vfs.Stat(ctx, paths[i])).status());
+    } else if (op == SweepOp::kUnlink) {
+      ops.Note(co_await vfs.Unlink(ctx, paths[i]));
+    } else if (auto handle = co_await vfs.Create(ctx, paths[i]);
+               !handle.ok()) {
+      ops.Note(handle.status());
+    } else {
+      ops.Note(co_await vfs.Close(ctx, handle.value()));
+    }
+  }
+}
+
+// What listings saw: entries, responses, the largest single response, and
+// the one response that would have carried every entry.
+struct Listing {
+  std::uint64_t entries = 0;
+  std::uint64_t responses = 0;
+  std::uint64_t max_rpc = 0;
+  std::uint64_t one_get = 16;
+};
+
+// Lists `dir` in bounded pages under sharded metadata, or as the whole
+// directory log in one GET under append_log.
+sim::Task RunListDir(fs::Vfs& vfs, std::string dir, std::uint32_t node,
+                     bool paged, Listing& out, PhaseOps& ops) {
+  const fs::VfsContext ctx{node, 0};
+  fs::DirCursor cursor;
+  for (bool more = true; more;) {
+    std::vector<fs::FileInfo> entries;
+    if (paged) {
+      auto page = co_await vfs.ReadDirPage(ctx, dir, cursor, kPageLimit);
+      ops.Note(page.status());
+      if (!page.ok()) co_return;
+      entries = std::move(page->entries);
+      cursor = page->next;
+      more = page->more;
+    } else {
+      auto listing = co_await vfs.ReadDir(ctx, dir);
+      ops.Note(listing.status());
+      if (!listing.ok()) co_return;
+      entries = std::move(listing).value();
+      more = false;
+    }
+    std::uint64_t rpc = 16;
+    for (const fs::FileInfo& info : entries) rpc += EntryWireBytes(info);
+    out.max_rpc = std::max(out.max_rpc, rpc);
+    out.one_get += rpc - 16;
+    out.entries += entries.size();
+    ++out.responses;
+  }
+}
+
+// mkdir, then create, stat, list and unlink `files` entries per node in one
+// hot directory or spread over 64; each phase's rate counts its successful
+// ops over its simulated seconds. Any failed op fails the cell.
+void RunSweep(const CellParams& p, CellResult& out) {
+  MetricsRegistry metrics;
+  workloads::TestbedConfig config = BedConfig(p);
+  config.metrics = &metrics;
+  workloads::Testbed bed(p.fs, config);
+  sim::Simulation& sim = bed.simulation();
+  fs::Vfs& vfs = bed.vfs();
+  const bool sharded = p.metadata == meta::MetadataMode::kSharded;
+
+  std::vector<std::string> dirs;
+  if (p.dir_shape == DirShape::kHot) {
+    dirs.push_back("/hot");
+  } else {
+    for (std::uint32_t d = 0; d < 64; ++d) {
+      dirs.push_back("/d" + std::to_string(d));
+    }
+  }
+  const std::uint32_t total = p.files * p.nodes;
+  std::vector<std::string> paths;
+  paths.reserve(total);
+  for (std::uint32_t i = 0; i < total; ++i) {
+    paths.push_back(dirs[i % dirs.size()] + "/f" + std::to_string(i));
+  }
+
+  PhaseOps mkdirs{0, out.status};
+  RunSweepProc(vfs, SweepOp::kMkdir, dirs, 0, 1, mkdirs);
+  sim.Run();
+  // Runs `fire`'s ops to completion and returns their simulated seconds.
+  const auto phase = [&sim](auto&& fire) {
+    const sim::SimTime start = sim.now();
+    fire();
+    sim.Run();
+    return units::ToSeconds(sim.now() - start);
+  };
+  const auto sweep = [&](SweepOp op) {
+    PhaseOps ops{0, out.status};
+    const double secs = phase([&] {
+      for (std::uint32_t proc = 0; proc < p.nodes; ++proc) {
+        RunSweepProc(vfs, op, paths, proc, p.nodes, ops);
+      }
+    });
+    return secs > 0 ? ops.ok / secs : 0;
+  };
+
+  auto& m = out.metrics;
+  m["create_ops"] = sweep(SweepOp::kCreate);
+  if (sharded) {
+    // A hot directory's balance across token ranges, from the per-shard
+    // dentry gauges the metadata client keeps.
+    std::vector<double> dentries;
+    for (std::uint32_t s = 0; s < bed.config().memfs.meta.dir_shards; ++s) {
+      dentries.push_back(static_cast<double>(
+          metrics.GaugeValue(InstanceGaugeName("meta.dentries", s))));
+    }
+    m["dentry_skew"] = MaxOverMean(dentries);
+  }
+  m["stat_ops"] = sweep(SweepOp::kStat);
+
+  PhaseOps lists{0, out.status};
+  Listing listing;
+  const double secs = phase([&] {
+    for (std::size_t d = 0; d < dirs.size(); ++d) {
+      RunListDir(vfs, dirs[d], static_cast<std::uint32_t>(d) % p.nodes,
+                 sharded, listing, lists);
+    }
+  });
+  if (listing.entries < total) {
+    lists.Note(status::NotFound("listed " + std::to_string(listing.entries) +
+                                " of " + std::to_string(total) + " entries"));
+  }
+  m["readdir_ent_s"] =
+      secs > 0 ? static_cast<double>(listing.entries) / secs : 0;
+  m["max_list_rpc_B"] = static_cast<double>(listing.max_rpc);
+  m["unlink_ops"] = sweep(SweepOp::kUnlink);
+}
+
+// A `bulk_entries` directory bulk-loaded into sharded metadata, paged
+// through on node 0, then the stat of the entry in its middle. The
+// append-log arm would ship the whole directory in one GET (the one-GET
+// equivalent); the wire bytes are the paging's alone.
+void RunBigDir(const CellParams& p, CellResult& out) {
+  workloads::Testbed bed(p.fs, BedConfig(p));
+  bed.memfs()->BulkLoadDirectory("/big", "f", p.bulk_entries);
+  sim::Simulation& sim = bed.simulation();
+  const sim::SimTime start = sim.now();
+  const std::uint64_t wire_before = bed.network().total_bytes();
+  Listing listing;
+  PhaseOps ops{0, out.status};
+  RunListDir(bed.vfs(), "/big", 0, /*paged=*/true, listing, ops);
+  sim.Run();
+  const std::uint64_t wire = bed.network().total_bytes() - wire_before;
+  const std::vector<std::string> middle = {
+      "/big/f" + std::to_string(p.bulk_entries / 2)};
+  RunSweepProc(bed.vfs(), SweepOp::kStat, middle, 0, 1, ops);
+  sim.Run();
+  const double secs = units::ToSeconds(sim.now() - start);
+  auto& m = out.metrics;
+  m["entries_listed"] = static_cast<double>(listing.entries);
+  m["pages"] = static_cast<double>(listing.responses);
+  m["max_list_rpc_B"] = static_cast<double>(listing.max_rpc);
+  m["one_get_B"] = static_cast<double>(listing.one_get);
+  m["list_wire_B"] = static_cast<double>(wire);
+  m["readdir_ent_s"] =
+      secs > 0 ? static_cast<double>(listing.entries) / secs : 0;
+}
+
+void RunNamespace(const CellParams& p, CellResult& out) {
+  if (p.bulk_entries != 0) {
+    RunBigDir(p, out);
+  } else {
+    RunSweep(p, out);
+  }
+}
+
 std::string Size(std::uint64_t bytes) {
   if (bytes % MiB(1) == 0) return std::to_string(bytes / MiB(1)) + "MiB";
   if (bytes % KiB(1) == 0) return std::to_string(bytes / KiB(1)) + "KiB";
@@ -420,6 +867,46 @@ constexpr MetricSpec kMetrics[] = {
     {"write_wire_MB", "write wire MB", 1, 0.01},
     {"key_cv", "key balance cv", 3, 0.001},
     {"remap_pct", "remapped % (+1 server)", 1, 0.001},
+    // Counts are exact: a run that loses one file, read, entry or retry is
+    // a different run.
+    {"files", "files", 0, 0},
+    {"writes_ok", "writes ok", 0, 0},
+    {"reads_intact", "reads intact", 0, 0},
+    {"write_span_ms", "write span ms", 2, 0.01},
+    {"verify_span_ms", "verify span ms", 2, 0.01},
+    {"retries", "retries", 0, 0},
+    {"deadline_exceeded", "deadline exc", 0, 0},
+    {"breaker_opens", "breaker opens", 0, 0},
+    {"fast_fails", "fast fails", 0, 0},
+    {"degraded_writes", "degraded wr", 0, 0},
+    {"failover_reads", "failover rd", 0, 0},
+    {"failover_writes", "failover wr", 0, 0},
+    {"read_repairs", "read repairs", 0, 0},
+    {"dropped_msgs", "dropped msgs", 0, 0},
+    {"fault_events", "fault events", 0, 0},
+    {"failed_chunks", "failed chunks", 0, 0},
+    {"readable", "files readable", 0, 0},
+    {"corpus_skew", "corpus skew", 3, 0.01},
+    {"join_makespan_ms", "join makespan ms", 2, 0.01},
+    {"join_MiB_moved", "join MiB moved", 1, 0.01},
+    {"join_keys_moved", "join keys moved", 0, 0},
+    {"join_skew", "skew after join", 3, 0.01},
+    {"join_writes_ok", "wave writes ok", 0, 0},
+    {"drain_makespan_ms", "drain makespan ms", 2, 0.01},
+    {"drain_MiB_moved", "drain MiB moved", 1, 0.01},
+    {"drain_keys_moved", "drain keys moved", 0, 0},
+    {"drain_skew", "skew after drain", 3, 0.01},
+    {"drain_writes_ok", "wave writes ok", 0, 0},
+    {"permanent_fails", "permanent fails", 0, 0},
+    {"stat_ops", "stat op/s", 0, 0.01},
+    {"readdir_ent_s", "readdir entries/s", 0, 0.01},
+    {"unlink_ops", "unlink op/s", 0, 0.01},
+    {"max_list_rpc_B", "max list RPC B", 0, 0},
+    {"dentry_skew", "dentry skew", 3, 0.01},
+    {"entries_listed", "entries listed", 0, 0},
+    {"pages", "pages", 0, 0},
+    {"one_get_B", "one-GET equiv B", 0, 0},
+    {"list_wire_B", "paging wire B", 0, 0},
 };
 
 std::string Label(std::uint32_t count, std::string_view unit,
@@ -856,6 +1343,121 @@ std::vector<Figure> BuildFigures() {
     c.use_ketama = ketama;
     row(ketama ? "ketama" : "modulo", c);
   }
+
+  // §3.2.5's replication under faults: the chaos round trip
+  // (src/workloads/chaos.h) of 4 x 1 MiB files per node on 8 servers with
+  // replication 2 and a 20 ms op deadline, healthy and under two schedules.
+  CellParams chaos;
+  chaos.kind = CellKind::kChaos;
+  chaos.files = 4;
+  chaos.file_size = MiB(1);
+  chaos.replication = 2;
+  const Metrics recovery = {"retries",         "deadline_exceeded",
+                            "breaker_opens",   "fast_fails",
+                            "degraded_writes", "failover_reads",
+                            "failover_writes", "read_repairs",
+                            "dropped_msgs",    "fault_events"};
+  for (const bool counters : {false, true}) {
+    if (counters) {
+      add("abl_faults_recovery", "Ablation: fault handling and recovery "
+          "activity of the same runs", recovery);
+    } else {
+      add("abl_faults", "Ablation: chaos round trip, 32 x 1 MiB files on 8 "
+          "servers, replication 2, 20 ms op deadline",
+          {"files", "writes_ok", "reads_intact", "write_span_ms",
+           "verify_span_ms"});
+    }
+    for (auto [faults, label] :
+         {std::pair{Faults::kNone, "healthy"},
+          std::pair{Faults::kScripted, "scripted faults"},
+          std::pair{Faults::kGenerated, "generated seed=1"}}) {
+      CellParams c = chaos;
+      c.faults = faults;
+      row(label, c);
+    }
+  }
+  add("abl_migration_chaos", "Ablation: a standby joins mid-wave; one end of "
+      "the handoff crashes at 5 ms and restarts at 13 ms",
+      {"files", "writes_ok", "reads_intact", "failed_chunks",
+       "join_keys_moved", "join_makespan_ms"});
+  for (auto [victim, label] :
+       {std::pair{0u, "source (server 0)"},
+        std::pair{chaos.nodes, "destination (joiner)"}}) {
+    CellParams c = chaos;
+    c.use_ketama = true;
+    c.migration_victim = victim;
+    row(label, c);
+  }
+  add("abl_survival", "Ablation: 1 of 16 servers killed after a write of "
+      "4 x 1 MiB files per node; files still fully readable",
+      {"files", "readable", "failover_reads"});
+  for (std::uint32_t replicas : {1, 2}) {
+    CellParams c = Envelope(kMem, 16, MiB(1), 4, 0, 0);
+    c.kind = CellKind::kChaos;
+    c.faults = Faults::kKillServer;
+    c.replication = replicas;
+    row(Label(replicas, "replicas"), c);
+  }
+
+  // §5's runtime scale-out, and the scale-in it does not discuss: three
+  // waves of 3 x 1 MiB files per node on 8 ketama servers; a standby joins
+  // under the second and server 2 drains under the third.
+  CellParams elastic;
+  elastic.kind = CellKind::kChaos;
+  elastic.files = 3;
+  elastic.file_size = MiB(1);
+  elastic.use_ketama = true;
+  add("abl_elastic", "Ablation: elastic scale-out under a 24-file wave, "
+      "epoch pinning vs live migration (8 servers + 1 standby)",
+      {"corpus_skew", "join_makespan_ms", "join_MiB_moved", "join_keys_moved",
+       "join_skew", "join_writes_ok"});
+  add("abl_elastic_drain", "Ablation: elastic scale-in (server 2 drains) "
+      "under a second 24-file wave",
+      {"drain_makespan_ms", "drain_MiB_moved", "drain_keys_moved",
+       "drain_skew", "drain_writes_ok"});
+  add("abl_elastic_verify", "Ablation: every file of the three waves read "
+      "back after both transitions",
+      {"files", "reads_intact", "permanent_fails"});
+  for (std::size_t fig = figs.size() - 3; fig < figs.size(); ++fig) {
+    for (auto [arm, label] : {std::pair{ElasticArm::kEpochPin, "epoch-pin"},
+                              std::pair{ElasticArm::kMigrate, "migrate"}}) {
+      CellParams c = elastic;
+      c.elastic = arm;
+      figs[fig].rows.push_back({label, c, {}});
+    }
+  }
+
+  // Beyond Fig. 6: an mdtest-style sweep of 512 entries per node on 8
+  // nodes, the paper's append-log directories vs the token-range-sharded
+  // metadata service (src/meta).
+  add("abl_metadata_sweep", "Ablation: mdtest-style namespace sweep, 4096 "
+      "entries on 8 nodes in 1 (hot-dir) or 64 (many-dir) directories",
+      {"create_ops", "stat_ops", "readdir_ent_s", "unlink_ops",
+       "max_list_rpc_B", "dentry_skew"});
+  for (const DirShape shape : {DirShape::kHot, DirShape::kMany}) {
+    for (const meta::MetadataMode mode :
+         {meta::MetadataMode::kAppendLog, meta::MetadataMode::kSharded}) {
+      CellParams c;
+      c.kind = CellKind::kNamespace;
+      c.files = 512;
+      c.metadata = mode;
+      c.dir_shape = shape;
+      row(std::string(shape == DirShape::kHot ? "hot-dir " : "many-dir ") +
+              (mode == meta::MetadataMode::kSharded ? "sharded"
+                                                    : "append_log"),
+          c);
+    }
+  }
+  add("abl_metadata_bigdir", "Ablation: a bulk-loaded million-entry "
+      "directory (sharded, 64 shards) paged at 256 entries per response",
+      {"entries_listed", "pages", "max_list_rpc_B", "one_get_B", "list_wire_B",
+       "readdir_ent_s"});
+  CellParams big;
+  big.kind = CellKind::kNamespace;
+  big.metadata = meta::MetadataMode::kSharded;
+  big.bulk_entries = 1000000;
+  big.dir_shards = 64;
+  row("1000000 entries", big);
   return figs;
 }
 
@@ -980,7 +1582,8 @@ std::optional<std::string> BlockId(const std::string& line) {
 
 std::string CellId(const CellParams& p) {
   static constexpr std::string_view kKinds[] = {
-      "envelope", "workflow", "wire", "inventory", "distribution"};
+      "envelope",     "workflow", "wire",     "inventory",
+      "distribution", "chaos",    "namespace"};
   static constexpr std::string_view kWorkloads[] = {
       "",         "montage6",  "montage12",   "montage16",
       "blast512", "blast1024", "montage6io", "montage6small"};
@@ -997,7 +1600,11 @@ std::string CellId(const CellParams& p) {
   }
   id << '/' << workloads::ToString(p.fs) << '/' << workloads::ToString(p.fabric)
      << "/n" << p.nodes << 'x' << p.procs;
-  if (p.file_size != 0) id << "/files=" << p.files << 'x' << Size(p.file_size);
+  if (p.file_size != 0) {
+    id << "/files=" << p.files << 'x' << Size(p.file_size);
+  } else if (p.files != 0) {
+    id << "/files=" << p.files;
+  }
   if (p.io_block != 0) id << "/block=" << Size(p.io_block);
   if (p.meta_files != 0) id << "/meta=" << p.meta_files;
   if (p.remote_read) id << "/remote";
@@ -1020,6 +1627,19 @@ std::string CellId(const CellParams& p) {
   if (p.fabric_bandwidth != 0) id << "/core=" << p.fabric_bandwidth << "Bps";
   if (p.net_model == workloads::NetModel::kWaterfill) id << "/waterfill";
   if (!p.amfs_shell_jobs) id << "/no_shell_jobs";
+  static constexpr std::string_view kFaults[] = {"", "scripted", "generated",
+                                                 "kill_server"};
+  if (p.faults != Faults::kNone) {
+    id << "/faults=" << kFaults[static_cast<int>(p.faults)];
+  }
+  if (p.migration_victim) id << "/victim=" << *p.migration_victim;
+  if (p.elastic != ElasticArm::kNone) {
+    id << (p.elastic == ElasticArm::kMigrate ? "/migrate" : "/epoch_pin");
+  }
+  if (p.metadata == meta::MetadataMode::kSharded) id << "/sharded";
+  if (p.dir_shape == DirShape::kMany) id << "/many_dirs";
+  if (p.bulk_entries != 0) id << "/bulk=" << p.bulk_entries;
+  if (p.dir_shards != 0) id << "/dir_shards=" << p.dir_shards;
   return id.str();
 }
 
@@ -1041,6 +1661,8 @@ CellResult RunCell(const CellParams& params, const mtc::Workflow* workflow) {
     case CellKind::kWire: RunWire(params, result); break;
     case CellKind::kInventory: RunInventory(params, result); break;
     case CellKind::kDistribution: RunDistribution(params, result); break;
+    case CellKind::kChaos: RunChaos(params, result); break;
+    case CellKind::kNamespace: RunNamespace(params, result); break;
   }
   return result;
 }

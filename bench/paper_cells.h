@@ -37,6 +37,8 @@ enum class CellKind : std::uint8_t {
   kWire,          // Fig. 16's application-vs-wire bandwidth probe
   kInventory,     // Table 2: generator volumes at full scale, no simulation
   kDistribution,  // stripe-key placement on `nodes` servers, no simulation
+  kChaos,         // a write-then-verify round trip under faults or a join
+  kNamespace,     // an mdtest-style namespace sweep or a bulk-loaded listing
 };
 
 // The workflows of §4.2 at the scale-downs the figures use (inventory cells
@@ -52,6 +54,23 @@ enum class Workload : std::uint8_t {
   kMontage6Io,     // little CPU per task, so the fabric decides
   kMontage6Small,  // small enough for the disk-backed DiskPFS
 };
+
+// What a chaos cell does to its servers (§3.2.5's replication under faults).
+enum class Faults : std::uint8_t {
+  kNone,
+  kScripted,    // workloads::ScriptedChaosSchedule()
+  kGenerated,   // three crashes, two slowdowns and two lossy links, seed 1
+  kKillServer,  // server 3 dies after an envelope write; every file is re-read
+};
+
+// §5's runtime scale-out: grow by a standby node, then drain server 2.
+enum class ElasticArm : std::uint8_t {
+  kNone,
+  kEpochPin,  // ring epochs: no data moves, draining strands its stripes
+  kMigrate,   // kv::Membership + kv::Migrator live rebalancing
+};
+
+enum class DirShape : std::uint8_t { kHot, kMany };  // 1 or 64 directories
 
 struct CellParams {
   CellKind kind = CellKind::kEnvelope;
@@ -82,6 +101,15 @@ struct CellParams {
   std::uint64_t fabric_bandwidth = 0;  // core capacity, 0 = full bisection
   workloads::NetModel net_model = workloads::NetModel::kFairShare;
   bool amfs_shell_jobs = true;    // AMFS data phases pay the Shell job cost
+  // Chaos cells: `files` per node of `file_size` bytes.
+  Faults faults = Faults::kNone;
+  std::optional<std::uint32_t> migration_victim;  // crashes mid-join
+  ElasticArm elastic = ElasticArm::kNone;
+  // Namespace cells: `files` entries per node.
+  meta::MetadataMode metadata = meta::MetadataMode::kAppendLog;
+  DirShape dir_shape = DirShape::kHot;
+  std::uint64_t bulk_entries = 0;  // > 0: page through one bulk-loaded dir
+  std::uint32_t dir_shards = 0;    // 0 = the MetaConfig default
 
   bool operator==(const CellParams&) const = default;
 };

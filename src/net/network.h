@@ -14,7 +14,7 @@
 //    monotone; captures NIC saturation and N-1 incast.
 //  * WaterfillNetwork — exact global max-min fairness via water-filling;
 //    redistributes capacity a bottlenecked flow cannot use.
-// `ablation_network_model` quantifies the difference between them.
+// `paper_figures abl_network_model` quantifies the difference between them.
 #pragma once
 
 #include <cstdint>

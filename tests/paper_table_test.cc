@@ -118,6 +118,32 @@ TEST(PaperTable, LedgerRoundTripsThroughJson) {
   EXPECT_EQ(bench::CheckLedger(drifted, ledger).size(), 1u);
 }
 
+// Counts are exact: a run that lists one entry of a million fewer than the
+// ledger is a different run, though it is well inside a 1% tolerance.
+TEST(PaperTable, CheckLedgerComparesCountsExactly) {
+  const bench::Row* row = bench::FindRow("abl_metadata_bigdir",
+                                         "1000000 entries");
+  ASSERT_NE(row, nullptr);
+  const bench::Figure figure{"counts", "", {"entries_listed"}, {*row}};
+  bench::CellResult result;
+  result.metrics = {{"entries_listed", 1000000}};
+  bench::Ledger baseline;
+  bench::AddRecords(baseline, figure, *row, result);
+  result.metrics["entries_listed"] = 999999;
+  bench::Ledger run;
+  bench::AddRecords(run, figure, *row, result);
+  ASSERT_EQ(run.size(), 1u);
+  EXPECT_EQ(bench::CheckLedger(run, baseline).size(), 1u);
+  EXPECT_TRUE(bench::CheckLedger(baseline, baseline).empty());
+
+  for (const std::string_view count :
+       {"files", "writes_ok", "reads_intact", "readable", "entries_listed",
+        "pages", "join_keys_moved", "drain_keys_moved", "failed_chunks",
+        "retries", "fault_events"}) {
+    EXPECT_EQ(bench::Metric(count).tolerance, 0.0) << count;
+  }
+}
+
 // A record the ledger has for a figure the run measured, but the run no
 // longer produces, is a problem; records of figures the run did not select
 // are not.
@@ -218,6 +244,30 @@ TEST(PaperTable, FailedCellRendersStatusNotNumbers) {
     EXPECT_EQ(out.str().find(makespan), std::string::npos) << out.str();
     EXPECT_EQ(out.str().find(memory), std::string::npos) << out.str();
   }
+}
+
+// A namespace cell whose ops fail records the first failure's status, so
+// --check reports it against a ledger of healthy runs. The servers here
+// have no room for a single metadata record.
+TEST(PaperTable, FailedSweepOpFailsTheCell) {
+  const bench::Row* row = bench::FindRow("abl_metadata_sweep",
+                                         "hot-dir sharded");
+  ASSERT_NE(row, nullptr);
+  bench::CellParams cell = row->cell;
+  cell.files = 4;
+  cell.node_memory = 1;
+  const bench::CellResult result = bench::RunCell(cell);
+  ASSERT_EQ(result.status.code(), ErrorCode::kNoSpace) << result.status;
+
+  const bench::Figure figure{"failed", "", {"create_ops"}, {{"", cell, {}}}};
+  bench::Ledger run;
+  bench::AddRecords(run, figure, figure.rows.front(), result);
+  bench::Ledger healthy = run;
+  healthy.begin()->second = bench::Record{};
+  const auto problems = bench::CheckLedger(run, healthy);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems.front().find("status NO_SPACE"), std::string::npos)
+      << problems.front();
 }
 
 }  // namespace

@@ -6,14 +6,16 @@
 #      paper-figure table; the static analyzer memfs_analyze over the whole
 #      repo as the `analyze` ctest and its `lint` alias, failing on any
 #      unsuppressed finding; the determinism gate; the memfs_run smoke runs;
-#      the paper-ledger doc and drift checks; the BENCH_elastic.json
-#      reproduction; the benchmark smoke),
+#      the paper-ledger doc and drift checks; the byte-exact re-run of the
+#      abl_elastic records; the benchmark smoke),
 #   3. re-run a cheap subset of the paper figures (fig03a, fig03b, table1)
-#      and of the design ablations (substrate, transport, prefetch,
-#      replication, network model, distribution; under 1 s together) and
-#      compare it with the committed BENCH_paper.json within each metric's
-#      tolerance (bench/paper_cells.cc), failing also on a ledger record of
-#      those figures that the run no longer produces,
+#      and of the ablations (substrate, transport, prefetch, replication,
+#      network model, distribution, faults and migration chaos, survival,
+#      elastic membership and the metadata namespace sweep; about 2 s
+#      together) and compare it with the committed BENCH_paper.json within
+#      each metric's tolerance (bench/paper_cells.cc; counts are exact),
+#      failing also on a ledger record of those figures that the run no
+#      longer produces,
 #   4. re-run the fig08 simulator speed gate against BENCH_scale.json
 #      (wall-clock, sim_events, heap allocations and the frame pool's peak
 #      held bytes of the 64-node point),
@@ -45,10 +47,12 @@ ctest --test-dir "$root/build" --output-on-failure
 # Paper-ledger gate: the figures re-run here must reproduce the committed
 # ledger (regenerate it with paper_figures --json=BENCH_paper.json
 # --markdown=EXPERIMENTS.md when a change moves them on purpose).
+# abl_metadata_bigdir, the slowest cell of the table, is left out.
 echo "== paper ledger: fig03a fig03b table1 and cheap abl_* vs BENCH_paper.json =="
 "$root/build/bench/paper_figures" --check="$root/BENCH_paper.json" \
   fig03a fig03b table1 abl_substrate abl_transport abl_prefetch \
-  abl_replication abl_network_model abl_distribution > /dev/null
+  abl_replication abl_network_model abl_distribution abl_faults \
+  abl_migration_chaos abl_survival abl_elastic abl_metadata_sweep > /dev/null
 
 # Simulator speed gate: re-run the fig08 64-node point and compare it with
 # the committed BENCH_scale.json trajectory; fails when its wall-clock is
