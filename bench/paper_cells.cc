@@ -336,7 +336,7 @@ void RunDistribution(const CellParams& p, CellResult& out) {
       100.0 * static_cast<double>(moved) / static_cast<double>(keys);
 }
 
-bool IsAggregateStage(const std::string& stage) {
+bool IsAggregateStage(std::string_view stage) {
   return stage == "mImgTbl" || stage == "mConcatFit" || stage == "mBgModel" ||
          stage == "mAdd" || stage == "merge";
 }
@@ -349,13 +349,14 @@ void RunInventory(const CellParams& p, CellResult& out) {
   std::uint64_t smallest = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t largest = 0;
   for (const auto& task : wf.tasks) {
+    const std::string_view stage = wf.StageName(task);
     for (const mtc::FileId output : wf.Outputs(task)) {
       const std::uint64_t size = wf.files[output].size;
-      (task.stage == "stage_in" ? input : runtime) +=
+      (stage == "stage_in" ? input : runtime) +=
           static_cast<double>(size) / 1e9;
       // The paper's "File Size" column describes the per-task intermediate
       // files, not the global aggregation products.
-      if (task.stage != "stage_in" && !IsAggregateStage(task.stage)) {
+      if (stage != "stage_in" && !IsAggregateStage(stage)) {
         smallest = std::min(smallest, size);
         largest = std::max(largest, size);
       }

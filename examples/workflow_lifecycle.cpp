@@ -75,16 +75,19 @@ int main() {
               kNodes, workflow.tasks.size(),
               static_cast<double>(workflow.TotalOutputBytes()) / 1e6);
 
-  // Splits off the tasks of (or outside) stage_in; both parts share the
-  // workflow's file table.
+  // Splits off the tasks of (or outside) stage_in; both parts copy the
+  // workflow's file and string tables, so file ids keep their meaning.
   auto split = [&workflow](std::string name, bool stage_in) {
     mtc::Workflow part;
     part.name = std::move(name);
     part.files = workflow.files;
-    for (const auto& task : workflow.tasks) {
-      if ((task.stage == "stage_in") != stage_in) continue;
-      part.AddTask(task.name, task.stage, workflow.Inputs(task),
-                   workflow.Outputs(task), task.cpu_time);
+    part.strings = workflow.strings;
+    for (std::size_t i = 0; i < workflow.tasks.size(); ++i) {
+      const mtc::TaskSpec& task = workflow.tasks[i];
+      if ((workflow.StageName(task) == "stage_in") != stage_in) continue;
+      part.AddTask(workflow.TaskName(i), workflow.StageName(task),
+                   workflow.Inputs(task), workflow.Outputs(task),
+                   task.cpu_time);
     }
     return part;
   };

@@ -57,7 +57,7 @@ Result<Amfs::MetaRecord*> Amfs::FindMeta(const std::string& path) {
   return &it->second;
 }
 
-net::NodeId Amfs::OwnerHint(const std::string& path) const {
+net::NodeId Amfs::OwnerHint(std::string_view path) const {
   const auto& shard = metadata_[MetaServerFor(path)];
   auto it = shard.find(path);
   if (it == shard.end()) return network_.config().nodes;

@@ -20,13 +20,16 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "common/string_hash.h"
 #include "common/units.h"
 #include "kvstore/kv_server.h"
 #include "memfs/fuse.h"
@@ -120,7 +123,7 @@ class Amfs final : public fs::Vfs {
   // Scheduler oracle: where does `path` currently live? (The AMFS Shell
   // keeps this mapping itself; zero simulated cost.) Returns the owner, or
   // the config node count if unknown.
-  net::NodeId OwnerHint(const std::string& path) const;
+  net::NodeId OwnerHint(std::string_view path) const;
   bool HasReplica(net::NodeId node, const std::string& path) const;
 
   // Per-node stored bytes (Table 3 / Fig. 9 accounting).
@@ -181,7 +184,10 @@ class Amfs final : public fs::Vfs {
 
   // Distributed metadata: metadata_[n] holds the records homed on node n.
   // The scheduler-visible owner map is global (the AMFS Shell tracks it).
-  std::vector<std::unordered_map<std::string, MetaRecord>> metadata_;
+  // StringHash lets OwnerHint look paths up by string_view.
+  std::vector<
+      std::unordered_map<std::string, MetaRecord, StringHash, std::equal_to<>>>
+      metadata_;
   sim::PoolGroup meta_workers_;
   sim::PoolGroup dir_locks_;
 

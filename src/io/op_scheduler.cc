@@ -20,11 +20,7 @@ OpScheduler::Lane& OpScheduler::LaneFor(net::NodeId client,
   if (server >= row.size()) row.resize(server + 1);
   std::unique_ptr<Lane>& slot = row[server];
   if (slot == nullptr) {
-    slot = std::make_unique<Lane>();
-    slot->client = client;
-    slot->server = server;
-    slot->window =
-        std::make_unique<sim::BoundedPool>(sim_, config_.window, "io.window");
+    slot = std::make_unique<Lane>(sim_, client, server, config_.window);
     if (MetricsRegistry* metrics = cluster_.metrics(); metrics != nullptr) {
       slot->queued_gauge =
           &metrics->Gauge(InstanceGaugeName("io.queued", server));
@@ -133,6 +129,46 @@ sim::Future<Result<Bytes>> OpScheduler::Get(net::NodeId client,
   return future;
 }
 
+// Takes the next batch off `lane`'s queue: the queued ops of `kind`, in
+// order, up to the batch ceilings. Ops that stay queued keep their order.
+std::vector<OpScheduler::PendingOp> OpScheduler::TakeBatch(
+    Lane& lane, kv::BatchKind kind) const {
+  std::vector<PendingOp>& queue = lane.queue;
+  // An op joins when it has the batch's kind and fits under both ceilings
+  // given the ops that joined before it.
+  std::size_t joined = 0;
+  std::uint64_t batch_bytes = 0;
+  auto joins = [&](const PendingOp& op) {
+    const std::uint64_t op_bytes = op.key.size() + op.value.StoredSize();
+    if (op.kind != kind || joined == config_.max_batch_ops ||
+        (joined != 0 && batch_bytes + op_bytes > config_.max_batch_bytes)) {
+      return false;
+    }
+    batch_bytes += op_bytes;
+    ++joined;
+    return true;
+  };
+  for (const PendingOp& op : queue) joins(op);
+  // Every op joins: the batch takes the buffer and the lane keeps none.
+  if (joined == queue.size()) return std::exchange(queue, {});
+
+  std::vector<PendingOp> batch;
+  batch.reserve(joined);
+  joined = 0;
+  batch_bytes = 0;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    if (joins(queue[i])) {
+      batch.push_back(std::move(queue[i]));
+    } else {
+      if (kept != i) queue[kept] = std::move(queue[i]);
+      ++kept;
+    }
+  }
+  queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(kept), queue.end());
+  return batch;
+}
+
 // Drain loop for one lane. Each round yields once — every op enqueued at the
 // current simulated instant gets to join — then collects queued ops of the
 // head op's kind (up to the batch ceilings) into one batch RPC. Acquiring a
@@ -147,32 +183,10 @@ sim::Task OpScheduler::RunDrain(Lane* lane) {
     // arrives while this lane is blocked on in-flight batches joins the next
     // one, which is exactly when coalescing pays.
     // lint: allow(acquire-release) window permit released by RunBatch
-    co_await lane->window->Acquire();
+    co_await lane->window.Acquire();
     const kv::BatchKind kind = lane->queue.front().kind;
-    std::vector<PendingOp>& queue = lane->queue;
-    std::vector<PendingOp> batch;
-    batch.reserve(std::min<std::size_t>(queue.size(), config_.max_batch_ops));
-    std::uint64_t batch_bytes = 0;
-    // Ops that stay queued are compacted towards the front in order.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      PendingOp& op = queue[i];
-      const std::uint64_t op_bytes = op.key.size() + op.value.StoredSize();
-      const bool fits =
-          op.kind == kind && batch.size() < config_.max_batch_ops &&
-          (batch.empty() || batch_bytes + op_bytes <= config_.max_batch_bytes);
-      if (fits) {
-        batch_bytes += op_bytes;
-        batch.push_back(std::move(op));
-      } else {
-        if (kept != i) queue[kept] = std::move(op);
-        ++kept;
-      }
-    }
-    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(kept),
-                queue.end());
-    GaugeAdd(lane->queued_gauge,
-             -static_cast<std::int64_t>(batch.size()));
+    std::vector<PendingOp> batch = TakeBatch(*lane, kind);
+    GaugeAdd(lane->queued_gauge, -static_cast<std::int64_t>(batch.size()));
     RunBatch(lane, kind, std::move(batch));
   }
   lane->draining = false;
@@ -197,7 +211,7 @@ sim::Task OpScheduler::RunBatch(Lane* lane, kv::BatchKind kind,
   const kv::BatchResult call = co_await cluster_.Batch(
       lane->client, lane->server, kind, std::move(items),
       ops.front().wait_span);
-  lane->window->Release();
+  lane->window.Release();
   GaugeAdd(lane->batches_gauge, -1);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     PendingOp& op = ops[i];

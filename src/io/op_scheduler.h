@@ -46,8 +46,8 @@
 #include "kvstore/kv_cluster.h"
 #include "net/network.h"
 #include "sim/future.h"
-#include "sim/pool.h"
 #include "sim/simulation.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 #include "trace/trace.h"
 
@@ -121,14 +121,25 @@ class OpScheduler {
     trace::TraceContext wait_span;
   };
 
+  // One heap block per (client, server) pair that ever talked, window
+  // semaphore included.
   struct Lane {
-    net::NodeId client = 0;
-    std::uint32_t server = 0;
-    // Ops waiting to join a batch, in enqueue order. Drained in place, so
-    // its capacity is reused round after round.
-    std::vector<PendingOp> queue;
+    Lane(sim::Simulation& sim, net::NodeId lane_client,
+         std::uint32_t lane_server, std::uint32_t width)
+        : client(lane_client),
+          server(lane_server),
+          window(sim, width, "io.window") {}
+
+    net::NodeId client;
+    std::uint32_t server;
     bool draining = false;
-    std::unique_ptr<sim::BoundedPool> window;
+    // Ops waiting to join a batch, in enqueue order. A round that takes
+    // every queued op hands the whole buffer to its batch, so a drained
+    // lane holds no buffer; a round that leaves ops behind compacts them in
+    // place.
+    std::vector<PendingOp> queue;
+    // Batches in flight may not exceed IoConfig::window.
+    sim::Semaphore window;
     // Monitor gauges, aggregated per server (lanes from different clients to
     // the same server share the registry slot); nullptr when the cluster has
     // no registry. queued = ops waiting to join a batch, batches = batch
@@ -143,6 +154,7 @@ class OpScheduler {
                                       std::uint32_t server,
                                       kv::BatchKind kind, std::string key,
                                       Bytes value, trace::TraceContext trace);
+  std::vector<PendingOp> TakeBatch(Lane& lane, kv::BatchKind kind) const;
   sim::Task RunDrain(Lane* lane);
   sim::Task RunBatch(Lane* lane, kv::BatchKind kind,
                      std::vector<PendingOp> ops);

@@ -36,13 +36,13 @@ ObjectTable::Iterator& ObjectTable::Iterator::operator++() {
   return *this;
 }
 
-std::size_t ObjectTable::Hash(std::string_view key) {
-  return std::hash<std::string_view>{}(key);
+std::uint32_t ObjectTable::Hash(std::string_view key) {
+  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(key));
 }
 
 ObjectTable::Object* ObjectTable::Find(std::string_view key) const {
   if (size_ == 0) return nullptr;
-  const std::size_t hash = Hash(key);
+  const std::uint32_t hash = Hash(key);
   for (Object* object = buckets_[hash & (buckets_.size() - 1)];
        object != nullptr; object = object->next) {
     if (object->hash == hash && object->key() == key) return object;
@@ -52,10 +52,10 @@ ObjectTable::Object* ObjectTable::Find(std::string_view key) const {
 
 void ObjectTable::Insert(std::string_view key, Bytes value) {
   if (size_ + 1 > buckets_.size()) Grow();
-  const std::size_t hash = Hash(key);
+  const std::uint32_t hash = Hash(key);
   assert(key.size() <= std::numeric_limits<std::uint32_t>::max());
   void* block = ::operator new(sizeof(Object) + key.size());
-  auto* object = new (block) Object{nullptr, hash, std::move(value),
+  auto* object = new (block) Object{nullptr, std::move(value), hash,
                                     static_cast<std::uint32_t>(key.size())};
   if (!key.empty()) {
     std::memcpy(reinterpret_cast<char*>(object + 1), key.data(), key.size());

@@ -64,16 +64,19 @@ struct KvServerStats {
 };
 
 // The server's object store: a chained hash table whose objects each live in
-// one heap block holding the chain link, the key hash, the value and the key
-// bytes, over a power-of-two bucket array kept at load factor <= 1.
+// one heap block holding the chain link, the value, the low half of the key
+// hash and the key bytes, over a power-of-two bucket array kept at load
+// factor <= 1.
 // Iteration visits objects in hash order, which is not a stable order:
 // callers that need one sort (KvServer::Keys()).
 class ObjectTable {
  public:
   struct Object {
     Object* next;
-    std::size_t hash;
     Bytes value;
+    // The low 32 bits of the key's hash: enough to pick the bucket (the
+    // table never has more than 2^32 buckets) and to skip most key compares.
+    std::uint32_t hash;
     std::uint32_t key_size;
 
     // The key bytes follow the object in the same block.
@@ -81,6 +84,7 @@ class ObjectTable {
       return {reinterpret_cast<const char*>(this + 1), key_size};
     }
   };
+  static_assert(sizeof(Object) == 56, "object header is seven words");
 
   class Iterator {
    public:
@@ -116,8 +120,8 @@ class ObjectTable {
   Iterator end() const { return Iterator(this, buckets_.size(), nullptr); }
 
  private:
-  static std::size_t Hash(std::string_view key);
-  Object** Bucket(std::size_t hash) {
+  static std::uint32_t Hash(std::string_view key);
+  Object** Bucket(std::uint32_t hash) {
     return &buckets_[hash & (buckets_.size() - 1)];
   }
   void Grow();

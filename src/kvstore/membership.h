@@ -40,6 +40,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/string_hash.h"
 #include "hash/distributor.h"
 #include "kvstore/kv_cluster.h"
 #include "sim/simulation.h"
@@ -208,17 +209,9 @@ class Membership {
   std::uint64_t epoch_ = 0;
   std::uint32_t transition_server_ = 0;
   bool transition_is_join_ = false;
-  // Transparent hashing so Committed() lookups by string_view do not
-  // allocate.
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
   // Keys whose handoff finished this transition (lookups and clear only —
   // never iterated, so the unordered container cannot leak hash order).
+  // StringHash lets Committed() look keys up by string_view.
   std::unordered_set<std::string, StringHash, std::equal_to<>> committed_;
   // Monitor gauges (nullptr without a registry): member.epoch and
   // member.state/<i> (the NodeState numeric).

@@ -1,9 +1,95 @@
 #include "mtc/runner.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace memfs::mtc {
+namespace {
+
+// The ready tasks: an ordered set of task indices kept as a bitmap under
+// summary levels, where bit b of a level is set while word b of the level
+// below is nonzero. Insert and Erase touch at most one word per level, and
+// Next climbs to the first level with a set bit at or after its start, then
+// descends to it: every operation is O(log64 n), and dispatch visits tasks in
+// ascending index order without shifting a sorted list on every placement.
+class ReadySet {
+ public:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  explicit ReadySet(std::size_t capacity) {
+    std::size_t bits = std::max<std::size_t>(capacity, 1);
+    do {
+      bits = (bits + 63) / 64;
+      levels_.emplace_back(bits, 0);
+    } while (bits > 1);
+  }
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+
+  void Insert(std::size_t i) {
+    for (std::vector<std::uint64_t>& level : levels_) {
+      std::uint64_t& word = level[i / 64];
+      const bool was_empty = word == 0;
+      assert((word >> (i % 64) & 1) == 0);
+      word |= std::uint64_t{1} << (i % 64);
+      if (!was_empty) break;  // the levels above already mark this word
+      i /= 64;
+    }
+    ++size_;
+  }
+
+  void Erase(std::size_t i) {
+    for (std::vector<std::uint64_t>& level : levels_) {
+      std::uint64_t& word = level[i / 64];
+      assert((word >> (i % 64) & 1) == 1);
+      word &= ~(std::uint64_t{1} << (i % 64));
+      if (word != 0) break;  // the word still has members
+      i /= 64;
+    }
+    --size_;
+  }
+
+  // The smallest member >= from, or kNone.
+  std::size_t Next(std::size_t from) const {
+    std::size_t level = 0;
+    std::size_t i = from;
+    while (true) {
+      if (level == levels_.size() || i / 64 >= levels_[level].size()) {
+        return kNone;
+      }
+      const std::uint64_t word =
+          levels_[level][i / 64] & (~std::uint64_t{0} << (i % 64));
+      if (word != 0) {
+        i = i / 64 * 64 + static_cast<std::size_t>(std::countr_zero(word));
+        break;
+      }
+      // Nothing left in this word: go on from the next word, a level up.
+      i = i / 64 + 1;
+      ++level;
+    }
+    // i is a set bit of `level`; every bit of the word it marks below lies
+    // past the words already searched there, so take each lowest one.
+    while (level-- > 0) {
+      i = i * 64 +
+          static_cast<std::size_t>(std::countr_zero(levels_[level][i]));
+    }
+    return i;
+  }
+
+ private:
+  std::vector<std::vector<std::uint64_t>> levels_;  // [0] holds the members
+  std::size_t size_ = 0;
+};
+
+// Bytes [offset, offset + length) of the file whose content seed is `seed`.
+Bytes FileChunk(std::uint64_t seed, std::uint64_t offset,
+                std::uint64_t length) {
+  return Bytes::Synthetic(offset + length, seed).Slice(offset, length);
+}
+
+}  // namespace
 
 Runner::Runner(sim::Simulation& sim, fs::Vfs& vfs, Scheduler& scheduler,
                RunnerConfig config)
@@ -77,9 +163,9 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
     }
   }
 
-  std::vector<std::size_t> ready;
+  ReadySet ready(total);
   for (std::size_t i = 0; i < total; ++i) {
-    if (waiting[i] == 0) ready.push_back(i);
+    if (waiting[i] == 0) ready.Insert(i);
   }
 
   // Core-slot bookkeeping; slot ids double as process ids for the FUSE
@@ -92,8 +178,11 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
     }
   }
 
-  // A handful per workflow, found by name in order of first completion.
+  // A handful per workflow, in order of first completion; stage_slot maps a
+  // stage id to its entry (kNoSlot until the stage's first completion).
+  constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
   std::vector<StageStats> stages;
+  std::vector<std::uint32_t> stage_slot(workflow.stages.size(), kNoSlot);
   std::size_t running = 0;
   std::size_t done = 0;
   bool fatal = false;
@@ -104,19 +193,19 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
   const bool skip_saturated = scheduler_.SkipWhenSaturated();
 
   while (done < total) {
-    // Dispatch every ready task the scheduler will place right now. After a
-    // successful placement the scan restarts: free slots changed.
+    // Dispatch every ready task the scheduler will place right now, in
+    // ascending task order. After a successful placement the scan restarts:
+    // free slots changed.
     if (!fatal && (free_total > 0 || !skip_saturated)) {
       bool placed_any = true;
       while (placed_any && !ready.empty() &&
              (free_total > 0 || !skip_saturated)) {
         placed_any = false;
-        for (std::size_t pos = 0; pos < ready.size(); ++pos) {
-          const std::size_t index = ready[pos];
-          auto node =
-              scheduler_.Place(workflow, workflow.tasks[index], free_cores);
-          if (!node.has_value() && running == 0 && pos + 1 == ready.size() &&
-              !placed_any) {
+        std::size_t pos = 0;
+        for (std::size_t index = ready.Next(0); index != ReadySet::kNone;
+             index = ready.Next(index + 1), ++pos) {
+          auto node = scheduler_.Place(workflow, index, free_cores);
+          if (!node.has_value() && running == 0 && pos + 1 == ready.size()) {
             // Nothing is running and the scheduler deferred everything:
             // force the first ready task anywhere free to avoid livelock.
             for (std::uint32_t n = 0; n < config_.nodes; ++n) {
@@ -135,7 +224,7 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
           free_slots[n].pop_back();
           ExecuteTask(workflow, index, n, slot, root);
           ++running;
-          ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(pos));
+          ready.Erase(index);
           placed_any = true;
           break;
         }
@@ -157,13 +246,13 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
     free_slots[completion.node].push_back(completion.slot);
 
     const TaskSpec& task = workflow.tasks[completion.task_index];
-    auto stage_it = std::find_if(
-        stages.begin(), stages.end(),
-        [&](const StageStats& s) { return s.stage == task.stage; });
-    if (stage_it == stages.end()) {
-      stage_it = stages.insert(stages.end(), StageStats{.stage = task.stage});
+    std::uint32_t& slot = stage_slot[task.stage];
+    if (slot == kNoSlot) {
+      slot = static_cast<std::uint32_t>(stages.size());
+      stages.push_back(
+          StageStats{.stage = std::string(workflow.StageName(task))});
     }
-    StageStats& stage = *stage_it;
+    StageStats& stage = stages[slot];
     ++stage.tasks;
     stage.first_start = std::min(stage.first_start, completion.started);
     stage.last_end = std::max(stage.last_end, completion.ended);
@@ -186,28 +275,19 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
 
     if (!completion.status.ok() && result->status.ok()) {
       result->status = completion.status;
-      result->failed_task = task.name;
+      result->failed_task = workflow.TaskName(completion.task_index);
       fatal = true;  // stop dispatching; drain what is already running
     }
 
     if (completion.status.ok()) {
-      const std::size_t old_size = ready.size();
       for (FileId output : workflow.Outputs(task)) {
         if (file_state[output] != kPending) continue;
         file_state[output] = kReleased;
         for (std::uint32_t k = consumer_begin[output];
              k < consumer_begin[output + 1]; ++k) {
           const std::uint32_t consumer = consumers[k];
-          if (--waiting[consumer] == 0) ready.push_back(consumer);
+          if (--waiting[consumer] == 0) ready.Insert(consumer);
         }
-      }
-      // `ready` stays sorted between completions (erase preserves order), so
-      // only the freshly unblocked tail needs sorting before a merge — same
-      // final order as the historical full std::sort, without the n log n.
-      if (ready.size() > old_size) {
-        const auto mid = ready.begin() + static_cast<std::ptrdiff_t>(old_size);
-        std::sort(mid, ready.end());
-        std::inplace_merge(ready.begin(), mid, ready.end());
       }
     }
   }
@@ -233,9 +313,9 @@ sim::Task Runner::ExecuteTask(const Workflow& workflow, std::size_t index,
                               net::NodeId node, std::uint32_t slot,
                               trace::TraceContext root) {
   const TaskSpec& task = workflow.tasks[index];
-  trace::ScopedSpan task_span =
-      trace::ScopedSpan::Adopt(trace::ChildOn(root, task.name, "task", node));
-  trace::Annotate(task_span.context(), "stage", task.stage);
+  trace::ScopedSpan task_span = trace::ScopedSpan::Adopt(
+      trace::ChildOn(root, workflow.TaskName(index), "task", node));
+  trace::Annotate(task_span.context(), "stage", workflow.StageName(task));
   trace::Annotate(task_span.context(), "slot", std::to_string(slot));
   const fs::VfsContext ctx{node, slot, task_span.context()};
   Completion completion;
@@ -249,7 +329,7 @@ sim::Task Runner::ExecuteTask(const Workflow& workflow, std::size_t index,
   Status status;
   for (FileId input : workflow.Inputs(task)) {
     Result<std::uint64_t> bytes =
-        co_await ReadWholeFile(ctx, workflow.files[input]);
+        co_await ReadWholeFile(ctx, workflow, input);
     if (!bytes.ok()) {
       status = bytes.status();
       break;
@@ -264,13 +344,12 @@ sim::Task Runner::ExecuteTask(const Workflow& workflow, std::size_t index,
 
   if (status.ok()) {
     for (FileId output : workflow.Outputs(task)) {
-      const File& file = workflow.files[output];
-      Status written = co_await WriteWholeFile(ctx, file);
+      Status written = co_await WriteWholeFile(ctx, workflow, output);
       if (!written.ok()) {
         status = written;
         break;
       }
-      completion.bytes_written += file.size;
+      completion.bytes_written += workflow.files[output].size;
     }
   }
 
@@ -280,10 +359,10 @@ sim::Task Runner::ExecuteTask(const Workflow& workflow, std::size_t index,
   wake_->Release();
 }
 
-sim::Future<Result<std::uint64_t>> Runner::ReadWholeFile(fs::VfsContext ctx,
-                                                         const File& file) {
-  const std::string& path = file.path;
-  auto opened = co_await vfs_.Open(ctx, path);
+sim::Future<Result<std::uint64_t>> Runner::ReadWholeFile(
+    fs::VfsContext ctx, const Workflow& workflow, FileId id) {
+  const std::string_view path = workflow.Path(id);
+  auto opened = co_await vfs_.Open(ctx, std::string(path));
   if (!opened.ok()) co_return opened.status();
   const fs::FileHandle handle = opened.value();
   const std::uint64_t seed = FileSeed(path);
@@ -298,10 +377,9 @@ sim::Future<Result<std::uint64_t>> Runner::ReadWholeFile(fs::VfsContext ctx,
     const std::uint64_t got = chunk.value().size();
     if (got == 0) break;
     if (config_.verify_reads) {
-      const Bytes expected =
-          Bytes::Synthetic(offset + got, seed).Slice(offset, got);
+      const Bytes expected = FileChunk(seed, offset, got);
       if (!expected.ContentEquals(chunk.value())) {
-        status = status::Internal("content mismatch in " + path +
+        status = status::Internal("content mismatch in " + std::string(path) +
                                   " at offset " + std::to_string(offset));
         break;
       }
@@ -316,17 +394,20 @@ sim::Future<Result<std::uint64_t>> Runner::ReadWholeFile(fs::VfsContext ctx,
 }
 
 sim::Future<Status> Runner::WriteWholeFile(fs::VfsContext ctx,
-                                           const File& file) {
-  auto created = co_await vfs_.Create(ctx, file.path);
+                                           const Workflow& workflow,
+                                           FileId id) {
+  const std::string_view path = workflow.Path(id);
+  auto created = co_await vfs_.Create(ctx, std::string(path));
   if (!created.ok()) co_return created.status();
   const fs::FileHandle handle = created.value();
-  const Bytes content = Bytes::Synthetic(file.size, FileSeed(file.path));
+  const std::uint64_t size = workflow.files[id].size;
+  const std::uint64_t seed = FileSeed(path);
   std::uint64_t offset = 0;
   Status status;
-  while (offset < file.size) {
+  while (offset < size) {
     const std::uint64_t len =
-        std::min<std::uint64_t>(config_.io_block, file.size - offset);
-    status = co_await vfs_.Write(ctx, handle, content.Slice(offset, len));
+        std::min<std::uint64_t>(config_.io_block, size - offset);
+    status = co_await vfs_.Write(ctx, handle, FileChunk(seed, offset, len));
     if (!status.ok()) break;
     offset += len;
   }

@@ -129,13 +129,14 @@ class Runner {
                         net::NodeId node, std::uint32_t slot,
                         trace::TraceContext root);
 
-  // Reads `file` fully in io_block chunks; returns bytes read or an error.
-  // Verifies content against FileSeed(path) when verify_reads is set. The
-  // file lives in the workflow's table, which outlives the run.
+  // Reads `workflow`'s file `id` fully in io_block chunks; returns bytes
+  // read or an error. Verifies content against FileSeed(path) when
+  // verify_reads is set. The workflow outlives the run.
   [[nodiscard]] sim::Future<Result<std::uint64_t>> ReadWholeFile(
-      fs::VfsContext ctx, const File& file);
+      fs::VfsContext ctx, const Workflow& workflow, FileId id);
   [[nodiscard]] sim::Future<Status> WriteWholeFile(fs::VfsContext ctx,
-                                                   const File& file);
+                                                   const Workflow& workflow,
+                                                   FileId id);
 
   sim::Simulation& sim_;
   fs::Vfs& vfs_;

@@ -10,6 +10,7 @@
 //    which is what concentrates data on the "scheduler node" of Table 3.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -24,13 +25,12 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  // Chooses a node for `task`, one of `workflow`'s tasks (its files resolve
-  // through the workflow's table). `free_cores[n]` is the number of idle
-  // core slots on node n. Returns nullopt to defer the task (no acceptable
-  // node is free right now); the runner retries after the next task
-  // completion.
+  // Chooses a node for workflow.tasks[task] (its files resolve through the
+  // workflow's table). `free_cores[n]` is the number of idle core slots on
+  // node n. Returns nullopt to defer the task (no acceptable node is free
+  // right now); the runner retries after the next task completion.
   virtual std::optional<net::NodeId> Place(
-      const Workflow& workflow, const TaskSpec& task,
+      const Workflow& workflow, std::size_t task,
       const std::vector<std::uint32_t>& free_cores) = 0;
 
   // True when Place is a guaranteed side-effect-free nullopt while no core
@@ -46,7 +46,7 @@ class Scheduler {
 class UniformScheduler final : public Scheduler {
  public:
   std::optional<net::NodeId> Place(
-      const Workflow& workflow, const TaskSpec& task,
+      const Workflow& workflow, std::size_t task,
       const std::vector<std::uint32_t>& free_cores) override;
 
   // The cursor only advances on successful placements, so a failed probe
@@ -67,7 +67,7 @@ class LocalityScheduler final : public Scheduler {
   explicit LocalityScheduler(const amfs::Amfs& fs) : fs_(fs) {}
 
   std::optional<net::NodeId> Place(
-      const Workflow& workflow, const TaskSpec& task,
+      const Workflow& workflow, std::size_t task,
       const std::vector<std::uint32_t>& free_cores) override;
 
   // After how many deferrals a task may run anywhere (the Shell eventually
@@ -78,7 +78,8 @@ class LocalityScheduler final : public Scheduler {
   const amfs::Amfs& fs_;
   std::uint32_t cursor_ = 0;
   std::uint32_t patience_ = 16;
-  std::unordered_map<std::string, std::uint32_t> deferrals_;
+  // Deferrals so far of each task of the current workflow, by task index.
+  std::vector<std::uint32_t> deferrals_;
 };
 
 }  // namespace memfs::mtc

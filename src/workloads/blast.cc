@@ -115,6 +115,7 @@ mtc::Workflow BuildBlast(const BlastParams& params) {
                CpuTime(params.merge_cpu_s, scale));
   }
 
+  wf.ShrinkToFit();
   return wf;
 }
 

@@ -156,6 +156,7 @@ mtc::Workflow BuildMontage(const MontageParams& params) {
                CpuTime(params.aggregate_cpu_s, scale));
   }
 
+  wf.ShrinkToFit();
   return wf;
 }
 

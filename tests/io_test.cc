@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/metrics.h"
@@ -416,6 +420,207 @@ TEST(OpSchedulerTest, BatchedRunsAreDeterministic) {
     return sim.EventDigest();
   };
   EXPECT_EQ(run(), run());
+}
+
+// --- OpScheduler bursts: batch composition and per-op verdicts ---
+
+// Drives scripted bursts through one (client 0 -> server 1) lane and records
+// what reached the server: one "<kind>[key,...]" per batch RPC, in issue
+// order, read off the kv.batch spans and the kv.item spans under them; and
+// each op's verdict, in issue order. Every op opens its own trace, so a
+// batch's span hangs under its first member's wait span.
+class OpSchedulerBurstTest : public ::testing::Test {
+ protected:
+  OpSchedulerBurstTest()
+      : network_(sim_, net::Das4Ipoib(2)),
+        cluster_(sim_, network_, {0, 1}),
+        tracer_(sim_) {}
+
+  void Start(io::IoConfig config) {
+    sched_ = std::make_unique<io::OpScheduler>(sim_, cluster_, config);
+  }
+
+  // Issues one op now. A get reports its value's size with its verdict.
+  void Op(kv::BatchKind kind, const std::string& key,
+          std::uint64_t value_size = 0) {
+    const trace::TraceContext root = tracer_.StartTrace(key, "test");
+    Issued issued;
+    issued.key = key;
+    const Bytes value = Bytes::Synthetic(value_size, key.size());
+    switch (kind) {
+      case kv::BatchKind::kSet:
+        issued.status = sched_->Set(0, 1, key, value, root);
+        break;
+      case kv::BatchKind::kAdd:
+        issued.status = sched_->Add(0, 1, key, value, root);
+        break;
+      case kv::BatchKind::kAppend:
+        issued.status = sched_->Append(0, 1, key, value, root);
+        break;
+      case kv::BatchKind::kDelete:
+        issued.status = sched_->Delete(0, 1, key, root);
+        break;
+      case kv::BatchKind::kGet:
+        issued.value = sched_->Get(0, 1, key, root);
+        break;
+    }
+    issued_.push_back(std::move(issued));
+  }
+
+  // Issues one op `delay` from now, while earlier batches may be in flight.
+  void OpLater(sim::SimTime delay, kv::BatchKind kind, std::string key,
+               std::uint64_t value_size = 0) {
+    After(sim_, delay, [this, kind, key = std::move(key), value_size] {
+      Op(kind, key, value_size);
+    });
+  }
+
+  std::string Batches() const {
+    std::map<trace::SpanId, const trace::SpanRecord*> spans;
+    for (const trace::SpanRecord& span : tracer_.finished()) {
+      spans[span.span_id] = &span;
+    }
+    // kv.item -> kv.batch.attempt -> kv.batch.
+    std::map<trace::SpanId, std::vector<std::string>> keys;
+    for (const auto& [id, span] : spans) {
+      if (span->name != "kv.item") continue;
+      const trace::SpanRecord* attempt = spans.at(span->parent_id);
+      keys[attempt->parent_id].push_back(Arg(*span, "key"));
+    }
+    std::string out;
+    for (const auto& [id, span] : spans) {
+      if (span->name != "kv.batch") continue;
+      const std::vector<std::string>& members = keys[id];
+      EXPECT_EQ(std::to_string(members.size()), Arg(*span, "items"));
+      out += out.empty() ? "" : " ";
+      out += Arg(*span, "kind") + "[";
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        out += (i == 0 ? "" : ",") + members[i];
+      }
+      out += "]";
+    }
+    return out;
+  }
+
+  std::string Verdicts() const {
+    std::string out;
+    for (const Issued& op : issued_) {
+      out += out.empty() ? "" : " ";
+      out += op.key + "=";
+      if (op.status.has_value()) {
+        EXPECT_TRUE(op.status->ready()) << op.key;
+        out += ToString(op.status->value().code());
+      } else {
+        EXPECT_TRUE(op.value->ready()) << op.key;
+        const Result<Bytes>& got = op.value->value();
+        out += got.ok() ? "ok:" + std::to_string(got->size())
+                        : std::string(ToString(got.status().code()));
+      }
+    }
+    return out;
+  }
+
+  static std::string Arg(const trace::SpanRecord& span, std::string_view key) {
+    for (const auto& [name, value] : span.args) {
+      if (name == key) return value;
+    }
+    return "?";
+  }
+
+  struct Issued {
+    std::string key;
+    std::optional<sim::Future<Status>> status;
+    std::optional<sim::Future<Result<Bytes>>> value;
+  };
+
+  sim::Simulation sim_;
+  net::FairShareNetwork network_;
+  kv::KvCluster cluster_;
+  trace::Tracer tracer_;
+  std::unique_ptr<io::OpScheduler> sched_;
+  std::vector<Issued> issued_;
+};
+
+TEST_F(OpSchedulerBurstTest, MixedKindsBatchPerKindInQueueOrder) {
+  Start({});
+  using K = kv::BatchKind;
+  Op(K::kSet, "a", 100);
+  Op(K::kSet, "b", 200);
+  Op(K::kDelete, "zz");
+  Op(K::kGet, "missing");
+  Op(K::kAdd, "c", 50);
+  Op(K::kSet, "d", 10);
+  Op(K::kAppend, "a", 7);
+  Op(K::kDelete, "b");
+  Op(K::kGet, "a");
+  Op(K::kAdd, "a", 1);
+  sim_.Run();
+  EXPECT_EQ(Batches(),
+            "set[a,b,d] delete[zz,b] get[missing,a] add[c,a] append[a]");
+  EXPECT_EQ(Verdicts(),
+            "a=OK b=OK zz=NOT_FOUND missing=NOT_FOUND c=OK d=OK a=OK b=OK "
+            "a=ok:100 a=EXISTS");
+  EXPECT_EQ(sched_->stats().batches, 5u);
+  EXPECT_EQ(sched_->stats().max_batch, 3u);
+}
+
+TEST_F(OpSchedulerBurstTest, CeilingsSplitBurstsInOrder) {
+  io::IoConfig config;
+  config.max_batch_ops = 3;
+  config.max_batch_bytes = 1000;
+  Start(config);
+  using K = kv::BatchKind;
+  // Bytes count key + value: "k0".."k9" are 2 bytes each.
+  Op(K::kSet, "k0", 398);   // 400
+  Op(K::kSet, "k1", 398);   // 800
+  Op(K::kSet, "k2", 398);   // 1200 > 1000: waits for the next batch
+  Op(K::kSet, "k3", 98);    // 900: joins the first batch, its third op
+  Op(K::kSet, "k4", 2998);  // over the byte ceiling alone: joins only as head
+  Op(K::kSet, "k5", 8);
+  Op(K::kGet, "k0");
+  Op(K::kSet, "k6", 8);
+  Op(K::kSet, "k7", 8);
+  sim_.Run();
+  EXPECT_EQ(Batches(),
+            "set[k0,k1,k3] set[k2,k5,k6] set[k4] get[k0] set[k7]");
+  EXPECT_EQ(Verdicts(),
+            "k0=OK k1=OK k2=OK k3=OK k4=OK k5=OK k0=ok:398 k6=OK k7=OK");
+  EXPECT_EQ(sched_->stats().batches, 5u);
+  EXPECT_EQ(sched_->stats().batched_ops, 9u);
+}
+
+TEST_F(OpSchedulerBurstTest, WindowOfOneQueuesBehindTheBatchInFlight) {
+  io::IoConfig config;
+  config.window = 1;
+  Start(config);
+  using K = kv::BatchKind;
+  Op(K::kSet, "a", 4096);
+  Op(K::kSet, "b", 4096);
+  // Arrive while set[a,b] holds the window: they all join the next batch.
+  OpLater(units::Micros(5), K::kSet, "c", 64);
+  OpLater(units::Micros(6), K::kGet, "a");
+  OpLater(units::Micros(7), K::kSet, "d", 64);
+  OpLater(units::Micros(8), K::kGet, "b");
+  sim_.Run();
+  EXPECT_EQ(Batches(), "set[a,b] set[c,d] get[a,b]");
+  EXPECT_EQ(Verdicts(), "a=OK b=OK c=OK a=ok:4096 d=OK b=ok:4096");
+  EXPECT_EQ(sched_->stats().batches, 3u);
+}
+
+TEST_F(OpSchedulerBurstTest, WiderWindowShipsArrivalsBesideTheFirstBatch) {
+  io::IoConfig config;
+  config.window = 2;
+  Start(config);
+  using K = kv::BatchKind;
+  Op(K::kSet, "a", 4096);
+  Op(K::kSet, "b", 4096);
+  OpLater(units::Micros(5), K::kSet, "c", 64);
+  OpLater(units::Micros(6), K::kSet, "d", 64);
+  OpLater(units::Micros(7), K::kSet, "e", 64);
+  sim_.Run();
+  // c takes the second slot at once; d and e queue behind both batches.
+  EXPECT_EQ(Batches(), "set[a,b] set[c] set[d,e]");
+  EXPECT_EQ(Verdicts(), "a=OK b=OK c=OK d=OK e=OK");
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ std::optional<std::size_t> FirstProducer(const Workflow& wf,
                                          std::string_view path) {
   for (std::size_t i = 0; i < wf.tasks.size(); ++i) {
     for (FileId output : wf.Outputs(wf.tasks[i])) {
-      if (wf.files[output].path == path) return i;
+      if (wf.Path(output) == path) return i;
     }
   }
   return std::nullopt;
@@ -419,7 +419,7 @@ TEST(RunnerTest, FailedTaskCountedInMetrics) {
 TEST(UniformSchedulerTest, RoundRobinOverFreeNodes) {
   UniformScheduler scheduler;
   const Workflow wf = SingleTask("t");
-  const TaskSpec& task = wf.tasks[0];
+  const std::size_t task = 0;
   std::vector<std::uint32_t> free = {1, 1, 1};
   EXPECT_EQ(scheduler.Place(wf, task, free), 0u);
   EXPECT_EQ(scheduler.Place(wf, task, free), 1u);
@@ -430,7 +430,7 @@ TEST(UniformSchedulerTest, RoundRobinOverFreeNodes) {
 TEST(UniformSchedulerTest, SkipsBusyNodes) {
   UniformScheduler scheduler;
   const Workflow wf = SingleTask("t");
-  const TaskSpec& task = wf.tasks[0];
+  const std::size_t task = 0;
   std::vector<std::uint32_t> free = {0, 1, 0};
   EXPECT_EQ(scheduler.Place(wf, task, free), 1u);
   free = {0, 0, 0};
@@ -472,7 +472,7 @@ TEST_F(LocalitySchedulerTest, FollowsFirstInput) {
   LocalityScheduler scheduler(amfs_);
   const Workflow wf = SingleTask("t", {"/data"});
   std::vector<std::uint32_t> free = {1, 1, 1, 1};
-  EXPECT_EQ(scheduler.Place(wf, wf.tasks[0], free), 2u);
+  EXPECT_EQ(scheduler.Place(wf, 0, free), 2u);
 }
 
 TEST_F(LocalitySchedulerTest, DefersWhenPreferredBusy) {
@@ -480,7 +480,7 @@ TEST_F(LocalitySchedulerTest, DefersWhenPreferredBusy) {
   LocalityScheduler scheduler(amfs_);
   const Workflow wf = SingleTask("t", {"/busy"});
   std::vector<std::uint32_t> free = {1, 0, 1, 1};
-  EXPECT_EQ(scheduler.Place(wf, wf.tasks[0], free), std::nullopt);
+  EXPECT_EQ(scheduler.Place(wf, 0, free), std::nullopt);
 }
 
 TEST_F(LocalitySchedulerTest, PatienceEventuallyRunsAnywhere) {
@@ -488,7 +488,7 @@ TEST_F(LocalitySchedulerTest, PatienceEventuallyRunsAnywhere) {
   LocalityScheduler scheduler(amfs_);
   scheduler.set_patience(3);
   const Workflow wf = SingleTask("t", {"/starve"});
-  const TaskSpec& task = wf.tasks[0];
+  const std::size_t task = 0;
   std::vector<std::uint32_t> free = {1, 0, 1, 1};
   EXPECT_EQ(scheduler.Place(wf, task, free), std::nullopt);
   EXPECT_EQ(scheduler.Place(wf, task, free), std::nullopt);
@@ -503,7 +503,7 @@ TEST_F(LocalitySchedulerTest, AggregationGoesToDataHeavyNode) {
   LocalityScheduler scheduler(amfs_);
   const Workflow wf = SingleTask("agg", {"/agg0", "/agg1", "/agg2"});
   std::vector<std::uint32_t> free = {1, 1, 1, 1};
-  EXPECT_EQ(scheduler.Place(wf, wf.tasks[0], free), 3u);
+  EXPECT_EQ(scheduler.Place(wf, 0, free), 3u);
 }
 
 TEST_F(LocalitySchedulerTest, NoInputTasksRoundRobin) {
@@ -512,7 +512,7 @@ TEST_F(LocalitySchedulerTest, NoInputTasksRoundRobin) {
   std::vector<std::uint32_t> free = {1, 1, 1, 1};
   std::set<std::uint32_t> seen;
   for (int i = 0; i < 4; ++i) {
-    seen.insert(*scheduler.Place(wf, wf.tasks[0], free));
+    seen.insert(*scheduler.Place(wf, 0, free));
   }
   EXPECT_EQ(seen.size(), 4u);
 }
@@ -526,7 +526,9 @@ TEST(MontageTest, StructureMatchesPaper) {
   const Workflow wf = workloads::BuildMontage(params);
 
   std::unordered_map<std::string, int> stage_counts;
-  for (const auto& task : wf.tasks) ++stage_counts[task.stage];
+  for (const auto& task : wf.tasks) {
+    ++stage_counts[std::string(wf.StageName(task))];
+  }
 
   const int images = stage_counts["stage_in"];
   EXPECT_EQ(stage_counts["mProjectPP"], images);
@@ -540,7 +542,7 @@ TEST(MontageTest, StructureMatchesPaper) {
 
   // Every mDiffFit task reads exactly two projected files.
   for (const auto& task : wf.tasks) {
-    if (task.stage == "mDiffFit") {
+    if (wf.StageName(task) == "mDiffFit") {
       EXPECT_EQ(wf.Inputs(task).size(), 2u);
     }
   }
@@ -553,7 +555,7 @@ TEST(MontageTest, NoMissingProducers) {
   const std::vector<bool> produced = Produced(wf);
   for (const auto& task : wf.tasks) {
     for (FileId input : wf.Inputs(task)) {
-      EXPECT_TRUE(produced[input]) << wf.files[input].path;
+      EXPECT_TRUE(produced[input]) << wf.Path(input);
     }
   }
 }
@@ -579,20 +581,22 @@ TEST(BlastTest, StructureMatchesPaper) {
   const Workflow wf = workloads::BuildBlast(params);
 
   std::unordered_map<std::string, int> stage_counts;
-  for (const auto& task : wf.tasks) ++stage_counts[task.stage];
+  for (const auto& task : wf.tasks) {
+    ++stage_counts[std::string(wf.StageName(task))];
+  }
   EXPECT_EQ(stage_counts["formatdb"], 32);
   EXPECT_EQ(stage_counts["blastall"], 128);
   EXPECT_EQ(stage_counts["merge"], 16);
 
   for (const auto& task : wf.tasks) {
-    if (task.stage == "blastall") {
+    if (wf.StageName(task) == "blastall") {
       EXPECT_EQ(wf.Inputs(task).size(), 2u);
     }
   }
   const std::vector<bool> produced = Produced(wf);
   for (const auto& task : wf.tasks) {
     for (FileId input : wf.Inputs(task)) {
-      EXPECT_TRUE(produced[input]) << wf.files[input].path;
+      EXPECT_TRUE(produced[input]) << wf.Path(input);
     }
   }
 }
@@ -614,6 +618,83 @@ TEST(BlastTest, FragmentSizeTracksDatabaseSplit) {
 TEST(FileSeedTest, StableAndDistinct) {
   EXPECT_EQ(FileSeed("/a"), FileSeed("/a"));
   EXPECT_NE(FileSeed("/a"), FileSeed("/b"));
+}
+
+// FNV-1a over every field a builder sets: the workflow name, the
+// directories, each file's path and size, and each task's name, stage,
+// cpu_time, inputs and outputs. Strings and lists are length-prefixed and
+// integers fed as 8 little-endian bytes, so the digest does not depend on
+// how the workflow stores them.
+std::uint64_t BuilderDigest(const Workflow& wf) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  auto byte = [&hash](unsigned char b) {
+    hash ^= b;
+    hash *= 0x100000001b3ull;
+  };
+  auto u64 = [&byte](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
+  };
+  auto str = [&](std::string_view s) {
+    u64(s.size());
+    for (char c : s) byte(static_cast<unsigned char>(c));
+  };
+  str(wf.name);
+  u64(wf.directories.size());
+  for (const std::string& dir : wf.directories) str(dir);
+  u64(wf.files.size());
+  for (FileId id = 0; id < wf.files.size(); ++id) {
+    str(wf.Path(id));
+    u64(wf.files[id].size);
+  }
+  u64(wf.tasks.size());
+  for (std::size_t i = 0; i < wf.tasks.size(); ++i) {
+    const TaskSpec& task = wf.tasks[i];
+    str(wf.TaskName(i));
+    str(wf.StageName(task));
+    u64(static_cast<std::uint64_t>(task.cpu_time));
+    u64(wf.Inputs(task).size());
+    for (FileId id : wf.Inputs(task)) u64(id);
+    u64(wf.Outputs(task).size());
+    for (FileId id : wf.Outputs(task)) u64(id);
+  }
+  return hash;
+}
+
+// The generators' output, pinned field by field: Montage-12 at the
+// benchmark's scales (29,577 tasks) and BLAST at 512 fragments x 16 queries.
+// The digests were taken when every path and name was its own std::string,
+// so they hold the string table to byte-identical builder output.
+TEST(WorkflowGoldenTest, BuildersAreByteIdentical) {
+  workloads::MontageParams montage;
+  montage.degree = 12;
+  montage.task_scale = 2;
+  montage.size_scale = 16;
+  EXPECT_EQ(BuilderDigest(workloads::BuildMontage(montage)),
+            0x8406456e4ef7b972ull);
+  montage.project_cpu_s = 6.0;
+  EXPECT_EQ(BuilderDigest(workloads::BuildMontage(montage)),
+            0xe7492f5850157ce6ull);
+
+  workloads::BlastParams blast;
+  blast.fragments = 512;
+  blast.queries_per_fragment = 16;
+  blast.size_scale = 16;
+  EXPECT_EQ(BuilderDigest(workloads::BuildBlast(blast)),
+            0xbb4ffddf606718beull);
+}
+
+// The accessors read back exactly what the builders passed in.
+TEST(WorkflowGoldenTest, AccessorsReturnWhatWasAdded) {
+  const Workflow wf = Diamond();
+  EXPECT_EQ(wf.Path(0), "/wf/src");
+  EXPECT_EQ(wf.Path(3), "/wf/out");
+  EXPECT_EQ(wf.TaskName(0), "in");
+  EXPECT_EQ(wf.TaskName(3), "join");
+  EXPECT_EQ(wf.StageName(wf.tasks[1]), "fan");
+  EXPECT_EQ(wf.StageName(wf.tasks[2]), "fan");
+  EXPECT_EQ(wf.tasks[1].stage, wf.tasks[2].stage);
+  EXPECT_EQ(wf.stages.size(), 3u);
+  EXPECT_EQ(wf.strings, "/wf/src/wf/l/wf/r/wf/outinleftrightjoin");
 }
 
 }  // namespace

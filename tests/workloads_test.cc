@@ -3,6 +3,8 @@
 // interactions, and generator parameter edge cases.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string_view>
 #include <vector>
 
 #include "common/units.h"
@@ -325,7 +327,7 @@ TEST(GeneratorEdgeTest, MontageMinimumSize) {
   const auto wf = BuildMontage(params);
   int images = 0;
   for (const auto& task : wf.tasks) {
-    images += task.stage == "stage_in" ? 1 : 0;
+    images += wf.StageName(task) == "stage_in" ? 1 : 0;
   }
   EXPECT_EQ(images, 4);
   std::vector<bool> produced(wf.files.size(), false);
@@ -334,7 +336,7 @@ TEST(GeneratorEdgeTest, MontageMinimumSize) {
   }
   for (const auto& task : wf.tasks) {
     for (mtc::FileId input : wf.Inputs(task)) {
-      EXPECT_TRUE(produced[input]) << wf.files[input].path;
+      EXPECT_TRUE(produced[input]) << wf.Path(input);
     }
   }
 }
@@ -357,7 +359,7 @@ TEST(GeneratorEdgeTest, BlastMinimumFragments) {
   const auto wf = BuildBlast(params);
   int fragments = 0;
   for (const auto& task : wf.tasks) {
-    fragments += task.stage == "formatdb" ? 1 : 0;
+    fragments += wf.StageName(task) == "formatdb" ? 1 : 0;
   }
   EXPECT_EQ(fragments, 2);
 }
@@ -371,10 +373,10 @@ TEST(GeneratorEdgeTest, BlastMergeCoversAllResults) {
   int results_consumed = 0;
   int results_produced = 0;
   for (const auto& task : wf.tasks) {
-    if (task.stage == "merge") {
+    if (wf.StageName(task) == "merge") {
       results_consumed += static_cast<int>(wf.Inputs(task).size());
     }
-    if (task.stage == "blastall") ++results_produced;
+    if (wf.StageName(task) == "blastall") ++results_produced;
   }
   EXPECT_EQ(results_consumed, results_produced);
 }
@@ -383,8 +385,10 @@ TEST(GeneratorEdgeTest, WorkflowNamesAreUnique) {
   MontageParams params;
   params.task_scale = 64;
   const auto wf = BuildMontage(params);
-  std::set<std::string> names;
-  for (const auto& task : wf.tasks) names.insert(task.name);
+  std::set<std::string_view> names;
+  for (std::size_t i = 0; i < wf.tasks.size(); ++i) {
+    names.insert(wf.TaskName(i));
+  }
   EXPECT_EQ(names.size(), wf.tasks.size());
 }
 

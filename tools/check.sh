@@ -94,14 +94,17 @@ ctest --test-dir "$root/build-asan" -L determinism --output-on-failure
 # its real buffer in a union with the synthetic generator, and the kv object
 # table places each value and its key in one raw heap block. The semaphore
 # keeps its waiter FIFO in a vector with its own head index, and the workflow
-# tests cover the file table: a running task holds spans into the workflow's
-# flat id array across every co_await.
+# tests cover the file and string tables: a running task holds spans into the
+# workflow's flat id array and views into its string table across every
+# co_await, and the golden digest reads every builder string back through
+# them. The scripted op-scheduler bursts cover a lane's queue buffer, which a
+# drain round hands whole to its batch when every queued op joins it.
 tests='EventHeap|PoolAlloc|SimChecker|FutureTest|FluidNetwork|SolverEquivalence'
 tests="$tests|SemaphoreTest|BytesTest|KvServerTest"
 tests="$tests|KvCluster|KvBatch|KvGauge|FaultCluster|OpScheduler"
 tests="$tests|ChaosSoak|MigrationChaos"
 tests="$tests|MemFsTest|AmfsTest|MetaFsTest|MetaChaos|RunnerTest|ElasticClusterTest"
-tests="$tests|WorkflowTest|MontageTest|BlastTest"
+tests="$tests|WorkflowTest|MontageTest|BlastTest|WorkflowGolden|OpSchedulerBurst"
 echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client and workflow tests =="
 ctest --test-dir "$root/build-asan" -R "$tests" --output-on-failure
 
