@@ -121,6 +121,7 @@ Bytes& Bytes::operator=(Bytes&& other) noexcept {
 }
 
 std::uint8_t* Bytes::InitReal(std::size_t size) {
+  assert(size <= kMaxSize);
   real_ = true;
   sliceable_synthetic_ = false;
   size_ = size;
@@ -175,6 +176,7 @@ Bytes Bytes::Pattern(std::size_t size, std::uint64_t seed) {
 }
 
 Bytes Bytes::Synthetic(std::size_t size, std::uint64_t seed) {
+  assert(size <= kMaxSize);
   Bytes out;
   out.real_ = false;
   out.size_ = size;
@@ -222,6 +224,7 @@ void Bytes::Append(const Bytes& other) {
   if (other.empty()) return;
   const std::uint64_t out_offset = size_;
   const std::size_t added = other.size_;
+  assert(added <= kMaxSize - size_);
   if (real_ && other.real_) {
     fingerprint_ += RealContribution(other.real_data(), added, out_offset);
     const std::size_t want = size_ + added;

@@ -16,10 +16,11 @@
 // the file-system clients are identical regardless of payload form.
 //
 // A `Bytes` rides in every stored object, batch item, result and coroutine
-// frame, so it is kept to 40 bytes: the real heap buffer (pointer +
-// capacity), up to 16 bytes of inline real content, and the synthetic
-// generator (seed + offset) share one union. A moved-from payload is
-// `Bytes()`: real, empty, fingerprint 0.
+// frame, so it is kept to 32 bytes (four words): the size and the three
+// form flags share one word (a 61-bit size), and the real heap buffer
+// (pointer + capacity), up to 16 bytes of inline real content, and the
+// synthetic generator (seed + offset) share one union. A moved-from payload
+// is `Bytes()`: real, empty, fingerprint 0.
 #pragma once
 
 #include <cstddef>
@@ -83,6 +84,8 @@ class Bytes {
   // records) keeps them inline in the union and allocates nothing; longer
   // or grown content lives in a heap buffer.
   static constexpr std::size_t kInlineBytes = 16;
+  // The size shares a word with the form flags, so it has 61 bits.
+  static constexpr std::uint64_t kMaxSize = (std::uint64_t{1} << 61) - 1;
 
   // A real payload's heap buffer: content is data[0, size_).
   struct Buffer {
@@ -121,14 +124,15 @@ class Bytes {
   // Takes other's state and leaves it as Bytes().
   void StealFrom(Bytes& other) noexcept;
 
-  std::size_t size_ = 0;
+  // One word: the size and the three form flags.
+  std::uint64_t size_ : 61 = 0;
+  std::uint64_t real_ : 1 = 1;
+  std::uint64_t heap_ : 1 = 0;
+  std::uint64_t sliceable_synthetic_ : 1 = 0;
   std::uint64_t fingerprint_ = 0;
   Storage storage_;
-  bool real_ = true;
-  bool heap_ = false;
-  bool sliceable_synthetic_ = false;
 };
 
-static_assert(sizeof(Bytes) <= 40, "Bytes is stored once per kv object");
+static_assert(sizeof(Bytes) == 32, "Bytes is stored once per kv object");
 
 }  // namespace memfs

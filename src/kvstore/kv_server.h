@@ -84,7 +84,7 @@ class ObjectTable {
       return {reinterpret_cast<const char*>(this + 1), key_size};
     }
   };
-  static_assert(sizeof(Object) == 56, "object header is seven words");
+  static_assert(sizeof(Object) == 48, "object header is six words");
 
   class Iterator {
    public:

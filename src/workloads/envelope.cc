@@ -1,7 +1,6 @@
 #include "workloads/envelope.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "mtc/workflow.h"
 #include "sim/sync.h"
@@ -107,38 +106,58 @@ sim::Task ReadOneFile(fs::Vfs& vfs, fs::VfsContext ctx, std::string path,
   wg.Done();
 }
 
+// The file names of the data and metadata phases. Each process builds one
+// when it issues the call, so a phase never holds its whole name list.
+std::string FilePath(std::uint32_t node, std::uint32_t proc,
+                     std::uint32_t index) {
+  return "/env/d_n" + std::to_string(node) + "_p" + std::to_string(proc) +
+         "_f" + std::to_string(index);
+}
+
+std::string MetaPath(std::uint32_t node, std::uint32_t proc,
+                     std::uint32_t index) {
+  return "/env/m_n" + std::to_string(node) + "_p" + std::to_string(proc) +
+         "_f" + std::to_string(index);
+}
+
 // One simulated benchmark process working through its files sequentially,
 // exactly like an iozone/mdtest process would. Concurrency comes from the
 // nodes x procs_per_node grid, not from within a process.
 sim::Task WriterProcess(sim::Simulation& sim, fs::Vfs& vfs, fs::VfsContext ctx,
-                        std::vector<std::string> paths, std::uint64_t size,
+                        std::uint32_t count, std::uint64_t size,
                         std::uint64_t block, sim::SimTime job_overhead,
                         sim::SimTime bw_start, PhaseCounter& total,
                         sim::WaitGroup& wg) {
   PhaseCounter mine;
   const sim::SimTime work_start = sim.now();
-  for (auto& path : paths) {
+  for (std::uint32_t f = 0; f < count; ++f) {
     if (job_overhead != 0) co_await sim.Delay(job_overhead);
     sim::WaitGroup one(sim);
     one.Add();
-    WriteOneFile(sim, vfs, ctx, std::move(path), size, block, mine, one);
+    WriteOneFile(sim, vfs, ctx, FilePath(ctx.node, ctx.process, f), size,
+                 block, mine, one);
     co_await one.Wait();
   }
   total.MergeProcess(mine, bw_start, work_start, sim.now());
   wg.Done();
 }
 
+// Reads `count` files: those process `ctx.process` of node `source` wrote,
+// or, when `shared` is set, that one file `count` times.
 sim::Task ReaderProcess(sim::Simulation& sim, fs::Vfs& vfs, fs::VfsContext ctx,
-                        std::vector<std::string> paths, std::uint64_t block,
+                        std::uint32_t source, std::uint32_t count,
+                        const std::string* shared, std::uint64_t block,
                         sim::SimTime job_overhead, sim::SimTime bw_start,
                         bool verify, PhaseCounter& total, sim::WaitGroup& wg) {
   PhaseCounter mine;
   const sim::SimTime work_start = sim.now();
-  for (auto& path : paths) {
+  for (std::uint32_t f = 0; f < count; ++f) {
     if (job_overhead != 0) co_await sim.Delay(job_overhead);
     sim::WaitGroup one(sim);
     one.Add();
-    ReadOneFile(vfs, ctx, std::move(path), block, verify, mine, one);
+    ReadOneFile(vfs, ctx,
+                shared != nullptr ? *shared : FilePath(source, ctx.process, f),
+                block, verify, mine, one);
     co_await one.Wait();
   }
   total.MergeProcess(mine, bw_start, work_start, sim.now());
@@ -146,12 +165,12 @@ sim::Task ReaderProcess(sim::Simulation& sim, fs::Vfs& vfs, fs::VfsContext ctx,
 }
 
 sim::Task CreateProcess(sim::Simulation& sim, fs::Vfs& vfs, fs::VfsContext ctx,
-                        std::vector<std::string> paths, PhaseCounter& total,
+                        std::uint32_t count, PhaseCounter& total,
                         sim::WaitGroup& wg) {
   PhaseCounter mine;
   const sim::SimTime start = sim.now();
-  for (const auto& path : paths) {
-    auto created = co_await vfs.Create(ctx, path);
+  for (std::uint32_t f = 0; f < count; ++f) {
+    auto created = co_await vfs.Create(ctx, MetaPath(ctx.node, ctx.process, f));
     ++mine.ops;
     if (!created.ok()) {
       mine.Note(created.status());
@@ -164,12 +183,12 @@ sim::Task CreateProcess(sim::Simulation& sim, fs::Vfs& vfs, fs::VfsContext ctx,
 }
 
 sim::Task OpenProcess(sim::Simulation& sim, fs::Vfs& vfs, fs::VfsContext ctx,
-                      std::vector<std::string> paths, PhaseCounter& total,
+                      std::uint32_t count, PhaseCounter& total,
                       sim::WaitGroup& wg) {
   PhaseCounter mine;
   const sim::SimTime start = sim.now();
-  for (const auto& path : paths) {
-    auto opened = co_await vfs.Open(ctx, path);
+  for (std::uint32_t f = 0; f < count; ++f) {
+    auto opened = co_await vfs.Open(ctx, MetaPath(ctx.node, ctx.process, f));
     ++mine.ops;
     if (!opened.ok()) {
       mine.Note(opened.status());
@@ -179,6 +198,32 @@ sim::Task OpenProcess(sim::Simulation& sim, fs::Vfs& vfs, fs::VfsContext ctx,
   }
   total.MergeProcess(mine, start, start, sim.now());
   wg.Done();
+}
+
+// A phase's result once the simulation loop has drained: the first error of
+// its processes, or, when none failed, an error naming how many never
+// finished (a lost wakeup would otherwise pass as a short, successful run).
+PhaseResult Collect(const PhaseCounter& counter, const sim::WaitGroup& wg,
+                    sim::SimTime span, sim::SimTime work_span) {
+  PhaseResult result;
+  result.status = counter.error;
+  if (result.status.ok() && wg.pending() != 0) {
+    result.status = status::Internal(std::to_string(wg.pending()) +
+                                     " envelope processes never finished");
+  }
+  result.span = span;
+  result.work_span = work_span;
+  result.bytes = counter.bytes;
+  result.ops = counter.ops;
+  result.sum_proc_mbps = counter.sum_proc_mbps;
+  result.sum_proc_ops_per_sec = counter.sum_proc_ops_per_sec;
+  return result;
+}
+
+PhaseResult Failed(Status status) {
+  PhaseResult result;
+  result.status = std::move(status);
+  return result;
 }
 
 sim::Task RunMkdir(fs::Vfs& vfs, std::string path, Status& out, bool& flag) {
@@ -195,8 +240,11 @@ EnvelopeBench::EnvelopeBench(sim::Simulation& sim, fs::Vfs& vfs,
   bool flag = false;
   RunMkdir(vfs_, "/env", status, flag);
   sim_.Run();
-  assert(flag && (status.ok() || status.code() == ErrorCode::kExists));
-  (void)status;
+  if (!flag) {
+    setup_error_ = status::Internal("envelope mkdir /env never finished");
+  } else if (!status.ok() && status.code() != ErrorCode::kExists) {
+    setup_error_ = status;
+  }
 }
 
 std::uint64_t EnvelopeBench::BlockSize() const {
@@ -205,84 +253,55 @@ std::uint64_t EnvelopeBench::BlockSize() const {
                                  units::MiB(1));
 }
 
-std::string EnvelopeBench::FilePath(std::uint32_t node, std::uint32_t proc,
-                                    std::uint32_t index) const {
-  return "/env/d_n" + std::to_string(node) + "_p" + std::to_string(proc) +
-         "_f" + std::to_string(index);
-}
-
-std::string EnvelopeBench::MetaPath(std::uint32_t node, std::uint32_t proc,
-                                    std::uint32_t index) const {
-  return "/env/m_n" + std::to_string(node) + "_p" + std::to_string(proc) +
-         "_f" + std::to_string(index);
-}
-
 PhaseResult EnvelopeBench::RunWrite() {
+  if (!setup_error_.ok()) return Failed(setup_error_);
   PhaseCounter counter;
   sim::WaitGroup wg(sim_);
   const sim::SimTime start = sim_.now();
   for (std::uint32_t node = 0; node < params_.nodes; ++node) {
     for (std::uint32_t proc = 0; proc < params_.procs_per_node; ++proc) {
-      std::vector<std::string> paths;
-      paths.reserve(params_.files_per_proc);
-      for (std::uint32_t f = 0; f < params_.files_per_proc; ++f) {
-        paths.push_back(FilePath(node, proc, f));
-      }
       wg.Add();
-      WriterProcess(sim_, vfs_, fs::VfsContext{node, proc, {}}, std::move(paths),
-                    params_.file_size, BlockSize(),
+      WriterProcess(sim_, vfs_, fs::VfsContext{node, proc, {}},
+                    params_.files_per_proc, params_.file_size, BlockSize(),
                     params_.per_file_job_overhead, start, counter, wg);
     }
   }
   sim_.Run();
-  assert(wg.pending() == 0);
   wrote_ = true;
-
-  PhaseResult result;
-  result.status = counter.error;
-  result.span = sim_.now() - start;
-  result.work_span = result.span;
-  result.bytes = counter.bytes;
-  result.ops = counter.ops;
-  result.sum_proc_mbps = counter.sum_proc_mbps;
-  result.sum_proc_ops_per_sec = counter.sum_proc_ops_per_sec;
-  return result;
+  const sim::SimTime span = sim_.now() - start;
+  return Collect(counter, wg, span, span);
 }
 
 PhaseResult EnvelopeBench::RunRead11(std::uint32_t node_shift) {
-  assert(wrote_ && "RunWrite must precede read phases");
+  if (!setup_error_.ok()) return Failed(setup_error_);
+  if (!wrote_) {
+    return Failed(status::InvalidArgument(
+        "envelope: RunWrite must precede the 1-1 read"));
+  }
   PhaseCounter counter;
   sim::WaitGroup wg(sim_);
   const sim::SimTime start = sim_.now();
   for (std::uint32_t node = 0; node < params_.nodes; ++node) {
     const std::uint32_t source = (node + node_shift) % params_.nodes;
     for (std::uint32_t proc = 0; proc < params_.procs_per_node; ++proc) {
-      std::vector<std::string> paths;
-      paths.reserve(params_.files_per_proc);
-      for (std::uint32_t f = 0; f < params_.files_per_proc; ++f) {
-        paths.push_back(FilePath(source, proc, f));
-      }
       wg.Add();
-      ReaderProcess(sim_, vfs_, fs::VfsContext{node, proc, {}}, std::move(paths),
-                    BlockSize(), params_.per_file_job_overhead, start,
+      ReaderProcess(sim_, vfs_, fs::VfsContext{node, proc, {}}, source,
+                    params_.files_per_proc, nullptr, BlockSize(),
+                    params_.per_file_job_overhead, start,
                     params_.verify_reads, counter, wg);
     }
   }
   sim_.Run();
-  assert(wg.pending() == 0);
-
-  PhaseResult result;
-  result.status = counter.error;
-  result.span = sim_.now() - start;
-  result.work_span = result.span;
-  result.bytes = counter.bytes;
-  result.ops = counter.ops;
-  result.sum_proc_mbps = counter.sum_proc_mbps;
-  result.sum_proc_ops_per_sec = counter.sum_proc_ops_per_sec;
-  return result;
+  const sim::SimTime span = sim_.now() - start;
+  return Collect(counter, wg, span, span);
 }
 
 PhaseResult EnvelopeBench::RunReadN1() {
+  if (!setup_error_.ok()) return Failed(setup_error_);
+  if (!wrote_) {
+    return Failed(status::InvalidArgument(
+        "envelope: RunWrite must precede the N-1 read"));
+  }
   // Shared file written once by node 0 (setup; not timed).
   Status setup_error;
   if (shared_file_.empty()) {
@@ -308,7 +327,10 @@ PhaseResult EnvelopeBench::RunReadN1() {
       flag = true;
     }(amfs_, shared_file_, multicast_status, multicast_done);
     sim_.Run();
-    assert(multicast_done);
+    if (!multicast_done) {
+      multicast_status =
+          status::Internal("envelope N-1 multicast never finished");
+    }
     if (setup_error.ok()) setup_error = multicast_status;
   }
   const sim::SimTime reads_start = sim_.now();
@@ -318,81 +340,57 @@ PhaseResult EnvelopeBench::RunReadN1() {
   for (std::uint32_t node = 0; node < params_.nodes; ++node) {
     for (std::uint32_t proc = 0; proc < params_.procs_per_node; ++proc) {
       wg.Add();
-      ReaderProcess(sim_, vfs_, fs::VfsContext{node, proc, {}}, {shared_file_},
-                    BlockSize(), params_.per_file_job_overhead, start,
-                    params_.verify_reads, counter, wg);
+      ReaderProcess(sim_, vfs_, fs::VfsContext{node, proc, {}}, node, 1,
+                    &shared_file_, BlockSize(), params_.per_file_job_overhead,
+                    start, params_.verify_reads, counter, wg);
     }
   }
   sim_.Run();
-  assert(wg.pending() == 0);
 
-  PhaseResult result;
-  result.status = setup_error.ok() ? counter.error : setup_error;
-  result.span = sim_.now() - start;          // includes multicast
-  result.work_span = sim_.now() - reads_start;  // reads only
-  result.bytes = counter.bytes;
-  result.ops = counter.ops;
-  result.sum_proc_mbps = counter.sum_proc_mbps;
-  result.sum_proc_ops_per_sec = counter.sum_proc_ops_per_sec;
+  // The span includes the multicast, the work span covers the reads only.
+  PhaseResult result = Collect(counter, wg, sim_.now() - start,
+                               sim_.now() - reads_start);
+  if (!setup_error.ok()) result.status = setup_error;
   return result;
 }
 
 PhaseResult EnvelopeBench::RunCreate(std::uint32_t files_per_proc) {
+  if (!setup_error_.ok()) return Failed(setup_error_);
   meta_files_ = files_per_proc;
   PhaseCounter counter;
   sim::WaitGroup wg(sim_);
   const sim::SimTime start = sim_.now();
   for (std::uint32_t node = 0; node < params_.nodes; ++node) {
     for (std::uint32_t proc = 0; proc < params_.procs_per_node; ++proc) {
-      std::vector<std::string> paths;
-      paths.reserve(files_per_proc);
-      for (std::uint32_t f = 0; f < files_per_proc; ++f) {
-        paths.push_back(MetaPath(node, proc, f));
-      }
       wg.Add();
-      CreateProcess(sim_, vfs_, fs::VfsContext{node, proc, {}}, std::move(paths),
+      CreateProcess(sim_, vfs_, fs::VfsContext{node, proc, {}}, files_per_proc,
                     counter, wg);
     }
   }
   sim_.Run();
-  assert(wg.pending() == 0);
-
-  PhaseResult result;
-  result.status = counter.error;
-  result.span = sim_.now() - start;
-  result.work_span = result.span;
-  result.ops = counter.ops;
-  result.sum_proc_ops_per_sec = counter.sum_proc_ops_per_sec;
-  return result;
+  const sim::SimTime span = sim_.now() - start;
+  return Collect(counter, wg, span, span);
 }
 
 PhaseResult EnvelopeBench::RunOpen() {
-  assert(meta_files_ > 0 && "RunCreate must precede RunOpen");
+  if (!setup_error_.ok()) return Failed(setup_error_);
+  if (!meta_files_) {
+    return Failed(
+        status::InvalidArgument("envelope: RunCreate must precede RunOpen"));
+  }
   PhaseCounter counter;
   sim::WaitGroup wg(sim_);
   const sim::SimTime start = sim_.now();
   for (std::uint32_t node = 0; node < params_.nodes; ++node) {
     for (std::uint32_t proc = 0; proc < params_.procs_per_node; ++proc) {
-      std::vector<std::string> paths;
-      paths.reserve(meta_files_);
-      for (std::uint32_t f = 0; f < meta_files_; ++f) {
-        paths.push_back(MetaPath(node, proc, f));
-      }
       wg.Add();
-      OpenProcess(sim_, vfs_, fs::VfsContext{node, proc, {}}, std::move(paths),
+      OpenProcess(sim_, vfs_, fs::VfsContext{node, proc, {}}, *meta_files_,
                   counter, wg);
     }
   }
   sim_.Run();
-  assert(wg.pending() == 0);
-
-  PhaseResult result;
-  result.status = counter.error;
-  result.span = sim_.now() - start;
-  result.work_span = result.span;
-  result.ops = counter.ops;
-  result.sum_proc_ops_per_sec = counter.sum_proc_ops_per_sec;
-  return result;
+  const sim::SimTime span = sim_.now() - start;
+  return Collect(counter, wg, span, span);
 }
 
 }  // namespace memfs::workloads

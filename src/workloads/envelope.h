@@ -76,7 +76,10 @@ class EnvelopeBench {
                 amfs::Amfs* amfs = nullptr);
 
   // Each phase drives the simulation loop to completion. Phases must run in
-  // order: write first (it creates the working set the reads consume).
+  // order: write first (it creates the working set the reads consume), and
+  // create before open. A phase run out of order, a phase whose processes
+  // did not all finish, and every phase after a failed `/env` mkdir return
+  // the error as their status.
   PhaseResult RunWrite();
 
   // 1-1 read: every process reads the files written by the process
@@ -91,18 +94,15 @@ class EnvelopeBench {
   PhaseResult RunOpen();
 
  private:
-  std::string FilePath(std::uint32_t node, std::uint32_t proc,
-                       std::uint32_t index) const;
-  std::string MetaPath(std::uint32_t node, std::uint32_t proc,
-                       std::uint32_t index) const;
   std::uint64_t BlockSize() const;
 
   sim::Simulation& sim_;
   fs::Vfs& vfs_;
   EnvelopeParams params_;
   amfs::Amfs* amfs_;
+  Status setup_error_;  // the constructor's mkdir of /env
   std::string shared_file_;
-  std::uint32_t meta_files_ = 0;
+  std::optional<std::uint32_t> meta_files_;  // set by RunCreate
   bool wrote_ = false;
 };
 

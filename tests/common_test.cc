@@ -1,4 +1,5 @@
 // Unit tests for src/common: payloads, stats, RNG, status, table output.
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -364,6 +365,92 @@ TEST(BytesTest, RealDegradedToSyntheticKeepsSlicesVerifiable) {
   EXPECT_TRUE(mixed.Slice(3, 500).ContentEquals(twin.Slice(3, 500)));
   EXPECT_FALSE(mixed.Slice(3, 500).ContentEquals(twin.Slice(4, 500)));
   EXPECT_TRUE(Bytes(mixed).ContentEquals(twin));
+}
+
+// --- Bytes: the packed size-and-flags word ---
+
+TEST(BytesTest, IsFourWords) {
+  // The size shares a word with the three form flags.
+  EXPECT_EQ(sizeof(Bytes), 32u);
+}
+
+TEST(BytesTest, SyntheticBeyond4GiBKeepsSizeAndFingerprint) {
+  // Sizes and offsets past 2^32 survive every operation intact; the
+  // fingerprints were pinned while the size had a word of its own.
+  const std::uint64_t size = (std::uint64_t{5} << 30) + 3;
+  const Bytes big = Bytes::Synthetic(size, 42);
+  EXPECT_EQ(big.size(), size);
+  EXPECT_EQ(big.fingerprint(), 2823546731965981438ull);
+
+  const std::uint64_t offset = (std::uint64_t{1} << 32) + 17;
+  const Bytes tail = big.Slice(offset, size);
+  EXPECT_EQ(tail.size(), size - offset);
+  EXPECT_EQ(tail.fingerprint(), 6552298816863676292ull);
+  EXPECT_TRUE(
+      tail.Slice(100, 1000).ContentEquals(big.Slice(offset + 100, 1000)));
+
+  Bytes rebuilt = big.Slice(0, offset);
+  rebuilt.Append(tail);
+  EXPECT_EQ(rebuilt.size(), size);
+  EXPECT_EQ(rebuilt.fingerprint(), big.fingerprint());
+  EXPECT_FALSE(rebuilt.is_real());
+
+  Bytes doubled = big;
+  doubled.Append(big);
+  EXPECT_EQ(doubled.size(), 2 * size);
+  EXPECT_EQ(doubled.fingerprint(), 5663186370251206330ull);
+
+  Bytes copy(big);
+  EXPECT_EQ(copy.size(), size);
+  EXPECT_EQ(copy.fingerprint(), big.fingerprint());
+  Bytes moved(std::move(copy));
+  EXPECT_EQ(moved.size(), size);
+  EXPECT_EQ(moved.fingerprint(), big.fingerprint());
+  EXPECT_TRUE(moved.Slice(offset, 64).ContentEquals(big.Slice(offset, 64)));
+}
+
+TEST(BytesTest, FlagsSurviveFormTransitions) {
+  // Inline to heap: appending past 16 bytes moves real content to the heap.
+  Bytes real = Bytes::Copy("0123456789");
+  real.Append(Bytes::Copy("abcdefghij"));
+  EXPECT_TRUE(real.is_real());
+  EXPECT_EQ(real.size(), 20u);
+  EXPECT_EQ(real.view(), "0123456789abcdefghij");
+  EXPECT_EQ(real.fingerprint(),
+            Bytes::Copy("0123456789abcdefghij").fingerprint());
+  EXPECT_EQ(real.Slice(8, 4).view(), "89ab");
+
+  // Real to synthetic: a mixed append degrades the payload, and its slices
+  // are no longer the generator's slices.
+  const Bytes pattern = Bytes::Synthetic(1000, 9);
+  Bytes mixed = real;
+  mixed.Append(pattern);
+  EXPECT_FALSE(mixed.is_real());
+  EXPECT_EQ(mixed.size(), 1020u);
+  EXPECT_FALSE(mixed.Slice(20, 100).ContentEquals(pattern.Slice(0, 100)));
+  Bytes mixed_copy(mixed);
+  EXPECT_FALSE(mixed_copy.is_real());
+  EXPECT_TRUE(mixed_copy.Slice(5, 50).ContentEquals(mixed.Slice(5, 50)));
+
+  // A slice of a generator stays sliceable through copy and move.
+  Bytes slice = pattern.Slice(100, 500);
+  Bytes moved(std::move(slice));
+  EXPECT_FALSE(moved.is_real());
+  EXPECT_TRUE(moved.Slice(10, 20).ContentEquals(pattern.Slice(110, 20)));
+  Bytes assigned = Bytes::Copy("x");
+  assigned = moved;
+  EXPECT_TRUE(assigned.Slice(10, 20).ContentEquals(pattern.Slice(110, 20)));
+
+  // Move: the moved-from payload is Bytes(), whatever form it had, and
+  // takes inline content again.
+  for (Bytes* from : {&real, &mixed, &moved, &slice}) {
+    Bytes taken(std::move(*from));
+    EXPECT_TRUE(from->is_real());
+    EXPECT_EQ(from->size(), 0u);
+    EXPECT_EQ(from->fingerprint(), 0u);
+    from->Append(Bytes::Copy("short"));
+    EXPECT_EQ(from->view(), "short");
+  }
 }
 
 // --- RunningStats / Samples ---

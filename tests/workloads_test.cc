@@ -3,8 +3,11 @@
 // interactions, and generator parameter edge cases.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -316,6 +319,294 @@ TEST(EnvelopeAccountingTest, FailedPhaseReportsItsStatus) {
   }
   const auto write = bench.RunWrite();
   EXPECT_FALSE(write.status.ok());
+}
+
+TEST(EnvelopeAccountingTest, OpenBeforeCreateFailsThePhase) {
+  // A Release build reports the misordered phase instead of opening nothing
+  // and printing zero counts as a success.
+  TestbedConfig config;
+  config.nodes = 2;
+  Testbed bed(FsKind::kMemFs, config);
+  EnvelopeParams params;
+  params.nodes = 2;
+  EnvelopeBench bench(bed.simulation(), bed.vfs(), params, nullptr);
+  const auto open = bench.RunOpen();
+  EXPECT_EQ(open.status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(open.ops, 0u);
+  // A create phase of no files still orders the open phase (no-metadata
+  // cells of the paper table run both).
+  EXPECT_TRUE(bench.RunCreate(0).status.ok());
+  const auto empty = bench.RunOpen();
+  EXPECT_TRUE(empty.status.ok()) << empty.status.ToString();
+  EXPECT_EQ(empty.ops, 0u);
+  EXPECT_TRUE(bench.RunCreate(2).status.ok());
+  const auto reopened = bench.RunOpen();
+  EXPECT_TRUE(reopened.status.ok()) << reopened.status.ToString();
+  EXPECT_EQ(reopened.ops, 2u * 2u);
+}
+
+TEST(EnvelopeAccountingTest, ReadBeforeWriteFailsThePhase) {
+  for (const FsKind kind : {FsKind::kMemFs, FsKind::kAmfs}) {
+    TestbedConfig config;
+    config.nodes = 2;
+    Testbed bed(kind, config);
+    EnvelopeParams params;
+    params.nodes = 2;
+    params.file_size = KiB(64);
+    EnvelopeBench bench(bed.simulation(), bed.vfs(), params, bed.amfs());
+    const auto read11 = bench.RunRead11();
+    const auto readn1 = bench.RunReadN1();
+    EXPECT_EQ(read11.status.code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(readn1.status.code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(read11.ops + readn1.ops, 0u);
+    EXPECT_EQ(read11.bytes + readn1.bytes, 0u);
+    EXPECT_TRUE(bench.RunWrite().status.ok());
+    EXPECT_TRUE(bench.RunRead11().status.ok());
+    EXPECT_TRUE(bench.RunReadN1().status.ok());
+  }
+}
+
+// --- Envelope golden calls ---
+
+// Records every call the envelope issues, per (node, process), and folds
+// the whole interleaving, stamped with simulated time, into one hash. The
+// caller gets the inner file system's future itself, so recording adds no
+// event.
+class RecordingVfs final : public fs::Vfs {
+ public:
+  RecordingVfs(sim::Simulation& sim, fs::Vfs& inner)
+      : sim_(sim), inner_(inner) {}
+
+  using Calls = std::map<std::pair<std::uint32_t, std::uint32_t>,
+                         std::vector<std::string>>;
+
+  // The calls since the last Take, and the hash of their interleaving.
+  std::pair<Calls, std::uint64_t> Take() {
+    std::pair<Calls, std::uint64_t> out{std::move(calls_), hash_};
+    calls_.clear();
+    hash_ = kFnvOffset;
+    return out;
+  }
+
+  sim::Future<Result<fs::FileHandle>> Create(fs::VfsContext ctx,
+                                             std::string path) override {
+    Note(ctx, "create " + path);
+    return inner_.Create(ctx, std::move(path));
+  }
+  sim::Future<Result<fs::FileHandle>> Open(fs::VfsContext ctx,
+                                           std::string path) override {
+    Note(ctx, "open " + path);
+    return inner_.Open(ctx, std::move(path));
+  }
+  sim::Future<Status> Write(fs::VfsContext ctx, fs::FileHandle handle,
+                            Bytes data) override {
+    Note(ctx, "write " + std::to_string(data.size()));
+    return inner_.Write(ctx, handle, std::move(data));
+  }
+  sim::Future<Result<Bytes>> Read(fs::VfsContext ctx, fs::FileHandle handle,
+                                  std::uint64_t offset,
+                                  std::uint64_t length) override {
+    Note(ctx, "read " + std::to_string(offset) + " " + std::to_string(length));
+    return inner_.Read(ctx, handle, offset, length);
+  }
+  sim::Future<Status> Flush(fs::VfsContext ctx,
+                            fs::FileHandle handle) override {
+    Note(ctx, "flush");
+    return inner_.Flush(ctx, handle);
+  }
+  sim::Future<Status> Close(fs::VfsContext ctx,
+                            fs::FileHandle handle) override {
+    Note(ctx, "close");
+    return inner_.Close(ctx, handle);
+  }
+  sim::Future<Status> Mkdir(fs::VfsContext ctx, std::string path) override {
+    Note(ctx, "mkdir " + path);
+    return inner_.Mkdir(ctx, std::move(path));
+  }
+  sim::Future<Result<std::vector<fs::FileInfo>>> ReadDir(
+      fs::VfsContext ctx, std::string path) override {
+    Note(ctx, "readdir " + path);
+    return inner_.ReadDir(ctx, std::move(path));
+  }
+  sim::Future<Result<fs::DirPage>> ReadDirPage(fs::VfsContext ctx,
+                                               std::string path,
+                                               fs::DirCursor cursor,
+                                               std::uint32_t limit) override {
+    Note(ctx, "readdirpage " + path);
+    return inner_.ReadDirPage(ctx, std::move(path), cursor, limit);
+  }
+  sim::Future<Result<fs::FileInfo>> Stat(fs::VfsContext ctx,
+                                         std::string path) override {
+    Note(ctx, "stat " + path);
+    return inner_.Stat(ctx, std::move(path));
+  }
+  sim::Future<Status> Unlink(fs::VfsContext ctx, std::string path) override {
+    Note(ctx, "unlink " + path);
+    return inner_.Unlink(ctx, std::move(path));
+  }
+  sim::Future<Status> Rmdir(fs::VfsContext ctx, std::string path) override {
+    Note(ctx, "rmdir " + path);
+    return inner_.Rmdir(ctx, std::move(path));
+  }
+  sim::Future<Status> Rename(fs::VfsContext ctx, std::string from,
+                             std::string to) override {
+    Note(ctx, "rename " + from + " " + to);
+    return inner_.Rename(ctx, std::move(from), std::move(to));
+  }
+  sim::Future<Status> Link(fs::VfsContext ctx, std::string existing,
+                           std::string link) override {
+    Note(ctx, "link " + existing + " " + link);
+    return inner_.Link(ctx, std::move(existing), std::move(link));
+  }
+
+ private:
+  static constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+  void Note(const fs::VfsContext& ctx, std::string call) {
+    const std::string stamped = std::to_string(sim_.now()) + " n" +
+                                std::to_string(ctx.node) + " p" +
+                                std::to_string(ctx.process) + " " + call;
+    for (const char c : stamped + "\n") {
+      hash_ = (hash_ ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    }
+    calls_[{ctx.node, ctx.process}].push_back(std::move(call));
+  }
+
+  sim::Simulation& sim_;
+  fs::Vfs& inner_;
+  Calls calls_;
+  std::uint64_t hash_ = kFnvOffset;
+};
+
+// What one phase did, pinned from the implementation that built each
+// process's name list before the phase ran.
+struct GoldenPhase {
+  std::uint64_t ops;
+  std::uint64_t bytes;
+  sim::SimTime span;
+  sim::SimTime work_span;
+  double sum_proc_mbps;
+  double sum_proc_ops_per_sec;
+  std::uint64_t interleaving;
+};
+
+constexpr std::uint32_t kGoldenNodes = 4;
+constexpr std::uint32_t kGoldenProcs = 2;
+constexpr std::uint32_t kGoldenFiles = 2;
+constexpr std::uint32_t kGoldenMetaFiles = 3;
+
+std::string GoldenName(char kind, std::uint32_t node, std::uint32_t proc,
+                       std::uint32_t index) {
+  return std::string("/env/") + kind + "_n" + std::to_string(node) + "_p" +
+         std::to_string(proc) + "_f" + std::to_string(index);
+}
+
+// The calls one process issues for one file of 64 KiB in 32 KiB calls.
+void ExpectWrite(std::vector<std::string>& out, const std::string& path) {
+  out.insert(out.end(), {"create " + path, "write 32768", "write 32768",
+                         "close"});
+}
+void ExpectRead(std::vector<std::string>& out, const std::string& path) {
+  // The third read finds EOF (the file is a multiple of the call size).
+  out.insert(out.end(), {"open " + path, "read 0 32768", "read 32768 32768",
+                         "read 65536 32768", "close"});
+}
+
+// Per phase, the calls each (node, process) must issue, in order.
+std::vector<RecordingVfs::Calls> ExpectedGoldenCalls() {
+  std::vector<RecordingVfs::Calls> phases(5);
+  for (std::uint32_t node = 0; node < kGoldenNodes; ++node) {
+    for (std::uint32_t proc = 0; proc < kGoldenProcs; ++proc) {
+      const std::pair key{node, proc};
+      for (std::uint32_t f = 0; f < kGoldenFiles; ++f) {
+        ExpectWrite(phases[0][key], GoldenName('d', node, proc, f));
+        // The 1-1 read runs remote: each node reads its neighbour's files.
+        ExpectRead(phases[1][key],
+                   GoldenName('d', (node + 1) % kGoldenNodes, proc, f));
+      }
+      // Node 0's first process writes the shared N-1 file before the reads.
+      if (key == std::pair{0u, 0u}) {
+        ExpectWrite(phases[2][key], "/env/shared_n1");
+      }
+      ExpectRead(phases[2][key], "/env/shared_n1");
+      for (std::uint32_t f = 0; f < kGoldenMetaFiles; ++f) {
+        const std::string meta = GoldenName('m', node, proc, f);
+        std::vector<std::string>& create = phases[3][key];
+        std::vector<std::string>& open = phases[4][key];
+        create.insert(create.end(), {"create " + meta, "close"});
+        open.insert(open.end(), {"open " + meta, "close"});
+      }
+    }
+  }
+  return phases;
+}
+
+void RunEnvelopeGolden(FsKind kind, const std::vector<GoldenPhase>& golden) {
+  TestbedConfig config;
+  config.nodes = kGoldenNodes;
+  Testbed bed(kind, config);
+  RecordingVfs recorder(bed.simulation(), bed.vfs());
+  EnvelopeParams params;
+  params.nodes = kGoldenNodes;
+  params.procs_per_node = kGoldenProcs;
+  params.file_size = KiB(64);
+  params.files_per_proc = kGoldenFiles;
+  params.io_block = KiB(32);
+  EnvelopeBench bench(bed.simulation(), recorder, params, bed.amfs());
+  const auto setup = recorder.Take().first;
+  ASSERT_EQ(setup.size(), 1u);
+  EXPECT_EQ(setup.begin()->second, std::vector<std::string>{"mkdir /env"});
+
+  const char* names[] = {"write", "read11", "readn1", "create", "open"};
+  const std::vector<RecordingVfs::Calls> expected = ExpectedGoldenCalls();
+  ASSERT_EQ(golden.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE(names[i]);
+    PhaseResult result;
+    switch (i) {
+      case 0: result = bench.RunWrite(); break;
+      case 1: result = bench.RunRead11(1); break;
+      case 2: result = bench.RunReadN1(); break;
+      case 3: result = bench.RunCreate(kGoldenMetaFiles); break;
+      default: result = bench.RunOpen(); break;
+    }
+    const auto [calls, interleaving] = recorder.Take();
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(calls, expected[i]);
+    EXPECT_EQ(result.ops, golden[i].ops);
+    EXPECT_EQ(result.bytes, golden[i].bytes);
+    EXPECT_EQ(result.span, golden[i].span);
+    EXPECT_EQ(result.work_span, golden[i].work_span);
+    EXPECT_DOUBLE_EQ(result.sum_proc_mbps, golden[i].sum_proc_mbps);
+    EXPECT_DOUBLE_EQ(result.sum_proc_ops_per_sec,
+                     golden[i].sum_proc_ops_per_sec);
+    EXPECT_EQ(interleaving, golden[i].interleaving);
+  }
+}
+
+TEST(EnvelopeGoldenTest, MemFsPhasesIssueThePinnedCalls) {
+  RunEnvelopeGolden(FsKind::kMemFs, {
+      {32, 1048576, 1529588, 1529588, 971.89979032621568, 29660.027780951401,
+       0x87341c5beff1552eull},
+      {32, 1048576, 672152, 672152, 2040.4399016741363, 62269.284108707769,
+       0xd0b9cebd149925e9ull},
+      {16, 524288, 681190, 681190, 1509.0189445997628, 46051.603533928297,
+       0x89d2fca12cb910ddull},
+      {24, 0, 1459320, 1459320, 0, 21903.688849299342, 0x05e98350c13dfd1dull},
+      {24, 0, 396351, 396351, 0, 66459.273401267827, 0x7d5e97d4459cdfc1ull}});
+}
+
+TEST(EnvelopeGoldenTest, AmfsPhasesIssueThePinnedCalls) {
+  RunEnvelopeGolden(FsKind::kAmfs, {
+      {32, 1048576, 1296944, 1296944, 980.55830086232595, 29924.264552683282,
+       0x1e11e91bada63432ull},
+      {32, 1048576, 1698752, 1698752, 617.80856290740098, 18854.021084820586,
+       0x774982878b1d9acdull},
+      // The N-1 span includes the multicast; the work span does not.
+      {16, 524288, 1245504, 153920, 421.4526338108264, 104983.26824857439,
+       0xd9f670fbefdd79d1ull},
+      {24, 0, 1213600, 1213600, 0, 25183.872556574635, 0x9b64f052c5e77c1eull},
+      {24, 0, 117000, 117000, 0, 207827.26045883936, 0xdf5443453c187439ull}});
 }
 
 // --- Generator edge cases ---

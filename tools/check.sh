@@ -24,7 +24,7 @@
 #      (`ctest -L determinism`: every scenario x observer cell of
 #      tools/determinism_gate.cc, the label's only test), then the event
 #      heap, pool, future, semaphore, solver, payload, kv, chaos,
-#      file-system client and workflow tests,
+#      file-system client, workflow and envelope tests,
 #   6. configure + build with -DMEMFS_SANITIZE=thread in build-tsan/ and
 #      re-run the same under TSan (skipped with a notice when the toolchain
 #      has no libtsan).
@@ -98,14 +98,19 @@ ctest --test-dir "$root/build-asan" -L determinism --output-on-failure
 # workflow's flat id array and views into its string table across every
 # co_await, and the golden digest reads every builder string back through
 # them. The scripted op-scheduler bursts cover a lane's queue buffer, which a
-# drain round hands whole to its batch when every queued op joins it.
+# drain round hands whole to its batch when every queued op joins it. The
+# envelope golden and accounting tests cover the envelope processes, which
+# build each file name inside their coroutine frames, and the N-1 readers,
+# which read the shared name through a pointer into the bench; the payload
+# tests cover the size and form flags packed into one word.
 tests='EventHeap|PoolAlloc|SimChecker|FutureTest|FluidNetwork|SolverEquivalence'
 tests="$tests|SemaphoreTest|BytesTest|KvServerTest"
 tests="$tests|KvCluster|KvBatch|KvGauge|FaultCluster|OpScheduler"
 tests="$tests|ChaosSoak|MigrationChaos"
 tests="$tests|MemFsTest|AmfsTest|MetaFsTest|MetaChaos|RunnerTest|ElasticClusterTest"
 tests="$tests|WorkflowTest|MontageTest|BlastTest|WorkflowGolden|OpSchedulerBurst"
-echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client and workflow tests =="
+tests="$tests|EnvelopeGolden|EnvelopeAccounting"
+echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client, workflow and envelope tests =="
 ctest --test-dir "$root/build-asan" -R "$tests" --output-on-failure
 
 # TSan and ASan cannot live in one binary, so thread gets its own tree.
@@ -120,7 +125,7 @@ if printf 'int main(){return 0;}' | \
   echo "== sanitizers: determinism gate under TSan =="
   ctest --test-dir "$root/build-tsan" -L determinism --output-on-failure
 
-  echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client and workflow tests under TSan =="
+  echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client, workflow and envelope tests under TSan =="
   ctest --test-dir "$root/build-tsan" -R "$tests" --output-on-failure
 else
   echo "== sanitizers: thread skipped (toolchain has no libtsan) =="
