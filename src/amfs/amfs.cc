@@ -4,13 +4,21 @@
 #include <cassert>
 #include <utility>
 
-#include "hash/hash.h"
-
 namespace memfs::amfs {
 
 using fs::FileHandle;
 using fs::FileInfo;
 using fs::VfsContext;
+
+namespace {
+
+// Entries per ReadDirPage response. Listings are served in sorted pages
+// whose response transfer is proportional to the page's serialized size —
+// not to the whole directory — so readdir cost no longer scales with
+// directory size per RPC.
+constexpr std::uint32_t kReaddirPage = 256;
+
+}  // namespace
 
 Amfs::Amfs(sim::Simulation& sim, net::Network& network, AmfsConfig config)
     : sim_(sim),
@@ -38,16 +46,13 @@ Amfs::Amfs(sim::Simulation& sim, net::Network& network, AmfsConfig config)
 }
 
 net::NodeId Amfs::MetaServerFor(std::string_view path) const {
-  const std::uint32_t nodes = network_.config().nodes;
-  if (!config_.skewed_metadata) {
-    return static_cast<net::NodeId>(hash::Fnv1a64(path) % nodes);
-  }
-  // Additive byte-sum placement: workload file names share long common
-  // prefixes and differ in a few digit positions, so nearby names collapse
-  // onto few nodes — the non-uniform distribution reported for AMFS.
+  // Non-uniform metadata placement, an additive byte-sum hash; matches the
+  // cited observation that AMFS metadata distribution is skewed. Workload
+  // file names share long common prefixes and differ in a few digit
+  // positions, so nearby names collapse onto few nodes.
   std::uint64_t sum = 0;
   for (unsigned char c : path) sum += c;
-  return static_cast<net::NodeId>(sum % nodes);
+  return static_cast<net::NodeId>(sum % network_.config().nodes);
 }
 
 Result<Amfs::MetaRecord*> Amfs::FindMeta(const std::string& path) {
@@ -365,7 +370,7 @@ sim::Future<Result<fs::DirPage>> Amfs::ReadDirPage(VfsContext ctx,
   if (cursor.shard > 1) {
     co_return status::InvalidArgument("AMFS cursors have one shard");
   }
-  const std::uint32_t page_limit = limit > 0 ? limit : config_.readdir_page;
+  const std::uint32_t page_limit = limit > 0 ? limit : kReaddirPage;
   const net::NodeId home = MetaServerFor(path);
   const bool local_answer =
       home == ctx.node || stores_[ctx.node]->Exists(path);

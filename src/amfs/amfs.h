@@ -63,14 +63,6 @@ struct AmfsConfig {
   // Cost of answering a metadata query from local tables (FUSE lookup +
   // local metadata structures), the fast path behind AMFS's open numbers.
   sim::SimTime metadata_local = units::Micros(30);
-  // Non-uniform metadata placement (additive byte-sum hash); matches the
-  // cited observation that AMFS metadata distribution is skewed.
-  bool skewed_metadata = true;
-  // Entries per ReadDirPage response. Listings are served in sorted pages
-  // whose response transfer is proportional to the page's serialized size —
-  // not to the whole directory — so readdir cost no longer scales with
-  // directory size per RPC.
-  std::uint32_t readdir_page = 256;
   // Per-node storage budget (node memory minus the application reservation).
   std::uint64_t node_memory_limit = units::GiB(20);
   fs::FuseConfig fuse;
@@ -152,7 +144,8 @@ class Amfs final : public fs::Vfs {
     std::uint64_t size = 0;  // read mode
   };
 
-  // Metadata home node for `path` (skewed or uniform).
+  // Metadata home node for `path`: the byte sum of its characters modulo the
+  // node count.
   net::NodeId MetaServerFor(std::string_view path) const;
 
   // One unit of service at `home`'s metadata shard: waits for a worker slot

@@ -44,10 +44,6 @@ void FlagParser::MarkRecognized(std::string_view name) {
   recognized_.insert(std::string(name));
 }
 
-bool FlagParser::HasFlag(std::string_view name) const {
-  return Find(name) != nullptr;
-}
-
 std::string FlagParser::GetString(std::string_view name,
                                   std::string_view fallback) {
   MarkRecognized(name);

@@ -27,8 +27,6 @@ class FlagParser {
   // ("1", "true", "yes"); false when absent or falsy.
   bool GetBool(std::string_view name, bool fallback = false);
 
-  bool HasFlag(std::string_view name) const;
-
   // Arguments that are not flags, in order.
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -49,23 +49,6 @@ namespace memfs::diagnose {
 // specific server use this (same sentinel as common/metrics.h exemplars).
 inline constexpr std::uint32_t kNoServer = ~0u;
 
-struct IncidentConfig {
-  // Violating windows of one rule at most this many windows apart merge
-  // into one incident episode.
-  std::size_t merge_gap_windows = 1;
-  // Frozen timeline slice = violating windows padded by this many windows
-  // on each side (context: the breaker that opened just before the breach).
-  std::size_t context_windows = 2;
-  // Per-instance gauge family summarized per incident by the symmetry
-  // auditor's balance statistics.
-  std::string balance_family = "kv.mem_bytes";
-  // Migration stall: "migrate.active" > 0 while "migrate.keys_moved" is
-  // unchanged for at least this many consecutive windows.
-  std::size_t stall_windows = 8;
-  // Worst exemplars attributed per incident (distinct operations).
-  std::size_t max_exemplars = 4;
-};
-
 enum class TriggerKind : std::uint8_t {
   kSloViolation,
   kBreakerOpen,
@@ -113,7 +96,8 @@ struct ExemplarAttribution {
   std::vector<ServerPathShare> by_server;  // nanos desc, server asc
 };
 
-// Balance verdict for the configured family over the incident slice.
+// Balance verdict for the audited family (kv.mem_bytes) over the incident
+// slice.
 struct BalanceSummary {
   std::string family;
   double worst_skew = 1.0;           // max/mean, worst window in the slice
@@ -152,7 +136,7 @@ struct Incident {
 
 // Runs the critical-path extractor over one exemplar's span subtree and
 // resolves per-server shares via "server" span annotations. Exposed for
-// tests; FlightRecorder::Diagnose calls it per retained exemplar.
+// tests; Diagnose calls it per retained exemplar.
 ExemplarAttribution AttributeExemplar(const trace::Tracer& tracer,
                                       const monitor::WindowExemplar& exemplar);
 
@@ -160,48 +144,25 @@ ExemplarAttribution AttributeExemplar(const trace::Tracer& tracer,
 // + fault overlap + breaker state + balance extremes). Exposed for tests.
 std::vector<CauseScore> RankCauses(const Incident& incident);
 
-class FlightRecorder {
- public:
-  explicit FlightRecorder(const monitor::Monitor& monitor,
-                          IncidentConfig config = {});
+// The flight recorder. Scans the monitor's retained windows and returns
+// every frozen, attributed incident in onset order. `slo` holds evaluated
+// SLO results, whose violations become primary triggers. `tracer` holds the
+// spans the exemplars point into (optional: without it, exemplars freeze
+// untraced and nothing is attributed). `faults` is the fault schedule in
+// scheduling order (FaultInjector::scheduled(), or a hand-built list in
+// tests). Read-only over all four; call after Monitor::Finish().
+std::vector<Incident> Diagnose(const monitor::Monitor& monitor,
+                               const std::vector<monitor::SloResult>& slo,
+                               const trace::Tracer* tracer,
+                               const std::vector<sim::FaultEvent>& faults);
 
-  // Evaluated SLO results whose violations become primary triggers.
-  void SetSloResults(std::vector<monitor::SloResult> results);
-  // Tracer holding the spans the exemplars point into (optional: without
-  // it, exemplars freeze untraced and nothing is attributed).
-  void SetTracer(const trace::Tracer* tracer);
-  // Fault schedule in scheduling order (FaultInjector::scheduled(), or a
-  // hand-built list in tests).
-  void SetFaults(std::vector<sim::FaultEvent> faults);
+// Human report: one block per incident (triggers, faults, balance, top
+// exemplars, ranked causes, verdict).
+void Print(const std::vector<Incident>& incidents, std::ostream& os);
 
-  const IncidentConfig& config() const { return config_; }
-
-  // Scans the monitor's retained windows and returns every frozen,
-  // attributed incident in onset order. Read-only over monitor, tracer and
-  // fault schedule; call after Monitor::Finish().
-  std::vector<Incident> Diagnose() const;
-
-  // Human report: one block per incident (triggers, faults, balance, top
-  // exemplars, ranked causes, verdict).
-  static void Print(const std::vector<Incident>& incidents, std::ostream& os);
-
-  // Deterministic JSON export — the byte stream `determinism_gate`
-  // compares across same-seed runs.
-  static void WriteJson(const std::vector<Incident>& incidents,
-                        std::ostream& os);
-
- private:
-  std::vector<Trigger> CollectTriggers() const;
-  Incident Freeze(std::size_t id, std::size_t first_window,
-                  std::size_t last_window, std::vector<Trigger> triggers)
-      const;
-
-  const monitor::Monitor* monitor_;
-  IncidentConfig config_;
-  std::vector<monitor::SloResult> slo_results_;
-  const trace::Tracer* tracer_ = nullptr;
-  std::vector<sim::FaultEvent> faults_;
-};
+// Deterministic JSON export — the byte stream `determinism_gate` compares
+// across same-seed runs.
+void WriteJson(const std::vector<Incident>& incidents, std::ostream& os);
 
 // The verdicts of one finished run: SLO results, then the incidents the
 // flight recorder froze from them.
@@ -211,11 +172,11 @@ struct RunDiagnosis {
 };
 
 // Evaluates `rules` over `monitor` (rules that fail to parse are skipped)
-// and runs the flight recorder over the same windows with `tracer` and the
-// fault schedule `faults`. Call after Monitor::Finish().
+// and runs Diagnose over the same windows with `tracer` and the fault
+// schedule `faults`. Call after Monitor::Finish().
 RunDiagnosis DiagnoseRun(const monitor::Monitor& monitor,
                          const std::vector<std::string>& rules,
                          const trace::Tracer* tracer,
-                         std::vector<sim::FaultEvent> faults);
+                         const std::vector<sim::FaultEvent>& faults);
 
 }  // namespace memfs::diagnose

@@ -26,6 +26,21 @@ constexpr double kBreakerOpen =
 
 bool IsOpen(double value) { return value == kBreakerOpen; }
 
+// Violating windows of one rule at most this many windows apart merge into
+// one incident episode.
+constexpr std::size_t kMergeGapWindows = 1;
+// Frozen timeline slice = violating windows padded by this many windows on
+// each side (context: the breaker that opened just before the breach).
+constexpr std::size_t kContextWindows = 2;
+// Per-instance gauge family summarized per incident by the symmetry
+// auditor's balance statistics.
+constexpr std::string_view kBalanceFamily = "kv.mem_bytes";
+// Migration stall: "migrate.active" > 0 while "migrate.keys_moved" is
+// unchanged for at least this many consecutive windows.
+constexpr std::size_t kStallWindows = 8;
+// Worst exemplars attributed per incident (distinct operations).
+constexpr std::size_t kMaxExemplars = 4;
+
 // Worst-first exemplar order across histograms (common/metrics.h keeps it
 // per histogram; incidents merge several): larger sample first, then the
 // usual deterministic tie-break, then histogram name.
@@ -64,42 +79,13 @@ std::string FormatSkew(double skew) {
   return buffer;
 }
 
-}  // namespace
-
-std::string_view ToString(TriggerKind kind) {
-  switch (kind) {
-    case TriggerKind::kSloViolation: return "slo";
-    case TriggerKind::kBreakerOpen: return "breaker_open";
-    case TriggerKind::kMigrationStall: return "migration_stall";
-  }
-  return "?";
-}
-
-FlightRecorder::FlightRecorder(const monitor::Monitor& monitor,
-                               IncidentConfig config)
-    : monitor_(&monitor), config_(std::move(config)) {
-  if (config_.merge_gap_windows == 0) config_.merge_gap_windows = 1;
-  if (config_.stall_windows == 0) config_.stall_windows = 1;
-}
-
-void FlightRecorder::SetSloResults(std::vector<monitor::SloResult> results) {
-  slo_results_ = std::move(results);
-}
-
-void FlightRecorder::SetTracer(const trace::Tracer* tracer) {
-  tracer_ = tracer;
-}
-
-void FlightRecorder::SetFaults(std::vector<sim::FaultEvent> faults) {
-  faults_ = std::move(faults);
-}
-
-std::vector<Trigger> FlightRecorder::CollectTriggers() const {
+std::vector<Trigger> CollectTriggers(
+    const Monitor& monitor, const std::vector<monitor::SloResult>& slo) {
   std::vector<Trigger> triggers;
-  const std::deque<Window>& windows = monitor_->windows();
+  const std::deque<Window>& windows = monitor.windows();
 
   // 1. SLO violations: every failing window of every unsatisfied rule.
-  for (const monitor::SloResult& result : slo_results_) {
+  for (const monitor::SloResult& result : slo) {
     if (result.satisfied) continue;
     for (const monitor::SloViolation& violation : result.violations) {
       Trigger trigger;
@@ -112,8 +98,8 @@ std::vector<Trigger> FlightRecorder::CollectTriggers() const {
   }
 
   // 2. Breaker transitions to OPEN on any "kv.breaker/N" series.
-  for (const std::size_t id : monitor_->InstancesOf("kv.breaker")) {
-    const monitor::SeriesInfo& info = monitor_->series()[id];
+  for (const std::size_t id : monitor.InstancesOf("kv.breaker")) {
+    const monitor::SeriesInfo& info = monitor.series()[id];
     if (info.instance == monitor::kNoInstance) continue;
     double previous = 0.0;  // breakers start closed
     for (std::size_t w = 0; w < windows.size(); ++w) {
@@ -133,8 +119,8 @@ std::vector<Trigger> FlightRecorder::CollectTriggers() const {
   }
 
   // 3. Migration stall: sweeps active but no key moved for a while.
-  const std::size_t active_id = monitor_->SeriesId("migrate.active");
-  const std::size_t moved_id = monitor_->SeriesId("migrate.keys_moved");
+  const std::size_t active_id = monitor.SeriesId("migrate.active");
+  const std::size_t moved_id = monitor.SeriesId("migrate.keys_moved");
   if (active_id != monitor::kNoSeries && moved_id != monitor::kNoSeries) {
     std::size_t stalled = 0;
     double last_moved = 0.0;
@@ -145,7 +131,7 @@ std::vector<Trigger> FlightRecorder::CollectTriggers() const {
       const bool progress = moved != last_moved;
       last_moved = moved;
       if (active > 0 && !progress) {
-        if (++stalled == config_.stall_windows) {
+        if (++stalled == kStallWindows) {
           Trigger trigger;
           trigger.kind = TriggerKind::kMigrationStall;
           trigger.detail = "migrate.active held, migrate.keys_moved flat";
@@ -169,20 +155,19 @@ std::vector<Trigger> FlightRecorder::CollectTriggers() const {
   return triggers;
 }
 
-Incident FlightRecorder::Freeze(std::size_t id, std::size_t first_window,
-                                std::size_t last_window,
-                                std::vector<Trigger> triggers) const {
-  const std::deque<Window>& windows = monitor_->windows();
+Incident Freeze(const Monitor& monitor, const trace::Tracer* tracer,
+                const std::vector<sim::FaultEvent>& faults, std::size_t id,
+                std::size_t first_window, std::size_t last_window,
+                std::vector<Trigger> triggers) {
+  const std::deque<Window>& windows = monitor.windows();
   Incident incident;
   incident.id = id;
   incident.first_window = first_window;
   incident.last_window = last_window;
   incident.slice_first =
-      first_window >= config_.context_windows
-          ? first_window - config_.context_windows
-          : 0;
+      first_window >= kContextWindows ? first_window - kContextWindows : 0;
   incident.slice_last =
-      std::min(last_window + config_.context_windows, windows.size() - 1);
+      std::min(last_window + kContextWindows, windows.size() - 1);
   incident.begin = windows[first_window].start;
   incident.end = windows[last_window].end;
   incident.slice_begin = windows[incident.slice_first].start;
@@ -224,29 +209,29 @@ Incident FlightRecorder::Freeze(std::size_t id, std::size_t first_window,
           monitor::ParseSloRule(trigger.detail);
       if (rule.has_value()) {
         const std::string& arg = rule->condition.term.arg;
-        for (const std::size_t sid : monitor_->InstancesOf(arg)) {
+        for (const std::size_t sid : monitor.InstancesOf(arg)) {
           frozen.insert(sid);
         }
-        const std::size_t exact = monitor_->SeriesId(arg);
+        const std::size_t exact = monitor.SeriesId(arg);
         if (exact != monitor::kNoSeries) frozen.insert(exact);
       }
     } else if (trigger.kind == TriggerKind::kMigrationStall) {
       for (const char* name : {"migrate.active", "migrate.keys_moved",
                                "migrate.keys_total", "migrate.sweeps"}) {
-        const std::size_t sid = monitor_->SeriesId(name);
+        const std::size_t sid = monitor.SeriesId(name);
         if (sid != monitor::kNoSeries) frozen.insert(sid);
       }
     }
   }
-  for (const std::size_t sid : monitor_->InstancesOf(config_.balance_family)) {
+  for (const std::size_t sid : monitor.InstancesOf(kBalanceFamily)) {
     frozen.insert(sid);
   }
-  for (const std::size_t sid : monitor_->InstancesOf("kv.breaker")) {
+  for (const std::size_t sid : monitor.InstancesOf("kv.breaker")) {
     frozen.insert(sid);
   }
   for (const std::size_t sid : frozen) {
     TimelineSlice slice;
-    slice.series = monitor_->series()[sid].name;
+    slice.series = monitor.series()[sid].name;
     for (std::size_t w = incident.slice_first; w <= incident.slice_last; ++w) {
       const double value = Monitor::Value(windows[w], sid);
       if (std::isnan(value)) continue;
@@ -255,10 +240,9 @@ Incident FlightRecorder::Freeze(std::size_t id, std::size_t first_window,
     incident.timeline.push_back(std::move(slice));
   }
 
-  // Per-window balance breakdown of the configured family over the slice.
-  const std::vector<std::size_t> family =
-      monitor_->InstancesOf(config_.balance_family);
-  incident.balance_summary.family = config_.balance_family;
+  // Per-window balance breakdown of the audited family over the slice.
+  const std::vector<std::size_t> family = monitor.InstancesOf(kBalanceFamily);
+  incident.balance_summary.family = kBalanceFamily;
   if (family.size() >= 2) {
     for (std::size_t w = incident.slice_first; w <= incident.slice_last; ++w) {
       const monitor::BalanceStats stats =
@@ -273,7 +257,7 @@ Incident FlightRecorder::Freeze(std::size_t id, std::size_t first_window,
           const double value = Monitor::Value(windows[w], sid);
           if (!std::isnan(value) && value == stats.max) {
             incident.balance_summary.hot_instance =
-                monitor_->series()[sid].instance;
+                monitor.series()[sid].instance;
             break;
           }
         }
@@ -284,7 +268,7 @@ Incident FlightRecorder::Freeze(std::size_t id, std::size_t first_window,
 
   // Fault-schedule events active anywhere in the padded slice.
   incident.faults =
-      sim::OverlappingFaults(faults_, incident.slice_begin, incident.slice_end);
+      sim::OverlappingFaults(faults, incident.slice_begin, incident.slice_end);
 
   // Worst exemplars harvested inside the slice, one per distinct operation.
   std::vector<monitor::WindowExemplar> candidates;
@@ -296,15 +280,15 @@ Incident FlightRecorder::Freeze(std::size_t id, std::size_t first_window,
   std::sort(candidates.begin(), candidates.end(), WorseWindowExemplar);
   std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
   for (const monitor::WindowExemplar& exemplar : candidates) {
-    if (incident.exemplars.size() >= config_.max_exemplars) break;
+    if (incident.exemplars.size() >= kMaxExemplars) break;
     if (exemplar.sample.trace_id != 0 &&
         !seen.insert({exemplar.sample.trace_id, exemplar.sample.span_id})
              .second) {
       continue;  // same operation surfaced via several histograms
     }
     ExemplarAttribution attributed;
-    if (tracer_ != nullptr && exemplar.sample.trace_id != 0) {
-      attributed = AttributeExemplar(*tracer_, exemplar);
+    if (tracer != nullptr && exemplar.sample.trace_id != 0) {
+      attributed = AttributeExemplar(*tracer, exemplar);
     } else {
       attributed.exemplar = exemplar;
     }
@@ -337,10 +321,24 @@ Incident FlightRecorder::Freeze(std::size_t id, std::size_t first_window,
   return incident;
 }
 
-std::vector<Incident> FlightRecorder::Diagnose() const {
+}  // namespace
+
+std::string_view ToString(TriggerKind kind) {
+  switch (kind) {
+    case TriggerKind::kSloViolation: return "slo";
+    case TriggerKind::kBreakerOpen: return "breaker_open";
+    case TriggerKind::kMigrationStall: return "migration_stall";
+  }
+  return "?";
+}
+
+std::vector<Incident> Diagnose(const monitor::Monitor& monitor,
+                               const std::vector<monitor::SloResult>& slo,
+                               const trace::Tracer* tracer,
+                               const std::vector<sim::FaultEvent>& faults) {
   std::vector<Incident> incidents;
-  if (monitor_->windows().empty()) return incidents;
-  const std::vector<Trigger> triggers = CollectTriggers();
+  if (monitor.windows().empty()) return incidents;
+  const std::vector<Trigger> triggers = CollectTriggers(monitor, slo);
   if (triggers.empty()) return incidents;
 
   // Coalesce SLO-violation triggers into episodes: consecutive violating
@@ -354,7 +352,7 @@ std::vector<Incident> FlightRecorder::Diagnose() const {
   for (const Trigger& trigger : triggers) {
     if (trigger.kind != TriggerKind::kSloViolation) continue;
     if (!episodes.empty() &&
-        trigger.window <= episodes.back().last + config_.merge_gap_windows) {
+        trigger.window <= episodes.back().last + kMergeGapWindows) {
       episodes.back().last = std::max(episodes.back().last, trigger.window);
       episodes.back().triggers.push_back(trigger);
     } else {
@@ -371,10 +369,10 @@ std::vector<Incident> FlightRecorder::Diagnose() const {
     if (trigger.kind == TriggerKind::kSloViolation) continue;
     bool attached = false;
     for (Episode& episode : episodes) {
-      const std::size_t lo = episode.first >= config_.context_windows
-                                 ? episode.first - config_.context_windows
+      const std::size_t lo = episode.first >= kContextWindows
+                                 ? episode.first - kContextWindows
                                  : 0;
-      const std::size_t hi = episode.last + config_.context_windows;
+      const std::size_t hi = episode.last + kContextWindows;
       if (trigger.window >= lo && trigger.window <= hi) {
         episode.triggers.push_back(trigger);
         attached = true;
@@ -396,7 +394,8 @@ std::vector<Incident> FlightRecorder::Diagnose() const {
 
   incidents.reserve(episodes.size());
   for (Episode& episode : episodes) {
-    incidents.push_back(Freeze(incidents.size(), episode.first, episode.last,
+    incidents.push_back(Freeze(monitor, tracer, faults, incidents.size(),
+                               episode.first, episode.last,
                                std::move(episode.triggers)));
   }
   return incidents;
@@ -483,16 +482,12 @@ std::vector<CauseScore> RankCauses(const Incident& incident) {
 RunDiagnosis DiagnoseRun(const monitor::Monitor& monitor,
                          const std::vector<std::string>& rules,
                          const trace::Tracer* tracer,
-                         std::vector<sim::FaultEvent> faults) {
+                         const std::vector<sim::FaultEvent>& faults) {
   monitor::SloWatchdog watchdog(monitor);
   for (const std::string& rule : rules) (void)watchdog.AddRule(rule);
   RunDiagnosis diagnosis;
   diagnosis.slo = watchdog.Evaluate();
-  FlightRecorder recorder(monitor);
-  recorder.SetSloResults(diagnosis.slo);
-  recorder.SetTracer(tracer);
-  recorder.SetFaults(std::move(faults));
-  diagnosis.incidents = recorder.Diagnose();
+  diagnosis.incidents = Diagnose(monitor, diagnosis.slo, tracer, faults);
   return diagnosis;
 }
 

@@ -63,8 +63,7 @@ void WriteServerField(std::ostream& os, std::uint32_t server) {
 
 }  // namespace
 
-void FlightRecorder::Print(const std::vector<Incident>& incidents,
-                           std::ostream& os) {
+void Print(const std::vector<Incident>& incidents, std::ostream& os) {
   if (incidents.empty()) {
     os << "no incidents: no trigger fired over the monitored run\n";
     return;
@@ -139,8 +138,7 @@ void FlightRecorder::Print(const std::vector<Incident>& incidents,
   }
 }
 
-void FlightRecorder::WriteJson(const std::vector<Incident>& incidents,
-                               std::ostream& os) {
+void WriteJson(const std::vector<Incident>& incidents, std::ostream& os) {
   os << "{\"incidents\":[";
   for (std::size_t i = 0; i < incidents.size(); ++i) {
     const Incident& incident = incidents[i];

@@ -51,10 +51,6 @@ KetamaRing::KetamaRing(std::vector<std::uint32_t> members,
   });
 }
 
-bool KetamaRing::Contains(std::uint32_t server) const {
-  return std::binary_search(members_.begin(), members_.end(), server);
-}
-
 KetamaDistributor::KetamaDistributor(std::uint32_t servers,
                                      std::uint32_t vnodes_per_server,
                                      HashKind kind)

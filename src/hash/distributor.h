@@ -71,7 +71,6 @@ class KetamaRing {
   std::uint32_t member_count() const {
     return static_cast<std::uint32_t>(members_.size());
   }
-  bool Contains(std::uint32_t server) const;
   std::uint32_t vnodes_per_server() const { return vnodes_; }
 
  private:

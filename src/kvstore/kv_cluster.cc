@@ -9,6 +9,10 @@ namespace memfs::kv {
 
 namespace {
 
+// Seed of the backoff-jitter stream (fixed: healthy runs draw nothing,
+// faulty runs are reproducible).
+constexpr std::uint64_t kBackoffJitterSeed = 0x6b76726574727931ull;
+
 // Mirrors the server's storage footprint into its monitor gauges after an
 // apply (one branch per gauge without a registry).
 void SyncStorageGauges(const KvCluster::ServerSlotAccess& slot) {
@@ -256,7 +260,7 @@ KvCluster::KvCluster(sim::Simulation& sim, net::Network& network,
                      MetricsRegistry* metrics, KvClientPolicy policy)
     : sim_(sim), network_(network), cost_(cost_model),
       server_config_(server_config), metrics_(metrics), policy_(policy),
-      rng_(policy.rng_seed) {
+      rng_(kBackoffJitterSeed) {
   for (net::NodeId node : server_nodes) {
     (void)AddServer(node);
   }

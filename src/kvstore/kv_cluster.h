@@ -81,9 +81,6 @@ struct KvClientPolicy {
   // up to the server's commit point; 0 disables. A lost or slow request
   // surfaces as DEADLINE_EXCEEDED (retryable) instead of hanging.
   sim::SimTime op_deadline = 0;
-  // Seed of the backoff-jitter stream (fixed default: healthy runs draw
-  // nothing, faulty runs are reproducible).
-  std::uint64_t rng_seed = 0x6b76726574727931ull;
 };
 
 // Client-observed fault-handling activity, aggregated over all servers.

@@ -111,6 +111,12 @@ std::uint32_t HandoffGate::writers(std::string_view key) const {
 
 namespace {
 
+// Ring points per server and the hash that places them: the ketama
+// distributor's defaults (hash/distributor.h), so the live ring and a
+// default-hash MemFs with use_ketama agree on the initial full set.
+constexpr std::uint32_t kVnodesPerServer = 160;
+constexpr hash::HashKind kRingHash = hash::HashKind::kFnv1a64;
+
 std::vector<std::uint32_t> ActiveMembers(std::uint32_t servers) {
   std::vector<std::uint32_t> members(servers);
   for (std::uint32_t i = 0; i < servers; ++i) members[i] = i;
@@ -126,7 +132,7 @@ Membership::Membership(sim::Simulation& sim, KvCluster& storage,
   assert(servers > 0);
   states_.assign(servers, NodeState::kActive);
   ring_ = std::make_unique<hash::KetamaRing>(
-      ActiveMembers(servers), config_.vnodes_per_server, config_.hash_kind);
+      ActiveMembers(servers), kVnodesPerServer, kRingHash);
   if (MetricsRegistry* metrics = storage_.metrics()) {
     epoch_gauge_ = &metrics->Gauge("member.epoch");
     state_gauges_.reserve(servers);
@@ -165,7 +171,7 @@ std::uint32_t Membership::BeginJoin(net::NodeId node) {
   std::vector<std::uint32_t> members = ring_->members();
   members.push_back(server);
   auto next = std::make_unique<hash::KetamaRing>(
-      std::move(members), config_.vnodes_per_server, config_.hash_kind);
+      std::move(members), kVnodesPerServer, kRingHash);
   OpenTransition(std::move(next), server);
   transition_is_join_ = true;
   SyncStateGauge(server);
@@ -182,7 +188,7 @@ void Membership::BeginDrain(std::uint32_t server) {
     if (m != server) members.push_back(m);
   }
   auto next = std::make_unique<hash::KetamaRing>(
-      std::move(members), config_.vnodes_per_server, config_.hash_kind);
+      std::move(members), kVnodesPerServer, kRingHash);
   OpenTransition(std::move(next), server);
   transition_is_join_ = false;
   SyncStateGauge(server);

@@ -52,8 +52,6 @@ enum class NodeState : std::uint8_t { kJoining, kActive, kDraining, kLeft };
 const char* NodeStateName(NodeState state);
 
 struct MembershipConfig {
-  std::uint32_t vnodes_per_server = 160;
-  hash::HashKind hash_kind = hash::HashKind::kFnv1a64;
   // Copies per key; must match the file system's replication factor when a
   // MemFs routes through this membership.
   std::uint32_t replication = 1;

@@ -8,8 +8,22 @@
 #include <utility>
 
 #include "common/metrics.h"
+#include "common/units.h"
 
 namespace memfs::kv {
+
+namespace {
+
+// Keys per handoff chunk (one lock scope, one batch per (source, target)).
+constexpr std::size_t kBatchKeys = 32;
+// Chunks in flight at once — bounds how much fabric the migration steals
+// from foreground traffic.
+constexpr std::uint32_t kMaxInflight = 4;
+// Pause between sweeps that found (or failed) work, letting crashed
+// servers restart and in-flight writes settle.
+constexpr sim::SimTime kSweepDelay = units::Millis(1);
+
+}  // namespace
 
 Migrator::Migrator(sim::Simulation& sim, Membership& membership,
                    MigratorConfig config)
@@ -124,13 +138,10 @@ sim::Future<Status> Migrator::Rebalance(trace::TraceContext trace) {
       trace::ScopedSpan sweep_span(tctx, "migrate.sweep", "migrate");
       trace::Annotate(sweep_span.context(), "pending",
                       std::to_string(pending.size()));
-      SweepState sweep(sim_, std::max<std::uint32_t>(config_.max_inflight, 1));
-      const std::size_t chunk_size =
-          std::max<std::uint32_t>(config_.batch_keys, 1);
+      SweepState sweep(sim_, kMaxInflight);
       for (std::size_t begin = 0; begin < pending.size();
-           begin += chunk_size) {
-        const std::size_t end =
-            std::min(pending.size(), begin + chunk_size);
+           begin += kBatchKeys) {
+        const std::size_t end = std::min(pending.size(), begin + kBatchKeys);
         std::vector<std::string> chunk(
             std::make_move_iterator(pending.begin() +
                                     static_cast<std::ptrdiff_t>(begin)),
@@ -145,7 +156,7 @@ sim::Future<Status> Migrator::Rebalance(trace::TraceContext trace) {
     // Let restarting servers come back and in-flight writes settle before
     // re-scanning.
     trace::ScopedSpan wait(tctx, "sweep_backoff", "retry");
-    co_await sim_.Delay(config_.sweep_delay);
+    co_await sim_.Delay(kSweepDelay);
   }
   progress_.active = false;
   SyncGauges();

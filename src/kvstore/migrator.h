@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/units.h"
 #include "kvstore/membership.h"
 #include "sim/future.h"
 #include "sim/simulation.h"
@@ -41,16 +40,8 @@
 namespace memfs::kv {
 
 struct MigratorConfig {
-  // Keys per handoff chunk (one lock scope, one batch per (source, target)).
-  std::uint32_t batch_keys = 32;
-  // Chunks in flight at once — bounds how much fabric the migration steals
-  // from foreground traffic.
-  std::uint32_t max_inflight = 4;
   // Sweeps before Run() gives up and leaves the transition open for resume.
   std::uint32_t max_sweeps = 6;
-  // Pause between sweeps that found (or failed) work, letting crashed
-  // servers restart and in-flight writes settle.
-  sim::SimTime sweep_delay = units::Millis(1);
 };
 
 struct MigratorProgress {

@@ -8,6 +8,20 @@
 
 namespace memfs::fs {
 
+namespace {
+
+// Per-open-file write buffer of 8 MB (§3.2.2): the stripes a writer may
+// have in flight before Write() waits for a flusher.
+constexpr std::uint64_t kWriteBufferBytes = units::MiB(8);
+
+// Full passes over the replica chain before a read gives up. A pass that
+// proves the key absent (every replica reachable, none has it) returns
+// NOT_FOUND immediately; only reads blocked by unreachable replicas are
+// retried, with an escalating delay between passes.
+constexpr std::uint32_t kReadChainAttempts = 3;
+
+}  // namespace
+
 MemFs::MemFs(sim::Simulation& sim, net::Network& network,
              kv::KvCluster& storage, MemFsConfig config)
     : sim_(sim),
@@ -95,7 +109,7 @@ void MemFs::BulkLoadDirectory(const std::string& dir,
   SeedKey(mds::DentryKey(mds::kRootIno, dir_name),
           mds::EncodeDentry({dir_ino, mds::InodeKind::kDirectory}));
   const std::uint32_t root_shard =
-      mds::ShardOfName(mds::kRootIno, dir_name, mc.dir_shards, mc.hash_kind);
+      mds::ShardOfName(mds::kRootIno, dir_name, mc.dir_shards);
   SeedAppendKey(mds::IndexKey(mds::kRootIno, root_shard), mds::IndexHeader(),
                 mds::IndexEvent(dir_name, false));
   client->RecordSeededDentries(root_shard, 1);
@@ -114,8 +128,7 @@ void MemFs::BulkLoadDirectory(const std::string& dir,
     SeedKey(mds::InodeKey(ino), encoded_file);
     SeedKey(mds::DentryKey(dir_ino, name),
             mds::EncodeDentry({ino, mds::InodeKind::kFile}));
-    const std::uint32_t shard =
-        mds::ShardOfName(dir_ino, name, mc.dir_shards, mc.hash_kind);
+    const std::uint32_t shard = mds::ShardOfName(dir_ino, name, mc.dir_shards);
     blobs[shard].push_back('+');
     blobs[shard].append(name);
     blobs[shard].push_back('\n');
@@ -383,8 +396,6 @@ sim::Future<Result<Bytes>> MemFs::FailoverGet(std::uint32_t epoch,
                                               net::NodeId node,
                                               std::string key,
                                               trace::TraceContext trace) {
-  const std::uint32_t passes =
-      std::max<std::uint32_t>(config_.read_chain_attempts, 1);
   // The first look reuses the chain that decides the span; every later one
   // (a pass retry or a handoff-race retry) recomputes it: during an elastic
   // handoff the chain covers both the old and the new home, and a commit
@@ -460,7 +471,7 @@ sim::Future<Result<Bytes>> MemFs::FailoverGet(std::uint32_t epoch,
     // Some replica was unreachable and may hold the only copy; run the chain
     // again after an escalating delay (it may be restarting, or its breaker
     // may be about to half-open).
-    if (++pass >= passes) break;
+    if (++pass >= kReadChainAttempts) break;
     trace::Event(tctx, "pass_retry");
     trace::ScopedSpan wait(tctx, "chain_backoff", "retry");
     co_await sim_.Delay(storage_.cost_model().failure_timeout * pass);
@@ -548,7 +559,7 @@ FileHandle MemFs::InstallHandle(std::string path, std::string ident,
   file->epoch = epoch;
   if (writing) {
     const auto capacity_stripes = std::max<std::uint64_t>(
-        config_.write_buffer_bytes / config_.stripe_size, 1);
+        kWriteBufferBytes / config_.stripe_size, 1);
     file->tokens = std::make_unique<sim::Semaphore>(sim_, capacity_stripes);
     file->inflight = std::make_unique<sim::WaitGroup>(sim_);
     ++stats_.files_created;
@@ -1056,8 +1067,7 @@ sim::Future<Result<std::vector<FileInfo>>> MemFs::ReadDir(VfsContext ctx,
     std::uint64_t offset = 0;
     while (true) {
       auto page = co_await meta_client_->ReadDirPage(
-          ctx.node, attr->ino, shard, offset, config_.meta.readdir_page,
-          tctx);
+          ctx.node, attr->ino, shard, offset, mds::kReaddirPage, tctx);
       if (!page.ok()) co_return page.status();
       for (auto& name : page->names) {
         FileInfo info;
@@ -1254,8 +1264,7 @@ sim::Future<Result<DirPage>> MemFs::ReadDirPage(VfsContext ctx,
     trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
     co_await fuse_.Enter(ctx.node, ctx.process);
   }
-  const std::uint32_t page_limit =
-      limit > 0 ? limit : config_.meta.readdir_page;
+  const std::uint32_t page_limit = limit > 0 ? limit : mds::kReaddirPage;
   if (meta_client_ != nullptr) {
     auto attr = co_await meta_client_->Resolve(ctx.node, path, tctx);
     if (!attr.ok()) co_return attr.status();

@@ -54,8 +54,8 @@ namespace mds = ::memfs::meta;
 struct MemFsConfig {
   // 512 KB stripes achieve the best write bandwidth (Fig. 3a).
   std::uint64_t stripe_size = units::KiB(512);
-  // Per-open-file caches of 8 MB for buffering and prefetching (§3.2.2).
-  std::uint64_t write_buffer_bytes = units::MiB(8);
+  // Per-open-file prefetch cache; the write buffer is the fixed 8 MB
+  // kWriteBufferBytes of memfs.cc (§3.2.2).
   std::uint64_t read_cache_bytes = units::MiB(8);
   // Width of the per-node buffering (write) pool (Fig. 3b).
   // io_threads == 0 disables asynchronous flushing (writes ship inline).
@@ -81,11 +81,6 @@ struct MemFsConfig {
   // server is unreachable. When false, every replica must acknowledge —
   // strict mode, the behaviour the paper's cost argument assumes.
   bool degraded_writes = true;
-  // Full passes over the replica chain before a read gives up. A pass that
-  // proves the key absent (every replica reachable, none has it) returns
-  // NOT_FOUND immediately; only reads blocked by unreachable replicas are
-  // retried, with an escalating delay between passes.
-  std::uint32_t read_chain_attempts = 3;
   // Namespace organization. `append_log` is the paper's protocol — path-keyed
   // records, one directory = one append-log on one server — the pre-sharding
   // data path. `sharded` routes every namespace operation through the

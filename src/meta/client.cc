@@ -113,8 +113,7 @@ sim::Future<Result<Attr>> Client::Resolve(net::NodeId node, std::string path,
 sim::Future<Status> Client::AppendIndex(net::NodeId node, Ino dir,
                                         std::string name, bool deleted,
                                         trace::TraceContext trace) {
-  const std::uint32_t shard =
-      ShardOfName(dir, name, config_.dir_shards, config_.hash_kind);
+  const std::uint32_t shard = ShardOfName(dir, name, config_.dir_shards);
   const std::string key = IndexKey(dir, shard);
   Status appended =
       co_await store_.Append(node, key, IndexEvent(name, deleted), trace);
@@ -180,9 +179,7 @@ sim::Future<Result<Attr>> Client::CreateFile(net::NodeId node,
     (void)co_await store_.Delete(node, InodeKey(ino), tctx);
     co_return indexed;
   }
-  GaugeAdd(ShardGauge(ShardOfName(*parent, name, config_.dir_shards,
-                                  config_.hash_kind)),
-           1);
+  GaugeAdd(ShardGauge(ShardOfName(*parent, name, config_.dir_shards)), 1);
   Attr attr;
   attr.ino = ino;
   attr.rec = rec;
@@ -241,9 +238,7 @@ sim::Future<Status> Client::Mkdir(net::NodeId node, std::string path,
     (void)co_await store_.Delete(node, InodeKey(ino), tctx);
     co_return indexed;
   }
-  GaugeAdd(ShardGauge(ShardOfName(*parent, name, config_.dir_shards,
-                                  config_.hash_kind)),
-           1);
+  GaugeAdd(ShardGauge(ShardOfName(*parent, name, config_.dir_shards)), 1);
   co_return Status::Ok();
 }
 
@@ -313,9 +308,7 @@ sim::Future<Result<UnlinkOutcome>> Client::Unlink(net::NodeId node,
   ++stats_.dentry_removes;
   Status indexed = co_await AppendIndex(node, *parent, name, true, tctx);
   if (!indexed.ok()) co_return indexed;
-  GaugeAdd(ShardGauge(ShardOfName(*parent, name, config_.dir_shards,
-                                  config_.hash_kind)),
-           -1);
+  GaugeAdd(ShardGauge(ShardOfName(*parent, name, config_.dir_shards)), -1);
   UnlinkOutcome outcome;
   Result<Bytes> got =
       co_await store_.Get(node, InodeKey(dentry->ino), tctx);
@@ -375,9 +368,7 @@ sim::Future<Status> Client::Rmdir(net::NodeId node, std::string path,
   ++stats_.dentry_removes;
   Status indexed = co_await AppendIndex(node, *parent, name, true, tctx);
   if (!indexed.ok()) co_return indexed;
-  GaugeAdd(ShardGauge(ShardOfName(*parent, name, config_.dir_shards,
-                                  config_.hash_kind)),
-           -1);
+  GaugeAdd(ShardGauge(ShardOfName(*parent, name, config_.dir_shards)), -1);
   // Reclaim the (empty) index blobs and the inode.
   for (std::uint32_t s = 0; s < config_.dir_shards; ++s) {
     // absent blobs and unreachable replicas of an empty index are both fine
@@ -431,10 +422,10 @@ sim::Future<Status> Client::CompleteRename(net::NodeId node, Ino ino,
   auto counted_it = pending_.find(ino);
   if (counted_it != pending_.end() && !counted_it->second.counted) {
     GaugeAdd(ShardGauge(ShardOfName(intent.dst_parent, intent.dst_name,
-                                    config_.dir_shards, config_.hash_kind)),
+                                    config_.dir_shards)),
              1);
     GaugeAdd(ShardGauge(ShardOfName(intent.src_parent, intent.src_name,
-                                    config_.dir_shards, config_.hash_kind)),
+                                    config_.dir_shards)),
              -1);
     counted_it->second.counted = true;
   }
@@ -544,9 +535,8 @@ sim::Future<Status> Client::Link(net::NodeId node, std::string existing,
   Status indexed =
       co_await AppendIndex(node, *link_parent, link_name, false, tctx);
   if (!indexed.ok()) co_return indexed;
-  GaugeAdd(ShardGauge(ShardOfName(*link_parent, link_name, config_.dir_shards,
-                                  config_.hash_kind)),
-           1);
+  GaugeAdd(
+      ShardGauge(ShardOfName(*link_parent, link_name, config_.dir_shards)), 1);
   ++stats_.links;
   co_return Status::Ok();
 }

@@ -64,18 +64,18 @@ bool MergeRanges(const TokenRange& a, const TokenRange& b, TokenRange* out) {
   return false;
 }
 
-std::uint64_t NameToken(Ino dir, std::string_view name, hash::HashKind kind) {
+std::uint64_t NameToken(Ino dir, std::string_view name) {
   std::string input;
   input.reserve(21 + name.size());
   strfmt::AppendUint(input, dir);
   input.push_back('/');
   input.append(name);
-  return hash::HashKey(kind, input);
+  return hash::HashKey(kNameTokenHash, input);
 }
 
 std::uint32_t ShardOfName(Ino dir, std::string_view name,
-                          std::uint32_t shards, hash::HashKind kind) {
-  return ShardOfToken(NameToken(dir, name, kind), shards);
+                          std::uint32_t shards) {
+  return ShardOfToken(NameToken(dir, name), shards);
 }
 
 // ---------------------------------------------------------------------------

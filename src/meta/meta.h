@@ -56,16 +56,18 @@ struct MetaConfig {
   // Token ranges (and thus index blobs) per directory. More shards = better
   // hot-directory spread, more GETs per full enumeration.
   std::uint32_t dir_shards = 8;
-  // Entries per ReadDirPage response; bounds the listing material any single
-  // VFS call returns.
-  std::uint32_t readdir_page = 256;
-  // Hash assigning name tokens to ranges (independent of the server ring).
-  // Ranges are equal-width slices of the 64-bit token space, so the hash's
-  // HIGH bits must be uniform: FNV-1a's high bits are visibly skewed on
-  // short sequential names (hot-dir skew ~2.6 at 4096 entries), and a
-  // 32-bit hash (CRC32c) lands every token in shard 0.
-  hash::HashKind hash_kind = hash::HashKind::kMurmur3_64;
 };
+
+// Entries per ReadDirPage response; bounds the listing material any single
+// VFS call returns.
+inline constexpr std::uint32_t kReaddirPage = 256;
+
+// Hash assigning name tokens to ranges (independent of the server ring).
+// Ranges are equal-width slices of the 64-bit token space, so the hash's
+// HIGH bits must be uniform: FNV-1a's high bits are visibly skewed on
+// short sequential names (hot-dir skew ~2.6 at 4096 entries), and a
+// 32-bit hash (CRC32c) lands every token in shard 0.
+inline constexpr hash::HashKind kNameTokenHash = hash::HashKind::kMurmur3_64;
 
 // ---------------------------------------------------------------------------
 // Token-range math
@@ -98,12 +100,12 @@ bool SplitRange(const TokenRange& range, TokenRange* left, TokenRange* right);
 // Merges two adjacent ranges back into one; false when not adjacent.
 bool MergeRanges(const TokenRange& a, const TokenRange& b, TokenRange* out);
 
-// The token of `name` within directory `dir` — the hash input includes the
-// ino so sibling directories stripe independently.
-std::uint64_t NameToken(Ino dir, std::string_view name, hash::HashKind kind);
+// The kNameTokenHash token of `name` within directory `dir` — the hash input
+// includes the ino so sibling directories stripe independently.
+std::uint64_t NameToken(Ino dir, std::string_view name);
 
 std::uint32_t ShardOfName(Ino dir, std::string_view name,
-                          std::uint32_t shards, hash::HashKind kind);
+                          std::uint32_t shards);
 
 // ---------------------------------------------------------------------------
 // Keys

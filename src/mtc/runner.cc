@@ -105,15 +105,33 @@ WorkflowResult Runner::Run(const Workflow& workflow) {
     root = config_.tracer->StartTrace("workflow:" + workflow.name, "workflow");
     result.trace_id = root.trace_id;
   }
-  bool finished = false;
-  Drive(workflow, &result, &finished, root);
+  DriveProgress progress;
+  Drive(workflow, &result, &progress, root);
   sim_.Run();
-  assert(finished && "workflow driver deadlocked");
+  if (!progress.finished) {
+    // The event queue ran dry with the driver still suspended: no task can
+    // ever complete (no core slot to run one on, or a Vfs call that never
+    // returns). Fail the run and end its root span. A driver parked on the
+    // completion semaphore is woken to return, so its frame is freed.
+    const std::size_t total = workflow.tasks.size();
+    result.status = status::Internal(
+        "workflow driver did not finish: " +
+        std::to_string(total - progress.tasks_done) + " of " +
+        std::to_string(total) + " tasks not run");
+    result.finished = sim_.now();
+    trace::End(root);
+    if (wake_->waiting() > 0) {
+      abandoned_ = true;
+      wake_->Release();
+      sim_.Run();
+      abandoned_ = false;
+    }
+  }
   return result;
 }
 
 sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
-                        bool* finished_flag, trace::TraceContext root) {
+                        DriveProgress* progress, trace::TraceContext root) {
   trace::ScopedSpan workflow_span = trace::ScopedSpan::Adopt(root);
   // Workflow setup: create the directory tree (from node 0, like the
   // submission host would).
@@ -122,7 +140,7 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
     if (!made.ok() && made.code() != ErrorCode::kExists) {
       result->status = std::move(made);
       result->finished = sim_.now();
-      *finished_flag = true;
+      progress->finished = true;
       co_return;
     }
   }
@@ -184,7 +202,7 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
   std::vector<StageStats> stages;
   std::vector<std::uint32_t> stage_slot(workflow.stages.size(), kNoSlot);
   std::size_t running = 0;
-  std::size_t done = 0;
+  std::size_t& done = progress->tasks_done;
   bool fatal = false;
   // Total free core slots; lets the runner skip dispatch scans outright on a
   // saturated cluster when the scheduler guarantees failed probes are pure.
@@ -236,6 +254,8 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
     // Completion signal, not a lock: each finishing task Release()s once.
     // lint: allow(acquire-release) permit is produced by task completions
     co_await wake_->Acquire();
+    // lint: allow(locked-return) the permit is Run()'s wake-up, not a task's
+    if (abandoned_) co_return;
     assert(!completions_.empty());
     Completion completion = std::move(completions_.front());
     completions_.pop_front();
@@ -306,7 +326,7 @@ sim::Task Runner::Drive(const Workflow& workflow, WorkflowResult* result,
               }
               return a.stage < b.stage;
             });
-  *finished_flag = true;
+  progress->finished = true;
 }
 
 sim::Task Runner::ExecuteTask(const Workflow& workflow, std::size_t index,
@@ -376,13 +396,10 @@ sim::Future<Result<std::uint64_t>> Runner::ReadWholeFile(
     }
     const std::uint64_t got = chunk.value().size();
     if (got == 0) break;
-    if (config_.verify_reads) {
-      const Bytes expected = FileChunk(seed, offset, got);
-      if (!expected.ContentEquals(chunk.value())) {
-        status = status::Internal("content mismatch in " + std::string(path) +
-                                  " at offset " + std::to_string(offset));
-        break;
-      }
+    if (!FileChunk(seed, offset, got).ContentEquals(chunk.value())) {
+      status = status::Internal("content mismatch in " + std::string(path) +
+                                " at offset " + std::to_string(offset));
+      break;
     }
     offset += got;
     if (got < config_.io_block) break;  // EOF

@@ -40,7 +40,6 @@ struct RunnerConfig {
   // simulated call counts tractable on big workflows — Fig. 16 uses 4 KB
   // explicitly.
   std::uint64_t io_block = units::KiB(256);
-  bool verify_reads = true;
   // Optional caller-owned workflow counters: mtc.tasks_run,
   // mtc.task_failures, mtc.bytes_read/written, and an mtc.task duration
   // histogram — the same registry the benches already print.
@@ -78,7 +77,7 @@ struct StageStats {
 };
 
 struct WorkflowResult {
-  Status status;                   // first task failure, if any
+  Status status;  // first task failure, or a driver that did not finish
   std::string failed_task;
   sim::SimTime started = 0;
   sim::SimTime finished = 0;
@@ -123,15 +122,21 @@ class Runner {
     std::uint64_t bytes_written;
   };
 
+  // What Run() learns from its driver coroutine.
+  struct DriveProgress {
+    bool finished = false;
+    std::size_t tasks_done = 0;
+  };
+
   sim::Task Drive(const Workflow& workflow, WorkflowResult* result,
-                  bool* finished_flag, trace::TraceContext root);
+                  DriveProgress* progress, trace::TraceContext root);
   sim::Task ExecuteTask(const Workflow& workflow, std::size_t index,
                         net::NodeId node, std::uint32_t slot,
                         trace::TraceContext root);
 
   // Reads `workflow`'s file `id` fully in io_block chunks; returns bytes
-  // read or an error. Verifies content against FileSeed(path) when
-  // verify_reads is set. The workflow outlives the run.
+  // read or an error. Verifies content against FileSeed(path). The
+  // workflow outlives the run.
   [[nodiscard]] sim::Future<Result<std::uint64_t>> ReadWholeFile(
       fs::VfsContext ctx, const Workflow& workflow, FileId id);
   [[nodiscard]] sim::Future<Status> WriteWholeFile(fs::VfsContext ctx,
@@ -146,6 +151,10 @@ class Runner {
   // Driver <-> executor rendezvous.
   std::deque<Completion> completions_;
   std::unique_ptr<sim::Semaphore> wake_;
+  // Set by Run() before it wakes a driver that nothing else will wake, so
+  // the driver returns (and frees its frame) instead of reading a
+  // completion.
+  bool abandoned_ = false;
 };
 
 }  // namespace memfs::mtc

@@ -61,9 +61,6 @@ class FluidNetwork : public Network {
   void ClearLinkFault(NodeId src, NodeId dst) override;
   bool DropMessage(NodeId src, NodeId dst) override;
   std::uint64_t dropped_messages() const override { return dropped_; }
-  // Reseeds the loss-decision stream (defaults to a fixed seed; chaos
-  // harnesses reseed per experiment for decorrelated runs).
-  void SeedFaultRng(std::uint64_t seed) { fault_rng_ = Rng(seed); }
 
   // Switches between the incremental solver and the exact reference oracle
   // at runtime (tests flip this mid-run; both arms maintain the same flow

@@ -120,14 +120,6 @@ class Semaphore {
   std::size_t head_ = 0;
 };
 
-// RAII-ish helper for the common "hold a permit for a simulated duration"
-// pattern; used for modelling service times on serialized resources.
-//
-//   co_await HoldFor(sim, mount_lock, op_cost_ns);
-//
-// Implemented as an awaitable coroutine-free composition: acquire, delay,
-// release. Provided as a function template in resource.h-style call sites.
-
 class WaitGroup {
  public:
   explicit WaitGroup(Simulation& sim, std::string_view name = "WaitGroup")

@@ -71,7 +71,7 @@ sim::Task WriteOneFile(sim::Simulation& sim, fs::Vfs& vfs, fs::VfsContext ctx,
 }
 
 sim::Task ReadOneFile(fs::Vfs& vfs, fs::VfsContext ctx, std::string path,
-                      std::uint64_t block, bool verify, PhaseCounter& counter,
+                      std::uint64_t block, PhaseCounter& counter,
                       sim::WaitGroup& wg) {
   auto opened = co_await vfs.Open(ctx, path);
   if (!opened.ok()) {
@@ -91,13 +91,11 @@ sim::Task ReadOneFile(fs::Vfs& vfs, fs::VfsContext ctx, std::string path,
     if (got == 0) break;
     ++counter.ops;
     counter.bytes += got;
-    if (verify) {
-      const Bytes expected =
-          Bytes::Synthetic(offset + got, seed).Slice(offset, got);
-      if (!expected.ContentEquals(chunk.value())) {
-        counter.Note(status::Internal("envelope content mismatch: " + path));
-        break;
-      }
+    const Bytes expected =
+        Bytes::Synthetic(offset + got, seed).Slice(offset, got);
+    if (!expected.ContentEquals(chunk.value())) {
+      counter.Note(status::Internal("envelope content mismatch: " + path));
+      break;
     }
     offset += got;
     if (got < block) break;
@@ -148,7 +146,7 @@ sim::Task ReaderProcess(sim::Simulation& sim, fs::Vfs& vfs, fs::VfsContext ctx,
                         std::uint32_t source, std::uint32_t count,
                         const std::string* shared, std::uint64_t block,
                         sim::SimTime job_overhead, sim::SimTime bw_start,
-                        bool verify, PhaseCounter& total, sim::WaitGroup& wg) {
+                        PhaseCounter& total, sim::WaitGroup& wg) {
   PhaseCounter mine;
   const sim::SimTime work_start = sim.now();
   for (std::uint32_t f = 0; f < count; ++f) {
@@ -157,7 +155,7 @@ sim::Task ReaderProcess(sim::Simulation& sim, fs::Vfs& vfs, fs::VfsContext ctx,
     one.Add();
     ReadOneFile(vfs, ctx,
                 shared != nullptr ? *shared : FilePath(source, ctx.process, f),
-                block, verify, mine, one);
+                block, mine, one);
     co_await one.Wait();
   }
   total.MergeProcess(mine, bw_start, work_start, sim.now());
@@ -287,8 +285,7 @@ PhaseResult EnvelopeBench::RunRead11(std::uint32_t node_shift) {
       wg.Add();
       ReaderProcess(sim_, vfs_, fs::VfsContext{node, proc, {}}, source,
                     params_.files_per_proc, nullptr, BlockSize(),
-                    params_.per_file_job_overhead, start,
-                    params_.verify_reads, counter, wg);
+                    params_.per_file_job_overhead, start, counter, wg);
     }
   }
   sim_.Run();
@@ -342,7 +339,7 @@ PhaseResult EnvelopeBench::RunReadN1() {
       wg.Add();
       ReaderProcess(sim_, vfs_, fs::VfsContext{node, proc, {}}, node, 1,
                     &shared_file_, BlockSize(), params_.per_file_job_overhead,
-                    start, params_.verify_reads, counter, wg);
+                    start, counter, wg);
     }
   }
   sim_.Run();

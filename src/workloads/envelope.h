@@ -32,7 +32,6 @@ struct EnvelopeParams {
   std::uint32_t files_per_proc = 4;
   // read()/write() call size; 0 = one call per file (capped at 1 MiB).
   std::uint64_t io_block = 0;
-  bool verify_reads = true;
   // Fixed cost charged before each file's write/read in the data phases.
   // The AMFS benchmarking pattern runs every iozone file as a separate AMFS
   // Shell job, so its envelope numbers carry the Shell's locality-scheduling
@@ -62,9 +61,8 @@ struct PhaseResult {
   double BandwidthMBps() const { return sum_proc_mbps; }
   double OpsPerSec() const { return sum_proc_ops_per_sec; }
 
-  // Volume-over-wall-time variants (strager-sensitive; used by Fig. 16's
+  // Volume over the work span (strager-sensitive; used by Fig. 16's
   // system-bandwidth accounting).
-  double WallBandwidthMBps() const { return units::MBps(bytes, span); }
   double WorkBandwidthMBps() const { return units::MBps(bytes, work_span); }
 };
 

@@ -75,7 +75,7 @@ Testbed::Testbed(FsKind kind, TestbedConfig config)
     }
     kv::KvServerConfig server_config;
     server_config.memory_limit = config_.node_memory_limit;
-    kv::KvOpCostModel costs = config_.kv_costs;
+    kv::KvOpCostModel costs;
     fs::MemFsConfig client_config = config_.memfs;
     if (kind_ == FsKind::kDiskPfs) {
       costs = DiskCostModel();
@@ -98,16 +98,15 @@ Testbed::Testbed(FsKind kind, TestbedConfig config)
     memfs_ = std::make_unique<fs::MemFs>(sim_, *network_, *storage_,
                                          client_config);
     if (config_.elastic && kind_ == FsKind::kMemFs) {
-      kv::MembershipConfig member_config = config_.membership;
+      kv::MembershipConfig member_config;
       member_config.replication = client_config.replication;
       membership_ = std::make_unique<kv::Membership>(sim_, *storage_,
                                                      member_config);
-      migrator_ = std::make_unique<kv::Migrator>(sim_, *membership_,
-                                                 config_.migrator);
+      migrator_ = std::make_unique<kv::Migrator>(sim_, *membership_);
       memfs_->AttachMembership(membership_.get());
     }
   } else {
-    amfs::AmfsConfig amfs_config = config_.amfs;
+    amfs::AmfsConfig amfs_config;
     amfs_config.node_memory_limit = config_.node_memory_limit;
     amfs_ = std::make_unique<amfs::Amfs>(sim_, *network_, amfs_config);
   }

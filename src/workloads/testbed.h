@@ -49,8 +49,6 @@ struct TestbedConfig {
   // application + OS; DAS4 nodes have 24 GB -> 20 GB budget).
   std::uint64_t node_memory_limit = units::GiB(20);
   fs::MemFsConfig memfs;
-  amfs::AmfsConfig amfs;
-  kv::KvOpCostModel kv_costs;
   // Client-side fault handling (retries, per-op deadline, circuit breaker);
   // the default is inert on healthy runs.
   kv::KvClientPolicy kv_policy;
@@ -63,8 +61,6 @@ struct TestbedConfig {
   // distributor agree bit-for-bit on the initial full set, so this changes
   // no placement until a join/drain opens a transition).
   bool elastic = false;
-  kv::MembershipConfig membership;
-  kv::MigratorConfig migrator;
 };
 
 class Testbed {

@@ -7,7 +7,6 @@
 
 #include "amfs/amfs.h"
 #include "common/units.h"
-#include "hash/hash.h"
 #include "net/fluid_network.h"
 #include "test_util.h"
 
@@ -196,9 +195,6 @@ TEST_F(AmfsTest, SkewedMetadataClustersSimilarNames) {
   // Workload-style names differing in digits land on few metadata nodes
   // under the skewed placement — the non-uniformity behind AMFS create's
   // sublinear scaling (Fig. 6).
-  AmfsConfig skewed;
-  skewed.skewed_metadata = true;
-  Recreate(skewed);
   ASSERT_TRUE(Await(*sim_, fs_->Mkdir({0, 0}, "/proj")).ok());
   std::vector<int> load_skewed(kNodes, 0);
   for (int i = 0; i < 64; ++i) {
@@ -226,18 +222,15 @@ TEST_F(AmfsTest, OwnerHintUnknownFile) {
 
 TEST_F(AmfsTest, LocalWriteTouchesNoNetwork) {
   // A node whose metadata happens to be homed locally writes with zero
-  // remote traffic. Find such a path by probing OwnerHint's rule.
-  AmfsConfig config;
-  config.skewed_metadata = false;
-  Recreate(config);
-  // Find a path whose metadata home is node 0 (so a node-0 writer stays
-  // fully local) — brute force a few candidates.
+  // remote traffic. Find a path whose metadata home is node 0 (so a node-0
+  // writer stays fully local) by brute-forcing a few candidates through
+  // the byte-sum placement rule; the root's home may be any node.
   std::string path;
   for (int i = 0; i < 256; ++i) {
     std::string candidate = "/p" + std::to_string(i);
-    const std::uint64_t h = hash::Fnv1a64(candidate);
-    std::string parent_ok = "/";  // root's home may be any node; accept it
-    if (h % kNodes == 0) {
+    std::uint64_t sum = 0;
+    for (unsigned char c : candidate) sum += c;
+    if (sum % kNodes == 0) {
       path = candidate;
       break;
     }

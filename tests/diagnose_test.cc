@@ -22,7 +22,8 @@
 namespace memfs::diagnose {
 namespace {
 
-// Monitor over two "mem" instances and one breaker gauge, 8 windows of 10:
+// Monitor over two "kv.mem_bytes" instances (the family the recorder
+// audits) and one breaker gauge, 8 windows of 10:
 //   w0 [ 0,10): balanced (10,10)
 //   w1 [10,20): skewed   (10,30)
 //   w2 [20,30): skewed   (10,40), kv.breaker/1 opens, exemplar recorded
@@ -31,8 +32,8 @@ namespace {
 //   w5 [50,60): balanced
 //   w6 [60,70): skewed   (10,50)
 //   w7 [70,80): balanced
-// The skew(mem) rule fails windows 1-3 and 6; with the default merge gap
-// that is two episodes.
+// The skew(kv.mem_bytes) rule fails windows 1-3 and 6; with the merge gap
+// of one window that is two episodes.
 struct RecorderFixture {
   sim::Simulation sim;
   MetricsRegistry registry;
@@ -45,8 +46,8 @@ struct RecorderFixture {
                                tracer(sim) {
     mon.WatchRegistry(&registry);
     mon.HarvestExemplars(&registry);
-    std::int64_t& a = registry.Gauge(InstanceGaugeName("mem", 0));
-    std::int64_t& b = registry.Gauge(InstanceGaugeName("mem", 1));
+    std::int64_t& a = registry.Gauge(InstanceGaugeName("kv.mem_bytes", 0));
+    std::int64_t& b = registry.Gauge(InstanceGaugeName("kv.mem_bytes", 1));
     std::int64_t& breaker = registry.Gauge(InstanceGaugeName("kv.breaker", 1));
     sim.Schedule(1, [&] {
       a = 10;
@@ -88,22 +89,15 @@ struct RecorderFixture {
 
   std::vector<monitor::SloResult> SkewResults() {
     monitor::SloWatchdog watchdog(mon);
-    [&] { ASSERT_TRUE(watchdog.AddRule("skew(mem) < 1.25")); }();
+    [&] { ASSERT_TRUE(watchdog.AddRule("skew(kv.mem_bytes) < 1.25")); }();
     return watchdog.Evaluate();
-  }
-
-  IncidentConfig Config() {
-    IncidentConfig config;
-    config.balance_family = "mem";
-    return config;
   }
 };
 
 TEST(FlightRecorderTest, MergesEpisodesAndFoldsRepeatedTriggers) {
   RecorderFixture fx;
-  FlightRecorder recorder(fx.mon, fx.Config());
-  recorder.SetSloResults(fx.SkewResults());
-  const std::vector<Incident> incidents = recorder.Diagnose();
+  const std::vector<Incident> incidents =
+      Diagnose(fx.mon, fx.SkewResults(), nullptr, {});
 
   // Windows 1-3 coalesce (gap 0 between consecutive violations); window 6
   // is beyond the merge gap and opens its own incident.
@@ -136,9 +130,8 @@ TEST(FlightRecorderTest, MergesEpisodesAndFoldsRepeatedTriggers) {
 
 TEST(FlightRecorderTest, BreakerTransitionAttachesToOverlappingEpisode) {
   RecorderFixture fx;
-  FlightRecorder recorder(fx.mon, fx.Config());
-  recorder.SetSloResults(fx.SkewResults());
-  const std::vector<Incident> incidents = recorder.Diagnose();
+  const std::vector<Incident> incidents =
+      Diagnose(fx.mon, fx.SkewResults(), nullptr, {});
   ASSERT_EQ(incidents.size(), 2u);
 
   const Incident& first = incidents[0];
@@ -159,9 +152,8 @@ TEST(FlightRecorderTest, BreakerTransitionAttachesToOverlappingEpisode) {
 
 TEST(FlightRecorderTest, FreezesBalanceTimelineAndRanksHotInstance) {
   RecorderFixture fx;
-  FlightRecorder recorder(fx.mon, fx.Config());
-  recorder.SetSloResults(fx.SkewResults());
-  const std::vector<Incident> incidents = recorder.Diagnose();
+  const std::vector<Incident> incidents =
+      Diagnose(fx.mon, fx.SkewResults(), nullptr, {});
   ASSERT_EQ(incidents.size(), 2u);
 
   const Incident& first = incidents[0];
@@ -176,7 +168,7 @@ TEST(FlightRecorderTest, FreezesBalanceTimelineAndRanksHotInstance) {
   bool has_mem = false;
   bool has_breaker = false;
   for (const TimelineSlice& slice : first.timeline) {
-    if (slice.series == InstanceGaugeName("mem", 1)) has_mem = true;
+    if (slice.series == InstanceGaugeName("kv.mem_bytes", 1)) has_mem = true;
     if (slice.series == InstanceGaugeName("kv.breaker", 1)) {
       has_breaker = true;
     }
@@ -198,10 +190,8 @@ TEST(FlightRecorderTest, FreezesBalanceTimelineAndRanksHotInstance) {
 
 TEST(FlightRecorderTest, ExemplarIsFrozenAndAttributedThroughSpans) {
   RecorderFixture fx;
-  FlightRecorder recorder(fx.mon, fx.Config());
-  recorder.SetSloResults(fx.SkewResults());
-  recorder.SetTracer(&fx.tracer);
-  const std::vector<Incident> incidents = recorder.Diagnose();
+  const std::vector<Incident> incidents =
+      Diagnose(fx.mon, fx.SkewResults(), &fx.tracer, {});
   ASSERT_EQ(incidents.size(), 2u);
 
   const Incident& first = incidents[0];
@@ -229,9 +219,6 @@ TEST(FlightRecorderTest, ExemplarIsFrozenAndAttributedThroughSpans) {
 
 TEST(FlightRecorderTest, OverlappingFaultsAreFrozenAndScored) {
   RecorderFixture fx;
-  FlightRecorder recorder(fx.mon, fx.Config());
-  recorder.SetSloResults(fx.SkewResults());
-
   sim::FaultEvent crash;  // inside the first incident's slice [0, 60)
   crash.kind = sim::FaultKind::kServerCrash;
   crash.start = 15;
@@ -242,9 +229,8 @@ TEST(FlightRecorderTest, OverlappingFaultsAreFrozenAndScored) {
   far_away.start = 500;
   far_away.duration = 100;
   far_away.server = 0;
-  recorder.SetFaults({crash, far_away});
-
-  const std::vector<Incident> incidents = recorder.Diagnose();
+  const std::vector<Incident> incidents =
+      Diagnose(fx.mon, fx.SkewResults(), nullptr, {crash, far_away});
   ASSERT_EQ(incidents.size(), 2u);
   ASSERT_EQ(incidents[0].faults.size(), 1u);
   EXPECT_EQ(incidents[0].faults[0].server, 6u);
@@ -272,18 +258,16 @@ TEST(FlightRecorderTest, MigrationStallOpensItsOwnIncident) {
     moved = 5;
   });
   sim.Schedule(11, [&] { moved = 10; });
-  // Windows 2 and 3 show an active sweep with no progress.
-  sim.Schedule(45, [] {});
+  // Windows 2 to 9 show an active sweep with no progress: the eighth flat
+  // window, 9, fires the stall.
+  sim.Schedule(105, [] {});
   sim.Run();
 
-  IncidentConfig config;
-  config.stall_windows = 2;
-  FlightRecorder recorder(mon, config);
-  const std::vector<Incident> incidents = recorder.Diagnose();
+  const std::vector<Incident> incidents = Diagnose(mon, {}, nullptr, {});
   ASSERT_EQ(incidents.size(), 1u);
   ASSERT_EQ(incidents[0].triggers.size(), 1u);
   EXPECT_EQ(incidents[0].triggers[0].kind, TriggerKind::kMigrationStall);
-  EXPECT_EQ(incidents[0].triggers[0].window, 3u);
+  EXPECT_EQ(incidents[0].triggers[0].window, 9u);
   // The migration gauges are frozen into the slice.
   bool has_moved = false;
   for (const TimelineSlice& slice : incidents[0].timeline) {
@@ -302,29 +286,24 @@ TEST(FlightRecorderTest, NoTriggersMeansNoIncidents) {
   sim.Schedule(25, [] {});
   sim.Run();
 
-  FlightRecorder recorder(mon);
   monitor::SloWatchdog watchdog(mon);
   ASSERT_TRUE(watchdog.AddRule("value(steady) > 0"));  // satisfied
-  recorder.SetSloResults(watchdog.Evaluate());
-  EXPECT_TRUE(recorder.Diagnose().empty());
+  EXPECT_TRUE(Diagnose(mon, watchdog.Evaluate(), nullptr, {}).empty());
 
   std::ostringstream report;
-  FlightRecorder::Print({}, report);
+  Print({}, report);
   EXPECT_NE(report.str().find("no incidents"), std::string::npos);
 }
 
 TEST(FlightRecorderTest, ReportAndJsonAreDeterministic) {
   RecorderFixture fx;
-  FlightRecorder recorder(fx.mon, fx.Config());
-  recorder.SetSloResults(fx.SkewResults());
-  recorder.SetTracer(&fx.tracer);
-
-  const std::vector<Incident> once = recorder.Diagnose();
-  const std::vector<Incident> twice = recorder.Diagnose();
+  const std::vector<monitor::SloResult> slo = fx.SkewResults();
+  const std::vector<Incident> once = Diagnose(fx.mon, slo, &fx.tracer, {});
+  const std::vector<Incident> twice = Diagnose(fx.mon, slo, &fx.tracer, {});
   std::ostringstream json_a;
   std::ostringstream json_b;
-  FlightRecorder::WriteJson(once, json_a);
-  FlightRecorder::WriteJson(twice, json_b);
+  WriteJson(once, json_a);
+  WriteJson(twice, json_b);
   EXPECT_EQ(json_a.str(), json_b.str());
   EXPECT_NE(json_a.str().find("\"incidents\":["), std::string::npos);
   EXPECT_NE(json_a.str().find("\"verdict\":"), std::string::npos);
@@ -332,8 +311,8 @@ TEST(FlightRecorderTest, ReportAndJsonAreDeterministic) {
 
   std::ostringstream human_a;
   std::ostringstream human_b;
-  FlightRecorder::Print(once, human_a);
-  FlightRecorder::Print(twice, human_b);
+  Print(once, human_a);
+  Print(twice, human_b);
   EXPECT_EQ(human_a.str(), human_b.str());
   EXPECT_NE(human_a.str().find("verdict:"), std::string::npos);
   EXPECT_NE(human_a.str().find("(3 windows)"), std::string::npos);

@@ -87,14 +87,13 @@ TEST(TokenRangeTest, SplitMergeRoundTrip) {
 }
 
 TEST(TokenRangeTest, NameTokensAreDeterministicAndBounded) {
-  const hash::HashKind kind = hash::HashKind::kFnv1a64;
-  EXPECT_EQ(NameToken(7, "file_3", kind), NameToken(7, "file_3", kind));
+  EXPECT_EQ(NameToken(7, "file_3"), NameToken(7, "file_3"));
   // Sibling directories stripe independently: the ino is in the hash input.
-  EXPECT_NE(NameToken(7, "file_3", kind), NameToken(8, "file_3", kind));
+  EXPECT_NE(NameToken(7, "file_3"), NameToken(8, "file_3"));
   for (std::uint32_t shards : {1u, 2u, 8u}) {
-    EXPECT_LT(ShardOfName(7, "file_3", shards, kind), shards);
+    EXPECT_LT(ShardOfName(7, "file_3", shards), shards);
   }
-  EXPECT_EQ(ShardOfName(7, "anything", 1, kind), 0u);
+  EXPECT_EQ(ShardOfName(7, "anything", 1), 0u);
 }
 
 // --- Codecs --------------------------------------------------------------

@@ -17,6 +17,8 @@
 #include "mtc/scheduler.h"
 #include "mtc/workflow.h"
 #include "net/fluid_network.h"
+#include "test_util.h"
+#include "trace/trace.h"
 #include "workloads/blast.h"
 #include "workloads/montage.h"
 
@@ -126,6 +128,47 @@ TEST(RunnerTest, ReadVerificationCatchesCorruption) {
   const auto result = runner.Run(wf);
   EXPECT_FALSE(result.status.ok());
   EXPECT_EQ(result.failed_task, "t");
+}
+
+TEST(RunnerTest, CorruptReadFailsTheRun) {
+  // Reads are always verified: one read of a BLAST fragment that returns
+  // the wrong bytes fails the run, naming the file.
+  MemFsCluster cluster(2);
+  const std::string fragment = "/blast/raw/frag_00000.fa";
+  memfs::testing::CorruptReadVfs vfs(cluster.sim, *cluster.memfs, fragment);
+  UniformScheduler scheduler;
+  Runner runner(cluster.sim, vfs, scheduler,
+                {.nodes = 2, .cores_per_node = 2});
+  workloads::BlastParams params;
+  params.task_scale = 256;
+  params.size_scale = 1024;
+  const auto result = runner.Run(workloads::BuildBlast(params));
+  EXPECT_TRUE(vfs.corrupted());
+  EXPECT_EQ(result.status.code(), ErrorCode::kInternal);
+  EXPECT_NE(result.status.message().find("content mismatch in " + fragment),
+            std::string::npos)
+      << result.status;
+  EXPECT_EQ(result.failed_task, "formatdb-00000");
+}
+
+TEST(RunnerTest, NoCoresFailsTheRun) {
+  // With no core slot no task can run. The driver waits for a completion
+  // that never comes, and the run fails instead of reporting an empty
+  // success (Release builds compile asserts out).
+  MemFsCluster cluster(2);
+  UniformScheduler scheduler;
+  trace::Tracer tracer(cluster.sim);
+  Runner runner(cluster.sim, *cluster.memfs, scheduler,
+                {.nodes = 2, .cores_per_node = 0, .tracer = &tracer});
+  const auto result = runner.Run(Diamond());
+  EXPECT_EQ(result.status.code(), ErrorCode::kInternal);
+  EXPECT_EQ(result.status.message(),
+            "workflow driver did not finish: 4 of 4 tasks not run");
+  EXPECT_TRUE(result.stages.empty());
+  EXPECT_EQ(result.bytes_written, 0u);
+  // The workflow root span is ended.
+  EXPECT_NE(result.trace_id, 0u);
+  EXPECT_EQ(tracer.open_spans(), 0u);
 }
 
 TEST(RunnerTest, StalledWorkflowReported) {

@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
@@ -63,5 +66,90 @@ inline Result<Bytes> ReadFile(sim::Simulation& sim, fs::Vfs& vfs,
   if (!closed.ok()) return closed;
   return out;
 }
+
+// Forwards every call to `inner`, except that the first non-empty read of
+// `path` returns content of another seed, as a corrupted stripe would. The
+// read verification of the workflow runner and of the envelope must catch
+// it.
+class CorruptReadVfs final : public fs::Vfs {
+ public:
+  CorruptReadVfs(sim::Simulation& sim, fs::Vfs& inner, std::string path)
+      : sim_(sim), inner_(inner), path_(std::move(path)) {}
+
+  sim::Simulation& simulation() const { return sim_; }
+  bool corrupted() const { return corrupted_; }
+
+  sim::Future<Result<fs::FileHandle>> Create(fs::VfsContext ctx,
+                                             std::string path) override {
+    return inner_.Create(ctx, std::move(path));
+  }
+  sim::Future<Result<fs::FileHandle>> Open(fs::VfsContext ctx,
+                                           std::string path) override {
+    const bool target = path == path_;
+    auto opened = co_await inner_.Open(ctx, std::move(path));
+    if (target && opened.ok() && !handle_.has_value()) handle_ = *opened;
+    co_return opened;
+  }
+  sim::Future<Status> Write(fs::VfsContext ctx, fs::FileHandle handle,
+                            Bytes data) override {
+    return inner_.Write(ctx, handle, std::move(data));
+  }
+  sim::Future<Result<Bytes>> Read(fs::VfsContext ctx, fs::FileHandle handle,
+                                  std::uint64_t offset,
+                                  std::uint64_t length) override {
+    auto got = co_await inner_.Read(ctx, handle, offset, length);
+    if (corrupted_ || handle_ != handle || !got.ok() || got->empty()) {
+      co_return got;
+    }
+    corrupted_ = true;
+    co_return Bytes::Synthetic(got->size(), 0xbad5eedull);
+  }
+  sim::Future<Status> Flush(fs::VfsContext ctx,
+                            fs::FileHandle handle) override {
+    return inner_.Flush(ctx, handle);
+  }
+  sim::Future<Status> Close(fs::VfsContext ctx,
+                            fs::FileHandle handle) override {
+    return inner_.Close(ctx, handle);
+  }
+  sim::Future<Status> Mkdir(fs::VfsContext ctx, std::string path) override {
+    return inner_.Mkdir(ctx, std::move(path));
+  }
+  sim::Future<Result<std::vector<fs::FileInfo>>> ReadDir(
+      fs::VfsContext ctx, std::string path) override {
+    return inner_.ReadDir(ctx, std::move(path));
+  }
+  sim::Future<Result<fs::DirPage>> ReadDirPage(fs::VfsContext ctx,
+                                               std::string path,
+                                               fs::DirCursor cursor,
+                                               std::uint32_t limit) override {
+    return inner_.ReadDirPage(ctx, std::move(path), cursor, limit);
+  }
+  sim::Future<Result<fs::FileInfo>> Stat(fs::VfsContext ctx,
+                                         std::string path) override {
+    return inner_.Stat(ctx, std::move(path));
+  }
+  sim::Future<Status> Unlink(fs::VfsContext ctx, std::string path) override {
+    return inner_.Unlink(ctx, std::move(path));
+  }
+  sim::Future<Status> Rmdir(fs::VfsContext ctx, std::string path) override {
+    return inner_.Rmdir(ctx, std::move(path));
+  }
+  sim::Future<Status> Rename(fs::VfsContext ctx, std::string from,
+                             std::string to) override {
+    return inner_.Rename(ctx, std::move(from), std::move(to));
+  }
+  sim::Future<Status> Link(fs::VfsContext ctx, std::string existing,
+                           std::string link) override {
+    return inner_.Link(ctx, std::move(existing), std::move(link));
+  }
+
+ private:
+  sim::Simulation& sim_;
+  fs::Vfs& inner_;
+  std::string path_;
+  std::optional<fs::FileHandle> handle_;  // the first open of path_
+  bool corrupted_ = false;
+};
 
 }  // namespace memfs::testing

@@ -321,6 +321,28 @@ TEST(EnvelopeAccountingTest, FailedPhaseReportsItsStatus) {
   EXPECT_FALSE(write.status.ok());
 }
 
+TEST(EnvelopeAccountingTest, CorruptReadFailsThe11Phase) {
+  // Reads are always verified: one 1-1 read that returns the wrong bytes
+  // fails the phase, and the phase reports the mismatch as its status.
+  TestbedConfig config;
+  config.nodes = 2;
+  Testbed bed(FsKind::kMemFs, config);
+  const std::string file = "/env/d_n0_p0_f0";
+  memfs::testing::CorruptReadVfs vfs(bed.simulation(), bed.vfs(), file);
+  EnvelopeParams params;
+  params.nodes = 2;
+  params.file_size = KiB(64);
+  params.files_per_proc = 2;
+  EnvelopeBench bench(bed.simulation(), vfs, params, nullptr);
+  ASSERT_TRUE(bench.RunWrite().status.ok());
+  const auto read11 = bench.RunRead11();
+  EXPECT_TRUE(vfs.corrupted());
+  EXPECT_EQ(read11.status.code(), ErrorCode::kInternal);
+  EXPECT_EQ(read11.status.message(), "envelope content mismatch: " + file);
+  // The other reads went through: only the corrupt file's process stopped.
+  EXPECT_GT(read11.ops, 0u);
+}
+
 TEST(EnvelopeAccountingTest, OpenBeforeCreateFailsThePhase) {
   // A Release build reports the misordered phase instead of opening nothing
   // and printing zero counts as a success.

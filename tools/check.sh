@@ -8,11 +8,14 @@
 #      unsuppressed finding; the determinism gate; the memfs_run smoke runs;
 #      the paper-ledger doc and drift checks; the byte-exact re-run of the
 #      abl_elastic records; the benchmark smoke),
-#   3. re-run a cheap subset of the paper figures (fig03a, fig03b, table1)
-#      and of the ablations (substrate, transport, prefetch, replication,
-#      network model, distribution, faults and migration chaos, survival,
-#      elastic membership and the metadata namespace sweep; about 2 s
-#      together) and compare it with the committed BENCH_paper.json within
+#   3. re-run a cheap subset of the paper figures (fig03a, fig03b, table1,
+#      and fig06, the metadata scaling of both file systems from 4 to 64
+#      nodes and the one figure over AMFS's metadata placement) and of the
+#      ablations (substrate, transport, prefetch, replication, network
+#      model, distribution, faults and migration chaos, survival, elastic
+#      membership, and the metadata namespace sweep, which covers the
+#      sharded service's name-token hash and page size; about 3 s together)
+#      and compare it with the committed BENCH_paper.json within
 #      each metric's tolerance (bench/paper_cells.cc; counts are exact),
 #      failing also on a ledger record of those figures that the run no
 #      longer produces,
@@ -48,9 +51,9 @@ ctest --test-dir "$root/build" --output-on-failure
 # ledger (regenerate it with paper_figures --json=BENCH_paper.json
 # --markdown=EXPERIMENTS.md when a change moves them on purpose).
 # abl_metadata_bigdir, the slowest cell of the table, is left out.
-echo "== paper ledger: fig03a fig03b table1 and cheap abl_* vs BENCH_paper.json =="
+echo "== paper ledger: fig03a fig03b table1 fig06 and cheap abl_* vs BENCH_paper.json =="
 "$root/build/bench/paper_figures" --check="$root/BENCH_paper.json" \
-  fig03a fig03b table1 abl_substrate abl_transport abl_prefetch \
+  fig03a fig03b table1 fig06 abl_substrate abl_transport abl_prefetch \
   abl_replication abl_network_model abl_distribution abl_faults \
   abl_migration_chaos abl_survival abl_elastic abl_metadata_sweep > /dev/null
 

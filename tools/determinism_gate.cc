@@ -360,7 +360,7 @@ void Diagnose(monitor::Monitor& mon, const trace::Tracer& tracer,
       diagnosis.slo[0].windows_evaluated > 0;
   const std::vector<diagnose::Incident>& incidents = diagnosis.incidents;
   std::ostringstream json;
-  diagnose::FlightRecorder::WriteJson(incidents, json);
+  diagnose::WriteJson(incidents, json);
   facts.incidents_json = json.str();
 
   // Attributed: some exemplar's critical path was found, and some incident's

@@ -151,15 +151,25 @@ std::optional<Options> ParseOptions(FlagParser& flags) {
   auto u32 = [&flags](const char* name, std::uint32_t fallback) {
     return static_cast<std::uint32_t>(flags.GetUint(name, fallback));
   };
+  // A count or size the run divides by or places work on; 0 cannot run.
+  bool zero = false;
+  auto positive = [&](const char* name, std::uint32_t fallback) {
+    const std::uint32_t value = u32(name, fallback);
+    if (value == 0) {
+      std::cerr << "--" << name << " must be at least 1 (see --help)\n";
+      zero = true;
+    }
+    return value;
+  };
   Options o;
   o.workload = *workload;
   o.fs = *fs;
   workloads::TestbedConfig& config = o.config;
-  config.nodes = u32("nodes", config.nodes);
+  config.nodes = positive("nodes", config.nodes);
   config.fabric = *fabric;
-  o.cores = u32("cores", o.cores);
+  o.cores = positive("cores", o.cores);
   fs::MemFsConfig& client = config.memfs;
-  client.stripe_size = units::KiB(flags.GetUint("stripe-kb", 512));
+  client.stripe_size = units::KiB(positive("stripe-kb", 512));
   client.io_threads = u32("io-threads", client.io_threads);
   client.read_threads = client.io_threads;
   client.replication = u32("replication", client.replication);
@@ -173,7 +183,7 @@ std::optional<Options> ParseOptions(FlagParser& flags) {
   o.envelope.files_per_proc = u32("files-per-proc", 8);
   o.envelope.io_block = units::KiB(flags.GetUint("io-block-kb", 0));
   o.montage.degree = u32("degree", o.montage.degree);
-  o.blast.fragments = u32("fragments", o.blast.fragments);
+  o.blast.fragments = positive("fragments", o.blast.fragments);
   o.montage.task_scale = o.blast.task_scale = u32("task-scale", 64);
   o.montage.size_scale = o.blast.size_scale = flags.GetUint("size-scale", 16);
 
@@ -196,6 +206,7 @@ std::optional<Options> ParseOptions(FlagParser& flags) {
   }
   o.out = flags.GetString("out", "");
   o.csv = flags.GetBool("csv");
+  if (zero) return std::nullopt;
 
   for (const std::string& unknown : flags.UnknownFlags()) {
     std::cerr << "unknown flag: --" << unknown << " (see --help)\n";
@@ -364,7 +375,7 @@ bool WriteBundle(const std::string& dir, const trace::Tracer& tracer,
   });
   ok = write("timeline.csv", [&](std::ostream& os) { mon.WriteCsv(os); }) && ok;
   ok = write("incidents.json", [&](std::ostream& os) {
-         diagnose::FlightRecorder::WriteJson(incidents, os);
+         diagnose::WriteJson(incidents, os);
        }) && ok;
   for (const monitor::SymmetryReport& report :
        monitor::SymmetryAuditor(mon).AuditAll()) {
@@ -453,7 +464,7 @@ int main(int argc, char** argv) {
     if (!result.satisfied) exit_code = 3;
   }
   std::cout << "\n# incident flight recorder\n";
-  diagnose::FlightRecorder::Print(diagnosis.incidents, std::cout);
+  diagnose::Print(diagnosis.incidents, std::cout);
 
   if (!o.out.empty() &&
       !WriteBundle(o.out, tracer, mon, diagnosis.incidents)) {
