@@ -23,7 +23,8 @@
 // time gate is on wall-clock, not on sim-events/sec: events/sec rewards
 // adding cheap events and punishes removing them, while the time to
 // simulate the same workload does not. The counters are exact run to run,
-// so a regression in them cannot hide in host noise.
+// so a regression in them cannot hide in host noise. An unknown flag, or
+// --sweep or --baseline without --scale, prints a usage line and exits 2.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -321,11 +322,27 @@ int main(int argc, char** argv) {
   bool scale = false;
   bool sweep = false;
   std::string baseline;
+  const auto usage = [](const std::string& problem) {
+    std::cerr << "micro_latency_profile: " << problem << "\n"
+              << "usage: micro_latency_profile [--csv] | --scale [--sweep] "
+                 "[--baseline=FILE]\n";
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--scale") scale = true;
-    if (arg == "--sweep") sweep = true;
-    if (arg.rfind("--baseline=", 0) == 0) baseline = arg.substr(11);
+    if (arg == "--scale") {
+      scale = true;
+    } else if (arg == "--sweep") {
+      sweep = true;
+    } else if (arg.rfind("--baseline=", 0) == 0) {
+      baseline = arg.substr(11);
+      if (baseline.empty()) return usage("--baseline= needs a file");
+    } else if (arg != "--csv") {
+      return usage("unknown flag " + arg);
+    }
+  }
+  if (!scale && (sweep || !baseline.empty())) {
+    return usage("--sweep and --baseline need --scale");
   }
   if (scale) return RunScaleProfile(sweep, baseline);
 

@@ -8,6 +8,8 @@
 #include <new>
 #include <utility>
 
+#include "sim/pool_alloc.h"  // MEMFS_POOL_ALLOC_BYPASS
+
 namespace memfs::kv {
 
 const char* BatchKindName(BatchKind kind) {
@@ -36,8 +38,49 @@ ObjectTable::Iterator& ObjectTable::Iterator::operator++() {
   return *this;
 }
 
+namespace {
+// Under ASan/TSan every block is a heap block of its own, so a use after
+// Erase or Clear stays visible to the sanitizer.
+#ifdef MEMFS_POOL_ALLOC_BYPASS
+constexpr bool kSlab = false;
+#else
+constexpr bool kSlab = true;
+#endif
+
+bool InSlab(std::size_t bytes) {
+  return kSlab && bytes <= ObjectTable::kMaxSlabBlock;
+}
+}  // namespace
+
+std::string_view ObjectTable::Object::rest() const {
+  const char* bytes = reinterpret_cast<const char*>(this + 1);
+  if (rest_size != kLongRest) return {bytes, rest_size};
+  std::uint32_t size;
+  std::memcpy(&size, bytes, sizeof(size));
+  return {bytes + sizeof(size), size};
+}
+
 std::uint32_t ObjectTable::Hash(std::string_view key) {
   return static_cast<std::uint32_t>(std::hash<std::string_view>{}(key));
+}
+
+std::size_t ObjectTable::BlockBytes(std::size_t rest_size) {
+  const std::size_t bytes = sizeof(Object) + rest_size +
+                            (rest_size >= kLongRest ? sizeof(std::uint32_t) : 0);
+  return (bytes + alignof(Object) - 1) & ~(alignof(Object) - 1);
+}
+
+bool ObjectTable::KeyEquals(const Object& object, std::string_view key) const {
+  const std::string_view prefix = prefixes_[object.prefix].text;
+  const std::string_view rest = object.rest();
+  return prefix.size() + rest.size() == key.size() &&
+         key.starts_with(prefix) && key.ends_with(rest);
+}
+
+std::string ObjectTable::Key(const Object& object) const {
+  std::string key(prefixes_[object.prefix].text);
+  key.append(object.rest());
+  return key;
 }
 
 ObjectTable::Object* ObjectTable::Find(std::string_view key) const {
@@ -45,21 +88,95 @@ ObjectTable::Object* ObjectTable::Find(std::string_view key) const {
   const std::uint32_t hash = Hash(key);
   for (Object* object = buckets_[hash & (buckets_.size() - 1)];
        object != nullptr; object = object->next) {
-    if (object->hash == hash && object->key() == key) return object;
+    if (object->hash == hash && KeyEquals(*object, key)) return object;
   }
   return nullptr;
+}
+
+std::uint32_t ObjectTable::AcquirePrefix(std::string_view key) {
+  if (prefixes_.empty()) prefixes_.emplace_back();  // id 0: the empty prefix
+  const std::size_t slash = key.rfind('/');
+  if (slash == std::string_view::npos) return 0;
+  const std::string_view text = key.substr(0, slash + 1);
+  auto it = prefix_ids_.find(text);
+  if (it == prefix_ids_.end()) {
+    std::uint32_t id;
+    if (!free_prefix_ids_.empty()) {
+      id = free_prefix_ids_.back();
+      free_prefix_ids_.pop_back();
+    } else if (prefixes_.size() < kMaxPrefixes) {
+      id = static_cast<std::uint32_t>(prefixes_.size());
+      prefixes_.emplace_back();
+    } else {
+      return 0;  // every id is taken: the key is all rest
+    }
+    it = prefix_ids_.emplace(text, id).first;
+    prefixes_[id].text = it->first;
+  }
+  ++prefixes_[it->second].objects;
+  return it->second;
+}
+
+void ObjectTable::ReleasePrefix(std::uint32_t id) {
+  if (id == 0 || --prefixes_[id].objects > 0) return;
+  prefix_ids_.erase(prefix_ids_.find(prefixes_[id].text));
+  prefixes_[id].text = {};
+  free_prefix_ids_.push_back(id);
+}
+
+void* ObjectTable::AllocateBlock(std::size_t bytes) {
+  if (!InSlab(bytes)) return ::operator new(bytes);
+  const std::size_t size_class = bytes / alignof(Object);
+  if (size_class < free_blocks_.size() && free_blocks_[size_class] != nullptr) {
+    void* block = free_blocks_[size_class];
+    free_blocks_[size_class] = *static_cast<void**>(block);
+    return block;
+  }
+  if (bytes > chunk_left_) {
+    // The old chunk's tail becomes a free block of its own size.
+    if (chunk_left_ >= sizeof(Object)) FreeBlock(chunk_next_, chunk_left_);
+    void* chunk = ::operator new(kChunkBytes);
+    *static_cast<void**>(chunk) = std::exchange(chunks_, chunk);
+    chunk_next_ = static_cast<char*>(chunk) + sizeof(void*);
+    chunk_left_ = kChunkBytes - sizeof(void*);
+  }
+  void* block = chunk_next_;
+  chunk_next_ += bytes;
+  chunk_left_ -= bytes;
+  return block;
+}
+
+void ObjectTable::FreeBlock(void* block, std::size_t bytes) {
+  if (!InSlab(bytes)) {
+    ::operator delete(block, bytes);
+    return;
+  }
+  if (free_blocks_.empty()) {
+    free_blocks_.resize(kMaxSlabBlock / alignof(Object) + 1, nullptr);
+  }
+  const std::size_t size_class = bytes / alignof(Object);
+  *static_cast<void**>(block) = free_blocks_[size_class];
+  free_blocks_[size_class] = block;
 }
 
 void ObjectTable::Insert(std::string_view key, Bytes value) {
   if (size_ + 1 > buckets_.size()) Grow();
   const std::uint32_t hash = Hash(key);
   assert(key.size() <= std::numeric_limits<std::uint32_t>::max());
-  void* block = ::operator new(sizeof(Object) + key.size());
-  auto* object = new (block) Object{nullptr, std::move(value), hash,
-                                    static_cast<std::uint32_t>(key.size())};
-  if (!key.empty()) {
-    std::memcpy(reinterpret_cast<char*>(object + 1), key.data(), key.size());
+  const std::uint32_t prefix = AcquirePrefix(key);
+  const std::string_view rest = key.substr(prefixes_[prefix].text.size());
+  const bool long_rest = rest.size() >= kLongRest;
+  char* block = static_cast<char*>(AllocateBlock(BlockBytes(rest.size())));
+  auto* object = new (block) Object{
+      nullptr, std::move(value), hash, prefix,
+      long_rest ? kLongRest : static_cast<std::uint32_t>(rest.size())};
+  char* bytes = block + sizeof(Object);
+  if (long_rest) {
+    const auto size = static_cast<std::uint32_t>(rest.size());
+    std::memcpy(bytes, &size, sizeof(size));
+    bytes += sizeof(size);
   }
+  if (!rest.empty()) std::memcpy(bytes, rest.data(), rest.size());
   Object** head = Bucket(hash);
   object->next = *head;
   *head = object;
@@ -70,21 +187,45 @@ void ObjectTable::Erase(Object* object) {
   Object** link = Bucket(object->hash);
   while (*link != object) link = &(*link)->next;
   *link = object->next;
+  const std::size_t bytes = BlockBytes(object->rest().size());
+  ReleasePrefix(object->prefix);
   object->~Object();
-  ::operator delete(object);
+  FreeBlock(object, bytes);
   --size_;
 }
 
 void ObjectTable::Clear() {
-  for (Object*& head : buckets_) {
+  for (Object* head : buckets_) {
     while (head != nullptr) {
       Object* next = head->next;
+      const std::size_t bytes = BlockBytes(head->rest().size());
       head->~Object();
-      ::operator delete(head);
+      // Blocks carved from a chunk go with it below.
+      if (!InSlab(bytes)) ::operator delete(head, bytes);
       head = next;
     }
   }
+  while (chunks_ != nullptr) {
+    void* chunk = std::exchange(chunks_, *static_cast<void**>(chunks_));
+    ::operator delete(chunk, kChunkBytes);
+  }
+  chunk_next_ = nullptr;
+  chunk_left_ = 0;
+  free_blocks_ = {};
+  buckets_ = {};
+  prefix_ids_ = {};
+  prefixes_ = {};
+  free_prefix_ids_ = {};
   size_ = 0;
+}
+
+std::size_t ObjectTable::chunk_count() const {
+  std::size_t count = 0;
+  for (void* chunk = chunks_; chunk != nullptr;
+       chunk = *static_cast<void**>(chunk)) {
+    ++count;
+  }
+  return count;
 }
 
 void ObjectTable::Grow() {
@@ -237,7 +378,7 @@ std::vector<std::string> KvServer::Keys() const {
   // hash-order iteration feeds a sort below, so the returned enumeration is
   // order-independent.
   for (const ObjectTable::Object& object : store_) {
-    keys.emplace_back(object.key());
+    keys.push_back(store_.Key(object));
   }
   std::sort(keys.begin(), keys.end());
   return keys;

@@ -350,7 +350,7 @@ TEST(AnalyzeUnorderedSinkTest, ObjectTableIterationFeedingDigestIsFlagged) {
     std::vector<std::string> KvServer::Keys() const {
       std::vector<std::string> keys;
       for (const ObjectTable::Object& object : store_) {
-        keys.emplace_back(object.key());
+        keys.push_back(store_.Key(object));
       }
       std::sort(keys.begin(), keys.end());
       return keys;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "kvstore/kv_cluster.h"
 #include "kvstore/kv_server.h"
 #include "net/fluid_network.h"
+#include "sim/pool_alloc.h"  // MEMFS_POOL_ALLOC_BYPASS
 #include "test_util.h"
 
 namespace memfs::kv {
@@ -131,33 +133,55 @@ TEST(KvServerTest, StatsCountOperations) {
 // Model check of the object table: a seeded mix of Set/Add/Append/Delete
 // over 20k keys with a Clear every 15k steps, so the bucket array grows many
 // times from empty, compared with a std::map model after every step. Keys
-// cover the lengths 0, 1, 15, 16 and 4096.
+// cover the lengths 0, 1, 15, 16 and 4096, keys with no '/', stripe and
+// metadata keys that share 40 and 13 directory prefixes, and edge keys drawn
+// one step in 50: "/" alone, keys ending in '/' (all prefix, no rest), and
+// rests on either side of the longest the object header's length field holds.
 TEST(KvServerTest, MatchesOrderedMapModel) {
   constexpr std::size_t kKeys = 20000;
+  const std::vector<std::string> edges = {
+      "/",
+      "/run~3/",
+      "d/5/",
+      "/run~3/" + std::string(ObjectTable::kLongRest - 1, 'r'),
+      "/run~3/" + std::string(ObjectTable::kLongRest, 'r'),
+      "/run~3/" + std::string(ObjectTable::kLongRest + 1, 'r'),
+      std::string(ObjectTable::kLongRest + 1, 'n'),
+  };
   std::vector<std::string> keys;
   keys.reserve(kKeys);
   keys.emplace_back();
-  for (std::size_t i = 1; keys.size() < kKeys; ++i) {
+  for (std::size_t i = 1; keys.size() < kKeys - edges.size(); ++i) {
     const std::string id = std::to_string(i);
     if (i <= 200) {
       keys.emplace_back(1, static_cast<char>(i));
     } else if (i % 1000 == 0) {
       keys.push_back(id + std::string(4096 - id.size(), 'L'));
+    } else if (i % 4 == 1) {
+      keys.push_back("/run~" + std::to_string(i % 40) + "/f" + id + "#" +
+                     std::to_string(i % 7));
+    } else if (i % 4 == 3) {
+      keys.push_back("d/" + std::to_string(i % 13) + "/" + id);
     } else {
       const std::size_t len = i % 2 == 0 ? 15 : 16;
       keys.push_back(std::string(len - id.size(), 'k') + id);
     }
   }
+  keys.insert(keys.end(), edges.begin(), edges.end());
 
   KvServer server;
   std::map<std::string, Bytes, std::less<>> model;
   std::uint64_t model_memory = 0;
   Rng rng(2014);
   std::size_t keys_checks = 0;
+  std::size_t edge_steps = 0;
   for (int step = 0; step < 40000; ++step) {
-    // Writes outnumber deletes so the table keeps growing; the Clear
-    // exercises reuse of the grown bucket array.
-    const std::string& key = keys[rng.Below(kKeys)];
+    // Writes outnumber deletes so the table keeps growing; the Clear frees
+    // the table, which then grows again from empty.
+    const bool edge = rng.Below(50) == 0;
+    edge_steps += edge ? 1 : 0;
+    const std::string& key = edge ? keys[kKeys - 1 - rng.Below(edges.size())]
+                                  : keys[rng.Below(kKeys)];
     const Bytes value =
         rng.Below(2) == 0
             ? Bytes::Copy(std::string(rng.Below(40), static_cast<char>(step)))
@@ -230,6 +254,105 @@ TEST(KvServerTest, MatchesOrderedMapModel) {
   }
   EXPECT_GT(model.size(), 4096u);  // the bucket array grew ten times
   EXPECT_GT(keys_checks, 1000u);
+  EXPECT_GT(edge_steps, 700u);
+}
+
+// Keys() rebuilds every key from its prefix and rest: after a directory's
+// last object goes (and its prefix id is reused by another directory), after
+// its keys come back, and after a Clear.
+TEST(KvServerTest, KeysAreWholeAndSortedAcrossEraseReinsertAndClear) {
+  KvServer server;
+  std::set<std::string> model;
+  const auto put = [&](const std::string& key) {
+    ASSERT_TRUE(server.Set(key, Bytes::Copy(key)).ok());
+    model.insert(key);
+  };
+  const auto drop = [&](const std::string& key) {
+    ASSERT_TRUE(server.Delete(key).ok());
+    model.erase(key);
+  };
+  const auto check = [&](const char* when) {
+    const std::vector<std::string> listed = server.Keys();
+    EXPECT_EQ(listed, std::vector<std::string>(model.begin(), model.end()))
+        << when;
+    for (const std::string& key : model) {
+      const Result<Bytes> got = server.Get(key);
+      ASSERT_TRUE(got.ok()) << when << ": " << key;
+      EXPECT_EQ(got->view(), key) << when;
+    }
+  };
+  const std::vector<std::string> dirs = {"/a/", "/a/b/", "d/7/", "i/", ""};
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string& dir : dirs) {
+      for (int i = 0; i < 40; ++i) put(dir + "f" + std::to_string(i) + "#0");
+      put(dir);  // all prefix
+    }
+    check("filled");
+    for (int i = 0; i < 40; ++i) drop("/a/f" + std::to_string(i) + "#0");
+    drop("/a/");
+    check("/a/ emptied");
+    for (int i = 0; i < 40; i += 3) put("/z/" + std::to_string(i));
+    check("/z/ took the free prefix id");
+    for (int i = 0; i < 40; i += 2) put("/a/f" + std::to_string(i) + "#0");
+    for (int i = 1; i < 40; i += 2) drop("d/7/f" + std::to_string(i) + "#0");
+    check("reinserted");
+    server.Clear();
+    model.clear();
+    EXPECT_EQ(server.object_count(), 0u);
+    check("cleared");
+  }
+}
+
+// An erased block goes on the free list of its size, and inserting objects
+// of the same block size takes them back before carving anything new.
+TEST(KvServerTest, ErasedBlocksAreReusedBySameSizeInserts) {
+  constexpr int kObjects = 1000;
+  ObjectTable table;
+  const auto name = [](const char* dir, int i) {
+    return std::string(dir) + std::to_string(10000 + i);
+  };
+  std::set<const ObjectTable::Object*> blocks;
+  for (int i = 0; i < kObjects; ++i) {
+    table.Insert(name("/dir/k", i), Bytes::Synthetic(100, i));
+    blocks.insert(table.Find(name("/dir/k", i)));
+  }
+  const std::size_t chunks = table.chunk_count();
+#ifndef MEMFS_POOL_ALLOC_BYPASS
+  EXPECT_GT(chunks, 10u);
+#endif
+  for (int i = 0; i < kObjects; i += 2) {
+    table.Erase(table.Find(name("/dir/k", i)));
+  }
+  // Same rest lengths under another prefix: the same block sizes.
+  std::vector<const ObjectTable::Object*> reused;
+  for (int i = 0; i < kObjects; i += 2) {
+    table.Insert(name("/other/j", i), Bytes::Synthetic(200, i));
+    reused.push_back(table.Find(name("/other/j", i)));
+  }
+  EXPECT_EQ(table.chunk_count(), chunks);
+#ifndef MEMFS_POOL_ALLOC_BYPASS
+  for (const ObjectTable::Object* object : reused) {
+    EXPECT_EQ(blocks.count(object), 1u);
+  }
+#endif
+  ASSERT_EQ(table.size(), static_cast<std::size_t>(kObjects));
+  std::set<std::string> seen;
+  for (const ObjectTable::Object& object : table) {
+    seen.insert(table.Key(object));
+  }
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kObjects));
+  for (int i = 0; i < kObjects; ++i) {
+    const std::string key =
+        i % 2 == 0 ? name("/other/j", i) : name("/dir/k", i);
+    EXPECT_EQ(seen.count(key), 1u) << key;
+    const ObjectTable::Object* object = table.Find(key);
+    ASSERT_NE(object, nullptr) << key;
+    EXPECT_EQ(object->value.size(), i % 2 == 0 ? 200u : 100u);
+  }
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.chunk_count(), 0u);
+  EXPECT_TRUE(table.begin() == table.end());
 }
 
 // --- KvCluster protocol over the simulated network ---

@@ -95,7 +95,10 @@ ctest --test-dir "$root/build-asan" -L determinism --output-on-failure
 # after its first suspension would read a dead caller's frame. The payload
 # and kv server tests cover the manual memory of a stored object: Bytes keeps
 # its real buffer in a union with the synthetic generator, and the kv object
-# table places each value and its key in one raw heap block. The semaphore
+# table places each value and the rest of its key in one raw block, carved
+# from a chunk of its slab (under ASan/TSan the slab bypasses to one heap
+# block per object, MEMFS_POOL_ALLOC_BYPASS, so a use after Erase or Clear
+# stays visible), behind a prefix shared through the table. The semaphore
 # keeps its waiter FIFO in a vector with its own head index, and the workflow
 # tests cover the file and string tables: a running task holds spans into the
 # workflow's flat id array and views into its string table across every
