@@ -92,28 +92,30 @@ bool Abandoned(const BatchCall& call, std::uint32_t attempt) {
 }
 
 // Ends the current attempt: the retry driver resumes and reads the verdicts.
-void SettleAttempt(BatchCall& call) {
+// Its deadline timer, if still pending, leaves the queue unrun.
+void SettleAttempt(sim::Simulation& sim, BatchCall& call) {
   call.settled = true;
+  sim.Cancel(call.deadline);
   call.attempt_done.Set(sim::Done{});
 }
 
 // Cuts the current attempt off with `error`, unless it is already over.
-void FailAttempt(BatchCall& call, std::uint32_t attempt, Status error) {
+void FailAttempt(sim::Simulation& sim, BatchCall& call, std::uint32_t attempt,
+                 Status error) {
   if (Abandoned(call, attempt)) return;
   call.attempt_error = std::move(error);
-  SettleAttempt(call);
+  SettleAttempt(sim, call);
 }
 
-sim::Task RunBatchDeadline(sim::Simulation& sim, BatchResult call,
-                           std::uint32_t attempt, sim::SimTime deadline) {
-  co_await sim.Delay(deadline);
-  if (Abandoned(*call, attempt) || call->finished) co_return;
+// The deadline of attempt `attempt`, fired while the attempt is still open.
+void ExpireAttempt(sim::Simulation& sim, BatchCall& call,
+                   std::uint32_t attempt) {
   // Every item has its verdict (mutations committed, GETs read their value):
   // only the reply is outstanding, so let it finish.
-  for (const BatchCall::Outcome& outcome : call->outcomes) {
+  for (const BatchCall::Outcome& outcome : call.outcomes) {
     if (!outcome.resolved) {
-      FailAttempt(*call, attempt, status::DeadlineExceeded("op deadline"));
-      co_return;
+      FailAttempt(sim, call, attempt, status::DeadlineExceeded("op deadline"));
+      return;
     }
   }
 }
@@ -143,7 +145,7 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
   if (network.DropMessage(client, slot.node)) {
     trace::Event(ctx, "request_lost");
     co_await sim.Delay(cost.failure_timeout);
-    FailAttempt(*call, attempt, status::DeadlineExceeded("request lost"));
+    FailAttempt(sim, *call, attempt, status::DeadlineExceeded("request lost"));
     co_return;
   }
   {
@@ -153,7 +155,7 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
   if (*slot.down) {
     trace::Event(ctx, "server_down");
     co_await sim.Delay(cost.failure_timeout);
-    FailAttempt(*call, attempt, status::Unavailable("server down"));
+    FailAttempt(sim, *call, attempt, status::Unavailable("server down"));
     co_return;
   }
   GaugeAdd(slot.queue_gauge, 1);
@@ -218,7 +220,7 @@ sim::Task RunBatchAttempt(sim::Simulation& sim, net::Network& network,
   }
   if (Abandoned(*call, attempt)) co_return;
   call->finished = true;
-  SettleAttempt(*call);
+  SettleAttempt(sim, *call);
 }
 
 // The future a single-key method returns for its one-item `call`: the
@@ -365,7 +367,10 @@ sim::Task KvCluster::RunBatchWithRetry(std::uint32_t server,
       RunBatchAttempt(sim_, network_, AccessOf(slot), client, cost_, call,
                       attempt, attempt_span);
       if (policy_.op_deadline > 0) {
-        RunBatchDeadline(sim_, call, attempt, policy_.op_deadline);
+        call->deadline =
+            sim_.Schedule(policy_.op_deadline, [this, call, attempt] {
+              ExpireAttempt(sim_, *call, attempt);
+            });
       }
       (void)co_await settled;
       // Streamed verdicts are final (and, for mutations, committed — never

@@ -143,6 +143,8 @@ struct BatchCall {
   bool finished = false;  // this attempt's acknowledgement arrived
   Status attempt_error;   // the verdict its unresolved items inherit
   sim::VoidPromise attempt_done;
+  // The attempt's deadline timer; settling the attempt cancels it.
+  sim::EventId deadline;
 };
 
 using BatchResult = std::shared_ptr<BatchCall>;

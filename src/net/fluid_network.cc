@@ -233,25 +233,38 @@ void FluidNetwork::HeapPlace(std::uint32_t pos, const FinishNode& node) {
 
 void FluidNetwork::HeapFix(std::uint32_t pos) {
   const FinishNode node = finish_heap_[pos];
-  // Sift up: parent of i is (i-1)/2.
+  const sim::Key128 key = KeyOf(node);
+  // Sift up: parent of i is (i-1)/4.
+  const std::uint32_t start = pos;
   while (pos > 0) {
-    const std::uint32_t parent = (pos - 1) / 2;
-    if (!NodeBefore(node, finish_heap_[parent])) break;
+    const std::uint32_t parent = (pos - 1) >> 2;
+    if (key >= KeyOf(finish_heap_[parent])) break;
     HeapPlace(pos, finish_heap_[parent]);
     pos = parent;
   }
-  // Sift down: children of i are 2i+1, 2i+2.
-  const auto size = static_cast<std::uint32_t>(finish_heap_.size());
-  while (true) {
-    std::uint32_t best = 2 * pos + 1;
-    if (best >= size) break;
-    if (best + 1 < size &&
-        NodeBefore(finish_heap_[best + 1], finish_heap_[best])) {
-      ++best;
+  if (pos == start) {
+    // Sift down: children of i are 4i+1 .. 4i+4; a full set of four is
+    // reduced by a branch-free tournament.
+    const auto size = static_cast<std::uint32_t>(finish_heap_.size());
+    while (true) {
+      const std::uint32_t first = 4 * pos + 1;
+      if (first >= size) break;
+      std::uint32_t best;
+      if (first + 4 <= size) {
+        const FinishNode* c = &finish_heap_[first];
+        const std::uint32_t a = first + (KeyOf(c[1]) < KeyOf(c[0]));
+        const std::uint32_t b = first + 2 + (KeyOf(c[3]) < KeyOf(c[2]));
+        best = KeyOf(finish_heap_[b]) < KeyOf(finish_heap_[a]) ? b : a;
+      } else {
+        best = first;
+        for (std::uint32_t c = first + 1; c < size; ++c) {
+          if (KeyOf(finish_heap_[c]) < KeyOf(finish_heap_[best])) best = c;
+        }
+      }
+      if (KeyOf(finish_heap_[best]) >= key) break;
+      HeapPlace(pos, finish_heap_[best]);
+      pos = best;
     }
-    if (!NodeBefore(finish_heap_[best], node)) break;
-    HeapPlace(pos, finish_heap_[best]);
-    pos = best;
   }
   HeapPlace(pos, node);
 }
@@ -304,9 +317,13 @@ void FluidNetwork::ScheduleNextCompletion() {
   assert(target != kNever && "active flow without a rate");
   // The pending event already fires at the earliest finish.
   if (target == completion_at_) return;
+  // A pending event for another instant is superseded: it leaves the queue.
+  // One already queued for the current instant cannot be cancelled; it runs
+  // and its stale generation makes it a no-op.
+  if (completion_at_ != kNever) sim_.Cancel(completion_event_);
   completion_at_ = target;
   const std::uint64_t generation = ++completion_generation_;
-  sim_.ScheduleAt(target, [this, generation] {
+  completion_event_ = sim_.ScheduleAt(target, [this, generation] {
     if (generation != completion_generation_) return;  // superseded
     completion_at_ = kNever;
     FinishDueFlows();
@@ -321,9 +338,7 @@ void FluidNetwork::ScheduleNextCompletion() {
 void FairShareNetwork::RecomputeFlow(Flow& flow) {
   double rate = std::numeric_limits<double>::infinity();
   for (std::uint8_t i = 0; i < flow.nres; ++i) {
-    rate = std::min(rate, ResourceCapacity(flow.res[i]) /
-                              static_cast<double>(
-                                  ResourceFlowCount(flow.res[i])));
+    rate = std::min(rate, share_[flow.res[i]]);
   }
   set_rate(flow, rate);
 }
@@ -331,11 +346,24 @@ void FairShareNetwork::RecomputeFlow(Flow& flow) {
 void FairShareNetwork::ReallocateExact() {
   for (Flow& flow : flows_) {
     if (flow.state != FlowState::kActive) continue;
-    RecomputeFlow(flow);
+    double rate = std::numeric_limits<double>::infinity();
+    for (std::uint8_t i = 0; i < flow.nres; ++i) {
+      rate = std::min(rate, ResourceCapacity(flow.res[i]) /
+                                static_cast<double>(
+                                    ResourceFlowCount(flow.res[i])));
+    }
+    set_rate(flow, rate);
   }
 }
 
 void FairShareNetwork::Reallocate() {
+  // Refreshed in both arms, so flipping to the incremental arm mid-run finds
+  // every share current.
+  if (share_.size() < res_flows_.size()) share_.resize(res_flows_.size());
+  for (ResourceId r : DirtyResources()) {
+    share_[r] = ResourceCapacity(r) /
+                static_cast<double>(ResourceFlowCount(r));
+  }
   if (exact_solver()) {
     ReallocateExact();
     return;

@@ -2,8 +2,11 @@
 //
 // Shared machinery (FluidNetwork): flow lifecycle, latency staging, progress
 // bookkeeping, and a single rescheduled next-completion event — so the event
-// queue never accumulates stale per-flow completions. Subclasses only decide
-// how capacity is split among concurrent flows (Reallocate).
+// queue never accumulates stale per-flow completions. When the earliest
+// finish moves, the superseded completion event is cancelled (it leaves the
+// queue unrun); only one already queued for the current instant still runs,
+// as a no-op. Subclasses only decide how capacity is split among concurrent
+// flows (Reallocate).
 //
 // Flows live in an id-ordered slot vector (intrusive free list, no per-flow
 // heap traffic after warm-up) and every resource keeps the slot list of the
@@ -166,9 +169,8 @@ class FluidNetwork : public Network {
   void HeapFix(std::uint32_t pos);
   void HeapPopTop();
 
-  static bool NodeBefore(const FinishNode& a, const FinishNode& b) {
-    if (a.finish != b.finish) return a.finish < b.finish;
-    return a.id < b.id;
+  static sim::Key128 KeyOf(const FinishNode& node) {
+    return sim::PackKey(node.finish, node.id);
   }
   static std::uint64_t LinkKey(NodeId src, NodeId dst) {
     return (static_cast<std::uint64_t>(src) << 32) | dst;
@@ -178,7 +180,7 @@ class FluidNetwork : public Network {
   std::vector<std::uint32_t> counts_;  // active flows per resource
   std::vector<std::uint64_t> sent_;
   std::vector<std::uint64_t> received_;
-  // Binary min-heap over every active flow, keyed (finish, id); a flow's
+  // 4-ary min-heap over every active flow, keyed (finish, id); a flow's
   // entry is finish_heap_[flow.heap_pos].
   std::vector<FinishNode> finish_heap_;
   std::vector<ResourceId> dirty_;  // deduplicated via dirty_stamp_
@@ -189,9 +191,11 @@ class FluidNetwork : public Network {
   SlotId free_head_ = kNoSlot;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t next_flow_id_ = 1;
-  // The pending completion event: its target instant (kNever when none is
-  // pending) and generation (an event whose generation is stale was
-  // superseded and does nothing).
+  // The pending completion event: its id (cancelled when superseded), its
+  // target instant (kNever when none is pending) and generation (a
+  // superseded event that could not be cancelled sees a stale generation and
+  // does nothing).
+  sim::EventId completion_event_;
   std::uint64_t completion_generation_ = 0;
   sim::SimTime completion_at_ = kNever;
   bool exact_ = false;
@@ -220,6 +224,12 @@ class FairShareNetwork final : public FluidNetwork {
  private:
   void ReallocateExact();
   void RecomputeFlow(Flow& flow);
+
+  // Per resource: capacity / count, refreshed for every dirty resource
+  // before a reallocation (a clean resource's count, hence its share, has
+  // not changed). The incremental arm's rates read it; the exact oracle
+  // divides afresh.
+  std::vector<double> share_;
 };
 
 // Exact max-min fairness: iteratively saturates the most-contended resource

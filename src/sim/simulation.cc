@@ -1,8 +1,6 @@
 #include "sim/simulation.h"
 
-#include <algorithm>
 #include <cassert>
-#include <utility>
 
 #include "sim/checker.h"
 
@@ -36,15 +34,45 @@ Simulation::~Simulation() {
 }
 
 void Simulation::HeapPush(HeapNode node) {
-  // Sift-up in a 4-ary heap: parent of i is (i-1)/4.
-  std::size_t i = heap_.size();
   heap_.push_back(node);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 2;
-    if (!NodeBefore(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
+  SiftUp(heap_.size() - 1, node);
+}
+
+// Moves the hole at `slot` up until `node` fits: parent of i is (i-1)/4.
+void Simulation::SiftUp(std::size_t slot, const HeapNode& node) {
+  while (slot > 0) {
+    const std::size_t parent = (slot - 1) >> 2;
+    if (!NodeBefore(node, heap_[parent])) break;
+    HeapPlace(slot, heap_[parent]);
+    slot = parent;
   }
+  HeapPlace(slot, node);
+}
+
+// Moves the hole at `slot` down until `node` fits: children of i are
+// 4i+1 .. 4i+4. A full set of four is reduced by a branch-free tournament.
+void Simulation::SiftDown(std::size_t slot, const HeapNode& node) {
+  const std::size_t size = heap_.size();
+  while (true) {
+    const std::size_t first = (slot << 2) + 1;
+    if (first >= size) break;
+    std::size_t best;
+    if (first + 4 <= size) {
+      const HeapNode* c = &heap_[first];
+      const std::size_t a = first + NodeBefore(c[1], c[0]);
+      const std::size_t b = first + 2 + NodeBefore(c[3], c[2]);
+      best = NodeBefore(heap_[b], heap_[a]) ? b : a;
+    } else {
+      best = first;
+      for (std::size_t c = first + 1; c < size; ++c) {
+        if (NodeBefore(heap_[c], heap_[best])) best = c;
+      }
+    }
+    if (!NodeBefore(heap_[best], node)) break;
+    HeapPlace(slot, heap_[best]);
+    slot = best;
+  }
+  HeapPlace(slot, node);
 }
 
 Simulation::HeapNode Simulation::HeapPop() {
@@ -52,25 +80,30 @@ Simulation::HeapNode Simulation::HeapPop() {
   const HeapNode top = heap_.front();
   const HeapNode last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) {
-    // Sift-down: children of i are 4i+1 .. 4i+4.
-    std::size_t i = 0;
-    const std::size_t size = heap_.size();
-    while (true) {
-      const std::size_t first_child = (i << 2) + 1;
-      if (first_child >= size) break;
-      std::size_t best = first_child;
-      const std::size_t end = std::min(first_child + 4, size);
-      for (std::size_t c = first_child + 1; c < end; ++c) {
-        if (NodeBefore(heap_[c], heap_[best])) best = c;
-      }
-      if (!NodeBefore(heap_[best], last)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = last;
-  }
+  if (!heap_.empty()) SiftDown(0, last);
   return top;
+}
+
+bool Simulation::Cancel(EventId id) {
+  if (id.cell >= cell_count_) return false;
+  const std::size_t slot = heap_slot_[id.cell];
+  // A cell that ran, sits in the FIFO or was reused has a stale slot, where
+  // some other seq (or nothing) is found.
+  if (slot >= heap_.size() || heap_[slot].seq != id.seq) return false;
+  const HeapNode last = heap_.back();
+  heap_.pop_back();
+  if (slot < heap_.size()) {
+    // The last node refills the hole; it may belong above it or below it.
+    if (slot > 0 && NodeBefore(last, heap_[(slot - 1) >> 2])) {
+      SiftUp(slot, last);
+    } else {
+      SiftDown(slot, last);
+    }
+  }
+  Cell& cell = CellAt(id.cell);
+  cell.op(cell.storage, /*run=*/false);
+  free_cells_.push_back(id.cell);
+  return true;
 }
 
 Simulation::HeapNode Simulation::NowQueuePop() {

@@ -10,14 +10,26 @@
 // 4-ary heap of 24-byte plain nodes {time, seq, cell}, with the type-erased
 // callbacks stored out-of-line in recycled fixed-size cells (chunked slab —
 // cell addresses are stable, so a running callback may schedule freely).
-// Most events are scheduled for the current instant (coroutine resumptions,
-// yields, promise fulfilments); those bypass the heap through a FIFO. Every
-// heap entry due at the current instant was scheduled before the clock
-// reached it, so it carries a lower seq than anything in the FIFO: Step pops
-// those first, then drains the FIFO, and the pop order is exactly
-// (time, seq) either way. Neither scheduling nor dispatch allocates once the
-// slab is warm; captures larger than a cell fall back to one boxed
-// allocation.
+// Heap nodes compare one 128-bit key (time, seq), and sift-down picks the
+// least of four children branch-free. Most events are scheduled for the
+// current instant (coroutine resumptions, yields, promise fulfilments); those
+// bypass the heap through a FIFO. Every heap entry due at the current instant
+// was scheduled before the clock reached it, so it carries a lower seq than
+// anything in the FIFO: Step pops those first, then drains the FIFO, and the
+// pop order is exactly (time, seq) either way. Neither scheduling nor
+// dispatch allocates once the slab is warm; captures larger than a cell fall
+// back to one boxed allocation.
+//
+// Cancellation: Schedule returns an EventId {cell, seq}, and Cancel takes a
+// still-pending heap event out of the queue and destroys its callable unrun.
+// A cancelled event consumes its seq but is never counted in
+// events_processed() nor folded into EventDigest(). The heap records the slot
+// of each pending cell in a per-cell array (one 32-bit store per node move),
+// so Cancel finds its entry in O(1) and removes it in O(log n); the seq found
+// at that slot tells a pending event from one that already ran or whose cell
+// was reused. An event in the current-instant FIFO is not cancellable: it
+// runs, so a callable that may be cancelled at its own instant must still
+// check that it is current.
 //
 // Concurrency model: simulated processes are C++20 coroutines — sim::Task
 // when fire-and-forget, sim::Future<T> when they produce a value — that
@@ -45,6 +57,13 @@ namespace memfs::sim {
 
 using SimTime = std::uint64_t;  // nanoseconds since simulation start
 
+// A (primary, secondary) pair of 64-bit sort keys as one unsigned 128-bit
+// key, so a heap orders its nodes with a single branch-free compare.
+__extension__ using Key128 = unsigned __int128;
+inline Key128 PackKey(std::uint64_t primary, std::uint64_t secondary) {
+  return (static_cast<Key128>(primary) << 64) | secondary;
+}
+
 class SimChecker;  // opt-in correctness instrumentation (sim/checker.h)
 
 // Passive observer of the simulated clock (see src/monitor): notified from
@@ -61,6 +80,13 @@ class ClockObserver {
   virtual void OnClockAdvance(SimTime next) = 0;
 };
 
+// Names one scheduled event for Simulation::Cancel. A default-constructed id
+// names no event.
+struct EventId {
+  std::uint32_t cell = 0;
+  std::uint64_t seq = ~std::uint64_t{0};  // never issued
+};
+
 class Simulation {
  public:
   Simulation() = default;
@@ -71,14 +97,14 @@ class Simulation {
   SimTime now() const { return now_; }
 
   // Schedules `fn` to run `delay` nanoseconds from now. Events scheduled for
-  // the same instant run in scheduling order.
+  // the same instant run in scheduling order. The id may be passed to Cancel.
   template <typename F>
-  void Schedule(SimTime delay, F&& fn) {
-    ScheduleAt(now_ + delay, std::forward<F>(fn));
+  EventId Schedule(SimTime delay, F&& fn) {
+    return ScheduleAt(now_ + delay, std::forward<F>(fn));
   }
 
   template <typename F>
-  void ScheduleAt(SimTime when, F&& fn) {
+  EventId ScheduleAt(SimTime when, F&& fn) {
     assert(when >= now_ && "cannot schedule into the simulated past");
     using Fn = std::decay_t<F>;
     const std::uint32_t cell_index = AllocCell();
@@ -98,7 +124,13 @@ class Simulation {
     } else {
       HeapPush(node);
     }
+    return {cell_index, node.seq};
   }
+
+  // Takes a pending event out of the queue and destroys its callable unrun.
+  // Returns false, and does nothing, when `id` already ran, was cancelled, is
+  // queued for the current instant (it will run), or names no event.
+  bool Cancel(EventId id);
 
   // Schedules resumption of a suspended coroutine through the event queue so
   // that wakeups interleave deterministically with timers.
@@ -217,17 +249,26 @@ class Simulation {
     const std::uint32_t index = cell_count_++;
     if (index / kCellsPerChunk == cell_chunks_.size()) {
       cell_chunks_.push_back(std::make_unique<Cell[]>(kCellsPerChunk));
+      heap_slot_.resize(cell_chunks_.size() * kCellsPerChunk);
     }
     return index;
   }
 
+  static Key128 KeyOf(const HeapNode& node) {
+    return PackKey(node.time, node.seq);
+  }
   static bool NodeBefore(const HeapNode& a, const HeapNode& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+    return KeyOf(a) < KeyOf(b);
   }
 
+  void HeapPlace(std::size_t slot, const HeapNode& node) {
+    heap_[slot] = node;
+    heap_slot_[node.cell] = static_cast<std::uint32_t>(slot);
+  }
   void HeapPush(HeapNode node);
   HeapNode HeapPop();
+  void SiftUp(std::size_t slot, const HeapNode& node);
+  void SiftDown(std::size_t slot, const HeapNode& node);
   HeapNode NowQueuePop();
 
   SimTime now_ = 0;
@@ -237,6 +278,9 @@ class Simulation {
   SimChecker* checker_ = nullptr;
   ClockObserver* clock_observer_ = nullptr;
   std::vector<HeapNode> heap_;  // 4-ary min-heap on (time, seq)
+  // Per cell: its slot in heap_ while it is pending there; stale otherwise
+  // (Cancel checks the seq found at that slot).
+  std::vector<std::uint32_t> heap_slot_;
   // FIFO of events scheduled at now_, in seq order; [now_head_, size) are
   // pending. Emptied (capacity kept) each time it drains, which always
   // happens before the clock advances.

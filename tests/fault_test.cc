@@ -366,6 +366,30 @@ TEST_F(FaultClusterTest, SlowServerTripsOpDeadline) {
   EXPECT_TRUE(back->ContentEquals(Bytes::Copy("v")));
 }
 
+TEST_F(FaultClusterTest, SettledOpLeavesNoDeadlineBehind) {
+  // The op completes well inside its 20 ms deadline; its deadline timer
+  // leaves the queue with it, so the run ends at the op's completion, not
+  // 20 ms later.
+  kv::KvClientPolicy policy;
+  policy.op_deadline = Millis(20);
+  Recreate(policy);
+  const sim::SimTime start = sim_->now();
+  sim::SimTime done_at = 0;
+  bool ok = false;
+  [](sim::Future<Status> op, sim::Simulation& sim, sim::SimTime& at,
+     bool& status_ok) -> sim::Task {
+    const Status status = co_await op;
+    status_ok = status.ok();
+    at = sim.now();
+  }(storage_->Set(0, 1, "k", Bytes::Copy("v")), *sim_, done_at, ok);
+  const sim::SimTime end = sim_->Run();
+  EXPECT_TRUE(ok);
+  EXPECT_GT(done_at, start);
+  EXPECT_LT(done_at - start, Millis(1));
+  EXPECT_EQ(end, done_at);
+  EXPECT_EQ(storage_->stats().deadline_exceeded, 0u);
+}
+
 TEST_F(FaultClusterTest, GetReplySlowerThanDeadlineKeepsItsValue) {
   // The server reads the value well inside the 1 ms deadline; only the
   // reply leg (+5 ms on link 1 -> 0) outlives it. A GET that has read its

@@ -205,6 +205,28 @@ TYPED_TEST(FluidNetworkTest, ArrivalKeepingEarliestFinishSchedulesNoEvent) {
   EXPECT_EQ(sim.events_processed(), 5u);
 }
 
+TYPED_TEST(FluidNetworkTest, ArrivalPullingEarliestFinishEarlierCancelsOld) {
+  sim::Simulation sim;
+  TypeParam network(sim, TestConfig(4));
+  // A (10 MB) and, 100 us later, B (1 MB) on a disjoint pair: B's finish
+  // comes first, so A's pending completion is superseded and must leave the
+  // queue; A's completion is scheduled afresh once B is done.
+  auto a = network.Transfer(0, 1, MB(10));
+  sim.Schedule(Micros(100), [&] { (void)network.Transfer(2, 3, MB(1)); });
+  SimTime a_done = 0;
+  [](sim::VoidFuture f, sim::Simulation& s, SimTime& out) -> sim::Task {
+    co_await f;
+    out = s.now();
+  }(a, sim, a_done);
+  sim.Run();
+  EXPECT_EQ(network.active_flows(), 0u);
+  // The timer event, two activations, two completions and A's waiter.
+  EXPECT_EQ(sim.events_processed(), 6u);
+  EXPECT_NEAR(double(a_done), double(Micros(50) + Millis(10)),
+              double(Micros(1)));
+  EXPECT_EQ(sim.now(), a_done);
+}
+
 // Water-filling redistributes capacity that fair-share leaves unused: flows
 // A(0->1) and B(0->2) share node 0's egress; B additionally competes with
 // C(3->2) and D(4->2) for node 2's ingress and is stuck at 1/3 of line rate.

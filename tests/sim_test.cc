@@ -593,6 +593,114 @@ TEST(EventHeapTest, LargeCallablesAreBoxedCorrectly) {
   EXPECT_TRUE(watch.expired());  // boxed callable destroyed after running
 }
 
+TEST(EventHeapTest, CancelledEventNeitherRunsNorCounts) {
+  Simulation sim;
+  std::vector<int> ran;
+  auto shared = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = shared;
+  const EventId doomed = sim.ScheduleAt(10, [&ran, shared] {
+    (void)shared;
+    ran.push_back(0);
+  });
+  shared.reset();
+  const EventId kept = sim.ScheduleAt(20, [&ran] { ran.push_back(1); });
+  EXPECT_FALSE(watch.expired());
+  EXPECT_TRUE(sim.Cancel(doomed));
+  EXPECT_TRUE(watch.expired());  // destroyed unrun, at the cancel
+  EXPECT_FALSE(sim.Cancel(doomed));  // already gone
+  EXPECT_FALSE(sim.Cancel(EventId{}));  // names no event
+  sim.Run();
+  EXPECT_EQ(ran, (std::vector<int>{1}));
+  EXPECT_EQ(sim.now(), 20u);
+  EXPECT_EQ(sim.events_processed(), 1u);
+  // The cancelled event's seq (0) is consumed but never folded in.
+  EXPECT_EQ(sim.EventDigest(), ReferenceDigest({{20, 1}}));
+
+  // An id whose event ran is stale, and stays stale once its cell is reused.
+  EXPECT_FALSE(sim.Cancel(kept));
+  const EventId reuser = sim.Schedule(5, [&ran] { ran.push_back(2); });
+  EXPECT_EQ(reuser.cell, kept.cell);
+  EXPECT_FALSE(sim.Cancel(kept));
+
+  // An event queued for the current instant is not cancellable: it runs.
+  sim.ScheduleAt(30, [&] {
+    const EventId now_event = sim.Schedule(0, [&ran] { ran.push_back(3); });
+    EXPECT_FALSE(sim.Cancel(now_event));
+  });
+  sim.Run();
+  EXPECT_EQ(ran, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.events_processed(), 4u);
+}
+
+TEST(EventHeapTest, RandomizedCancellationsMatchReferenceOrderAndDigest) {
+  constexpr std::uint64_t kEvents = 200;
+  for (std::uint64_t trial = 0; trial < 50; ++trial) {
+    Simulation sim;
+    std::uint64_t state = 0x2545f4914f6cdd1dull * (trial + 1);
+    auto next = [&state] {  // splitmix64
+      std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+      return z ^ (z >> 31);
+    };
+    // Time 0 lands in the current-instant FIFO (not cancellable); the rest
+    // go through the heap. Every seventh event, when it runs, cancels
+    // another one.
+    std::vector<SimTime> when(kEvents);
+    std::vector<std::uint64_t> target(kEvents, kEvents);
+    std::vector<EventId> ids(kEvents);
+    std::vector<std::pair<SimTime, std::uint64_t>> popped;
+    std::vector<int> cancel_results(kEvents, -1);
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+      when[i] = next() % 16;
+      if (i % 7 == 0) target[i] = next() % kEvents;
+    }
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+      ids[i] = sim.ScheduleAt(when[i], [&, i] {
+        popped.emplace_back(sim.now(), i);
+        if (target[i] != kEvents) {
+          cancel_results[i] = sim.Cancel(ids[target[i]]) ? 1 : 0;
+        }
+      });
+    }
+    // A third of the events are cancelled before the run.
+    std::vector<bool> cancelled(kEvents, false);
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+      if (next() % 3 != 0) continue;
+      const bool expect = when[i] != 0;
+      EXPECT_EQ(sim.Cancel(ids[i]), expect) << "trial " << trial;
+      cancelled[i] = expect;
+    }
+    sim.Run();
+
+    // Reference: (time, insertion) order over the survivors, replaying the
+    // mid-run cancels against what has run so far.
+    std::vector<std::uint64_t> order(kEvents);
+    for (std::uint64_t i = 0; i < kEvents; ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&when](std::uint64_t a, std::uint64_t b) {
+                       return when[a] < when[b];
+                     });
+    std::vector<bool> ran(kEvents, false);
+    std::vector<std::pair<SimTime, std::uint64_t>> expected;
+    std::vector<int> expected_results(kEvents, -1);
+    for (std::uint64_t i : order) {
+      if (cancelled[i]) continue;
+      ran[i] = true;
+      expected.emplace_back(when[i], i);
+      if (target[i] == kEvents) continue;
+      const std::uint64_t j = target[i];
+      const bool hit = !ran[j] && !cancelled[j] && when[j] != 0;
+      expected_results[i] = hit ? 1 : 0;
+      if (hit) cancelled[j] = true;
+    }
+    ASSERT_EQ(popped, expected) << "trial " << trial;
+    EXPECT_EQ(cancel_results, expected_results) << "trial " << trial;
+    EXPECT_EQ(sim.events_processed(), expected.size());
+    EXPECT_EQ(sim.EventDigest(), ReferenceDigest(expected));
+  }
+}
+
 // --- Frame pool (ISSUE 9) ---
 
 #ifndef MEMFS_POOL_ALLOC_BYPASS

@@ -77,7 +77,10 @@ cmake --build "$root/build-asan" -j "$jobs"
 echo "== sanitizers: determinism gate =="
 ctest --test-dir "$root/build-asan" -L determinism --output-on-failure
 
-# The event-cell slab, the same-instant FIFO and the frame pool run under
+# The event-cell slab, the same-instant FIFO, cancelled cells (a cancelled
+# event's callable is destroyed unrun and its cell recycled while the heap
+# re-sorts around the hole; the kv deadline timer it cancels holds the
+# shared BatchCall) and the frame pool run under
 # ASan/UBSan here (the pool's free lists bypass to plain new/delete under
 # sanitizers so every frame keeps its true lifetime — the slab does not
 # bypass and is fully checked; the PoolAllocTest cases that test recycling
