@@ -205,11 +205,58 @@ std::uint32_t MemFs::ReplicaServer(std::uint32_t epoch, std::string_view key,
   return (ring.ServerFor(key) + replica) % ring.server_count();
 }
 
+sim::Future<Status> MemFs::MutateReplica(std::uint32_t epoch,
+                                         net::NodeId node,
+                                         std::uint32_t server,
+                                         std::string key, Bytes value,
+                                         bool append,
+                                         std::uint32_t header_size,
+                                         trace::TraceContext trace) {
+  if (!append) {
+    return sched_.Set(node, server, std::move(key), std::move(value), trace);
+  }
+  if (header_size == 0) {
+    return sched_.Append(node, server, std::move(key), std::move(value),
+                         trace);
+  }
+  return AppendCreating(epoch, node, server, std::move(key),
+                        value.Slice(0, header_size),
+                        value.Slice(header_size, value.size()), trace);
+}
+
+sim::Future<Status> MemFs::AppendCreating(std::uint32_t epoch,
+                                          net::NodeId node,
+                                          std::uint32_t server,
+                                          std::string key, Bytes header,
+                                          Bytes suffix,
+                                          trace::TraceContext trace) {
+  Status status = co_await sched_.Append(node, server, key, suffix, trace);
+  if (status.code() != ErrorCode::kNotFound) co_return std::move(status);
+  // This replica lacks the key: it is new, or the replica missed its
+  // creation. Seed it from a peer that holds it, so it also gets the
+  // suffixes it missed; `header` alone when no peer does.
+  Bytes blob = std::move(header);
+  for (std::uint32_t peer : GetChain(epoch, key)) {
+    if (peer == server) continue;
+    Result<Bytes> held = co_await sched_.Get(node, peer, key, trace);
+    if (held.ok()) {
+      blob = std::move(held.value());
+      break;
+    }
+  }
+  blob.Append(suffix);
+  status = co_await sched_.Add(node, server, key, std::move(blob), trace);
+  if (status.code() != ErrorCode::kExists) co_return std::move(status);
+  co_return co_await sched_.Append(node, server, std::move(key),
+                                   std::move(suffix), trace);
+}
+
 sim::Future<Status> MemFs::ReplicatedMutation(std::uint32_t epoch,
                                               net::NodeId node,
                                               std::string key, Bytes value,
                                               bool append,
-                                              trace::TraceContext trace) {
+                                              trace::TraceContext trace,
+                                              std::uint32_t header_size) {
   // Elastic handoff window: serialize against the migrator so a concurrent
   // copy can never install a value older than this write. The route is
   // computed only after the gate admits us — the handoff may have committed
@@ -222,6 +269,7 @@ sim::Future<Status> MemFs::ReplicatedMutation(std::uint32_t epoch,
     // Single copy: no replica layer to show — the kv op span hangs directly
     // off the caller's span.
     const std::uint32_t server = route.primary.front();
+    if (header_size != 0) value = value.Slice(header_size, value.size());
     Status status;
     if (append) {
       status = co_await sched_.Append(node, server, key, std::move(value),
@@ -244,8 +292,8 @@ sim::Future<Status> MemFs::ReplicatedMutation(std::uint32_t epoch,
   std::vector<sim::Future<Status>> futures;
   futures.reserve(route.primary.size());
   for (std::uint32_t server : route.primary) {
-    futures.push_back(append ? sched_.Append(node, server, key, value, tctx)
-                             : sched_.Set(node, server, key, value, tctx));
+    futures.push_back(MutateReplica(epoch, node, server, key, value, append,
+                                    header_size, tctx));
   }
   // Dual-commit onto the key's next home while its handoff is pending:
   // best-effort, verdicts ignored — the old chain stays authoritative until
@@ -254,8 +302,8 @@ sim::Future<Status> MemFs::ReplicatedMutation(std::uint32_t epoch,
   shadow.reserve(route.secondary.size());
   for (std::uint32_t server : route.secondary) {
     trace::Event(tctx, "dual_commit");
-    shadow.push_back(append ? sched_.Append(node, server, key, value, tctx)
-                            : sched_.Set(node, server, key, value, tctx));
+    shadow.push_back(MutateReplica(epoch, node, server, key, value, append,
+                                   header_size, tctx));
   }
   std::uint32_t acks = 0;
   Status first_error;

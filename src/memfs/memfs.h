@@ -269,10 +269,29 @@ class MemFs final : public Vfs {
 
   // Replication-aware storage primitives. With replication == 1 these are
   // plain single-server operations. `epoch` selects the placement ring
-  // (metadata uses 0, stripes their file's epoch).
+  // (metadata uses 0, stripes their file's epoch). An append whose first
+  // `header_size` bytes of `value` are a creation header appends the rest;
+  // when the route holds more than one copy, a replica that lacks the key is
+  // created from the header (AppendCreating) instead of failing NOT_FOUND,
+  // while a single copy fails NOT_FOUND as before. The header rides in
+  // `value` so every mutation's coroutine frame keeps its size.
   [[nodiscard]] sim::Future<Status> ReplicatedMutation(
       std::uint32_t epoch, net::NodeId node, std::string key, Bytes value,
-      bool append, trace::TraceContext trace);
+      bool append, trace::TraceContext trace, std::uint32_t header_size = 0);
+  // One replica's share of a ReplicatedMutation.
+  [[nodiscard]] sim::Future<Status> MutateReplica(
+      std::uint32_t epoch, net::NodeId node, std::uint32_t server,
+      std::string key, Bytes value, bool append, std::uint32_t header_size,
+      trace::TraceContext trace);
+  // APPEND on one replica. If it lacks the key, ADD there a peer replica's
+  // copy (or `header` when no peer holds one) followed by `suffix`, and if a
+  // sibling's ADD won that race, APPEND after all. Replicas run this
+  // independently, so each one that acks holds `suffix` (twice when the
+  // peer's copy already had it) and whatever a peer held when it was
+  // created.
+  [[nodiscard]] sim::Future<Status> AppendCreating(
+      std::uint32_t epoch, net::NodeId node, std::uint32_t server,
+      std::string key, Bytes header, Bytes suffix, trace::TraceContext trace);
   [[nodiscard]] sim::Future<Status> ReplicatedSet(std::uint32_t epoch,
                                                   net::NodeId node,
                                                   std::string key, Bytes value,
@@ -298,7 +317,9 @@ class MemFs final : public Vfs {
   // ADD with full fan-out: the home replica arbitrates, then the accepted
   // value is installed on the rest of the chain with SETs — the legacy mkdir
   // discipline, applied to every metadata record the sharded service ADDs
-  // (dentries, lazily created index blobs).
+  // (dentries, rename intents). Index blobs are not ADDed this way: a
+  // sibling's APPEND could reach a replica before its SET, so they are
+  // created per replica by AppendCreating.
   [[nodiscard]] sim::Future<Status> MetaAdd(net::NodeId node, std::string key,
                                             Bytes value,
                                             trace::TraceContext trace);
@@ -328,10 +349,13 @@ class MemFs final : public Vfs {
                             trace::TraceContext trace) override {
       return fs_.MetaAdd(node, std::move(key), std::move(value), trace);
     }
-    sim::Future<Status> Append(net::NodeId node, std::string key, Bytes suffix,
+    sim::Future<Status> Append(net::NodeId node, std::string key,
+                               Bytes header, Bytes suffix,
                                trace::TraceContext trace) override {
-      return fs_.ReplicatedAppend(0, node, std::move(key), std::move(suffix),
-                                  trace);
+      const auto header_size = static_cast<std::uint32_t>(header.size());
+      header.Append(suffix);
+      return fs_.ReplicatedMutation(0, node, std::move(key), std::move(header),
+                                    /*append=*/true, trace, header_size);
     }
     sim::Future<Status> Delete(net::NodeId node, std::string key,
                                trace::TraceContext trace) override {

@@ -115,19 +115,19 @@ sim::Future<Status> Client::AppendIndex(net::NodeId node, Ino dir,
                                         trace::TraceContext trace) {
   const std::uint32_t shard = ShardOfName(dir, name, config_.dir_shards);
   const std::string key = IndexKey(dir, shard);
-  Status appended =
-      co_await store_.Append(node, key, IndexEvent(name, deleted), trace);
+  Status appended = co_await store_.Append(node, key, IndexHeader(),
+                                           IndexEvent(name, deleted), trace);
   if (appended.code() == ErrorCode::kNotFound) {
-    // First event in this token range: install the blob with the event
-    // folded in. Losing the ADD race to a sibling just means the blob now
-    // exists — append like everyone else.
+    // First event in this token range on a single-copy store: install the
+    // blob with the event folded in. Losing the ADD race to a sibling just
+    // means the blob now exists — append like everyone else.
     Bytes blob = IndexHeader();
     blob.Append(IndexEvent(name, deleted));
     Status added = co_await store_.Add(node, key, std::move(blob), trace);
     if (added.ok()) co_return Status::Ok();
     if (added.code() == ErrorCode::kExists) {
-      appended =
-          co_await store_.Append(node, key, IndexEvent(name, deleted), trace);
+      appended = co_await store_.Append(node, key, IndexHeader(),
+                                        IndexEvent(name, deleted), trace);
     } else {
       appended = added;
     }

@@ -41,8 +41,7 @@
 namespace memfs::meta {
 
 // Replicated single-key storage the metadata records live on. Implemented by
-// MemFS over its replication/failover primitives; by tests over a bare
-// cluster.
+// MemFS over its replication/failover primitives.
 class Store {
  public:
   virtual ~Store() = default;
@@ -54,9 +53,12 @@ class Store {
   [[nodiscard]] virtual sim::Future<Status> Add(net::NodeId node,
                                                 std::string key, Bytes value,
                                                 trace::TraceContext trace) = 0;
-  // Atomic append; fails with NOT_FOUND when the key is absent.
+  // Atomic append. Where the key is absent, a replicated store installs
+  // `header` + `suffix` on each replica that lacks it, so every replica
+  // holds every suffix whichever writer got there first; a single-copy
+  // store fails with NOT_FOUND and leaves the caller to ADD the key.
   [[nodiscard]] virtual sim::Future<Status> Append(
-      net::NodeId node, std::string key, Bytes suffix,
+      net::NodeId node, std::string key, Bytes header, Bytes suffix,
       trace::TraceContext trace) = 0;
   [[nodiscard]] virtual sim::Future<Status> Delete(
       net::NodeId node, std::string key, trace::TraceContext trace) = 0;
@@ -194,7 +196,8 @@ class Client {
                                                     trace::TraceContext trace);
 
   // Appends one event to the right index blob of `dir`, creating the blob on
-  // first touch (APPEND -> NOT_FOUND -> ADD(header+event) -> EXISTS lost the
+  // first touch: per replica inside a replicated Store::Append, or here on a
+  // single copy (APPEND -> NOT_FOUND -> ADD(header+event) -> EXISTS lost the
   // race -> retry APPEND).
   [[nodiscard]] sim::Future<Status> AppendIndex(net::NodeId node, Ino dir,
                                                 std::string name, bool deleted,

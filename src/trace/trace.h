@@ -17,8 +17,7 @@
 //    is bit-identical across same-seed runs. Recording never schedules
 //    events or draws randomness, so attaching a tracer cannot change the
 //    event stream: Simulation::EventDigest() is identical with tracing on,
-//    off, or absent (the `determinism_gate` ctest and
-//    `ablation_trace_overhead` bench both assert this).
+//    off, or absent (the `determinism_gate` ctest asserts this).
 //  * Storage is a bounded ring: the newest `max_finished_spans` completed
 //    spans are kept; older ones are dropped and counted. Open spans mirror
 //    live coroutines and are tracked in a side table.

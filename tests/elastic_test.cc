@@ -16,7 +16,6 @@
 #include "memfs/memfs.h"
 #include "memfs/metadata.h"
 #include "memfs/striper.h"
-#include "net/fluid_network.h"
 #include "sim/task.h"
 #include "test_util.h"
 #include "testbed_fixture.h"
@@ -25,6 +24,7 @@ namespace memfs::fs {
 namespace {
 
 using memfs::testing::Await;
+using memfs::testing::BedConfig;
 using units::KiB;
 using units::MiB;
 
@@ -34,9 +34,7 @@ class ElasticTest : public testing::TestbedFixture {
   static constexpr std::uint32_t kStandby = 2;
 
   void Recreate(bool ketama) {
-    workloads::TestbedConfig config;
-    config.nodes = kInitial;
-    config.standby_nodes = kStandby;
+    workloads::TestbedConfig config = BedConfig(kInitial, kStandby);
     config.memfs.use_ketama = ketama;
     Build(config);
   }
@@ -302,9 +300,9 @@ TEST_F(ElasticTest, MetadataCodecEpochRoundTrip) {
 // Membership lifecycle and routing
 
 TEST(MembershipTest, LifecycleAndMonotoneEpochs) {
-  sim::Simulation sim;
-  net::FairShareNetwork network(sim, net::Das4Ipoib(6));
-  kv::KvCluster storage(sim, network, {0, 1, 2, 3});
+  workloads::Testbed bed(workloads::FsKind::kMemFs, BedConfig(4, 2));
+  sim::Simulation& sim = bed.simulation();
+  kv::KvCluster& storage = *bed.storage();
   kv::Membership membership(sim, storage);
 
   EXPECT_EQ(membership.epoch(), 0u);
@@ -341,9 +339,9 @@ TEST(MembershipTest, LifecycleAndMonotoneEpochs) {
 }
 
 TEST(MembershipTest, RoutingDuringPendingHandoff) {
-  sim::Simulation sim;
-  net::FairShareNetwork network(sim, net::Das4Ipoib(6));
-  kv::KvCluster storage(sim, network, {0, 1, 2, 3});
+  workloads::Testbed bed(workloads::FsKind::kMemFs, BedConfig(4, 2));
+  sim::Simulation& sim = bed.simulation();
+  kv::KvCluster& storage = *bed.storage();
   kv::MembershipConfig config;
   config.replication = 2;
   kv::Membership membership(sim, storage, config);
@@ -412,9 +410,7 @@ class ElasticClusterTest : public testing::TestbedFixture {
   static constexpr std::uint32_t kFiles = 12;
 
   void Create(std::uint32_t replication) {
-    workloads::TestbedConfig config;
-    config.nodes = kServers;
-    config.standby_nodes = 2;
+    workloads::TestbedConfig config = BedConfig(kServers, 2);
     config.memfs.replication = replication;
     config.elastic = true;  // ketama, membership and migrator
     Build(config);

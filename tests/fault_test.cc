@@ -23,6 +23,7 @@ namespace memfs {
 namespace {
 
 using memfs::testing::Await;
+using memfs::testing::BedConfig;
 using units::KiB;
 using units::MiB;
 using units::Millis;
@@ -304,8 +305,7 @@ TEST(FaultInjectorTest, ActiveFaultsReflectsScheduledEvents) {
 class FaultClusterTest : public testing::TestbedFixture {
  protected:
   void Recreate(kv::KvClientPolicy policy) {
-    workloads::TestbedConfig config;
-    config.nodes = 4;
+    workloads::TestbedConfig config = BedConfig(4);
     config.kv_policy = policy;
     Build(config);
   }
@@ -497,8 +497,7 @@ SoakCounters RunChaosSoak() {
   constexpr std::uint32_t kNodes = 8;
   constexpr std::uint32_t kFiles = 32;
 
-  workloads::TestbedConfig config;
-  config.nodes = kNodes;
+  workloads::TestbedConfig config = BedConfig(kNodes);
   config.memfs.replication = 2;
   config.kv_policy = workloads::ChaosPolicy();
   workloads::Testbed bed(workloads::FsKind::kMemFs, config);
@@ -625,9 +624,7 @@ sim::Task RunLiveReader(sim::Simulation& sim, fs::Vfs& vfs, std::string path,
 MigrationChaosOutcome RunMigrationChaos(bool kill_destination) {
   constexpr std::uint32_t kFiles = 12;
 
-  workloads::TestbedConfig config;
-  config.nodes = 4;
-  config.standby_nodes = 1;
+  workloads::TestbedConfig config = BedConfig(4, 1);
   config.elastic = true;
   config.memfs.replication = 2;
   config.memfs.use_ketama = true;

@@ -4,14 +4,11 @@
 // every intermediate file is content-verified along the way.
 #include <gtest/gtest.h>
 
-#include "amfs/amfs.h"
 #include "common/stats.h"
 #include "common/units.h"
-#include "kvstore/kv_cluster.h"
-#include "memfs/memfs.h"
 #include "mtc/runner.h"
 #include "mtc/scheduler.h"
-#include "net/fluid_network.h"
+#include "testbed_fixture.h"
 #include "workloads/blast.h"
 #include "workloads/envelope.h"
 #include "workloads/montage.h"
@@ -23,29 +20,9 @@ using units::GiB;
 using units::KiB;
 using units::MiB;
 
-struct MemFsStack {
-  MemFsStack(std::uint32_t nodes, fs::MemFsConfig config = {})
-      : network(sim, net::Das4Ipoib(nodes)) {
-    std::vector<net::NodeId> ids;
-    for (std::uint32_t n = 0; n < nodes; ++n) ids.push_back(n);
-    storage = std::make_unique<kv::KvCluster>(sim, network, ids);
-    memfs = std::make_unique<fs::MemFs>(sim, network, *storage, config);
-  }
-  sim::Simulation sim;
-  net::FairShareNetwork network;
-  std::unique_ptr<kv::KvCluster> storage;
-  std::unique_ptr<fs::MemFs> memfs;
-};
-
-struct AmfsStack {
-  AmfsStack(std::uint32_t nodes, amfs::AmfsConfig config = {})
-      : network(sim, net::Das4Ipoib(nodes)) {
-    fs = std::make_unique<amfs::Amfs>(sim, network, config);
-  }
-  sim::Simulation sim;
-  net::FairShareNetwork network;
-  std::unique_ptr<amfs::Amfs> fs;
-};
+using memfs::testing::BedConfig;
+using workloads::FsKind;
+using workloads::Testbed;
 
 workloads::MontageParams SmallMontage() {
   workloads::MontageParams params;
@@ -57,9 +34,9 @@ workloads::MontageParams SmallMontage() {
 }
 
 TEST(IntegrationTest, MontageRunsOnMemFs) {
-  MemFsStack stack(4);
+  Testbed stack(FsKind::kMemFs, BedConfig(4));
   mtc::UniformScheduler scheduler;
-  mtc::Runner runner(stack.sim, *stack.memfs, scheduler,
+  mtc::Runner runner(stack.simulation(), *stack.memfs(), scheduler,
                      {.nodes = 4, .cores_per_node = 4, .io_block = KiB(128)});
   const auto result = runner.Run(workloads::BuildMontage(SmallMontage()));
   ASSERT_TRUE(result.status.ok()) << result.status << " in "
@@ -74,9 +51,9 @@ TEST(IntegrationTest, MontageRunsOnMemFs) {
 }
 
 TEST(IntegrationTest, MontageRunsOnAmfs) {
-  AmfsStack stack(4);
-  mtc::LocalityScheduler scheduler(*stack.fs);
-  mtc::Runner runner(stack.sim, *stack.fs, scheduler,
+  Testbed stack(FsKind::kAmfs, BedConfig(4));
+  mtc::LocalityScheduler scheduler(*stack.amfs());
+  mtc::Runner runner(stack.simulation(), *stack.amfs(), scheduler,
                      {.nodes = 4, .cores_per_node = 4, .io_block = KiB(128)});
   const auto result = runner.Run(workloads::BuildMontage(SmallMontage()));
   ASSERT_TRUE(result.status.ok()) << result.status << " in "
@@ -86,10 +63,10 @@ TEST(IntegrationTest, MontageRunsOnAmfs) {
 TEST(IntegrationTest, MemFsBalancedAmfsImbalanced) {
   // The central storage-distribution claim: MemFS spreads bytes evenly;
   // AMFS concentrates them (aggregation node + replication).
-  MemFsStack mem(4);
+  Testbed mem(FsKind::kMemFs, BedConfig(4));
   {
     mtc::UniformScheduler scheduler;
-    mtc::Runner runner(mem.sim, *mem.memfs, scheduler,
+    mtc::Runner runner(mem.simulation(), *mem.memfs(), scheduler,
                        {.nodes = 4, .cores_per_node = 4,
                         .io_block = KiB(128)});
     ASSERT_TRUE(runner.Run(workloads::BuildMontage(SmallMontage())).status.ok());
@@ -97,26 +74,27 @@ TEST(IntegrationTest, MemFsBalancedAmfsImbalanced) {
   RunningStats memfs_balance;
   for (std::uint32_t s = 0; s < 4; ++s) {
     memfs_balance.Add(
-        static_cast<double>(mem.storage->server(s).memory_used()));
+        static_cast<double>(mem.storage()->server(s).memory_used()));
   }
 
-  AmfsStack am(4);
+  Testbed am(FsKind::kAmfs, BedConfig(4));
   {
-    mtc::LocalityScheduler scheduler(*am.fs);
-    mtc::Runner runner(am.sim, *am.fs, scheduler,
+    mtc::LocalityScheduler scheduler(*am.amfs());
+    mtc::Runner runner(am.simulation(), *am.amfs(), scheduler,
                        {.nodes = 4, .cores_per_node = 4,
                         .io_block = KiB(128)});
     ASSERT_TRUE(runner.Run(workloads::BuildMontage(SmallMontage())).status.ok());
   }
   RunningStats amfs_balance;
   for (std::uint32_t n = 0; n < 4; ++n) {
-    amfs_balance.Add(static_cast<double>(am.fs->node_memory_used(n)));
+    amfs_balance.Add(static_cast<double>(am.amfs()->node_memory_used(n)));
   }
 
   EXPECT_LT(memfs_balance.cv(), 0.2);
   EXPECT_GT(amfs_balance.cv(), memfs_balance.cv() * 2);
   // Replication inflates AMFS aggregate memory above the workflow's data.
-  EXPECT_GT(am.fs->total_memory_used(), mem.storage->total_memory_used());
+  EXPECT_GT(am.amfs()->total_memory_used(),
+            mem.storage()->total_memory_used());
 }
 
 TEST(IntegrationTest, AmfsRunsOutOfMemoryOnLargeWorkflow) {
@@ -131,30 +109,21 @@ TEST(IntegrationTest, AmfsRunsOutOfMemoryOnLargeWorkflow) {
 
   const std::uint64_t node_budget = MiB(48);
 
-  amfs::AmfsConfig amfs_config;
-  amfs_config.node_memory_limit = node_budget;
-  AmfsStack am(4, amfs_config);
-  mtc::LocalityScheduler locality(*am.fs);
-  mtc::Runner amfs_runner(am.sim, *am.fs, locality,
+  workloads::TestbedConfig config = BedConfig(4);
+  config.node_memory_limit = node_budget;
+  Testbed am(FsKind::kAmfs, config);
+  mtc::LocalityScheduler locality(*am.amfs());
+  mtc::Runner amfs_runner(am.simulation(), *am.amfs(), locality,
                           {.nodes = 4, .cores_per_node = 4,
                            .io_block = KiB(256)});
   const auto amfs_result = amfs_runner.Run(workloads::BuildMontage(params));
   EXPECT_FALSE(amfs_result.status.ok());
   EXPECT_EQ(amfs_result.status.code(), ErrorCode::kNoSpace);
 
-  MemFsStack mem(4);
   // Same per-node budget for the kv servers.
-  kv::KvServerConfig server_config;
-  server_config.memory_limit = node_budget;
-  mem.storage.reset();
-  mem.storage = std::make_unique<kv::KvCluster>(mem.sim, mem.network,
-                                                std::vector<net::NodeId>{0, 1,
-                                                                         2, 3},
-                                                server_config);
-  mem.memfs = std::make_unique<fs::MemFs>(mem.sim, mem.network, *mem.storage,
-                                          fs::MemFsConfig{});
+  Testbed mem(FsKind::kMemFs, config);
   mtc::UniformScheduler uniform;
-  mtc::Runner memfs_runner(mem.sim, *mem.memfs, uniform,
+  mtc::Runner memfs_runner(mem.simulation(), *mem.memfs(), uniform,
                            {.nodes = 4, .cores_per_node = 4,
                             .io_block = KiB(256)});
   const auto memfs_result = memfs_runner.Run(workloads::BuildMontage(params));
@@ -170,18 +139,18 @@ TEST(IntegrationTest, BlastRunsOnBothFileSystems) {
   params.formatdb_cpu_s = 2.0;
   params.blastall_cpu_s = 1.0;
 
-  MemFsStack mem(4);
+  Testbed mem(FsKind::kMemFs, BedConfig(4));
   mtc::UniformScheduler uniform;
-  mtc::Runner mem_runner(mem.sim, *mem.memfs, uniform,
+  mtc::Runner mem_runner(mem.simulation(), *mem.memfs(), uniform,
                          {.nodes = 4, .cores_per_node = 2,
                           .io_block = KiB(256)});
   const auto mem_result = mem_runner.Run(workloads::BuildBlast(params));
   ASSERT_TRUE(mem_result.status.ok()) << mem_result.status;
   EXPECT_NE(mem_result.Stage("blastall"), nullptr);
 
-  AmfsStack am(4);
-  mtc::LocalityScheduler locality(*am.fs);
-  mtc::Runner am_runner(am.sim, *am.fs, locality,
+  Testbed am(FsKind::kAmfs, BedConfig(4));
+  mtc::LocalityScheduler locality(*am.amfs());
+  mtc::Runner am_runner(am.simulation(), *am.amfs(), locality,
                         {.nodes = 4, .cores_per_node = 2,
                          .io_block = KiB(256)});
   const auto am_result = am_runner.Run(workloads::BuildBlast(params));
@@ -193,17 +162,17 @@ TEST(IntegrationTest, MemFsFasterThanAmfsOnDiffFit) {
   // paper's central performance claim, at toy scale.
   auto montage = SmallMontage();
 
-  MemFsStack mem(4);
+  Testbed mem(FsKind::kMemFs, BedConfig(4));
   mtc::UniformScheduler uniform;
-  mtc::Runner mem_runner(mem.sim, *mem.memfs, uniform,
+  mtc::Runner mem_runner(mem.simulation(), *mem.memfs(), uniform,
                          {.nodes = 4, .cores_per_node = 4,
                           .io_block = KiB(128)});
   const auto mem_result = mem_runner.Run(workloads::BuildMontage(montage));
   ASSERT_TRUE(mem_result.status.ok());
 
-  AmfsStack am(4);
-  mtc::LocalityScheduler locality(*am.fs);
-  mtc::Runner am_runner(am.sim, *am.fs, locality,
+  Testbed am(FsKind::kAmfs, BedConfig(4));
+  mtc::LocalityScheduler locality(*am.amfs());
+  mtc::Runner am_runner(am.simulation(), *am.amfs(), locality,
                         {.nodes = 4, .cores_per_node = 4,
                          .io_block = KiB(128)});
   const auto am_result = am_runner.Run(workloads::BuildMontage(montage));
@@ -215,12 +184,12 @@ TEST(IntegrationTest, MemFsFasterThanAmfsOnDiffFit) {
 // --- Envelope engine ---
 
 TEST(EnvelopeTest, MemFsPhasesProduceSaneNumbers) {
-  MemFsStack stack(4);
+  Testbed stack(FsKind::kMemFs, BedConfig(4));
   workloads::EnvelopeParams params;
   params.nodes = 4;
   params.file_size = MiB(1);
   params.files_per_proc = 3;
-  workloads::EnvelopeBench bench(stack.sim, *stack.memfs, params);
+  workloads::EnvelopeBench bench(stack.simulation(), *stack.memfs(), params);
 
   const auto write = bench.RunWrite();
   EXPECT_EQ(write.bytes, MiB(1) * 12);
@@ -243,13 +212,13 @@ TEST(EnvelopeTest, MemFsPhasesProduceSaneNumbers) {
 }
 
 TEST(EnvelopeTest, AmfsMulticastPattern) {
-  AmfsStack stack(4);
+  Testbed stack(FsKind::kAmfs, BedConfig(4));
   workloads::EnvelopeParams params;
   params.nodes = 4;
   params.file_size = MiB(1);
   params.files_per_proc = 2;
-  workloads::EnvelopeBench bench(stack.sim, *stack.fs, params,
-                                 stack.fs.get());
+  workloads::EnvelopeBench bench(stack.simulation(), *stack.amfs(), params,
+                                 stack.amfs());
   (void)bench.RunWrite();
   const auto readn1 = bench.RunReadN1();
   // Multicast dominates: bandwidth span is longer than the local-read span.
@@ -260,13 +229,13 @@ TEST(EnvelopeTest, AmfsMulticastPattern) {
 }
 
 TEST(EnvelopeTest, AmfsRemoteReadPenalty) {
-  AmfsStack stack(4);
+  Testbed stack(FsKind::kAmfs, BedConfig(4));
   workloads::EnvelopeParams params;
   params.nodes = 4;
   params.file_size = MiB(1);
   params.files_per_proc = 2;
-  workloads::EnvelopeBench bench(stack.sim, *stack.fs, params,
-                                 stack.fs.get());
+  workloads::EnvelopeBench bench(stack.simulation(), *stack.amfs(), params,
+                                 stack.amfs());
   (void)bench.RunWrite();
   const auto local = bench.RunRead11(0);   // locality achieved
   // NOTE: after the local pass every file has replicas only at its writer,
@@ -277,12 +246,12 @@ TEST(EnvelopeTest, AmfsRemoteReadPenalty) {
 
 TEST(EnvelopeTest, DeterministicAcrossRuns) {
   auto run = [] {
-    MemFsStack stack(2);
+    Testbed stack(FsKind::kMemFs, BedConfig(2));
     workloads::EnvelopeParams params;
     params.nodes = 2;
     params.file_size = KiB(256);
     params.files_per_proc = 2;
-    workloads::EnvelopeBench bench(stack.sim, *stack.memfs, params);
+    workloads::EnvelopeBench bench(stack.simulation(), *stack.memfs(), params);
     const auto write = bench.RunWrite();
     const auto read = bench.RunRead11();
     return std::pair{write.span, read.span};

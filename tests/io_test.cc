@@ -17,14 +17,15 @@
 #include "io/op_scheduler.h"
 #include "kvstore/kv_cluster.h"
 #include "kvstore/kv_server.h"
-#include "net/fluid_network.h"
 #include "test_util.h"
+#include "testbed_fixture.h"
 #include "trace/trace.h"
 
 namespace memfs {
 namespace {
 
 using memfs::testing::Await;
+using memfs::testing::BedConfig;
 
 sim::Task After(sim::Simulation& sim, sim::SimTime delay,
                 std::function<void()> fn) {
@@ -100,10 +101,15 @@ class KvBatchClusterTest : public ::testing::Test {
  protected:
   // `instrumented` attaches `registry_` to the cluster.
   KvBatchClusterTest(kv::KvClientPolicy policy = {}, bool instrumented = false)
-      : network_(sim_, net::Das4Ipoib(4)),
-        cluster_(sim_, network_, {0, 1, 2, 3}, kv::KvServerConfig{},
-                 kv::KvOpCostModel{}, instrumented ? &registry_ : nullptr,
-                 policy) {}
+      : bed_(workloads::FsKind::kMemFs, Config(policy, instrumented)) {}
+
+  workloads::TestbedConfig Config(kv::KvClientPolicy policy,
+                                  bool instrumented) {
+    workloads::TestbedConfig config = BedConfig(4);
+    config.kv_policy = policy;
+    if (instrumented) config.metrics = &registry_;
+    return config;
+  }
 
   // Runs one batch RPC to completion and returns its per-item verdicts.
   std::vector<kv::BatchItemResult> Batch(net::NodeId client,
@@ -117,10 +123,10 @@ class KvBatchClusterTest : public ::testing::Test {
     return results;
   }
 
-  sim::Simulation sim_;
-  net::FairShareNetwork network_;
   MetricsRegistry registry_;
-  kv::KvCluster cluster_;
+  workloads::Testbed bed_;
+  sim::Simulation& sim_ = bed_.simulation();
+  kv::KvCluster& cluster_ = *bed_.storage();
 };
 
 TEST_F(KvBatchClusterTest, BatchRoundTripAndStats) {
@@ -296,9 +302,9 @@ TEST_F(KvBatchClusterTest, WipeOnRestartYieldsMixedBatchGet) {
 // --- OpScheduler coalescing ---
 
 TEST(OpSchedulerTest, SameInstantOpsCoalesceIntoOneBatch) {
-  sim::Simulation sim;
-  net::FairShareNetwork network(sim, net::Das4Ipoib(4));
-  kv::KvCluster cluster(sim, network, {0, 1, 2, 3});
+  workloads::Testbed bed(workloads::FsKind::kMemFs, BedConfig(4));
+  sim::Simulation& sim = bed.simulation();
+  kv::KvCluster& cluster = *bed.storage();
   io::OpScheduler sched(sim, cluster);
 
   std::vector<sim::Future<Status>> writes;
@@ -334,9 +340,9 @@ TEST(OpSchedulerTest, SameInstantOpsCoalesceIntoOneBatch) {
 }
 
 TEST(OpSchedulerTest, BatchCeilingSplitsLargeBursts) {
-  sim::Simulation sim;
-  net::FairShareNetwork network(sim, net::Das4Ipoib(2));
-  kv::KvCluster cluster(sim, network, {0, 1});
+  workloads::Testbed bed(workloads::FsKind::kMemFs, BedConfig(2));
+  sim::Simulation& sim = bed.simulation();
+  kv::KvCluster& cluster = *bed.storage();
   io::IoConfig config;
   config.max_batch_ops = 4;
   io::OpScheduler sched(sim, cluster, config);
@@ -354,9 +360,9 @@ TEST(OpSchedulerTest, BatchCeilingSplitsLargeBursts) {
 }
 
 TEST(OpSchedulerTest, BatchingOffIsPurePassthrough) {
-  sim::Simulation sim;
-  net::FairShareNetwork network(sim, net::Das4Ipoib(2));
-  kv::KvCluster cluster(sim, network, {0, 1});
+  workloads::Testbed bed(workloads::FsKind::kMemFs, BedConfig(2));
+  sim::Simulation& sim = bed.simulation();
+  kv::KvCluster& cluster = *bed.storage();
   io::IoConfig config;
   config.batching = false;
   io::OpScheduler sched(sim, cluster, config);
@@ -378,9 +384,9 @@ TEST(OpSchedulerTest, MixedKindsSplitIntoPerKindBatches) {
   // A DELETE between SETs never merges into the SET batch; the drain gathers
   // same-kind ops (across the gap — safe, no issuer keeps cross-kind ops in
   // flight for one key) and leaves the DELETE for its own round.
-  sim::Simulation sim;
-  net::FairShareNetwork network(sim, net::Das4Ipoib(2));
-  kv::KvCluster cluster(sim, network, {0, 1});
+  workloads::Testbed bed(workloads::FsKind::kMemFs, BedConfig(2));
+  sim::Simulation& sim = bed.simulation();
+  kv::KvCluster& cluster = *bed.storage();
   io::OpScheduler sched(sim, cluster);
 
   auto s1 = sched.Set(0, 1, "a", Bytes::Copy("1"));
@@ -400,9 +406,9 @@ TEST(OpSchedulerTest, MixedKindsSplitIntoPerKindBatches) {
 
 TEST(OpSchedulerTest, BatchedRunsAreDeterministic) {
   auto run = [] {
-    sim::Simulation sim;
-    net::FairShareNetwork network(sim, net::Das4Ipoib(4));
-    kv::KvCluster cluster(sim, network, {0, 1, 2, 3});
+    workloads::Testbed bed(workloads::FsKind::kMemFs, BedConfig(4));
+    sim::Simulation& sim = bed.simulation();
+    kv::KvCluster& cluster = *bed.storage();
     io::OpScheduler sched(sim, cluster);
     std::vector<sim::Future<Status>> writes;
     for (int i = 0; i < 24; ++i) {
@@ -431,11 +437,6 @@ TEST(OpSchedulerTest, BatchedRunsAreDeterministic) {
 // batch's span hangs under its first member's wait span.
 class OpSchedulerBurstTest : public ::testing::Test {
  protected:
-  OpSchedulerBurstTest()
-      : network_(sim_, net::Das4Ipoib(2)),
-        cluster_(sim_, network_, {0, 1}),
-        tracer_(sim_) {}
-
   void Start(io::IoConfig config) {
     sched_ = std::make_unique<io::OpScheduler>(sim_, cluster_, config);
   }
@@ -533,10 +534,10 @@ class OpSchedulerBurstTest : public ::testing::Test {
     std::optional<sim::Future<Result<Bytes>>> value;
   };
 
-  sim::Simulation sim_;
-  net::FairShareNetwork network_;
-  kv::KvCluster cluster_;
-  trace::Tracer tracer_;
+  workloads::Testbed bed_{workloads::FsKind::kMemFs, BedConfig(2)};
+  sim::Simulation& sim_ = bed_.simulation();
+  kv::KvCluster& cluster_ = *bed_.storage();
+  trace::Tracer tracer_{sim_};
   std::unique_ptr<io::OpScheduler> sched_;
   std::vector<Issued> issued_;
 };

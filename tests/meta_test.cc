@@ -21,7 +21,6 @@
 #include "memfs/memfs.h"
 #include "meta/client.h"
 #include "meta/meta.h"
-#include "net/fluid_network.h"
 #include "sim/fault.h"
 #include "test_util.h"
 #include "testbed_fixture.h"
@@ -31,6 +30,7 @@ namespace memfs::meta {
 namespace {
 
 using memfs::testing::Await;
+using memfs::testing::BedConfig;
 using units::KiB;
 using units::MiB;
 using units::Millis;
@@ -172,11 +172,25 @@ class MetaFsTest : public testing::TestbedFixture {
   }
 
   void Recreate(fs::MemFsConfig config) {
-    workloads::TestbedConfig testbed;
-    testbed.nodes = kServers;
-    testbed.standby_nodes = kFabricNodes - kServers;
+    workloads::TestbedConfig testbed =
+        BedConfig(kServers, kFabricNodes - kServers);
     testbed.memfs = config;
     Build(testbed);
+  }
+
+  // Reads `key` straight from every server, expects each copy to fold to
+  // exactly `names`, and returns how many servers hold one.
+  std::uint32_t CopiesFoldingTo(const std::string& key,
+                                const std::vector<std::string>& names) {
+    std::uint32_t copies = 0;
+    for (std::uint32_t s = 0; s < storage_->server_count(); ++s) {
+      auto blob = storage_->server(s).Get(key);
+      if (!blob.ok()) continue;
+      ++copies;
+      auto folded = FoldIndex(blob.value());
+      EXPECT_TRUE(folded.ok() && *folded == names) << key << " on " << s;
+    }
+    return copies;
   }
 
   // Drains a listing through the paged interface, recording page sizes.
@@ -419,6 +433,80 @@ TEST_F(MetaFsTest, AppendLogModeRejectsRenameAndLink) {
   EXPECT_EQ(fs_->meta_client(), nullptr);
 }
 
+sim::Task CreateAndClose(fs::Vfs& vfs, net::NodeId node, std::string path,
+                         std::uint8_t& ok) {
+  auto created = co_await vfs.Create({node, 0}, std::move(path));
+  if (!created.ok()) co_return;
+  ok = (co_await vfs.Close({node, 0}, created.value())).ok();
+}
+
+// The first creates in a fresh directory race to install each shard's index
+// blob. With replication 2, every create must succeed and every replica's
+// copy of a blob must fold to exactly the names of its token range.
+TEST_F(MetaFsTest, SimultaneousFirstCreatesConvergeOnEveryIndexReplica) {
+  fs::MemFsConfig config;
+  config.metadata = MetadataMode::kSharded;
+  config.replication = 2;
+  Recreate(config);
+  ASSERT_TRUE(Await(*sim_, fs_->Mkdir({0, 0}, "/hot")).ok());
+
+  constexpr std::uint32_t kFiles = 32;
+  std::vector<std::uint8_t> created(kFiles, 0);
+  std::set<std::string> names;
+  for (std::uint32_t i = 0; i < kFiles; ++i) {
+    names.insert("f" + std::to_string(i));
+    CreateAndClose(*fs_, i % kServers, "/hot/f" + std::to_string(i),
+                   created[i]);
+  }
+  sim_->Run();
+  for (std::uint32_t i = 0; i < kFiles; ++i) {
+    EXPECT_TRUE(created[i]) << "create " << i;
+  }
+
+  auto dir = Await(*sim_, fs_->meta_client()->Resolve(0, "/hot", {}));
+  ASSERT_TRUE(dir.ok());
+  const std::uint32_t shards = fs_->meta_client()->config().dir_shards;
+  for (std::uint32_t shard = 0; shard < shards; ++shard) {
+    std::vector<std::string> expected;
+    for (const auto& name : names) {
+      if (ShardOfName(dir->ino, name, shards) == shard) {
+        expected.push_back(name);
+      }
+    }
+    EXPECT_EQ(CopiesFoldingTo(IndexKey(dir->ino, shard), expected),
+              expected.empty() ? 0u : 2u)
+        << "shard " << shard;
+  }
+}
+
+// A replica that was down when a range's index blob was created lacks it.
+// The next create in that range must seed it from its peer: failing the
+// create, or installing a blob that holds only the new name, would leave
+// the replicas disagreeing.
+TEST_F(MetaFsTest, ReplicaThatMissedAnIndexBlobIsSeededFromItsPeer) {
+  fs::MemFsConfig config;
+  config.metadata = MetadataMode::kSharded;
+  config.replication = 2;
+  Recreate(config);
+  ASSERT_TRUE(Await(*sim_, fs_->Mkdir({0, 0}, "/d")).ok());
+  auto dir = Await(*sim_, fs_->meta_client()->Resolve(0, "/d", {}));
+  ASSERT_TRUE(dir.ok());
+  const std::uint32_t shards = fs_->meta_client()->config().dir_shards;
+  const std::uint32_t shard = ShardOfName(dir->ino, "a", shards);
+  std::string second = "b";
+  while (ShardOfName(dir->ino, second, shards) != shard) second += "b";
+  const std::string key = IndexKey(dir->ino, shard);
+  const std::uint32_t home = fs_->distributor().ServerFor(key);
+  const std::uint32_t lagging = (home + 1) % kServers;
+
+  storage_->SetServerDown(lagging, true);
+  ASSERT_TRUE(WriteFile({0, 0}, "/d/a", Bytes::Copy("1")).ok());
+  storage_->SetServerDown(lagging, false);
+  ASSERT_TRUE(WriteFile({1, 0}, "/d/" + second, Bytes::Copy("2")).ok());
+
+  EXPECT_EQ(CopiesFoldingTo(key, {"a", second}), 2u);
+}
+
 // --- Cross-FS agreement (the AMFS readdir fix) ---------------------------
 
 // Both file systems must return the identical sorted listing for the same
@@ -461,18 +549,17 @@ TEST(CrossFsListingTest, AmfsAndShardedMemFsAgree) {
   };
 
   // MemFS, sharded metadata.
-  sim::Simulation mem_sim;
-  net::FairShareNetwork mem_net(mem_sim, net::Das4Ipoib(4));
-  kv::KvCluster mem_storage(mem_sim, mem_net, {0, 1, 2, 3});
-  fs::MemFsConfig mem_config;
-  mem_config.metadata = MetadataMode::kSharded;
-  fs::MemFs memfs(mem_sim, mem_net, mem_storage, mem_config);
+  workloads::TestbedConfig mem_config = BedConfig(4);
+  mem_config.memfs.metadata = MetadataMode::kSharded;
+  workloads::Testbed mem_bed(workloads::FsKind::kMemFs, mem_config);
+  sim::Simulation& mem_sim = mem_bed.simulation();
+  fs::MemFs& memfs = *mem_bed.memfs();
   drive(memfs, mem_sim);
 
   // AMFS.
-  sim::Simulation amfs_sim;
-  net::FairShareNetwork amfs_net(amfs_sim, net::Das4Ipoib(4));
-  amfs::Amfs amfs(amfs_sim, amfs_net, {});
+  workloads::Testbed amfs_bed(workloads::FsKind::kAmfs, BedConfig(4));
+  sim::Simulation& amfs_sim = amfs_bed.simulation();
+  amfs::Amfs& amfs = *amfs_bed.amfs();
   drive(amfs, amfs_sim);
 
   std::vector<std::string> sorted = kNames;
@@ -488,9 +575,9 @@ TEST(CrossFsListingTest, AmfsAndShardedMemFsAgree) {
 }
 
 TEST(CrossFsListingTest, AmfsRenameMovesFilesOnly) {
-  sim::Simulation sim;
-  net::FairShareNetwork network(sim, net::Das4Ipoib(4));
-  amfs::Amfs amfs(sim, network, {});
+  workloads::Testbed bed(workloads::FsKind::kAmfs, BedConfig(4));
+  sim::Simulation& sim = bed.simulation();
+  amfs::Amfs& amfs = *bed.amfs();
 
   ASSERT_TRUE(Await(sim, amfs.Mkdir({0, 0}, "/a")).ok());
   ASSERT_TRUE(Await(sim, amfs.Mkdir({0, 0}, "/b")).ok());
@@ -529,8 +616,7 @@ TEST(MetaChaosTest, CrossDirRenameSurvivesShardCrash) {
   constexpr std::uint32_t kNodes = 6;
   constexpr std::uint32_t kFiles = 12;
 
-  workloads::TestbedConfig config;
-  config.nodes = kNodes;
+  workloads::TestbedConfig config = BedConfig(kNodes);
   config.memfs.metadata = MetadataMode::kSharded;
   config.memfs.replication = 3;
   config.kv_policy.retry.max_attempts = 4;

@@ -7,6 +7,7 @@
 #include "common/metrics.h"
 #include "common/units.h"
 #include "test_util.h"
+#include "testbed_fixture.h"
 #include "workloads/envelope.h"
 #include "workloads/testbed.h"
 
@@ -14,6 +15,7 @@ namespace memfs {
 namespace {
 
 using memfs::testing::Await;
+using memfs::testing::BedConfig;
 using units::KiB;
 using units::MiB;
 
@@ -309,8 +311,7 @@ TEST(MetricsRegistryTest, NonzeroGaugesAppearInReport) {
 
 TEST(MetricsIntegrationTest, MemFsAndKvOpsRecorded) {
   MetricsRegistry registry;
-  workloads::TestbedConfig config;
-  config.nodes = 4;
+  workloads::TestbedConfig config = BedConfig(4);
   config.metrics = &registry;
   workloads::Testbed bed(workloads::FsKind::kMemFs, config);
 
@@ -338,9 +339,7 @@ TEST(MetricsIntegrationTest, MemFsAndKvOpsRecorded) {
 // --- Flush (§3.2.2) ---
 
 TEST(FlushTest, FlushDrainsInFlightStripesAndKeepsHandleWritable) {
-  workloads::TestbedConfig config;
-  config.nodes = 4;
-  workloads::Testbed bed(workloads::FsKind::kMemFs, config);
+  workloads::Testbed bed(workloads::FsKind::kMemFs, BedConfig(4));
   auto& sim = bed.simulation();
   fs::Vfs& vfs = bed.vfs();
 
@@ -366,9 +365,7 @@ TEST(FlushTest, FlushDrainsInFlightStripesAndKeepsHandleWritable) {
 }
 
 TEST(FlushTest, FlushOnReadHandleIsNoOp) {
-  workloads::TestbedConfig config;
-  config.nodes = 2;
-  workloads::Testbed bed(workloads::FsKind::kMemFs, config);
+  workloads::Testbed bed(workloads::FsKind::kMemFs, BedConfig(2));
   auto& sim = bed.simulation();
   fs::Vfs& vfs = bed.vfs();
 
@@ -384,17 +381,13 @@ TEST(FlushTest, FlushOnReadHandleIsNoOp) {
 }
 
 TEST(FlushTest, FlushBadHandleRejected) {
-  workloads::TestbedConfig config;
-  config.nodes = 2;
-  workloads::Testbed bed(workloads::FsKind::kMemFs, config);
+  workloads::Testbed bed(workloads::FsKind::kMemFs, BedConfig(2));
   EXPECT_EQ(Await(bed.simulation(), bed.vfs().Flush({0, 0}, 12345)).code(),
             ErrorCode::kBadHandle);
 }
 
 TEST(FlushTest, AmfsFlushIsAccepted) {
-  workloads::TestbedConfig config;
-  config.nodes = 2;
-  workloads::Testbed bed(workloads::FsKind::kAmfs, config);
+  workloads::Testbed bed(workloads::FsKind::kAmfs, BedConfig(2));
   auto& sim = bed.simulation();
   fs::Vfs& vfs = bed.vfs();
   auto created = Await(sim, vfs.Create({0, 0}, "/af"));

@@ -11,13 +11,11 @@
 #include "amfs/amfs.h"
 #include "common/metrics.h"
 #include "common/units.h"
-#include "kvstore/kv_cluster.h"
-#include "memfs/memfs.h"
 #include "mtc/runner.h"
 #include "mtc/scheduler.h"
 #include "mtc/workflow.h"
-#include "net/fluid_network.h"
 #include "test_util.h"
+#include "testbed_fixture.h"
 #include "trace/trace.h"
 #include "workloads/blast.h"
 #include "workloads/montage.h"
@@ -25,6 +23,7 @@
 namespace memfs::mtc {
 namespace {
 
+using memfs::testing::BedConfig;
 using units::KiB;
 using units::MiB;
 
@@ -77,21 +76,6 @@ Workflow SingleTask(std::string name,
   return wf;
 }
 
-struct MemFsCluster {
-  explicit MemFsCluster(std::uint32_t nodes)
-      : network(sim, net::Das4Ipoib(nodes)) {
-    std::vector<net::NodeId> ids;
-    for (std::uint32_t n = 0; n < nodes; ++n) ids.push_back(n);
-    storage = std::make_unique<kv::KvCluster>(sim, network, ids);
-    memfs = std::make_unique<fs::MemFs>(sim, network, *storage,
-                                        fs::MemFsConfig{});
-  }
-  sim::Simulation sim;
-  net::FairShareNetwork network;
-  std::unique_ptr<kv::KvCluster> storage;
-  std::unique_ptr<fs::MemFs> memfs;
-};
-
 TEST(WorkflowTest, ProducersIndex) {
   const Workflow wf = Diamond();
   EXPECT_EQ(FirstProducer(wf, "/wf/src"), 0u);
@@ -100,9 +84,9 @@ TEST(WorkflowTest, ProducersIndex) {
 }
 
 TEST(RunnerTest, DiamondRunsInDependencyOrder) {
-  MemFsCluster cluster(2);
+  workloads::Testbed cluster(workloads::FsKind::kMemFs, BedConfig(2));
   UniformScheduler scheduler;
-  Runner runner(cluster.sim, *cluster.memfs, scheduler,
+  Runner runner(cluster.simulation(), *cluster.memfs(), scheduler,
                 {.nodes = 2, .cores_per_node = 2});
   const auto result = runner.Run(Diamond());
   ASSERT_TRUE(result.status.ok()) << result.status;
@@ -119,9 +103,9 @@ TEST(RunnerTest, DiamondRunsInDependencyOrder) {
 
 TEST(RunnerTest, ReadVerificationCatchesCorruption) {
   // A workflow whose input has no producer and does not exist fails loudly.
-  MemFsCluster cluster(2);
+  workloads::Testbed cluster(workloads::FsKind::kMemFs, BedConfig(2));
   UniformScheduler scheduler;
-  Runner runner(cluster.sim, *cluster.memfs, scheduler,
+  Runner runner(cluster.simulation(), *cluster.memfs(), scheduler,
                 {.nodes = 2, .cores_per_node = 1});
   Workflow wf = SingleTask("t", {"/missing"});
   wf.name = "broken";
@@ -133,11 +117,12 @@ TEST(RunnerTest, ReadVerificationCatchesCorruption) {
 TEST(RunnerTest, CorruptReadFailsTheRun) {
   // Reads are always verified: one read of a BLAST fragment that returns
   // the wrong bytes fails the run, naming the file.
-  MemFsCluster cluster(2);
+  workloads::Testbed cluster(workloads::FsKind::kMemFs, BedConfig(2));
   const std::string fragment = "/blast/raw/frag_00000.fa";
-  memfs::testing::CorruptReadVfs vfs(cluster.sim, *cluster.memfs, fragment);
+  memfs::testing::CorruptReadVfs vfs(cluster.simulation(), *cluster.memfs(),
+                                     fragment);
   UniformScheduler scheduler;
-  Runner runner(cluster.sim, vfs, scheduler,
+  Runner runner(cluster.simulation(), vfs, scheduler,
                 {.nodes = 2, .cores_per_node = 2});
   workloads::BlastParams params;
   params.task_scale = 256;
@@ -155,10 +140,10 @@ TEST(RunnerTest, NoCoresFailsTheRun) {
   // With no core slot no task can run. The driver waits for a completion
   // that never comes, and the run fails instead of reporting an empty
   // success (Release builds compile asserts out).
-  MemFsCluster cluster(2);
+  workloads::Testbed cluster(workloads::FsKind::kMemFs, BedConfig(2));
   UniformScheduler scheduler;
-  trace::Tracer tracer(cluster.sim);
-  Runner runner(cluster.sim, *cluster.memfs, scheduler,
+  trace::Tracer tracer(cluster.simulation());
+  Runner runner(cluster.simulation(), *cluster.memfs(), scheduler,
                 {.nodes = 2, .cores_per_node = 0, .tracer = &tracer});
   const auto result = runner.Run(Diamond());
   EXPECT_EQ(result.status.code(), ErrorCode::kInternal);
@@ -172,9 +157,9 @@ TEST(RunnerTest, NoCoresFailsTheRun) {
 }
 
 TEST(RunnerTest, StalledWorkflowReported) {
-  MemFsCluster cluster(1);
+  workloads::Testbed cluster(workloads::FsKind::kMemFs, BedConfig(1));
   UniformScheduler scheduler;
-  Runner runner(cluster.sim, *cluster.memfs, scheduler,
+  Runner runner(cluster.simulation(), *cluster.memfs(), scheduler,
                 {.nodes = 1, .cores_per_node = 1});
   // Two tasks that consume each other's outputs: a dependency cycle.
   Workflow wf;
@@ -270,10 +255,10 @@ TEST(WorkflowTest, SecondProducerDoesNotReleaseAgain) {
   // The first producer to complete releases both consumers' /x dependency;
   // the second producer's completion must not count again, or "join" would
   // start before /y exists.
-  MemFsCluster cluster(1);
-  RewritableVfs vfs(cluster.sim, *cluster.memfs);
+  workloads::Testbed cluster(workloads::FsKind::kMemFs, BedConfig(1));
+  RewritableVfs vfs(cluster.simulation(), *cluster.memfs());
   UniformScheduler scheduler;
-  Runner runner(cluster.sim, vfs, scheduler,
+  Runner runner(cluster.simulation(), vfs, scheduler,
                 {.nodes = 1, .cores_per_node = 4});
   Workflow wf;
   wf.name = "two_producers";
@@ -305,9 +290,9 @@ TEST(WorkflowTest, SecondProducerDoesNotReleaseAgain) {
 }
 
 TEST(WorkflowTest, InputWithoutProducerIsPreexisting) {
-  MemFsCluster cluster(2);
+  workloads::Testbed cluster(workloads::FsKind::kMemFs, BedConfig(2));
   UniformScheduler scheduler;
-  Runner runner(cluster.sim, *cluster.memfs, scheduler,
+  Runner runner(cluster.simulation(), *cluster.memfs(), scheduler,
                 {.nodes = 2, .cores_per_node = 1});
   // An earlier run leaves /pre/data behind.
   Workflow seed;
@@ -331,9 +316,9 @@ TEST(WorkflowTest, InputWithoutProducerIsPreexisting) {
 TEST(WorkflowTest, DuplicateInputWaitsOnItTwice) {
   // A task listing one produced input twice holds two waits on it; its
   // producer's completion clears both, and the task reads the file twice.
-  MemFsCluster cluster(2);
+  workloads::Testbed cluster(workloads::FsKind::kMemFs, BedConfig(2));
   UniformScheduler scheduler;
-  Runner runner(cluster.sim, *cluster.memfs, scheduler,
+  Runner runner(cluster.simulation(), *cluster.memfs(), scheduler,
                 {.nodes = 2, .cores_per_node = 2});
   Workflow wf;
   wf.name = "twice";
@@ -352,9 +337,9 @@ TEST(WorkflowTest, DuplicateInputWaitsOnItTwice) {
 }
 
 TEST(RunnerTest, MoreTasksThanCores) {
-  MemFsCluster cluster(2);
+  workloads::Testbed cluster(workloads::FsKind::kMemFs, BedConfig(2));
   UniformScheduler scheduler;
-  Runner runner(cluster.sim, *cluster.memfs, scheduler,
+  Runner runner(cluster.simulation(), *cluster.memfs(), scheduler,
                 {.nodes = 2, .cores_per_node = 2});
   Workflow wf;
   wf.name = "wide";
@@ -372,9 +357,9 @@ TEST(RunnerTest, MoreTasksThanCores) {
 
 TEST(RunnerTest, VerticalScalingReducesMakespan) {
   auto run_with_cores = [](std::uint32_t cores) {
-    MemFsCluster cluster(4);
+    workloads::Testbed cluster(workloads::FsKind::kMemFs, BedConfig(4));
     UniformScheduler scheduler;
-    Runner runner(cluster.sim, *cluster.memfs, scheduler,
+    Runner runner(cluster.simulation(), *cluster.memfs(), scheduler,
                   {.nodes = 4, .cores_per_node = cores});
     Workflow wf;
     wf.name = "scale";
@@ -393,9 +378,9 @@ TEST(RunnerTest, WidthLimitedParallelism) {
   // 12 pure-CPU tasks (no file I/O) on 2 nodes x 3 cores run in exactly
   // ceil(12/6) = 2 waves: the runner never oversubscribes core slots, and
   // with nothing else to wait on the makespan is exactly two task lengths.
-  MemFsCluster cluster(2);
+  workloads::Testbed cluster(workloads::FsKind::kMemFs, BedConfig(2));
   UniformScheduler scheduler;
-  Runner runner(cluster.sim, *cluster.memfs, scheduler,
+  Runner runner(cluster.simulation(), *cluster.memfs(), scheduler,
                 {.nodes = 2, .cores_per_node = 3});
   Workflow wf;
   wf.name = "pure_cpu";
@@ -411,20 +396,18 @@ TEST(RunnerTest, WidthLimitedParallelism) {
 }
 
 TEST(RunnerTest, MetricsRecordTasksAndBytes) {
-  MemFsCluster cluster(2);
   MetricsRegistry metrics;
-  // Rebuild the client with the same registry the runner reports into, so
+  // The stack records into the same registry the runner reports into, so
   // one report covers workflow counters and storage latencies together.
-  fs::MemFsConfig fs_config;
-  fs_config.metrics = &metrics;
-  cluster.memfs = std::make_unique<fs::MemFs>(cluster.sim, cluster.network,
-                                              *cluster.storage, fs_config);
+  workloads::TestbedConfig bed_config = BedConfig(2);
+  bed_config.metrics = &metrics;
+  workloads::Testbed cluster(workloads::FsKind::kMemFs, bed_config);
   UniformScheduler scheduler;
   RunnerConfig config;
   config.nodes = 2;
   config.cores_per_node = 2;
   config.metrics = &metrics;
-  Runner runner(cluster.sim, *cluster.memfs, scheduler, config);
+  Runner runner(cluster.simulation(), *cluster.memfs(), scheduler, config);
   const auto result = runner.Run(Diamond());
   ASSERT_TRUE(result.status.ok()) << result.status;
 
@@ -441,14 +424,14 @@ TEST(RunnerTest, MetricsRecordTasksAndBytes) {
 }
 
 TEST(RunnerTest, FailedTaskCountedInMetrics) {
-  MemFsCluster cluster(1);
+  workloads::Testbed cluster(workloads::FsKind::kMemFs, BedConfig(1));
   MetricsRegistry metrics;
   UniformScheduler scheduler;
   RunnerConfig config;
   config.nodes = 1;
   config.cores_per_node = 1;
   config.metrics = &metrics;
-  Runner runner(cluster.sim, *cluster.memfs, scheduler, config);
+  Runner runner(cluster.simulation(), *cluster.memfs(), scheduler, config);
   Workflow wf = SingleTask("t", {"/missing"});
   wf.name = "broken";
   const auto result = runner.Run(wf);
@@ -482,9 +465,6 @@ TEST(UniformSchedulerTest, SkipsBusyNodes) {
 
 class LocalitySchedulerTest : public ::testing::Test {
  protected:
-  LocalitySchedulerTest()
-      : network_(sim_, net::Das4Ipoib(4)), amfs_(sim_, network_, {}) {}
-
   void StoreFile(net::NodeId node, const std::string& path,
                  std::uint64_t size) {
     bool done = false;
@@ -505,9 +485,9 @@ class LocalitySchedulerTest : public ::testing::Test {
     ASSERT_TRUE(done && status.ok());
   }
 
-  sim::Simulation sim_;
-  net::FairShareNetwork network_;
-  amfs::Amfs amfs_;
+  workloads::Testbed bed_{workloads::FsKind::kAmfs, BedConfig(4)};
+  sim::Simulation& sim_ = bed_.simulation();
+  amfs::Amfs& amfs_ = *bed_.amfs();
 };
 
 TEST_F(LocalitySchedulerTest, FollowsFirstInput) {

@@ -7,17 +7,16 @@
 #include "common/retry.h"
 #include "common/rng.h"
 #include "common/units.h"
-#include "kvstore/kv_cluster.h"
-#include "memfs/memfs.h"
 #include "net/fluid_network.h"
 #include "test_util.h"
+#include "testbed_fixture.h"
 
 namespace memfs {
 namespace {
 
-using fs::MemFsConfig;
 using fs::VfsContext;
 using memfs::testing::Await;
+using memfs::testing::BedConfig;
 using units::KiB;
 using units::MiB;
 
@@ -33,20 +32,17 @@ class RoundTripMatrixTest : public ::testing::TestWithParam<RoundTripParam> {
  protected:
   static constexpr std::uint32_t kNodes = 5;
 
-  RoundTripMatrixTest() : network_(sim_, net::Das4Ipoib(kNodes)) {
-    storage_ = std::make_unique<kv::KvCluster>(
-        sim_, network_, std::vector<net::NodeId>{0, 1, 2, 3, 4});
-    MemFsConfig config;
-    config.stripe_size = GetParam().stripe_size;
-    config.use_ketama = GetParam().ketama;
-    config.replication = GetParam().replication;
-    fs_ = std::make_unique<fs::MemFs>(sim_, network_, *storage_, config);
+  static workloads::TestbedConfig Config() {
+    workloads::TestbedConfig config = BedConfig(kNodes);
+    config.memfs.stripe_size = GetParam().stripe_size;
+    config.memfs.use_ketama = GetParam().ketama;
+    config.memfs.replication = GetParam().replication;
+    return config;
   }
 
-  sim::Simulation sim_;
-  net::FairShareNetwork network_;
-  std::unique_ptr<kv::KvCluster> storage_;
-  std::unique_ptr<fs::MemFs> fs_;
+  workloads::Testbed bed_{workloads::FsKind::kMemFs, Config()};
+  sim::Simulation& sim_ = bed_.simulation();
+  fs::MemFs* fs_ = bed_.memfs();
 };
 
 TEST_P(RoundTripMatrixTest, WriteReadAcrossSizeBoundaries) {
@@ -215,10 +211,11 @@ TEST(NetworkPropertyTest, FasterNicNeverSlower) {
 
 TEST(SystemDeterminismTest, FullStackRunsAreBitIdentical) {
   auto run = [] {
-    sim::Simulation sim;
-    net::FairShareNetwork network(sim, net::Das4Ipoib(4));
-    kv::KvCluster storage(sim, network, {0, 1, 2, 3});
-    fs::MemFs memfs(sim, network, storage, MemFsConfig{});
+    workloads::Testbed bed(workloads::FsKind::kMemFs, BedConfig(4));
+    sim::Simulation& sim = bed.simulation();
+    net::Network& network = bed.network();
+    kv::KvCluster& storage = *bed.storage();
+    fs::MemFs& memfs = *bed.memfs();
     for (int f = 0; f < 8; ++f) {
       [](fs::MemFs& fs, int id) -> sim::Task {
         const VfsContext ctx{static_cast<net::NodeId>(id % 4), 0};

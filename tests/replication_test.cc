@@ -14,6 +14,7 @@ namespace memfs::fs {
 namespace {
 
 using memfs::testing::Await;
+using memfs::testing::BedConfig;
 using units::KiB;
 using units::MiB;
 
@@ -22,8 +23,7 @@ class ReplicationTest : public testing::TestbedFixture {
   static constexpr std::uint32_t kNodes = 4;
 
   void Recreate(std::uint32_t replication, bool degraded_writes = true) {
-    workloads::TestbedConfig config;
-    config.nodes = kNodes;
+    workloads::TestbedConfig config = BedConfig(kNodes);
     config.memfs.replication = replication;
     config.memfs.degraded_writes = degraded_writes;
     Build(config);
@@ -204,9 +204,8 @@ TEST_F(ReplicationTest, StageOutSurvivesRuntimeServerFailure) {
   // server crash long enough to be staged out to permanent storage.
   Recreate(2);
   // A separate, healthy "permanent" deployment on the same fabric.
-  kv::KvCluster permanent_storage(*sim_, *network_,
-                                  std::vector<net::NodeId>{0, 1});
-  MemFs permanent(*sim_, *network_, permanent_storage, MemFsConfig{});
+  testing::SecondDeployment archive(*bed_, {0, 1});
+  MemFs& permanent = archive.fs;
 
   std::vector<std::string> results;
   for (int f = 0; f < 6; ++f) {

@@ -5,12 +5,10 @@
 
 #include "common/metrics.h"
 #include "common/units.h"
-#include "kvstore/kv_cluster.h"
-#include "memfs/memfs.h"
 #include "mtc/staging.h"
 #include "mtc/workflow.h"
-#include "net/fluid_network.h"
 #include "test_util.h"
+#include "testbed_fixture.h"
 
 namespace memfs::mtc {
 namespace {
@@ -26,18 +24,6 @@ class StagingTest : public ::testing::Test {
  protected:
   static constexpr std::uint32_t kNodes = 4;
 
-  StagingTest() : network_(sim_, net::Das4Ipoib(kNodes)) {
-    permanent_storage_ = std::make_unique<kv::KvCluster>(
-        sim_, network_, std::vector<net::NodeId>{0, 1});
-    runtime_storage_ = std::make_unique<kv::KvCluster>(
-        sim_, network_, std::vector<net::NodeId>{0, 1, 2, 3});
-    permanent_ = std::make_unique<fs::MemFs>(sim_, network_,
-                                             *permanent_storage_,
-                                             fs::MemFsConfig{});
-    runtime_ = std::make_unique<fs::MemFs>(sim_, network_, *runtime_storage_,
-                                           fs::MemFsConfig{});
-  }
-
   // Writes from node 0, reads from node 1.
   Status WriteFile(fs::Vfs& vfs, const std::string& path, const Bytes& data) {
     return testing::WriteFile(sim_, vfs, {0, 0}, path, data);
@@ -47,12 +33,12 @@ class StagingTest : public ::testing::Test {
     return testing::ReadFile(sim_, vfs, {1, 0}, path);
   }
 
-  sim::Simulation sim_;
-  net::FairShareNetwork network_;
-  std::unique_ptr<kv::KvCluster> permanent_storage_;
-  std::unique_ptr<kv::KvCluster> runtime_storage_;
-  std::unique_ptr<fs::MemFs> permanent_;
-  std::unique_ptr<fs::MemFs> runtime_;
+  workloads::Testbed bed_{workloads::FsKind::kMemFs,
+                          testing::BedConfig(kNodes)};
+  testing::SecondDeployment archive_{bed_, {0, 1}};
+  sim::Simulation& sim_ = bed_.simulation();
+  fs::MemFs* permanent_ = &archive_.fs;
+  fs::MemFs* runtime_ = bed_.memfs();
 };
 
 TEST_F(StagingTest, CopySingleFile) {

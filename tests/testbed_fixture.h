@@ -1,15 +1,42 @@
-// A gtest fixture over one MemFS workloads::Testbed, with the file helpers of
-// test_util.h bound to it. Build() replaces the whole deployment.
+// The one way tests build a cluster: workloads::Testbed, through BedConfig,
+// SecondDeployment or the TestbedFixture gtest fixture, whose file helpers
+// are test_util.h's bound to one MemFS bed. Build() replaces the whole
+// deployment. The testbed_guard ctest fails a test that wires a network, kv
+// cluster or file system by hand.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "test_util.h"  // gtest, Bytes, Status, units, the Vfs types
 #include "workloads/testbed.h"
 
 namespace memfs::testing {
+
+// `nodes` storage nodes plus `standby` idle ones, every other TestbedConfig
+// knob at its default.
+inline workloads::TestbedConfig BedConfig(std::uint32_t nodes,
+                                          std::uint32_t standby = 0) {
+  workloads::TestbedConfig config;
+  config.nodes = nodes;
+  config.standby_nodes = standby;
+  return config;
+}
+
+// One more MemFS deployment beside a bed's own: kv servers on `servers` and
+// a default client, on the bed's simulation and network. Staging tests use
+// it as the permanent store the runtime file system stages from and to.
+struct SecondDeployment {
+  SecondDeployment(workloads::Testbed& bed, std::vector<net::NodeId> servers)
+      : storage(bed.simulation(), bed.network(), std::move(servers)),
+        fs(bed.simulation(), bed.network(), storage, fs::MemFsConfig{}) {}
+
+  kv::KvCluster storage;
+  fs::MemFs fs;
+};
 
 class TestbedFixture : public ::testing::Test {
  protected:

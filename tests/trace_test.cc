@@ -9,10 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "common/units.h"
-#include "kvstore/kv_cluster.h"
-#include "memfs/memfs.h"
-#include "net/fluid_network.h"
 #include "test_util.h"
+#include "testbed_fixture.h"
 #include "trace/critical_path.h"
 #include "trace/export.h"
 #include "trace/trace.h"
@@ -21,6 +19,7 @@ namespace memfs::trace {
 namespace {
 
 using memfs::testing::Await;
+using memfs::testing::BedConfig;
 using units::KiB;
 using units::MiB;
 
@@ -324,15 +323,6 @@ class TraceStackTest : public ::testing::Test {
  protected:
   static constexpr std::uint32_t kNodes = 4;
 
-  TraceStackTest() : network_(sim_, net::Das4Ipoib(kNodes)) {
-    std::vector<net::NodeId> ids;
-    for (std::uint32_t n = 0; n < kNodes; ++n) ids.push_back(n);
-    storage_ = std::make_unique<kv::KvCluster>(sim_, network_, ids);
-    fs_ = std::make_unique<fs::MemFs>(sim_, network_, *storage_,
-                                      fs::MemFsConfig{});
-    tracer_ = std::make_unique<Tracer>(sim_);
-  }
-
   // Writes and reads back one file under a traced root span.
   void RunTracedRoundTrip(const std::string& path, std::uint64_t size) {
     const TraceContext root = tracer_->StartTrace("round_trip", "task");
@@ -353,11 +343,10 @@ class TraceStackTest : public ::testing::Test {
     End(root);
   }
 
-  sim::Simulation sim_;
-  net::FairShareNetwork network_;
-  std::unique_ptr<kv::KvCluster> storage_;
-  std::unique_ptr<fs::MemFs> fs_;
-  std::unique_ptr<Tracer> tracer_;
+  workloads::Testbed bed_{workloads::FsKind::kMemFs, BedConfig(kNodes)};
+  sim::Simulation& sim_ = bed_.simulation();
+  fs::MemFs* fs_ = bed_.memfs();
+  std::unique_ptr<Tracer> tracer_ = std::make_unique<Tracer>(sim_);
 };
 
 TEST_F(TraceStackTest, VfsOpsDecomposeIntoLayeredSpans) {
@@ -431,10 +420,9 @@ TEST_F(TraceStackTest, ServerSideSpansCarryTheServerNode) {
 
 TEST_F(TraceStackTest, TracingDoesNotPerturbTheSimulation) {
   auto digest_of = [](bool traced) {
-    sim::Simulation sim;
-    net::FairShareNetwork network(sim, net::Das4Ipoib(2));
-    kv::KvCluster storage(sim, network, {0, 1});
-    fs::MemFs fs(sim, network, storage, fs::MemFsConfig{});
+    workloads::Testbed bed(workloads::FsKind::kMemFs, BedConfig(2));
+    sim::Simulation& sim = bed.simulation();
+    fs::MemFs& fs = *bed.memfs();
     Tracer tracer(sim);
     TraceContext root;
     if (traced) root = tracer.StartTrace("write", "task");

@@ -13,6 +13,7 @@
 #include "common/units.h"
 #include "sim/fault.h"
 #include "test_util.h"
+#include "testbed_fixture.h"
 #include "workloads/blast.h"
 #include "workloads/envelope.h"
 #include "workloads/montage.h"
@@ -21,6 +22,7 @@
 namespace memfs::workloads {
 namespace {
 
+using memfs::testing::BedConfig;
 using units::KiB;
 using units::MiB;
 
@@ -31,8 +33,7 @@ class TestbedMatrixTest
 
 TEST_P(TestbedMatrixTest, ConstructsAndRunsEnvelopeWrite) {
   const auto [kind, fabric] = GetParam();
-  TestbedConfig config;
-  config.nodes = 4;
+  TestbedConfig config = BedConfig(4);
   config.fabric = fabric;
   Testbed bed(kind, config);
   EXPECT_EQ(bed.kind(), kind);
@@ -72,8 +73,7 @@ TEST(TestbedTest, NestedMetricsRegistrySurvivesConstruction) {
   // callers got an empty registry back. The override must only fire when a
   // top-level registry is actually supplied.
   MetricsRegistry nested;
-  TestbedConfig config;
-  config.nodes = 4;
+  TestbedConfig config = BedConfig(4);
   config.memfs.metrics = &nested;
   Testbed bed(FsKind::kMemFs, config);
 
@@ -100,8 +100,7 @@ TEST(TestbedTest, TopLevelMetricsOverrideStillWins) {
   // (documented override semantics) and the nested one stays untouched.
   MetricsRegistry nested;
   MetricsRegistry top;
-  TestbedConfig config;
-  config.nodes = 4;
+  TestbedConfig config = BedConfig(4);
   config.memfs.metrics = &nested;
   config.metrics = &top;
   Testbed bed(FsKind::kMemFs, config);
@@ -120,27 +119,21 @@ TEST(TestbedTest, TopLevelMetricsOverrideStillWins) {
 }
 
 TEST(TestbedTest, WaterfillModelSelectable) {
-  TestbedConfig config;
-  config.nodes = 2;
+  TestbedConfig config = BedConfig(2);
   config.net_model = NetModel::kWaterfill;
   Testbed bed(FsKind::kMemFs, config);
   EXPECT_EQ(bed.network().config().nodes, 2u);
 }
 
 TEST(TestbedTest, StandbyNodesEnlargeFabricOnly) {
-  TestbedConfig config;
-  config.nodes = 4;
-  config.standby_nodes = 2;
-  Testbed bed(FsKind::kMemFs, config);
+  Testbed bed(FsKind::kMemFs, BedConfig(4, 2));
   EXPECT_EQ(bed.network().config().nodes, 6u);
   EXPECT_EQ(bed.storage()->server_count(), 4u);
 }
 
 TEST(TestbedTest, DiskPfsIsSlowerThanMemFs) {
   auto run_write = [](FsKind kind) {
-    TestbedConfig config;
-    config.nodes = 4;
-    Testbed bed(kind, config);
+    Testbed bed(kind, BedConfig(4));
     EnvelopeParams params;
     params.nodes = 4;
     params.file_size = MiB(1);
@@ -153,8 +146,7 @@ TEST(TestbedTest, DiskPfsIsSlowerThanMemFs) {
 
 TEST(TestbedTest, RdmaIsFasterThanIpoib) {
   auto run_write = [](Fabric fabric) {
-    TestbedConfig config;
-    config.nodes = 4;
+    TestbedConfig config = BedConfig(4);
     config.fabric = fabric;
     Testbed bed(FsKind::kMemFs, config);
     EnvelopeParams params;
@@ -192,9 +184,7 @@ std::vector<sim::FaultEvent> OneFaultOfEachKind() {
 }
 
 TEST(TestbedFaultHooksTest, FaultsReachStorageAndNetwork) {
-  TestbedConfig config;
-  config.nodes = 8;
-  Testbed bed(FsKind::kMemFs, config);
+  Testbed bed(FsKind::kMemFs, BedConfig(8));
   sim::Simulation& sim = bed.simulation();
   kv::KvCluster& storage = *bed.storage();
   ASSERT_TRUE(
@@ -224,9 +214,7 @@ TEST(TestbedFaultHooksTest, FaultsReachStorageAndNetwork) {
 }
 
 TEST(TestbedFaultHooksTest, AmfsHooksAreUnsetAndFaultsAreNoOps) {
-  TestbedConfig config;
-  config.nodes = 4;
-  Testbed bed(FsKind::kAmfs, config);
+  Testbed bed(FsKind::kAmfs, BedConfig(4));
   const sim::FaultHooks hooks = bed.fault_hooks();
   EXPECT_FALSE(hooks.set_server_down);
   EXPECT_FALSE(hooks.set_server_slowdown);
@@ -250,9 +238,7 @@ TEST(TestbedFaultHooksTest, AmfsHooksAreUnsetAndFaultsAreNoOps) {
 
 TEST(EnvelopeAccountingTest, PerFileJobOverheadSlowsDataPhasesOnly) {
   auto run = [](sim::SimTime overhead) {
-    TestbedConfig config;
-    config.nodes = 4;
-    Testbed bed(FsKind::kMemFs, config);
+    Testbed bed(FsKind::kMemFs, BedConfig(4));
     EnvelopeParams params;
     params.nodes = 4;
     params.file_size = KiB(64);
@@ -271,9 +257,7 @@ TEST(EnvelopeAccountingTest, PerFileJobOverheadSlowsDataPhasesOnly) {
 }
 
 TEST(EnvelopeAccountingTest, OpsCountIoCalls) {
-  TestbedConfig config;
-  config.nodes = 2;
-  Testbed bed(FsKind::kMemFs, config);
+  Testbed bed(FsKind::kMemFs, BedConfig(2));
   EnvelopeParams params;
   params.nodes = 2;
   params.file_size = KiB(256);
@@ -288,9 +272,7 @@ TEST(EnvelopeAccountingTest, OpsCountIoCalls) {
 }
 
 TEST(EnvelopeAccountingTest, N1SpanIncludesMulticastOnlyForBandwidth) {
-  TestbedConfig config;
-  config.nodes = 4;
-  Testbed bed(FsKind::kAmfs, config);
+  Testbed bed(FsKind::kAmfs, BedConfig(4));
   EnvelopeParams params;
   params.nodes = 4;
   params.file_size = MiB(1);
@@ -306,8 +288,7 @@ TEST(EnvelopeAccountingTest, N1SpanIncludesMulticastOnlyForBandwidth) {
 TEST(EnvelopeAccountingTest, FailedPhaseReportsItsStatus) {
   // Every kv server goes down after setup: the phase returns the error,
   // in Debug and Release builds alike.
-  TestbedConfig config;
-  config.nodes = 4;
+  TestbedConfig config = BedConfig(4);
   Testbed bed(FsKind::kMemFs, config);
   EnvelopeParams params;
   params.nodes = 4;
@@ -324,9 +305,7 @@ TEST(EnvelopeAccountingTest, FailedPhaseReportsItsStatus) {
 TEST(EnvelopeAccountingTest, CorruptReadFailsThe11Phase) {
   // Reads are always verified: one 1-1 read that returns the wrong bytes
   // fails the phase, and the phase reports the mismatch as its status.
-  TestbedConfig config;
-  config.nodes = 2;
-  Testbed bed(FsKind::kMemFs, config);
+  Testbed bed(FsKind::kMemFs, BedConfig(2));
   const std::string file = "/env/d_n0_p0_f0";
   memfs::testing::CorruptReadVfs vfs(bed.simulation(), bed.vfs(), file);
   EnvelopeParams params;
@@ -346,9 +325,7 @@ TEST(EnvelopeAccountingTest, CorruptReadFailsThe11Phase) {
 TEST(EnvelopeAccountingTest, OpenBeforeCreateFailsThePhase) {
   // A Release build reports the misordered phase instead of opening nothing
   // and printing zero counts as a success.
-  TestbedConfig config;
-  config.nodes = 2;
-  Testbed bed(FsKind::kMemFs, config);
+  Testbed bed(FsKind::kMemFs, BedConfig(2));
   EnvelopeParams params;
   params.nodes = 2;
   EnvelopeBench bench(bed.simulation(), bed.vfs(), params, nullptr);
@@ -369,9 +346,7 @@ TEST(EnvelopeAccountingTest, OpenBeforeCreateFailsThePhase) {
 
 TEST(EnvelopeAccountingTest, ReadBeforeWriteFailsThePhase) {
   for (const FsKind kind : {FsKind::kMemFs, FsKind::kAmfs}) {
-    TestbedConfig config;
-    config.nodes = 2;
-    Testbed bed(kind, config);
+    Testbed bed(kind, BedConfig(2));
     EnvelopeParams params;
     params.nodes = 2;
     params.file_size = KiB(64);
@@ -564,9 +539,7 @@ std::vector<RecordingVfs::Calls> ExpectedGoldenCalls() {
 }
 
 void RunEnvelopeGolden(FsKind kind, const std::vector<GoldenPhase>& golden) {
-  TestbedConfig config;
-  config.nodes = kGoldenNodes;
-  Testbed bed(kind, config);
+  Testbed bed(kind, BedConfig(kGoldenNodes));
   RecordingVfs recorder(bed.simulation(), bed.vfs());
   EnvelopeParams params;
   params.nodes = kGoldenNodes;
