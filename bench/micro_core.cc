@@ -9,6 +9,7 @@
 #include "kvstore/kv_server.h"
 #include "memfs/metadata.h"
 #include "memfs/striper.h"
+#include "meta/meta.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -79,7 +80,7 @@ BENCHMARK(BM_KvServerSetGet);
 void BM_KvServerAppend(benchmark::State& state) {
   memfs::kv::KvServer server;
   (void)server.Set("dir", memfs::fs::meta::DirHeader());
-  const Bytes event = memfs::fs::meta::DirEvent("file_0001.fits", false);
+  const Bytes event = memfs::meta::DirEvent("file_0001.fits", false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(server.Append("dir", event));
   }
@@ -89,7 +90,7 @@ BENCHMARK(BM_KvServerAppend);
 void BM_MetadataDecode(benchmark::State& state) {
   Bytes dir = memfs::fs::meta::DirHeader();
   for (int i = 0; i < state.range(0); ++i) {
-    dir.Append(memfs::fs::meta::DirEvent("f" + std::to_string(i), false));
+    dir.Append(memfs::meta::DirEvent("f" + std::to_string(i), false));
   }
   for (auto _ : state) {
     auto decoded = memfs::fs::meta::Decode(dir);

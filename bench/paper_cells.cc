@@ -778,7 +778,7 @@ void RunSweep(const CellParams& p, CellResult& out) {
 // equivalent); the wire bytes are the paging's alone.
 void RunBigDir(const CellParams& p, CellResult& out) {
   workloads::Testbed bed(p.fs, BedConfig(p));
-  bed.memfs()->BulkLoadDirectory("/big", "f", p.bulk_entries);
+  bed.memfs()->meta_client()->BulkLoadDirectory("/big", "f", p.bulk_entries);
   sim::Simulation& sim = bed.simulation();
   const sim::SimTime start = sim.now();
   const std::uint64_t wire_before = bed.network().total_bytes();

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <ostream>
 
+#include "common/strfmt.h"
 #include "common/units.h"
 
 namespace memfs::diagnose {
@@ -29,28 +30,6 @@ std::string FormatMs(sim::SimTime t) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.3f", Ms(t));
   return buffer;
-}
-
-void WriteJsonString(std::ostream& os, std::string_view text) {
-  os << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          os << buffer;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
 }
 
 void WriteServerField(std::ostream& os, std::uint32_t server) {
@@ -151,7 +130,7 @@ void WriteJson(const std::vector<Incident>& incidents, std::ostream& os) {
       const Trigger& trigger = incident.triggers[t];
       if (t > 0) os << ',';
       os << "{\"kind\":\"" << ToString(trigger.kind) << "\",\"detail\":";
-      WriteJsonString(os, trigger.detail);
+      strfmt::WriteJsonString(os, trigger.detail);
       os << ",\"window\":" << trigger.window << ",\"at\":" << trigger.at
          << ",\"windows\":" << trigger.windows << ",\"server\":";
       WriteServerField(os, trigger.server);
@@ -160,10 +139,10 @@ void WriteJson(const std::vector<Incident>& incidents, std::ostream& os) {
     os << "],\"faults\":[";
     for (std::size_t f = 0; f < incident.faults.size(); ++f) {
       if (f > 0) os << ',';
-      WriteJsonString(os, sim::ToString(incident.faults[f]));
+      strfmt::WriteJsonString(os, sim::ToString(incident.faults[f]));
     }
     os << "],\"balance\":{\"family\":";
-    WriteJsonString(os, incident.balance_summary.family);
+    strfmt::WriteJsonString(os, incident.balance_summary.family);
     os << ",\"worst_skew\":"
        << FormatValue(incident.balance_summary.worst_skew)
        << ",\"worst_window\":" << incident.balance_summary.worst_window
@@ -175,7 +154,7 @@ void WriteJson(const std::vector<Incident>& incidents, std::ostream& os) {
       const TimelineSlice& slice = incident.timeline[s];
       if (s > 0) os << ',';
       os << "{\"series\":";
-      WriteJsonString(os, slice.series);
+      strfmt::WriteJsonString(os, slice.series);
       os << ",\"points\":[";
       for (std::size_t p = 0; p < slice.points.size(); ++p) {
         const TimelinePoint& point = slice.points[p];
@@ -190,7 +169,7 @@ void WriteJson(const std::vector<Incident>& incidents, std::ostream& os) {
       const ExemplarAttribution& exemplar = incident.exemplars[e];
       if (e > 0) os << ',';
       os << "{\"histogram\":";
-      WriteJsonString(os, exemplar.exemplar.histogram);
+      strfmt::WriteJsonString(os, exemplar.exemplar.histogram);
       os << ",\"nanos\":" << exemplar.exemplar.sample.nanos
          << ",\"trace\":" << exemplar.exemplar.sample.trace_id
          << ",\"span\":" << exemplar.exemplar.sample.span_id
@@ -205,7 +184,7 @@ void WriteJson(const std::vector<Incident>& incidents, std::ostream& os) {
           const trace::PathShare& share = exemplar.path.by_category[c];
           if (c > 0) os << ',';
           os << '[';
-          WriteJsonString(os, share.label);
+          strfmt::WriteJsonString(os, share.label);
           os << ',' << share.nanos << ']';
         }
         os << "],\"by_server\":[";
@@ -229,12 +208,12 @@ void WriteJson(const std::vector<Incident>& incidents, std::ostream& os) {
          << ",\"score\":" << FormatValue(cause.score) << ",\"evidence\":[";
       for (std::size_t v = 0; v < cause.evidence.size(); ++v) {
         if (v > 0) os << ',';
-        WriteJsonString(os, cause.evidence[v]);
+        strfmt::WriteJsonString(os, cause.evidence[v]);
       }
       os << "]}";
     }
     os << "],\"verdict\":";
-    WriteJsonString(os, incident.verdict);
+    strfmt::WriteJsonString(os, incident.verdict);
     os << '}';
   }
   os << "]}\n";

@@ -1,7 +1,6 @@
 #include "memfs/memfs.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "sim/task.h"
@@ -14,27 +13,23 @@ namespace {
 // have in flight before Write() waits for a flusher.
 constexpr std::uint64_t kWriteBufferBytes = units::MiB(8);
 
-// Full passes over the replica chain before a read gives up. A pass that
-// proves the key absent (every replica reachable, none has it) returns
-// NOT_FOUND immediately; only reads blocked by unreachable replicas are
-// retried, with an escalating delay between passes.
-constexpr std::uint32_t kReadChainAttempts = 3;
-
 }  // namespace
 
 MemFs::MemFs(sim::Simulation& sim, net::Network& network,
              kv::KvCluster& storage, MemFsConfig config)
     : sim_(sim),
-      storage_(storage),
       config_(config),
       striper_(config.stripe_size),
       fuse_(sim, network.config().nodes, config.fuse),
-      sched_(sim, storage, config.io),
+      replicas_(sim, storage,
+                {config.replication, config.degraded_writes,
+                 config.hash_kind, config.use_ketama, config.io,
+                 config.metrics},
+                stats_),
       write_pool_(sim, network.config().nodes, config.io_threads,
                   "memfs.write_pool"),
       read_pool_(sim, network.config().nodes, config.read_threads,
                  "memfs.read_pool") {
-  epochs_.push_back(MakeDistributor(storage_.server_count()));
   if (config_.metrics != nullptr) {
     const std::uint32_t nodes = network.config().nodes;
     open_files_gauges_.reserve(nodes);
@@ -49,495 +44,10 @@ MemFs::MemFs(sim::Simulation& sim, net::Network& network,
   // Bootstrap the root directory directly into its home server (and every
   // replica); this happens at deployment time, before any simulated traffic.
   if (config_.metadata == mds::MetadataMode::kSharded) {
-    meta_store_ = std::make_unique<MetaStore>(*this);
-    meta_client_ = std::make_unique<mds::Client>(sim_, *meta_store_,
-                                                 config_.meta,
+    meta_client_ = std::make_unique<mds::Client>(replicas_, config_.meta,
                                                  config_.metrics);
-    mds::InodeRecord root;
-    root.kind = mds::InodeKind::kDirectory;
-    root.sealed = true;
-    SeedKey(mds::InodeKey(mds::kRootIno), mds::EncodeInode(root));
   } else {
-    for (std::uint32_t r = 0; r < ReplicaCount(0); ++r) {
-      const Status status = storage_.server(ReplicaServer(0, "/", r))
-                                .Set("/", meta::DirHeader());
-      assert(status.ok());
-      (void)status;
-    }
-  }
-}
-
-void MemFs::SeedKey(const std::string& key, const Bytes& value) {
-  for (std::uint32_t r = 0; r < ReplicaCount(0); ++r) {
-    const Status status =
-        storage_.server(ReplicaServer(0, key, r)).Set(key, value);
-    assert(status.ok());
-    (void)status;
-  }
-}
-
-void MemFs::SeedAppendKey(const std::string& key, const Bytes& header,
-                          const Bytes& event) {
-  for (std::uint32_t r = 0; r < ReplicaCount(0); ++r) {
-    auto& server = storage_.server(ReplicaServer(0, key, r));
-    Status status = server.Append(key, event);
-    if (status.code() == ErrorCode::kNotFound) {
-      Bytes blob = header;
-      blob.Append(event);
-      status = server.Set(key, blob);
-    }
-    assert(status.ok());
-    (void)status;
-  }
-}
-
-void MemFs::BulkLoadDirectory(const std::string& dir,
-                              const std::string& prefix,
-                              std::uint64_t count) {
-  assert(meta_client_ != nullptr && "bulk loading requires sharded metadata");
-  assert(path::IsNormalized(dir) && dir != "/" && path::Parent(dir) == "/");
-  const mds::MetaConfig& mc = config_.meta;
-  mds::Client* client = meta_client_.get();
-
-  // The directory itself: inode, dentry under the root, root index event.
-  const mds::Ino dir_ino = client->AllocateIno();
-  mds::InodeRecord dir_rec;
-  dir_rec.kind = mds::InodeKind::kDirectory;
-  dir_rec.sealed = true;
-  SeedKey(mds::InodeKey(dir_ino), mds::EncodeInode(dir_rec));
-  const std::string dir_name = path::Basename(dir);
-  SeedKey(mds::DentryKey(mds::kRootIno, dir_name),
-          mds::EncodeDentry({dir_ino, mds::InodeKind::kDirectory}));
-  const std::uint32_t root_shard =
-      mds::ShardOfName(mds::kRootIno, dir_name, mc.dir_shards);
-  SeedAppendKey(mds::IndexKey(mds::kRootIno, root_shard), mds::IndexHeader(),
-                mds::IndexEvent(dir_name, false));
-  client->RecordSeededDentries(root_shard, 1);
-
-  // The children: sealed zero-length files; index events accumulate per
-  // token range and land as one blob each.
-  std::vector<std::string> blobs(mc.dir_shards, "X\n");
-  std::vector<std::int64_t> counts(mc.dir_shards, 0);
-  mds::InodeRecord file_rec;
-  file_rec.sealed = true;
-  file_rec.epoch = current_epoch();
-  const Bytes encoded_file = mds::EncodeInode(file_rec);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::string name = prefix + std::to_string(i);
-    const mds::Ino ino = client->AllocateIno();
-    SeedKey(mds::InodeKey(ino), encoded_file);
-    SeedKey(mds::DentryKey(dir_ino, name),
-            mds::EncodeDentry({ino, mds::InodeKind::kFile}));
-    const std::uint32_t shard = mds::ShardOfName(dir_ino, name, mc.dir_shards);
-    blobs[shard].push_back('+');
-    blobs[shard].append(name);
-    blobs[shard].push_back('\n');
-    ++counts[shard];
-  }
-  for (std::uint32_t shard = 0; shard < mc.dir_shards; ++shard) {
-    if (counts[shard] == 0) continue;
-    SeedKey(mds::IndexKey(dir_ino, shard), Bytes::Copy(blobs[shard]));
-    client->RecordSeededDentries(shard, counts[shard]);
-  }
-}
-
-std::unique_ptr<hash::Distributor> MemFs::MakeDistributor(
-    std::uint32_t servers) const {
-  if (config_.use_ketama) {
-    return hash::MakeKetama(servers, 160, config_.hash_kind);
-  }
-  return hash::MakeModulo(servers, config_.hash_kind);
-}
-
-std::uint32_t MemFs::AddStorageServer(net::NodeId kv_node) {
-  assert(membership_ == nullptr &&
-         "epoch pinning and elastic membership do not mix");
-  (void)storage_.AddServer(kv_node);
-  epochs_.push_back(MakeDistributor(storage_.server_count()));
-  return current_epoch();
-}
-
-void MemFs::AttachMembership(kv::Membership* membership) {
-  assert(membership == nullptr ||
-         (config_.use_ketama && epochs_.size() == 1 &&
-          membership->config().replication == config_.replication &&
-          membership->member_count() == storage_.server_count()));
-  membership_ = membership;
-}
-
-std::vector<std::uint32_t> MemFs::LegacyChain(std::uint32_t epoch,
-                                              std::string_view key) const {
-  const std::uint32_t replicas = ReplicaCount(epoch);
-  std::vector<std::uint32_t> chain;
-  chain.reserve(replicas);
-  for (std::uint32_t r = 0; r < replicas; ++r) {
-    chain.push_back(ReplicaServer(epoch, key, r));
-  }
-  return chain;
-}
-
-std::vector<std::uint32_t> MemFs::GetChain(std::uint32_t epoch,
-                                           std::string_view key) const {
-  if (membership_ != nullptr) return membership_->ReadChain(key);
-  return LegacyChain(epoch, key);
-}
-
-kv::Membership::WriteRoute MemFs::WriteRouteFor(std::uint32_t epoch,
-                                                std::string_view key) const {
-  if (membership_ != nullptr) return membership_->RouteWrite(key);
-  kv::Membership::WriteRoute route;
-  route.primary = LegacyChain(epoch, key);
-  return route;
-}
-
-// ---------------------------------------------------------------------------
-// Replication-aware storage primitives (§3.2.5 extension)
-
-std::uint32_t MemFs::ReplicaCount(std::uint32_t epoch) const {
-  return std::min<std::uint32_t>(
-      std::max<std::uint32_t>(config_.replication, 1),
-      epochs_[epoch]->server_count());
-}
-
-std::uint32_t MemFs::ReplicaServer(std::uint32_t epoch, std::string_view key,
-                                   std::uint32_t replica) const {
-  const auto& ring = *epochs_[epoch];
-  return (ring.ServerFor(key) + replica) % ring.server_count();
-}
-
-sim::Future<Status> MemFs::MutateReplica(std::uint32_t epoch,
-                                         net::NodeId node,
-                                         std::uint32_t server,
-                                         std::string key, Bytes value,
-                                         bool append,
-                                         std::uint32_t header_size,
-                                         trace::TraceContext trace) {
-  if (!append) {
-    return sched_.Set(node, server, std::move(key), std::move(value), trace);
-  }
-  if (header_size == 0) {
-    return sched_.Append(node, server, std::move(key), std::move(value),
-                         trace);
-  }
-  return AppendCreating(epoch, node, server, std::move(key),
-                        value.Slice(0, header_size),
-                        value.Slice(header_size, value.size()), trace);
-}
-
-sim::Future<Status> MemFs::AppendCreating(std::uint32_t epoch,
-                                          net::NodeId node,
-                                          std::uint32_t server,
-                                          std::string key, Bytes header,
-                                          Bytes suffix,
-                                          trace::TraceContext trace) {
-  Status status = co_await sched_.Append(node, server, key, suffix, trace);
-  if (status.code() != ErrorCode::kNotFound) co_return std::move(status);
-  // This replica lacks the key: it is new, or the replica missed its
-  // creation. Seed it from a peer that holds it, so it also gets the
-  // suffixes it missed; `header` alone when no peer does.
-  Bytes blob = std::move(header);
-  for (std::uint32_t peer : GetChain(epoch, key)) {
-    if (peer == server) continue;
-    Result<Bytes> held = co_await sched_.Get(node, peer, key, trace);
-    if (held.ok()) {
-      blob = std::move(held.value());
-      break;
-    }
-  }
-  blob.Append(suffix);
-  status = co_await sched_.Add(node, server, key, std::move(blob), trace);
-  if (status.code() != ErrorCode::kExists) co_return std::move(status);
-  co_return co_await sched_.Append(node, server, std::move(key),
-                                   std::move(suffix), trace);
-}
-
-sim::Future<Status> MemFs::ReplicatedMutation(std::uint32_t epoch,
-                                              net::NodeId node,
-                                              std::string key, Bytes value,
-                                              bool append,
-                                              trace::TraceContext trace,
-                                              std::uint32_t header_size) {
-  // Elastic handoff window: serialize against the migrator so a concurrent
-  // copy can never install a value older than this write. The route is
-  // computed only after the gate admits us — the handoff may have committed
-  // while we waited, flipping the key onto the new ring.
-  const bool gated =
-      membership_ != nullptr && membership_->ShouldGate(key);
-  if (gated) co_await membership_->gate().EnterWriter(key);
-  const kv::Membership::WriteRoute route = WriteRouteFor(epoch, key);
-  if (route.primary.size() == 1 && route.secondary.empty()) {
-    // Single copy: no replica layer to show — the kv op span hangs directly
-    // off the caller's span.
-    const std::uint32_t server = route.primary.front();
-    if (header_size != 0) value = value.Slice(header_size, value.size());
-    Status status;
-    if (append) {
-      status = co_await sched_.Append(node, server, key, std::move(value),
-                                      trace);
-    } else {
-      status = co_await sched_.Set(node, server, key, std::move(value),
-                                   trace);
-    }
-    if (gated) membership_->gate().ExitWriter(key);
-    co_return std::move(status);
-  }
-  trace::ScopedSpan span(trace, append ? "replica.append" : "replica.set",
-                         "replica");
-  const trace::TraceContext tctx = span.context();
-  // All replicas written in parallel. Strict mode succeeds only if every
-  // replica acknowledges (a down replica fails the write — the paper's
-  // stated cost of replication, which is why it defaults off). Degraded mode
-  // tolerates unreachable replicas as long as one copy lands; read repair
-  // reinstalls the skipped copies once their server is back.
-  std::vector<sim::Future<Status>> futures;
-  futures.reserve(route.primary.size());
-  for (std::uint32_t server : route.primary) {
-    futures.push_back(MutateReplica(epoch, node, server, key, value, append,
-                                    header_size, tctx));
-  }
-  // Dual-commit onto the key's next home while its handoff is pending:
-  // best-effort, verdicts ignored — the old chain stays authoritative until
-  // the migrator commits, and the migrator re-copies anything these miss.
-  std::vector<sim::Future<Status>> shadow;
-  shadow.reserve(route.secondary.size());
-  for (std::uint32_t server : route.secondary) {
-    trace::Event(tctx, "dual_commit");
-    shadow.push_back(MutateReplica(epoch, node, server, key, value, append,
-                                   header_size, tctx));
-  }
-  std::uint32_t acks = 0;
-  Status first_error;
-  bool all_errors_retryable = true;
-  for (auto& future : futures) {
-    Status status = co_await future;
-    if (status.ok()) {
-      ++acks;
-    } else {
-      if (first_error.ok()) first_error = status;
-      if (!IsRetryable(status.code())) all_errors_retryable = false;
-    }
-  }
-  for (auto& future : shadow) {
-    // best-effort dual-commit; migrator re-copies
-    (void)co_await future;
-  }
-  if (gated) membership_->gate().ExitWriter(key);
-  if (acks == route.primary.size()) co_return Status::Ok();
-  // Only availability errors are forgivable; a replica that answered with a
-  // real error (NO_SPACE, NOT_FOUND on append...) still fails the write.
-  if (acks > 0 && config_.degraded_writes && all_errors_retryable) {
-    trace::Event(tctx, "degraded_write");
-    ++stats_.degraded_writes;
-    if (config_.metrics != nullptr) {
-      ++config_.metrics->Counter("fs.degraded_writes");
-    }
-    co_return Status::Ok();
-  }
-  co_return std::move(first_error);
-}
-
-sim::Future<Status> MemFs::ReplicatedAdd(std::uint32_t epoch, net::NodeId node,
-                                         std::string key, Bytes value,
-                                         trace::TraceContext trace) {
-  const bool gated =
-      membership_ != nullptr && membership_->ShouldGate(key);
-  if (gated) co_await membership_->gate().EnterWriter(key);
-  const kv::Membership::WriteRoute route = WriteRouteFor(epoch, key);
-  // Strict mode keeps the original semantics: the record's home server alone
-  // arbitrates ADD.
-  const std::uint32_t tries =
-      config_.degraded_writes
-          ? static_cast<std::uint32_t>(route.primary.size())
-          : 1;
-  trace::ScopedSpan span;
-  trace::TraceContext tctx = trace;
-  if (tries > 1) {
-    span = trace::ScopedSpan(trace, "replica.add", "replica");
-    tctx = span.context();
-  }
-  Status last = status::Unavailable("no replicas");
-  for (std::uint32_t r = 0; r < tries; ++r) {
-    last = co_await sched_.Add(node, route.primary[r], key, value, tctx);
-    if (last.ok()) {
-      if (r > 0) {
-        trace::Event(tctx, "write_failover");
-        ++stats_.write_failovers;
-        if (config_.metrics != nullptr) {
-          ++config_.metrics->Counter("fs.write_failovers");
-        }
-      }
-      break;
-    }
-    // A reachable replica's verdict (e.g. EXISTS) stands; only availability
-    // errors justify moving down the chain.
-    if (!IsRetryable(last.code())) break;
-  }
-  if (last.ok()) {
-    // Shadow the accepted record onto the key's next home while a handoff is
-    // pending; the old chain's verdict already stands.
-    for (std::uint32_t server : route.secondary) {
-      trace::Event(tctx, "dual_commit");
-      // best-effort dual-commit; migrator re-copies
-      (void)co_await sched_.Add(node, server, key, value, tctx);
-    }
-  }
-  if (gated) membership_->gate().ExitWriter(key);
-  co_return std::move(last);
-}
-
-sim::Future<Status> MemFs::MetaAdd(net::NodeId node, std::string key,
-                                   Bytes value, trace::TraceContext trace) {
-  Status added = co_await ReplicatedAdd(0, node, key, value, trace);
-  if (!added.ok()) co_return std::move(added);
-  // The accepted record fans out to the rest of the chain so every replica
-  // can answer failover reads and take APPENDs; a replica that is down stays
-  // empty until read repair finds it (same window legacy mkdir accepts).
-  const kv::Membership::WriteRoute route = WriteRouteFor(0, key);
-  for (std::size_t r = 1; r < route.primary.size(); ++r) {
-    // best-effort replica install
-    (void)co_await sched_.Set(node, route.primary[r], key, value, trace);
-  }
-  for (std::uint32_t server : route.secondary) {
-    // best-effort dual-commit
-    (void)co_await sched_.Set(node, server, key, value, trace);
-  }
-  co_return Status::Ok();
-}
-
-sim::Future<Status> MemFs::ReplicatedDelete(std::uint32_t epoch,
-                                            net::NodeId node,
-                                            std::string key,
-                                            trace::TraceContext trace) {
-  const bool gated =
-      membership_ != nullptr && membership_->ShouldGate(key);
-  if (gated) co_await membership_->gate().EnterWriter(key);
-  const kv::Membership::WriteRoute route = WriteRouteFor(epoch, key);
-  trace::ScopedSpan span;
-  trace::TraceContext tctx = trace;
-  if (route.primary.size() + route.secondary.size() > 1) {
-    span = trace::ScopedSpan(trace, "replica.delete", "replica");
-    tctx = span.context();
-  }
-  std::vector<sim::Future<Status>> futures;
-  futures.reserve(route.primary.size() + route.secondary.size());
-  for (std::uint32_t server : route.primary) {
-    futures.push_back(sched_.Delete(node, server, key, tctx));
-  }
-  // Also clear any dual-committed shadow copies so a committed handoff does
-  // not resurrect the key.
-  for (std::uint32_t server : route.secondary) {
-    trace::Event(tctx, "dual_commit");
-    futures.push_back(sched_.Delete(node, server, key, tctx));
-  }
-  Status result;
-  for (auto& future : futures) {
-    Status status = co_await future;
-    // A replica that never held the key (or is down) does not fail the
-    // delete; the primary's answer decides.
-    if (&future == &futures.front()) result = std::move(status);
-  }
-  if (gated) membership_->gate().ExitWriter(key);
-  co_return std::move(result);
-}
-
-sim::Future<Result<Bytes>> MemFs::FailoverGet(std::uint32_t epoch,
-                                              net::NodeId node,
-                                              std::string key,
-                                              trace::TraceContext trace) {
-  // The first look reuses the chain that decides the span; every later one
-  // (a pass retry or a handoff-race retry) recomputes it: during an elastic
-  // handoff the chain covers both the old and the new home, and a commit
-  // between looks may shrink it.
-  std::vector<std::uint32_t> chain = GetChain(epoch, key);
-  trace::ScopedSpan span;
-  trace::TraceContext tctx = trace;
-  if (chain.size() > 1) {
-    span = trace::ScopedSpan(trace, "replica.get", "replica");
-    tctx = span.context();
-  }
-  Status unreachable;
-  bool retried_absent = false;
-  std::uint32_t pass = 0;
-  for (bool first_look = true;; first_look = false) {
-    if (!first_look) chain = GetChain(epoch, key);
-    std::uint32_t not_found = 0;
-    std::uint32_t permanent = 0;  // replicas gone for good (drained to LEFT)
-    std::vector<std::uint32_t> missing;  // reachable replicas lacking the key
-    for (std::size_t r = 0; r < chain.size(); ++r) {
-      const std::uint32_t server = chain[r];
-      Result<Bytes> got = co_await sched_.Get(node, server, key, tctx);
-      if (got.ok()) {
-        if (r > 0) {
-          trace::Event(tctx, "failover");
-          ++stats_.replica_failovers;
-          if (config_.metrics != nullptr) {
-            ++config_.metrics->Counter("fs.replica_failovers");
-          }
-          // Read repair: a replica that answered NOT_FOUND is reachable but
-          // lost its copy (wipe-on-restart); reinstall it in the background.
-          // Skipped while the key's handoff is pending — an un-gated repair
-          // could land a stale value on the new home, which the migrator
-          // would then mistake for a finished copy.
-          if (membership_ == nullptr || !membership_->ShouldGate(key)) {
-            for (std::uint32_t target : missing) {
-              trace::Event(tctx, "read_repair");
-              RunReadRepair(node, target, key, got.value());
-            }
-          }
-        }
-        co_return std::move(got);
-      }
-      if (got.status().code() == ErrorCode::kNotFound) {
-        ++not_found;
-        missing.push_back(server);
-      } else if (got.status().code() == ErrorCode::kUnavailablePermanent) {
-        ++permanent;
-      } else {
-        unreachable = got.status();
-      }
-    }
-    if (not_found + permanent == chain.size()) {
-      if (permanent > 0) {
-        // Some copy was on a server that drained and LEFT; no amount of
-        // retrying brings it back.
-        co_return status::UnavailablePermanent(
-            "replica chain left the cluster: " + key);
-      }
-      // Every replica answered and none holds the key. Mid-handoff that can
-      // be a race (probed the new home before the copy, the old after the
-      // cleanup); give the window one extra settled look before believing it.
-      if (membership_ != nullptr && membership_->migrating() &&
-          !retried_absent) {
-        retried_absent = true;
-        trace::Event(tctx, "handoff_race_retry");
-        trace::ScopedSpan wait(tctx, "chain_backoff", "retry");
-        co_await sim_.Delay(storage_.cost_model().failure_timeout);
-        continue;  // does not consume a pass
-      }
-      co_return status::NotFound(key);
-    }
-    // Some replica was unreachable and may hold the only copy; run the chain
-    // again after an escalating delay (it may be restarting, or its breaker
-    // may be about to half-open).
-    if (++pass >= kReadChainAttempts) break;
-    trace::Event(tctx, "pass_retry");
-    trace::ScopedSpan wait(tctx, "chain_backoff", "retry");
-    co_await sim_.Delay(storage_.cost_model().failure_timeout * pass);
-  }
-  co_return unreachable.ok()
-                ? status::Unavailable("all replicas unreachable: " + key)
-                : unreachable;
-}
-
-sim::Task MemFs::RunReadRepair(net::NodeId node, std::uint32_t server,
-                               std::string key, Bytes value) {
-  const Status status =
-      co_await sched_.Set(node, server, std::move(key), std::move(value));
-  if (status.ok()) {
-    ++stats_.read_repairs;
-    if (config_.metrics != nullptr) {
-      ++config_.metrics->Counter("fs.read_repairs");
-    }
+    replicas_.SeedKey("/", meta::DirHeader());
   }
 }
 
@@ -594,12 +104,12 @@ sim::Future<T> MemFs::Timed(std::string_view name, const VfsContext& ctx,
   return future;
 }
 
-FileHandle MemFs::InstallHandle(std::string path, std::string ident,
-                                mds::Ino ino, net::NodeId node, bool writing,
+FileHandle MemFs::InstallHandle(std::string path, mds::Ino ino,
+                                net::NodeId node, bool writing,
                                 std::uint32_t epoch, std::uint64_t size) {
   auto file = std::make_unique<OpenFile>();
   file->path = std::move(path);
-  file->ident = std::move(ident);
+  file->ident = ino != 0 ? mds::StripeIdent(ino) : file->path;
   file->stripe_keys.Reset(file->ident);
   file->ino = ino;
   file->node = node;
@@ -661,14 +171,13 @@ sim::Future<Result<FileHandle>> MemFs::CreateOp(VfsContext ctx,
                                           tctx);
     if (!created.ok()) co_return created.status();
     // Stripes key on the ino, not the path: rename moves the dentry only.
-    co_return InstallHandle(std::move(path), mds::InodeKey(created->ino),
-                            created->ino, ctx.node, /*writing=*/true,
-                            current_epoch(), 0);
+    co_return InstallHandle(std::move(path), created->ino, ctx.node,
+                            /*writing=*/true, current_epoch(), 0);
   }
   // Register an unsealed file record; ADD makes concurrent double-create
   // lose deterministically (write-once implies a single writer).
-  Status added = co_await ReplicatedAdd(
-      0, ctx.node, path, meta::EncodeFile({0, false, current_epoch()}), tctx);
+  Status added = co_await replicas_.ReplicatedAdd(
+      ctx.node, path, meta::EncodeFile({0, false, current_epoch()}), tctx);
   if (!added.ok()) {
     co_return added.code() == ErrorCode::kExists
                   ? status::Exists(path)
@@ -677,18 +186,17 @@ sim::Future<Result<FileHandle>> MemFs::CreateOp(VfsContext ctx,
   // Link into the parent's directory event log (atomic APPEND, all
   // replicas).
   const std::string parent = path::Parent(path);
-  Status linked = co_await ReplicatedAppend(
-      0, ctx.node, parent, meta::DirEvent(path::Basename(path), false), tctx);
+  Status linked = co_await replicas_.ReplicatedAppend(
+      ctx.node, parent, mds::DirEvent(path::Basename(path), false), tctx);
   if (!linked.ok()) {
     // Parent does not exist: roll the file record back. Best-effort — the
     // create already fails with NOT_FOUND and an orphaned record is inert.
     // lint: allow(ignored-status) best-effort rollback of an inert record
-    co_await ReplicatedDelete(0, ctx.node, path, tctx);
+    co_await replicas_.ReplicatedDelete(ctx.node, path, tctx);
     co_return status::NotFound("parent directory: " + parent);
   }
-  std::string ident = path;
-  co_return InstallHandle(std::move(path), std::move(ident), 0, ctx.node,
-                          /*writing=*/true, current_epoch(), 0);
+  co_return InstallHandle(std::move(path), 0, ctx.node, /*writing=*/true,
+                          current_epoch(), 0);
 }
 
 sim::Future<Status> MemFs::Write(VfsContext ctx, FileHandle handle,
@@ -743,8 +251,8 @@ sim::Task MemFs::SubmitStripe(OpenFile* file, std::uint32_t index, Bytes data,
     trace::ScopedSpan span(trace, "stripe.put", "striper");
     trace::Annotate(span.context(), "key", key);
     ++stats_.stripe_sets;
-    Status status = co_await ReplicatedSet(file->epoch, file->node, key,
-                                           std::move(data), span.context());
+    Status status = co_await replicas_.ReplicatedSet(
+        file->node, key, std::move(data), span.context(), file->epoch);
     if (!status.ok() && file->first_error.ok()) file->first_error = status;
     accepted.Set(sim::Done{});
     co_return;
@@ -774,8 +282,9 @@ sim::Task MemFs::FlushStripe(OpenFile* file, std::string key, Bytes data,
   }
   ++stats_.stripe_sets;
   Status status =
-      co_await ReplicatedSet(file->epoch, file->node, std::move(key),
-                             std::move(data), span.context());
+      co_await replicas_.ReplicatedSet(file->node, std::move(key),
+                                       std::move(data), span.context(),
+                                       file->epoch);
   pool.Release();
   if (!status.ok() && file->first_error.ok()) file->first_error = status;
   file->tokens->Release();
@@ -847,8 +356,8 @@ sim::Future<Status> MemFs::CloseOp(VfsContext ctx, FileHandle handle) {
                                                  file->written, file->epoch,
                                                  tctx);
       } else {
-        result = co_await ReplicatedSet(
-            0, ctx.node, file->path,
+        result = co_await replicas_.ReplicatedSet(
+            ctx.node, file->path,
             meta::EncodeFile({file->written, true, file->epoch}), tctx);
       }
     }
@@ -881,33 +390,31 @@ sim::Future<Result<FileHandle>> MemFs::OpenOp(VfsContext ctx,
     if (attr->rec.kind == mds::InodeKind::kDirectory) {
       co_return status::IsDirectory(path);
     }
-    if (attr->rec.epoch >= epochs_.size()) {
+    if (attr->rec.epoch > replicas_.current_epoch()) {
       co_return status::Internal("file from unknown ring epoch: " + path);
     }
     if (!attr->rec.sealed) {
       co_return status::Permission("file still open for writing: " + path);
     }
-    co_return InstallHandle(std::move(path), mds::InodeKey(attr->ino),
-                            attr->ino, ctx.node, /*writing=*/false,
-                            attr->rec.epoch, attr->rec.size);
+    co_return InstallHandle(std::move(path), attr->ino, ctx.node,
+                            /*writing=*/false, attr->rec.epoch,
+                            attr->rec.size);
   }
-  Result<Bytes> record = co_await FailoverGet(0, ctx.node, path, tctx);
+  Result<Bytes> record = co_await replicas_.FailoverGet(ctx.node, path, tctx);
   if (!record.ok()) co_return LookupError(record, path);
   auto decoded = meta::Decode(record.value());
   if (!decoded.ok()) co_return decoded.status();
   if (decoded->kind == meta::Kind::kDirectory) {
     co_return status::IsDirectory(path);
   }
-  if (decoded->file.epoch >= epochs_.size()) {
+  if (decoded->file.epoch > replicas_.current_epoch()) {
     co_return status::Internal("file from unknown ring epoch: " + path);
   }
   if (!decoded->file.sealed) {
     co_return status::Permission("file still open for writing: " + path);
   }
-  std::string ident = path;
-  co_return InstallHandle(std::move(path), std::move(ident), 0, ctx.node,
-                          /*writing=*/false, decoded->file.epoch,
-                          decoded->file.size);
+  co_return InstallHandle(std::move(path), 0, ctx.node, /*writing=*/false,
+                          decoded->file.epoch, decoded->file.size);
 }
 
 sim::Future<Result<Bytes>> MemFs::Read(VfsContext ctx, FileHandle handle,
@@ -1043,7 +550,8 @@ sim::Future<Result<Bytes>> MemFs::FetchStripe(net::NodeId node,
   }
   ++stats_.stripe_gets;
   Result<Bytes> result =
-      co_await FailoverGet(epoch, node, std::move(key), span.context());
+      co_await replicas_.FailoverGet(node, std::move(key), span.context(),
+                                     epoch);
   pool.Release();
   co_return std::move(result);
 }
@@ -1065,29 +573,17 @@ sim::Future<Status> MemFs::Mkdir(VfsContext ctx, std::string path) {
   if (meta_client_ != nullptr) {
     co_return co_await meta_client_->Mkdir(ctx.node, std::move(path), tctx);
   }
+  // Every replica gets the directory record, so each can take the appends
+  // (the header is a constant, harmless on a mid-handoff shadow home).
   Status added =
-      co_await ReplicatedAdd(0, ctx.node, path, meta::DirHeader(), tctx);
+      co_await replicas_.MetaAdd(ctx.node, path, meta::DirHeader(), tctx);
   if (!added.ok()) co_return added;
-  // Secondary replicas of the directory record (appends go to all; a replica
-  // that is down stays empty until read repair finds it). The header is a
-  // constant, so installing it on a mid-handoff shadow home is harmless.
-  const kv::Membership::WriteRoute mkdir_route = WriteRouteFor(0, path);
-  for (std::size_t r = 1; r < mkdir_route.primary.size(); ++r) {
-    // best-effort replica install
-    (void)co_await sched_.Set(ctx.node, mkdir_route.primary[r], path,
-                              meta::DirHeader(), tctx);
-  }
-  for (std::uint32_t server : mkdir_route.secondary) {
-    // best-effort dual-commit
-    (void)co_await sched_.Set(ctx.node, server, path, meta::DirHeader(),
-                              tctx);
-  }
   const std::string parent = path::Parent(path);
-  Status linked = co_await ReplicatedAppend(
-      0, ctx.node, parent, meta::DirEvent(path::Basename(path), false), tctx);
+  Status linked = co_await replicas_.ReplicatedAppend(
+      ctx.node, parent, mds::DirEvent(path::Basename(path), false), tctx);
   if (!linked.ok()) {
     // lint: allow(ignored-status) best-effort rollback of an inert record
-    co_await ReplicatedDelete(0, ctx.node, path, tctx);
+    co_await replicas_.ReplicatedDelete(ctx.node, path, tctx);
     co_return status::NotFound("parent directory: " + parent);
   }
   co_return Status::Ok();
@@ -1126,15 +622,15 @@ sim::Future<Result<std::vector<FileInfo>>> MemFs::ReadDir(VfsContext ctx,
       shard = page->next_shard;
       offset = page->next_offset;
     }
-    // Pages arrive in (shard, name) order; the full listing is presented
-    // globally sorted, matching the append-log arm byte for byte.
+    // Pages arrive in (shard, name) order; the listing is sorted by name,
+    // the order of the append-log arm's folded log and of AMFS.
     std::sort(infos.begin(), infos.end(),
               [](const FileInfo& a, const FileInfo& b) {
                 return a.name < b.name;
               });
     co_return std::move(infos);
   }
-  Result<Bytes> record = co_await FailoverGet(0, ctx.node, path, tctx);
+  Result<Bytes> record = co_await replicas_.FailoverGet(ctx.node, path, tctx);
   if (!record.ok()) co_return LookupError(record, path);
   auto decoded = meta::Decode(record.value());
   if (!decoded.ok()) co_return decoded.status();
@@ -1172,7 +668,7 @@ sim::Future<Result<FileInfo>> MemFs::Stat(VfsContext ctx, std::string path) {
     }
     co_return std::move(stat_info);
   }
-  Result<Bytes> record = co_await FailoverGet(0, ctx.node, path, tctx);
+  Result<Bytes> record = co_await replicas_.FailoverGet(ctx.node, path, tctx);
   if (!record.ok()) co_return LookupError(record, path);
   auto decoded = meta::Decode(record.value());
   if (!decoded.ok()) co_return decoded.status();
@@ -1201,7 +697,7 @@ sim::Future<Status> MemFs::Rmdir(VfsContext ctx, std::string path) {
   if (meta_client_ != nullptr) {
     co_return co_await meta_client_->Rmdir(ctx.node, std::move(path), tctx);
   }
-  Result<Bytes> record = co_await FailoverGet(0, ctx.node, path, tctx);
+  Result<Bytes> record = co_await replicas_.FailoverGet(ctx.node, path, tctx);
   if (!record.ok()) co_return LookupError(record, path);
   auto decoded = meta::Decode(record.value());
   if (!decoded.ok()) co_return decoded.status();
@@ -1213,10 +709,10 @@ sim::Future<Status> MemFs::Rmdir(VfsContext ctx, std::string path) {
   // tombstone aborts the removal while the directory is still fully intact;
   // silently continuing would leave a phantom entry in the parent's log.
   const std::string parent = path::Parent(path);
-  Status tombstoned = co_await ReplicatedAppend(
-      0, ctx.node, parent, meta::DirEvent(path::Basename(path), true), tctx);
+  Status tombstoned = co_await replicas_.ReplicatedAppend(
+      ctx.node, parent, mds::DirEvent(path::Basename(path), true), tctx);
   if (!tombstoned.ok()) co_return std::move(tombstoned);
-  Status dropped = co_await ReplicatedDelete(0, ctx.node, path, tctx);
+  Status dropped = co_await replicas_.ReplicatedDelete(ctx.node, path, tctx);
   co_return std::move(dropped);
 }
 
@@ -1234,14 +730,12 @@ sim::Future<Status> MemFs::Unlink(VfsContext ctx, std::string path) {
     if (outcome->removed_inode) {
       // Last link gone: reclaim the stripes, keyed by the ino under the
       // epoch recorded in the inode (never moved by any rename).
-      const std::uint32_t stripe_epoch =
-          outcome->rec.epoch < epochs_.size() ? outcome->rec.epoch : 0;
-      co_await ReclaimStripes(ctx.node, mds::InodeKey(outcome->ino),
-                              stripe_epoch, outcome->rec.size, tctx);
+      co_await ReclaimStripes(ctx.node, mds::StripeIdent(outcome->ino),
+                              outcome->rec.epoch, outcome->rec.size, tctx);
     }
     co_return Status::Ok();
   }
-  Result<Bytes> record = co_await FailoverGet(0, ctx.node, path, tctx);
+  Result<Bytes> record = co_await replicas_.FailoverGet(ctx.node, path, tctx);
   if (!record.ok()) co_return LookupError(record, path);
   auto decoded = meta::Decode(record.value());
   if (!decoded.ok()) co_return decoded.status();
@@ -1255,40 +749,28 @@ sim::Future<Status> MemFs::Unlink(VfsContext ctx, std::string path) {
   // untouched, and a failed record delete must not reclaim stripes under a
   // record that is still openable.
   const std::string parent = path::Parent(path);
-  Status tombstoned = co_await ReplicatedAppend(
-      0, ctx.node, parent, meta::DirEvent(path::Basename(path), true), tctx);
+  Status tombstoned = co_await replicas_.ReplicatedAppend(
+      ctx.node, parent, mds::DirEvent(path::Basename(path), true), tctx);
   if (!tombstoned.ok()) co_return std::move(tombstoned);
-  Status dropped = co_await ReplicatedDelete(0, ctx.node, path, tctx);
+  Status dropped = co_await replicas_.ReplicatedDelete(ctx.node, path, tctx);
   if (!dropped.ok()) co_return std::move(dropped);
-
-  const std::uint32_t stripe_epoch =
-      decoded->file.epoch < epochs_.size() ? decoded->file.epoch : 0;
-  const std::uint32_t stripes = striper_.StripeCount(decoded->file.size);
-  sim::WaitGroup wg(sim_);
-  StripeKeyBuf keys(path);
-  for (std::uint32_t i = 0; i < stripes; ++i) {
-    wg.Add();
-    auto deletion = ReplicatedDelete(stripe_epoch, ctx.node,
-                                     std::string(keys.Render(i)), tctx);
-    [](sim::Future<Status> f, sim::WaitGroup& group) -> sim::Task {
-      co_await f;
-      group.Done();
-    }(std::move(deletion), wg);
-  }
-  co_await wg.Wait();
+  co_await ReclaimStripes(ctx.node, path, decoded->file.epoch,
+                          decoded->file.size, tctx);
   co_return Status::Ok();
 }
 
 sim::VoidFuture MemFs::ReclaimStripes(net::NodeId node, std::string ident,
                                       std::uint32_t epoch, std::uint64_t size,
                                       trace::TraceContext trace) {
+  // A record naming an epoch this mount never opened falls back to epoch 0.
+  if (epoch > replicas_.current_epoch()) epoch = 0;
   const std::uint32_t stripes = striper_.StripeCount(size);
   sim::WaitGroup wg(sim_);
   StripeKeyBuf keys(ident);
   for (std::uint32_t i = 0; i < stripes; ++i) {
     wg.Add();
-    auto deletion = ReplicatedDelete(epoch, node,
-                                     std::string(keys.Render(i)), trace);
+    auto deletion = replicas_.ReplicatedDelete(
+        node, std::string(keys.Render(i)), trace, epoch);
     [](sim::Future<Status> f, sim::WaitGroup& group) -> sim::Task {
       co_await f;
       group.Done();
@@ -1334,20 +816,19 @@ sim::Future<Result<DirPage>> MemFs::ReadDirPage(VfsContext ctx,
     page.more = result->more;
     co_return std::move(page);
   }
-  // Legacy protocol: one directory = one record, so the page is a sorted
-  // slice of the folded log (shard is always 0). The whole log still crosses
-  // the wire — the limitation this PR's sharded mode removes.
+  // Legacy protocol: one directory = one record, so the page is a slice of
+  // the sorted folded log (shard is always 0). The whole log still crosses
+  // the wire — the limitation the sharded mode removes.
   if (cursor.shard > 0) {
     co_return status::InvalidArgument("append_log cursors have one shard");
   }
-  Result<Bytes> record = co_await FailoverGet(0, ctx.node, path, tctx);
+  Result<Bytes> record = co_await replicas_.FailoverGet(ctx.node, path, tctx);
   if (!record.ok()) co_return LookupError(record, path);
   auto decoded = meta::Decode(record.value());
   if (!decoded.ok()) co_return decoded.status();
   if (decoded->kind != meta::Kind::kDirectory) {
     co_return status::NotDirectory(path);
   }
-  std::sort(decoded->entries.begin(), decoded->entries.end());
   DirPage page;
   std::uint64_t offset = cursor.offset;
   while (offset < decoded->entries.size() &&

@@ -30,7 +30,7 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "hash/distributor.h"
-#include "io/op_scheduler.h"
+#include "io/replicated_store.h"
 #include "kvstore/kv_cluster.h"
 #include "kvstore/membership.h"
 #include "memfs/fuse.h"
@@ -101,7 +101,9 @@ struct MemFsConfig {
   MetricsRegistry* metrics = nullptr;
 };
 
-struct MemFsStats {
+// The replica layer's failure counters (replica_failovers, degraded_writes,
+// write_failovers, read_repairs) read alongside the client's own.
+struct MemFsStats : io::ReplicaStats {
   std::uint64_t files_created = 0;
   std::uint64_t files_opened = 0;
   std::uint64_t bytes_written = 0;   // application writes
@@ -111,16 +113,6 @@ struct MemFsStats {
   std::uint64_t prefetch_issued = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  // Reads answered by a non-primary replica after a failure (replication>1).
-  std::uint64_t replica_failovers = 0;
-  // Mutations acknowledged by only a subset of replicas (degraded mode).
-  std::uint64_t degraded_writes = 0;
-  // CREATE/MKDIR records placed on a secondary because the primary was
-  // unreachable (degraded mode).
-  std::uint64_t write_failovers = 0;
-  // Copies reinstalled on a reachable replica that had lost them (e.g. a
-  // wipe-on-restart) after a failover read found the data elsewhere.
-  std::uint64_t read_repairs = 0;
 };
 
 class MemFs final : public Vfs {
@@ -166,9 +158,11 @@ class MemFs final : public Vfs {
   const MemFsStats& stats() const { return stats_; }
   const Striper& striper() const { return striper_; }
   // The batching submission layer every storage op goes through.
-  const io::OpScheduler& scheduler() const { return sched_; }
+  const io::OpScheduler& scheduler() const { return replicas_.scheduler(); }
   // Distributor of the current (newest) ring epoch.
-  const hash::Distributor& distributor() const { return *epochs_.back(); }
+  const hash::Distributor& distributor() const {
+    return replicas_.distributor();
+  }
   FuseLayer& fuse() { return fuse_; }
   // The Simulation this file system's coroutines run on.
   sim::Simulation& simulation() const { return sim_; }
@@ -178,10 +172,10 @@ class MemFs final : public Vfs {
   // enlarged server set. Files written from now on stripe across all
   // servers; existing files keep the epoch recorded in their metadata, so
   // no data migrates and old reads are unaffected. Returns the new epoch.
-  std::uint32_t AddStorageServer(net::NodeId kv_node);
-  std::uint32_t current_epoch() const {
-    return static_cast<std::uint32_t>(epochs_.size() - 1);
+  std::uint32_t AddStorageServer(net::NodeId kv_node) {
+    return replicas_.AddStorageServer(kv_node);
   }
+  std::uint32_t current_epoch() const { return replicas_.current_epoch(); }
 
   // Elastic membership (the alternative to epoch pinning): routes every
   // placement decision through `membership`'s live ketama ring instead of
@@ -192,19 +186,13 @@ class MemFs final : public Vfs {
   // use_ketama, a matching replication factor, and must be attached before
   // any traffic; do not combine with AddStorageServer. Pass nullptr to
   // detach. The membership must outlive the file system.
-  void AttachMembership(kv::Membership* membership);
-  kv::Membership* membership() const { return membership_; }
+  void AttachMembership(kv::Membership* membership) {
+    replicas_.AttachMembership(membership);
+  }
+  kv::Membership* membership() const { return replicas_.membership(); }
 
   // The sharded metadata service client; nullptr under append_log.
   mds::Client* meta_client() const { return meta_client_.get(); }
-
-  // Deployment-time bulk namespace seeding (sharded mode only, before any
-  // simulated traffic — the mdtest-scale bench setup). Creates directory
-  // `dir` (a direct child of the root) holding `count` sealed zero-length
-  // files "<prefix><i>", written straight into the servers like the root
-  // bootstrap.
-  void BulkLoadDirectory(const std::string& dir, const std::string& prefix,
-                         std::uint64_t count);
 
  private:
   struct OpenFile {
@@ -238,150 +226,14 @@ class MemFs final : public Vfs {
     std::uint64_t sequential_end = 0;  // end offset of the last read
   };
 
-  // Metadata placement: always epoch 0, over the mount-time server set, so
-  // records stay findable across scale-outs.
-  std::uint32_t ServerFor(std::string_view key) const {
-    return epochs_.front()->ServerFor(key);
-  }
-
-  // Number of copies actually kept (capped at the epoch's server count) and
-  // the server holding copy `replica` of `key` under `epoch` (consecutive
-  // on that epoch's ring).
-  std::uint32_t ReplicaCount(std::uint32_t epoch) const;
-  std::uint32_t ReplicaServer(std::uint32_t epoch, std::string_view key,
-                              std::uint32_t replica) const;
-
-  // The consecutive replica chain of `key` on the frozen epoch ring (the
-  // pre-elastic placement rule, kept byte-identical).
-  std::vector<std::uint32_t> LegacyChain(std::uint32_t epoch,
-                                         std::string_view key) const;
-  // Servers to consult for a read, in order. With a membership attached the
-  // live ring decides (double-reading through an open transition);
-  // otherwise the epoch chain.
-  std::vector<std::uint32_t> GetChain(std::uint32_t epoch,
-                                      std::string_view key) const;
-  // Write routing: membership's primary/secondary split during a
-  // transition, or the plain epoch chain as primary. When the key is gated
-  // (ShouldGate), call this only while holding the handoff gate — the route
-  // may flip to the new ring the moment a handoff commits.
-  kv::Membership::WriteRoute WriteRouteFor(std::uint32_t epoch,
-                                           std::string_view key) const;
-
-  // Replication-aware storage primitives. With replication == 1 these are
-  // plain single-server operations. `epoch` selects the placement ring
-  // (metadata uses 0, stripes their file's epoch). An append whose first
-  // `header_size` bytes of `value` are a creation header appends the rest;
-  // when the route holds more than one copy, a replica that lacks the key is
-  // created from the header (AppendCreating) instead of failing NOT_FOUND,
-  // while a single copy fails NOT_FOUND as before. The header rides in
-  // `value` so every mutation's coroutine frame keeps its size.
-  [[nodiscard]] sim::Future<Status> ReplicatedMutation(
-      std::uint32_t epoch, net::NodeId node, std::string key, Bytes value,
-      bool append, trace::TraceContext trace, std::uint32_t header_size = 0);
-  // One replica's share of a ReplicatedMutation.
-  [[nodiscard]] sim::Future<Status> MutateReplica(
-      std::uint32_t epoch, net::NodeId node, std::uint32_t server,
-      std::string key, Bytes value, bool append, std::uint32_t header_size,
-      trace::TraceContext trace);
-  // APPEND on one replica. If it lacks the key, ADD there a peer replica's
-  // copy (or `header` when no peer holds one) followed by `suffix`, and if a
-  // sibling's ADD won that race, APPEND after all. Replicas run this
-  // independently, so each one that acks holds `suffix` (twice when the
-  // peer's copy already had it) and whatever a peer held when it was
-  // created.
-  [[nodiscard]] sim::Future<Status> AppendCreating(
-      std::uint32_t epoch, net::NodeId node, std::uint32_t server,
-      std::string key, Bytes header, Bytes suffix, trace::TraceContext trace);
-  [[nodiscard]] sim::Future<Status> ReplicatedSet(std::uint32_t epoch,
-                                                  net::NodeId node,
-                                                  std::string key, Bytes value,
-                                                  trace::TraceContext trace) {
-    return ReplicatedMutation(epoch, node, std::move(key), std::move(value),
-                              /*append=*/false, trace);
-  }
-  [[nodiscard]] sim::Future<Status> ReplicatedAppend(
-      std::uint32_t epoch, net::NodeId node, std::string key, Bytes suffix,
-      trace::TraceContext trace) {
-    return ReplicatedMutation(epoch, node, std::move(key), std::move(suffix),
-                              /*append=*/true, trace);
-  }
-  // ADD with failover: tries replicas in ring order until one is reachable;
-  // that replica's verdict (OK or EXISTS) decides. Degraded mode only — in
-  // strict mode the primary alone is tried.
-  [[nodiscard]] sim::Future<Status> ReplicatedAdd(std::uint32_t epoch, net::NodeId node,
-                                    std::string key, Bytes value,
-                                    trace::TraceContext trace);
-  [[nodiscard]] sim::Future<Status> ReplicatedDelete(std::uint32_t epoch, net::NodeId node,
-                                       std::string key,
-                                       trace::TraceContext trace);
-  // ADD with full fan-out: the home replica arbitrates, then the accepted
-  // value is installed on the rest of the chain with SETs — the legacy mkdir
-  // discipline, applied to every metadata record the sharded service ADDs
-  // (dentries, rename intents). Index blobs are not ADDed this way: a
-  // sibling's APPEND could reach a replica before its SET, so they are
-  // created per replica by AppendCreating.
-  [[nodiscard]] sim::Future<Status> MetaAdd(net::NodeId node, std::string key,
-                                            Bytes value,
-                                            trace::TraceContext trace);
-  // Tries replicas in ring order until one answers; NOT_FOUND only if every
-  // reachable replica lacks the key.
-  [[nodiscard]] sim::Future<Result<Bytes>> FailoverGet(std::uint32_t epoch,
-                                         net::NodeId node, std::string key,
-                                         trace::TraceContext trace);
-
-  // Fire-and-forget reinstall of a copy that a failover read found missing.
-  sim::Task RunReadRepair(net::NodeId node, std::uint32_t server,
-                          std::string key, Bytes value);
-
   [[nodiscard]] Result<OpenFile*> FindHandle(FileHandle handle, bool writing);
 
-  // Adapts the replicated/batched storage path (metadata ring epoch 0) to
-  // the five single-key primitives the sharded metadata client speaks.
-  class MetaStore final : public mds::Store {
-   public:
-    explicit MetaStore(MemFs& fs) : fs_(fs) {}
-    sim::Future<Status> Set(net::NodeId node, std::string key, Bytes value,
-                            trace::TraceContext trace) override {
-      return fs_.ReplicatedSet(0, node, std::move(key), std::move(value),
-                               trace);
-    }
-    sim::Future<Status> Add(net::NodeId node, std::string key, Bytes value,
-                            trace::TraceContext trace) override {
-      return fs_.MetaAdd(node, std::move(key), std::move(value), trace);
-    }
-    sim::Future<Status> Append(net::NodeId node, std::string key,
-                               Bytes header, Bytes suffix,
-                               trace::TraceContext trace) override {
-      const auto header_size = static_cast<std::uint32_t>(header.size());
-      header.Append(suffix);
-      return fs_.ReplicatedMutation(0, node, std::move(key), std::move(header),
-                                    /*append=*/true, trace, header_size);
-    }
-    sim::Future<Status> Delete(net::NodeId node, std::string key,
-                               trace::TraceContext trace) override {
-      return fs_.ReplicatedDelete(0, node, std::move(key), trace);
-    }
-    sim::Future<Result<Bytes>> Get(net::NodeId node, std::string key,
-                                   trace::TraceContext trace) override {
-      return fs_.FailoverGet(0, node, std::move(key), trace);
-    }
-
-   private:
-    MemFs& fs_;
-  };
-
-  // Installs an open-file entry (pure bookkeeping, no events). `ident` keys
-  // the stripes; `size` applies to read handles.
-  FileHandle InstallHandle(std::string path, std::string ident, mds::Ino ino,
-                           net::NodeId node, bool writing, std::uint32_t epoch,
+  // Installs an open-file entry (pure bookkeeping, no events). A sharded
+  // file's stripes key on its `ino`, an append-log file's (ino 0) on its
+  // path; `size` applies to read handles.
+  FileHandle InstallHandle(std::string path, mds::Ino ino, net::NodeId node,
+                           bool writing, std::uint32_t epoch,
                            std::uint64_t size);
-
-  // Deployment-time direct write of `value` to every replica of `key` on the
-  // metadata ring (no simulated traffic; asserts success).
-  void SeedKey(const std::string& key, const Bytes& value);
-  // Same, but appends to an existing blob (creating it with `header` first).
-  void SeedAppendKey(const std::string& key, const Bytes& header,
-                     const Bytes& event);
 
   // Ships one stripe asynchronously (or inline when io_threads == 0),
   // respecting buffer capacity and pool width. Awaited by the writer, so
@@ -415,28 +267,19 @@ class MemFs final : public Vfs {
   template <typename T>
   sim::Future<T> Timed(std::string_view name, const VfsContext& ctx,
                        sim::Future<T> future);
-  // Reclaims every stripe of a dead inode (awaited by the unlink).
+  // Reclaims every stripe of a dead file (awaited by the unlink).
   sim::VoidFuture ReclaimStripes(net::NodeId node, std::string ident,
                                  std::uint32_t epoch, std::uint64_t size,
                                  trace::TraceContext trace);
 
-  std::unique_ptr<hash::Distributor> MakeDistributor(
-      std::uint32_t servers) const;
-
   sim::Simulation& sim_;
-  kv::KvCluster& storage_;
-  kv::Membership* membership_ = nullptr;  // elastic routing when non-null
   MemFsConfig config_;
   Striper striper_;
-  // One distributor per ring epoch; epochs_.back() places new files.
-  std::vector<std::unique_ptr<hash::Distributor>> epochs_;
   FuseLayer fuse_;
-  // Batched per-(client, server) submission layer; every data-path storage
-  // op (stripes, metadata, replication fan-out, read repair) goes through it.
-  io::OpScheduler sched_;
-  // Sharded metadata service (metadata == kSharded); both null under
-  // append_log. The store adapter must outlive the client.
-  std::unique_ptr<MetaStore> meta_store_;
+  // Placement, replica chains and the op scheduler: every stripe and
+  // metadata record goes through it.
+  io::ReplicatedStore replicas_;
+  // Sharded metadata service (metadata == kSharded); null under append_log.
   std::unique_ptr<mds::Client> meta_client_;
 
   // Per-node buffering and prefetching pools (§3.2.2).

@@ -1,9 +1,9 @@
 #include "memfs/metadata.h"
 
-#include <algorithm>
 #include <charconv>
 
 #include "common/strfmt.h"
+#include "meta/meta.h"
 
 namespace memfs::fs::meta {
 
@@ -20,15 +20,6 @@ Bytes EncodeFile(const FileMeta& meta) {
 }
 
 Bytes DirHeader() { return Bytes::Copy("D\n"); }
-
-Bytes DirEvent(std::string_view name, bool deleted) {
-  std::string text;
-  text.reserve(name.size() + 2);
-  text.push_back(deleted ? '-' : '+');
-  text.append(name);
-  text.push_back('\n');
-  return Bytes::Copy(text);
-}
 
 Result<Decoded> Decode(const Bytes& value) {
   if (!value.is_real()) {
@@ -75,31 +66,11 @@ Result<Decoded> Decode(const Bytes& value) {
 
   if (text[0] == 'D') {
     out.kind = Kind::kDirectory;
-    // Fold the "+name"/"-name" event log into the live listing. Order is
-    // preserved for deterministic ReadDir output; a re-created name reappears
-    // at its new position.
-    std::size_t pos = text.find('\n');
-    if (pos == std::string_view::npos) {
+    const std::size_t header_end = text.find('\n');
+    if (header_end == std::string_view::npos) {
       return status::InvalidArgument("truncated directory record");
     }
-    ++pos;
-    std::vector<std::string> live;
-    while (pos < text.size()) {
-      auto end = text.find('\n', pos);
-      if (end == std::string_view::npos) end = text.size();
-      const std::string_view line = text.substr(pos, end - pos);
-      pos = end + 1;
-      if (line.size() < 2) continue;
-      const std::string name(line.substr(1));
-      if (line[0] == '+') {
-        if (std::find(live.begin(), live.end(), name) == live.end()) {
-          live.push_back(name);
-        }
-      } else if (line[0] == '-') {
-        live.erase(std::remove(live.begin(), live.end(), name), live.end());
-      }
-    }
-    out.entries = std::move(live);
+    out.entries = ::memfs::meta::FoldDirEvents(text.substr(header_end + 1));
     return out;
   }
 

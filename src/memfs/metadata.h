@@ -3,15 +3,14 @@
 // File: key = path, value = "F <size> <sealed>\n". Created with an ADD of an
 // unsealed record (size 0); sealed by a SET carrying the final size on close.
 //
-// Directory: key = path, value = "D\n" followed by one line per membership
-// event — "+name\n" when a child is created, "-name\n" when it is deleted.
+// Directory: key = path, value = "D\n" followed by one event per membership
+// change (::memfs::meta::DirEvent, the grammar the sharded index blobs share).
 // Events are appended with the storage layer's atomic APPEND, exactly the
 // paper's protocol; readers fold the event log into the current listing
 // (deletion is a tombstone, never an in-place edit).
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -30,7 +29,6 @@ struct FileMeta {
 
 Bytes EncodeFile(const FileMeta& meta);
 Bytes DirHeader();
-Bytes DirEvent(std::string_view name, bool deleted);
 
 enum class Kind { kFile, kDirectory };
 
@@ -38,7 +36,7 @@ struct Decoded {
   Kind kind = Kind::kFile;
   FileMeta file;                      // valid when kind == kFile
   std::vector<std::string> entries;   // valid when kind == kDirectory;
-                                      // tombstones already applied
+                                      // tombstones applied, sorted
 };
 
 // Parses either record form. Fails with INVALID_ARGUMENT on malformed or

@@ -1,5 +1,6 @@
 #include "meta/client.h"
 
+#include <cassert>
 #include <utility>
 
 namespace memfs::meta {
@@ -37,9 +38,9 @@ Status MapLookupError(const Status& status, const std::string& path) {
 
 }  // namespace
 
-Client::Client(sim::Simulation& sim, Store& store, MetaConfig config,
+Client::Client(io::ReplicatedStore& store, MetaConfig config,
                MetricsRegistry* metrics)
-    : sim_(sim), store_(store), config_(config), metrics_(metrics) {
+    : store_(store), config_(config), metrics_(metrics) {
   if (metrics_ != nullptr) {
     shard_gauges_.reserve(config_.dir_shards);
     for (std::uint32_t s = 0; s < config_.dir_shards; ++s) {
@@ -47,10 +48,54 @@ Client::Client(sim::Simulation& sim, Store& store, MetaConfig config,
           &metrics_->Gauge(InstanceGaugeName("meta.dentries", s)));
     }
   }
+  InodeRecord root;
+  root.kind = InodeKind::kDirectory;
+  root.sealed = true;
+  store_.SeedKey(InodeKey(kRootIno), EncodeInode(root));
 }
 
-void Client::RecordSeededDentries(std::uint32_t shard, std::int64_t count) {
-  GaugeAdd(ShardGauge(shard), count);
+void Client::BulkLoadDirectory(const std::string& dir,
+                               const std::string& prefix,
+                               std::uint64_t count) {
+  assert(dir.size() > 1 && ParentOf(dir) == "/");
+  // The directory itself: inode, dentry under the root, root index event.
+  const Ino dir_ino = next_ino_++;
+  InodeRecord dir_rec;
+  dir_rec.kind = InodeKind::kDirectory;
+  dir_rec.sealed = true;
+  store_.SeedKey(InodeKey(dir_ino), EncodeInode(dir_rec));
+  const std::string dir_name = NameOf(dir);
+  store_.SeedKey(DentryKey(kRootIno, dir_name),
+                 EncodeDentry({dir_ino, InodeKind::kDirectory}));
+  const std::uint32_t root_shard =
+      ShardOfName(kRootIno, dir_name, config_.dir_shards);
+  store_.SeedAppendKey(IndexKey(kRootIno, root_shard), IndexHeader(),
+                       DirEvent(dir_name, false));
+  GaugeAdd(ShardGauge(root_shard), 1);
+
+  // The children: sealed zero-length files; index events accumulate per
+  // token range and land as one blob each.
+  std::vector<Bytes> blobs(config_.dir_shards, IndexHeader());
+  std::vector<std::int64_t> counts(config_.dir_shards, 0);
+  InodeRecord file_rec;
+  file_rec.sealed = true;
+  file_rec.epoch = store_.current_epoch();
+  const Bytes encoded_file = EncodeInode(file_rec);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::string name = prefix + std::to_string(i);
+    const Ino ino = next_ino_++;
+    store_.SeedKey(InodeKey(ino), encoded_file);
+    store_.SeedKey(DentryKey(dir_ino, name),
+                   EncodeDentry({ino, InodeKind::kFile}));
+    const std::uint32_t shard = ShardOfName(dir_ino, name, config_.dir_shards);
+    blobs[shard].Append(DirEvent(name, false));
+    ++counts[shard];
+  }
+  for (std::uint32_t shard = 0; shard < config_.dir_shards; ++shard) {
+    if (counts[shard] == 0) continue;
+    store_.SeedKey(IndexKey(dir_ino, shard), blobs[shard]);
+    GaugeAdd(ShardGauge(shard), counts[shard]);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -61,7 +106,7 @@ sim::Future<Result<Dentry>> Client::Lookup(net::NodeId node, Ino parent,
                                            trace::TraceContext trace) {
   ++stats_.lookups;
   Result<Bytes> got =
-      co_await store_.Get(node, DentryKey(parent, name), trace);
+      co_await store_.FailoverGet(node, DentryKey(parent, name), trace);
   if (!got.ok()) co_return got.status();
   co_return DecodeDentry(got.value());
 }
@@ -93,7 +138,7 @@ sim::Future<Result<Attr>> Client::Resolve(net::NodeId node, std::string path,
     if (!dentry.ok()) co_return MapLookupError(dentry.status(), path);
     ino = dentry->ino;
   }
-  Result<Bytes> got = co_await store_.Get(node, InodeKey(ino), tctx);
+  Result<Bytes> got = co_await store_.FailoverGet(node, InodeKey(ino), tctx);
   if (!got.ok()) {
     // A vanished inode behind a live dentry is either the benign unlink race
     // (dentry read before its removal committed) or an availability error.
@@ -114,25 +159,8 @@ sim::Future<Status> Client::AppendIndex(net::NodeId node, Ino dir,
                                         std::string name, bool deleted,
                                         trace::TraceContext trace) {
   const std::uint32_t shard = ShardOfName(dir, name, config_.dir_shards);
-  const std::string key = IndexKey(dir, shard);
-  Status appended = co_await store_.Append(node, key, IndexHeader(),
-                                           IndexEvent(name, deleted), trace);
-  if (appended.code() == ErrorCode::kNotFound) {
-    // First event in this token range on a single-copy store: install the
-    // blob with the event folded in. Losing the ADD race to a sibling just
-    // means the blob now exists — append like everyone else.
-    Bytes blob = IndexHeader();
-    blob.Append(IndexEvent(name, deleted));
-    Status added = co_await store_.Add(node, key, std::move(blob), trace);
-    if (added.ok()) co_return Status::Ok();
-    if (added.code() == ErrorCode::kExists) {
-      appended = co_await store_.Append(node, key, IndexHeader(),
-                                        IndexEvent(name, deleted), trace);
-    } else {
-      appended = added;
-    }
-  }
-  co_return std::move(appended);
+  return store_.AppendOrCreate(node, IndexKey(dir, shard), IndexHeader(),
+                               DirEvent(name, deleted), trace);
 }
 
 // ---------------------------------------------------------------------------
@@ -155,18 +183,18 @@ sim::Future<Result<Attr>> Client::CreateFile(net::NodeId node,
   const Ino ino = next_ino_++;
   InodeRecord rec;
   rec.epoch = epoch;
-  Status stored =
-      co_await store_.Set(node, InodeKey(ino), EncodeInode(rec), tctx);
+  Status stored = co_await store_.ReplicatedSet(node, InodeKey(ino),
+                                                EncodeInode(rec), tctx);
   if (!stored.ok()) co_return stored;
   // The dentry ADD arbitrates concurrent double-create (write-once implies a
   // single writer); the inode is installed first so a dentry never points at
   // nothing.
   Dentry dentry{ino, InodeKind::kFile};
-  Status added = co_await store_.Add(node, DentryKey(*parent, name),
-                                     EncodeDentry(dentry), tctx);
+  Status added = co_await store_.MetaAdd(node, DentryKey(*parent, name),
+                                         EncodeDentry(dentry), tctx);
   if (!added.ok()) {
     // best-effort rollback of an unreferenced inode
-    (void)co_await store_.Delete(node, InodeKey(ino), tctx);
+    (void)co_await store_.ReplicatedDelete(node, InodeKey(ino), tctx);
     co_return added.code() == ErrorCode::kExists ? status::Exists(path)
                                                  : added;
   }
@@ -174,9 +202,10 @@ sim::Future<Result<Attr>> Client::CreateFile(net::NodeId node,
   Status indexed = co_await AppendIndex(node, *parent, name, false, tctx);
   if (!indexed.ok()) {
     // best-effort rollback of the torn create
-    (void)co_await store_.Delete(node, DentryKey(*parent, name), tctx);
+    (void)co_await store_.ReplicatedDelete(node, DentryKey(*parent, name),
+                                           tctx);
     // best-effort rollback of the torn create
-    (void)co_await store_.Delete(node, InodeKey(ino), tctx);
+    (void)co_await store_.ReplicatedDelete(node, InodeKey(ino), tctx);
     co_return indexed;
   }
   GaugeAdd(ShardGauge(ShardOfName(*parent, name, config_.dir_shards)), 1);
@@ -191,14 +220,15 @@ sim::Future<Status> Client::SealFile(net::NodeId node, Ino ino,
                                      trace::TraceContext trace) {
   trace::ScopedSpan span(trace, "meta.seal", "meta");
   const trace::TraceContext tctx = span.context();
-  Result<Bytes> got = co_await store_.Get(node, InodeKey(ino), tctx);
+  Result<Bytes> got = co_await store_.FailoverGet(node, InodeKey(ino), tctx);
   if (!got.ok()) co_return got.status();
   auto rec = DecodeInode(got.value());
   if (!rec.ok()) co_return rec.status();
   rec->size = size;
   rec->sealed = true;
   rec->epoch = epoch;
-  co_return co_await store_.Set(node, InodeKey(ino), EncodeInode(*rec), tctx);
+  co_return co_await store_.ReplicatedSet(node, InodeKey(ino),
+                                          EncodeInode(*rec), tctx);
 }
 
 sim::Future<Status> Client::Mkdir(net::NodeId node, std::string path,
@@ -217,15 +247,15 @@ sim::Future<Status> Client::Mkdir(net::NodeId node, std::string path,
   InodeRecord rec;
   rec.kind = InodeKind::kDirectory;
   rec.sealed = true;
-  Status stored =
-      co_await store_.Set(node, InodeKey(ino), EncodeInode(rec), tctx);
+  Status stored = co_await store_.ReplicatedSet(node, InodeKey(ino),
+                                                EncodeInode(rec), tctx);
   if (!stored.ok()) co_return stored;
   Dentry dentry{ino, InodeKind::kDirectory};
-  Status added = co_await store_.Add(node, DentryKey(*parent, name),
-                                     EncodeDentry(dentry), tctx);
+  Status added = co_await store_.MetaAdd(node, DentryKey(*parent, name),
+                                         EncodeDentry(dentry), tctx);
   if (!added.ok()) {
     // best-effort rollback of an unreferenced inode
-    (void)co_await store_.Delete(node, InodeKey(ino), tctx);
+    (void)co_await store_.ReplicatedDelete(node, InodeKey(ino), tctx);
     co_return added.code() == ErrorCode::kExists ? status::Exists(path)
                                                  : added;
   }
@@ -233,9 +263,10 @@ sim::Future<Status> Client::Mkdir(net::NodeId node, std::string path,
   Status indexed = co_await AppendIndex(node, *parent, name, false, tctx);
   if (!indexed.ok()) {
     // best-effort rollback of the torn mkdir
-    (void)co_await store_.Delete(node, DentryKey(*parent, name), tctx);
+    (void)co_await store_.ReplicatedDelete(node, DentryKey(*parent, name),
+                                           tctx);
     // best-effort rollback of the torn mkdir
-    (void)co_await store_.Delete(node, InodeKey(ino), tctx);
+    (void)co_await store_.ReplicatedDelete(node, InodeKey(ino), tctx);
     co_return indexed;
   }
   GaugeAdd(ShardGauge(ShardOfName(*parent, name, config_.dir_shards)), 1);
@@ -255,7 +286,8 @@ sim::Future<Result<DirPageResult>> Client::ReadDirPage(
   std::uint32_t s = shard;
   std::uint64_t off = offset;
   while (s < shards && page.names.size() < limit) {
-    Result<Bytes> blob = co_await store_.Get(node, IndexKey(dir, s), tctx);
+    Result<Bytes> blob = co_await store_.FailoverGet(node, IndexKey(dir, s),
+                                                     tctx);
     std::vector<std::string> live;
     if (blob.ok()) {
       auto folded = FoldIndex(blob.value());
@@ -301,7 +333,7 @@ sim::Future<Result<UnlinkOutcome>> Client::Unlink(net::NodeId node,
   // Dentry first: the inode (and with it the data) outlives every reference
   // to it.
   Status removed =
-      co_await store_.Delete(node, DentryKey(*parent, name), tctx);
+      co_await store_.ReplicatedDelete(node, DentryKey(*parent, name), tctx);
   if (!removed.ok() && removed.code() != ErrorCode::kNotFound) {
     co_return removed;
   }
@@ -311,7 +343,7 @@ sim::Future<Result<UnlinkOutcome>> Client::Unlink(net::NodeId node,
   GaugeAdd(ShardGauge(ShardOfName(*parent, name, config_.dir_shards)), -1);
   UnlinkOutcome outcome;
   Result<Bytes> got =
-      co_await store_.Get(node, InodeKey(dentry->ino), tctx);
+      co_await store_.FailoverGet(node, InodeKey(dentry->ino), tctx);
   if (!got.ok()) {
     // NOT_FOUND: already reclaimed (replayed unlink); nothing left to free.
     if (got.status().code() == ErrorCode::kNotFound) co_return outcome;
@@ -321,12 +353,13 @@ sim::Future<Result<UnlinkOutcome>> Client::Unlink(net::NodeId node,
   if (!rec.ok()) co_return rec.status();
   if (rec->nlink > 1) {
     --rec->nlink;
-    Status stored = co_await store_.Set(node, InodeKey(dentry->ino),
-                                        EncodeInode(*rec), tctx);
+    Status stored = co_await store_.ReplicatedSet(node, InodeKey(dentry->ino),
+                                                  EncodeInode(*rec), tctx);
     if (!stored.ok()) co_return stored;
     co_return std::move(outcome);
   }
-  Status dropped = co_await store_.Delete(node, InodeKey(dentry->ino), tctx);
+  Status dropped = co_await store_.ReplicatedDelete(node, InodeKey(dentry->ino),
+                                                    tctx);
   if (!dropped.ok() && dropped.code() != ErrorCode::kNotFound) {
     co_return dropped;
   }
@@ -351,7 +384,7 @@ sim::Future<Status> Client::Rmdir(net::NodeId node, std::string path,
   // Emptiness: every token range must be empty (absent blobs count).
   for (std::uint32_t s = 0; s < config_.dir_shards; ++s) {
     Result<Bytes> blob =
-        co_await store_.Get(node, IndexKey(dentry->ino, s), tctx);
+        co_await store_.FailoverGet(node, IndexKey(dentry->ino, s), tctx);
     if (!blob.ok()) {
       if (blob.status().code() == ErrorCode::kNotFound) continue;
       co_return blob.status();
@@ -361,7 +394,7 @@ sim::Future<Status> Client::Rmdir(net::NodeId node, std::string path,
     if (!folded->empty()) co_return status::NotEmpty(path);
   }
   Status removed =
-      co_await store_.Delete(node, DentryKey(*parent, name), tctx);
+      co_await store_.ReplicatedDelete(node, DentryKey(*parent, name), tctx);
   if (!removed.ok() && removed.code() != ErrorCode::kNotFound) {
     co_return removed;
   }
@@ -373,9 +406,11 @@ sim::Future<Status> Client::Rmdir(net::NodeId node, std::string path,
   for (std::uint32_t s = 0; s < config_.dir_shards; ++s) {
     // absent blobs and unreachable replicas of an empty index are both fine
     // to leave behind
-    (void)co_await store_.Delete(node, IndexKey(dentry->ino, s), tctx);
+    (void)co_await store_.ReplicatedDelete(node, IndexKey(dentry->ino, s),
+                                           tctx);
   }
-  Status dropped = co_await store_.Delete(node, InodeKey(dentry->ino), tctx);
+  Status dropped = co_await store_.ReplicatedDelete(node, InodeKey(dentry->ino),
+                                                    tctx);
   co_return dropped.code() == ErrorCode::kNotFound ? Status::Ok()
                                                    : std::move(dropped);
 }
@@ -391,11 +426,11 @@ sim::Future<Status> Client::CompleteRename(net::NodeId node, Ino ino,
   // 1. Destination dentry. EXISTS is normally our own replay; a foreign
   // winner (raced the name after the intent was journaled) aborts the
   // rename.
-  Status added = co_await store_.Add(
+  Status added = co_await store_.MetaAdd(
       node, DentryKey(intent.dst_parent, intent.dst_name),
       EncodeDentry({intent.ino, intent.kind}), trace);
   if (added.code() == ErrorCode::kExists) {
-    Result<Bytes> current = co_await store_.Get(
+    Result<Bytes> current = co_await store_.FailoverGet(
         node, DentryKey(intent.dst_parent, intent.dst_name), trace);
     if (current.ok()) {
       auto dentry = DecodeDentry(current.value());
@@ -403,7 +438,8 @@ sim::Future<Status> Client::CompleteRename(net::NodeId node, Ino ino,
     }
     if (!added.ok()) {
       // aborting: the journal entry is inert once the pending record is gone
-      (void)co_await store_.Delete(node, IntentKey(intent.ino), trace);
+      (void)co_await store_.ReplicatedDelete(node, IntentKey(intent.ino),
+                                             trace);
       pending_.erase(intent.ino);
       co_return status::Exists(intent.dst_name);
     }
@@ -430,13 +466,14 @@ sim::Future<Status> Client::CompleteRename(net::NodeId node, Ino ino,
     counted_it->second.counted = true;
   }
   // 4. Source dentry out (absent on a replay).
-  Status removed = co_await store_.Delete(
+  Status removed = co_await store_.ReplicatedDelete(
       node, DentryKey(intent.src_parent, intent.src_name), trace);
   if (!removed.ok() && removed.code() != ErrorCode::kNotFound) {
     co_return removed;
   }
   // 5. Retire the journal entry.
-  Status retired = co_await store_.Delete(node, IntentKey(intent.ino), trace);
+  Status retired = co_await store_.ReplicatedDelete(node, IntentKey(intent.ino),
+                                                    trace);
   if (!retired.ok() && retired.code() != ErrorCode::kNotFound) {
     co_return retired;
   }
@@ -475,8 +512,8 @@ sim::Future<Status> Client::Rename(net::NodeId node, std::string from,
   intent.dst_name = to_name;
   // Journal first: from here the rename either rolls forward to completion
   // (possibly via RecoverPending after a crash) or is explicitly aborted.
-  Status journaled = co_await store_.Set(node, IntentKey(intent.ino),
-                                         EncodeIntent(intent), tctx);
+  Status journaled = co_await store_.ReplicatedSet(node, IntentKey(intent.ino),
+                                                   EncodeIntent(intent), tctx);
   if (!journaled.ok()) co_return journaled;
   PendingIntent pending;
   pending.intent = intent;
@@ -506,7 +543,7 @@ sim::Future<Status> Client::Link(net::NodeId node, std::string existing,
                   : link_parent.status();
   }
   Result<Bytes> got =
-      co_await store_.Get(node, InodeKey(dentry->ino), tctx);
+      co_await store_.FailoverGet(node, InodeKey(dentry->ino), tctx);
   if (!got.ok()) co_return MapLookupError(got.status(), existing);
   auto rec = DecodeInode(got.value());
   if (!rec.ok()) co_return rec.status();
@@ -518,16 +555,17 @@ sim::Future<Status> Client::Link(net::NodeId node, std::string existing,
   // (inode leaks at worst) but never understate it (which would reclaim data
   // a live dentry still references).
   ++rec->nlink;
-  Status stored = co_await store_.Set(node, InodeKey(dentry->ino),
-                                      EncodeInode(*rec), tctx);
+  Status stored = co_await store_.ReplicatedSet(node, InodeKey(dentry->ino),
+                                                EncodeInode(*rec), tctx);
   if (!stored.ok()) co_return stored;
-  Status added = co_await store_.Add(node, DentryKey(*link_parent, link_name),
-                                     EncodeDentry(*dentry), tctx);
+  Status added = co_await store_.MetaAdd(node,
+                                         DentryKey(*link_parent, link_name),
+                                         EncodeDentry(*dentry), tctx);
   if (!added.ok()) {
     --rec->nlink;
     // best-effort unwind; an overstated nlink leaks, never dangles
-    (void)co_await store_.Set(node, InodeKey(dentry->ino), EncodeInode(*rec),
-                              tctx);
+    (void)co_await store_.ReplicatedSet(node, InodeKey(dentry->ino),
+                                        EncodeInode(*rec), tctx);
     co_return added.code() == ErrorCode::kExists ? status::Exists(link)
                                                  : added;
   }

@@ -2,11 +2,10 @@
 // `metadata = sharded` mode becomes a short transaction of single-key
 // operations issued through this class.
 //
-// The client is storage-agnostic: `Store` abstracts the five replicated
-// single-key primitives (SET/ADD/APPEND/DELETE/GET) and MemFS adapts its
-// fault-tolerant batched data path (src/io MULTI_* lanes, replica chains,
-// failover reads) behind it, always at the metadata ring epoch. All protocol
-// knowledge — key layout, operation ordering, crash recovery — lives here.
+// The records live on the replica layer MemFS stores its stripes on
+// (io::ReplicatedStore: batched MULTI_* lanes, replica chains, failover
+// reads), always at the metadata ring epoch. All protocol knowledge — key
+// layout, operation ordering, crash recovery — lives here.
 //
 // Crash-safety orderings (servers crash; the client survives):
 //  * create/mkdir: inode SET before dentry ADD — a torn create leaves an
@@ -32,6 +31,7 @@
 #include "common/bytes.h"
 #include "common/metrics.h"
 #include "common/status.h"
+#include "io/replicated_store.h"
 #include "meta/meta.h"
 #include "net/network.h"
 #include "sim/future.h"
@@ -39,32 +39,6 @@
 #include "trace/trace.h"
 
 namespace memfs::meta {
-
-// Replicated single-key storage the metadata records live on. Implemented by
-// MemFS over its replication/failover primitives.
-class Store {
- public:
-  virtual ~Store() = default;
-
-  [[nodiscard]] virtual sim::Future<Status> Set(net::NodeId node,
-                                                std::string key, Bytes value,
-                                                trace::TraceContext trace) = 0;
-  // Fails with EXISTS when the key is present (namespace arbitration).
-  [[nodiscard]] virtual sim::Future<Status> Add(net::NodeId node,
-                                                std::string key, Bytes value,
-                                                trace::TraceContext trace) = 0;
-  // Atomic append. Where the key is absent, a replicated store installs
-  // `header` + `suffix` on each replica that lacks it, so every replica
-  // holds every suffix whichever writer got there first; a single-copy
-  // store fails with NOT_FOUND and leaves the caller to ADD the key.
-  [[nodiscard]] virtual sim::Future<Status> Append(
-      net::NodeId node, std::string key, Bytes header, Bytes suffix,
-      trace::TraceContext trace) = 0;
-  [[nodiscard]] virtual sim::Future<Status> Delete(
-      net::NodeId node, std::string key, trace::TraceContext trace) = 0;
-  [[nodiscard]] virtual sim::Future<Result<Bytes>> Get(
-      net::NodeId node, std::string key, trace::TraceContext trace) = 0;
-};
 
 // A resolved path: the inode number plus its current record.
 struct Attr {
@@ -103,10 +77,11 @@ struct ClientStats {
 
 class Client {
  public:
-  // `metrics` (optional) receives per-shard dentry gauges
+  // Seeds the root inode into `store` (deployment time, no simulated
+  // traffic). `metrics` (optional) receives per-shard dentry gauges
   // "meta.dentries/<shard>" — the series the symmetry auditor watches to
   // prove a hot directory spreads over all token ranges.
-  Client(sim::Simulation& sim, Store& store, MetaConfig config,
+  Client(io::ReplicatedStore& store, MetaConfig config,
          MetricsRegistry* metrics);
 
   // Walks `path` from the root, one dentry point-read per component.
@@ -164,15 +139,17 @@ class Client {
   const MetaConfig& config() const { return config_; }
   const ClientStats& stats() const { return stats_; }
   // The Simulation this client's coroutines run on.
-  sim::Simulation& simulation() const { return sim_; }
+  sim::Simulation& simulation() const { return store_.simulation(); }
   std::uint32_t pending_intents() const {
     return static_cast<std::uint32_t>(pending_.size());
   }
 
-  // Deployment-time hooks for bulk-loaded namespaces (bench/test seeding
-  // that bypasses the simulated protocol, like MemFS's root bootstrap).
-  Ino AllocateIno() { return next_ino_++; }
-  void RecordSeededDentries(std::uint32_t shard, std::int64_t count);
+  // Deployment-time bulk namespace seeding (before any simulated traffic —
+  // the mdtest-scale bench setup). Creates directory `dir` (a direct child
+  // of the root) holding `count` sealed zero-length files "<prefix><i>",
+  // written straight into the servers like the root bootstrap.
+  void BulkLoadDirectory(const std::string& dir, const std::string& prefix,
+                         std::uint64_t count);
 
  private:
   struct PendingIntent {
@@ -195,10 +172,8 @@ class Client {
                                                     std::string path,
                                                     trace::TraceContext trace);
 
-  // Appends one event to the right index blob of `dir`, creating the blob on
-  // first touch: per replica inside a replicated Store::Append, or here on a
-  // single copy (APPEND -> NOT_FOUND -> ADD(header+event) -> EXISTS lost the
-  // race -> retry APPEND).
+  // Appends one event to the right index blob of `dir`; a replica that lacks
+  // the blob is created from the index header (AppendOrCreate).
   [[nodiscard]] sim::Future<Status> AppendIndex(net::NodeId node, Ino dir,
                                                 std::string name, bool deleted,
                                                 trace::TraceContext trace);
@@ -207,8 +182,7 @@ class Client {
   [[nodiscard]] sim::Future<Status> CompleteRename(net::NodeId node, Ino ino,
                                                    trace::TraceContext trace);
 
-  sim::Simulation& sim_;
-  Store& store_;
+  io::ReplicatedStore& store_;
   MetaConfig config_;
   MetricsRegistry* metrics_;
   Ino next_ino_ = kRootIno + 1;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <limits>
-#include <map>
+#include <set>
 
 #include "common/strfmt.h"
 
@@ -111,6 +111,8 @@ std::string IntentKey(Ino ino) {
   return key;
 }
 
+std::string StripeIdent(Ino ino) { return InodeKey(ino); }
+
 // ---------------------------------------------------------------------------
 // Codecs
 
@@ -200,9 +202,7 @@ Result<Dentry> DecodeDentry(const Bytes& value) {
   return dentry;
 }
 
-Bytes IndexHeader() { return Bytes::Copy("X\n"); }
-
-Bytes IndexEvent(std::string_view name, bool deleted) {
+Bytes DirEvent(std::string_view name, bool deleted) {
   std::string text;
   text.reserve(name.size() + 2);
   text.push_back(deleted ? '-' : '+');
@@ -210,6 +210,28 @@ Bytes IndexEvent(std::string_view name, bool deleted) {
   text.push_back('\n');
   return Bytes::Copy(text);
 }
+
+std::vector<std::string> FoldDirEvents(std::string_view events) {
+  std::set<std::string, std::less<>> live;
+  std::size_t pos = 0;
+  while (pos < events.size()) {
+    auto end = events.find('\n', pos);
+    if (end == std::string_view::npos) end = events.size();
+    const std::string_view line = events.substr(pos, end - pos);
+    pos = end + 1;
+    if (line.size() < 2) continue;
+    if (line[0] == '+') {
+      live.emplace(line.substr(1));
+    } else if (line[0] == '-') {
+      if (auto it = live.find(line.substr(1)); it != live.end()) {
+        live.erase(it);
+      }
+    }
+  }
+  return {live.begin(), live.end()};
+}
+
+Bytes IndexHeader() { return Bytes::Copy("X\n"); }
 
 Result<std::vector<std::string>> FoldIndex(const Bytes& value) {
   if (!value.is_real()) {
@@ -219,30 +241,7 @@ Result<std::vector<std::string>> FoldIndex(const Bytes& value) {
   if (text.size() < 2 || text[0] != 'X' || text[1] != '\n') {
     return status::InvalidArgument("not a directory index blob");
   }
-  // Fold into a sorted set: "+name" is idempotent (a recovery replay may
-  // append the same event twice), "-name" tombstones.
-  std::map<std::string, bool> live;
-  std::size_t pos = 2;
-  while (pos < text.size()) {
-    auto end = text.find('\n', pos);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (line.size() < 2) continue;
-    const std::string name(line.substr(1));
-    if (line[0] == '+') {
-      live[name] = true;
-    } else if (line[0] == '-') {
-      live.erase(name);
-    }
-  }
-  std::vector<std::string> names;
-  names.reserve(live.size());
-  for (auto& [name, present] : live) {
-    (void)present;
-    names.push_back(name);
-  }
-  return names;
+  return FoldDirEvents(text.substr(2));
 }
 
 Bytes EncodeIntent(const RenameIntent& intent) {

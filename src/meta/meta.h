@@ -115,6 +115,10 @@ std::string DentryKey(Ino parent, std::string_view name);   // "d/<p>/<name>"
 std::string IndexKey(Ino dir, std::uint32_t shard);         // "x/<dir>.<s>"
 std::string IntentKey(Ino ino);                             // "r/<ino>"
 
+// What a file's stripe keys are built from ("<ident>#<stripe>"): its inode
+// key, which no rename or hard link ever changes.
+std::string StripeIdent(Ino ino);
+
 // ---------------------------------------------------------------------------
 // Inode records
 
@@ -147,13 +151,24 @@ Bytes EncodeDentry(const Dentry& dentry);
 [[nodiscard]] Result<Dentry> DecodeDentry(const Bytes& value);
 
 // ---------------------------------------------------------------------------
-// Directory index blobs (one per token range)
+// Directory event logs
 
-// "X\n" header, then "+name\n" / "-name\n" events appended atomically —
-// the same server-side APPEND discipline as the paper's directory log, but
-// covering only one token range of one directory.
+// One event of a directory log: "+name\n" when a child is created, "-name\n"
+// when it is removed. Both namespaces list directories this way, behind
+// their own one-line header: the paper's directory record ("D\n",
+// src/memfs/metadata.h) and a sharded index blob ("X\n", below).
+Bytes DirEvent(std::string_view name, bool deleted);
+
+// Folds events (the log after its header) into the live names, sorted.
+// "+name" is idempotent (a recovery replay or a peer-seeded replica may
+// carry an event twice), "-name" tombstones.
+std::vector<std::string> FoldDirEvents(std::string_view events);
+
+// A directory index blob (one per token range): the "X\n" header, then the
+// events of the names in that range — the same server-side APPEND
+// discipline as the paper's directory log, but covering only one token
+// range of one directory.
 Bytes IndexHeader();
-Bytes IndexEvent(std::string_view name, bool deleted);
 
 // Folds an index blob into the live names of its range, sorted — the
 // deterministic enumeration order paged readdir exposes.

@@ -16,7 +16,7 @@ constexpr double kDoneEpsilonBytes = 1e-3;
 }  // namespace
 
 FluidNetwork::FluidNetwork(sim::Simulation& sim, NetworkConfig config)
-    : sim_(sim), config_(config), exact_(config.exact_reallocate) {
+    : sim_(sim), config_(config) {
   const std::size_t n = config_.nodes;
   capacity_.assign(3 * n + 1, 0.0);
   counts_.assign(3 * n + 1, 0);

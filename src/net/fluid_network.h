@@ -16,8 +16,8 @@
 // formula reads nothing else), for water-filling it is the connected
 // component of the flow/resource sharing graph (rate changes cascade no
 // further). The original from-scratch solvers are kept as a reference oracle
-// behind NetworkConfig::exact_reallocate / SetExactReallocate — the
-// incremental/exact property test drives both arms in lockstep.
+// behind SetExactReallocate — the incremental/exact property test flips it
+// and drives both arms in lockstep.
 //
 // Progress is kept in absolute time: each active flow records its remaining
 // bytes as of the instant its rate last changed, and the resulting finish

@@ -48,10 +48,6 @@ struct NetworkConfig {
   sim::SimTime remote_latency = units::Micros(60);
   // Latency of the loopback path.
   sim::SimTime local_latency = units::Micros(10);
-  // Use the from-scratch reference solvers instead of the incremental
-  // dirty-set recomputation (oracle arm of the solver property test; the
-  // fair-share arms are bitwise-identical either way).
-  bool exact_reallocate = false;
 };
 
 class Network {

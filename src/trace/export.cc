@@ -6,29 +6,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/strfmt.h"
+
 namespace memfs::trace {
 
 namespace {
-
-// Minimal JSON string escaping (names are ASCII identifiers in practice).
-void EmitJsonString(std::ostream& os, const std::string& text) {
-  os << '"';
-  for (char c : text) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 // Exact microseconds: integer division keeps full nanosecond resolution
 // without float formatting surprises.
@@ -98,9 +80,9 @@ void WriteChromeTrace(std::ostream& os, const std::deque<SpanRecord>& spans) {
     const std::uint32_t tid = tid_of[span->span_id];
     separator();
     os << R"({"ph":"X","name":)";
-    EmitJsonString(os, span->name);
+    strfmt::WriteJsonString(os, span->name);
     os << R"(,"cat":)";
-    EmitJsonString(os, span->category);
+    strfmt::WriteJsonString(os, span->category);
     os << R"(,"ts":)";
     EmitMicros(os, span->start);
     os << R"(,"dur":)";
@@ -110,17 +92,17 @@ void WriteChromeTrace(std::ostream& os, const std::deque<SpanRecord>& spans) {
        << span->span_id << R"(,"parent":)" << span->parent_id;
     for (const auto& [key, value] : span->args) {
       os << ',';
-      EmitJsonString(os, key);
+      strfmt::WriteJsonString(os, key);
       os << ':';
-      EmitJsonString(os, value);
+      strfmt::WriteJsonString(os, value);
     }
     os << "}}";
     for (const SpanEvent& event : span->events) {
       separator();
       os << R"({"ph":"i","s":"t","name":)";
-      EmitJsonString(os, event.name);
+      strfmt::WriteJsonString(os, event.name);
       os << R"(,"cat":)";
-      EmitJsonString(os, span->category);
+      strfmt::WriteJsonString(os, span->category);
       os << R"(,"ts":)";
       EmitMicros(os, event.when);
       os << R"(,"pid":)" << span->node << R"(,"tid":)" << tid

@@ -126,10 +126,10 @@ TEST(MetadataTest, FileRecordRoundTrip) {
 
 TEST(MetadataTest, DirectoryEventLogFolds) {
   Bytes dir = meta::DirHeader();
-  dir.Append(meta::DirEvent("a", false));
-  dir.Append(meta::DirEvent("b", false));
-  dir.Append(meta::DirEvent("a", true));   // delete a
-  dir.Append(meta::DirEvent("c", false));
+  dir.Append(mds::DirEvent("a", false));
+  dir.Append(mds::DirEvent("b", false));
+  dir.Append(mds::DirEvent("a", true));   // delete a
+  dir.Append(mds::DirEvent("c", false));
   auto decoded = meta::Decode(dir);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->kind, meta::Kind::kDirectory);
@@ -138,9 +138,9 @@ TEST(MetadataTest, DirectoryEventLogFolds) {
 
 TEST(MetadataTest, RecreatedNameReappears) {
   Bytes dir = meta::DirHeader();
-  dir.Append(meta::DirEvent("x", false));
-  dir.Append(meta::DirEvent("x", true));
-  dir.Append(meta::DirEvent("x", false));
+  dir.Append(mds::DirEvent("x", false));
+  dir.Append(mds::DirEvent("x", true));
+  dir.Append(mds::DirEvent("x", false));
   auto decoded = meta::Decode(dir);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->entries, (std::vector<std::string>{"x"}));

@@ -138,11 +138,11 @@ TEST(MetaCodecTest, IntentRoundTrip) {
 
 TEST(MetaCodecTest, FoldIndexAppliesEventsInOrder) {
   Bytes blob = IndexHeader();
-  blob.Append(IndexEvent("b", false));
-  blob.Append(IndexEvent("a", false));
-  blob.Append(IndexEvent("a", false));  // duplicate add is idempotent
-  blob.Append(IndexEvent("b", true));   // tombstone
-  blob.Append(IndexEvent("c", false));
+  blob.Append(DirEvent("b", false));
+  blob.Append(DirEvent("a", false));
+  blob.Append(DirEvent("a", false));  // duplicate add is idempotent
+  blob.Append(DirEvent("b", true));   // tombstone
+  blob.Append(DirEvent("c", false));
   auto names = FoldIndex(blob);
   ASSERT_TRUE(names.ok());
   EXPECT_EQ(*names, (std::vector<std::string>{"a", "c"}));
@@ -336,7 +336,7 @@ TEST_F(MetaFsTest, BulkLoadedBigDirectoryPagesWithoutMaterializing) {
   config.metadata = MetadataMode::kSharded;
   config.meta.dir_shards = 16;
   Recreate(config);
-  fs_->BulkLoadDirectory("/big", "f", kEntries);
+  fs_->meta_client()->BulkLoadDirectory("/big", "f", kEntries);
 
   std::vector<std::size_t> pages;
   auto names = PagedNames("/big", 512, &pages);
@@ -441,41 +441,45 @@ sim::Task CreateAndClose(fs::Vfs& vfs, net::NodeId node, std::string path,
 }
 
 // The first creates in a fresh directory race to install each shard's index
-// blob. With replication 2, every create must succeed and every replica's
-// copy of a blob must fold to exactly the names of its token range.
+// blob, through the one append-or-create path at every chain length. Every
+// create must succeed and every replica's copy of a blob must fold to
+// exactly the names of its token range.
 TEST_F(MetaFsTest, SimultaneousFirstCreatesConvergeOnEveryIndexReplica) {
-  fs::MemFsConfig config;
-  config.metadata = MetadataMode::kSharded;
-  config.replication = 2;
-  Recreate(config);
-  ASSERT_TRUE(Await(*sim_, fs_->Mkdir({0, 0}, "/hot")).ok());
+  for (const std::uint32_t replication : {1u, 2u}) {
+    SCOPED_TRACE("replication " + std::to_string(replication));
+    fs::MemFsConfig config;
+    config.metadata = MetadataMode::kSharded;
+    config.replication = replication;
+    Recreate(config);
+    ASSERT_TRUE(Await(*sim_, fs_->Mkdir({0, 0}, "/hot")).ok());
 
-  constexpr std::uint32_t kFiles = 32;
-  std::vector<std::uint8_t> created(kFiles, 0);
-  std::set<std::string> names;
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    names.insert("f" + std::to_string(i));
-    CreateAndClose(*fs_, i % kServers, "/hot/f" + std::to_string(i),
-                   created[i]);
-  }
-  sim_->Run();
-  for (std::uint32_t i = 0; i < kFiles; ++i) {
-    EXPECT_TRUE(created[i]) << "create " << i;
-  }
-
-  auto dir = Await(*sim_, fs_->meta_client()->Resolve(0, "/hot", {}));
-  ASSERT_TRUE(dir.ok());
-  const std::uint32_t shards = fs_->meta_client()->config().dir_shards;
-  for (std::uint32_t shard = 0; shard < shards; ++shard) {
-    std::vector<std::string> expected;
-    for (const auto& name : names) {
-      if (ShardOfName(dir->ino, name, shards) == shard) {
-        expected.push_back(name);
-      }
+    constexpr std::uint32_t kFiles = 32;
+    std::vector<std::uint8_t> created(kFiles, 0);
+    std::set<std::string> names;
+    for (std::uint32_t i = 0; i < kFiles; ++i) {
+      names.insert("f" + std::to_string(i));
+      CreateAndClose(*fs_, i % kServers, "/hot/f" + std::to_string(i),
+                     created[i]);
     }
-    EXPECT_EQ(CopiesFoldingTo(IndexKey(dir->ino, shard), expected),
-              expected.empty() ? 0u : 2u)
-        << "shard " << shard;
+    sim_->Run();
+    for (std::uint32_t i = 0; i < kFiles; ++i) {
+      EXPECT_TRUE(created[i]) << "create " << i;
+    }
+
+    auto dir = Await(*sim_, fs_->meta_client()->Resolve(0, "/hot", {}));
+    ASSERT_TRUE(dir.ok());
+    const std::uint32_t shards = fs_->meta_client()->config().dir_shards;
+    for (std::uint32_t shard = 0; shard < shards; ++shard) {
+      std::vector<std::string> expected;
+      for (const auto& name : names) {
+        if (ShardOfName(dir->ino, name, shards) == shard) {
+          expected.push_back(name);
+        }
+      }
+      EXPECT_EQ(CopiesFoldingTo(IndexKey(dir->ino, shard), expected),
+                expected.empty() ? 0u : replication)
+          << "shard " << shard;
+    }
   }
 }
 
@@ -556,6 +560,12 @@ TEST(CrossFsListingTest, AmfsAndShardedMemFsAgree) {
   fs::MemFs& memfs = *mem_bed.memfs();
   drive(memfs, mem_sim);
 
+  // MemFS, the paper's append-log metadata.
+  workloads::Testbed log_bed(workloads::FsKind::kMemFs, BedConfig(4));
+  sim::Simulation& log_sim = log_bed.simulation();
+  fs::MemFs& log_memfs = *log_bed.memfs();
+  drive(log_memfs, log_sim);
+
   // AMFS.
   workloads::Testbed amfs_bed(workloads::FsKind::kAmfs, BedConfig(4));
   sim::Simulation& amfs_sim = amfs_bed.simulation();
@@ -565,12 +575,15 @@ TEST(CrossFsListingTest, AmfsAndShardedMemFsAgree) {
   std::vector<std::string> sorted = kNames;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(full_names(memfs, mem_sim), sorted);
+  EXPECT_EQ(full_names(log_memfs, log_sim), sorted);
   EXPECT_EQ(full_names(amfs, amfs_sim), sorted);
   // Paged cursors visit MemFS token-range shards in shard-major order; the
-  // union still covers exactly the sorted set. AMFS pages are sorted as-is.
+  // union still covers exactly the sorted set. Append-log and AMFS pages are
+  // sorted as-is.
   std::vector<std::string> memfs_paged = paged_names(memfs, mem_sim);
   std::sort(memfs_paged.begin(), memfs_paged.end());
   EXPECT_EQ(memfs_paged, sorted);
+  EXPECT_EQ(paged_names(log_memfs, log_sim), sorted);
   EXPECT_EQ(paged_names(amfs, amfs_sim), sorted);
 }
 

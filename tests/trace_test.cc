@@ -182,6 +182,8 @@ TEST(ChromeExportTest, EmitsWellFormedEvents) {
   Annotate(leg, "bytes", "512");
   Event(leg, "sent");
   End(leg);
+  // A control character without a short escape is kept as \u00XX, not lost.
+  End(ChildOn(root, "bell\x07", "net", 2));
   End(root);
 
   std::ostringstream os;
@@ -206,6 +208,7 @@ TEST(ChromeExportTest, EmitsWellFormedEvents) {
   EXPECT_NE(json.find("process_name"), std::string::npos);      // pid naming
   EXPECT_NE(json.find("\\\"leg\\\"\\n"), std::string::npos);    // escaped
   EXPECT_NE(json.find("\"bytes\":\"512\""), std::string::npos); // annotation
+  EXPECT_NE(json.find("\"bell\\u0007\""), std::string::npos);  // no loss
   EXPECT_EQ(json.find('\t'), std::string::npos);
 }
 
