@@ -2,12 +2,14 @@
 // striping arithmetic, payload slicing/appending (real and synthetic), the
 // KvServer state machine, the metadata codec, and raw event throughput of
 // the simulation core — the engine every reproduced figure runs on.
+#include <string>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "common/bytes.h"
 #include "common/units.h"
 #include "kvstore/kv_server.h"
-#include "memfs/metadata.h"
 #include "memfs/striper.h"
 #include "meta/meta.h"
 #include "sim/simulation.h"
@@ -79,7 +81,7 @@ BENCHMARK(BM_KvServerSetGet);
 
 void BM_KvServerAppend(benchmark::State& state) {
   memfs::kv::KvServer server;
-  (void)server.Set("dir", memfs::fs::meta::DirHeader());
+  (void)server.Set("dir", memfs::meta::DirRecordHeader());
   const Bytes event = memfs::meta::DirEvent("file_0001.fits", false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(server.Append("dir", event));
@@ -88,13 +90,15 @@ void BM_KvServerAppend(benchmark::State& state) {
 BENCHMARK(BM_KvServerAppend);
 
 void BM_MetadataDecode(benchmark::State& state) {
-  Bytes dir = memfs::fs::meta::DirHeader();
+  Bytes dir = memfs::meta::DirRecordHeader();
   for (int i = 0; i < state.range(0); ++i) {
     dir.Append(memfs::meta::DirEvent("f" + std::to_string(i), false));
   }
+  std::vector<std::string> names;
   for (auto _ : state) {
-    auto decoded = memfs::fs::meta::Decode(dir);
+    auto decoded = memfs::meta::DecodePathRecord(dir, &names);
     benchmark::DoNotOptimize(decoded);
+    benchmark::DoNotOptimize(names);
   }
 }
 BENCHMARK(BM_MetadataDecode)->Arg(16)->Arg(256);

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "common/path.h"
+
 namespace memfs::amfs {
 
 using fs::FileHandle;
@@ -132,7 +134,7 @@ sim::Future<Result<Amfs::MetaRecord>> Amfs::QueryMeta(VfsContext ctx,
 sim::Future<Result<FileHandle>> Amfs::Create(VfsContext ctx,
                                              std::string path) {
   co_await fuse_.Enter(ctx.node, ctx.process);
-  if (!fs::path::IsNormalized(path) || path == "/") {
+  if (!path::IsNormalized(path) || path == "/") {
     co_return status::InvalidArgument("bad path");
   }
   // Register the record at its (skewed) home node.
@@ -150,7 +152,7 @@ sim::Future<Result<FileHandle>> Amfs::Create(VfsContext ctx,
   if (home != ctx.node) co_await network_.Transfer(home, ctx.node, 64);
 
   // Link into the parent directory record.
-  const std::string parent = fs::path::Parent(path);
+  const std::string parent = path::Parent(path);
   const net::NodeId parent_home = MetaServerFor(parent);
   if (parent_home != ctx.node) {
     co_await network_.Transfer(ctx.node, parent_home, 128);
@@ -162,7 +164,7 @@ sim::Future<Result<FileHandle>> Amfs::Create(VfsContext ctx,
     metadata_[home].erase(path);
     co_return status::NotFound("parent directory: " + parent);
   }
-  parent_it->second.entries.push_back(fs::path::Basename(path));
+  parent_it->second.entries.push_back(path::Basename(path));
   if (parent_home != ctx.node) {
     co_await network_.Transfer(parent_home, ctx.node, 64);
   }
@@ -216,13 +218,13 @@ sim::Future<Status> Amfs::Close(VfsContext ctx, FileHandle handle) {
       // (e.g. by a retry on a different node).
       const net::NodeId home = MetaServerFor(file->path);
       metadata_[home].erase(file->path);
-      const std::string parent = fs::path::Parent(file->path);
+      const std::string parent = path::Parent(file->path);
       auto& parent_shard = metadata_[MetaServerFor(parent)];
       auto parent_it = parent_shard.find(parent);
       if (parent_it != parent_shard.end()) {
         auto& entries = parent_it->second.entries;
         entries.erase(std::remove(entries.begin(), entries.end(),
-                                  fs::path::Basename(file->path)),
+                                  path::Basename(file->path)),
                       entries.end());
       }
     }
@@ -317,7 +319,7 @@ sim::Future<Result<Bytes>> Amfs::Read(VfsContext ctx, FileHandle handle,
 
 sim::Future<Status> Amfs::Mkdir(VfsContext ctx, std::string path) {
   co_await fuse_.Enter(ctx.node, ctx.process);
-  if (!fs::path::IsNormalized(path) || path == "/") {
+  if (!path::IsNormalized(path) || path == "/") {
     co_return status::InvalidArgument("bad path");
   }
   const net::NodeId home = MetaServerFor(path);
@@ -330,7 +332,7 @@ sim::Future<Status> Amfs::Mkdir(VfsContext ctx, std::string path) {
   record.is_directory = true;
   shard.emplace(path, std::move(record));
 
-  const std::string parent = fs::path::Parent(path);
+  const std::string parent = path::Parent(path);
   const net::NodeId parent_home = MetaServerFor(parent);
   if (parent_home != ctx.node) {
     co_await network_.Transfer(ctx.node, parent_home, 128);
@@ -342,7 +344,7 @@ sim::Future<Status> Amfs::Mkdir(VfsContext ctx, std::string path) {
     metadata_[home].erase(path);
     co_return status::NotFound("parent directory: " + parent);
   }
-  parent_it->second.entries.push_back(fs::path::Basename(path));
+  parent_it->second.entries.push_back(path::Basename(path));
   co_return Status::Ok();
 }
 
@@ -415,7 +417,7 @@ sim::Future<Result<fs::DirPage>> Amfs::ReadDirPage(VfsContext ctx,
 sim::Future<Status> Amfs::Rename(VfsContext ctx, std::string from,
                                  std::string to) {
   co_await fuse_.Enter(ctx.node, ctx.process);
-  if (!fs::path::IsNormalized(from) || !fs::path::IsNormalized(to) ||
+  if (!path::IsNormalized(from) || !path::IsNormalized(to) ||
       from == "/" || to == "/" || from == to) {
     co_return status::InvalidArgument("bad rename paths");
   }
@@ -441,7 +443,7 @@ sim::Future<Status> Amfs::Rename(VfsContext ctx, std::string from,
   }
   co_await MetaService(to_home);
   if (metadata_[to_home].contains(to)) co_return status::Exists(to);
-  const std::string to_parent = fs::path::Parent(to);
+  const std::string to_parent = path::Parent(to);
   auto parent_meta = FindMeta(to_parent);
   if (!parent_meta.ok() || !(*parent_meta)->is_directory) {
     co_return status::NotFound("parent directory: " + to_parent);
@@ -467,7 +469,7 @@ sim::Future<Status> Amfs::Rename(VfsContext ctx, std::string from,
     (void)store->Set(to, std::move(value.value()));
   }
   // Parent listings: tombstone the old name, add the new one.
-  const std::string from_parent = fs::path::Parent(from);
+  const std::string from_parent = path::Parent(from);
   co_await DirUpdateService(MetaServerFor(from_parent));
   {
     auto& parent_shard = metadata_[MetaServerFor(from_parent)];
@@ -475,7 +477,7 @@ sim::Future<Status> Amfs::Rename(VfsContext ctx, std::string from,
     if (parent_it != parent_shard.end()) {
       auto& entries = parent_it->second.entries;
       entries.erase(std::remove(entries.begin(), entries.end(),
-                                fs::path::Basename(from)),
+                                path::Basename(from)),
                     entries.end());
     }
   }
@@ -484,7 +486,7 @@ sim::Future<Status> Amfs::Rename(VfsContext ctx, std::string from,
     auto& parent_shard = metadata_[MetaServerFor(to_parent)];
     auto parent_it = parent_shard.find(to_parent);
     if (parent_it != parent_shard.end()) {
-      parent_it->second.entries.push_back(fs::path::Basename(to));
+      parent_it->second.entries.push_back(path::Basename(to));
     }
   }
   co_return Status::Ok();
@@ -501,7 +503,7 @@ sim::Future<Result<FileInfo>> Amfs::Stat(VfsContext ctx, std::string path) {
   Result<MetaRecord> meta = co_await QueryMeta(ctx, path);
   if (!meta.ok()) co_return meta.status();
   FileInfo info;
-  info.name = fs::path::Basename(path);
+  info.name = path::Basename(path);
   info.size = meta->size;
   info.is_directory = meta->is_directory;
   info.sealed = meta->sealed;
@@ -523,13 +525,13 @@ sim::Future<Status> Amfs::Unlink(VfsContext ctx, std::string path) {
     if (store->Exists(path)) (void)store->Delete(path);
   }
   // Tombstone in the parent listing.
-  const std::string parent = fs::path::Parent(path);
+  const std::string parent = path::Parent(path);
   auto& parent_shard = metadata_[MetaServerFor(parent)];
   auto parent_it = parent_shard.find(parent);
   if (parent_it != parent_shard.end()) {
     auto& entries = parent_it->second.entries;
     entries.erase(
-        std::remove(entries.begin(), entries.end(), fs::path::Basename(path)),
+        std::remove(entries.begin(), entries.end(), path::Basename(path)),
         entries.end());
   }
   co_return Status::Ok();
@@ -537,7 +539,7 @@ sim::Future<Status> Amfs::Unlink(VfsContext ctx, std::string path) {
 
 sim::Future<Status> Amfs::Rmdir(VfsContext ctx, std::string path) {
   co_await fuse_.Enter(ctx.node, ctx.process);
-  if (!fs::path::IsNormalized(path) || path == "/") {
+  if (!path::IsNormalized(path) || path == "/") {
     co_return status::InvalidArgument("bad path");
   }
   const net::NodeId home = MetaServerFor(path);
@@ -549,7 +551,7 @@ sim::Future<Status> Amfs::Rmdir(VfsContext ctx, std::string path) {
   if (!it->second.is_directory) co_return status::NotDirectory(path);
   if (!it->second.entries.empty()) co_return status::NotEmpty(path);
   shard.erase(it);
-  const std::string parent = fs::path::Parent(path);
+  const std::string parent = path::Parent(path);
   const net::NodeId parent_home = MetaServerFor(parent);
   co_await DirUpdateService(parent_home);
   auto& parent_shard = metadata_[parent_home];
@@ -557,7 +559,7 @@ sim::Future<Status> Amfs::Rmdir(VfsContext ctx, std::string path) {
   if (parent_it != parent_shard.end()) {
     auto& entries = parent_it->second.entries;
     entries.erase(
-        std::remove(entries.begin(), entries.end(), fs::path::Basename(path)),
+        std::remove(entries.begin(), entries.end(), path::Basename(path)),
         entries.end());
   }
   co_return Status::Ok();

@@ -143,6 +143,16 @@ inline Status Internal(std::string msg = {}) {
 inline Status UnavailablePermanent(std::string msg = {}) {
   return {ErrorCode::kUnavailablePermanent, std::move(msg)};
 }
+
+// A failed lookup as the caller reports it: NOT_FOUND names `what` (the
+// user-facing path, or "parent directory: <path>"), while availability
+// errors (UNAVAILABLE, DEADLINE_EXCEEDED) and every other code pass
+// unchanged, so callers can tell "does not exist" from "cannot currently
+// tell".
+inline Status LookupError(const Status& failed, std::string what) {
+  return failed.code() == ErrorCode::kNotFound ? NotFound(std::move(what))
+                                               : failed;
+}
 }  // namespace status
 
 }  // namespace memfs

@@ -1,8 +1,10 @@
 #include "memfs/memfs.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
+#include "common/path.h"
 #include "sim/task.h"
 
 namespace memfs::fs {
@@ -43,11 +45,11 @@ MemFs::MemFs(sim::Simulation& sim, net::Network& network,
   }
   // Bootstrap the root directory directly into its home server (and every
   // replica); this happens at deployment time, before any simulated traffic.
-  if (config_.metadata == mds::MetadataMode::kSharded) {
-    meta_client_ = std::make_unique<mds::Client>(replicas_, config_.meta,
-                                                 config_.metrics);
+  if (config_.metadata == meta::MetadataMode::kSharded) {
+    meta_client_ = std::make_unique<meta::Client>(replicas_, config_.meta,
+                                                  config_.metrics);
   } else {
-    replicas_.SeedKey("/", meta::DirHeader());
+    replicas_.SeedKey("/", meta::DirRecordHeader());
   }
 }
 
@@ -82,14 +84,41 @@ Exemplar TagOf(const VfsContext& ctx) {
   return tag;
 }
 
-// Maps a metadata lookup failure for the caller: NOT_FOUND gets the
-// user-facing path in its message, while availability errors (UNAVAILABLE,
-// DEADLINE_EXCEEDED) propagate unchanged so callers can distinguish "does
-// not exist" from "cannot currently tell".
-Status LookupError(const Result<Bytes>& record, const std::string& path) {
-  return record.status().code() == ErrorCode::kNotFound
-             ? status::NotFound(path)
-             : record.status();
+// The append_log arm's lookup in the shape the sharded arm's ends in: the
+// path-keyed record of `path`, or its lookup failure, as an Attr with ino 0.
+// A directory's live names go to `names` when it is non-null.
+Result<meta::Attr> PathAttr(const Result<Bytes>& record,
+                            const std::string& path,
+                            std::vector<std::string>* names) {
+  if (!record.ok()) return status::LookupError(record.status(), path);
+  auto rec = meta::DecodePathRecord(record.value(), names);
+  if (!rec.ok()) return rec.status();
+  return meta::Attr{0, *rec};
+}
+
+// The FUSE crossing every op pays first. EnterFuse is not a coroutine: it
+// opens the fuse.enter span under `op` and calls Enter, and the op
+// co_awaits the gate, which waits on that future. The gate is a temporary of
+// the co_await statement, so its span closes when the op resumes.
+struct FuseGate {
+  trace::ScopedSpan span;
+  sim::VoidFuture entered;
+  auto operator co_await() const { return entered.operator co_await(); }
+};
+
+[[nodiscard]] FuseGate EnterFuse(FuseLayer& fuse, const VfsContext& ctx,
+                                 const trace::TraceContext& op) {
+  return {trace::ScopedSpan(op, "fuse.enter", "queue"),
+          fuse.Enter(ctx.node, ctx.process)};
+}
+
+// Listing entries carry names only.
+std::vector<FileInfo> InfosOf(std::vector<std::string> names) {
+  std::vector<FileInfo> infos(names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    infos[i].name = std::move(names[i]);
+  }
+  return infos;
 }
 
 }  // namespace
@@ -104,12 +133,12 @@ sim::Future<T> MemFs::Timed(std::string_view name, const VfsContext& ctx,
   return future;
 }
 
-FileHandle MemFs::InstallHandle(std::string path, mds::Ino ino,
+FileHandle MemFs::InstallHandle(std::string path, meta::Ino ino,
                                 net::NodeId node, bool writing,
                                 std::uint32_t epoch, std::uint64_t size) {
   auto file = std::make_unique<OpenFile>();
   file->path = std::move(path);
-  file->ident = ino != 0 ? mds::StripeIdent(ino) : file->path;
+  file->ident = ino != 0 ? meta::StripeIdent(ino) : file->path;
   file->stripe_keys.Reset(file->ident);
   file->ino = ino;
   file->node = node;
@@ -158,44 +187,43 @@ sim::Future<Result<FileHandle>> MemFs::CreateOp(VfsContext ctx,
   trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
-  {
-    trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
-    co_await fuse_.Enter(ctx.node, ctx.process);
-  }
+  co_await EnterFuse(fuse_, ctx, tctx);
   if (!path::IsNormalized(path) || path == "/") {
     co_return status::InvalidArgument("bad path");
   }
+  // Stripes key on a sharded file's ino, not its path: rename moves the
+  // dentry only. An append_log file (ino 0) keys on its path.
+  meta::Ino ino = 0;
   if (meta_client_ != nullptr) {
     auto created =
         co_await meta_client_->CreateFile(ctx.node, path, current_epoch(),
                                           tctx);
     if (!created.ok()) co_return created.status();
-    // Stripes key on the ino, not the path: rename moves the dentry only.
-    co_return InstallHandle(std::move(path), created->ino, ctx.node,
-                            /*writing=*/true, current_epoch(), 0);
+    ino = created->ino;
+  } else {
+    // Register an unsealed file record; ADD makes concurrent double-create
+    // lose deterministically (write-once implies a single writer).
+    Status added = co_await replicas_.ReplicatedAdd(
+        ctx.node, path, meta::EncodeFileRecord({.epoch = current_epoch()}),
+        tctx);
+    if (!added.ok()) {
+      co_return added.code() == ErrorCode::kExists ? status::Exists(path)
+                                                   : added;
+    }
+    // Link into the parent's directory event log (atomic APPEND, all
+    // replicas).
+    const std::string parent = path::Parent(path);
+    Status linked = co_await replicas_.ReplicatedAppend(
+        ctx.node, parent, meta::DirEvent(path::Basename(path), false), tctx);
+    if (!linked.ok()) {
+      // Roll the file record back. Best-effort — the create already fails
+      // and an orphaned record is inert.
+      // lint: allow(ignored-status) best-effort rollback of an inert record
+      co_await replicas_.ReplicatedDelete(ctx.node, path, tctx);
+      co_return status::LookupError(linked, "parent directory: " + parent);
+    }
   }
-  // Register an unsealed file record; ADD makes concurrent double-create
-  // lose deterministically (write-once implies a single writer).
-  Status added = co_await replicas_.ReplicatedAdd(
-      ctx.node, path, meta::EncodeFile({0, false, current_epoch()}), tctx);
-  if (!added.ok()) {
-    co_return added.code() == ErrorCode::kExists
-                  ? status::Exists(path)
-                  : added;
-  }
-  // Link into the parent's directory event log (atomic APPEND, all
-  // replicas).
-  const std::string parent = path::Parent(path);
-  Status linked = co_await replicas_.ReplicatedAppend(
-      ctx.node, parent, mds::DirEvent(path::Basename(path), false), tctx);
-  if (!linked.ok()) {
-    // Parent does not exist: roll the file record back. Best-effort — the
-    // create already fails with NOT_FOUND and an orphaned record is inert.
-    // lint: allow(ignored-status) best-effort rollback of an inert record
-    co_await replicas_.ReplicatedDelete(ctx.node, path, tctx);
-    co_return status::NotFound("parent directory: " + parent);
-  }
-  co_return InstallHandle(std::move(path), 0, ctx.node, /*writing=*/true,
+  co_return InstallHandle(std::move(path), ino, ctx.node, /*writing=*/true,
                           current_epoch(), 0);
 }
 
@@ -210,10 +238,7 @@ sim::Future<Status> MemFs::WriteOp(VfsContext ctx, FileHandle handle,
   trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "bytes", std::to_string(data.size()));
-  {
-    trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
-    co_await fuse_.Enter(ctx.node, ctx.process);
-  }
+  co_await EnterFuse(fuse_, ctx, tctx);
   auto found = FindHandle(handle, /*writing=*/true);
   if (!found.ok()) co_return found.status();
   OpenFile* file = *found;
@@ -299,10 +324,7 @@ sim::Future<Status> MemFs::Flush(VfsContext ctx, FileHandle handle) {
 sim::Future<Status> MemFs::FlushOp(VfsContext ctx, FileHandle handle) {
   trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
   const trace::TraceContext tctx = op_span.context();
-  {
-    trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
-    co_await fuse_.Enter(ctx.node, ctx.process);
-  }
+  co_await EnterFuse(fuse_, ctx, tctx);
   auto it = handles_.find(handle);
   if (it == handles_.end()) co_return status::BadHandle();
   OpenFile* file = it->second.get();
@@ -325,10 +347,7 @@ sim::Future<Status> MemFs::Close(VfsContext ctx, FileHandle handle) {
 sim::Future<Status> MemFs::CloseOp(VfsContext ctx, FileHandle handle) {
   trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
   const trace::TraceContext tctx = op_span.context();
-  {
-    trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
-    co_await fuse_.Enter(ctx.node, ctx.process);
-  }
+  co_await EnterFuse(fuse_, ctx, tctx);
   auto it = handles_.find(handle);
   if (it == handles_.end()) co_return status::BadHandle();
   OpenFile* file = it->second.get();
@@ -358,7 +377,10 @@ sim::Future<Status> MemFs::CloseOp(VfsContext ctx, FileHandle handle) {
       } else {
         result = co_await replicas_.ReplicatedSet(
             ctx.node, file->path,
-            meta::EncodeFile({file->written, true, file->epoch}), tctx);
+            meta::EncodeFileRecord({.size = file->written,
+                                    .sealed = true,
+                                    .epoch = file->epoch}),
+            tctx);
       }
     }
   }
@@ -380,41 +402,27 @@ sim::Future<Result<FileHandle>> MemFs::OpenOp(VfsContext ctx,
   trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
-  {
-    trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
-    co_await fuse_.Enter(ctx.node, ctx.process);
-  }
+  co_await EnterFuse(fuse_, ctx, tctx);
+  Result<meta::Attr> attr = meta::Attr{};
   if (meta_client_ != nullptr) {
-    auto attr = co_await meta_client_->Resolve(ctx.node, path, tctx);
-    if (!attr.ok()) co_return attr.status();
-    if (attr->rec.kind == mds::InodeKind::kDirectory) {
-      co_return status::IsDirectory(path);
-    }
-    if (attr->rec.epoch > replicas_.current_epoch()) {
-      co_return status::Internal("file from unknown ring epoch: " + path);
-    }
-    if (!attr->rec.sealed) {
-      co_return status::Permission("file still open for writing: " + path);
-    }
-    co_return InstallHandle(std::move(path), attr->ino, ctx.node,
-                            /*writing=*/false, attr->rec.epoch,
-                            attr->rec.size);
+    attr = co_await meta_client_->Resolve(ctx.node, path, tctx);
+  } else {
+    Result<Bytes> record =
+        co_await replicas_.FailoverGet(ctx.node, path, tctx);
+    attr = PathAttr(record, path, nullptr);
   }
-  Result<Bytes> record = co_await replicas_.FailoverGet(ctx.node, path, tctx);
-  if (!record.ok()) co_return LookupError(record, path);
-  auto decoded = meta::Decode(record.value());
-  if (!decoded.ok()) co_return decoded.status();
-  if (decoded->kind == meta::Kind::kDirectory) {
+  if (!attr.ok()) co_return attr.status();
+  if (attr->rec.kind == meta::InodeKind::kDirectory) {
     co_return status::IsDirectory(path);
   }
-  if (decoded->file.epoch > replicas_.current_epoch()) {
+  if (attr->rec.epoch > replicas_.current_epoch()) {
     co_return status::Internal("file from unknown ring epoch: " + path);
   }
-  if (!decoded->file.sealed) {
+  if (!attr->rec.sealed) {
     co_return status::Permission("file still open for writing: " + path);
   }
-  co_return InstallHandle(std::move(path), 0, ctx.node, /*writing=*/false,
-                          decoded->file.epoch, decoded->file.size);
+  co_return InstallHandle(std::move(path), attr->ino, ctx.node,
+                          /*writing=*/false, attr->rec.epoch, attr->rec.size);
 }
 
 sim::Future<Result<Bytes>> MemFs::Read(VfsContext ctx, FileHandle handle,
@@ -431,10 +439,7 @@ sim::Future<Result<Bytes>> MemFs::ReadOp(VfsContext ctx, FileHandle handle,
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "offset", std::to_string(offset));
   trace::Annotate(tctx, "length", std::to_string(length));
-  {
-    trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
-    co_await fuse_.Enter(ctx.node, ctx.process);
-  }
+  co_await EnterFuse(fuse_, ctx, tctx);
   auto found = FindHandle(handle, /*writing=*/false);
   if (!found.ok()) co_return found.status();
   OpenFile* file = *found;
@@ -563,10 +568,7 @@ sim::Future<Status> MemFs::Mkdir(VfsContext ctx, std::string path) {
   trace::ScopedSpan op_span(ctx.trace, "vfs.mkdir", "vfs");
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
-  {
-    trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
-    co_await fuse_.Enter(ctx.node, ctx.process);
-  }
+  co_await EnterFuse(fuse_, ctx, tctx);
   if (!path::IsNormalized(path) || path == "/") {
     co_return status::InvalidArgument("bad path");
   }
@@ -575,16 +577,16 @@ sim::Future<Status> MemFs::Mkdir(VfsContext ctx, std::string path) {
   }
   // Every replica gets the directory record, so each can take the appends
   // (the header is a constant, harmless on a mid-handoff shadow home).
-  Status added =
-      co_await replicas_.MetaAdd(ctx.node, path, meta::DirHeader(), tctx);
+  Status added = co_await replicas_.MetaAdd(ctx.node, path,
+                                            meta::DirRecordHeader(), tctx);
   if (!added.ok()) co_return added;
   const std::string parent = path::Parent(path);
   Status linked = co_await replicas_.ReplicatedAppend(
-      ctx.node, parent, mds::DirEvent(path::Basename(path), false), tctx);
+      ctx.node, parent, meta::DirEvent(path::Basename(path), false), tctx);
   if (!linked.ok()) {
     // lint: allow(ignored-status) best-effort rollback of an inert record
     co_await replicas_.ReplicatedDelete(ctx.node, path, tctx);
-    co_return status::NotFound("parent directory: " + parent);
+    co_return status::LookupError(linked, "parent directory: " + parent);
   }
   co_return Status::Ok();
 }
@@ -594,91 +596,63 @@ sim::Future<Result<std::vector<FileInfo>>> MemFs::ReadDir(VfsContext ctx,
   trace::ScopedSpan op_span(ctx.trace, "vfs.readdir", "vfs");
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
-  {
-    trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
-    co_await fuse_.Enter(ctx.node, ctx.process);
+  co_await EnterFuse(fuse_, ctx, tctx);
+  std::vector<std::string> names;  // append_log: the record's folded log
+  Result<meta::Attr> attr = meta::Attr{};
+  if (meta_client_ != nullptr) {
+    attr = co_await meta_client_->Resolve(ctx.node, path, tctx);
+  } else {
+    Result<Bytes> record =
+        co_await replicas_.FailoverGet(ctx.node, path, tctx);
+    attr = PathAttr(record, path, &names);
+  }
+  if (!attr.ok()) co_return attr.status();
+  if (attr->rec.kind != meta::InodeKind::kDirectory) {
+    co_return status::NotDirectory(path);
   }
   if (meta_client_ != nullptr) {
-    auto attr = co_await meta_client_->Resolve(ctx.node, path, tctx);
-    if (!attr.ok()) co_return attr.status();
-    if (attr->rec.kind != mds::InodeKind::kDirectory) {
-      co_return status::NotDirectory(path);
-    }
     // Page through the token ranges; each iteration reads bounded blobs, so
     // no single RPC carries the whole directory even here.
-    std::vector<FileInfo> infos;
     std::uint32_t shard = 0;
     std::uint64_t offset = 0;
     while (true) {
       auto page = co_await meta_client_->ReadDirPage(
-          ctx.node, attr->ino, shard, offset, mds::kReaddirPage, tctx);
+          ctx.node, attr->ino, shard, offset, meta::kReaddirPage, tctx);
       if (!page.ok()) co_return page.status();
-      for (auto& name : page->names) {
-        FileInfo info;
-        info.name = std::move(name);
-        infos.push_back(std::move(info));
-      }
+      names.insert(names.end(), std::make_move_iterator(page->names.begin()),
+                   std::make_move_iterator(page->names.end()));
       if (!page->more) break;
       shard = page->next_shard;
       offset = page->next_offset;
     }
     // Pages arrive in (shard, name) order; the listing is sorted by name,
     // the order of the append-log arm's folded log and of AMFS.
-    std::sort(infos.begin(), infos.end(),
-              [](const FileInfo& a, const FileInfo& b) {
-                return a.name < b.name;
-              });
-    co_return std::move(infos);
+    std::sort(names.begin(), names.end());
   }
-  Result<Bytes> record = co_await replicas_.FailoverGet(ctx.node, path, tctx);
-  if (!record.ok()) co_return LookupError(record, path);
-  auto decoded = meta::Decode(record.value());
-  if (!decoded.ok()) co_return decoded.status();
-  if (decoded->kind != meta::Kind::kDirectory) {
-    co_return status::NotDirectory(path);
-  }
-  std::vector<FileInfo> infos;
-  infos.reserve(decoded->entries.size());
-  for (auto& name : decoded->entries) {
-    FileInfo info;
-    info.name = std::move(name);
-    infos.push_back(std::move(info));
-  }
-  co_return std::move(infos);
+  co_return InfosOf(std::move(names));
 }
 
 sim::Future<Result<FileInfo>> MemFs::Stat(VfsContext ctx, std::string path) {
   trace::ScopedSpan op_span(ctx.trace, "vfs.stat", "vfs");
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
-  {
-    trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
-    co_await fuse_.Enter(ctx.node, ctx.process);
-  }
+  co_await EnterFuse(fuse_, ctx, tctx);
+  Result<meta::Attr> attr = meta::Attr{};
   if (meta_client_ != nullptr) {
-    auto attr = co_await meta_client_->Resolve(ctx.node, path, tctx);
-    if (!attr.ok()) co_return attr.status();
-    FileInfo stat_info;
-    stat_info.name = path::Basename(path);
-    if (attr->rec.kind == mds::InodeKind::kDirectory) {
-      stat_info.is_directory = true;
-    } else {
-      stat_info.size = attr->rec.size;
-      stat_info.sealed = attr->rec.sealed;
-    }
-    co_return std::move(stat_info);
+    attr = co_await meta_client_->Resolve(ctx.node, path, tctx);
+  } else {
+    Result<Bytes> record =
+        co_await replicas_.FailoverGet(ctx.node, path, tctx);
+    attr = PathAttr(record, path, nullptr);
   }
-  Result<Bytes> record = co_await replicas_.FailoverGet(ctx.node, path, tctx);
-  if (!record.ok()) co_return LookupError(record, path);
-  auto decoded = meta::Decode(record.value());
-  if (!decoded.ok()) co_return decoded.status();
+  if (!attr.ok()) co_return attr.status();
   FileInfo info;
   info.name = path::Basename(path);
-  if (decoded->kind == meta::Kind::kDirectory) {
+  if (attr->rec.kind == meta::InodeKind::kDirectory) {
     info.is_directory = true;
   } else {
-    info.size = decoded->file.size;
-    info.sealed = decoded->file.sealed;
+    info.size = attr->rec.size;
+    info.sealed = attr->rec.sealed;
   }
   co_return std::move(info);
 }
@@ -687,30 +661,27 @@ sim::Future<Status> MemFs::Rmdir(VfsContext ctx, std::string path) {
   trace::ScopedSpan op_span(ctx.trace, "vfs.rmdir", "vfs");
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
-  {
-    trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
-    co_await fuse_.Enter(ctx.node, ctx.process);
-  }
+  co_await EnterFuse(fuse_, ctx, tctx);
   if (!path::IsNormalized(path) || path == "/") {
     co_return status::InvalidArgument("bad path");
   }
   if (meta_client_ != nullptr) {
     co_return co_await meta_client_->Rmdir(ctx.node, std::move(path), tctx);
   }
+  std::vector<std::string> names;
   Result<Bytes> record = co_await replicas_.FailoverGet(ctx.node, path, tctx);
-  if (!record.ok()) co_return LookupError(record, path);
-  auto decoded = meta::Decode(record.value());
-  if (!decoded.ok()) co_return decoded.status();
-  if (decoded->kind != meta::Kind::kDirectory) {
+  Result<meta::Attr> attr = PathAttr(record, path, &names);
+  if (!attr.ok()) co_return attr.status();
+  if (attr->rec.kind != meta::InodeKind::kDirectory) {
     co_return status::NotDirectory(path);
   }
-  if (!decoded->entries.empty()) co_return status::NotEmpty(path);
+  if (!names.empty()) co_return status::NotEmpty(path);
   // Tombstone in the parent, then drop the directory record. A failed
   // tombstone aborts the removal while the directory is still fully intact;
   // silently continuing would leave a phantom entry in the parent's log.
   const std::string parent = path::Parent(path);
   Status tombstoned = co_await replicas_.ReplicatedAppend(
-      ctx.node, parent, mds::DirEvent(path::Basename(path), true), tctx);
+      ctx.node, parent, meta::DirEvent(path::Basename(path), true), tctx);
   if (!tombstoned.ok()) co_return std::move(tombstoned);
   Status dropped = co_await replicas_.ReplicatedDelete(ctx.node, path, tctx);
   co_return std::move(dropped);
@@ -720,42 +691,39 @@ sim::Future<Status> MemFs::Unlink(VfsContext ctx, std::string path) {
   trace::ScopedSpan op_span(ctx.trace, "vfs.unlink", "vfs");
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
-  {
-    trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
-    co_await fuse_.Enter(ctx.node, ctx.process);
-  }
+  co_await EnterFuse(fuse_, ctx, tctx);
+  meta::Attr dead;  // the file whose last name went
   if (meta_client_ != nullptr) {
     auto outcome = co_await meta_client_->Unlink(ctx.node, path, tctx);
     if (!outcome.ok()) co_return outcome.status();
-    if (outcome->removed_inode) {
-      // Last link gone: reclaim the stripes, keyed by the ino under the
-      // epoch recorded in the inode (never moved by any rename).
-      co_await ReclaimStripes(ctx.node, mds::StripeIdent(outcome->ino),
-                              outcome->rec.epoch, outcome->rec.size, tctx);
+    if (!outcome->removed_inode) co_return Status::Ok();  // other links live
+    dead = {outcome->ino, outcome->rec};
+  } else {
+    Result<Bytes> record =
+        co_await replicas_.FailoverGet(ctx.node, path, tctx);
+    Result<meta::Attr> attr = PathAttr(record, path, nullptr);
+    if (!attr.ok()) co_return attr.status();
+    if (attr->rec.kind == meta::InodeKind::kDirectory) {
+      co_return status::IsDirectory(path);
     }
-    co_return Status::Ok();
+    // Tombstone in the parent log (the paper's protocol), then drop the
+    // record. Both steps abort on failure: a failed tombstone leaves the
+    // file untouched, and a failed record delete must not reclaim stripes
+    // under a record that is still openable.
+    const std::string parent = path::Parent(path);
+    Status tombstoned = co_await replicas_.ReplicatedAppend(
+        ctx.node, parent, meta::DirEvent(path::Basename(path), true), tctx);
+    if (!tombstoned.ok()) co_return std::move(tombstoned);
+    Status dropped =
+        co_await replicas_.ReplicatedDelete(ctx.node, path, tctx);
+    if (!dropped.ok()) co_return std::move(dropped);
+    dead = *attr;
   }
-  Result<Bytes> record = co_await replicas_.FailoverGet(ctx.node, path, tctx);
-  if (!record.ok()) co_return LookupError(record, path);
-  auto decoded = meta::Decode(record.value());
-  if (!decoded.ok()) co_return decoded.status();
-  if (decoded->kind == meta::Kind::kDirectory) {
-    co_return status::IsDirectory(path);
-  }
-
-  // Tombstone in the parent log (the paper's protocol), then reclaim the
-  // record and the stripes (every replica of each, under the file's ring
-  // epoch). Both steps abort on failure: a failed tombstone leaves the file
-  // untouched, and a failed record delete must not reclaim stripes under a
-  // record that is still openable.
-  const std::string parent = path::Parent(path);
-  Status tombstoned = co_await replicas_.ReplicatedAppend(
-      ctx.node, parent, mds::DirEvent(path::Basename(path), true), tctx);
-  if (!tombstoned.ok()) co_return std::move(tombstoned);
-  Status dropped = co_await replicas_.ReplicatedDelete(ctx.node, path, tctx);
-  if (!dropped.ok()) co_return std::move(dropped);
-  co_await ReclaimStripes(ctx.node, path, decoded->file.epoch,
-                          decoded->file.size, tctx);
+  // Reclaim every replica of every stripe under the epoch the record names.
+  // A sharded file's stripes key on its ino, which no rename ever moved.
+  std::string ident = dead.ino != 0 ? meta::StripeIdent(dead.ino) : path;
+  co_await ReclaimStripes(ctx.node, std::move(ident), dead.rec.epoch,
+                          dead.rec.size, tctx);
   co_return Status::Ok();
 }
 
@@ -790,57 +758,48 @@ sim::Future<Result<DirPage>> MemFs::ReadDirPage(VfsContext ctx,
   trace::ScopedSpan op_span(ctx.trace, "vfs.readdir_page", "vfs");
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "path", path);
-  {
-    trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
-    co_await fuse_.Enter(ctx.node, ctx.process);
-  }
-  const std::uint32_t page_limit = limit > 0 ? limit : mds::kReaddirPage;
-  if (meta_client_ != nullptr) {
-    auto attr = co_await meta_client_->Resolve(ctx.node, path, tctx);
-    if (!attr.ok()) co_return attr.status();
-    if (attr->rec.kind != mds::InodeKind::kDirectory) {
-      co_return status::NotDirectory(path);
-    }
-    auto result = co_await meta_client_->ReadDirPage(
-        ctx.node, attr->ino, cursor.shard, cursor.offset, page_limit, tctx);
-    if (!result.ok()) co_return result.status();
-    DirPage page;
-    page.entries.reserve(result->names.size());
-    for (auto& name : result->names) {
-      FileInfo info;
-      info.name = std::move(name);
-      page.entries.push_back(std::move(info));
-    }
-    page.next.shard = result->next_shard;
-    page.next.offset = result->next_offset;
-    page.more = result->more;
-    co_return std::move(page);
-  }
-  // Legacy protocol: one directory = one record, so the page is a slice of
-  // the sorted folded log (shard is always 0). The whole log still crosses
-  // the wire — the limitation the sharded mode removes.
-  if (cursor.shard > 0) {
+  co_await EnterFuse(fuse_, ctx, tctx);
+  const std::uint32_t page_limit = limit > 0 ? limit : meta::kReaddirPage;
+  // An append_log directory is one record, so its cursors have one shard.
+  if (meta_client_ == nullptr && cursor.shard > 0) {
     co_return status::InvalidArgument("append_log cursors have one shard");
   }
-  Result<Bytes> record = co_await replicas_.FailoverGet(ctx.node, path, tctx);
-  if (!record.ok()) co_return LookupError(record, path);
-  auto decoded = meta::Decode(record.value());
-  if (!decoded.ok()) co_return decoded.status();
-  if (decoded->kind != meta::Kind::kDirectory) {
+  std::vector<std::string> names;  // append_log: the record's folded log
+  Result<meta::Attr> attr = meta::Attr{};
+  if (meta_client_ != nullptr) {
+    attr = co_await meta_client_->Resolve(ctx.node, path, tctx);
+  } else {
+    Result<Bytes> record =
+        co_await replicas_.FailoverGet(ctx.node, path, tctx);
+    attr = PathAttr(record, path, &names);
+  }
+  if (!attr.ok()) co_return attr.status();
+  if (attr->rec.kind != meta::InodeKind::kDirectory) {
     co_return status::NotDirectory(path);
   }
   DirPage page;
-  std::uint64_t offset = cursor.offset;
-  while (offset < decoded->entries.size() &&
-         page.entries.size() < page_limit) {
-    FileInfo info;
-    info.name = std::move(decoded->entries[offset]);
-    page.entries.push_back(std::move(info));
-    ++offset;
+  if (meta_client_ != nullptr) {
+    auto result = co_await meta_client_->ReadDirPage(
+        ctx.node, attr->ino, cursor.shard, cursor.offset, page_limit, tctx);
+    if (!result.ok()) co_return result.status();
+    names = std::move(result->names);
+    page.next = {result->next_shard, result->next_offset};
+    page.more = result->more;
+  } else {
+    // The page is a slice of the sorted folded log. The whole log still
+    // crossed the wire — the limitation the sharded mode removes.
+    const std::uint64_t begin =
+        std::min<std::uint64_t>(cursor.offset, names.size());
+    const std::uint64_t end =
+        begin + std::min<std::uint64_t>(page_limit, names.size() - begin);
+    page.more = end < names.size();
+    page.next = page.more ? DirCursor{0, end} : DirCursor{1, 0};
+    names.erase(names.begin() + static_cast<std::ptrdiff_t>(end),
+                names.end());
+    names.erase(names.begin(),
+                names.begin() + static_cast<std::ptrdiff_t>(begin));
   }
-  page.next.shard = offset < decoded->entries.size() ? 0 : 1;
-  page.next.offset = offset < decoded->entries.size() ? offset : 0;
-  page.more = offset < decoded->entries.size();
+  page.entries = InfosOf(std::move(names));
   co_return std::move(page);
 }
 
@@ -850,10 +809,7 @@ sim::Future<Status> MemFs::Rename(VfsContext ctx, std::string from,
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "from", from);
   trace::Annotate(tctx, "to", to);
-  {
-    trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
-    co_await fuse_.Enter(ctx.node, ctx.process);
-  }
+  co_await EnterFuse(fuse_, ctx, tctx);
   if (!path::IsNormalized(from) || !path::IsNormalized(to) || from == "/" ||
       to == "/" || from == to) {
     co_return status::InvalidArgument("bad rename paths");
@@ -875,10 +831,7 @@ sim::Future<Status> MemFs::Link(VfsContext ctx, std::string existing,
   const trace::TraceContext tctx = op_span.context();
   trace::Annotate(tctx, "existing", existing);
   trace::Annotate(tctx, "link", link);
-  {
-    trace::ScopedSpan gate(tctx, "fuse.enter", "queue");
-    co_await fuse_.Enter(ctx.node, ctx.process);
-  }
+  co_await EnterFuse(fuse_, ctx, tctx);
   if (!path::IsNormalized(existing) || !path::IsNormalized(link) ||
       existing == "/" || link == "/" || existing == link) {
     co_return status::InvalidArgument("bad link paths");

@@ -34,7 +34,6 @@
 #include "kvstore/kv_cluster.h"
 #include "kvstore/membership.h"
 #include "memfs/fuse.h"
-#include "memfs/metadata.h"
 #include "meta/client.h"
 #include "meta/meta.h"
 #include "memfs/striper.h"
@@ -46,10 +45,6 @@
 #include "sim/task.h"
 
 namespace memfs::fs {
-
-// The sharded metadata service (distinct from fs::meta, the paper's
-// path-keyed record codec).
-namespace mds = ::memfs::meta;
 
 struct MemFsConfig {
   // 512 KB stripes achieve the best write bandwidth (Fig. 3a).
@@ -86,10 +81,10 @@ struct MemFsConfig {
   // data path. `sharded` routes every namespace operation through the
   // src/meta token-range service (dentry/inode separation, paged readdir,
   // rename and hard links).
-  mds::MetadataMode metadata = mds::MetadataMode::kAppendLog;
+  meta::MetadataMode metadata = meta::MetadataMode::kAppendLog;
   // Sharded-mode knobs (token ranges per directory, default page size);
   // ignored under append_log.
-  mds::MetaConfig meta;
+  meta::MetaConfig meta;
   // Op-scheduler knobs (src/io): per-(client, server) batching of stripe and
   // metadata RPCs. `io.batching = false` is the one-RPC-per-stripe data
   // path.
@@ -192,7 +187,7 @@ class MemFs final : public Vfs {
   kv::Membership* membership() const { return replicas_.membership(); }
 
   // The sharded metadata service client; nullptr under append_log.
-  mds::Client* meta_client() const { return meta_client_.get(); }
+  meta::Client* meta_client() const { return meta_client_.get(); }
 
  private:
   struct OpenFile {
@@ -204,7 +199,7 @@ class MemFs final : public Vfs {
     // the life of the handle, only the stripe-number suffix is patched per
     // submit/fetch.
     StripeKeyBuf stripe_keys;
-    mds::Ino ino = 0;  // sharded mode only
+    meta::Ino ino = 0;  // sharded mode only
     net::NodeId node = 0;
     bool writing = false;
     std::uint32_t epoch = 0;  // ring epoch governing stripe placement
@@ -231,7 +226,7 @@ class MemFs final : public Vfs {
   // Installs an open-file entry (pure bookkeeping, no events). A sharded
   // file's stripes key on its `ino`, an append-log file's (ino 0) on its
   // path; `size` applies to read handles.
-  FileHandle InstallHandle(std::string path, mds::Ino ino, net::NodeId node,
+  FileHandle InstallHandle(std::string path, meta::Ino ino, net::NodeId node,
                            bool writing, std::uint32_t epoch,
                            std::uint64_t size);
 
@@ -280,7 +275,7 @@ class MemFs final : public Vfs {
   // metadata record goes through it.
   io::ReplicatedStore replicas_;
   // Sharded metadata service (metadata == kSharded); null under append_log.
-  std::unique_ptr<mds::Client> meta_client_;
+  std::unique_ptr<meta::Client> meta_client_;
 
   // Per-node buffering and prefetching pools (§3.2.2).
   sim::PoolGroup write_pool_;

@@ -134,19 +134,4 @@ class Vfs {
                                                  std::string link) = 0;
 };
 
-// Path helpers shared by both file systems.
-namespace path {
-
-// Parent directory of a normalized absolute path ("/a/b" -> "/a", "/a" -> "/").
-std::string Parent(const std::string& p);
-
-// Final component ("/a/b" -> "b").
-std::string Basename(const std::string& p);
-
-// True for a normalized absolute path: starts with '/', no empty or "." /
-// ".." components, no trailing slash (except the root itself).
-bool IsNormalized(const std::string& p);
-
-}  // namespace path
-
 }  // namespace memfs::fs

@@ -3,22 +3,14 @@
 #include <cassert>
 #include <utility>
 
+#include "common/path.h"
+
 namespace memfs::meta {
 
 namespace {
 
-// Local path helpers (src/meta cannot depend on src/memfs): callers pass
-// normalized absolute paths, validated at the VFS boundary.
-std::string ParentOf(const std::string& p) {
-  const auto slash = p.rfind('/');
-  if (slash == 0) return "/";
-  return p.substr(0, slash);
-}
-
-std::string NameOf(const std::string& p) {
-  return p.substr(p.rfind('/') + 1);
-}
-
+// The components of a normalized absolute path (validated at the VFS
+// boundary).
 std::vector<std::string> Components(const std::string& path) {
   std::vector<std::string> parts;
   std::size_t pos = 1;  // skip the leading '/'
@@ -29,11 +21,6 @@ std::vector<std::string> Components(const std::string& path) {
     pos = end + 1;
   }
   return parts;
-}
-
-Status MapLookupError(const Status& status, const std::string& path) {
-  return status.code() == ErrorCode::kNotFound ? status::NotFound(path)
-                                               : status;
 }
 
 }  // namespace
@@ -57,14 +44,14 @@ Client::Client(io::ReplicatedStore& store, MetaConfig config,
 void Client::BulkLoadDirectory(const std::string& dir,
                                const std::string& prefix,
                                std::uint64_t count) {
-  assert(dir.size() > 1 && ParentOf(dir) == "/");
+  assert(dir.size() > 1 && path::Parent(dir) == "/");
   // The directory itself: inode, dentry under the root, root index event.
   const Ino dir_ino = next_ino_++;
   InodeRecord dir_rec;
   dir_rec.kind = InodeKind::kDirectory;
   dir_rec.sealed = true;
   store_.SeedKey(InodeKey(dir_ino), EncodeInode(dir_rec));
-  const std::string dir_name = NameOf(dir);
+  const std::string dir_name = path::Basename(dir);
   store_.SeedKey(DentryKey(kRootIno, dir_name),
                  EncodeDentry({dir_ino, InodeKind::kDirectory}));
   const std::uint32_t root_shard =
@@ -117,7 +104,7 @@ sim::Future<Result<Ino>> Client::ResolveDir(net::NodeId node,
   Ino cur = kRootIno;
   for (std::string& comp : Components(path)) {
     auto dentry = co_await Lookup(node, cur, std::move(comp), trace);
-    if (!dentry.ok()) co_return MapLookupError(dentry.status(), path);
+    if (!dentry.ok()) co_return status::LookupError(dentry.status(), path);
     if (dentry->kind != InodeKind::kDirectory) {
       co_return status::NotDirectory(path);
     }
@@ -132,17 +119,17 @@ sim::Future<Result<Attr>> Client::Resolve(net::NodeId node, std::string path,
   const trace::TraceContext tctx = span.context();
   Ino ino = kRootIno;
   if (path != "/") {
-    auto parent = co_await ResolveDir(node, ParentOf(path), tctx);
+    auto parent = co_await ResolveDir(node, path::Parent(path), tctx);
     if (!parent.ok()) co_return parent.status();
-    auto dentry = co_await Lookup(node, *parent, NameOf(path), tctx);
-    if (!dentry.ok()) co_return MapLookupError(dentry.status(), path);
+    auto dentry = co_await Lookup(node, *parent, path::Basename(path), tctx);
+    if (!dentry.ok()) co_return status::LookupError(dentry.status(), path);
     ino = dentry->ino;
   }
   Result<Bytes> got = co_await store_.FailoverGet(node, InodeKey(ino), tctx);
   if (!got.ok()) {
     // A vanished inode behind a live dentry is either the benign unlink race
     // (dentry read before its removal committed) or an availability error.
-    co_return MapLookupError(got.status(), path);
+    co_return status::LookupError(got.status(), path);
   }
   auto rec = DecodeInode(got.value());
   if (!rec.ok()) co_return rec.status();
@@ -172,13 +159,12 @@ sim::Future<Result<Attr>> Client::CreateFile(net::NodeId node,
                                              trace::TraceContext trace) {
   trace::ScopedSpan span(trace, "meta.create", "meta");
   const trace::TraceContext tctx = span.context();
-  const std::string parent_path = ParentOf(path);
-  const std::string name = NameOf(path);
+  const std::string parent_path = path::Parent(path);
+  const std::string name = path::Basename(path);
   auto parent = co_await ResolveDir(node, parent_path, tctx);
   if (!parent.ok()) {
-    co_return parent.status().code() == ErrorCode::kNotFound
-                  ? status::NotFound("parent directory: " + parent_path)
-                  : parent.status();
+    co_return status::LookupError(parent.status(),
+                                  "parent directory: " + parent_path);
   }
   const Ino ino = next_ino_++;
   InodeRecord rec;
@@ -235,13 +221,12 @@ sim::Future<Status> Client::Mkdir(net::NodeId node, std::string path,
                                   trace::TraceContext trace) {
   trace::ScopedSpan span(trace, "meta.mkdir", "meta");
   const trace::TraceContext tctx = span.context();
-  const std::string parent_path = ParentOf(path);
-  const std::string name = NameOf(path);
+  const std::string parent_path = path::Parent(path);
+  const std::string name = path::Basename(path);
   auto parent = co_await ResolveDir(node, parent_path, tctx);
   if (!parent.ok()) {
-    co_return parent.status().code() == ErrorCode::kNotFound
-                  ? status::NotFound("parent directory: " + parent_path)
-                  : parent.status();
+    co_return status::LookupError(parent.status(),
+                                  "parent directory: " + parent_path);
   }
   const Ino ino = next_ino_++;
   InodeRecord rec;
@@ -322,11 +307,11 @@ sim::Future<Result<UnlinkOutcome>> Client::Unlink(net::NodeId node,
                                                   trace::TraceContext trace) {
   trace::ScopedSpan span(trace, "meta.unlink", "meta");
   const trace::TraceContext tctx = span.context();
-  const std::string name = NameOf(path);
-  auto parent = co_await ResolveDir(node, ParentOf(path), tctx);
+  const std::string name = path::Basename(path);
+  auto parent = co_await ResolveDir(node, path::Parent(path), tctx);
   if (!parent.ok()) co_return parent.status();
   auto dentry = co_await Lookup(node, *parent, name, tctx);
-  if (!dentry.ok()) co_return MapLookupError(dentry.status(), path);
+  if (!dentry.ok()) co_return status::LookupError(dentry.status(), path);
   if (dentry->kind == InodeKind::kDirectory) {
     co_return status::IsDirectory(path);
   }
@@ -373,11 +358,11 @@ sim::Future<Status> Client::Rmdir(net::NodeId node, std::string path,
                                   trace::TraceContext trace) {
   trace::ScopedSpan span(trace, "meta.rmdir", "meta");
   const trace::TraceContext tctx = span.context();
-  const std::string name = NameOf(path);
-  auto parent = co_await ResolveDir(node, ParentOf(path), tctx);
+  const std::string name = path::Basename(path);
+  auto parent = co_await ResolveDir(node, path::Parent(path), tctx);
   if (!parent.ok()) co_return parent.status();
   auto dentry = co_await Lookup(node, *parent, name, tctx);
-  if (!dentry.ok()) co_return MapLookupError(dentry.status(), path);
+  if (!dentry.ok()) co_return status::LookupError(dentry.status(), path);
   if (dentry->kind != InodeKind::kDirectory) {
     co_return status::NotDirectory(path);
   }
@@ -486,18 +471,17 @@ sim::Future<Status> Client::Rename(net::NodeId node, std::string from,
                                    trace::TraceContext trace) {
   trace::ScopedSpan span(trace, "meta.rename", "meta");
   const trace::TraceContext tctx = span.context();
-  const std::string from_name = NameOf(from);
-  const std::string to_name = NameOf(to);
-  auto src_parent = co_await ResolveDir(node, ParentOf(from), tctx);
+  const std::string from_name = path::Basename(from);
+  const std::string to_name = path::Basename(to);
+  auto src_parent = co_await ResolveDir(node, path::Parent(from), tctx);
   if (!src_parent.ok()) co_return src_parent.status();
-  auto dst_parent = co_await ResolveDir(node, ParentOf(to), tctx);
+  auto dst_parent = co_await ResolveDir(node, path::Parent(to), tctx);
   if (!dst_parent.ok()) {
-    co_return dst_parent.status().code() == ErrorCode::kNotFound
-                  ? status::NotFound("parent directory: " + ParentOf(to))
-                  : dst_parent.status();
+    co_return status::LookupError(dst_parent.status(),
+                                  "parent directory: " + path::Parent(to));
   }
   auto dentry = co_await Lookup(node, *src_parent, from_name, tctx);
-  if (!dentry.ok()) co_return MapLookupError(dentry.status(), from);
+  if (!dentry.ok()) co_return status::LookupError(dentry.status(), from);
   auto existing = co_await Lookup(node, *dst_parent, to_name, tctx);
   if (existing.ok()) co_return status::Exists(to);
   if (existing.status().code() != ErrorCode::kNotFound) {
@@ -527,24 +511,23 @@ sim::Future<Status> Client::Link(net::NodeId node, std::string existing,
                                  std::string link, trace::TraceContext trace) {
   trace::ScopedSpan span(trace, "meta.link", "meta");
   const trace::TraceContext tctx = span.context();
-  const std::string src_name = NameOf(existing);
-  const std::string link_name = NameOf(link);
-  auto src_parent = co_await ResolveDir(node, ParentOf(existing), tctx);
+  const std::string src_name = path::Basename(existing);
+  const std::string link_name = path::Basename(link);
+  auto src_parent = co_await ResolveDir(node, path::Parent(existing), tctx);
   if (!src_parent.ok()) co_return src_parent.status();
   auto dentry = co_await Lookup(node, *src_parent, src_name, tctx);
-  if (!dentry.ok()) co_return MapLookupError(dentry.status(), existing);
+  if (!dentry.ok()) co_return status::LookupError(dentry.status(), existing);
   if (dentry->kind == InodeKind::kDirectory) {
     co_return status::IsDirectory(existing);
   }
-  auto link_parent = co_await ResolveDir(node, ParentOf(link), tctx);
+  auto link_parent = co_await ResolveDir(node, path::Parent(link), tctx);
   if (!link_parent.ok()) {
-    co_return link_parent.status().code() == ErrorCode::kNotFound
-                  ? status::NotFound("parent directory: " + ParentOf(link))
-                  : link_parent.status();
+    co_return status::LookupError(link_parent.status(),
+                                  "parent directory: " + path::Parent(link));
   }
   Result<Bytes> got =
       co_await store_.FailoverGet(node, InodeKey(dentry->ino), tctx);
-  if (!got.ok()) co_return MapLookupError(got.status(), existing);
+  if (!got.ok()) co_return status::LookupError(got.status(), existing);
   auto rec = DecodeInode(got.value());
   if (!rec.ok()) co_return rec.status();
   if (!rec->sealed) {

@@ -40,12 +40,6 @@
 
 namespace memfs::meta {
 
-// A resolved path: the inode number plus its current record.
-struct Attr {
-  Ino ino = kRootIno;
-  InodeRecord rec;
-};
-
 // One bounded page of a directory enumeration. The cursor (shard, offset)
 // names a token range and the entries already consumed within it; it stays
 // valid across membership epochs because shard assignment never depends on

@@ -244,6 +244,57 @@ Result<std::vector<std::string>> FoldIndex(const Bytes& value) {
   return FoldDirEvents(text.substr(2));
 }
 
+Bytes EncodeFileRecord(const InodeRecord& rec) {
+  std::string text = "F ";
+  strfmt::AppendUint(text, rec.size);
+  text += rec.sealed ? " 1" : " 0";
+  if (rec.epoch != 0) {
+    text.push_back(' ');
+    strfmt::AppendUint(text, rec.epoch);
+  }
+  text.push_back('\n');
+  return Bytes::Copy(text);
+}
+
+Bytes DirRecordHeader() { return Bytes::Copy("D\n"); }
+
+Result<InodeRecord> DecodePathRecord(const Bytes& value,
+                                     std::vector<std::string>* names) {
+  if (!value.is_real()) {
+    return status::InvalidArgument("metadata must be a real payload");
+  }
+  const std::string_view text = value.view();
+  if (text.empty()) return status::InvalidArgument("empty metadata record");
+  InodeRecord rec;
+  if (text[0] == 'F') {
+    // "F <size> <sealed>[ <epoch>]\n"
+    std::size_t pos = 2;
+    if (text.size() < 2 || text[1] != ' ' ||
+        !ParseField(text, pos, rec.size) || pos >= text.size()) {
+      return status::InvalidArgument("truncated file record");
+    }
+    rec.sealed = text[pos] == '1';
+    // An unparsable epoch reads as 0, like a record without one.
+    pos = text.find(' ', pos);
+    std::uint32_t epoch = 0;
+    if (pos != std::string_view::npos && ParseField(text, ++pos, epoch)) {
+      rec.epoch = epoch;
+    }
+    return rec;
+  }
+  if (text[0] == 'D') {
+    const std::size_t header_end = text.find('\n');
+    if (header_end == std::string_view::npos) {
+      return status::InvalidArgument("truncated directory record");
+    }
+    rec.kind = InodeKind::kDirectory;
+    rec.sealed = true;
+    if (names != nullptr) *names = FoldDirEvents(text.substr(header_end + 1));
+    return rec;
+  }
+  return status::InvalidArgument("unknown metadata record type");
+}
+
 Bytes EncodeIntent(const RenameIntent& intent) {
   std::string text = "R ";
   strfmt::AppendUint(text, intent.ino);

@@ -1,10 +1,23 @@
-// Sharded metadata service: on-wire records and token-range math.
+// Metadata records: every on-wire format of both namespaces, and the
+// sharded service's token-range math.
 //
-// The paper's directory protocol (src/memfs/metadata.h) hashes each whole
-// directory to one server, so a hot directory is a hot server and a
-// million-entry readdir is one giant APPEND blob. This module is the core of
-// the replacement (GlusterFS-DHT2 style): dentries are separated from inodes
-// and each directory's dentries are striped across token ranges.
+// The paper's protocol (metadata = append_log, §3.2.4) keys each record by
+// its path:
+//
+//  * File: key = path, value = "F <size> <sealed>[ <epoch>]\n". Created with
+//    an ADD of an unsealed record (size 0); sealed by a SET carrying the final
+//    size on close. The epoch is absent in records written before a
+//    scale-out.
+//  * Directory: key = path, value = "D\n" followed by one DirEvent per
+//    membership change, appended with the storage layer's atomic APPEND;
+//    readers fold the log into the current listing (deletion is a tombstone,
+//    never an in-place edit).
+//
+// That protocol hashes each whole directory to one server, so a hot
+// directory is a hot server and a million-entry readdir is one giant APPEND
+// blob. The sharded service (metadata = sharded, meta::Client) replaces it
+// (GlusterFS-DHT2 style): dentries are separated from inodes and each
+// directory's dentries are striped across token ranges.
 //
 //  * Inode: key = "i/<ino>", value = "I f|d <size> <sealed> <epoch> <nlink>".
 //    The inode number — not the path — keys the record and the file's
@@ -20,6 +33,9 @@
 //    the ring, so one hot directory spreads over `dir_shards` servers.
 //  * Rename intent: key = "r/<ino>", a journal record making cross-directory
 //    rename crash-safe (roll-forward; every step is idempotent).
+//
+// Both namespaces decode a file or directory into one InodeRecord, so MemFS
+// checks kinds, epochs and seals the same way in either mode.
 //
 // Token ranges: a name's token is a 64-bit hash of "<dir_ino>/<name>"; the
 // token space [0, 2^64) is cut into `shards` equal half-open ranges. The
@@ -139,6 +155,13 @@ struct InodeRecord {
 Bytes EncodeInode(const InodeRecord& rec);
 [[nodiscard]] Result<InodeRecord> DecodeInode(const Bytes& value);
 
+// A resolved path: the inode number plus its current record. Ino 0 names a
+// path-keyed (append_log) file, whose stripes key on its path.
+struct Attr {
+  Ino ino = kRootIno;
+  InodeRecord rec;
+};
+
 // ---------------------------------------------------------------------------
 // Dentry records
 
@@ -155,8 +178,8 @@ Bytes EncodeDentry(const Dentry& dentry);
 
 // One event of a directory log: "+name\n" when a child is created, "-name\n"
 // when it is removed. Both namespaces list directories this way, behind
-// their own one-line header: the paper's directory record ("D\n",
-// src/memfs/metadata.h) and a sharded index blob ("X\n", below).
+// their own one-line header: the paper's directory record ("D\n", below)
+// and a sharded index blob ("X\n", below).
 Bytes DirEvent(std::string_view name, bool deleted);
 
 // Folds events (the log after its header) into the live names, sorted.
@@ -173,6 +196,21 @@ Bytes IndexHeader();
 // Folds an index blob into the live names of its range, sorted — the
 // deterministic enumeration order paged readdir exposes.
 [[nodiscard]] Result<std::vector<std::string>> FoldIndex(const Bytes& value);
+
+// ---------------------------------------------------------------------------
+// Path-keyed records (append_log)
+
+// A file record: size, sealed and epoch of `rec` (kind and nlink are not
+// stored).
+Bytes EncodeFileRecord(const InodeRecord& rec);
+Bytes DirRecordHeader();
+
+// Parses either record form; a directory decodes as a sealed kDirectory
+// record, and its live names (tombstones applied, sorted) go to `names` when
+// it is non-null. Fails with INVALID_ARGUMENT on malformed or synthetic
+// payloads (metadata is always stored as real bytes).
+[[nodiscard]] Result<InodeRecord> DecodePathRecord(
+    const Bytes& value, std::vector<std::string>* names);
 
 // ---------------------------------------------------------------------------
 // Rename intents

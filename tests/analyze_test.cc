@@ -210,6 +210,52 @@ TEST(AnalyzeLockedReturnTest, ReleaseOnEveryPathIsClean) {
   EXPECT_EQ(CountRule(Analyze({{"t.cc", tu}}), "locked-return"), 0);
 }
 
+// --- coroutine safety: await-in-conditional -------------------------------
+
+TEST(AnalyzeAwaitInConditionalTest, AwaitingArmChoiceIsFlagged) {
+  // The shape GCC 12 double-frees: one finding per conditional, at its
+  // first await; an await in the condition counts too.
+  const std::string tu = R"cc(
+    sim::Future<Result<Attr>> Lookup(Client* client, Store& store,
+                                     std::string path) {
+      co_return client != nullptr ? co_await client->Resolve(path)
+                                  : ToAttr(co_await store.Get(path));
+    }
+    sim::Future<int> Pick(Store& store) {
+      const int n = (co_await store.Ready()) ? 1 : 2;
+      co_return n;
+    }
+  )cc";
+  const auto findings = Analyze({{"c.cc", tu}});
+  ASSERT_EQ(CountRule(findings, "await-in-conditional"), 2);
+  EXPECT_EQ(FindRule(findings, "await-in-conditional")->line, 4);
+}
+
+TEST(AnalyzeAwaitInConditionalTest, IfElseArmChoiceIsClean) {
+  // The same choice awaited into locals, and conditionals that only build
+  // an awaited call's arguments, follow an awaiting statement or hold an
+  // awaiting lambda body.
+  const std::string tu = R"cc(
+    sim::Future<Result<Attr>> Lookup(Client* client, Store& store,
+                                     std::string path) {
+      Result<Attr> attr = Attr{};
+      if (client != nullptr) {
+        attr = co_await client->Resolve(path);
+      } else {
+        Result<Bytes> record = co_await store.Get(path);
+        attr = ToAttr(record);
+      }
+      co_await store.Reclaim(attr->ino != 0 ? Ident(attr->ino) : path);
+      if (co_await store.Ready()) { Log(); }
+      attr.ok() ? Log() : Skip();
+      auto task = attr.ok() ? [&]() -> sim::Task { co_await store.Sync(); }
+                            : Noop();
+      co_return attr;
+    }
+  )cc";
+  EXPECT_EQ(CountRule(Analyze({{"c.cc", tu}}), "await-in-conditional"), 0);
+}
+
 // --- coroutine safety: blocking-call --------------------------------------
 
 TEST(AnalyzeBlockingCallTest, DirectWallClockSleepInCoroutine) {

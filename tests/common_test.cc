@@ -1,4 +1,5 @@
-// Unit tests for src/common: payloads, stats, RNG, status, table output.
+// Unit tests for src/common: payloads, stats, RNG, status, paths, table
+// output.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/path.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -478,6 +480,26 @@ TEST(StatsTest, SampleQuantiles) {
   EXPECT_NEAR(s.Quantile(0.0), 1.0, 1e-9);
   EXPECT_NEAR(s.Quantile(1.0), 100.0, 1e-9);
   EXPECT_NEAR(s.Quantile(0.9), 90.1, 1e-9);
+}
+
+// --- Path helpers ---
+
+TEST(PathTest, ParentAndBasename) {
+  EXPECT_EQ(path::Parent("/a/b/c"), "/a/b");
+  EXPECT_EQ(path::Parent("/a"), "/");
+  EXPECT_EQ(path::Basename("/a/b/c"), "c");
+  EXPECT_EQ(path::Basename("/a"), "a");
+}
+
+TEST(PathTest, Normalization) {
+  EXPECT_TRUE(path::IsNormalized("/"));
+  EXPECT_TRUE(path::IsNormalized("/a/b.txt"));
+  EXPECT_FALSE(path::IsNormalized(""));
+  EXPECT_FALSE(path::IsNormalized("a/b"));
+  EXPECT_FALSE(path::IsNormalized("/a/"));
+  EXPECT_FALSE(path::IsNormalized("/a//b"));
+  EXPECT_FALSE(path::IsNormalized("/a/../b"));
+  EXPECT_FALSE(path::IsNormalized("/a/./b"));
 }
 
 // --- Table ---

@@ -14,7 +14,6 @@
 #include "kvstore/membership.h"
 #include "kvstore/migrator.h"
 #include "memfs/memfs.h"
-#include "memfs/metadata.h"
 #include "memfs/striper.h"
 #include "sim/task.h"
 #include "test_util.h"
@@ -126,9 +125,9 @@ TEST_F(ElasticTest, EpochSurvivesInMetadataRecord) {
   for (std::uint32_t srv = 0; srv < 4; ++srv) {
     auto direct = storage_->server(srv).Get("/tagged");
     if (direct.ok()) {
-      auto decoded = meta::Decode(direct.value());
+      auto decoded = meta::DecodePathRecord(direct.value(), nullptr);
       ASSERT_TRUE(decoded.ok());
-      EXPECT_EQ(decoded->file.epoch, 1u);
+      EXPECT_EQ(decoded->epoch, 1u);
       found = true;
     }
   }
@@ -285,15 +284,18 @@ TEST(HandoffGateTest, IndependentKeysDoNotInterfere) {
 }
 
 TEST_F(ElasticTest, MetadataCodecEpochRoundTrip) {
-  auto decoded = meta::Decode(meta::EncodeFile({12345, true, 7}));
+  const Bytes record = meta::EncodeFileRecord(
+      {.size = 12345, .sealed = true, .epoch = 7});
+  EXPECT_EQ(record.view(), "F 12345 1 7\n");
+  auto decoded = meta::DecodePathRecord(record, nullptr);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->file.size, 12345u);
-  EXPECT_TRUE(decoded->file.sealed);
-  EXPECT_EQ(decoded->file.epoch, 7u);
+  EXPECT_EQ(decoded->size, 12345u);
+  EXPECT_TRUE(decoded->sealed);
+  EXPECT_EQ(decoded->epoch, 7u);
   // Legacy record without epoch still parses (defaults to epoch 0).
-  decoded = meta::Decode(Bytes::Copy("F 42 1\n"));
+  decoded = meta::DecodePathRecord(Bytes::Copy("F 42 1\n"), nullptr);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->file.epoch, 0u);
+  EXPECT_EQ(decoded->epoch, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-// MemFS client tests: striping arithmetic, metadata codec, write/read round
-// trips over the simulated cluster, write-once enforcement, buffering and
-// prefetching behaviour, namespace operations, and stripe balance.
+// MemFS client tests: striping arithmetic, write/read round trips over the
+// simulated cluster, write-once enforcement, buffering and prefetching
+// behaviour, namespace operations, and stripe balance.
 #include <string>
 #include <vector>
 
@@ -10,7 +10,6 @@
 #include "common/units.h"
 #include "kvstore/kv_cluster.h"
 #include "memfs/memfs.h"
-#include "memfs/metadata.h"
 #include "memfs/striper.h"
 #include "test_util.h"
 #include "testbed_fixture.h"
@@ -21,26 +20,6 @@ namespace {
 using memfs::testing::Await;
 using units::KiB;
 using units::MiB;
-
-// --- Path helpers ---
-
-TEST(PathTest, ParentAndBasename) {
-  EXPECT_EQ(path::Parent("/a/b/c"), "/a/b");
-  EXPECT_EQ(path::Parent("/a"), "/");
-  EXPECT_EQ(path::Basename("/a/b/c"), "c");
-  EXPECT_EQ(path::Basename("/a"), "a");
-}
-
-TEST(PathTest, Normalization) {
-  EXPECT_TRUE(path::IsNormalized("/"));
-  EXPECT_TRUE(path::IsNormalized("/a/b.txt"));
-  EXPECT_FALSE(path::IsNormalized(""));
-  EXPECT_FALSE(path::IsNormalized("a/b"));
-  EXPECT_FALSE(path::IsNormalized("/a/"));
-  EXPECT_FALSE(path::IsNormalized("/a//b"));
-  EXPECT_FALSE(path::IsNormalized("/a/../b"));
-  EXPECT_FALSE(path::IsNormalized("/a/./b"));
-}
 
 // --- Striper ---
 
@@ -108,50 +87,6 @@ TEST(StriperTest, SpansPropertySweep) {
 
 TEST(StriperTest, StripeKeyFormat) {
   EXPECT_EQ(Striper::StripeKey("/a/b.fits", 17), "/a/b.fits#17");
-}
-
-// --- Metadata codec ---
-
-TEST(MetadataTest, FileRecordRoundTrip) {
-  auto decoded = meta::Decode(meta::EncodeFile({123456, true}));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->kind, meta::Kind::kFile);
-  EXPECT_EQ(decoded->file.size, 123456u);
-  EXPECT_TRUE(decoded->file.sealed);
-
-  decoded = meta::Decode(meta::EncodeFile({0, false}));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_FALSE(decoded->file.sealed);
-}
-
-TEST(MetadataTest, DirectoryEventLogFolds) {
-  Bytes dir = meta::DirHeader();
-  dir.Append(mds::DirEvent("a", false));
-  dir.Append(mds::DirEvent("b", false));
-  dir.Append(mds::DirEvent("a", true));   // delete a
-  dir.Append(mds::DirEvent("c", false));
-  auto decoded = meta::Decode(dir);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->kind, meta::Kind::kDirectory);
-  EXPECT_EQ(decoded->entries, (std::vector<std::string>{"b", "c"}));
-}
-
-TEST(MetadataTest, RecreatedNameReappears) {
-  Bytes dir = meta::DirHeader();
-  dir.Append(mds::DirEvent("x", false));
-  dir.Append(mds::DirEvent("x", true));
-  dir.Append(mds::DirEvent("x", false));
-  auto decoded = meta::Decode(dir);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->entries, (std::vector<std::string>{"x"}));
-}
-
-TEST(MetadataTest, MalformedRecordsRejected) {
-  EXPECT_FALSE(meta::Decode(Bytes::Copy("")).ok());
-  EXPECT_FALSE(meta::Decode(Bytes::Copy("Z nonsense")).ok());
-  EXPECT_FALSE(meta::Decode(Bytes::Copy("F")).ok());
-  EXPECT_FALSE(meta::Decode(Bytes::Copy("F abc 1\n")).ok());
-  EXPECT_FALSE(meta::Decode(Bytes::Synthetic(100, 1)).ok());
 }
 
 // --- MemFS over the simulated cluster ---

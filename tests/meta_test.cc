@@ -1,12 +1,14 @@
 // Tests for the token-range-sharded metadata service (src/meta) and its
-// MemFS integration: token-range math, record codecs, sharded namespace
-// operations end-to-end, paged readdir (including cursor stability across
-// membership epochs and bulk-loaded big directories), rename and hard-link
-// semantics, agreement with AMFS listings, and a chaos test that crashes
+// MemFS integration: token-range math, record codecs (the paper's path-keyed
+// records too), sharded namespace operations end-to-end, paged readdir
+// (including cursor stability across membership epochs and bulk-loaded big
+// directories), rename and hard-link semantics, agreement with AMFS listings
+// and with the append_log mode's error codes, and a chaos test that crashes
 // metadata shards mid-cross-directory-rename and proves recovery leaves no
 // dangling dentries or orphaned inodes.
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -154,6 +156,53 @@ TEST(MetaCodecTest, KeysAreDisjointNamespaces) {
   EXPECT_EQ(DentryKey(7, "a"), "d/7/a");
   EXPECT_EQ(IndexKey(7, 3), "x/7.3");
   EXPECT_EQ(IntentKey(7), "r/7");
+}
+
+// --- Path-keyed records (append_log) ------------------------------------
+
+TEST(MetadataTest, FileRecordRoundTrip) {
+  const Bytes sealed = EncodeFileRecord({.size = 123456, .sealed = true});
+  EXPECT_EQ(sealed.view(), "F 123456 1\n");
+  auto decoded = DecodePathRecord(sealed, nullptr);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->kind, InodeKind::kFile);
+  EXPECT_EQ(decoded->size, 123456u);
+  EXPECT_TRUE(decoded->sealed);
+
+  decoded = DecodePathRecord(EncodeFileRecord({}), nullptr);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_FALSE(decoded->sealed);
+}
+
+TEST(MetadataTest, DirectoryEventLogFolds) {
+  Bytes dir = DirRecordHeader();
+  dir.Append(DirEvent("a", false));
+  dir.Append(DirEvent("b", false));
+  dir.Append(DirEvent("a", true));   // delete a
+  dir.Append(DirEvent("c", false));
+  std::vector<std::string> names;
+  auto decoded = DecodePathRecord(dir, &names);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->kind, InodeKind::kDirectory);
+  EXPECT_EQ(names, (std::vector<std::string>{"b", "c"}));
+}
+
+TEST(MetadataTest, RecreatedNameReappears) {
+  Bytes dir = DirRecordHeader();
+  dir.Append(DirEvent("x", false));
+  dir.Append(DirEvent("x", true));
+  dir.Append(DirEvent("x", false));
+  std::vector<std::string> names;
+  ASSERT_TRUE(DecodePathRecord(dir, &names).ok());
+  EXPECT_EQ(names, (std::vector<std::string>{"x"}));
+}
+
+TEST(MetadataTest, MalformedRecordsRejected) {
+  for (const Bytes& bad :
+       {Bytes::Copy(""), Bytes::Copy("Z nonsense"), Bytes::Copy("F"),
+        Bytes::Copy("F abc 1\n"), Bytes::Synthetic(100, 1)}) {
+    EXPECT_FALSE(DecodePathRecord(bad, nullptr).ok());
+  }
 }
 
 // --- Sharded MemFS end-to-end --------------------------------------------
@@ -614,6 +663,131 @@ TEST(CrossFsListingTest, AmfsRenameMovesFilesOnly) {
             ErrorCode::kPermission);
   EXPECT_EQ(Await(sim, amfs.Link({0, 0}, "/b/y", "/b/z")).code(),
             ErrorCode::kPermission);
+}
+
+// --- Both metadata modes, one error table --------------------------------
+
+template <typename T>
+ErrorCode CodeOf(const Result<T>& result) {
+  return result.status().code();
+}
+ErrorCode CodeOf(const Status& status) { return status.code(); }
+
+// Every namespace error case runs on both metadata modes, and each row's op
+// must fail with the same code in either. The namespace: directory /dir
+// holding a sealed file, a sealed file /file, an unsealed file /open and an
+// empty directory /down. The last rows take down the one server (replication
+// 1) holding /down's record — its path-keyed record under append_log, its
+// dentry under sharded metadata — and expect a retryable code, not "no such
+// directory".
+TEST(CrossModeNamespaceTest, ErrorCodesAgreePerRow) {
+  using Op = std::function<ErrorCode(workloads::Testbed&)>;
+  struct Row {
+    std::string what;
+    Op op;
+    ErrorCode want;  // kUnavailable: any retryable code
+  };
+  auto vfs_op = [](auto call) {
+    return [call](workloads::Testbed& bed) {
+      return CodeOf(Await(bed.simulation(), call(*bed.memfs())));
+    };
+  };
+  auto with_parent_down = [](auto call) {
+    return [call](workloads::Testbed& bed) {
+      fs::MemFs& memfs = *bed.memfs();
+      const std::uint32_t home = memfs.distributor().ServerFor(
+          memfs.meta_client() != nullptr ? DentryKey(kRootIno, "down")
+                                         : std::string("/down"));
+      // A child whose own record lives elsewhere, so only the parent's
+      // server is down.
+      std::string child = "/down/f";
+      while (memfs.distributor().ServerFor(child) == home) child += "f";
+      bed.storage()->SetServerDown(home, true);
+      const ErrorCode code =
+          CodeOf(Await(bed.simulation(), call(memfs, child)));
+      bed.storage()->SetServerDown(home, false);
+      return code;
+    };
+  };
+  const fs::VfsContext ctx{0, 0};
+  const std::vector<Row> rows = {
+      {"open a directory",
+       vfs_op([&](fs::MemFs& fs) { return fs.Open(ctx, "/dir"); }),
+       ErrorCode::kIsDirectory},
+      {"open an unsealed file",
+       vfs_op([&](fs::MemFs& fs) { return fs.Open(ctx, "/open"); }),
+       ErrorCode::kPermission},
+      {"stat a missing path",
+       vfs_op([&](fs::MemFs& fs) { return fs.Stat(ctx, "/missing"); }),
+       ErrorCode::kNotFound},
+      {"open a missing path",
+       vfs_op([&](fs::MemFs& fs) { return fs.Open(ctx, "/missing"); }),
+       ErrorCode::kNotFound},
+      {"readdir a file",
+       vfs_op([&](fs::MemFs& fs) { return fs.ReadDir(ctx, "/file"); }),
+       ErrorCode::kNotDirectory},
+      {"readdir_page a file",
+       vfs_op([&](fs::MemFs& fs) {
+         return fs.ReadDirPage(ctx, "/file", {}, 0);
+       }),
+       ErrorCode::kNotDirectory},
+      {"rmdir a non-empty directory",
+       vfs_op([&](fs::MemFs& fs) { return fs.Rmdir(ctx, "/dir"); }),
+       ErrorCode::kNotEmpty},
+      {"unlink a directory",
+       vfs_op([&](fs::MemFs& fs) { return fs.Unlink(ctx, "/dir"); }),
+       ErrorCode::kIsDirectory},
+      {"create under a missing directory",
+       vfs_op([&](fs::MemFs& fs) { return fs.Create(ctx, "/missing/f"); }),
+       ErrorCode::kNotFound},
+      {"mkdir an existing path",
+       vfs_op([&](fs::MemFs& fs) { return fs.Mkdir(ctx, "/dir"); }),
+       ErrorCode::kExists},
+      {"create while the parent's server is down",
+       with_parent_down([&](fs::MemFs& fs, const std::string& path) {
+         return fs.Create(ctx, path);
+       }),
+       ErrorCode::kUnavailable},
+      {"mkdir while the parent's server is down",
+       with_parent_down([&](fs::MemFs& fs, const std::string& path) {
+         return fs.Mkdir(ctx, path);
+       }),
+       ErrorCode::kUnavailable},
+  };
+
+  std::map<MetadataMode, std::vector<ErrorCode>> codes;
+  for (const MetadataMode mode :
+       {MetadataMode::kAppendLog, MetadataMode::kSharded}) {
+    workloads::TestbedConfig config = BedConfig(4);
+    config.memfs.metadata = mode;
+    workloads::Testbed bed(workloads::FsKind::kMemFs, config);
+    sim::Simulation& sim = bed.simulation();
+    fs::MemFs& memfs = *bed.memfs();
+    ASSERT_TRUE(Await(sim, memfs.Mkdir(ctx, "/dir")).ok());
+    ASSERT_TRUE(Await(sim, memfs.Mkdir(ctx, "/down")).ok());
+    ASSERT_TRUE(testing::WriteFile(sim, memfs, ctx, "/dir/a",
+                                   Bytes::Copy("a"))
+                    .ok());
+    ASSERT_TRUE(
+        testing::WriteFile(sim, memfs, ctx, "/file", Bytes::Copy("f")).ok());
+    ASSERT_TRUE(Await(sim, memfs.Create(ctx, "/open")).ok());
+    for (const Row& row : rows) codes[mode].push_back(row.op(bed));
+  }
+
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE(rows[i].what);
+    const ErrorCode append_log = codes[MetadataMode::kAppendLog][i];
+    const ErrorCode sharded = codes[MetadataMode::kSharded][i];
+    EXPECT_EQ(append_log, sharded)
+        << ToString(append_log) << " vs " << ToString(sharded);
+    if (rows[i].want == ErrorCode::kUnavailable) {
+      EXPECT_TRUE(IsRetryable(append_log)) << ToString(append_log);
+      EXPECT_TRUE(IsRetryable(sharded)) << ToString(sharded);
+    } else {
+      EXPECT_EQ(append_log, rows[i].want) << ToString(append_log);
+      EXPECT_EQ(sharded, rows[i].want) << ToString(sharded);
+    }
+  }
 }
 
 // --- Chaos: shard crashes mid-cross-directory-rename ---------------------

@@ -34,7 +34,7 @@ const std::set<std::string>& RuleNames() {
   static const std::set<std::string> kRules = {
       "lock-order",
       "await-held-lock", "held-reacquire", "locked-return", "blocking-call",
-      "acquire-release",
+      "acquire-release", "await-in-conditional",
       "unordered-sink", "pointer-order", "nondeterminism",
       "ignored-status", "status-flow",
       "using-namespace", "pragma-once",
@@ -140,6 +140,16 @@ bool IsSimPath(const std::string& path) {
 }
 
 // --- Token helpers --------------------------------------------------------
+
+// True when the `=` at `i` assigns (not part of ==, !=, <= or >=).
+bool IsAssignment(const std::vector<Token>& t, std::size_t i) {
+  if (t[i].text != "=" || (i + 1 < t.size() && t[i + 1].text == "=")) {
+    return false;
+  }
+  if (i == 0) return true;
+  const std::string& prev = t[i - 1].text;
+  return prev != "=" && prev != "!" && prev != "<" && prev != ">";
+}
 
 // The identity-carrying component of a member chain, walking backward over
 // `expr` in [begin, end): for `slot.workers->...` the tail is `workers`, for
@@ -314,6 +324,7 @@ class Analysis {
   void StatusFlowRule(const FnFacts& facts);
   void IgnoredStatusRule(const TranslationUnit& tu);
   void NondeterminismRule(const TranslationUnit& tu);
+  void AwaitInConditionalRule(const TranslationUnit& tu);
   void HeaderRules(const TranslationUnit& tu);
   void SuppressionAudit();
   void AddFinding(const std::string& file, int line, std::string rule,
@@ -1148,6 +1159,71 @@ void Analysis::NondeterminismRule(const TranslationUnit& tu) {
   }
 }
 
+// Each operand of a `?:` is scanned at the `?`'s own bracket depth: the
+// condition back to the expression's start (`;`, `,`, a block's `}`, an
+// unmatched open bracket, an assignment, `return`/`co_return`, or another
+// `?`/`:`), the arms forward to its end. Nested brace blocks are skipped: an
+// await inside a lambda body is not part of the conditional's evaluation.
+void Analysis::AwaitInConditionalRule(const TranslationUnit& tu) {
+  const std::vector<Token>& t = tu.lexed.tokens;
+  std::set<std::size_t> reported;
+  for (std::size_t q = 0; q < t.size(); ++q) {
+    if (t[q].text != "?") continue;
+    std::size_t await = kNpos;
+    int depth = 0;
+    for (std::size_t i = q; i-- > 0;) {
+      const std::string& s = t[i].text;
+      if (s == "}") {
+        // At the `?`'s depth a block ends the previous statement.
+        if (depth == 0) break;
+        i = MatchBackward(t, i, "{", "}");
+        if (i == kNpos) break;
+      } else if (s == ")" || s == "]") {
+        ++depth;
+      } else if (s == "(" || s == "[" || s == "{") {
+        if (depth-- == 0) break;
+      } else if (s == "co_await") {
+        await = i;
+      } else if (depth == 0 &&
+                 (s == ";" || s == "," || s == "?" || s == ":" ||
+                  s == "return" || s == "co_return" || IsAssignment(t, i))) {
+        break;
+      }
+    }
+    int nested = 0;
+    bool in_else = false;
+    depth = 0;
+    for (std::size_t i = q + 1; i < t.size() && await == kNpos; ++i) {
+      const std::string& s = t[i].text;
+      if (s == "{") {
+        i = MatchForward(t, i, "{", "}");
+        if (i == kNpos) break;
+      } else if (s == "(" || s == "[") {
+        ++depth;
+      } else if (s == ")" || s == "]" || s == "}") {
+        if (depth-- == 0) break;
+      } else if (s == "co_await") {
+        await = i;
+      } else if (depth == 0 && s == "?") {
+        ++nested;
+      } else if (depth == 0 && s == ":") {
+        if (nested > 0) {
+          --nested;
+        } else {
+          in_else = true;
+        }
+      } else if (depth == 0 && (s == ";" || (in_else && s == ","))) {
+        break;
+      }
+    }
+    if (await == kNpos || !reported.insert(await).second) continue;
+    AddFinding(tu.path, t[await].line, "await-in-conditional",
+               "co_await inside an operand of ?:; GCC 12 double-frees the "
+               "temporaries of `cond ? co_await a : f(co_await b)` — await "
+               "into a local and choose the arm with if/else");
+  }
+}
+
 void Analysis::HeaderRules(const TranslationUnit& tu) {
   if (!IsHeaderPath(tu.path)) return;
   if (!tu.lexed.has_pragma_once) {
@@ -1236,6 +1312,7 @@ std::vector<Finding> Analysis::Run(Stats& stats) {
   for (const TranslationUnit& tu : tus_) {
     IgnoredStatusRule(tu);
     NondeterminismRule(tu);
+    AwaitInConditionalRule(tu);
     HeaderRules(tu);
   }
   SuppressionAudit();

@@ -27,6 +27,10 @@
 //                        .Acquire()/->Acquire() but never Release(); a
 //                        cross-function protocol (the producer releases what
 //                        the consumer acquired) uses the suppression comment.
+//                      await-in-conditional: a co_await inside an operand
+//                        of `?:`. GCC 12 double-frees the temporaries of
+//                        `cond ? co_await a : f(co_await b)`; an arm choice
+//                        that awaits is an if/else.
 //
 //  determinism         unordered-sink:  a range-for over an
 //                        std::unordered_map/set, a project hash table

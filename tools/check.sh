@@ -27,7 +27,8 @@
 #      (`ctest -L determinism`: every scenario x observer cell of
 #      tools/determinism_gate.cc, the label's only test), then the event
 #      heap, pool, future, semaphore, solver, payload, kv, chaos,
-#      file-system client, replication, workflow and envelope tests,
+#      file-system client, replication, metadata, workflow and envelope
+#      tests,
 #   6. configure + build with -DMEMFS_SANITIZE=thread in build-tsan/ and
 #      re-run the same under TSan (skipped with a notice when the toolchain
 #      has no libtsan).
@@ -121,9 +122,11 @@ tests="$tests|MemFsTest|AmfsTest|MetaFsTest|MetaChaos|RunnerTest|ElasticClusterT
 # namespaces (src/io/replicated_store.h): failover reads, read repair that
 # outlives the read that started it, degraded writes and epoch pinning.
 tests="$tests|ReplicationTest|ElasticTest"
+# Both MemFs metadata arms and the moved codec; ASan catches a ?: co_await double free.
+tests="$tests|MetadataTest|MetaCodecTest|CrossFsListingTest|CrossModeNamespaceTest"
 tests="$tests|WorkflowTest|MontageTest|BlastTest|WorkflowGolden|OpSchedulerBurst"
 tests="$tests|EnvelopeGolden|EnvelopeAccounting"
-echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client, replication, workflow and envelope tests =="
+echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client, replication, metadata, workflow and envelope tests =="
 ctest --test-dir "$root/build-asan" -R "$tests" --output-on-failure
 
 # TSan and ASan cannot live in one binary, so thread gets its own tree.
@@ -138,7 +141,7 @@ if printf 'int main(){return 0;}' | \
   echo "== sanitizers: determinism gate under TSan =="
   ctest --test-dir "$root/build-tsan" -L determinism --output-on-failure
 
-  echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client, replication, workflow and envelope tests under TSan =="
+  echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client, replication, metadata, workflow and envelope tests under TSan =="
   ctest --test-dir "$root/build-tsan" -R "$tests" --output-on-failure
 else
   echo "== sanitizers: thread skipped (toolchain has no libtsan) =="
