@@ -11,7 +11,9 @@
 // --scale mode profiles the simulator itself instead of the simulated
 // system: it re-runs the fig08 64-node point (all six workflow cells of the
 // figure's rightmost column) and reports wall-clock, simulated events,
-// sim-events/sec, the frame pool's peak held bytes, and — when built with
+// sim-events/sec, the fluid network's solver work (transfers, packets,
+// reallocations, rate recomputes; informational, not gated), the frame
+// pool's peak held bytes, and — when built with
 // MEMFS_PROFILE_ALLOC, which this target is — global heap allocation/free
 // counts, as JSON on stdout in the BENCH_scale.json schema. --sweep adds a
 // Montage-6/MemFS node sweep (8 → 1024). --baseline=FILE compares the
@@ -101,15 +103,24 @@ std::uint64_t HeapFrees() {
 #endif
 }
 
-// One measured run: wall-clock plus simulated-event and heap counters.
+// One measured run: wall-clock plus simulated-event, solver and heap counters.
 struct ScalePoint {
   double wall_s = 0.0;
   std::uint64_t sim_events = 0;
+  net::FluidNetwork::SolverStats solver;
   std::uint64_t heap_allocs = 0;
   std::uint64_t heap_frees = 0;
 
   double EventsPerSec() const {
     return wall_s > 0.0 ? static_cast<double>(sim_events) / wall_s : 0.0;
+  }
+
+  void AddCell(const CellResult& cell) {
+    sim_events += cell.sim_events;
+    solver.transfers += cell.solver.transfers;
+    solver.packets += cell.solver.packets;
+    solver.reallocations += cell.solver.reallocations;
+    solver.rate_recomputes += cell.solver.rate_recomputes;
   }
 };
 
@@ -120,7 +131,7 @@ ScalePoint Measure(Fn&& run) {
   const std::uint64_t frees0 = HeapFrees();
   // lint: allow(nondeterminism) measuring the simulator's own wall-clock
   const auto start = std::chrono::steady_clock::now();
-  point.sim_events = run();
+  run(point);
   // lint: allow(nondeterminism) measuring the simulator's own wall-clock
   const auto stop = std::chrono::steady_clock::now();
   point.wall_s =
@@ -134,10 +145,9 @@ ScalePoint Measure(Fn&& run) {
 // The fig08 64-node point: the six workflow cells of the figure's rightmost
 // column in the paper-figure table (Montage-6 on AMFS_8, AMFS_4 and
 // MemFS_8; Montage-12 on MemFS; BLAST on AMFS and MemFS), each workflow
-// built once. Returns total simulated events across the six testbeds.
-std::uint64_t RunFig08Point() {
+// built once. Adds the six testbeds' counters to `point`.
+void RunFig08Point(ScalePoint& point) {
   std::map<Workload, mtc::Workflow> workflows;
-  std::uint64_t events = 0;
   for (const Figure& figure : PaperFigures()) {
     if (!figure.id.starts_with("fig08")) continue;
     for (const Row& row : figure.rows) {
@@ -152,10 +162,9 @@ std::uint64_t RunFig08Point() {
         std::cerr << "scale cell failed: " << cell.status.ToString() << "\n";
         std::exit(2);
       }
-      events += cell.sim_events;
+      point.AddCell(cell);
     }
   }
-  return events;
 }
 
 // fig08a's 64-node Montage-6/MemFS cell moved to `nodes` — the sweep
@@ -164,7 +173,7 @@ std::uint64_t RunFig08Point() {
 // per-node services, membership, monitors and wider fan-outs, not more
 // application work. Montage-6 cannot fill 1024 nodes — the point of the
 // large cells is that the simulator carries them at all.
-std::uint64_t RunSweepCell(std::uint32_t nodes) {
+void RunSweepCell(std::uint32_t nodes, ScalePoint& point) {
   CellParams params = FindRow("fig08a", "64 nodes MemFS_8")->cell;
   params.nodes = nodes;
   const CellResult cell = RunCell(params);
@@ -173,12 +182,16 @@ std::uint64_t RunSweepCell(std::uint32_t nodes) {
               << " nodes: " << cell.status.ToString() << "\n";
     std::exit(2);
   }
-  return cell.sim_events;
+  point.AddCell(cell);
 }
 
 void AppendPoint(std::ostream& out, const ScalePoint& point) {
   out << "\"wall_s\": " << point.wall_s
       << ", \"sim_events\": " << point.sim_events
+      << ", \"transfers\": " << point.solver.transfers
+      << ", \"packets\": " << point.solver.packets
+      << ", \"reallocations\": " << point.solver.reallocations
+      << ", \"rate_recomputes\": " << point.solver.rate_recomputes
       << ", \"events_per_sec\": " << point.EventsPerSec()
       << ", \"heap_allocs\": " << point.heap_allocs
       << ", \"heap_frees\": " << point.heap_frees;
@@ -206,7 +219,7 @@ int RunScaleProfile(bool sweep, const std::string& baseline_path) {
        << ",\n";
 
   std::cerr << "running fig08 64-node point...\n";
-  const ScalePoint fig08 = Measure([] { return RunFig08Point(); });
+  const ScalePoint fig08 = Measure(RunFig08Point);
   // fig08 is this process's first simulation, so the thread's pool peak is
   // its own.
   const std::size_t pool_peak = sim::detail::PoolHeld().peak;
@@ -222,7 +235,7 @@ int RunScaleProfile(bool sweep, const std::string& baseline_path) {
     for (std::uint32_t nodes : {8u, 16u, 32u, 64u, 128u, 256u, 512u, 1024u}) {
       std::cerr << "sweep point: " << nodes << " nodes...\n";
       const ScalePoint point =
-          Measure([nodes] { return RunSweepCell(nodes); });
+          Measure([nodes](ScalePoint& p) { RunSweepCell(nodes, p); });
       json << (first ? "" : ",") << "\n    {\"nodes\": " << nodes << ", ";
       AppendPoint(json, point);
       json << "}";

@@ -256,6 +256,7 @@ void RunWire(const CellParams& p, CellResult& out) {
   out.metrics["system_MBps_node"] = system;
   out.metrics["system_ratio"] = app > 0 ? system / app : 0;
   out.sim_events = bed.simulation().events_processed();
+  out.solver = bed.network().stats();
 }
 
 void RunWorkflow(const CellParams& p, const mtc::Workflow& workflow,
@@ -276,6 +277,7 @@ void RunWorkflow(const CellParams& p, const mtc::Workflow& workflow,
   const mtc::WorkflowResult result = runner.Run(workflow);
   out.status = result.status;
   out.sim_events = bed.simulation().events_processed();
+  out.solver = bed.network().stats();
 
   auto& m = out.metrics;
   m["makespan_s"] = result.MakespanSeconds();

@@ -121,6 +121,7 @@ struct CellResult {
   Status status;
   std::map<std::string, double> metrics;
   std::uint64_t sim_events = 0;  // workflow and wire cells
+  net::FluidNetwork::SolverStats solver;  // workflow and wire cells
 };
 
 // The cell's workflow (workflow and inventory cells).

@@ -4,8 +4,9 @@
 // The network keeps cumulative per-node byte counters but no registry; these
 // helpers expose them to the monitor as per-window utilization series
 // ("net.tx_util/N", "net.rx_util/N" — fraction of NIC capacity used over the
-// window) plus the cluster-wide in-flight flow count ("net.active_flows").
-// Probes read counters only, so attaching them never perturbs the run.
+// window) plus the cluster-wide count of transfers on the wire, bulk flows
+// and packets alike ("net.active_flows"). Probes read counters only, so
+// attaching them never perturbs the run.
 #pragma once
 
 #include "common/metrics.h"

@@ -22,6 +22,7 @@ FluidNetwork::FluidNetwork(sim::Simulation& sim, NetworkConfig config)
   counts_.assign(3 * n + 1, 0);
   res_flows_.resize(3 * n + 1);
   dirty_stamp_.assign(3 * n + 1, 0);
+  wire_free_.assign(3 * n + 1, 0);
   sent_.assign(n, 0);
   received_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -45,6 +46,7 @@ sim::VoidFuture FluidNetwork::Transfer(NodeId src, NodeId dst,
   sim::VoidPromise promise(sim_);
   auto future = promise.GetFuture();
 
+  ++stats_.transfers;
   sent_[src] += bytes;
   received_[dst] += bytes;
   total_bytes_ += bytes;
@@ -61,6 +63,10 @@ sim::VoidFuture FluidNetwork::Transfer(NodeId src, NodeId dst,
     sim_.Schedule(latency, [promise]() mutable { promise.Set(sim::Done{}); });
     return future;
   }
+  if (bytes <= kPacketBytes) {
+    SendPacket(src, dst, bytes, latency, std::move(promise));
+    return future;
+  }
 
   // The flow is built in its slot up front; only {slot, id} travel through
   // the event queue. It enters the fluid stage after its one-way latency, so
@@ -75,19 +81,49 @@ sim::VoidFuture FluidNetwork::Transfer(NodeId src, NodeId dst,
   flow.remaining = static_cast<double>(bytes);
   flow.id = id;
   flow.promise = std::move(promise);
-  if (local) {
-    flow.nres = 1;
-    flow.res[0] = LocalOf(src);
-  } else {
-    flow.nres = 2;
-    flow.res[0] = EgressOf(src);
-    flow.res[1] = IngressOf(dst);
-    if (config_.fabric_bandwidth != 0) {
-      flow.res[flow.nres++] = Fabric();
-    }
-  }
+  flow.nres = Route(src, dst, flow.res);
   sim_.Schedule(latency, [this, slot, id] { Activate(slot, id); });
   return future;
+}
+
+std::uint8_t FluidNetwork::Route(NodeId src, NodeId dst,
+                                 ResourceId* res) const {
+  if (src == dst) {
+    res[0] = LocalOf(src);
+    return 1;
+  }
+  res[0] = EgressOf(src);
+  res[1] = IngressOf(dst);
+  if (config_.fabric_bandwidth == 0) return 2;
+  res[2] = Fabric();
+  return 3;
+}
+
+void FluidNetwork::SendPacket(NodeId src, NodeId dst, std::uint64_t bytes,
+                              sim::SimTime latency, sim::VoidPromise promise) {
+  ++stats_.packets;
+  ResourceId res[kMaxResources];
+  const std::uint8_t nres = Route(src, dst, res);
+  // FIFO behind the packets already queued on each resource; on the wire at
+  // the share fair queueing leaves one packet beside the bulk flows there.
+  sim::SimTime start = sim_.now() + latency;
+  double wire_ns = 0.0;
+  for (std::uint8_t i = 0; i < nres; ++i) {
+    const ResourceId r = res[i];
+    start = std::max(start, wire_free_[r]);
+    wire_ns = std::max(wire_ns, static_cast<double>(bytes) *
+                                    static_cast<double>(counts_[r] + 1) *
+                                    static_cast<double>(units::kNanosPerSec) /
+                                    capacity_[r]);
+  }
+  const sim::SimTime done =
+      start + static_cast<sim::SimTime>(std::ceil(wire_ns));
+  for (std::uint8_t i = 0; i < nres; ++i) wire_free_[res[i]] = done;
+  ++packets_in_flight_;
+  sim_.ScheduleAt(done, [this, promise = std::move(promise)]() mutable {
+    --packets_in_flight_;
+    promise.Set(sim::Done{});
+  });
 }
 
 void FluidNetwork::SetLinkFault(NodeId src, NodeId dst, LinkFault fault) {
@@ -185,6 +221,7 @@ void FluidNetwork::UnlinkFlow(SlotId slot) {
 }
 
 void FluidNetwork::RunReallocate() {
+  ++stats_.reallocations;
   Reallocate();
   dirty_.clear();
   ++dirty_cur_;
@@ -209,6 +246,7 @@ void FluidNetwork::Activate(SlotId slot, std::uint64_t id) {
 
 void FluidNetwork::set_rate(Flow& flow, double rate) {
   assert(rate > 0.0 && "active flow with zero rate");
+  ++stats_.rate_recomputes;
   if (rate == flow.rate) return;
   const sim::SimTime now = sim_.now();
   if (now != flow.settled_at) {
@@ -391,7 +429,7 @@ void WaterfillNetwork::ReallocateExact() {
   // that fair share, charge the frozen rates to their other resources, and
   // continue until every flow is frozen. This is the original from-scratch
   // solver, kept verbatim as the reference oracle for the incremental arm.
-  if (active_flows() == 0) return;
+  if (bulk_flows() == 0) return;
 
   struct ResState {
     double residual = 0.0;
@@ -408,7 +446,7 @@ void WaterfillNetwork::ReallocateExact() {
     }
   }
 
-  std::size_t remaining_flows = active_flows();
+  std::size_t remaining_flows = bulk_flows();
   while (remaining_flows > 0) {
     double min_share = std::numeric_limits<double>::infinity();
     for (const auto& [r, state] : res) {

@@ -26,6 +26,18 @@
 // whose rate the solver changed, plus O(log n) heap fix-ups. Flows that
 // complete in the same event are fulfilled in flow-id order.
 //
+// Packets are not flows. A transfer of 1 to kPacketBytes bytes (a kv request
+// or reply header with its key) never enters the flow slots, the resource
+// lists or the finish heap. At send time it takes start = max(now + one-way
+// latency, wire_free_[r] of each resource r it crosses), holds those
+// resources FIFO until done = start + ceil(bytes / min over r of
+// capacity_r / (bulk flows on r + 1)) ns, the one share fair queueing leaves
+// it among the bulk flows, and one event at `done` fulfils it. Bulk flows are
+// never re-rated for a packet: packets sent beside bulk flows carry under
+// 0.02% of the bulk bytes in fig03a and fig04b, while re-rating every flow
+// on both NICs for each message was the bulk of the solver's work (DESIGN.md
+// §11, "Packets are not flows"). Zero-byte transfers stay pure latency.
+//
 // Resources are indexed as: [0, N) egress NICs, [N, 2N) ingress NICs,
 // [2N, 3N) node-local paths, 3N the optional core fabric.
 #pragma once
@@ -43,6 +55,18 @@ namespace memfs::net {
 
 class FluidNetwork : public Network {
  public:
+  // The largest transfer sent as a packet rather than a fluid flow.
+  static constexpr std::uint64_t kPacketBytes = 512;
+
+  // Solver work, counted since construction (tooling: the scale profile
+  // reports them beside its event counts).
+  struct SolverStats {
+    std::uint64_t transfers = 0;        // Transfer calls, every size
+    std::uint64_t packets = 0;          // of those, sent as packets
+    std::uint64_t reallocations = 0;    // solver passes over the dirty set
+    std::uint64_t rate_recomputes = 0;  // flow rates computed by a pass
+  };
+
   FluidNetwork(sim::Simulation& sim, NetworkConfig config);
   ~FluidNetwork() override;
 
@@ -57,7 +81,10 @@ class FluidNetwork : public Network {
     return received_[node];
   }
   std::uint64_t total_bytes() const override { return total_bytes_; }
-  std::size_t active_flows() const override { return finish_heap_.size(); }
+  std::size_t active_flows() const override {
+    return finish_heap_.size() + packets_in_flight_;
+  }
+  const SolverStats& stats() const { return stats_; }
 
   // Fault injection: per-link loss and latency spikes (see network.h).
   void SetLinkFault(NodeId src, NodeId dst, LinkFault fault) override;
@@ -71,9 +98,9 @@ class FluidNetwork : public Network {
   void SetExactReallocate(bool exact) { exact_ = exact; }
   bool exact_reallocate() const { return exact_; }
 
-  // Diagnostic snapshot of the in-progress flows, sorted by id (stable
-  // across solver arms; the property test compares these), with remaining
-  // bytes as of now.
+  // Diagnostic snapshot of the in-progress bulk flows (packets are not
+  // listed), sorted by id (stable across solver arms; the property test
+  // compares these), with remaining bytes as of now.
   struct FlowInfo {
     std::uint64_t id = 0;
     NodeId src = 0;
@@ -126,6 +153,8 @@ class FluidNetwork : public Network {
   virtual void Reallocate() = 0;
 
   double ResourceCapacity(ResourceId r) const { return capacity_[r]; }
+  // Active bulk flows (active_flows() less the packets in flight).
+  std::size_t bulk_flows() const { return finish_heap_.size(); }
   std::uint32_t ResourceFlowCount(ResourceId r) const { return counts_[r]; }
 
   // Resources whose flow membership changed since the last Reallocate
@@ -155,6 +184,11 @@ class FluidNetwork : public Network {
     SlotId slot;
   };
 
+  // Fills `res` with the resources a src -> dst transfer crosses; returns
+  // how many.
+  std::uint8_t Route(NodeId src, NodeId dst, ResourceId* res) const;
+  void SendPacket(NodeId src, NodeId dst, std::uint64_t bytes,
+                  sim::SimTime latency, sim::VoidPromise promise);
   void Activate(SlotId slot, std::uint64_t id);
   bool Due(const Flow& flow, sim::SimTime now) const;
   void FinishDueFlows();
@@ -180,6 +214,10 @@ class FluidNetwork : public Network {
   std::vector<std::uint32_t> counts_;  // active flows per resource
   std::vector<std::uint64_t> sent_;
   std::vector<std::uint64_t> received_;
+  // Per resource: when the last packet queued on it leaves the wire.
+  std::vector<sim::SimTime> wire_free_;
+  std::size_t packets_in_flight_ = 0;
+  SolverStats stats_;
   // 4-ary min-heap over every active flow, keyed (finish, id); a flow's
   // entry is finish_heap_[flow.heap_pos].
   std::vector<FinishNode> finish_heap_;

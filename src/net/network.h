@@ -2,11 +2,19 @@
 //
 // The paper's evaluation runs on DAS4 (QDR InfiniBand over IP at ~1 GB/s and
 // commodity 1 GbE) and on EC2 c3.8xlarge (10 GbE at ~1 GB/s measured). We
-// model such fabrics as a fluid-flow network: every in-flight transfer is a
-// flow with an instantaneous rate determined by the capacities it shares —
-// its sender's egress NIC, its receiver's ingress NIC, the node-local memory
-// path for loopback transfers, and optionally a core fabric capacity (zero
-// means full bisection, the premium-network case the paper targets).
+// model such fabrics as a fluid-flow network: every in-flight bulk transfer
+// is a flow with an instantaneous rate determined by the capacities it
+// shares — its sender's egress NIC, its receiver's ingress NIC, the
+// node-local memory path for loopback transfers, and optionally a core
+// fabric capacity (zero means full bisection, the premium-network case the
+// paper targets).
+//
+// A transfer is one of two kinds. A bulk transfer (a stripe, a value) is a
+// fluid flow as above. A message of at most a packet (a request or reply
+// header and its key; fluid_network.h's kPacketBytes) is a packet instead: it
+// queues FIFO behind earlier packets on the resources it crosses, takes the
+// one share fair queueing leaves it beside the bulk flows there, and never
+// changes a bulk flow's rate.
 //
 // Two allocators implement the Network interface (see fluid_network.h):
 //  * FairShareNetwork — each resource splits its capacity evenly among its
@@ -67,7 +75,9 @@ class Network {
   virtual std::uint64_t bytes_received(NodeId node) const = 0;
   virtual std::uint64_t total_bytes() const = 0;
 
-  // Number of flows currently in progress (diagnostics, tests).
+  // Number of transfers currently on the wire, bulk flows and packets alike
+  // (diagnostics, tests); counted from activation for a flow and from send
+  // for a packet.
   virtual std::size_t active_flows() const = 0;
 
   // --- Fault injection (optional; default implementation is a healthy

@@ -68,7 +68,7 @@ class Testbed {
   Testbed(FsKind kind, TestbedConfig config);
 
   sim::Simulation& simulation() { return sim_; }
-  net::Network& network() { return *network_; }
+  net::FluidNetwork& network() { return *network_; }
   fs::Vfs& vfs();
 
   FsKind kind() const { return kind_; }

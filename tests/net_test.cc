@@ -227,6 +227,119 @@ TYPED_TEST(FluidNetworkTest, ArrivalPullingEarliestFinishEarlierCancelsOld) {
   EXPECT_EQ(sim.now(), a_done);
 }
 
+// Records the instant `f` is fulfilled into `out`.
+sim::Task RecordDone(sim::VoidFuture f, sim::Simulation& s, SimTime& out) {
+  co_await f;
+  out = s.now();
+}
+
+TYPED_TEST(FluidNetworkTest, PacketBesideBulkFlowsTakesOneShare) {
+  constexpr std::uint64_t kBytes = TypeParam::kPacketBytes;
+  for (std::uint32_t n = 0; n <= 3; ++n) {
+    SCOPED_TRACE(n);
+    sim::Simulation sim;
+    TypeParam network(sim, TestConfig(6));
+    // n bulk flows leave node 0; the packet to node 5 crosses its egress.
+    for (NodeId dst = 1; dst <= n; ++dst) {
+      (void)network.Transfer(0, dst, MB(10));
+    }
+    SimTime done = 0;
+    sim.Schedule(Micros(100), [&] {
+      RecordDone(network.Transfer(0, 5, kBytes), sim, done);
+    });
+    sim.Run();
+    // latency + ceil(bytes * (n + 1) / C): 1 GB/s is one byte a nanosecond.
+    EXPECT_EQ(done, Micros(150) + kBytes * (n + 1));
+  }
+}
+
+TYPED_TEST(FluidNetworkTest, PacketsIntoOneIngressEndFifoOneWireTimeApart) {
+  constexpr std::uint64_t kBytes = 256;
+  sim::Simulation sim;
+  TypeParam network(sim, TestConfig(5));
+  // Nodes 1..4 each send a packet to node 0 at once: they queue on node 0's
+  // ingress in send order instead of sharing it.
+  std::vector<SimTime> done(4, 0);
+  for (NodeId n = 1; n <= 4; ++n) {
+    RecordDone(network.Transfer(n, 0, kBytes), sim, done[n - 1]);
+  }
+  EXPECT_EQ(network.active_flows(), 4u);
+  sim.Run();
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(done[i], Micros(50) + kBytes * (i + 1)) << "packet " << i;
+  }
+  EXPECT_EQ(network.active_flows(), 0u);
+}
+
+TYPED_TEST(FluidNetworkTest, PacketLeavesBulkFlowUntouched) {
+  sim::Simulation sim;
+  TypeParam network(sim, TestConfig(2));
+  SimTime bulk_done = 0;
+  RecordDone(network.Transfer(0, 1, MB(1)), sim, bulk_done);
+  // A packet on the bulk flow's own NICs while the flow is on the wire.
+  sim.Schedule(Micros(100), [&] {
+    (void)network.Transfer(0, 1, 256);
+    EXPECT_EQ(network.active_flows(), 2u);
+    const auto flows = network.SnapshotFlows();  // bulk flows only
+    ASSERT_EQ(flows.size(), 1u);
+    EXPECT_EQ(flows[0].rate, double(GB(1)));
+  });
+  sim.Run();
+  EXPECT_EQ(bulk_done, Micros(50) + Millis(1));
+  EXPECT_EQ(network.active_flows(), 0u);
+  // The bulk activation, the timer, the packet's one event, the bulk
+  // completion (never rescheduled) and its waiter.
+  EXPECT_EQ(sim.events_processed(), 5u);
+  EXPECT_EQ(network.stats().reallocations, 2u);
+  EXPECT_EQ(network.stats().rate_recomputes, 1u);
+}
+
+TYPED_TEST(FluidNetworkTest, PacketSizeBoundarySplitsThePaths) {
+  constexpr std::uint64_t kBytes = TypeParam::kPacketBytes;
+  sim::Simulation sim;
+  TypeParam network(sim, TestConfig(4));
+  (void)network.Transfer(0, 1, kBytes);
+  (void)network.Transfer(2, 3, kBytes + 1);
+  EXPECT_EQ(network.stats().transfers, 2u);
+  EXPECT_EQ(network.stats().packets, 1u);
+  // Past the latency: the packet is on the wire but not a flow; the larger
+  // transfer is the one bulk flow.
+  sim.RunUntil(Micros(50) + 100);
+  EXPECT_EQ(network.active_flows(), 2u);
+  const auto flows = network.SnapshotFlows();
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_EQ(flows[0].src, 2u);
+  sim.Run();
+  EXPECT_EQ(network.active_flows(), 0u);
+  EXPECT_EQ(network.total_bytes(), 2 * kBytes + 1);
+}
+
+TYPED_TEST(FluidNetworkTest, LoopbackPacketsSerializeOnTheLocalPath) {
+  sim::Simulation sim;
+  TypeParam network(sim, TestConfig(2));
+  SimTime first = 0;
+  SimTime second = 0;
+  RecordDone(network.Transfer(1, 1, 512), sim, first);
+  RecordDone(network.Transfer(1, 1, 512), sim, second);
+  sim.Run();
+  // 512 B at 10 GB/s is 51.2 ns, rounded up to 52, behind 5 us latency.
+  EXPECT_EQ(first, Micros(5) + 52);
+  EXPECT_EQ(second, Micros(5) + 104);
+}
+
+TYPED_TEST(FluidNetworkTest, LinkFaultLatencyDelaysAPacket) {
+  sim::Simulation sim;
+  TypeParam network(sim, TestConfig(2));
+  network.SetLinkFault(0, 1, LinkFault{0.0, Micros(30)});
+  SimTime faulted = 0;
+  SimTime healthy = 0;
+  RecordDone(network.Transfer(0, 1, 100), sim, faulted);
+  RecordDone(network.Transfer(1, 0, 100), sim, healthy);
+  sim.Run();
+  EXPECT_EQ(faulted, Micros(80) + 100);
+  EXPECT_EQ(healthy, Micros(50) + 100);
+}
+
 // Water-filling redistributes capacity that fair-share leaves unused: flows
 // A(0->1) and B(0->2) share node 0's egress; B additionally competes with
 // C(3->2) and D(4->2) for node 2's ingress and is stuck at 1/3 of line rate.

@@ -581,27 +581,27 @@ void RunEnvelopeGolden(FsKind kind, const std::vector<GoldenPhase>& golden) {
 
 TEST(EnvelopeGoldenTest, MemFsPhasesIssueThePinnedCalls) {
   RunEnvelopeGolden(FsKind::kMemFs, {
-      {32, 1048576, 1529588, 1529588, 971.89979032621568, 29660.027780951401,
-       0x87341c5beff1552eull},
-      {32, 1048576, 672152, 672152, 2040.4399016741363, 62269.284108707769,
-       0xd0b9cebd149925e9ull},
-      {16, 524288, 681190, 681190, 1509.0189445997628, 46051.603533928297,
-       0x89d2fca12cb910ddull},
-      {24, 0, 1459320, 1459320, 0, 21903.688849299342, 0x05e98350c13dfd1dull},
-      {24, 0, 396351, 396351, 0, 66459.273401267827, 0x7d5e97d4459cdfc1ull}});
+      {32, 1048576, 1529603, 1529603, 971.98045665871973, 29662.489522055665,
+       0xcafbe44f77c3ef3dull},
+      {32, 1048576, 672082, 672082, 2040.9091223156045, 62283.60358629164,
+       0x1e573a24b32a29cdull},
+      {16, 524288, 680575, 680575, 1510.5761224964831, 46099.124832046,
+       0xed5e9e2fa6ea14dcull},
+      {24, 0, 1459272, 1459272, 0, 21904.323643185071, 0xc1437ca15d277ffeull},
+      {24, 0, 396351, 396351, 0, 66459.273401267827, 0xa8fdbbd326f06713ull}});
 }
 
 TEST(EnvelopeGoldenTest, AmfsPhasesIssueThePinnedCalls) {
   RunEnvelopeGolden(FsKind::kAmfs, {
-      {32, 1048576, 1296944, 1296944, 980.55830086232595, 29924.264552683282,
-       0x1e11e91bada63432ull},
-      {32, 1048576, 1698752, 1698752, 617.80856290740098, 18854.021084820586,
-       0x774982878b1d9acdull},
+      {32, 1048576, 1296688, 1296688, 980.71297280150452, 29928.984765670917,
+       0xcdc08ed6f7bf67efull},
+      {32, 1048576, 1699904, 1699904, 617.38951268428673, 18841.232686898402,
+       0x75662e9c7a692181ull},
       // The N-1 span includes the multicast; the work span does not.
       {16, 524288, 1245504, 153920, 421.4526338108264, 104983.26824857439,
-       0xd9f670fbefdd79d1ull},
-      {24, 0, 1213600, 1213600, 0, 25183.872556574635, 0x9b64f052c5e77c1eull},
-      {24, 0, 117000, 117000, 0, 207827.26045883936, 0xdf5443453c187439ull}});
+       0xe4770909abe41d3eull},
+      {24, 0, 1213600, 1213600, 0, 25183.872556574635, 0x25ae1d1ad434fda0ull},
+      {24, 0, 117000, 117000, 0, 207827.26045883936, 0x45e57a69637f3a65ull}});
 }
 
 // --- Generator edge cases ---

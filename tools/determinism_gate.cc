@@ -283,7 +283,7 @@ const Predicate kIntact{
 std::vector<Scenario> Scenarios() {
   return {
       {"faulted", nullptr, WriteAndReadBack, Faults::kWipe,
-       0x4938413bdc8a117dull,  // append_log metadata, batched io
+       0xe6ee295ec4f3ef58ull,  // append_log metadata, batched io
        {kIntact,
         {"monitor kept every window and dropped none",
          [](const Grid& g) { return g.first[kAll].windows_kept; }},
@@ -297,7 +297,7 @@ std::vector<Scenario> Scenarios() {
       {"faulted_unbatched",
        [](workloads::TestbedConfig& c) { c.memfs.io.batching = false; },
        WriteAndReadBack, Faults::kWipe,
-       0x2b10ec20f51248abull,  // one-item batch per op
+       0xb93d9ba67442f623ull,  // one-item batch per op
        {kIntact}},
       {"elastic",
        [](workloads::TestbedConfig& config) {
