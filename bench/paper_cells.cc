@@ -155,11 +155,9 @@ Counters Snapshot(workloads::Testbed& bed) {
     c.cache_misses = memfs->stats().cache_misses;
   }
   if (const kv::KvCluster* storage = bed.storage()) {
-    for (std::uint32_t s = 0; s < storage->server_count(); ++s) {
-      const kv::KvServerClientStats& stats = storage->server_stats(s);
-      c.rpcs += stats.single_ops + stats.batches;
-      c.kv_ops += stats.single_ops + stats.batched_items;
-    }
+    const kv::KvClusterStats stats = storage->stats();
+    c.rpcs = stats.single_rpcs + stats.batch_rpcs;
+    c.kv_ops = stats.single_rpcs + stats.batch_items;
   }
   return c;
 }
@@ -431,7 +429,7 @@ void RunFaultChaos(const CellParams& p, CellResult& out) {
   workloads::VerifyWave(bed.vfs(), wave, files);
   sim.Run();
 
-  const kv::KvClusterStats& kv = bed.storage()->stats();
+  const kv::KvClusterStats kv = bed.storage()->stats();
   const fs::MemFsStats& memfs = bed.memfs()->stats();
   auto& m = out.metrics;
   m["files"] = wave.files;

@@ -62,6 +62,7 @@ bool WorseExemplar(const Exemplar& a, const Exemplar& b) {
 
 void LatencyHistogram::Record(std::uint64_t nanos, const Exemplar& exemplar) {
   Record(nanos);
+  if (exemplar.trace_id == 0) return;  // no span to link the sample to
   Exemplar sample = exemplar;
   sample.nanos = nanos;
   if (exemplars_.size() == kExemplarCapacity &&

@@ -45,7 +45,8 @@ class LatencyHistogram {
 
   void Record(std::uint64_t nanos);
 
-  // Records the sample and offers it to the exemplar reservoir: the
+  // Records the sample and, when `exemplar` carries a trace id (0 = no
+  // trace identity), offers it to the exemplar reservoir: the
   // kExemplarCapacity worst samples since the last TakeExemplars() are
   // kept, ordered worst-first with a deterministic tie-break (earlier
   // completion first, then smaller trace id, then smaller span id) so
@@ -83,8 +84,8 @@ class LatencyHistogram {
   std::uint64_t min_ = ~0ull;
   std::uint64_t max_ = 0;
   // Worst samples since the last harvest, kept sorted worst-first; empty
-  // until the first Record() with an exemplar, so plain recording paths
-  // never touch it.
+  // until the first Record() with a traced exemplar, so untraced recording
+  // paths never touch it.
   std::vector<Exemplar> exemplars_;
 };
 

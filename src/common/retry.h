@@ -59,6 +59,7 @@ class RetryState {
   [[nodiscard]] Backoff NextBackoff(Rng& rng, std::uint64_t now);
 
   std::uint32_t attempts_started() const { return attempts_started_; }
+  std::uint64_t start_time() const { return start_; }
 
   // Remaining deadline budget at `now` (~0 when expired; the full horizon
   // when no budget is configured).

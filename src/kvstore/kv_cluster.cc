@@ -22,23 +22,6 @@ void SyncStorageGauges(const KvCluster::ServerSlotAccess& slot) {
            static_cast<std::int64_t>(slot.state->object_count()));
 }
 
-// Awaits an operation's future and records the client-observed latency. A
-// tag with a nonzero trace id also offers the sample to the histogram's
-// exemplar reservoir (common/metrics.h), so the monitor can link a bad
-// window back to this operation's span — and to the server it hit.
-sim::Task RecordKvLatency(sim::Future<BatchResult> future,
-                          sim::Simulation* sim, LatencyHistogram* histogram,
-                          sim::SimTime start, Exemplar tag) {
-  (void)co_await future;
-  const std::uint64_t nanos = sim->now() - start;
-  if (tag.trace_id == 0) {
-    histogram->Record(nanos);
-    co_return;
-  }
-  tag.at = sim->now();
-  histogram->Record(nanos, tag);
-}
-
 // Exemplar tag for a kv-level operation: its op span plus the target server.
 Exemplar KvTagOf(const trace::TraceContext& op_span, net::NodeId client,
                  std::uint32_t server) {
@@ -48,18 +31,6 @@ Exemplar KvTagOf(const trace::TraceContext& op_span, net::NodeId client,
   tag.node = client;
   tag.server = server;
   return tag;
-}
-
-// Same, but records one observation per batch item so the per-op
-// kv.set/kv.get/... histograms stay balanced whichever path an op rides.
-sim::Task RecordKvItemLatencies(sim::Future<BatchResult> future,
-                                sim::Simulation* sim,
-                                LatencyHistogram* histogram, std::size_t items,
-                                sim::SimTime start) {
-  (void)co_await future;
-  for (std::size_t i = 0; i < items; ++i) {
-    histogram->Record(sim->now() - start);
-  }
 }
 
 // Per-item service time for one batch item; GETs are priced on the value
@@ -290,6 +261,20 @@ std::uint32_t KvCluster::AddServer(net::NodeId node) {
   return index;
 }
 
+KvClusterStats KvCluster::stats() const {
+  KvClusterStats total;
+  for (const ServerSlot& slot : servers_) {
+    total.retries += slot.stats.retries;
+    total.deadline_exceeded += slot.stats.deadline_exceeded;
+    total.breaker_opens += slot.stats.breaker_opens;
+    total.breaker_fast_fails += slot.stats.breaker_fast_fails;
+    total.single_rpcs += slot.stats.single_rpcs;
+    total.batch_rpcs += slot.stats.batch_rpcs;
+    total.batch_items += slot.stats.batch_items;
+  }
+  return total;
+}
+
 LatencyHistogram& KvCluster::Histogram(LatencyHistogram*& handle,
                                        std::string_view name) {
   if (handle == nullptr) handle = &metrics_->Histogram(name);
@@ -335,8 +320,7 @@ sim::Task KvCluster::RunBatchWithRetry(std::uint32_t server,
     GaugeSet(slot.breaker_gauge,
              static_cast<std::int64_t>(slot.breaker.state()));
     if (!allowed) {
-      ++stats_.breaker_fast_fails;
-      ++slot.client_stats.breaker_fast_fails;
+      ++slot.stats.breaker_fast_fails;
       Bump(handles_.breaker_fast_fails, "kv.breaker_fast_fails");
       trace::Event(op_span, "breaker_fast_fail");
       fail_unresolved(status::Unavailable("circuit breaker open"));
@@ -352,14 +336,11 @@ sim::Task KvCluster::RunBatchWithRetry(std::uint32_t server,
           op_span, single ? "kv.attempt" : "kv.batch.attempt", "kv.attempt");
       trace::Annotate(attempt_span, "attempt", std::to_string(attempt));
       if (single) {
-        ++stats_.single_rpcs;
-        ++slot.client_stats.single_ops;
+        ++slot.stats.single_rpcs;
       } else {
         trace::Annotate(attempt_span, "items", std::to_string(unresolved));
-        ++stats_.batch_rpcs;
-        stats_.batch_items += unresolved;
-        ++slot.client_stats.batches;
-        slot.client_stats.batched_items += unresolved;
+        ++slot.stats.batch_rpcs;
+        slot.stats.batch_items += unresolved;
         if (metrics_ != nullptr) {
           Histogram(handles_.batch_size, "kv.batch.size").Record(unresolved);
         }
@@ -383,13 +364,11 @@ sim::Task KvCluster::RunBatchWithRetry(std::uint32_t server,
         const std::uint64_t opens_before = slot.breaker.open_transitions();
         slot.breaker.RecordFailure(sim_.now());
         if (slot.breaker.open_transitions() != opens_before) {
-          ++stats_.breaker_opens;
-          ++slot.client_stats.breaker_opens;
+          ++slot.stats.breaker_opens;
           Bump(handles_.breaker_opens, "kv.breaker_opens");
         }
         if (call->attempt_error.code() == ErrorCode::kDeadlineExceeded) {
-          ++stats_.deadline_exceeded;
-          ++slot.client_stats.deadline_exceeded;
+          ++slot.stats.deadline_exceeded;
           Bump(handles_.deadline_exceeded, "kv.deadline_exceeded");
         }
       }
@@ -399,15 +378,35 @@ sim::Task KvCluster::RunBatchWithRetry(std::uint32_t server,
     if (unresolved == 0) break;
     const RetryState::Backoff backoff = retry.NextBackoff(rng_, sim_.now());
     if (!backoff.allowed) break;  // unresolved outcomes keep their error
-    ++stats_.retries;
-    ++slot.client_stats.retries;
+    ++slot.stats.retries;
     Bump(handles_.retries, "kv.retries");
     {
       trace::ScopedSpan wait(op_span, "backoff", "retry");
       co_await sim_.Delay(backoff.nanos);
     }
   }
+  if (metrics_ != nullptr) {
+    RecordLatency(*call, retry.start_time(), op_span, client, server, single);
+  }
   done.Set(std::move(call));
+}
+
+void KvCluster::RecordLatency(const BatchCall& call, sim::SimTime start,
+                              const trace::TraceContext& op_span,
+                              net::NodeId client, std::uint32_t server,
+                              bool single) {
+  const auto k = static_cast<std::size_t>(call.kind);
+  const std::uint64_t nanos = sim_.now() - start;
+  Exemplar tag = KvTagOf(op_span, client, server);
+  tag.at = sim_.now();
+  if (single) {
+    handles_.op[k]->Record(nanos, tag);
+    return;
+  }
+  handles_.batch[k]->Record(nanos, tag);
+  for (std::size_t i = 0; i < call.items.size(); ++i) {
+    handles_.op[k]->Record(nanos);
+  }
 }
 
 sim::Future<BatchResult> KvCluster::Call(net::NodeId client,
@@ -432,22 +431,14 @@ sim::Future<BatchResult> KvCluster::Call(net::NodeId client,
     trace::Annotate(op_span, "kind", BatchKindName(kind));
     trace::Annotate(op_span, "items", std::to_string(count));
   }
+  // RunBatchWithRetry records into these when the call ends. Resolving
+  // them now creates each series in the window its first call starts in.
+  if (metrics_ != nullptr) {
+    Histogram(handles_.op[k], kOpNames[k]);
+    if (!single) Histogram(handles_.batch[k], kBatchNames[k]);
+  }
   RunBatchWithRetry(server, client, std::move(call), std::move(done), op_span,
                     single);
-  if (metrics_ != nullptr) {
-    // A single-key call records only its kv.<kind> sample; a batch records
-    // kv.batch.<kind> plus one kv.<kind> sample per item.
-    LatencyHistogram& op = Histogram(handles_.op[k], kOpNames[k]);
-    const Exemplar tag = KvTagOf(op_span, client, server);
-    if (single) {
-      RecordKvLatency(future, &sim_, &op, sim_.now(), tag);
-    } else {
-      RecordKvLatency(future, &sim_,
-                      &Histogram(handles_.batch[k], kBatchNames[k]),
-                      sim_.now(), tag);
-      RecordKvItemLatencies(future, &sim_, &op, count, sim_.now());
-    }
-  }
   return future;
 }
 

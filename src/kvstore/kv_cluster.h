@@ -83,7 +83,8 @@ struct KvClientPolicy {
   sim::SimTime op_deadline = 0;
 };
 
-// Client-observed fault-handling activity, aggregated over all servers.
+// Client-observed fault-handling and batching activity, kept per server
+// (server_stats) and summed over all servers (stats).
 struct KvClusterStats {
   std::uint64_t retries = 0;             // backoff-then-retry transitions
   std::uint64_t deadline_exceeded = 0;   // attempts cut off by the deadline
@@ -92,19 +93,6 @@ struct KvClusterStats {
   std::uint64_t single_rpcs = 0;         // single-key-call attempts sent
   std::uint64_t batch_rpcs = 0;          // batch attempts put on the wire
   std::uint64_t batch_items = 0;         // items carried by those batches
-};
-
-// Per-server slice of the client-side activity: how this client treated one
-// server (attempts, retries, breaker trips, batching). Surfaced by
-// memfs_run's per-server kv table.
-struct KvServerClientStats {
-  std::uint64_t single_ops = 0;          // single-key-call attempts sent
-  std::uint64_t batches = 0;             // batch attempts sent
-  std::uint64_t batched_items = 0;       // items carried by those batches
-  std::uint64_t retries = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t breaker_opens = 0;
-  std::uint64_t breaker_fast_fails = 0;
 };
 
 // One call as the client sees it: its items, their verdicts, and which
@@ -186,7 +174,8 @@ class KvCluster {
   }
   const KvOpCostModel& cost_model() const { return cost_; }
   const KvClientPolicy& client_policy() const { return policy_; }
-  const KvClusterStats& stats() const { return stats_; }
+  // Client-side activity summed over every server slot.
+  KvClusterStats stats() const;
   // The registry this cluster records into (nullptr when uninstrumented);
   // layered clients (src/io) register their own gauges against it.
   MetricsRegistry* metrics() const { return metrics_; }
@@ -227,9 +216,10 @@ class KvCluster {
       net::NodeId client, std::uint32_t server, BatchKind kind,
       std::vector<BatchItem> items, trace::TraceContext trace = {});
 
-  // Per-server client-side activity (satellite of the batching work).
-  const KvServerClientStats& server_stats(std::uint32_t index) const {
-    return servers_[index].client_stats;
+  // How this client treated one server: attempts, retries, breaker trips
+  // and batching. Surfaced by memfs_run's per-server kv table.
+  const KvClusterStats& server_stats(std::uint32_t index) const {
+    return servers_[index].stats;
   }
 
   // Aggregate stored bytes across all servers (Fig. 9-style accounting).
@@ -277,7 +267,7 @@ class KvCluster {
     bool left = false;  // drained to LEFT: fast-fail, never retried
     double slow_factor = 1.0;
     CircuitBreaker breaker;
-    KvServerClientStats client_stats;
+    KvClusterStats stats;  // client-side activity against this server
     // Per-server monitor gauges (see monitor/monitor.h), nullptr without a
     // registry. Storage gauges track the server state after every apply;
     // queue/inflight track worker-slot demand; breaker holds the
@@ -296,8 +286,9 @@ class KvCluster {
   }
 
   // The one front half of every entry point: builds the call, opens its op
-  // span, starts the retry driver and records latency. `single` marks a
-  // single-key call (a one-item `items`), reported as "kv.<kind>" alone.
+  // span, resolves its latency histograms and starts the retry driver.
+  // `single` marks a single-key call (a one-item `items`), reported as
+  // "kv.<kind>" alone.
   sim::Future<BatchResult> Call(net::NodeId client, std::uint32_t server,
                                 BatchKind kind, std::vector<BatchItem> items,
                                 trace::TraceContext trace, bool single);
@@ -306,11 +297,21 @@ class KvCluster {
   // round (resolved items are final; unresolved items inherit the attempt
   // error and form the next round) under the breaker/backoff/deadline
   // policy. `single` picks the single-key call's stats and span names.
-  // Owns ending `op_span`.
+  // Owns ending `op_span`. With a registry it calls RecordLatency just
+  // before resolving `done`.
   sim::Task RunBatchWithRetry(std::uint32_t server, net::NodeId client,
                               BatchResult call,
                               sim::Promise<BatchResult> done,
                               trace::TraceContext op_span, bool single);
+  // Records a finished call's latency since `start` into the histograms
+  // Call resolved: one kv.<kind> sample for a single-key call; one
+  // kv.batch.<kind> sample plus one kv.<kind> sample per item for a batch.
+  // The kv.<kind> or kv.batch.<kind> sample's exemplar names `op_span` and
+  // `server`. Not a coroutine, so its locals stay out of RunBatchWithRetry's
+  // frame.
+  void RecordLatency(const BatchCall& call, sim::SimTime start,
+                     const trace::TraceContext& op_span, net::NodeId client,
+                     std::uint32_t server, bool single);
 
   // Registry handles, each resolved on first use (so a metric is created
   // when it is first needed, as per-call lookups did) and then kept.
@@ -335,7 +336,6 @@ class KvCluster {
   MetricHandles handles_;
   KvClientPolicy policy_;
   Rng rng_;
-  KvClusterStats stats_;
   // deque: growing the cluster must not invalidate references held by
   // in-flight operations.
   std::deque<ServerSlot> servers_;

@@ -55,34 +55,43 @@ MemFs::MemFs(sim::Simulation& sim, net::Network& network,
 
 namespace {
 
-// Awaits the operation's future and records its latency; spawned only when a
-// registry is configured, so the uninstrumented path stays allocation-free.
-// A tag with a nonzero trace id also offers the sample to the histogram's
-// exemplar reservoir, linking the aggregate back to the operation's span.
-template <typename T>
-sim::Task RecordLatency(sim::Future<T> future, sim::Simulation* sim,
-                        LatencyHistogram* histogram, sim::SimTime start,
-                        Exemplar tag = {}) {
-  (void)co_await future;
-  const std::uint64_t nanos = sim->now() - start;
-  if (tag.trace_id == 0) {
-    histogram->Record(nanos);
-    co_return;
-  }
-  tag.at = sim->now();
-  histogram->Record(nanos, tag);
-}
+// An op's scope-exit latency recorder. Declared after the op span, it
+// records one vfs.* sample as the op's frame ends, on whichever co_return,
+// so nothing has to await the op's future. The exemplar names the op span;
+// an untraced op's sample carries trace id 0 and is only counted. Without a
+// registry the histogram is null and the destructor does nothing. The ops
+// that hold one bind `tctx` by reference, which keeps each of their frames
+// within the frame pool's size class of before the recorder.
+class OpLatency {
+ public:
+  OpLatency(sim::Simulation& sim, MetricsRegistry* metrics,
+            std::string_view name, const trace::TraceContext& op,
+            net::NodeId node)
+      : sim_(sim),
+        histogram_(metrics != nullptr ? &metrics->Histogram(name) : nullptr),
+        start_(sim.now()),
+        op_(op),
+        node_(node) {}
+  OpLatency(const OpLatency&) = delete;
+  OpLatency& operator=(const OpLatency&) = delete;
 
-// Exemplar tag for a vfs-level operation whose op span `ctx.trace` names:
-// the trace/span identity lets the flight recorder jump from a histogram's
-// worst sample to the one span subtree that explains it.
-Exemplar TagOf(const VfsContext& ctx) {
-  Exemplar tag;
-  tag.trace_id = ctx.trace.trace_id;
-  tag.span_id = ctx.trace.span_id;
-  tag.node = ctx.node;
-  return tag;
-}
+  ~OpLatency() {
+    if (histogram_ == nullptr) return;
+    Exemplar tag;
+    tag.trace_id = op_.trace_id;
+    tag.span_id = op_.span_id;
+    tag.node = node_;
+    tag.at = sim_.now();
+    histogram_->Record(tag.at - start_, tag);
+  }
+
+ private:
+  sim::Simulation& sim_;
+  LatencyHistogram* histogram_;
+  sim::SimTime start_;
+  const trace::TraceContext& op_;  // the op span, which outlives this
+  net::NodeId node_;
+};
 
 // The append_log arm's lookup in the shape the sharded arm's ends in: the
 // path-keyed record of `path`, or its lookup failure, as an Attr with ino 0.
@@ -122,16 +131,6 @@ std::vector<FileInfo> InfosOf(std::vector<std::string> names) {
 }
 
 }  // namespace
-
-template <typename T>
-sim::Future<T> MemFs::Timed(std::string_view name, const VfsContext& ctx,
-                            sim::Future<T> future) {
-  if (config_.metrics != nullptr) {
-    RecordLatency(future, &sim_, &config_.metrics->Histogram(name),
-                  sim_.now(), TagOf(ctx));
-  }
-  return future;
-}
 
 FileHandle MemFs::InstallHandle(std::string path, meta::Ino ino,
                                 net::NodeId node, bool writing,
@@ -176,16 +175,9 @@ Result<MemFs::OpenFile*> MemFs::FindHandle(FileHandle handle, bool writing) {
 
 sim::Future<Result<FileHandle>> MemFs::Create(VfsContext ctx,
                                               std::string path) {
-  // Open the op span here (not in the coroutine) so the latency recorder
-  // can tag its exemplar with the span's identity; the body adopts it.
-  ctx.trace = trace::Child(ctx.trace, "vfs.create", "vfs");
-  return Timed("vfs.create", ctx, CreateOp(ctx, std::move(path)));
-}
-
-sim::Future<Result<FileHandle>> MemFs::CreateOp(VfsContext ctx,
-                                                std::string path) {
-  trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
-  const trace::TraceContext tctx = op_span.context();
+  trace::ScopedSpan op_span(ctx.trace, "vfs.create", "vfs");
+  const trace::TraceContext& tctx = op_span.context();
+  const OpLatency latency(sim_, config_.metrics, "vfs.create", tctx, ctx.node);
   trace::Annotate(tctx, "path", path);
   co_await EnterFuse(fuse_, ctx, tctx);
   if (!path::IsNormalized(path) || path == "/") {
@@ -229,14 +221,9 @@ sim::Future<Result<FileHandle>> MemFs::CreateOp(VfsContext ctx,
 
 sim::Future<Status> MemFs::Write(VfsContext ctx, FileHandle handle,
                                  Bytes data) {
-  ctx.trace = trace::Child(ctx.trace, "vfs.write", "vfs");
-  return Timed("vfs.write", ctx, WriteOp(ctx, handle, std::move(data)));
-}
-
-sim::Future<Status> MemFs::WriteOp(VfsContext ctx, FileHandle handle,
-                                   Bytes data) {
-  trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
-  const trace::TraceContext tctx = op_span.context();
+  trace::ScopedSpan op_span(ctx.trace, "vfs.write", "vfs");
+  const trace::TraceContext& tctx = op_span.context();
+  const OpLatency latency(sim_, config_.metrics, "vfs.write", tctx, ctx.node);
   trace::Annotate(tctx, "bytes", std::to_string(data.size()));
   co_await EnterFuse(fuse_, ctx, tctx);
   auto found = FindHandle(handle, /*writing=*/true);
@@ -317,13 +304,9 @@ sim::Task MemFs::FlushStripe(OpenFile* file, std::string key, Bytes data,
 }
 
 sim::Future<Status> MemFs::Flush(VfsContext ctx, FileHandle handle) {
-  ctx.trace = trace::Child(ctx.trace, "vfs.flush", "vfs");
-  return Timed("vfs.flush", ctx, FlushOp(ctx, handle));
-}
-
-sim::Future<Status> MemFs::FlushOp(VfsContext ctx, FileHandle handle) {
-  trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
-  const trace::TraceContext tctx = op_span.context();
+  trace::ScopedSpan op_span(ctx.trace, "vfs.flush", "vfs");
+  const trace::TraceContext& tctx = op_span.context();
+  const OpLatency latency(sim_, config_.metrics, "vfs.flush", tctx, ctx.node);
   co_await EnterFuse(fuse_, ctx, tctx);
   auto it = handles_.find(handle);
   if (it == handles_.end()) co_return status::BadHandle();
@@ -340,13 +323,9 @@ sim::Future<Status> MemFs::FlushOp(VfsContext ctx, FileHandle handle) {
 }
 
 sim::Future<Status> MemFs::Close(VfsContext ctx, FileHandle handle) {
-  ctx.trace = trace::Child(ctx.trace, "vfs.close", "vfs");
-  return Timed("vfs.close", ctx, CloseOp(ctx, handle));
-}
-
-sim::Future<Status> MemFs::CloseOp(VfsContext ctx, FileHandle handle) {
-  trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
-  const trace::TraceContext tctx = op_span.context();
+  trace::ScopedSpan op_span(ctx.trace, "vfs.close", "vfs");
+  const trace::TraceContext& tctx = op_span.context();
+  const OpLatency latency(sim_, config_.metrics, "vfs.close", tctx, ctx.node);
   co_await EnterFuse(fuse_, ctx, tctx);
   auto it = handles_.find(handle);
   if (it == handles_.end()) co_return status::BadHandle();
@@ -393,14 +372,9 @@ sim::Future<Status> MemFs::CloseOp(VfsContext ctx, FileHandle handle) {
 // Open / read path
 
 sim::Future<Result<FileHandle>> MemFs::Open(VfsContext ctx, std::string path) {
-  ctx.trace = trace::Child(ctx.trace, "vfs.open", "vfs");
-  return Timed("vfs.open", ctx, OpenOp(ctx, std::move(path)));
-}
-
-sim::Future<Result<FileHandle>> MemFs::OpenOp(VfsContext ctx,
-                                              std::string path) {
-  trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
-  const trace::TraceContext tctx = op_span.context();
+  trace::ScopedSpan op_span(ctx.trace, "vfs.open", "vfs");
+  const trace::TraceContext& tctx = op_span.context();
+  const OpLatency latency(sim_, config_.metrics, "vfs.open", tctx, ctx.node);
   trace::Annotate(tctx, "path", path);
   co_await EnterFuse(fuse_, ctx, tctx);
   Result<meta::Attr> attr = meta::Attr{};
@@ -428,15 +402,9 @@ sim::Future<Result<FileHandle>> MemFs::OpenOp(VfsContext ctx,
 sim::Future<Result<Bytes>> MemFs::Read(VfsContext ctx, FileHandle handle,
                                        std::uint64_t offset,
                                        std::uint64_t length) {
-  ctx.trace = trace::Child(ctx.trace, "vfs.read", "vfs");
-  return Timed("vfs.read", ctx, ReadOp(ctx, handle, offset, length));
-}
-
-sim::Future<Result<Bytes>> MemFs::ReadOp(VfsContext ctx, FileHandle handle,
-                                         std::uint64_t offset,
-                                         std::uint64_t length) {
-  trace::ScopedSpan op_span = trace::ScopedSpan::Adopt(ctx.trace);
-  const trace::TraceContext tctx = op_span.context();
+  trace::ScopedSpan op_span(ctx.trace, "vfs.read", "vfs");
+  const trace::TraceContext& tctx = op_span.context();
+  const OpLatency latency(sim_, config_.metrics, "vfs.read", tctx, ctx.node);
   trace::Annotate(tctx, "offset", std::to_string(offset));
   trace::Annotate(tctx, "length", std::to_string(length));
   co_await EnterFuse(fuse_, ctx, tctx);

@@ -119,6 +119,9 @@ class MemFs final : public Vfs {
   MemFs(sim::Simulation& sim, net::Network& network, kv::KvCluster& storage,
         MemFsConfig config);
 
+  // With a registry configured, Create, Open, Write, Read, Flush and Close
+  // each record one vfs.<op> latency sample where the op ends, tagged with
+  // its op span; the registry never awaits an op, so it adds no events.
   sim::Future<Result<FileHandle>> Create(VfsContext ctx,
                                          std::string path) override;
   sim::Future<Result<FileHandle>> Open(VfsContext ctx,
@@ -247,21 +250,6 @@ class MemFs final : public Vfs {
                                          std::string key,
                                          trace::TraceContext trace);
 
-  // Bodies of the latency-instrumented entry points, which open the op
-  // span first and hand the body's future to Timed.
-  sim::Future<Result<FileHandle>> CreateOp(VfsContext ctx, std::string path);
-  sim::Future<Result<FileHandle>> OpenOp(VfsContext ctx, std::string path);
-  sim::Future<Status> WriteOp(VfsContext ctx, FileHandle handle, Bytes data);
-  sim::Future<Result<Bytes>> ReadOp(VfsContext ctx, FileHandle handle,
-                                    std::uint64_t offset,
-                                    std::uint64_t length);
-  sim::Future<Status> FlushOp(VfsContext ctx, FileHandle handle);
-  sim::Future<Status> CloseOp(VfsContext ctx, FileHandle handle);
-  // Records `future`'s latency in histogram `name` when a registry is
-  // configured (its first waiter), tagged with the op span in `ctx`.
-  template <typename T>
-  sim::Future<T> Timed(std::string_view name, const VfsContext& ctx,
-                       sim::Future<T> future);
   // Reclaims every stripe of a dead file (awaited by the unlink).
   sim::VoidFuture ReclaimStripes(net::NodeId node, std::string ident,
                                  std::uint32_t epoch, std::uint64_t size,

@@ -50,9 +50,10 @@ struct FutureState {
 
   Simulation* sim;
   std::optional<T> value;
-  // Almost every future has one waiter, and most others two (a caller plus
-  // a Vfs decorator such as TimedVfs), so the first two live inline and only
-  // later ones pay for the vector.
+  // Almost every future has one waiter, its caller; most others have two
+  // (a caller plus a Vfs decorator such as the benchmark's TimedVfs). No
+  // observer waits on a future: latency is recorded where an op ends. So
+  // the first two live inline and only later ones pay for the vector.
   std::coroutine_handle<> first_waiter;
   std::coroutine_handle<> second_waiter;
   std::vector<std::coroutine_handle<>> more_waiters;

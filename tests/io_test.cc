@@ -147,9 +147,9 @@ TEST_F(KvBatchClusterTest, BatchRoundTripAndStats) {
   EXPECT_EQ(cluster_.stats().batch_rpcs, 2u);
   EXPECT_EQ(cluster_.stats().batch_items, 6u);
   EXPECT_EQ(cluster_.stats().single_rpcs, 0u);
-  EXPECT_EQ(cluster_.server_stats(1).batches, 2u);
-  EXPECT_EQ(cluster_.server_stats(1).batched_items, 6u);
-  EXPECT_EQ(cluster_.server_stats(0).batches, 0u);
+  EXPECT_EQ(cluster_.server_stats(1).batch_rpcs, 2u);
+  EXPECT_EQ(cluster_.server_stats(1).batch_items, 6u);
+  EXPECT_EQ(cluster_.server_stats(0).batch_rpcs, 0u);
   // One MULTI_SET = one server-side stats bump per item.
   EXPECT_EQ(cluster_.server(1).stats().sets, 3u);
   EXPECT_EQ(cluster_.server(1).stats().gets, 3u);
@@ -251,8 +251,8 @@ TEST_F(KvBatchDeadlineTest, PartialBatchRetriesOnlyUnresolvedItems) {
   EXPECT_EQ(cluster_.server(1).stats().sets, 4u);
   EXPECT_GE(cluster_.stats().retries, 1u);
   EXPECT_GE(cluster_.stats().deadline_exceeded, 1u);
-  EXPECT_EQ(cluster_.server_stats(1).batches, 2u);
-  EXPECT_EQ(cluster_.server_stats(1).batched_items, 5u);  // 4 + 1 retried
+  EXPECT_EQ(cluster_.server_stats(1).batch_rpcs, 2u);
+  EXPECT_EQ(cluster_.server_stats(1).batch_items, 5u);  // 4 + 1 retried
   EXPECT_GE(cluster_.server_stats(1).retries, 1u);
 }
 
@@ -271,7 +271,7 @@ TEST_F(KvBatchClusterTest, BatchRetriesAcrossServerDowntime) {
   for (const auto& item : results) EXPECT_TRUE(item.status.ok());
   EXPECT_EQ(cluster_.server(0).stats().sets, 3u);
   EXPECT_GE(cluster_.stats().retries, 1u);
-  EXPECT_EQ(cluster_.server_stats(0).batches, 2u);
+  EXPECT_EQ(cluster_.server_stats(0).batch_rpcs, 2u);
 }
 
 TEST_F(KvBatchClusterTest, WipeOnRestartYieldsMixedBatchGet) {

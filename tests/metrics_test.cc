@@ -217,6 +217,15 @@ TEST(ExemplarTest, TieBreakIsDeterministic) {
   EXPECT_EQ(from_a[4].trace_id, 3u);
 }
 
+TEST(ExemplarTest, UntracedSampleIsCountedButNotKept) {
+  LatencyHistogram h;
+  h.Record(700, Tagged(700, /*trace_id=*/0, /*span_id=*/3, /*at=*/9));
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.max_nanos(), 700u);
+  EXPECT_TRUE(h.exemplars().empty());
+  EXPECT_TRUE(h.TakeExemplars().empty());
+}
+
 TEST(ExemplarTest, UntaggedFieldsDefaultToNoServer) {
   Exemplar tag;
   EXPECT_EQ(tag.server, kNoExemplarServer);
@@ -334,6 +343,84 @@ TEST(MetricsIntegrationTest, MemFsAndKvOpsRecorded) {
   // kv GET latency.
   EXPECT_GT(registry.Histogram("vfs.read").PercentileNanos(0.99),
             registry.Histogram("kv.get").PercentileNanos(0.5));
+}
+
+// --- The registry is digest-neutral ---
+
+// What one write-then-read-back run left behind.
+struct NeutralRun {
+  std::uint64_t digest = 0;
+  std::uint64_t events = 0;
+  sim::SimTime now = 0;
+};
+
+// Create, two writes, flush and close from node 0; open, two reads and
+// close from node 1: every instrumented vfs op, on a replicated deployment
+// so each op fans out to several kv calls. Every call must succeed.
+NeutralRun WriteReadBack(bool batching, MetricsRegistry* registry) {
+  workloads::TestbedConfig config = BedConfig(4);
+  config.memfs.replication = 2;
+  config.memfs.io.batching = batching;
+  config.metrics = registry;
+  workloads::Testbed bed(workloads::FsKind::kMemFs, config);
+  sim::Simulation& sim = bed.simulation();
+  fs::Vfs& vfs = bed.vfs();
+  const Bytes data = Bytes::Synthetic(KiB(512) * 3 + KiB(100), 5);
+
+  auto created = Await(sim, vfs.Create({0, 0}, "/neutral"));
+  EXPECT_TRUE(created.ok());
+  if (!created.ok()) return {};
+  EXPECT_TRUE(
+      Await(sim, vfs.Write({0, 0}, *created, data.Slice(0, KiB(700)))).ok());
+  EXPECT_TRUE(Await(sim, vfs.Write({0, 0}, *created,
+                                   data.Slice(KiB(700),
+                                              data.size() - KiB(700))))
+                  .ok());
+  EXPECT_TRUE(Await(sim, vfs.Flush({0, 0}, *created)).ok());
+  EXPECT_TRUE(Await(sim, vfs.Close({0, 0}, *created)).ok());
+  auto opened = Await(sim, vfs.Open({1, 0}, "/neutral"));
+  EXPECT_TRUE(opened.ok());
+  if (!opened.ok()) return {};
+  auto first = Await(sim, vfs.Read({1, 0}, *opened, 0, MiB(1)));
+  auto second = Await(sim, vfs.Read({1, 0}, *opened, MiB(1), MiB(1)));
+  EXPECT_TRUE(Await(sim, vfs.Close({1, 0}, *opened)).ok());
+  EXPECT_TRUE(first.ok() && second.ok());
+  if (first.ok() && second.ok()) {
+    Bytes back = *first;
+    back.Append(*second);
+    EXPECT_TRUE(back.ContentEquals(data));
+  }
+  return {sim.EventDigest(), sim.events_processed(), sim.now()};
+}
+
+void ExpectRegistryNeutral(bool batching) {
+  const NeutralRun off = WriteReadBack(batching, nullptr);
+  MetricsRegistry registry;
+  const NeutralRun on = WriteReadBack(batching, &registry);
+  EXPECT_EQ(on.digest, off.digest);
+  EXPECT_EQ(on.events, off.events);
+  EXPECT_EQ(on.now, off.now);
+  // One sample per call issued, and no vfs op the test did not call.
+  std::uint64_t vfs_samples = 0;
+  for (const auto& [name, histogram] : registry.all()) {
+    if (name.starts_with("vfs.")) vfs_samples += histogram.count();
+  }
+  EXPECT_EQ(registry.Histogram("vfs.create").count(), 1u);
+  EXPECT_EQ(registry.Histogram("vfs.write").count(), 2u);
+  EXPECT_EQ(registry.Histogram("vfs.flush").count(), 1u);
+  EXPECT_EQ(registry.Histogram("vfs.open").count(), 1u);
+  EXPECT_EQ(registry.Histogram("vfs.read").count(), 2u);
+  EXPECT_EQ(registry.Histogram("vfs.close").count(), 2u);
+  EXPECT_EQ(vfs_samples, 9u);
+  EXPECT_GT(registry.Histogram("kv.set").count(), 0u);
+}
+
+TEST(RegistryNeutralityTest, BatchedWriteReadBackKeepsDigest) {
+  ExpectRegistryNeutral(/*batching=*/true);
+}
+
+TEST(RegistryNeutralityTest, UnbatchedWriteReadBackKeepsDigest) {
+  ExpectRegistryNeutral(/*batching=*/false);
 }
 
 // --- Flush (§3.2.2) ---

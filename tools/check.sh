@@ -27,8 +27,8 @@
 #      (`ctest -L determinism`: every scenario x observer cell of
 #      tools/determinism_gate.cc, the label's only test), then the event
 #      heap, pool, future, semaphore, solver, payload, kv, chaos,
-#      file-system client, replication, metadata, workflow and envelope
-#      tests,
+#      file-system client, replication, metadata, workflow, envelope and
+#      latency-recording tests,
 #   6. configure + build with -DMEMFS_SANITIZE=thread in build-tsan/ and
 #      re-run the same under TSan (skipped with a notice when the toolchain
 #      has no libtsan).
@@ -126,7 +126,11 @@ tests="$tests|ReplicationTest|ElasticTest"
 tests="$tests|MetadataTest|MetaCodecTest|CrossFsListingTest|CrossModeNamespaceTest"
 tests="$tests|WorkflowTest|MontageTest|BlastTest|WorkflowGolden|OpSchedulerBurst"
 tests="$tests|EnvelopeGolden|EnvelopeAccounting"
-echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client, replication, metadata, workflow and envelope tests =="
+# Latency samples are recorded by a scope-exit recorder while an op's
+# coroutine frame is torn down, and the histogram's exemplar reservoir
+# skips untraced samples; the registry-neutrality runs cover both.
+tests="$tests|ExemplarTest|RegistryNeutralityTest"
+echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client, replication, metadata, workflow, envelope and latency-recording tests =="
 ctest --test-dir "$root/build-asan" -R "$tests" --output-on-failure
 
 # TSan and ASan cannot live in one binary, so thread gets its own tree.
@@ -141,7 +145,7 @@ if printf 'int main(){return 0;}' | \
   echo "== sanitizers: determinism gate under TSan =="
   ctest --test-dir "$root/build-tsan" -L determinism --output-on-failure
 
-  echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client, replication, metadata, workflow and envelope tests under TSan =="
+  echo "== sanitizers: event heap, pool, future, semaphore, solver, payload, kv, chaos, client, replication, metadata, workflow, envelope and latency-recording tests under TSan =="
   ctest --test-dir "$root/build-tsan" -R "$tests" --output-on-failure
 else
   echo "== sanitizers: thread skipped (toolchain has no libtsan) =="

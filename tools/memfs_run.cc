@@ -2,8 +2,8 @@
 //
 // Builds a workloads::Testbed from flags and attaches every observer: a
 // metrics registry, the monitor with exemplar harvest, the tracer and the
-// incident flight recorder (all but the registry are digest-neutral). Prints
-// a header with the event digest, then the workload's own tables (envelope:
+// incident flight recorder, all of them digest-neutral. Prints a header
+// with the event digest, then the workload's own tables (envelope:
 // bandwidth; montage/blast: stages, critical path, per-server kv), the
 // latency profile, the monitor's series summary, the symmetry audit,
 // membership (--elastic), SLO verdicts and incidents. --out=DIR writes the
@@ -254,13 +254,13 @@ void PrintServerTable(const kv::KvCluster& storage, std::ostream& os,
   Table servers({"server", "single", "batches", "items", "ops/rpc", "retries",
                  "deadline", "breaker", "srv ops"});
   for (std::uint32_t s = 0; s < storage.server_count(); ++s) {
-    const kv::KvServerClientStats& client = storage.server_stats(s);
+    const kv::KvClusterStats& client = storage.server_stats(s);
     const kv::KvServerStats& srv = storage.server(s).stats();
-    const std::uint64_t rpcs = client.single_ops + client.batches;
-    const std::uint64_t ops = client.single_ops + client.batched_items;
+    const std::uint64_t rpcs = client.single_rpcs + client.batch_rpcs;
+    const std::uint64_t ops = client.single_rpcs + client.batch_items;
     servers.AddRow(
-        {Table::Int(s), Table::Int(client.single_ops),
-         Table::Int(client.batches), Table::Int(client.batched_items),
+        {Table::Int(s), Table::Int(client.single_rpcs),
+         Table::Int(client.batch_rpcs), Table::Int(client.batch_items),
          Table::Num(rpcs == 0 ? 0.0
                               : static_cast<double>(ops) /
                                     static_cast<double>(rpcs),
